@@ -20,7 +20,13 @@ from .errors import DomainError
 from .exactlinalg import NearSingular
 from .laurent import UnitCirclePoint, eval_symmetric_real
 from .patterns import Atom, Profile, eval_invariant, render_term, retrace_term
-from .seifert import an_family, delta_n_closed, delta_sign_scan, lt_signature
+from .seifert import (
+    _circle_samples,
+    _sign_change_arcs,
+    an_family,
+    delta_n_closed,
+    lt_signature,
+)
 
 DEFAULT_MAX_ORDER = 60
 DEFAULT_SCAN_GRID = 720
@@ -87,10 +93,10 @@ def _primes_up_to(limit: int) -> list[int]:
     return primes
 
 
-def _negative_region_test(poly, grid_size: int) -> Callable[[UnitCirclePoint], bool]:
+def _negative_region_test(poly, samples: list[float]) -> Callable[[UnitCirclePoint], bool]:
     """Membership test for the negative regions delimited by the sign scan."""
+    grid_size = len(samples)
     step = math.tau / grid_size
-    samples = [eval_symmetric_real(poly, math.cos(i * step)) for i in range(grid_size)]
 
     def inside(omega: UnitCirclePoint) -> bool:
         if eval_symmetric_real(poly, omega.real_power(1)) >= 0:
@@ -120,9 +126,10 @@ def find_witness_root(
     if n < 1:
         raise DomainError(f"witness search is defined for n >= 1, got {n}")
     poly = delta_n_closed(1 + n)
-    if not delta_sign_scan(poly, grid_size):
+    samples = _circle_samples(poly, grid_size)
+    if not _sign_change_arcs(samples):
         raise WitnessNotFound(max_order)
-    inside = _negative_region_test(poly, grid_size)
+    inside = _negative_region_test(poly, samples)
     matrix = an_family(1 + n)
     for p in _primes_up_to(max_order):
         for k in range(1, p):
@@ -188,8 +195,10 @@ def certify_complexity(
     bound = c * abs(i_q - i_qn)
     term = retrace_term(Atom("Q"), a, c)
     cross = eval_invariant(term, {"Q": a_family_profile(omega, tol)})
-    assert bound == abs(cross), "pattern-calculus evaluation must reproduce the bound"
-    assert bound >= c, "a certificate requires |I(Q) - I(Q_n)| >= 1"
+    if bound != abs(cross):
+        raise ArithmeticError(f"pattern-calculus evaluation gives {cross}, not the bound {bound}")
+    if bound < c:
+        raise ArithmeticError(f"bound {bound} < c = {c}: a certificate needs |I(Q) - I(Q_n)| >= 1")
     assumptions = [
         "smooth shake-sliceness of the retraced knot comes from the trace "
         "diffeomorphism and is recorded, not verified",

@@ -1,15 +1,19 @@
 """Exact determinants of Laurent-polynomial matrices and inertia of forms.
 
-Determinants are computed fraction-free (Bareiss) over the polynomial
-ring after shifting each row by a power of t, so every intermediate is
-an integer polynomial and every division is exact.  Classical inertia
-runs over exact rationals.  Hermitian inertia at a unit-circle point is
-the one numeric computation here, and it is accepted only when the
-exactly-known determinant of the form clears a singularity guard.
+Determinants have one integer kernel: Kronecker substitution t = 2^B,
+with B from a Hadamard bound on the coefficients, fraction-free (Bareiss)
+elimination over the integers, and a balanced base-2^B read-back.  The
+determinant of the pencil t*A - A^T is taken once per Seifert matrix A
+and memoised.  Classical inertia runs over exact rationals.  Hermitian
+inertia at a unit-circle point is the one numeric computation here, and
+it is accepted only when the exactly-known determinant of the form
+clears a singularity guard.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,71 +78,65 @@ def _check_square(rows: Sequence[Sequence]) -> int:
     return n
 
 
-def _divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division in Z[t]; raises if den does not divide num."""
-    if num.is_zero():
-        return LaurentPoly.zero()
-    rem = num.coeffs
-    dmax = den.max_exp()
-    dlead = den.coeff(dmax)
-    out: dict[int, int] = {}
-    while rem:
-        rmax = max(rem)
-        q, r = divmod(rem[rmax], dlead)
-        if rmax < dmax or r:
-            raise ArithmeticError("inexact polynomial division")
-        out[rmax - dmax] = q
-        for e, c in den.coeffs.items():
-            exp = rmax - dmax + e
-            val = rem.get(exp, 0) - q * c
-            if val:
-                rem[exp] = val
-            elif exp in rem:
-                del rem[exp]
-    return LaurentPoly(out)
-
-
 def det_laurent(rows: LaurentMatrix) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials.
 
-    The 0x0 determinant is 1 (empty product).
+    Kronecker substitution: each row is shifted by a power of t so its
+    entries are polynomials.  On the unit circle Hadamard's inequality
+    gives |det| <= C = ceil(prod_i sqrt(sum_j ||a_ij||_1^2)), so C bounds
+    every coefficient of the determinant (Parseval).  The entries are
+    evaluated at t = 2^B with B = C.bit_length() + 1, integer Bareiss
+    elimination with row swaps takes the exact determinant there, and its
+    balanced base-2^B digits are the coefficients.  The 0x0 determinant
+    is 1 (empty product).
     """
-    n = _check_square(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    shift_total = 0
-    work: list[list[LaurentPoly]] = []
+    _check_square(rows)
+    shift = 0
+    norm_sq = 1
+    polys: list[list[dict[int, int]]] = []
     for row in rows:
-        entries = [laurent_from_entry(e) for e in row]
-        nonzero = [e for e in entries if not e.is_zero()]
-        if not nonzero:
+        entries = [laurent_from_entry(e).coeffs for e in row]
+        low = min((e for coeffs in entries for e in coeffs), default=None)
+        if low is None:
             return LaurentPoly.zero()
-        low = min(e.min_exp() for e in nonzero)
-        shift_total += low
-        work.append([e.shift(-low) for e in entries])
-
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if work[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not work[i][k].is_zero():
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = work[i][j] * pivot - work[i][k] * work[k][j]
-                work[i][j] = _divexact(num, prev)
-            work[i][k] = LaurentPoly.zero()
+        shift += low
+        polys.append([{e - low: c for e, c in coeffs.items()} for coeffs in entries])
+        norm_sq *= sum(sum(map(abs, coeffs.values())) ** 2 for coeffs in entries)
+    bits = (math.isqrt(norm_sq - 1) + 1).bit_length() + 1
+    M = [[sum(c << (bits * e) for e, c in p.items()) for p in row] for row in polys]
+    sign, prev = 1, 1
+    while len(M) > 1:
+        k = next((i for i, row in enumerate(M) if row[0]), None)
+        if k is None:
+            return LaurentPoly.zero()
+        if k:
+            M[0], M[k] = M[k], M[0]
+            sign = -sign
+        top, pivot = M[0], M[0][0]
+        M = [[(a * pivot - row[0] * b) // prev for a, b in zip(row[1:], top[1:])]
+             for row in M[1:]]
         prev = pivot
-    det = work[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return det.shift(shift_total)
+    value = sign * M[0][0] if M else 1
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out: dict[int, int] = {}
+    while value:
+        digit = ((value + half) & mask) - half
+        out[shift] = digit
+        value = (value - digit) >> bits
+        shift += 1
+    return LaurentPoly(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _pencil_det(A: tuple[tuple[int, ...], ...]) -> LaurentPoly:
+    """det(t*A - A^T), taken once per matrix.
+
+    Callers pass the immutable copy tuple(map(tuple, A)), so a matrix they
+    mutate later is never answered from the memo.
+    """
+    n = _check_square(A)
+    return det_laurent([[LaurentPoly({1: A[i][j], 0: -A[j][i]}) for j in range(n)]
+                        for i in range(n)])
 
 
 def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
@@ -214,16 +212,8 @@ def form_determinant_magnitude(A: Sequence[Sequence[int]], omega: UnitCirclePoin
     H(omega) = ((1 - omega)/omega) * (omega*A - A^T), so
     |det H| = |1 - omega|^dim * |det(t*A - A^T) at t=omega|.
     """
-    n = _check_square(A)
-    if n == 0:
-        return 1.0
-    poly_rows = [
-        [LaurentPoly({1: A[i][j], 0: -A[j][i]}) for j in range(n)]
-        for i in range(n)
-    ]
-    d = det_laurent(poly_rows)
-    value = lp_eval_unit(d, omega)
-    return abs(1 - omega.value) ** n * abs(value)
+    value = lp_eval_unit(_pencil_det(tuple(map(tuple, A))), omega)
+    return abs(1 - omega.value) ** len(A) * abs(value)
 
 
 def inertia_hermitian_at_root(
@@ -258,9 +248,11 @@ def inertia_hermitian_at_root(
     n_plus = int(np.sum(eigs > 0))
     n_minus = int(np.sum(eigs < 0))
     inertia = Inertia(n_plus, n - n_plus - n_minus, n_minus)
-    assert inertia.n_zero == 0
-    if n % 2 == 0:
-        assert inertia.signature % 2 == 0, "guarded knot-form signature must be even"
+    if inertia.n_zero or (n % 2 == 0 and inertia.signature % 2):
+        raise ArithmeticError(
+            f"guarded inertia {inertia} at {omega} has a zero eigenvalue or, "
+            "in even dimension, an odd signature"
+        )
     return inertia
 
 

@@ -2,7 +2,7 @@
 
 alexander(A) is the symmetrized polynomial t^(-dim/2) * det(t*A - A^T);
 it is always symmetric in t <-> 1/t and takes the value 1 at t = 1, and
-both facts are asserted on every computation.  an_family(n) builds the
+both facts are checked on every computation.  an_family(n) builds the
 (2n+2)x(2n+2) Seifert matrix of the n-th twisted satellite in the
 family this package certifies complexity bounds with; its Alexander
 polynomial has the nine-term closed form delta_n_closed(n).
@@ -16,7 +16,8 @@ from typing import Sequence
 from .errors import DomainError
 from .exactlinalg import (
     Inertia,
-    det_laurent,
+    _check_square,
+    _pencil_det,
     inertia_hermitian_at_root,
     signature,
 )
@@ -27,25 +28,14 @@ class OddDimension(ValueError):
     """Alexander normalization t^(-dim/2) needs an even-dimensional matrix."""
 
 
-def _check_square_int(A: Sequence[Sequence[int]]) -> int:
-    n = len(A)
-    for row in A:
-        if len(row) != n:
-            raise ValueError("Seifert matrix must be square")
-    return n
-
-
 def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
     """Symmetrized Alexander polynomial t^(-dim/2) * det(t*A - A^T)."""
-    n = _check_square_int(A)
+    n = _check_square(A)
     if n % 2:
         raise OddDimension(f"dimension {n} is odd; the t^(-dim/2) normalization needs it even")
-    rows = [
-        [LaurentPoly({1: A[i][j], 0: -A[j][i]}) for j in range(n)]
-        for i in range(n)
-    ]
-    delta = det_laurent(rows).shift(-n // 2)
-    assert lp_is_symmetric(delta), "Alexander polynomial must be symmetric in t <-> 1/t"
+    delta = _pencil_det(tuple(map(tuple, A))).shift(-n // 2)
+    if not lp_is_symmetric(delta):
+        raise ArithmeticError(f"Alexander polynomial {delta} is not symmetric in t <-> 1/t")
     if sum(delta.coeffs.values()) != 1:
         raise ValueError(
             "not a knot Seifert matrix: det(A - A^T) must be 1, "
@@ -56,7 +46,7 @@ def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
 
 def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
     """Signature of the symmetrized form A + A^T."""
-    n = _check_square_int(A)
+    n = _check_square(A)
     sym = [[A[i][j] + A[j][i] for j in range(n)] for i in range(n)]
     return signature(sym)
 
@@ -127,15 +117,24 @@ def delta_sign_scan(p: LaurentPoly, grid_size: int) -> list[tuple[float, float]]
     Samples the real value of the symmetric p at grid_size equispaced
     angles and reports each adjacent pair with opposite strict signs.
     """
+    return _sign_change_arcs(_circle_samples(p, grid_size))
+
+
+def _circle_samples(p: LaurentPoly, grid_size: int) -> list[float]:
+    """Real values of the symmetric p at grid_size equispaced angles."""
     if not lp_is_symmetric(p):
         raise ValueError("sign scan is defined for symmetric polynomials")
     if grid_size < 2:
         raise ValueError("need at least two grid points")
     step = math.tau / grid_size
-    values = [eval_symmetric_real(p, math.cos(i * step)) for i in range(grid_size)]
+    return [eval_symmetric_real(p, math.cos(i * step)) for i in range(grid_size)]
+
+
+def _sign_change_arcs(values: list[float]) -> list[tuple[float, float]]:
+    step = math.tau / len(values)
     arcs: list[tuple[float, float]] = []
-    for i in range(grid_size):
-        a, b = values[i], values[(i + 1) % grid_size]
+    for i, a in enumerate(values):
+        b = values[(i + 1) % len(values)]
         if (a > 0 and b < 0) or (a < 0 and b > 0):
             arcs.append((i * step, (i + 1) * step))
     return arcs

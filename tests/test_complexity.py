@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from shakekit import complexity, seifert
 from shakekit.complexity import (
     CompatibleInvariant,
     WitnessNotFound,
@@ -46,6 +48,26 @@ class TestWitnessSearch:
     def test_rejects_bad_index(self):
         with pytest.raises(DomainError):
             find_witness_root(0)
+
+    def test_samples_the_grid_once(self, monkeypatch):
+        xs = []
+        real = seifert.eval_symmetric_real
+
+        def counting(p, x):
+            xs.append(x)
+            return real(p, x)
+
+        monkeypatch.setattr(seifert, "eval_symmetric_real", counting)
+        monkeypatch.setattr(complexity, "eval_symmetric_real", counting)
+        grid = 720
+        step = math.tau / grid
+        for n in (1, 2, 6, 10):
+            xs.clear()
+            w = find_witness_root(n, grid_size=grid)
+            # the grid once, then one region test per root up to the witness
+            order = [(p, k) for p in range(2, 61) if is_prime(p) for k in range(1, p)]
+            assert xs[:grid] == [math.cos(i * step) for i in range(grid)]
+            assert len(xs) == grid + order.index((w.m, w.k)) + 1, n
 
     def test_exhausted_order_budget(self):
         with pytest.raises(WitnessNotFound) as exc:

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -13,11 +14,14 @@ from oracles import (
     random_symmetric_matrix,
     random_unimodular,
 )
+from shakekit import exactlinalg
+from shakekit.complexity import certify_complexity
 from shakekit.exactlinalg import (
     Inertia,
     InvalidRoot,
     NearSingular,
     det_laurent,
+    form_determinant_magnitude,
     inertia_hermitian_at_root,
     inertia_symmetric_exact,
     int_matrix_from_json,
@@ -26,6 +30,7 @@ from shakekit.exactlinalg import (
     signature,
 )
 from shakekit.laurent import LaurentPoly, UnitCirclePoint
+from shakekit.seifert import alexander, lt_signature
 
 A1 = [
     [1, 1, 1, 0],
@@ -105,6 +110,104 @@ class TestDetLaurent:
                 for i in range(3)
             ]
             assert det_laurent(prod) == det_laurent(a) * det_laurent(b)
+
+
+def hadamard_bound(rows: list[list[LaurentPoly]]) -> int:
+    """ceil(prod_i sqrt(sum_j ||a_ij||_1^2)), the coefficient bound of the kernel."""
+    norm_sq = 1
+    for row in rows:
+        norm_sq *= sum(sum(abs(c) for c in e.coeffs.values()) ** 2 for e in row)
+    return math.isqrt(norm_sq - 1) + 1
+
+
+H2 = [[1, 1], [1, -1]]
+H4 = [[a * b for a in ra for b in rb] for ra in H2 for rb in H2]
+
+
+class TestDetKernel:
+    """The Kronecker-substitution kernel against the cofactor oracle and its bound."""
+
+    def test_huge_coefficients_and_exponents(self):
+        rng = random.Random(20261017)
+        for trial in range(60):
+            dim = rng.randint(0, 5)
+            rows = [
+                [
+                    LaurentPoly({rng.randint(-30, 30): rng.randint(-10**15, 10**15)
+                                 for _ in range(rng.randint(0, 3))})
+                    for _ in range(dim)
+                ]
+                for _ in range(dim)
+            ]
+            assert det_laurent(rows) == det_cofactor(rows), f"trial {trial}: {rows!r}"
+
+    @pytest.mark.parametrize("scale", [1, 5, 2**60, 2**60 - 1, 10**15 + 37])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficient_at_the_bound(self, scale, sign):
+        # Rows of Hadamard matrices scaled by +-scale * t^e meet Hadamard's
+        # inequality with equality, so the single coefficient equals the bound.
+        for H in ([[1]], H2, H4):
+            dim = len(H)
+            rows = [
+                [LaurentPoly({3 * i - 7: sign * scale * H[i][j]}) for j in range(dim)]
+                for i in range(dim)
+            ]
+            det = det_laurent(rows)
+            assert det == det_cofactor(rows)
+            assert len(det.coeffs) == 1
+            assert abs(det.coeff(det.max_exp())) == hadamard_bound(rows)
+            mirrored = [[-e for e in rows[0]]] + rows[1:]
+            assert det_laurent(mirrored) == -det
+
+    def test_vanishing_leading_minor_forces_row_swap(self):
+        t = LaurentPoly.t()
+        one, z = LaurentPoly.one(), LaurentPoly.zero()
+        # the leading 2x2 minor t*t - t^2*1 vanishes as a polynomial
+        rows = [[t, t * t, one], [one, t, z], [z, one, t]]
+        assert det_laurent(rows) == det_cofactor(rows) == LaurentPoly({0: 1})
+        # the leading 1x1 minor is zero
+        rows = [[z, t, one], [t, one, z], [one, z, t.inverse()]]
+        assert det_laurent(rows) == det_cofactor(rows)
+        assert not det_laurent(rows).is_zero()
+
+    def test_singular_without_zero_row(self):
+        t = LaurentPoly.t()
+        one = LaurentPoly.one()
+        r1 = [one, t, t * t]
+        r2 = [t, one - t, 3 * t.inverse()]
+        rows = [r1, r2, [a + 2 * t * b for a, b in zip(r1, r2)]]
+        assert det_laurent(rows) == det_cofactor(rows) == LaurentPoly.zero()
+        # a zero column: elimination finds no pivot at all
+        z = LaurentPoly.zero()
+        assert det_laurent([[z, t], [z, one]]) == LaurentPoly.zero()
+
+
+class TestPencilMemo:
+    def test_one_determinant_per_matrix(self, monkeypatch):
+        calls = []
+        real = exactlinalg.det_laurent
+
+        def counting(rows):
+            calls.append(tuple(map(tuple, rows)))
+            return real(rows)
+
+        monkeypatch.setattr(exactlinalg, "det_laurent", counting)
+        for n, c in ((25, 3), (4, 200)):
+            exactlinalg._pencil_det.cache_clear()
+            calls.clear()
+            certify_complexity(n, c)
+            assert len(calls) == len(set(calls)) == 2, (n, c)
+        exactlinalg._pencil_det.cache_clear()
+
+    def test_mutating_the_matrix_never_gives_a_stale_result(self):
+        A = [[-1, 1], [0, -1]]
+        assert alexander(A) == LaurentPoly({-1: 1, 0: -1, 1: 1})
+        assert lt_signature(A, UnitCirclePoint.minus_one()) == -2
+        magnitude = form_determinant_magnitude(A, UnitCirclePoint.root(1, 3))
+        A[0][0] = 1  # the trefoil's matrix becomes the figure-eight's
+        assert alexander(A) == LaurentPoly({-1: -1, 0: 3, 1: -1})
+        assert lt_signature(A, UnitCirclePoint.minus_one()) == 0
+        assert form_determinant_magnitude(A, UnitCirclePoint.root(1, 3)) != magnitude
 
 
 class TestInertiaSymmetric:

@@ -116,6 +116,10 @@ class TestClosedForm:
         for n in range(1, 13):
             assert alexander(an_family(n)) == delta_n_closed(n), f"n={n}"
 
+    def test_matches_determinant_route_up_to_dimension_82(self):
+        for n in range(13, 41):
+            assert alexander(an_family(n)) == delta_n_closed(n), f"n={n}"
+
     def test_rejects_bad_index(self):
         with pytest.raises(DomainError):
             delta_n_closed(0)
