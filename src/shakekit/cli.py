@@ -4,8 +4,7 @@ Subcommands: alexander, signature, lt, goeritz, pattern, certify,
 verify.  Inputs are JSON files; outputs are deterministic JSON payloads
 on stdout (verify prints a table unless --json is given).  Exit codes:
 0 success, 1 domain error (odd dimension, near-singular root, missing
-witness, ...), 2 malformed input.  SHAKEKIT_TOL overrides the default
-singularity-guard tolerance of 1e-9.
+witness, ...), 2 malformed input.
 """
 
 from __future__ import annotations
@@ -119,12 +118,13 @@ def _profiles_from_json(doc: object) -> dict:
     for name, spec in doc.items():
         if not isinstance(spec, dict):
             raise ValueError(f"profile for {name!r} must be an object")
-        if "table" in spec:
+        if isinstance(spec.get("table"), dict):
             profiles[name] = table_profile(spec["table"])
-        elif "family" in spec:
+        elif isinstance(spec.get("family"), dict) and isinstance(spec["family"].get("root"), str):
             profiles[name] = a_family_profile(_parse_root(spec["family"]["root"]))
         else:
-            raise ValueError(f'profile for {name!r} needs a "table" or "family" entry')
+            raise ValueError(f'profile for {name!r} needs a "table" object or a '
+                             '"family" object with a "root" string')
     return profiles
 
 
@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="Seifert-matrix JSON file")
     root = p.add_mutually_exclusive_group(required=True)
     root.add_argument("--root", help="root of unity k/m, i.e. e^{2*pi*i*k/m}")
-    root.add_argument("--theta", type=float, help="angle in radians (routed through the guard)")
+    root.add_argument("--theta", type=float,
+                      help="finite angle in radians (signs certified by a rounding-error bound)")
     p.set_defaults(handler=cmd_lt)
 
     p = sub.add_parser("goeritz", help="Goeritz form and correction term of a band presentation")

@@ -57,22 +57,22 @@ class CompatibleInvariant:
         return raw // self.genus_bound_scale
 
 
-def half_lt_signature(tol: float | None = None) -> CompatibleInvariant:
+def half_lt_signature() -> CompatibleInvariant:
     """sigma(., omega)/2 over the twisted family; bounds the 4-genus directly."""
     return CompatibleInvariant(
         name="half-LT-signature",
-        evaluator=lambda index, omega: lt_signature(an_family(index), omega, tol),
+        evaluator=lambda index, omega: lt_signature(an_family(index), omega),
         genus_bound_scale=2,
     )
 
 
-def a_family_profile(omega: UnitCirclePoint, tol: float | None = None) -> Profile:
+def a_family_profile(omega: UnitCirclePoint) -> Profile:
     """Invariant profile iota(k) = I(Q_k) for the base pattern Q.
 
     Q_k is the (1+k)-th family member, so the profile is declared on
     k >= 0 only; anything else raises DomainError.
     """
-    inv = half_lt_signature(tol)
+    inv = half_lt_signature()
 
     def profile(k: int) -> int:
         if 1 + k < 1:
@@ -114,13 +114,12 @@ def find_witness_root(
     n: int,
     max_order: int = DEFAULT_MAX_ORDER,
     grid_size: int = DEFAULT_SCAN_GRID,
-    tol: float | None = None,
 ) -> UnitCirclePoint:
     """Smallest prime-order root of unity where sigma(Q_n, omega) != 0.
 
     Scans delta_{1+n} for sign changes, then tries roots k/p for primes
     p <= max_order in increasing (p, k) order, keeping the first one
-    inside a negative region where the guard passes and the signature is
+    inside a negative region where the signature is certified and
     nonzero.  Odd twisting always yields omega = -1 (k/m = 1/2) first.
     """
     if n < 1:
@@ -137,7 +136,7 @@ def find_witness_root(
             if not inside(omega):
                 continue
             try:
-                if lt_signature(matrix, omega, tol) != 0:
+                if lt_signature(matrix, omega) != 0:
                     return omega
             except NearSingular:
                 continue
@@ -174,7 +173,6 @@ def certify_complexity(
     n: int,
     c: int,
     max_order: int = DEFAULT_MAX_ORDER,
-    tol: float | None = None,
 ) -> ComplexityCertificate:
     """Certificate that the framing-n, complexity-c knot has complexity >= c.
 
@@ -188,13 +186,13 @@ def certify_complexity(
     if c < 1:
         raise DomainError(f"complexity target must be >= 1, got {c}")
     a = abs(n)
-    omega = find_witness_root(a, max_order=max_order, tol=tol)
-    inv = half_lt_signature(tol)
+    omega = find_witness_root(a, max_order=max_order)
+    inv = half_lt_signature()
     i_q = inv.genus_value(1, omega)
     i_qn = inv.genus_value(1 + a, omega)
     bound = c * abs(i_q - i_qn)
     term = retrace_term(Atom("Q"), a, c)
-    cross = eval_invariant(term, {"Q": a_family_profile(omega, tol)})
+    cross = eval_invariant(term, {"Q": a_family_profile(omega)})
     if bound != abs(cross):
         raise ArithmeticError(f"pattern-calculus evaluation gives {cross}, not the bound {bound}")
     if bound < c:
@@ -224,14 +222,13 @@ def certify_complexity(
 def sigma_q_vanishes_check(
     grid: int = 360,
     max_prime_order: int = 50,
-    tol: float | None = None,
 ) -> bool:
     """Confirm the base pattern's LT signature vanishes identically.
 
     Checks that delta_1 is strictly positive on a grid of the circle
     (its real form is the quadratic 4x^2 - 6x + 3 in x = Re t) and that
-    sigma(Q, omega) = 0 at every prime-order root where the guard
-    passes.
+    sigma(Q, omega) = 0 at every prime-order root where the form is
+    nonsingular.
     """
     delta1 = delta_n_closed(1)
     for j in range(grid):
@@ -241,7 +238,7 @@ def sigma_q_vanishes_check(
     for p in _primes_up_to(max_prime_order):
         for k in range(1, p):
             try:
-                if lt_signature(matrix, UnitCirclePoint.root(k, p), tol) != 0:
+                if lt_signature(matrix, UnitCirclePoint.root(k, p)) != 0:
                     return False
             except NearSingular:
                 continue

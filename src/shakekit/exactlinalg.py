@@ -3,49 +3,54 @@
 Determinants have one integer kernel: Kronecker substitution t = 2^B,
 with B from a Hadamard bound on the coefficients, fraction-free (Bareiss)
 elimination over the integers, and a balanced base-2^B read-back.  The
-determinant of the pencil t*A - A^T is taken once per Seifert matrix A
-and memoised.  Classical inertia runs over exact rationals.  Hermitian
-inertia at a unit-circle point is the one numeric computation here, and
-it is accepted only when the exactly-known determinant of the form
-clears a singularity guard.
+Seifert pencil t*A - A^T is eliminated once per matrix A and memoised;
+with symmetric pivoting its Bareiss pivots are its leading principal
+minors, which give both the determinant and, by Jacobi's sign rule, the
+exact inertia of the Hermitian form H(omega) at every unit-circle point.
+At a root of unity a minor vanishes exactly when its remainder modulo
+the cyclotomic polynomial does; every nonzero sign is certified by an
+explicit rounding-error bound or refused.  Classical inertia runs over
+exact rationals.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .laurent import LaurentPoly, UnitCirclePoint, laurent_from_entry, lp_eval_unit
-
-DEFAULT_TOL = 1e-9
-
-
-def guard_tolerance() -> float:
-    """Default relative tolerance for the singularity guard.
-
-    SHAKEKIT_TOL in the environment overrides the built-in 1e-9.
-    """
-    raw = os.environ.get("SHAKEKIT_TOL")
-    return float(raw) if raw else DEFAULT_TOL
+from .errors import strict_int
+from .laurent import LaurentPoly, UnitCirclePoint, laurent_from_entry
 
 
 class InvalidRoot(ValueError):
     """The Hermitian form vanishes identically at omega = 1."""
 
 
-class NearSingular(ArithmeticError):
-    """The form at omega is too close to singular to trust float inertia."""
+def _perturbation_hint(omega: UnitCirclePoint) -> str:
+    if omega.is_rational:
+        return f"perturb the root, e.g. use {8 * omega.k + 1}/{8 * omega.m}"
+    return f"perturb the angle, e.g. use theta={omega.theta + 1e-3!r}"
 
-    def __init__(self, omega: UnitCirclePoint, suggestion: str):
+
+class NearSingular(ArithmeticError):
+    """The form at omega is singular, or a leading minor's sign is uncertain.
+
+    index is the leading minor D_index that triggered the refusal, value
+    the computed float whose sign is that of D_index (0.0 when D_index
+    vanishes exactly) and bound the rounding-error bound it had to clear.
+    """
+
+    def __init__(self, omega: UnitCirclePoint, reason: str, index: int, value: float,
+                 bound: float):
         self.omega = omega
-        self.suggestion = suggestion
-        super().__init__(f"form is near-singular at {omega}; {suggestion}")
+        self.suggestion = _perturbation_hint(omega)
+        self.index = index
+        self.value = value
+        self.bound = bound
+        super().__init__(f"form is near-singular at {omega}: {reason}; {self.suggestion}")
 
 
 @dataclass(frozen=True)
@@ -78,65 +83,214 @@ def _check_square(rows: Sequence[Sequence]) -> int:
     return n
 
 
-def det_laurent(rows: LaurentMatrix) -> LaurentPoly:
+@dataclass(frozen=True)
+class Pivots:
+    """Bareiss pivots at t = 2^bits, each one a leading minor of the pivoted matrix.
+
+    values[k-1] is the k-th pivot, the polynomial P_k / t^lows[k-1]
+    evaluated at 2^bits, whose coefficients lie strictly inside
+    +-2^(bits-1).
+    """
+
+    bits: int
+    values: tuple[int, ...]
+    lows: tuple[int, ...]
+
+    def digits(self, k: int) -> list[int]:
+        """Coefficients of P_k / t^lows[k-1], lowest degree first."""
+        value, bits = self.values[k - 1], self.bits
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        out: list[int] = []
+        while value:
+            digit = ((value + half) & mask) - half
+            out.append(digit)
+            value = (value - digit) >> bits
+        return out
+
+    def minor(self, k: int) -> LaurentPoly:
+        """P_k as a Laurent polynomial; P_0 = 1."""
+        if k == 0:
+            return LaurentPoly.one()
+        low = self.lows[k - 1]
+        return LaurentPoly({low + i: d for i, d in enumerate(self.digits(k))})
+
+
+def _swap(M: list[list[int]], lows: list[int], i: int, j: int) -> None:
+    """Exchange index i with j in rows and columns alike: a congruence."""
+    M[i], M[j] = M[j], M[i]
+    for row in M:
+        row[i], row[j] = row[j], row[i]
+    lows[i], lows[j] = lows[j], lows[i]
+
+
+def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | Pivots:
     """Exact determinant of a square matrix of Laurent polynomials.
 
     Kronecker substitution: each row is shifted by a power of t so its
     entries are polynomials.  On the unit circle Hadamard's inequality
     gives |det| <= C = ceil(prod_i sqrt(sum_j ||a_ij||_1^2)), so C bounds
-    every coefficient of the determinant (Parseval).  The entries are
-    evaluated at t = 2^B with B = C.bit_length() + 1, integer Bareiss
-    elimination with row swaps takes the exact determinant there, and its
-    balanced base-2^B digits are the coefficients.  The 0x0 determinant
-    is 1 (empty product).
+    every coefficient of the determinant (Parseval), and of every minor
+    too, since no row factor is below 1.  The entries are evaluated at
+    t = 2^B with B = C.bit_length() + 1, integer Bareiss elimination with
+    row swaps takes the exact determinant there, and its balanced
+    base-2^B digits are the coefficients.  The 0x0 determinant is 1
+    (empty product).
+
+    With pivots=True the same elimination pivots symmetrically and
+    returns its Pivots instead.  A zero pivot is exchanged, row and column
+    together, for the first nonzero diagonal entry after it; when every
+    remaining diagonal entry is zero, a 2x2 block [[0, b], [c, 0]] with
+    b, c != 0 takes two Bareiss steps at once (the 3x3 Sylvester
+    determinants divided by prev^2).  The pivoted matrix is P M P^T, so
+    pivot k is its k-th leading principal minor; once the rest of the
+    matrix is zero, the remaining minors are 0.  Seifert pencils
+    t*A - A^T have M[i][j] != 0 exactly when M[j][i] != 0, so a block
+    always exists while the rest is nonzero.
     """
     _check_square(rows)
-    shift = 0
+    lows: list[int] = []
     norm_sq = 1
     polys: list[list[dict[int, int]]] = []
     for row in rows:
         entries = [laurent_from_entry(e).coeffs for e in row]
         low = min((e for coeffs in entries for e in coeffs), default=None)
         if low is None:
-            return LaurentPoly.zero()
-        shift += low
+            if not pivots:
+                return LaurentPoly.zero()
+            low = 0
+        lows.append(low)
         polys.append([{e - low: c for e, c in coeffs.items()} for coeffs in entries])
-        norm_sq *= sum(sum(map(abs, coeffs.values())) ** 2 for coeffs in entries)
+        norm_sq *= max(1, sum(sum(map(abs, coeffs.values())) ** 2 for coeffs in entries))
     bits = (math.isqrt(norm_sq - 1) + 1).bit_length() + 1
     M = [[sum(c << (bits * e) for e, c in p.items()) for p in row] for row in polys]
-    sign, prev = 1, 1
-    while len(M) > 1:
-        k = next((i for i, row in enumerate(M) if row[0]), None)
-        if k is None:
-            return LaurentPoly.zero()
-        if k:
+    sign, prev, offset = 1, 1, 0
+    values: list[int] = []
+    offsets: list[int] = []
+    while M:
+        if not M[0][0] and not pivots:
+            k = next((i for i, row in enumerate(M) if row[0]), None)
+            if k is None:
+                return LaurentPoly.zero()
             M[0], M[k] = M[k], M[0]
             sign = -sign
+        elif not M[0][0]:
+            k = next((i for i in range(len(M)) if M[i][i]), None)
+            if k is not None:
+                _swap(M, lows, 0, k)
+            else:
+                r = len(M)
+                pair = next(((i, j) for i in range(r) for j in range(i + 1, r)
+                             if M[i][j] and M[j][i]), None)
+                if pair is None:
+                    if any(map(any, M)):
+                        raise ValueError("symmetric pivoting needs M[i][j] != 0 "
+                                         "exactly when M[j][i] != 0")
+                    values += [0] * r
+                    offsets += [offset] * r
+                    break
+                _swap(M, lows, 0, pair[0])
+                _swap(M, lows, 1, pair[1])
+                b, c = M[0][1], M[1][0]
+                p2 = prev * prev
+                M = [[(b * (row[0] * y - c * w) + c * row[1] * x) // p2
+                      for x, y, w in zip(M[0][2:], M[1][2:], row[2:])]
+                     for row in M[2:]]
+                prev = -b * c // prev
+                values += [0, prev]
+                offsets += [offset + lows[0], offset + lows[0] + lows[1]]
+                offset = offsets[-1]
+                del lows[:2]
+                continue
         top, pivot = M[0], M[0][0]
         M = [[(a * pivot - row[0] * b) // prev for a, b in zip(row[1:], top[1:])]
              for row in M[1:]]
         prev = pivot
-    value = sign * M[0][0] if M else 1
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    out: dict[int, int] = {}
-    while value:
-        digit = ((value + half) & mask) - half
-        out[shift] = digit
-        value = (value - digit) >> bits
-        shift += 1
-    return LaurentPoly(out)
+        values.append(pivot)
+        offset += lows.pop(0)
+        offsets.append(offset)
+    found = Pivots(bits, tuple(values), tuple(offsets))
+    if pivots:
+        return found
+    det = found.minor(len(values))
+    return det if sign > 0 else -det
+
+
+class _Pencil:
+    """t*A - A^T eliminated once, with its leading minors read back on demand."""
+
+    def __init__(self, A: tuple[tuple[int, ...], ...]):
+        n = _check_square(A)
+        self.pivots = det_laurent([[LaurentPoly({1: A[i][j], 0: -A[j][i]}) for j in range(n)]
+                                   for i in range(n)], pivots=True)
+        self._residues: dict[int, list[list[tuple[int, int]]]] = {}
+        self._signs: dict[object, list[int]] = {}
+
+    @functools.cached_property
+    def terms(self) -> list[list[tuple[int, int]]]:
+        """P_k as (exponent, nonzero coefficient) pairs, lowest first, k = 1..n."""
+        return [[(low + i, d) for i, d in enumerate(self.pivots.digits(k)) if d]
+                for k, low in enumerate(self.pivots.lows, 1)]
+
+    def residues(self, m: int) -> list[list[tuple[int, int]]]:
+        """P_k modulo Phi_m as (exponent, nonzero coefficient) pairs, k = 1..n.
+
+        P_k(omega) = 0 at a primitive m-th root omega exactly when this
+        list is empty.  A minor that spans at most sqrt(m/2) <= phi(m)
+        exponents is already reduced and keeps its own exponents.
+        """
+        if m not in self._residues:
+            self._residues[m] = [
+                terms if not terms or (terms[-1][0] - terms[0][0] + 1) ** 2 <= m // 2
+                else _mod_cyclotomic(terms, m)
+                for terms in self.terms
+            ]
+        return self._residues[m]
+
+    def signs(self, omega: UnitCirclePoint) -> list[int]:
+        """Signs (+1, -1, or 0 when exactly zero) of D_1(omega), ..., D_n(omega).
+
+        D_k(omega) = ((1 - omega)/omega)^k P_k(omega), and with
+        omega = e^(i*theta), ((1 - omega)/omega)^k
+        = (2 sin(theta/2))^k * e^(-i*k*(theta + pi)/2), so D_k has the sign
+        of sin(theta/2)^k * sum_e p_e cos(theta*(e - k/2) - pi*k/2); D_k is
+        real, so the real part is all of it.  At a root of unity the p_e are
+        P_k's remainder modulo Phi_m, and D_k(omega) = 0 exactly when that
+        remainder is; a float angle has no exact zero test beyond P_k = 0.
+        Each computed angle is within 8u * (|theta| * max|e - k/2| + k + 1)
+        of the true one, counting the rounding of theta itself when it
+        stands for 2*pi*r/m.
+        Raises NearSingular when a nonzero sign is not certified.
+        """
+        key = (omega.k, omega.m) if omega.is_rational else omega.theta
+        if key in self._signs:
+            return self._signs[key]
+        minors = self.residues(omega.m) if omega.is_rational else self.terms
+        theta = omega.theta
+        flip = math.sin(theta / 2) < 0
+        signs: list[int] = []
+        for k, terms in enumerate(minors, 1):
+            if not terms:  # D_k(omega) = 0 exactly
+                signs.append(0)
+                continue
+            offsets = [e - k / 2 for e, _ in terms]
+            sign = _certified_sign(
+                omega, k, [c for _, c in terms],
+                [theta * x - math.pi / 2 * k for x in offsets],
+                8 * _U * (abs(theta) * max(map(abs, offsets)) + k + 1),
+            )
+            signs.append(-sign if flip and k % 2 else sign)
+        self._signs[key] = signs
+        return signs
 
 
 @functools.lru_cache(maxsize=64)
-def _pencil_det(A: tuple[tuple[int, ...], ...]) -> LaurentPoly:
-    """det(t*A - A^T), taken once per matrix.
+def _pencil(A: tuple[tuple[int, ...], ...]) -> _Pencil:
+    """The memoised pencil of A.
 
     Callers pass the immutable copy tuple(map(tuple, A)), so a matrix they
     mutate later is never answered from the memo.
     """
-    n = _check_square(A)
-    return det_laurent([[LaurentPoly({1: A[i][j], 0: -A[j][i]}) for j in range(n)]
-                        for i in range(n)])
+    return _Pencil(A)
 
 
 def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
@@ -193,81 +347,133 @@ def signature(S: Sequence[Sequence[int]]) -> int:
     return inertia_symmetric_exact(S).signature
 
 
-def _perturbation_hint(omega: UnitCirclePoint) -> str:
-    if omega.is_rational:
-        return f"perturb the root, e.g. use {8 * omega.k + 1}/{8 * omega.m}"
-    return f"perturb the angle, e.g. use theta={omega.theta + 1e-3!r}"
+@functools.lru_cache(maxsize=128)
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    """Coefficients of the m-th cyclotomic polynomial, lowest degree first.
 
-
-def hermitian_form(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> np.ndarray:
-    """H(omega) = (1 - omega) A + (1 - conj(omega)) A^T."""
-    w = omega.value
-    mat = np.array(A, dtype=complex)
-    return (1 - w) * mat + (1 - w.conjugate()) * mat.T
-
-
-def form_determinant_magnitude(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> float:
-    """|det H(omega)| from the exact determinant of t*A - A^T.
-
-    H(omega) = ((1 - omega)/omega) * (omega*A - A^T), so
-    |det H| = |1 - omega|^dim * |det(t*A - A^T) at t=omega|.
+    Phi_m = prod over d | m of (t^d - 1)^mu(m/d): multiply by the factors
+    with mu = +1, then divide exactly by those with mu = -1.
     """
-    value = lp_eval_unit(_pencil_det(tuple(map(tuple, A))), omega)
-    return abs(1 - omega.value) ** len(A) * abs(value)
+    primes, rest, p = [], m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    factors = sorted(
+        (bin(mask).count("1") % 2, m // math.prod(q for i, q in enumerate(primes) if mask >> i & 1))
+        for mask in range(1 << len(primes))
+    )
+    poly = [1]
+    for divide, d in factors:
+        if divide:  # q * (t^d - 1) = poly, solved from the lowest degree up
+            q = poly[: len(poly) - d]
+            for i in range(len(q)):
+                q[i] = (q[i - d] if i >= d else 0) - poly[i]
+            poly = q
+        else:
+            out = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly):
+                out[i + d] += c
+            poly = out
+    return tuple(poly)
 
 
-def inertia_hermitian_at_root(
-    A: Sequence[Sequence[int]],
-    omega: UnitCirclePoint,
-    tol: float | None = None,
-) -> Inertia:
-    """Inertia of the Hermitian form H(omega), guarded against singularity.
+def _mod_cyclotomic(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
+    """sum c t^e over the (e, c) terms modulo Phi_m, as (exponent, nonzero c) pairs.
 
-    The guard compares the exactly-computed |det H(omega)| to
-    tol * (product of row norms of H); Hadamard's bound makes that ratio
-    a scale-free nearness-to-singular measure.  Raises NearSingular when
-    the guard fails and InvalidRoot at omega = 1 where H vanishes.
+    Exponents fold modulo m (t^m = 1 at an m-th root), then the remainder
+    by the monic Phi_m is taken with exact integers.
+    """
+    folded = [0] * m
+    for e, c in terms:
+        folded[e % m] += c
+    phi = _cyclotomic(m)
+    d = len(phi) - 1
+    lower = [(e, c) for e, c in enumerate(phi[:d]) if c]
+    for top in range(m - 1, d - 1, -1):
+        c = folded[top]
+        if c:
+            for e, a in lower:
+                folded[top - d + e] -= c * a
+    return [(e, c) for e, c in enumerate(folded[:d]) if c]
+
+
+_U = 2.0 ** -53  # unit roundoff of a double
+
+
+def _certified_sign(omega: UnitCirclePoint, k: int, coeffs: list[int],
+                    angles: list[float], err: float) -> int:
+    """Sign of sum_j coeffs[j] * cos(angles[j]), or NearSingular if it is uncertain.
+
+    coeffs are exact integers, each computed angle is within err of the
+    true one.  Converting a coefficient, taking the cosine (1-Lipschitz,
+    one rounding) and multiplying each round once, so a term is off by at
+    most |c| * (err + 4u); fsum rounds the sum once more.  Integers beyond
+    the float range are first divided by a power of two, which keeps the
+    sign.  The sign counts only when |sum| clears the whole bound.
+    """
+    scale = 1 << max(0, max(map(abs, coeffs)).bit_length() - 1000)
+    scaled = [c / scale for c in coeffs]
+    value = math.fsum(c * math.cos(x) for c, x in zip(scaled, angles))
+    bound = (err + 8 * _U) * math.fsum(map(abs, scaled))
+    if not abs(value) > bound:
+        raise NearSingular(
+            omega,
+            f"the sign of leading minor D_{k} is not certified "
+            f"(|{value:.3g}| <= rounding-error bound {bound:.3g})",
+            k, value, bound,
+        )
+    return 1 if value > 0 else -1
+
+
+def inertia_hermitian_at_root(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> Inertia:
+    """Exact inertia of H(omega) = (1 - omega) A + (1 - conj(omega)) A^T.
+
+    H(t) = ((1 - t)/t) (t*A - A^T), so the leading principal minors of H
+    are D_k = ((1 - t)/t)^k P_k with P_k those of the pencil, read from its
+    symmetrically pivoted elimination (a congruence, which keeps the
+    inertia).  By Jacobi's rule n_minus counts the sign changes in
+    1, D_1, ..., D_n; an isolated zero D_k, whose neighbours a Hermitian
+    form forces to opposite signs, adds one to n_plus and one to n_minus
+    (Gundelfinger).  Raises NearSingular when D_n(omega) = 0, when two
+    consecutive minors vanish, or when a sign is not certified, and
+    InvalidRoot at omega = 1 where H vanishes.
     """
     n = _check_square(A)
     if omega.is_one():
         raise InvalidRoot("the form vanishes identically at omega = 1")
-    if tol is None:
-        tol = guard_tolerance()
-    if n == 0:
-        return Inertia(0, 0, 0)
-    H = hermitian_form(A, omega)
-    det_mag = form_determinant_magnitude(A, omega)
-    scale = max(1.0, float(np.prod(np.linalg.norm(H, axis=1))))
-    if det_mag <= tol * scale:
-        raise NearSingular(omega, _perturbation_hint(omega))
-    eigs = np.linalg.eigvalsh(H)
-    top = max(1.0, float(np.max(np.abs(eigs))))
-    floor = det_mag / top ** (n - 1)
-    if float(np.min(np.abs(eigs))) < 0.5 * floor:
-        raise NearSingular(omega, _perturbation_hint(omega))
-    n_plus = int(np.sum(eigs > 0))
-    n_minus = int(np.sum(eigs < 0))
-    inertia = Inertia(n_plus, n - n_plus - n_minus, n_minus)
-    if inertia.n_zero or (n % 2 == 0 and inertia.signature % 2):
-        raise ArithmeticError(
-            f"guarded inertia {inertia} at {omega} has a zero eigenvalue or, "
-            "in even dimension, an odd signature"
-        )
-    return inertia
+    signs = _pencil(tuple(map(tuple, A))).signs(omega)
+    n_plus = n_minus = k = 0
+    last = 1
+    while k < n:
+        if signs[k]:
+            if signs[k] == last:
+                n_plus += 1
+            else:
+                n_minus += 1
+            last, k = signs[k], k + 1
+            continue
+        if k == n - 1 or not signs[k + 1]:
+            reason = (f"leading minor D_{k + 1} = 0 exactly" if k == n - 1 else
+                      f"leading minors D_{k + 1} = D_{k + 2} = 0 exactly, two in a row")
+            raise NearSingular(omega, reason, k + 1, 0.0, 0.0)
+        if signs[k + 1] == last:
+            raise ArithmeticError(
+                f"leading minors D_{k} and D_{k + 2} around the zero D_{k + 1} at {omega} "
+                "have the same sign, which no Hermitian form allows"
+            )
+        n_plus, n_minus, last, k = n_plus + 1, n_minus + 1, signs[k + 1], k + 2
+    return Inertia(n_plus, 0, n_minus)
 
 
 def int_matrix_from_json(doc: object) -> list[list[int]]:
     """Decode {"dim": n, "entries": [[...]]} with integer entries."""
     rows = _json_entries(doc)
-    out: list[list[int]] = []
-    for row in rows:
-        ints: list[int] = []
-        for entry in row:
-            if isinstance(entry, bool) or not isinstance(entry, int):
-                raise ValueError(f"expected integer matrix entry, got {entry!r}")
-            ints.append(entry)
-        out.append(ints)
-    return out
+    return [[strict_int(entry, "matrix entry") for entry in row] for row in rows]
 
 
 def laurent_matrix_from_json(doc: object) -> list[list[LaurentPoly]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .errors import strict_bool, strict_int
 from .exactlinalg import signature
 
 
@@ -97,20 +98,25 @@ class GoeritzData:
 
 
 def band_presentation_from_json(doc: object) -> BandPresentation:
-    if not isinstance(doc, dict) or "bands" not in doc:
-        raise ValueError('band JSON must be an object with "bands" and "crossings"')
+    if not isinstance(doc, dict) or not isinstance(doc.get("bands"), list):
+        raise ValueError('band JSON must be an object with a "bands" list and "crossings"')
     bands = []
     for raw in doc["bands"]:
         if not isinstance(raw, dict) or "orientable" not in raw:
             raise ValueError('each band needs at least an "orientable" flag')
         bands.append(
             Band(
-                orientable=bool(raw["orientable"]),
-                half_twists=int(raw.get("half_twists", 0)),
-                self_writhe=int(raw.get("self_writhe", 0)),
+                orientable=strict_bool(raw["orientable"], '"orientable"'),
+                half_twists=strict_int(raw.get("half_twists", 0), '"half_twists"'),
+                self_writhe=strict_int(raw.get("self_writhe", 0), '"self_writhe"'),
             )
         )
-    return BandPresentation(bands, doc.get("crossings"))
+    crossings = doc.get("crossings")
+    if crossings is not None:
+        if not isinstance(crossings, list) or any(not isinstance(r, list) for r in crossings):
+            raise ValueError('"crossings" must be a list of rows')
+        crossings = [[strict_int(x, "crossing count") for x in row] for row in crossings]
+    return BandPresentation(bands, crossings)
 
 
 def goeritz_form(bp: BandPresentation) -> GoeritzData:

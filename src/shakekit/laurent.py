@@ -188,9 +188,12 @@ class UnitCirclePoint:
         else:
             if k is not None or m is not None:
                 raise ValueError("give either k/m or theta, not both")
+            theta = float(theta)
+            if not math.isfinite(theta):
+                raise ValueError(f"theta must be a finite angle, got {theta!r}")
             self.k = None
             self.m = None
-            self._theta = float(theta)
+            self._theta = theta
 
     @classmethod
     def root(cls, k: int, m: int) -> "UnitCirclePoint":

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Mapping, Union
 
-from .errors import DomainError
+from .errors import DomainError, strict_int
 
 
 class PatternSyntaxError(ValueError):
@@ -248,9 +248,17 @@ def retrace_term(Q: PatternTerm, n: int, c: int) -> PatternTerm:
 Profile = Callable[[int], int]
 
 
+def _twist_key(key: object) -> int:
+    """A table key: an int, or an int's plain decimal text, as JSON object keys are."""
+    if isinstance(key, str) and key.lstrip("-").isdigit():
+        return int(key)
+    return strict_int(key, "profile twist")
+
+
 def table_profile(values: Mapping[int, int]) -> Profile:
     """Invariant profile from a finite table n -> value."""
-    table = {int(k): int(v) for k, v in values.items()}
+    table = {_twist_key(k): strict_int(v, f"profile value at twist {k}")
+             for k, v in values.items()}
 
     def profile(n: int) -> int:
         if n not in table:

@@ -17,7 +17,7 @@ from .errors import DomainError
 from .exactlinalg import (
     Inertia,
     _check_square,
-    _pencil_det,
+    _pencil,
     inertia_hermitian_at_root,
     signature,
 )
@@ -33,7 +33,7 @@ def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
     n = _check_square(A)
     if n % 2:
         raise OddDimension(f"dimension {n} is odd; the t^(-dim/2) normalization needs it even")
-    delta = _pencil_det(tuple(map(tuple, A))).shift(-n // 2)
+    delta = _pencil(tuple(map(tuple, A))).pivots.minor(n).shift(-n // 2)
     if not lp_is_symmetric(delta):
         raise ArithmeticError(f"Alexander polynomial {delta} is not symmetric in t <-> 1/t")
     if sum(delta.coeffs.values()) != 1:
@@ -51,18 +51,17 @@ def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
     return signature(sym)
 
 
-def lt_inertia(A: Sequence[Sequence[int]], omega: UnitCirclePoint,
-               tol: float | None = None) -> Inertia:
-    return inertia_hermitian_at_root(A, omega, tol)
+def lt_inertia(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> Inertia:
+    return inertia_hermitian_at_root(A, omega)
 
 
-def lt_signature(A: Sequence[Sequence[int]], omega: UnitCirclePoint,
-                 tol: float | None = None) -> int:
+def lt_signature(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> int:
     """Levine-Tristram signature sigma(K, omega), an even integer.
 
-    Raises NearSingular when the guard fails and InvalidRoot at omega=1.
+    Raises NearSingular where the form is singular or a sign is not
+    certified, and InvalidRoot at omega=1.
     """
-    return lt_inertia(A, omega, tol).signature
+    return lt_inertia(A, omega).signature
 
 
 def an_family(n: int) -> list[list[int]]:

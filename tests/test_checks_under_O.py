@@ -9,10 +9,8 @@ from pathlib import Path
 import shakekit
 
 SCRIPT = r"""
-import numpy as np
-
 from shakekit import complexity, exactlinalg, seifert
-from shakekit.laurent import LaurentPoly, UnitCirclePoint
+from shakekit.laurent import UnitCirclePoint
 
 if __debug__:
     raise SystemExit("expected to run under python -O")
@@ -28,16 +26,18 @@ def outcome(label, fn):
 
 
 real_det = exactlinalg.det_laurent
-exactlinalg.det_laurent = lambda rows: LaurentPoly({0: 1, 1: 2})
+# pivots whose last one, 1 + 2t, is not symmetric after the t^-1 shift
+exactlinalg.det_laurent = lambda rows, pivots: exactlinalg.Pivots(4, (1, 1 + 2 * 16), (0, 0))
 outcome("alexander", lambda: seifert.alexander([[-1, 1], [0, -1]]))
 exactlinalg.det_laurent = real_det
-exactlinalg._pencil_det.cache_clear()
+exactlinalg._pencil.cache_clear()
 
-real_eigvalsh = np.linalg.eigvalsh
-np.linalg.eigvalsh = lambda H: np.array([np.nan, 1.0])
+# an isolated zero minor between two minors of the same sign
+real_signs = exactlinalg._Pencil.signs
+exactlinalg._Pencil.signs = lambda self, omega: [-1, 0, -1]
 outcome("inertia", lambda: exactlinalg.inertia_hermitian_at_root(
-    [[-1, 1], [0, -1]], UnitCirclePoint.minus_one()))
-np.linalg.eigvalsh = real_eigvalsh
+    [[-1, 1, 0], [0, -1, 1], [0, 0, -1]], UnitCirclePoint.minus_one()))
+exactlinalg._Pencil.signs = real_signs
 
 complexity.eval_invariant = lambda term, assignment: 0
 outcome("cross-check", lambda: complexity.certify_complexity(1, 1))
@@ -61,6 +61,6 @@ def test_checks_raise_under_python_O():
         ["bound", "ArithmeticError"],
     ], proc.stdout
     assert "not symmetric" in lines[0]
-    assert "zero eigenvalue" in lines[1]
+    assert "D_1 and D_3 around the zero D_2" in lines[1]
     assert "pattern-calculus" in lines[2]
     assert "bound 0 < c = 1" in lines[3]

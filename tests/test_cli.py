@@ -136,16 +136,18 @@ class TestLt:
         assert code == 2
         assert "k/m" in err
 
-    def test_tolerance_env_tightens_guard(self, capsys, write_json, monkeypatch):
-        # 1/5 is a valid root at the default tolerance but trips the guard
-        # when SHAKEKIT_TOL is cranked up
+    def test_fifth_root_on_trefoil(self, capsys, write_json):
         path = write_json("trefoil.json", TREFOIL_DOC)
         code, _, _ = run_cli(capsys, "lt", path, "--root", "1/5")
         assert code == 0
-        monkeypatch.setenv("SHAKEKIT_TOL", "1.0")
-        code, _, err = run_cli(capsys, "lt", path, "--root", "1/5")
-        assert code == 1
-        assert "near-singular" in err
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_is_malformed(self, capsys, write_json, theta):
+        path = write_json("trefoil.json", TREFOIL_DOC)
+        code, out, err = run_cli(capsys, "lt", path, f"--theta={theta}")
+        assert code == 2
+        assert not out
+        assert "finite" in err
 
 
 class TestGoeritz:
@@ -171,6 +173,32 @@ class TestGoeritz:
         code, _, _ = run_cli(capsys, "goeritz", path)
         assert code == 2
 
+    @pytest.mark.parametrize("band", [
+        {"orientable": "false", "half_twists": 2.9},
+        {"orientable": False, "half_twists": 2.9},
+        {"orientable": 0, "half_twists": 3},
+        {"orientable": True, "self_writhe": "2"},
+    ])
+    def test_band_fields_are_not_coerced(self, capsys, write_json, band):
+        path = write_json("bad.json", {"bands": [band], "crossings": [[0]]})
+        for argv in (["goeritz", path], ["signature", "--goeritz", path]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert not out
+            assert "expected" in err
+
+    def test_bands_must_be_a_list(self, capsys, write_json):
+        code, _, err = run_cli(capsys, "goeritz", write_json("bad.json", {"bands": 5}))
+        assert code == 2
+        assert '"bands" list' in err
+
+    def test_crossings_are_not_coerced(self, capsys, write_json):
+        doc = {"bands": [{"orientable": True}, {"orientable": True}],
+               "crossings": [[0, 1.5], [1.5, 0]]}
+        code, _, err = run_cli(capsys, "goeritz", write_json("bad.json", doc))
+        assert code == 2
+        assert "1.5" in err
+
 
 class TestPattern:
     def test_normalize(self, capsys):
@@ -193,6 +221,32 @@ class TestPattern:
         )
         assert code == 0
         assert json.loads(out)["value"] == -4
+
+    @pytest.mark.parametrize("value", [2.5, "2", True])
+    def test_table_values_are_not_coerced(self, capsys, write_json, value):
+        path = write_json("asg.json", {"P": {"table": {"0": value}}})
+        code, out, err = run_cli(capsys, "pattern", "eval", "P", "--assignment", path)
+        assert code == 2
+        assert not out
+        assert "expected integer" in err
+
+    @pytest.mark.parametrize("key", ["1_0", " 1", "1.0", "t"])
+    def test_table_keys_are_not_coerced(self, capsys, write_json, key):
+        path = write_json("asg.json", {"P": {"table": {key: 1}}})
+        code, out, err = run_cli(capsys, "pattern", "eval", "P_10", "--assignment", path)
+        assert code == 2
+        assert not out
+        assert "profile twist" in err
+
+    @pytest.mark.parametrize("spec", [
+        {"table": [1, 2]}, {"family": "1/3"}, {"family": {"root": 3}}, {},
+    ])
+    def test_malformed_profiles(self, capsys, write_json, spec):
+        path = write_json("asg.json", {"P": spec})
+        code, out, err = run_cli(capsys, "pattern", "eval", "P", "--assignment", path)
+        assert code == 2
+        assert not out
+        assert "profile for 'P'" in err
 
     def test_eval_unassigned_atom(self, capsys):
         code, _, err = run_cli(capsys, "pattern", "eval", "P")
@@ -253,6 +307,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--a1-fixture", path)
         assert code == 1
         assert "FAIL" in out
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, shakekit.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from shakekit import complexity, seifert
@@ -157,6 +158,18 @@ class TestCertificates:
         assert doc["witness"] == {"k": 1, "m": 2}
         assert doc["invariant"] == "half-LT-signature"
         json.dumps(doc)  # must be serializable as-is
+
+    @pytest.mark.parametrize("n", [26, 31, 45, 60])
+    def test_large_framings_certify(self, n):
+        cert = certify_complexity(n, 2)
+        assert cert.bound >= 2
+        assert is_prime(cert.witness.m) and cert.witness.m <= 60
+        # i_Qn is half the signature numpy finds at the witness
+        w = cert.witness.value
+        M = np.array(an_family(1 + n), dtype=complex)
+        eigs = np.linalg.eigvalsh((1 - w) * M + (1 - np.conj(w)) * M.T)
+        assert float(np.min(np.abs(eigs))) > 1e-3
+        assert 2 * cert.i_qn == int(np.sum(eigs > 0)) - int(np.sum(eigs < 0))
 
     def test_bound_for_full_grid(self):
         for n in range(1, 9):

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +22,6 @@ from shakekit.exactlinalg import (
     InvalidRoot,
     NearSingular,
     det_laurent,
-    form_determinant_magnitude,
     inertia_hermitian_at_root,
     inertia_symmetric_exact,
     int_matrix_from_json,
@@ -30,7 +30,7 @@ from shakekit.exactlinalg import (
     signature,
 )
 from shakekit.laurent import LaurentPoly, UnitCirclePoint
-from shakekit.seifert import alexander, lt_signature
+from shakekit.seifert import alexander, an_family, lt_signature
 
 A1 = [
     [1, 1, 1, 0],
@@ -40,7 +40,7 @@ A1 = [
 ]
 
 # Seifert matrix of the trefoil: its Alexander polynomial t - 1 + t^-1
-# vanishes at the sixth root of unity, so 1/6 exercises the singular guard.
+# vanishes at the sixth root of unity, so at 1/6 the form is singular.
 TREFOIL = [[-1, 1], [0, -1]]
 
 
@@ -187,27 +187,27 @@ class TestPencilMemo:
         calls = []
         real = exactlinalg.det_laurent
 
-        def counting(rows):
+        def counting(rows, **kwargs):
             calls.append(tuple(map(tuple, rows)))
-            return real(rows)
+            return real(rows, **kwargs)
 
         monkeypatch.setattr(exactlinalg, "det_laurent", counting)
         for n, c in ((25, 3), (4, 200)):
-            exactlinalg._pencil_det.cache_clear()
+            exactlinalg._pencil.cache_clear()
             calls.clear()
             certify_complexity(n, c)
             assert len(calls) == len(set(calls)) == 2, (n, c)
-        exactlinalg._pencil_det.cache_clear()
+        exactlinalg._pencil.cache_clear()
 
     def test_mutating_the_matrix_never_gives_a_stale_result(self):
         A = [[-1, 1], [0, -1]]
         assert alexander(A) == LaurentPoly({-1: 1, 0: -1, 1: 1})
         assert lt_signature(A, UnitCirclePoint.minus_one()) == -2
-        magnitude = form_determinant_magnitude(A, UnitCirclePoint.root(1, 3))
+        assert lt_signature(A, UnitCirclePoint.root(1, 3)) == -2
         A[0][0] = 1  # the trefoil's matrix becomes the figure-eight's
         assert alexander(A) == LaurentPoly({-1: -1, 0: 3, 1: -1})
         assert lt_signature(A, UnitCirclePoint.minus_one()) == 0
-        assert form_determinant_magnitude(A, UnitCirclePoint.root(1, 3)) != magnitude
+        assert lt_signature(A, UnitCirclePoint.root(1, 3)) == 0
 
 
 class TestInertiaSymmetric:
@@ -299,6 +299,8 @@ class TestHermitianInertia:
         with pytest.raises(NearSingular) as exc:
             inertia_hermitian_at_root(TREFOIL, UnitCirclePoint.root(1, 6))
         assert "1/6" in str(exc.value)
+        assert "D_2 = 0 exactly" in str(exc.value)
+        assert (exc.value.index, exc.value.value, exc.value.bound) == (2, 0.0, 0.0)
 
     def test_near_singular_suggests_perturbation(self):
         with pytest.raises(NearSingular) as exc:
@@ -339,6 +341,134 @@ class TestHermitianInertia:
                 continue
             assert inertia.signature % 2 == 0
             checked += 1
+
+
+def numpy_inertia(A: list[list[int]], omega: UnitCirclePoint) -> Inertia | None:
+    """Inertia of H(omega) from numpy eigenvalues; None when one is near zero."""
+    w = omega.value
+    M = np.array(A, dtype=complex)
+    eigs = np.linalg.eigvalsh((1 - w) * M + (1 - np.conj(w)) * M.T)
+    if float(np.min(np.abs(eigs))) < 1e-6:
+        return None
+    return Inertia(int(np.sum(eigs > 0)), 0, int(np.sum(eigs < 0)))
+
+
+class TestExactHermitianInertia:
+    """Jacobi's rule on the pencil's pivots, cross-checked against numpy."""
+
+    @staticmethod
+    def random_matrix(rng: random.Random) -> list[list[int]]:
+        dim = rng.randint(1, 7)
+        density = rng.random()
+        return [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(dim)]
+                for _ in range(dim)]
+
+    def test_matches_numpy_at_roots_of_order_up_to_13(self):
+        rng = random.Random(20261018)
+        answered = 0
+        for _ in range(1500):
+            A = self.random_matrix(rng)
+            m = rng.randint(2, 13)
+            omega = UnitCirclePoint.root(rng.randint(1, m - 1), m)
+            want = numpy_inertia(A, omega)
+            if want is None:
+                continue
+            try:
+                got = inertia_hermitian_at_root(A, omega)
+            except NearSingular as exc:
+                # the one refusal of a nonsingular form: D_k = D_k+1 = 0
+                assert "two in a row" in str(exc), (A, omega)
+                continue
+            assert got == want, (A, omega)
+            answered += 1
+        assert answered > 500
+
+    def test_matches_numpy_at_float_angles(self):
+        rng = random.Random(18)
+        answered = 0
+        for _ in range(400):
+            A = self.random_matrix(rng)
+            omega = UnitCirclePoint.angle(rng.uniform(-20.0, 20.0))
+            want = numpy_inertia(A, omega)
+            if want is None:
+                continue
+            assert inertia_hermitian_at_root(A, omega) == want, (A, omega)
+            answered += 1
+        assert answered > 150
+
+    def test_pivots_are_the_leading_minors(self):
+        rows = t_matrix(A1)
+        pivots = det_laurent(rows, pivots=True)
+        assert len(pivots.values) == 4
+        for k in range(5):
+            assert pivots.minor(k) == det_cofactor([row[:k] for row in rows[:k]]), k
+
+    def test_two_by_two_block_pivot(self):
+        # t*A - A^T = [[0, t], [-1, 0]]: no nonzero diagonal entry to swap in
+        A = [[0, 1], [0, 0]]
+        pivots = det_laurent(t_matrix(A), pivots=True)
+        assert [pivots.minor(k) for k in (1, 2)] == [LaurentPoly.zero(), LaurentPoly.t()]
+        for m in (2, 3, 7):
+            omega = UnitCirclePoint.root(1, m)
+            assert inertia_hermitian_at_root(A, omega) == Inertia(1, 0, 1)
+            assert numpy_inertia(A, omega) == Inertia(1, 0, 1)
+
+    def test_two_block_pivots_in_a_row(self):
+        # a zero diagonal twice over: blocks {0, 3} and then {1, 2}
+        A = [[0, 0, 0, 1], [0, 0, -1, 1], [0, -1, 0, -1], [1, -1, -1, 0]]
+        rows = t_matrix(A)
+        pivots = det_laurent(rows, pivots=True)
+        assert pivots.values[0] == pivots.values[2] == 0
+        block = [[rows[i][j] for j in (0, 3)] for i in (0, 3)]
+        assert pivots.minor(2) == det_cofactor(block)
+        assert pivots.minor(4) == det_cofactor(rows) == det_laurent(rows)
+        for k, m in ((1, 3), (1, 5), (2, 7), (1, 2)):
+            omega = UnitCirclePoint.root(k, m)
+            want = numpy_inertia(A, omega)
+            if want is not None:
+                assert inertia_hermitian_at_root(A, omega) == want
+
+    def test_isolated_zero_minor_gundelfinger(self):
+        # D_2 vanishes at i without vanishing identically; D_1 < 0 < D_3
+        A = [[-1, -1, -1], [1, -1, 0], [1, -1, 0]]
+        omega = UnitCirclePoint.root(1, 4)
+        assert exactlinalg._pencil(tuple(map(tuple, A))).signs(omega) == [-1, 0, 1]
+        assert det_laurent(t_matrix(A), pivots=True).values[1] != 0
+        assert inertia_hermitian_at_root(A, omega) == Inertia(1, 0, 2)
+        assert numpy_inertia(A, omega) == Inertia(1, 0, 2)
+
+    def test_consecutive_zero_minors_are_refused(self):
+        # D_2 = D_3 = 0 at 1/6 although the form itself is nonsingular
+        A = [[-1, -1, 1, -1], [0, -1, 0, 0], [1, 1, 0, 1], [0, 0, 1, 1]]
+        omega = UnitCirclePoint.root(1, 6)
+        assert numpy_inertia(A, omega) == Inertia(2, 0, 2)
+        with pytest.raises(NearSingular) as exc:
+            inertia_hermitian_at_root(A, omega)
+        assert "D_2 = D_3 = 0" in str(exc.value)
+        assert "perturb" in str(exc.value)
+        assert exc.value.index == 2
+
+    def test_uncertified_float_sign_is_refused(self):
+        # at a float angle a vanishing D_2 cannot be told from a tiny one
+        theta = UnitCirclePoint.root(1, 6).theta
+        with pytest.raises(NearSingular) as exc:
+            inertia_hermitian_at_root(TREFOIL, UnitCirclePoint.angle(theta))
+        assert "not certified" in str(exc.value)
+        assert exc.value.index == 2
+        assert abs(exc.value.value) <= exc.value.bound
+
+    def test_invalid_root_at_one(self):
+        for omega in (UnitCirclePoint.root(0, 1), UnitCirclePoint.root(5, 5),
+                      UnitCirclePoint.angle(-math.tau)):
+            with pytest.raises(InvalidRoot):
+                inertia_hermitian_at_root([[0, 1], [0, 0]], omega)
+
+    def test_large_family_members(self):
+        # dimension 122, far past where a float determinant test gives out
+        A = an_family(60)
+        for k, p in ((1, 2), (1, 3), (5, 17)):
+            omega = UnitCirclePoint.root(k, p)
+            assert inertia_hermitian_at_root(A, omega) == numpy_inertia(A, omega)
 
 
 class TestJsonMatrices:
