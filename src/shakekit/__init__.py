@@ -7,13 +7,10 @@ for the complexity of shake-slice knots.
 """
 
 from .complexity import (
-    CompatibleInvariant,
     ComplexityCertificate,
     WitnessNotFound,
     certify_complexity,
     find_witness_root,
-    half_lt_signature,
-    sigma_q_vanishes_check,
 )
 from .errors import DomainError
 from .exactlinalg import (
@@ -39,10 +36,8 @@ from .laurent import (
     LaurentPoly,
     UnitCirclePoint,
     format_laurent,
-    lp_add,
     lp_eval_unit,
     lp_is_symmetric,
-    lp_mul,
     parse_laurent,
 )
 from .patterns import (
@@ -81,7 +76,6 @@ __all__ = [
     "Band",
     "BandPresentation",
     "Bar",
-    "CompatibleInvariant",
     "ComplexityCertificate",
     "Compose",
     "DomainError",
@@ -114,20 +108,16 @@ __all__ = [
     "find_witness_root",
     "format_laurent",
     "goeritz_form",
-    "half_lt_signature",
     "inertia_hermitian_at_root",
     "inertia_symmetric_exact",
-    "lp_add",
     "lp_eval_unit",
     "lp_is_symmetric",
-    "lp_mul",
     "lt_signature",
     "normalize",
     "parse_laurent",
     "parse_pattern",
     "render_term",
     "retrace_term",
-    "sigma_q_vanishes_check",
     "signature",
     "table_profile",
     "torus_band_presentation",

@@ -16,7 +16,13 @@ import sys
 
 from .complexity import WitnessNotFound, a_family_profile, certify_complexity
 from .errors import DomainError
-from .exactlinalg import InvalidRoot, NearSingular, int_matrix_from_json, signature
+from .exactlinalg import (
+    InvalidRoot,
+    NearSingular,
+    inertia_hermitian_at_root,
+    int_matrix_from_json,
+    signature,
+)
 from .goeritz import band_presentation_from_json, classical_signature_goeritz, goeritz_form
 from .laurent import UnitCirclePoint, format_laurent
 from .patterns import (
@@ -27,7 +33,7 @@ from .patterns import (
     parse_pattern,
     table_profile,
 )
-from .seifert import OddDimension, alexander, classical_signature_seifert, lt_inertia
+from .seifert import OddDimension, alexander, classical_signature_seifert
 from .verify import run_checks
 
 _DOMAIN_ERRORS = (
@@ -89,7 +95,7 @@ def cmd_signature(args) -> tuple[str, int]:
 def cmd_lt(args) -> tuple[str, int]:
     matrix = int_matrix_from_json(_load_json(args.matrix))
     omega = _root_from_args(args)
-    inertia = lt_inertia(matrix, omega)
+    inertia = inertia_hermitian_at_root(matrix, omega)
     doc = {
         "root": str(omega),
         "signature": inertia.signature,

@@ -12,9 +12,10 @@ increasing order, so results are deterministic and replayable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import DomainError
 from .exactlinalg import NearSingular
@@ -30,6 +31,7 @@ from .seifert import (
 
 DEFAULT_MAX_ORDER = 60
 DEFAULT_SCAN_GRID = 720
+INVARIANT_NAME = "half-LT-signature"
 
 
 class WitnessNotFound(LookupError):
@@ -40,57 +42,50 @@ class WitnessNotFound(LookupError):
         )
 
 
-@dataclass(frozen=True)
-class CompatibleInvariant:
-    """A concordance-homomorphism invariant usable for 4-genus bounds."""
-
-    name: str
-    evaluator: Callable[[int, UnitCirclePoint], int]
-    genus_bound_scale: int
-
-    def genus_value(self, family_index: int, omega: UnitCirclePoint) -> int:
-        raw = self.evaluator(family_index, omega)
-        if raw % self.genus_bound_scale:
-            raise ArithmeticError(
-                f"{self.name} returned {raw}, not a multiple of {self.genus_bound_scale}"
-            )
-        return raw // self.genus_bound_scale
-
-
-def half_lt_signature() -> CompatibleInvariant:
-    """sigma(., omega)/2 over the twisted family; bounds the 4-genus directly."""
-    return CompatibleInvariant(
-        name="half-LT-signature",
-        evaluator=lambda index, omega: lt_signature(an_family(index), omega),
-        genus_bound_scale=2,
-    )
-
-
 def a_family_profile(omega: UnitCirclePoint) -> Profile:
     """Invariant profile iota(k) = I(Q_k) for the base pattern Q.
 
-    Q_k is the (1+k)-th family member, so the profile is declared on
-    k >= 0 only; anything else raises DomainError.
+    I is the half-Levine-Tristram signature sigma(., omega)/2, which bounds
+    the 4-genus directly.  Q_k is the (1+k)-th family member, so the
+    profile is declared on k >= 0 only; anything else raises DomainError.
     """
-    inv = half_lt_signature()
 
     def profile(k: int) -> int:
-        if 1 + k < 1:
+        if k < 0:
             raise DomainError(f"the twisted family declares iota on k >= 0, got {k}")
-        return inv.genus_value(1 + k, omega)
+        sigma = lt_signature(an_family(1 + k), omega)
+        if sigma % 2:
+            raise ArithmeticError(f"{INVARIANT_NAME} needs an even signature, got {sigma}")
+        return sigma // 2
 
     return profile
 
 
-def _primes_up_to(limit: int) -> list[int]:
-    sieve = [True] * (limit + 1)
-    primes = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            primes.append(p)
-            for q in range(p * p, limit + 1, p):
-                sieve[q] = False
-    return primes
+def _primes() -> Iterator[int]:
+    """2, 3, 5, 7, ... with no upper bound, in O(sqrt(p)) memory.
+
+    An incremental sieve of Eratosthenes: each odd composite c is met as
+    the next multiple of one of its prime factors, and a prime p enters
+    the sieve only when the candidates reach p*p, with the primes up to
+    sqrt(c) drawn from a second, lazily advanced copy of the generator.
+    """
+    yield from (2, 3, 5, 7)
+    multiples: dict[int, int] = {}
+    base = _primes()
+    next(base)
+    p = next(base)
+    for c in itertools.count(9, 2):
+        if c in multiples:
+            step = multiples.pop(c)
+        elif c < p * p:
+            yield c
+            continue
+        else:
+            step, p = 2 * p, next(base)
+        nxt = c + step
+        while nxt in multiples:
+            nxt += step
+        multiples[nxt] = step
 
 
 def _negative_region_test(poly, samples: list[float]) -> Callable[[UnitCirclePoint], bool]:
@@ -130,7 +125,7 @@ def find_witness_root(
         raise WitnessNotFound(max_order)
     inside = _negative_region_test(poly, samples)
     matrix = an_family(1 + n)
-    for p in _primes_up_to(max_order):
+    for p in itertools.takewhile(lambda p: p <= max_order, _primes()):
         for k in range(1, p):
             omega = UnitCirclePoint.root(k, p)
             if not inside(omega):
@@ -187,12 +182,11 @@ def certify_complexity(
         raise DomainError(f"complexity target must be >= 1, got {c}")
     a = abs(n)
     omega = find_witness_root(a, max_order=max_order)
-    inv = half_lt_signature()
-    i_q = inv.genus_value(1, omega)
-    i_qn = inv.genus_value(1 + a, omega)
+    profile = a_family_profile(omega)
+    i_q, i_qn = profile(0), profile(a)
     bound = c * abs(i_q - i_qn)
     term = retrace_term(Atom("Q"), a, c)
-    cross = eval_invariant(term, {"Q": a_family_profile(omega)})
+    cross = eval_invariant(term, {"Q": profile})
     if bound != abs(cross):
         raise ArithmeticError(f"pattern-calculus evaluation gives {cross}, not the bound {bound}")
     if bound < c:
@@ -210,7 +204,7 @@ def certify_complexity(
         n=n,
         c=c,
         witness=omega,
-        invariant_name=inv.name,
+        invariant_name=INVARIANT_NAME,
         i_q=i_q,
         i_qn=i_qn,
         bound=bound,
@@ -218,28 +212,3 @@ def certify_complexity(
         assumptions=tuple(assumptions),
     )
 
-
-def sigma_q_vanishes_check(
-    grid: int = 360,
-    max_prime_order: int = 50,
-) -> bool:
-    """Confirm the base pattern's LT signature vanishes identically.
-
-    Checks that delta_1 is strictly positive on a grid of the circle
-    (its real form is the quadratic 4x^2 - 6x + 3 in x = Re t) and that
-    sigma(Q, omega) = 0 at every prime-order root where the form is
-    nonsingular.
-    """
-    delta1 = delta_n_closed(1)
-    for j in range(grid):
-        if eval_symmetric_real(delta1, math.cos(math.tau * j / grid)) <= 0:
-            return False
-    matrix = an_family(1)
-    for p in _primes_up_to(max_prime_order):
-        for k in range(1, p):
-            try:
-                if lt_signature(matrix, UnitCirclePoint.root(k, p)) != 0:
-                    return False
-            except NearSingular:
-                continue
-    return True

@@ -9,8 +9,9 @@ minors, which give both the determinant and, by Jacobi's sign rule, the
 exact inertia of the Hermitian form H(omega) at every unit-circle point.
 At a root of unity a minor vanishes exactly when its remainder modulo
 the cyclotomic polynomial does; every nonzero sign is certified by an
-explicit rounding-error bound or refused.  Classical inertia runs over
-exact rationals.
+explicit rounding-error bound or refused.  Classical inertia of a
+symmetric integer matrix comes from the same elimination: its pivots
+are the matrix's exact integer leading minors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import strict_int
@@ -143,9 +143,9 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     b, c != 0 takes two Bareiss steps at once (the 3x3 Sylvester
     determinants divided by prev^2).  The pivoted matrix is P M P^T, so
     pivot k is its k-th leading principal minor; once the rest of the
-    matrix is zero, the remaining minors are 0.  Seifert pencils
-    t*A - A^T have M[i][j] != 0 exactly when M[j][i] != 0, so a block
-    always exists while the rest is nonzero.
+    matrix is zero, the remaining minors are 0.  Symmetric matrices and
+    Seifert pencils t*A - A^T have M[i][j] != 0 exactly when
+    M[j][i] != 0, so a block always exists while the rest is nonzero.
     """
     _check_square(rows)
     lows: list[int] = []
@@ -294,53 +294,25 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> _Pencil:
 
 
 def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
-    """Inertia of a symmetric integer matrix, exactly over the rationals.
+    """Exact inertia of a symmetric integer matrix.
 
-    Symmetric elimination with pivot exchange; when every remaining
-    diagonal entry vanishes, a nonzero off-diagonal pair is a hyperbolic
-    plane and contributes (1, 0, 1).
+    The symmetrically pivoted elimination of det_laurent gives the exact
+    leading principal minors of P S P^T, a congruence of S.  It stops
+    once the rest of the matrix is zero, so a trailing run of zero minors
+    is that zero Schur complement and counts as n_zero; Jacobi's rule
+    counts the minors before it.
     """
     n = _check_square(S)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if S[i][j] != S[j][i]:
+    for i, row in enumerate(S):
+        for j in range(i, n):
+            if strict_int(row[j], "matrix entry") != S[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    M = [[Fraction(x) for x in row] for row in S]
-    idx = list(range(n))
-    n_plus = n_zero = n_minus = 0
-    while idx:
-        piv = next((i for i in idx if M[i][i] != 0), None)
-        if piv is not None:
-            d = M[piv][piv]
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            idx.remove(piv)
-            for a in idx:
-                ra = M[a][piv] / d
-                if ra:
-                    for b in idx:
-                        M[a][b] -= ra * M[piv][b]
-            continue
-        pair = next(
-            ((i, j) for i in idx for j in idx if i < j and M[i][j] != 0), None
-        )
-        if pair is None:
-            n_zero += len(idx)
-            break
-        i, j = pair
-        b = M[i][j]
-        n_plus += 1
-        n_minus += 1
-        idx.remove(i)
-        idx.remove(j)
-        for a in idx:
-            ca, cb = M[a][i], M[a][j]
-            if ca or cb:
-                for k in idx:
-                    M[a][k] -= (ca * M[j][k] + cb * M[i][k]) / b
-    return Inertia(n_plus, n_zero, n_minus)
+    signs = [(v > 0) - (v < 0) for v in det_laurent(S, pivots=True).values]
+    rank = n
+    while rank and not signs[rank - 1]:
+        rank -= 1
+    n_plus, n_minus = _jacobi(signs[:rank])
+    return Inertia(n_plus, n - rank, n_minus)
 
 
 def signature(S: Sequence[Sequence[int]]) -> int:
@@ -430,26 +402,17 @@ def _certified_sign(omega: UnitCirclePoint, k: int, coeffs: list[int],
     return 1 if value > 0 else -1
 
 
-def inertia_hermitian_at_root(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> Inertia:
-    """Exact inertia of H(omega) = (1 - omega) A + (1 - conj(omega)) A^T.
+def _jacobi(signs: Sequence[int]) -> tuple[int, int]:
+    """(n_plus, n_minus) of a nonsingular form from the signs of D_1, ..., D_r.
 
-    H(t) = ((1 - t)/t) (t*A - A^T), so the leading principal minors of H
-    are D_k = ((1 - t)/t)^k P_k with P_k those of the pencil, read from its
-    symmetrically pivoted elimination (a congruence, which keeps the
-    inertia).  By Jacobi's rule n_minus counts the sign changes in
-    1, D_1, ..., D_n; an isolated zero D_k, whose neighbours a Hermitian
-    form forces to opposite signs, adds one to n_plus and one to n_minus
-    (Gundelfinger).  Raises NearSingular when D_n(omega) = 0, when two
-    consecutive minors vanish, or when a sign is not certified, and
-    InvalidRoot at omega = 1 where H vanishes.
+    D_r != 0 and no two consecutive minors vanish.  By Jacobi's rule
+    n_minus counts the sign changes in 1, D_1, ..., D_r; an isolated zero
+    D_k, whose neighbours a Hermitian form forces to opposite signs, adds
+    one to n_plus and one to n_minus (Gundelfinger).
     """
-    n = _check_square(A)
-    if omega.is_one():
-        raise InvalidRoot("the form vanishes identically at omega = 1")
-    signs = _pencil(tuple(map(tuple, A))).signs(omega)
     n_plus = n_minus = k = 0
     last = 1
-    while k < n:
+    while k < len(signs):
         if signs[k]:
             if signs[k] == last:
                 n_plus += 1
@@ -457,31 +420,40 @@ def inertia_hermitian_at_root(A: Sequence[Sequence[int]], omega: UnitCirclePoint
                 n_minus += 1
             last, k = signs[k], k + 1
             continue
-        if k == n - 1 or not signs[k + 1]:
-            reason = (f"leading minor D_{k + 1} = 0 exactly" if k == n - 1 else
-                      f"leading minors D_{k + 1} = D_{k + 2} = 0 exactly, two in a row")
-            raise NearSingular(omega, reason, k + 1, 0.0, 0.0)
         if signs[k + 1] == last:
             raise ArithmeticError(
-                f"leading minors D_{k} and D_{k + 2} around the zero D_{k + 1} at {omega} "
+                f"leading minors D_{k} and D_{k + 2} around the zero D_{k + 1} "
                 "have the same sign, which no Hermitian form allows"
             )
         n_plus, n_minus, last, k = n_plus + 1, n_minus + 1, signs[k + 1], k + 2
+    return n_plus, n_minus
+
+
+def inertia_hermitian_at_root(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> Inertia:
+    """Exact inertia of H(omega) = (1 - omega) A + (1 - conj(omega)) A^T.
+
+    H(t) = ((1 - t)/t) (t*A - A^T), so the leading principal minors of H
+    are D_k = ((1 - t)/t)^k P_k with P_k those of the pencil, read from its
+    symmetrically pivoted elimination (a congruence, which keeps the
+    inertia), and Jacobi's rule counts their signs.  Raises NearSingular
+    when D_n(omega) = 0, when two consecutive minors vanish, or when a
+    sign is not certified, and InvalidRoot at omega = 1 where H vanishes.
+    """
+    n = _check_square(A)
+    if omega.is_one():
+        raise InvalidRoot("the form vanishes identically at omega = 1")
+    signs = _pencil(tuple(map(tuple, A))).signs(omega)
+    k = next((k for k in range(n) if not signs[k] and (k == n - 1 or not signs[k + 1])), None)
+    if k is not None:
+        reason = (f"leading minor D_{k + 1} = 0 exactly" if k == n - 1 else
+                  f"leading minors D_{k + 1} = D_{k + 2} = 0 exactly, two in a row")
+        raise NearSingular(omega, reason, k + 1, 0.0, 0.0)
+    n_plus, n_minus = _jacobi(signs)
     return Inertia(n_plus, 0, n_minus)
 
 
 def int_matrix_from_json(doc: object) -> list[list[int]]:
     """Decode {"dim": n, "entries": [[...]]} with integer entries."""
-    rows = _json_entries(doc)
-    return [[strict_int(entry, "matrix entry") for entry in row] for row in rows]
-
-
-def laurent_matrix_from_json(doc: object) -> list[list[LaurentPoly]]:
-    """Decode {"dim": n, "entries": [[...]]} with int or Laurent-string entries."""
-    return [[laurent_from_entry(e) for e in row] for row in _json_entries(doc)]
-
-
-def _json_entries(doc: object) -> list[list]:
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ValueError('matrix JSON must be an object with "dim" and "entries"')
     entries = doc["entries"]
@@ -490,9 +462,4 @@ def _json_entries(doc: object) -> list[list]:
     dim = doc.get("dim", len(entries))
     if dim != len(entries) or any(len(r) != dim for r in entries):
         raise ValueError(f'"entries" must be {dim}x{dim} to match "dim"')
-    return entries
-
-
-def int_matrix_to_json(A: Sequence[Sequence[int]]) -> dict:
-    n = _check_square(A)
-    return {"dim": n, "entries": [list(map(int, row)) for row in A]}
+    return [[strict_int(entry, "matrix entry") for entry in row] for row in entries]

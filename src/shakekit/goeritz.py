@@ -42,7 +42,7 @@ class BandPresentation:
         n = len(bands)
         if crossings is None:
             crossings = [[0] * n for _ in range(n)]
-        rows = tuple(tuple(int(x) for x in row) for row in crossings)
+        rows = tuple(tuple(strict_int(x, "crossing count") for x in row) for row in crossings)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"crossings must be {n}x{n}")
         for i in range(n):
@@ -65,7 +65,7 @@ class GoeritzData:
     nonorientable: frozenset[int] = field(default_factory=frozenset)
 
     def __init__(self, G: Sequence[Sequence[int]], nonorientable: Sequence[int] = ()):
-        rows = tuple(tuple(int(x) for x in row) for row in G)
+        rows = tuple(tuple(strict_int(x, "Goeritz entry") for x in row) for row in G)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("G must be square")
@@ -73,11 +73,12 @@ class GoeritzData:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"G must be symmetric, differs at ({i},{j})")
-        bad = [i for i in nonorientable if not 0 <= i < n]
+        marked = frozenset(strict_int(i, "non-orientable index") for i in nonorientable)
+        bad = sorted(i for i in marked if not 0 <= i < n)
         if bad:
             raise ValueError(f"non-orientable indices out of range: {bad}")
         object.__setattr__(self, "G", rows)
-        object.__setattr__(self, "nonorientable", frozenset(int(i) for i in nonorientable))
+        object.__setattr__(self, "nonorientable", marked)
 
     @property
     def dim(self) -> int:
@@ -89,12 +90,6 @@ class GoeritzData:
 
     def to_json(self) -> dict:
         return {"G": [list(row) for row in self.G], "nonorientable": sorted(self.nonorientable)}
-
-    @classmethod
-    def from_json(cls, doc: object) -> "GoeritzData":
-        if not isinstance(doc, dict) or "G" not in doc:
-            raise ValueError('Goeritz JSON must be an object with "G" and "nonorientable"')
-        return cls(doc["G"], doc.get("nonorientable", ()))
 
 
 def band_presentation_from_json(doc: object) -> BandPresentation:
@@ -153,7 +148,7 @@ def add_two_twists(gd: GoeritzData, l: Sequence[int]) -> GoeritzData:
     if gd.nonorientable:
         raise ValueError("two-twist insertion is defined for all-orientable surfaces")
     n = gd.dim
-    l = [int(x) for x in l]
+    l = [strict_int(x, "through-disk count") for x in l]
     if len(l) != n:
         raise ValueError(f"l must assign a through-disk count to each of the {n} bands")
     G2 = [[gd.G[i][j] + 4 * l[i] * l[j] for j in range(n)] + [2 * l[i]] for i in range(n)]

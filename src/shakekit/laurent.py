@@ -16,16 +16,16 @@ import math
 import operator
 import re
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class LaurentPoly:
     """A Laurent polynomial sum(a_k * t^k) with integer coefficients.
 
     >>> t = LaurentPoly({1: 1})
-    >>> (t - 1) * (t.inverse() - 1)
+    >>> (t - 1) * (t.inverse_variable() - 1)
     LaurentPoly({-1: -1, 0: 2, 1: -1})
-    >>> print((t - 1) * (t.inverse() - 1))
+    >>> print((t - 1) * (t.inverse_variable() - 1))
     -t^-1 + 2 - t
     """
 
@@ -82,10 +82,6 @@ class LaurentPoly:
     def inverse_variable(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
         return LaurentPoly({-e: c for e, c in self._coeffs.items()})
-
-    # Kept short because t.inverse() reads naturally for the generator.
-    def inverse(self) -> "LaurentPoly":
-        return self.inverse_variable()
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -153,17 +149,10 @@ class LaurentPoly:
         return format_laurent(self)
 
 
-def lp_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def lp_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
 def lp_is_symmetric(p: LaurentPoly) -> bool:
     """True iff the coefficient of t^k equals the coefficient of t^-k."""
-    return all(p.coeff(-e) == c for e, c in p.coeffs.items())
+    coeffs = p._coeffs
+    return all(coeffs.get(-e) == c for e, c in coeffs.items())
 
 
 class UnitCirclePoint:
@@ -293,13 +282,13 @@ def eval_symmetric_real(p: LaurentPoly, x: float) -> float:
     """
     if not lp_is_symmetric(p):
         raise ValueError("real-path evaluation requires a symmetric polynomial")
-    if p.is_zero():
+    coeffs = p._coeffs
+    if not coeffs:
         return 0.0
-    top = max(abs(e) for e in p.coeffs)
-    value = float(p.coeff(0))
+    value = float(coeffs.get(0, 0))
     c_prev, c_cur = 1.0, x
-    for k in range(1, top + 1):
-        a = p.coeff(k)
+    for k in range(1, max(coeffs) + 1):
+        a = coeffs.get(k)
         if a:
             value += 2.0 * a * c_cur
         c_prev, c_cur = c_cur, 2.0 * x * c_cur - c_prev
@@ -396,7 +385,3 @@ def laurent_from_entry(entry: "int | str | LaurentPoly") -> LaurentPoly:
     if isinstance(entry, str):
         return parse_laurent(entry)
     raise ValueError(f"matrix entries must be integers or Laurent strings, got {entry!r}")
-
-
-def monomials(exps: Iterable[int]) -> list[LaurentPoly]:
-    return [LaurentPoly.t(e) for e in exps]

@@ -14,13 +14,7 @@ import math
 from typing import Sequence
 
 from .errors import DomainError
-from .exactlinalg import (
-    Inertia,
-    _check_square,
-    _pencil,
-    inertia_hermitian_at_root,
-    signature,
-)
+from .exactlinalg import _check_square, _pencil, inertia_hermitian_at_root, signature
 from .laurent import LaurentPoly, UnitCirclePoint, eval_symmetric_real, lp_is_symmetric
 
 
@@ -51,17 +45,13 @@ def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
     return signature(sym)
 
 
-def lt_inertia(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> Inertia:
-    return inertia_hermitian_at_root(A, omega)
-
-
 def lt_signature(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> int:
     """Levine-Tristram signature sigma(K, omega), an even integer.
 
     Raises NearSingular where the form is singular or a sign is not
     certified, and InvalidRoot at omega=1.
     """
-    return lt_inertia(A, omega).signature
+    return inertia_hermitian_at_root(A, omega).signature
 
 
 def an_family(n: int) -> list[list[int]]:

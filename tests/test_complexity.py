@@ -1,18 +1,17 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from shakekit import complexity, seifert
 from shakekit.complexity import (
-    CompatibleInvariant,
     WitnessNotFound,
     a_family_profile,
     certify_complexity,
     find_witness_root,
-    half_lt_signature,
-    sigma_q_vanishes_check,
 )
 from shakekit.errors import DomainError
 from shakekit.laurent import UnitCirclePoint
@@ -76,20 +75,32 @@ class TestWitnessSearch:
         assert exc.value.max_order == 1
         assert "1" in str(exc.value)
 
+    def test_primes_in_order(self):
+        want = [p for p in range(2, 5000) if is_prime(p)]
+        assert list(itertools.takewhile(lambda p: p < 5000, complexity._primes())) == want
+
+    def test_large_order_bound_allocates_nothing_up_front(self):
+        tracemalloc.start()
+        try:
+            assert find_witness_root(2, max_order=10**6) == UnitCirclePoint.root(1, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
 
 class TestInvariant:
     def test_half_lt_signature_values(self):
-        inv = half_lt_signature()
-        w = UnitCirclePoint.minus_one()
-        assert inv.genus_value(1, w) == 0
-        assert inv.genus_value(2, w) == 1
+        for w in (UnitCirclePoint.minus_one(), UnitCirclePoint.root(1, 3),
+                  UnitCirclePoint.root(2, 7)):
+            iota = a_family_profile(w)
+            for k in range(5):
+                assert 2 * iota(k) == lt_signature(an_family(1 + k), w), (w, k)
 
-    def test_scale_enforced(self):
-        broken = CompatibleInvariant(
-            name="odd", evaluator=lambda index, omega: 3, genus_bound_scale=2
-        )
-        with pytest.raises(ArithmeticError):
-            broken.genus_value(1, UnitCirclePoint.minus_one())
+    def test_scale_enforced(self, monkeypatch):
+        monkeypatch.setattr(complexity, "lt_signature", lambda A, omega: 3)
+        with pytest.raises(ArithmeticError, match="even"):
+            a_family_profile(UnitCirclePoint.minus_one())(0)
 
     def test_profile_values(self):
         iota = a_family_profile(UnitCirclePoint.minus_one())
@@ -175,11 +186,3 @@ class TestCertificates:
         for n in range(1, 9):
             for c in range(1, 6):
                 assert certify_complexity(n, c).bound >= c
-
-
-class TestBasePatternVanishes:
-    def test_default_budgets(self):
-        assert sigma_q_vanishes_check(360, 50)
-
-    def test_small_budgets(self):
-        assert sigma_q_vanishes_check(grid=36, max_prime_order=13)

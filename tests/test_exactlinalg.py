@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -25,11 +26,9 @@ from shakekit.exactlinalg import (
     inertia_hermitian_at_root,
     inertia_symmetric_exact,
     int_matrix_from_json,
-    int_matrix_to_json,
-    laurent_matrix_from_json,
     signature,
 )
-from shakekit.laurent import LaurentPoly, UnitCirclePoint
+from shakekit.laurent import LaurentPoly, UnitCirclePoint, laurent_from_entry
 from shakekit.seifert import alexander, an_family, lt_signature
 
 A1 = [
@@ -63,7 +62,7 @@ class TestDetLaurent:
     def test_monomial_diagonal(self):
         t = LaurentPoly.t()
         z = LaurentPoly.zero()
-        assert det_laurent([[t, z], [z, t.inverse()]]) == LaurentPoly.one()
+        assert det_laurent([[t, z], [z, t.inverse_variable()]]) == LaurentPoly.one()
 
     def test_antidiagonal_sign(self):
         t = LaurentPoly.t()
@@ -166,7 +165,7 @@ class TestDetKernel:
         rows = [[t, t * t, one], [one, t, z], [z, one, t]]
         assert det_laurent(rows) == det_cofactor(rows) == LaurentPoly({0: 1})
         # the leading 1x1 minor is zero
-        rows = [[z, t, one], [t, one, z], [one, z, t.inverse()]]
+        rows = [[z, t, one], [t, one, z], [one, z, t.inverse_variable()]]
         assert det_laurent(rows) == det_cofactor(rows)
         assert not det_laurent(rows).is_zero()
 
@@ -174,7 +173,7 @@ class TestDetKernel:
         t = LaurentPoly.t()
         one = LaurentPoly.one()
         r1 = [one, t, t * t]
-        r2 = [t, one - t, 3 * t.inverse()]
+        r2 = [t, one - t, 3 * t.inverse_variable()]
         rows = [r1, r2, [a + 2 * t * b for a, b in zip(r1, r2)]]
         assert det_laurent(rows) == det_cofactor(rows) == LaurentPoly.zero()
         # a zero column: elimination finds no pivot at all
@@ -263,6 +262,57 @@ class TestInertiaSymmetric:
             assert inertia_symmetric_exact(eset) == inertia_symmetric_exact(s), (
                 f"trial {trial}"
             )
+
+    def test_block_pivot_then_zero_block(self):
+        # a hyperbolic plane, then a zero Schur complement
+        assert inertia_symmetric_exact([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) == Inertia(1, 1, 1)
+
+    def test_zero_diagonal_rank_two(self):
+        # v w^T + w v^T with v = (1, 1, 0, 0), w = (0, 0, 1, 1)
+        s = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
+        assert inertia_symmetric_exact(s) == Inertia(1, 2, 1)
+        assert inertia_symmetric_exact([[0, 0, 3], [0, 0, 0], [3, 0, 0]]) == Inertia(1, 1, 1)
+
+    def test_rejects_non_integer_entries(self):
+        for s in ([[True]], [[1, 0], [0, False]], [[1.5]], [[0, 1], [True, 0]], [["1"]]):
+            with pytest.raises(ValueError):
+                inertia_symmetric_exact(s)
+
+    def test_matches_numpy_eigvalsh(self):
+        rng = random.Random(2718)
+        compared = 0
+        for trial in range(1500):
+            dim = rng.randint(1, 8)
+            density = rng.choice([0.3, 0.6, 1.0])
+            s = [[0] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(i if trial % 3 else i + 1, dim):  # every third: zero diagonal
+                    if rng.random() < density:
+                        s[i][j] = s[j][i] = rng.randint(-5, 5)
+            got = inertia_symmetric_exact(s)
+            assert got.dim == dim
+            if dim <= 6:  # cofactor expansion takes dim! terms
+                det = det_cofactor_fraction([[Fraction(x) for x in row] for row in s])
+                assert (got.n_zero == 0) == (det != 0), s
+            eigs = np.linalg.eigvalsh(np.array(s, dtype=float))
+            if float(np.min(np.abs(eigs))) > 1e-6:
+                assert got == Inertia(int(np.sum(eigs > 0)), 0, int(np.sum(eigs < 0))), s
+                compared += 1
+        assert compared > 800
+
+    def test_determinant_sign_with_huge_entries(self):
+        # beyond the float range of eigvalsh: det has the sign (-1)^n_minus
+        rng = random.Random(1618)
+        for _ in range(200):
+            dim = rng.randint(1, 6)
+            s = random_symmetric_matrix(rng, dim, bound=10**12)
+            for i in rng.sample(range(dim), rng.randint(0, dim)):
+                s[i][i] = 0
+            got = inertia_symmetric_exact(s)
+            det = det_cofactor_fraction([[Fraction(x) for x in row] for row in s])
+            assert (got.n_zero == 0) == (det != 0), s
+            if det:
+                assert (det > 0) == (got.n_minus % 2 == 0), s
 
     def test_diagonal_determinant_consistency(self):
         # n_zero == 0 exactly when the exact determinant is nonzero
@@ -473,13 +523,11 @@ class TestExactHermitianInertia:
 
 class TestJsonMatrices:
     def test_int_round_trip(self):
-        doc = int_matrix_to_json(A1)
-        assert doc == {"dim": 4, "entries": A1}
-        assert int_matrix_from_json(doc) == A1
+        text = json.dumps({"dim": 4, "entries": A1})
+        assert int_matrix_from_json(json.loads(text)) == A1
 
     def test_laurent_entries(self):
-        doc = {"dim": 2, "entries": [["t - 1", 0], [2, "t^-1"]]}
-        rows = laurent_matrix_from_json(doc)
+        rows = [[laurent_from_entry(e) for e in row] for row in [["t - 1", 0], [2, "t^-1"]]]
         assert rows[0][0] == LaurentPoly({1: 1, 0: -1})
         assert rows[0][1] == LaurentPoly.zero()
         assert rows[1][1] == LaurentPoly({-1: 1})

@@ -45,6 +45,12 @@ class TestBandValidation:
         with pytest.raises(ValueError):
             BandPresentation([Band(orientable=True)], [[0, 0]])
 
+    def test_rejects_non_integer_crossings(self):
+        bands = [Band(orientable=True), Band(orientable=True)]
+        for x in (1.0, True, 0.5):
+            with pytest.raises(ValueError):
+                BandPresentation(bands, [[0, x], [x, 0]])
+
     def test_default_crossings(self):
         bp = BandPresentation([Band(orientable=True), Band(orientable=False)])
         assert bp.crossings == ((0, 0), (0, 0))
@@ -79,7 +85,13 @@ class TestGoeritzForm:
 
     def test_json_round_trip(self):
         gd = GoeritzData([[3, 2], [2, 1]], [1])
-        assert GoeritzData.from_json(gd.to_json()) == gd
+        assert GoeritzData(**gd.to_json()) == gd
+
+    def test_goeritz_data_rejects_non_integers(self):
+        for G, marked in (([[1.0]], ()), ([[True]], ()), ([[1, 2.5], [2.5, 1]], ()),
+                          ([[1]], [0.0]), ([[1]], [False])):
+            with pytest.raises(ValueError):
+                GoeritzData(G, marked)
 
     def test_band_presentation_from_json(self):
         doc = {
@@ -163,6 +175,11 @@ class TestTwoTwists:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             add_two_twists(GoeritzData([[3]]), [1, 2])
+
+    def test_rejects_non_integer_counts(self):
+        for x in (1.0, True, 0.5):
+            with pytest.raises(ValueError):
+                add_two_twists(GoeritzData([[3]]), [x])
 
     def test_stability_examples(self):
         assert verify_two_twist_stability(GoeritzData([[3]]), [2])

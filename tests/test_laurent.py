@@ -14,7 +14,6 @@ from shakekit.laurent import (
     laurent_from_entry,
     lp_eval_unit,
     lp_is_symmetric,
-    monomials,
     parse_laurent,
 )
 
@@ -242,10 +241,3 @@ class TestParseFormat:
             laurent_from_entry(True)
         with pytest.raises(ValueError):
             laurent_from_entry(1.5)  # type: ignore[arg-type]
-
-    def test_monomials(self):
-        assert monomials([0, 2, -1]) == [
-            LaurentPoly.one(),
-            LaurentPoly({2: 1}),
-            LaurentPoly({-1: 1}),
-        ]

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from shakekit.errors import DomainError
+from shakekit.exactlinalg import inertia_hermitian_at_root
 from shakekit.laurent import LaurentPoly, UnitCirclePoint, lp_eval_unit, lp_is_symmetric
 from shakekit.seifert import (
     OddDimension,
@@ -11,7 +12,6 @@ from shakekit.seifert import (
     classical_signature_seifert,
     delta_n_closed,
     delta_sign_scan,
-    lt_inertia,
     lt_signature,
 )
 
@@ -167,7 +167,7 @@ class TestSignatures:
         assert lt_signature(TREFOIL, w) == -2
 
     def test_lt_inertia_dim(self):
-        inertia = lt_inertia(A1, UnitCirclePoint.minus_one())
+        inertia = inertia_hermitian_at_root(A1, UnitCirclePoint.minus_one())
         assert inertia.dim == 4
         assert inertia.n_zero == 0
 
