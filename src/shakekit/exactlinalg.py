@@ -3,6 +3,11 @@
 Determinants have one integer kernel: Kronecker substitution t = 2^B,
 with B from a Hadamard bound on the coefficients, fraction-free (Bareiss)
 elimination over the integers, and a balanced base-2^B read-back.  The
+elimination works in proportion to the nonzero entries it touches: a
+row that a step does not read keeps its stored entries and the index s
+of the last prev it was scaled to, its true entries being
+stored * prev // chain[s] over the chain of prevs, and is rescaled only
+when a step reads it.  The
 Seifert pencil t*A - A^T is eliminated once per matrix A and memoised;
 with symmetric pivoting its Bareiss pivots are its leading principal
 minors, which give both the determinant and, by Jacobi's sign rule, the
@@ -19,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import strict_int
 from .laurent import LaurentPoly, UnitCirclePoint, laurent_from_entry
@@ -115,12 +120,40 @@ class Pivots:
         return LaurentPoly({low + i: d for i, d in enumerate(self.digits(k))})
 
 
-def _swap(M: list[list[int]], lows: list[int], i: int, j: int) -> None:
+def _swap(M: list[list[int]], scales: list[int], lows: list[int], i: int, j: int) -> None:
     """Exchange index i with j in rows and columns alike: a congruence."""
     M[i], M[j] = M[j], M[i]
     for row in M:
         row[i], row[j] = row[j], row[i]
+    scales[i], scales[j] = scales[j], scales[i]
     lows[i], lows[j] = lows[j], lows[i]
+
+
+def _rescaled(row: list[int], scale: int, chain: list[int]) -> list[int]:
+    """The true entries of a row stored at chain[scale]: stored * chain[-1] / chain[scale]."""
+    if scale == len(chain) - 1:
+        return row
+    num, den = chain[-1], chain[scale]
+    return [x * num // den if x else 0 for x in row]
+
+
+def _eliminate(M: list[list[int]], scales: list[int], chain: list[int], width: int,
+               update: Callable[[list[int]], list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Rows and columns after a Bareiss step on the first width pivots.
+
+    A row with a nonzero entry in a pivot column is brought up to date and
+    update gives its new entries, at the scale of the step's prev; any
+    other row only loses the pivot columns and keeps its scale.
+    """
+    rest, rest_scales = [], []
+    for row, scale in zip(M[width:], scales[width:]):
+        if any(row[:width]):
+            rest.append(update(_rescaled(row, scale, chain)))
+            rest_scales.append(len(chain))
+        else:
+            rest.append(row[width:])
+            rest_scales.append(scale)
+    return rest, rest_scales
 
 
 def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | Pivots:
@@ -134,7 +167,18 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     t = 2^B with B = C.bit_length() + 1, integer Bareiss elimination with
     row swaps takes the exact determinant there, and its balanced
     base-2^B digits are the coefficients.  The 0x0 determinant is 1
-    (empty product).
+    (empty product).  Entries may be ints, LaurentPolys or their textual
+    form; an int goes straight into the Kronecker matrix.
+
+    The elimination costs in proportion to the nonzero entries it
+    touches.  A Bareiss step only multiplies a row whose pivot-column
+    entry is zero by pivot/prev, so such a row is stored as it is,
+    together with the index s of the last prev it was scaled to in the
+    chain of prev values; its true entries are stored * chain[-1] //
+    chain[s], an exact division because the true entries are minors.  A
+    row is brought up to date only when a step reads it: as the pivot row,
+    or when its pivot-column entry is nonzero.  Zero tests read the stored
+    entries, which vanish exactly when the true ones do.
 
     With pivots=True the same elimination pivots symmetrically and
     returns its Pivots instead.  A zero pivot is exchanged, row and column
@@ -150,20 +194,25 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     _check_square(rows)
     lows: list[int] = []
     norm_sq = 1
-    polys: list[list[dict[int, int]]] = []
+    polys: list[list[int | dict[int, int]]] = []
     for row in rows:
-        entries = [laurent_from_entry(e).coeffs for e in row]
-        low = min((e for coeffs in entries for e in coeffs), default=None)
+        entries = [e if e.__class__ is int else laurent_from_entry(e)._coeffs for e in row]
+        low = min((0 if e.__class__ is int else min(e) for e in entries if e), default=None)
         if low is None:
             if not pivots:
                 return LaurentPoly.zero()
             low = 0
         lows.append(low)
-        polys.append([{e - low: c for e, c in coeffs.items()} for coeffs in entries])
-        norm_sq *= max(1, sum(sum(map(abs, coeffs.values())) ** 2 for coeffs in entries))
+        polys.append(entries)
+        norm_sq *= max(1, sum((e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2)
+                              for e in entries if e))
     bits = (math.isqrt(norm_sq - 1) + 1).bit_length() + 1
-    M = [[sum(c << (bits * e) for e, c in p.items()) for p in row] for row in polys]
-    sign, prev, offset = 1, 1, 0
+    M = [[(e << (bits * -low) if e.__class__ is int else
+           sum(c << (bits * (x - low)) for x, c in e.items())) if e else 0 for e in row]
+         for row, low in zip(polys, lows)]
+    scales = [0] * len(M)
+    chain = [1]  # prev of every Bareiss step so far; prev is chain[-1]
+    sign, offset = 1, 0
     values: list[int] = []
     offsets: list[int] = []
     while M:
@@ -172,11 +221,12 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
             if k is None:
                 return LaurentPoly.zero()
             M[0], M[k] = M[k], M[0]
+            scales[0], scales[k] = scales[k], scales[0]
             sign = -sign
         elif not M[0][0]:
             k = next((i for i in range(len(M)) if M[i][i]), None)
             if k is not None:
-                _swap(M, lows, 0, k)
+                _swap(M, scales, lows, 0, k)
             else:
                 r = len(M)
                 pair = next(((i, j) for i in range(r) for j in range(i + 1, r)
@@ -188,23 +238,28 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
                     values += [0] * r
                     offsets += [offset] * r
                     break
-                _swap(M, lows, 0, pair[0])
-                _swap(M, lows, 1, pair[1])
-                b, c = M[0][1], M[1][0]
+                _swap(M, scales, lows, 0, pair[0])
+                _swap(M, scales, lows, 1, pair[1])
+                prev = chain[-1]
+                top0, top1 = (_rescaled(M[i], scales[i], chain) for i in (0, 1))
+                b, c = top0[1], top1[0]
                 p2 = prev * prev
-                M = [[(b * (row[0] * y - c * w) + c * row[1] * x) // p2
-                      for x, y, w in zip(M[0][2:], M[1][2:], row[2:])]
-                     for row in M[2:]]
-                prev = -b * c // prev
-                values += [0, prev]
+                M, scales = _eliminate(M, scales, chain, 2, lambda row: [
+                    (b * (row[0] * y - c * w) + c * row[1] * x) // p2 if x or y or w else 0
+                    for x, y, w in zip(top0[2:], top1[2:], row[2:])])
+                chain.append(-b * c // prev)
+                values += [0, chain[-1]]
                 offsets += [offset + lows[0], offset + lows[0] + lows[1]]
                 offset = offsets[-1]
                 del lows[:2]
                 continue
-        top, pivot = M[0], M[0][0]
-        M = [[(a * pivot - row[0] * b) // prev for a, b in zip(row[1:], top[1:])]
-             for row in M[1:]]
-        prev = pivot
+        prev = chain[-1]
+        top = _rescaled(M[0], scales[0], chain)
+        pivot = top[0]
+        M, scales = _eliminate(M, scales, chain, 1, lambda row: [
+            (a * pivot - row[0] * b) // prev if a or b else 0
+            for a, b in zip(row[1:], top[1:])])
+        chain.append(pivot)
         values.append(pivot)
         offset += lows.pop(0)
         offsets.append(offset)
@@ -220,7 +275,8 @@ class _Pencil:
 
     def __init__(self, A: tuple[tuple[int, ...], ...]):
         n = _check_square(A)
-        self.pivots = det_laurent([[LaurentPoly({1: A[i][j], 0: -A[j][i]}) for j in range(n)]
+        self.pivots = det_laurent([[LaurentPoly({1: A[i][j], 0: -A[j][i]})
+                                    if A[i][j] or A[j][i] else 0 for j in range(n)]
                                    for i in range(n)], pivots=True)
         self._residues: dict[int, list[list[tuple[int, int]]]] = {}
         self._signs: dict[object, list[int]] = {}

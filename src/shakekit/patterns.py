@@ -14,16 +14,21 @@ Pound produces a wrapping-number-one leaf: star, twist and repeated
 pound collapse on it, bar passes inside, and consecutive pound leaves
 commute (connected sum), so normalize sorts each run of them.
 Evaluation sums leaf values per the satellite formula; a bar flag
-negates and a star flag reflects the twist argument.
+negates and a star flag reflects the twist argument.  Each distinct leaf
+is valued once and weighted by its multiplicity.  A normal form holds at
+most 2,000,000 leaves; a longer one is refused before it is built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Mapping, Union
 
 from .errors import DomainError, strict_int
+
+_MAX_LEAVES = 2_000_000  # longest composition chain a normal form may hold
 
 
 class PatternSyntaxError(ValueError):
@@ -179,6 +184,12 @@ def _sort_pound_runs(leaves: tuple[NormalLeaf, ...]) -> tuple[NormalLeaf, ...]:
     return tuple(out)
 
 
+def _check_size(size: int) -> None:
+    if size > _MAX_LEAVES:
+        raise DomainError(f"normal form would have {size} leaves, "
+                          f"over the limit of {_MAX_LEAVES}")
+
+
 def _chain(t: PatternTerm) -> tuple[NormalLeaf, ...]:
     if isinstance(t, Atom):
         leaf = Leaf(t.name)
@@ -186,9 +197,13 @@ def _chain(t: PatternTerm) -> tuple[NormalLeaf, ...]:
             return (PoundLeaf(NormalForm((leaf,))),)
         return (leaf,)
     if isinstance(t, Compose):
-        return _chain(t.left) + _chain(t.right)
+        left, right = _chain(t.left), _chain(t.right)
+        _check_size(len(left) + len(right))
+        return left + right
     if isinstance(t, Power):
-        return _chain(t.inner) * t.m
+        inner = _chain(t.inner)
+        _check_size(len(inner) * t.m)
+        return inner * t.m
     if isinstance(t, Twist):
         return tuple(_twist_leaf(x, t.n) for x in _chain(t.inner))
     if isinstance(t, Star):
@@ -275,15 +290,21 @@ def eval_invariant(t: "PatternTerm | NormalForm",
     A leaf with twist n contributes +/- iota(+/- n) from its atom's
     profile: the bar flag negates the value (concordance inverse), and a
     lone star or lone bar reflects the twist argument.  Pound leaves
-    contribute the value of their underlying knot.
+    contribute the value of their underlying knot.  Each distinct leaf
+    calls its profile once, in first-seen order, so the first leaf that
+    fails still raises.
     """
     nf = t if isinstance(t, NormalForm) else normalize(t)
-    return sum(_leaf_value(leaf, assignment) for leaf in nf.leaves)
+    return _chain_value(nf.leaves, assignment)
+
+
+def _chain_value(leaves: tuple[NormalLeaf, ...], assignment: Mapping[str, Profile]) -> int:
+    return sum(count * _leaf_value(leaf, assignment) for leaf, count in Counter(leaves).items())
 
 
 def _leaf_value(leaf: NormalLeaf, assignment: Mapping[str, Profile]) -> int:
     if isinstance(leaf, PoundLeaf):
-        return sum(_leaf_value(x, assignment) for x in leaf.inner.leaves)
+        return _chain_value(leaf.inner.leaves, assignment)
     if leaf.atom not in assignment:
         raise UnassignedAtom(leaf.atom)
     arg = leaf.twist if leaf.star == leaf.bar else -leaf.twist

@@ -23,6 +23,8 @@ def det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         return rows[0][0]
     total = LaurentPoly.zero()
     for j in range(n):
+        if not rows[0][j]:  # a zero term; skipping it keeps sparse minors cheap
+            continue
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         term = rows[0][j] * det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term

@@ -253,6 +253,12 @@ class TestPattern:
         assert code == 1
         assert "P" in err
 
+    def test_oversized_power_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "pattern", "normalize", "P^100000000")
+        assert code == 1
+        assert not out
+        assert "limit of 2000000" in err
+
     def test_syntax_error(self, capsys):
         code, _, err = run_cli(capsys, "pattern", "normalize", "P^0")
         assert code == 2
@@ -275,6 +281,14 @@ class TestCertify:
     def test_zero_framing(self, capsys):
         code, _, _ = run_cli(capsys, "certify", "--framing", "0", "--complexity", "2")
         assert code == 1
+
+    def test_oversized_complexity_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "certify", "--framing", "2", "--complexity", "100000000"
+        )
+        assert code == 1
+        assert not out
+        assert err.startswith("error: normal form would have 100000000 leaves")
 
     def test_exhausted_witness_budget(self, capsys):
         code, _, err = run_cli(

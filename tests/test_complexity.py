@@ -112,6 +112,23 @@ class TestInvariant:
         with pytest.raises(DomainError):
             iota(-1)
 
+    def test_certificate_calls_the_profile_per_distinct_leaf(self, monkeypatch):
+        calls = []
+        real = complexity.a_family_profile
+
+        def counting(omega):
+            profile = real(omega)
+
+            def counted(k):
+                calls.append(k)
+                return profile(k)
+
+            return counted
+
+        monkeypatch.setattr(complexity, "a_family_profile", counting)
+        assert certify_complexity(4, 640).bound == 640
+        assert sorted(calls) == [0, 0, 4, 4]
+
 
 class TestCertificates:
     def test_first_framing(self):

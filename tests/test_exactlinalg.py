@@ -29,7 +29,7 @@ from shakekit.exactlinalg import (
     signature,
 )
 from shakekit.laurent import LaurentPoly, UnitCirclePoint, laurent_from_entry
-from shakekit.seifert import alexander, an_family, lt_signature
+from shakekit.seifert import alexander, an_family, delta_n_closed, lt_signature
 
 A1 = [
     [1, 1, 1, 0],
@@ -207,6 +207,149 @@ class TestPencilMemo:
         assert alexander(A) == LaurentPoly({-1: -1, 0: 3, 1: -1})
         assert lt_signature(A, UnitCirclePoint.minus_one()) == 0
         assert lt_signature(A, UnitCirclePoint.root(1, 3)) == 0
+
+
+def symmetric_pivot_minors(rows: list[list[LaurentPoly]]) -> list[LaurentPoly]:
+    """P_1..P_n of P M P^T for the order symmetric pivoting picks, all by cofactors.
+
+    After k Bareiss steps entry (i, j) is the minor of M on the pivoted
+    rows so far plus i and columns so far plus j, so the pivot choice is
+    replayed from those minors: the first nonzero diagonal entry, else the
+    first block (i, j) with both off-diagonal entries nonzero, else stop.
+    """
+    n = len(rows)
+    order = list(range(n))
+
+    def entry(k: int, i: int, j: int) -> LaurentPoly:
+        done = order[:k]
+        return det_cofactor([[rows[r][c] for c in done + [order[j]]] for r in done + [order[i]]])
+
+    k = 0
+    while k < n:
+        i = next((i for i in range(k, n) if entry(k, i, i)), None)
+        if i is not None:
+            order[k], order[i] = order[i], order[k]
+            k += 1
+            continue
+        pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                     if entry(k, i, j) and entry(k, j, i)), None)
+        if pair is None:
+            break
+        order[k], order[pair[0]] = order[pair[0]], order[k]
+        order[k + 1], order[pair[1]] = order[pair[1]], order[k + 1]
+        k += 2
+    return [det_cofactor([[rows[r][c] for c in order[:m]] for r in order[:m]])
+            for m in range(1, n + 1)]
+
+
+def as_laurent(S: list[list[int]]) -> list[list[LaurentPoly]]:
+    return [[LaurentPoly({0: x}) for x in row] for row in S]
+
+
+def sparse_symmetric(rng: random.Random, dim: int, density: float) -> list[list[int]]:
+    S = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            if rng.random() < density:
+                S[i][j] = S[j][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return S
+
+
+class TestSparseKernel:
+    """Rows left alone by Bareiss steps must come back at the right scale.
+
+    A step only rescales a row whose pivot-column entry is zero, so the
+    kernel keeps such a row as it is until a step reads it; these matrices
+    leave rows untouched for several steps, across 2x2 block pivots too,
+    and compare every pivot with its cofactor minor.
+    """
+
+    def check(self, S: list[list[int]]) -> None:
+        pivots = det_laurent(S, pivots=True)
+        assert [pivots.minor(k) for k in range(1, len(S) + 1)] == \
+            symmetric_pivot_minors(as_laurent(S)), S
+        rows = t_matrix(S)
+        pivots = det_laurent(rows, pivots=True)
+        assert [pivots.minor(k) for k in range(1, len(S) + 1)] == \
+            symmetric_pivot_minors(rows), S
+
+    def test_arrow(self):
+        # every middle row is read first when it becomes the pivot row
+        for n, head in ((6, 3), (10, -2), (12, 5)):
+            S = [[0] * n for _ in range(n)]
+            for i in range(n):
+                S[i][i] = 2 + i % 3
+                S[i][-1] = S[-1][i] = head + i
+            self.check(S)
+
+    def test_banded(self):
+        rng = random.Random(5)
+        for n, width in ((8, 1), (12, 1), (10, 2), (8, 3)):
+            S = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, min(n, i + width + 1)):
+                    S[i][j] = S[j][i] = rng.choice((-2, -1, 1, 2))
+            S[2][2] = S[5][5] = 0
+            self.check(S)
+
+    def test_block_pivot_between_untouched_rows(self):
+        # step 1 pivots on 3 and reads no other row; the diagonal left is
+        # zero, so blocks {1, 2} and {3, 4} follow.  Row 5 waits through the
+        # first block and is read by the second; row 6 waits through both
+        # and is read when row 5 is the pivot row.
+        S = [[0] * 7 for _ in range(7)]
+        S[0][0] = 3
+        for i, j, x in ((1, 2, 2), (3, 4, 3), (3, 5, 1), (4, 5, 1), (5, 6, 1)):
+            S[i][j] = S[j][i] = x
+        pivots = det_laurent(S, pivots=True)
+        assert pivots.values[1] == pivots.values[3] == 0
+        assert all(pivots.values[k] for k in (0, 2, 4, 5, 6))
+        self.check(S)
+
+    def test_zero_row(self):
+        for S in ([[2, 0, 1], [0, 0, 0], [1, 0, 3]],
+                  [[0, 0, 0, 0], [0, 1, 2, 0], [0, 2, 1, 1], [0, 0, 1, 0]]):
+            self.check(S)
+            assert det_laurent(S) == LaurentPoly.zero()
+            assert det_laurent(S, pivots=True).values[-1] == 0
+
+    def test_random_sparse_symmetric_and_pencils(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            dim = rng.randint(1, 12)
+            density = rng.uniform(0.05, 0.3)
+            self.check(sparse_symmetric(rng, dim, density))
+            A = [[rng.choice((-2, -1, 1, 2)) if rng.random() < density else 0
+                  for _ in range(dim)] for _ in range(dim)]
+            rows = t_matrix(A)
+            pivots = det_laurent(rows, pivots=True)
+            assert [pivots.minor(k) for k in range(1, dim + 1)] == \
+                symmetric_pivot_minors(rows), A
+
+    @pytest.fixture
+    def polys_built(self, monkeypatch) -> list:
+        """Every LaurentPoly constructed from here on, by its coefficients."""
+        built = []
+        real = LaurentPoly.__init__
+
+        def counting(self, coeffs=None):
+            built.append(coeffs)
+            real(self, coeffs)
+
+        monkeypatch.setattr(LaurentPoly, "__init__", counting)
+        return built
+
+    def test_integer_matrix_builds_no_polynomial(self, polys_built):
+        S = sparse_symmetric(random.Random(3), 20, 0.3)
+        assert inertia_symmetric_exact(S).dim == 20
+        assert polys_built == []
+
+    def test_pencil_builds_one_polynomial_per_nonzero_entry(self, polys_built):
+        A = an_family(26)
+        nnz = sum(map(bool, (x for row in A for x in row)))
+        pencil = exactlinalg._Pencil(tuple(map(tuple, A)))
+        assert len(polys_built) <= 2 * nnz < len(A) ** 2 // 10
+        assert pencil.pivots.minor(len(A)) == delta_n_closed(26).shift(len(A) // 2)
 
 
 class TestInertiaSymmetric:

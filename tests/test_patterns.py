@@ -1,7 +1,11 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shakekit import patterns
 from shakekit.errors import DomainError
 from shakekit.patterns import (
     Atom,
@@ -243,6 +247,16 @@ class TestRetrace:
         got = eval_invariant(retrace_term(t, n, c), asg)
         assert got == c * (eval_invariant(t, asg) - eval_invariant(Twist(t, n), asg))
 
+    def test_profile_called_once_per_distinct_leaf(self):
+        calls = []
+
+        def profile(n):
+            calls.append(n)
+            return 3 * n + 1
+
+        assert eval_invariant(retrace_term(Q, 2, 500), {"Q": profile}) == 500 * (1 - 7)
+        assert sorted(calls) == [0, 2]
+
 
 class TestEval:
     def test_sign_table(self):
@@ -283,3 +297,76 @@ class TestEval:
         assert profile(2) == 5
         with pytest.raises(DomainError):
             profile(1)
+
+
+def random_term(rng: random.Random, depth: int):
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice((P, Q, R, W))
+    kind = rng.randrange(8)
+    inner = random_term(rng, depth - 1)
+    if kind == 0:
+        return Star(inner)
+    if kind == 1:
+        return Bar(inner)
+    if kind == 2:
+        return Twist(inner, rng.randint(-3, 3))
+    if kind == 3:
+        return Power(inner, rng.randint(1, 4))
+    if kind == 4:
+        return Pound(inner)
+    if kind == 5:
+        return Inverse(inner)
+    return Compose(inner, random_term(rng, depth - 1))
+
+
+def leaf_by_leaf(leaves, tables) -> int:
+    """The satellite sum with one table lookup per leaf, multiplicities unrolled."""
+    total = 0
+    for leaf in leaves:
+        if isinstance(leaf, PoundLeaf):
+            total += leaf_by_leaf(leaf.inner.leaves, tables)
+            continue
+        arg = leaf.twist if leaf.star == leaf.bar else -leaf.twist
+        total += -tables[leaf.atom][arg] if leaf.bar else tables[leaf.atom][arg]
+    return total
+
+
+class TestCountedEvaluation:
+    def test_matches_leaf_by_leaf_sum(self):
+        rng = random.Random(20261018)
+        for _ in range(500):
+            t = random_term(rng, 5)
+            tables = {name: {n: rng.randint(-9, 9) for n in range(-40, 41)} for name in "PQRW"}
+            asg = {name: table_profile(table) for name, table in tables.items()}
+            assert eval_invariant(t, asg) == leaf_by_leaf(normalize(t).leaves, tables), t
+
+    def test_first_failing_leaf_raises(self):
+        asg = {"P": table_profile({0: 1})}
+        with pytest.raises(UnassignedAtom) as exc:
+            eval_invariant(Compose(Power(P, 3), Compose(R, Q)), asg)
+        assert exc.value.name == "R"
+        with pytest.raises(DomainError, match="twist 2"):
+            eval_invariant(Compose(Twist(P, 2), Twist(P, 5)), asg)
+
+
+class TestLeafLimit:
+    def test_power_is_refused_before_it_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="100000000 leaves.*limit of 2000000"):
+                normalize(parse_pattern("P^100000000"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_limit_is_inclusive_at_power_and_compose(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_MAX_LEAVES", 10)
+        assert len(normalize(Compose(Power(P, 5), Power(Q, 5))).leaves) == 10
+        assert len(normalize(Power(Compose(P, Q), 5)).leaves) == 10
+        with pytest.raises(DomainError, match="11 leaves"):
+            normalize(Compose(Power(P, 6), Power(Q, 5)))
+        with pytest.raises(DomainError, match="12 leaves"):
+            normalize(Power(Compose(P, Q), 6))
+        with pytest.raises(DomainError, match="12 leaves"):
+            eval_invariant(Pound(Power(Twist(P, 1), 12)), {"P": table_profile({1: 1})})
