@@ -4,10 +4,11 @@ A certificate for framing n and target complexity c records the knot
 term (bar(Q*)_n)^c o Q^c built from the base pattern Q of the twisted
 family, a witness root of unity where the half-Levine-Tristram
 signature separates Q from Q_n, and the resulting bound
-c * |I(Q) - I(Q_n)| >= c.  The witness search scans the closed-form
-Alexander polynomial of the twisted family for sign changes on the unit
-circle and then tries prime-order roots inside the negative regions in
-increasing order, so results are deterministic and replayable.
+c * |I(Q) - I(Q_n)| >= c.  The witness search tries prime-order roots in
+increasing order, inside the regions where the closed-form Alexander
+polynomial of the twisted family is negative by exact signs at the root
+and its neighbours on a 720-point grid, so results are deterministic
+and replayable.
 """
 
 from __future__ import annotations
@@ -15,30 +16,32 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import DomainError
-from .exactlinalg import NearSingular
-from .laurent import UnitCirclePoint, eval_symmetric_real
+from .exactlinalg import NearSingular, _reduced, _sign_at
+from .laurent import UnitCirclePoint
 from .patterns import Atom, Profile, eval_invariant, render_term, retrace_term
-from .seifert import (
-    _circle_samples,
-    _sign_change_arcs,
-    an_family,
-    delta_n_closed,
-    lt_signature,
-)
+from .seifert import an_family, delta_n_closed, lt_signature
 
 DEFAULT_MAX_ORDER = 60
-DEFAULT_SCAN_GRID = 720
+WITNESS_GRID = 720
 INVARIANT_NAME = "half-LT-signature"
 
 
 class WitnessNotFound(LookupError):
-    def __init__(self, max_order: int):
-        self.max_order = max_order
+    """No root of order <= max_order passed the witness rule for framing n.
+
+    The LT signature was taken at tried roots; refused of them were
+    near-singular and the rest had signature 0.
+    """
+
+    def __init__(self, n: int, max_order: int, tried: int, refused: int):
+        self.n, self.max_order, self.tried, self.refused = n, max_order, tried, refused
         super().__init__(
-            f"no prime-order witness root of order <= {max_order}; retry with a larger bound"
+            f"no prime-order witness root of order <= {max_order} for n = {n}: the LT "
+            f"signature was taken at {tried} roots: {refused} near-singular, "
+            f"{tried - refused} zero"
         )
 
 
@@ -88,54 +91,50 @@ def _primes() -> Iterator[int]:
         multiples[nxt] = step
 
 
-def _negative_region_test(poly, samples: list[float]) -> Callable[[UnitCirclePoint], bool]:
-    """Membership test for the negative regions delimited by the sign scan."""
-    grid_size = len(samples)
-    step = math.tau / grid_size
+def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCirclePoint:
+    """First prime-order root of unity where sigma(Q_n, omega) != 0 by the witness rule.
 
-    def inside(omega: UnitCirclePoint) -> bool:
-        if eval_symmetric_real(poly, omega.real_power(1)) >= 0:
-            return False
-        theta = omega.theta % math.tau
-        i0 = int(theta / step) % grid_size
-        if abs(theta - i0 * step) < 1e-12:
-            return samples[i0] < 0
-        return samples[i0] < 0 and samples[(i0 + 1) % grid_size] < 0
-
-    return inside
-
-
-def find_witness_root(
-    n: int,
-    max_order: int = DEFAULT_MAX_ORDER,
-    grid_size: int = DEFAULT_SCAN_GRID,
-) -> UnitCirclePoint:
-    """Smallest prime-order root of unity where sigma(Q_n, omega) != 0.
-
-    Scans delta_{1+n} for sign changes, then tries roots k/p for primes
-    p <= max_order in increasing (p, k) order, keeping the first one
-    inside a negative region where the signature is certified and
-    nonzero.  Odd twisting always yields omega = -1 (k/m = 1/2) first.
+    Roots k/p are tried for primes p <= max_order in increasing (p, k)
+    order.  A root is a candidate when Delta = Delta_{1+n} is negative at
+    omega and at grid point i0 = int(theta / step) of the WITNESS_GRID-point
+    grid, and also at i0 + 1 unless theta is within 1e-12 of i0 * step;
+    i0 and that test are floating point and part of the rule.  Each sign
+    is exact (remainder modulo Phi_m of the point's own order m, then a
+    certified sign), and an exact zero counts as not negative.  The first
+    candidate whose signature is certified and nonzero is the witness; odd
+    twisting always yields omega = -1 (k/m = 1/2) first.  Raises
+    NearSingular should a sign of Delta not be certified.
     """
     if n < 1:
         raise DomainError(f"witness search is defined for n >= 1, got {n}")
-    poly = delta_n_closed(1 + n)
-    samples = _circle_samples(poly, grid_size)
-    if not _sign_change_arcs(samples):
-        raise WitnessNotFound(max_order)
-    inside = _negative_region_test(poly, samples)
+    terms = sorted(delta_n_closed(1 + n).coeffs.items())
+    step = math.tau / WITNESS_GRID
+
+    def negative(omega: UnitCirclePoint) -> bool:
+        return _sign_at(omega, 0, _reduced(terms, omega.m)) < 0
+
+    def candidate(omega: UnitCirclePoint) -> bool:
+        if not negative(omega):
+            return False
+        theta = omega.theta % math.tau
+        i0 = int(theta / step) % WITNESS_GRID
+        grid = (i0,) if abs(theta - i0 * step) < 1e-12 else (i0, (i0 + 1) % WITNESS_GRID)
+        return all(negative(UnitCirclePoint.root(i, WITNESS_GRID)) for i in grid)
+
     matrix = an_family(1 + n)
+    tried = refused = 0
     for p in itertools.takewhile(lambda p: p <= max_order, _primes()):
         for k in range(1, p):
             omega = UnitCirclePoint.root(k, p)
-            if not inside(omega):
+            if not candidate(omega):
                 continue
+            tried += 1
             try:
                 if lt_signature(matrix, omega) != 0:
                     return omega
             except NearSingular:
-                continue
-    raise WitnessNotFound(max_order)
+                refused += 1
+    raise WitnessNotFound(n, max_order, tried, refused)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ minors, which give both the determinant and, by Jacobi's sign rule, the
 exact inertia of the Hermitian form H(omega) at every unit-circle point.
 At a root of unity a minor vanishes exactly when its remainder modulo
 the cyclotomic polynomial does; every nonzero sign is certified by an
-explicit rounding-error bound or refused.  Classical inertia of a
+explicit rounding-error bound or refused, and the witness search takes
+the signs of Alexander polynomials the same way.  Classical inertia of a
 symmetric integer matrix comes from the same elimination: its pivots
 are the matrix's exact integer leading minors.
 """
@@ -43,9 +44,10 @@ def _perturbation_hint(omega: UnitCirclePoint) -> str:
 class NearSingular(ArithmeticError):
     """The form at omega is singular, or a leading minor's sign is uncertain.
 
-    index is the leading minor D_index that triggered the refusal, value
-    the computed float whose sign is that of D_index (0.0 when D_index
-    vanishes exactly) and bound the rounding-error bound it had to clear.
+    index is the leading minor D_index that triggered the refusal (0 for a
+    polynomial's own sign), value the computed float whose sign is that of
+    D_index (0.0 when D_index vanishes exactly) and bound the
+    rounding-error bound it had to clear.
     """
 
     def __init__(self, omega: UnitCirclePoint, reason: str, index: int, value: float,
@@ -287,56 +289,22 @@ class _Pencil:
         return [[(low + i, d) for i, d in enumerate(self.pivots.digits(k)) if d]
                 for k, low in enumerate(self.pivots.lows, 1)]
 
-    def residues(self, m: int) -> list[list[tuple[int, int]]]:
-        """P_k modulo Phi_m as (exponent, nonzero coefficient) pairs, k = 1..n.
-
-        P_k(omega) = 0 at a primitive m-th root omega exactly when this
-        list is empty.  A minor that spans at most sqrt(m/2) <= phi(m)
-        exponents is already reduced and keeps its own exponents.
-        """
-        if m not in self._residues:
-            self._residues[m] = [
-                terms if not terms or (terms[-1][0] - terms[0][0] + 1) ** 2 <= m // 2
-                else _mod_cyclotomic(terms, m)
-                for terms in self.terms
-            ]
-        return self._residues[m]
-
     def signs(self, omega: UnitCirclePoint) -> list[int]:
         """Signs (+1, -1, or 0 when exactly zero) of D_1(omega), ..., D_n(omega).
 
-        D_k(omega) = ((1 - omega)/omega)^k P_k(omega), and with
-        omega = e^(i*theta), ((1 - omega)/omega)^k
-        = (2 sin(theta/2))^k * e^(-i*k*(theta + pi)/2), so D_k has the sign
-        of sin(theta/2)^k * sum_e p_e cos(theta*(e - k/2) - pi*k/2); D_k is
-        real, so the real part is all of it.  At a root of unity the p_e are
-        P_k's remainder modulo Phi_m, and D_k(omega) = 0 exactly when that
-        remainder is; a float angle has no exact zero test beyond P_k = 0.
-        Each computed angle is within 8u * (|theta| * max|e - k/2| + k + 1)
-        of the true one, counting the rounding of theta itself when it
-        stands for 2*pi*r/m.
-        Raises NearSingular when a nonzero sign is not certified.
+        D_k(omega) has the sign _sign_at(omega, k, P_k), with P_k reduced
+        modulo Phi_m once per order m.  Raises NearSingular when a nonzero
+        sign is not certified.
         """
         key = (omega.k, omega.m) if omega.is_rational else omega.theta
-        if key in self._signs:
-            return self._signs[key]
-        minors = self.residues(omega.m) if omega.is_rational else self.terms
-        theta = omega.theta
-        flip = math.sin(theta / 2) < 0
-        signs: list[int] = []
-        for k, terms in enumerate(minors, 1):
-            if not terms:  # D_k(omega) = 0 exactly
-                signs.append(0)
-                continue
-            offsets = [e - k / 2 for e, _ in terms]
-            sign = _certified_sign(
-                omega, k, [c for _, c in terms],
-                [theta * x - math.pi / 2 * k for x in offsets],
-                8 * _U * (abs(theta) * max(map(abs, offsets)) + k + 1),
-            )
-            signs.append(-sign if flip and k % 2 else sign)
-        self._signs[key] = signs
-        return signs
+        if key not in self._signs:
+            minors = self.terms
+            if omega.is_rational:
+                if omega.m not in self._residues:
+                    self._residues[omega.m] = [_reduced(t, omega.m) for t in minors]
+                minors = self._residues[omega.m]
+            self._signs[key] = [_sign_at(omega, k, terms) for k, terms in enumerate(minors, 1)]
+        return self._signs[key]
 
 
 @functools.lru_cache(maxsize=64)
@@ -451,11 +419,51 @@ def _certified_sign(omega: UnitCirclePoint, k: int, coeffs: list[int],
     if not abs(value) > bound:
         raise NearSingular(
             omega,
-            f"the sign of leading minor D_{k} is not certified "
+            f"the sign of {f'leading minor D_{k}' if k else 'the polynomial'} is not certified "
             f"(|{value:.3g}| <= rounding-error bound {bound:.3g})",
             k, value, bound,
         )
     return 1 if value > 0 else -1
+
+
+def _reduced(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
+    """The (exponent, coefficient) terms, lowest first, modulo Phi_m.
+
+    At a primitive m-th root omega the result has the same value as the
+    terms, and it is empty exactly when that value is 0.  Terms that span
+    at most sqrt(m/2) <= phi(m) exponents are already reduced and keep
+    their own exponents.
+    """
+    if not terms or (terms[-1][0] - terms[0][0] + 1) ** 2 <= m // 2:
+        return terms
+    return _mod_cyclotomic(terms, m)
+
+
+def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
+    """Sign (+1, -1, or 0 when terms is empty) of ((1 - omega)/omega)^k * P(omega).
+
+    P is sum p_e t^e over the (e, p_e) terms, reduced first (_reduced) at
+    a root of unity so that an empty list is the exact zero test.  k >= 1
+    gives the Hermitian minor D_k from the pencil's P_k; k = 0 the value
+    of a P that is real on the circle, such as an Alexander polynomial.
+    With omega = e^(i*theta), ((1 - omega)/omega)^k
+    = (2 sin(theta/2))^k * e^(-i*k*(theta + pi)/2), so the value, being
+    real, has the sign of sin(theta/2)^k * sum_e p_e cos(theta*(e - k/2)
+    - pi*k/2).  Each computed angle is within 8u * (|theta| * max|e - k/2|
+    + k + 1) of the true one, counting the rounding of theta itself when
+    it stands for 2*pi*r/m.  Raises NearSingular when a nonzero sign is
+    not certified.
+    """
+    if not terms:
+        return 0
+    theta = omega.theta
+    offsets = [e - k / 2 for e, _ in terms]
+    sign = _certified_sign(
+        omega, k, [c for _, c in terms],
+        [theta * x - math.pi / 2 * k for x in offsets],
+        8 * _U * (abs(theta) * max(map(abs, offsets)) + k + 1),
+    )
+    return -sign if k % 2 and math.sin(theta / 2) < 0 else sign
 
 
 def _jacobi(signs: Sequence[int]) -> tuple[int, int]:
@@ -515,7 +523,7 @@ def int_matrix_from_json(doc: object) -> list[list[int]]:
     entries = doc["entries"]
     if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
         raise ValueError('"entries" must be a list of rows')
-    dim = doc.get("dim", len(entries))
+    dim = strict_int(doc.get("dim", len(entries)), '"dim"')
     if dim != len(entries) or any(len(r) != dim for r in entries):
         raise ValueError(f'"entries" must be {dim}x{dim} to match "dim"')
     return [[strict_int(entry, "matrix entry") for entry in row] for row in entries]

@@ -106,24 +106,15 @@ def delta_sign_scan(p: LaurentPoly, grid_size: int) -> list[tuple[float, float]]
     Samples the real value of the symmetric p at grid_size equispaced
     angles and reports each adjacent pair with opposite strict signs.
     """
-    return _sign_change_arcs(_circle_samples(p, grid_size))
-
-
-def _circle_samples(p: LaurentPoly, grid_size: int) -> list[float]:
-    """Real values of the symmetric p at grid_size equispaced angles."""
     if not lp_is_symmetric(p):
         raise ValueError("sign scan is defined for symmetric polynomials")
     if grid_size < 2:
         raise ValueError("need at least two grid points")
     step = math.tau / grid_size
-    return [eval_symmetric_real(p, math.cos(i * step)) for i in range(grid_size)]
-
-
-def _sign_change_arcs(values: list[float]) -> list[tuple[float, float]]:
-    step = math.tau / len(values)
+    values = [eval_symmetric_real(p, math.cos(i * step)) for i in range(grid_size)]
     arcs: list[tuple[float, float]] = []
     for i, a in enumerate(values):
-        b = values[(i + 1) % len(values)]
+        b = values[(i + 1) % grid_size]
         if (a > 0 and b < 0) or (a < 0 and b > 0):
             arcs.append((i * step, (i + 1) * step))
     return arcs

@@ -100,6 +100,19 @@ class TestSignature:
         assert json.loads(out) == {"method": "goeritz", "signature": -2}
 
 
+    @pytest.mark.parametrize("doc", [
+        {"dim": True, "entries": [[1]]},
+        {"dim": 1.0, "entries": [[1]]},
+        {"dim": 2.0, "entries": TREFOIL_DOC["entries"]},
+    ], ids=["true", "float-1", "float-2"])
+    def test_dim_is_not_coerced(self, capsys, write_json, doc):
+        path = write_json("m.json", doc)
+        code, out, err = run_cli(capsys, "signature", "--seifert", path)
+        assert code == 2
+        assert not out
+        assert '"dim"' in err
+
+
 class TestLt:
     def test_at_minus_one(self, capsys, write_json):
         path = write_json("a1.json", A1_DOC)
@@ -296,7 +309,8 @@ class TestCertify:
             "certify", "--framing", "1", "--complexity", "2", "--max-order", "1",
         )
         assert code == 1
-        assert "witness" in err
+        assert "witness root of order <= 1 for n = 1" in err
+        assert "retry" not in err
 
 
 class TestVerify:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shakekit import complexity, seifert
+from shakekit import complexity, laurent, seifert
 from shakekit.complexity import (
     WitnessNotFound,
     a_family_profile,
@@ -14,9 +14,25 @@ from shakekit.complexity import (
     find_witness_root,
 )
 from shakekit.errors import DomainError
+from shakekit.exactlinalg import NearSingular, _reduced, _sign_at
 from shakekit.laurent import UnitCirclePoint
 from shakekit.patterns import parse_pattern
-from shakekit.seifert import an_family, lt_signature
+from shakekit.seifert import an_family, delta_n_closed, lt_signature
+
+# find_witness_root(n) for n = 1..60, frozen from the 720-sample float scan
+# that the exact signs replaced
+WITNESSES = {
+    1: (1, 2), 2: (1, 3), 3: (1, 2), 4: (1, 5), 5: (1, 2), 6: (2, 7), 7: (1, 2),
+    8: (1, 3), 9: (1, 2), 10: (2, 11), 11: (1, 2), 12: (5, 11), 13: (1, 2),
+    14: (1, 3), 15: (1, 2), 16: (3, 13), 17: (1, 2), 18: (4, 11), 19: (1, 2),
+    20: (1, 3), 21: (1, 2), 22: (4, 13), 23: (1, 2), 24: (1, 5), 25: (1, 2),
+    26: (1, 3), 27: (1, 2), 28: (3, 11), 29: (1, 2), 30: (5, 11), 31: (1, 2),
+    32: (1, 3), 33: (1, 2), 34: (1, 5), 35: (1, 2), 36: (6, 13), 37: (1, 2),
+    38: (1, 3), 39: (1, 2), 40: (6, 13), 41: (1, 2), 42: (3, 13), 43: (1, 2),
+    44: (1, 3), 45: (1, 2), 46: (4, 11), 47: (1, 2), 48: (2, 7), 49: (1, 2),
+    50: (1, 3), 51: (1, 2), 52: (8, 17), 53: (1, 2), 54: (1, 5), 55: (1, 2),
+    56: (1, 3), 57: (1, 2), 58: (9, 19), 59: (1, 2), 60: (5, 17),
+}
 
 
 def is_prime(m: int) -> bool:
@@ -49,31 +65,70 @@ class TestWitnessSearch:
         with pytest.raises(DomainError):
             find_witness_root(0)
 
-    def test_samples_the_grid_once(self, monkeypatch):
-        xs = []
-        real = seifert.eval_symmetric_real
+    def test_answers_without_float_evaluation(self, monkeypatch):
+        def refuse(p, x):
+            raise RuntimeError("the witness search must not evaluate in floats")
 
-        def counting(p, x):
-            xs.append(x)
-            return real(p, x)
+        monkeypatch.setattr(laurent, "eval_symmetric_real", refuse)
+        monkeypatch.setattr(seifert, "eval_symmetric_real", refuse)
+        for n in range(1, 13):
+            cert = certify_complexity(n, 2)
+            assert cert.witness == UnitCirclePoint.root(*WITNESSES[n]), n
 
-        monkeypatch.setattr(seifert, "eval_symmetric_real", counting)
-        monkeypatch.setattr(complexity, "eval_symmetric_real", counting)
-        grid = 720
-        step = math.tau / grid
-        for n in (1, 2, 6, 10):
-            xs.clear()
-            w = find_witness_root(n, grid_size=grid)
-            # the grid once, then one region test per root up to the witness
-            order = [(p, k) for p in range(2, 61) if is_prime(p) for k in range(1, p)]
-            assert xs[:grid] == [math.cos(i * step) for i in range(grid)]
-            assert len(xs) == grid + order.index((w.m, w.k)) + 1, n
+    def test_witness_table(self):
+        for n, (k, m) in WITNESSES.items():
+            assert find_witness_root(n) == UnitCirclePoint.root(k, m), n
+
+    def test_grid_index_is_taken_in_floats(self):
+        # theta / step for 1/3 is 239.99999999999997, so i0 = 239 and 1/3 is
+        # read against grid points 239 and 240; aligning i0 to the integer
+        # 240 would pick 1/3 at both framings
+        assert find_witness_root(98) == UnitCirclePoint.root(3, 11)
+        assert find_witness_root(104) == UnitCirclePoint.root(1, 5)
+
+    def test_exact_zero_at_sixth_roots(self):
+        # for n = 5 mod 6, Delta_{1+n} vanishes at the primitive sixth roots
+        # (grid points 120 and 600), where a float sample reads about 2e-16
+        for n in (5, 11):
+            terms = sorted(delta_n_closed(1 + n).coeffs.items())
+            for i in (120, 600):
+                omega = UnitCirclePoint.root(i, complexity.WITNESS_GRID)
+                assert omega.m == 6
+                assert _sign_at(omega, 0, _reduced(terms, omega.m)) == 0, (n, i)
+
+    def test_exact_signs_match_floats_on_the_grid(self):
+        step = math.tau / complexity.WITNESS_GRID
+        for n in (1, 2, 7, 16, 40):
+            poly = delta_n_closed(1 + n)
+            terms = sorted(poly.coeffs.items())
+            for i in range(complexity.WITNESS_GRID):
+                value = laurent.eval_symmetric_real(poly, math.cos(i * step))
+                if abs(value) > 1e-9:
+                    omega = UnitCirclePoint.root(i, complexity.WITNESS_GRID)
+                    want = 1 if value > 0 else -1
+                    assert _sign_at(omega, 0, _reduced(terms, omega.m)) == want, (n, i)
 
     def test_exhausted_order_budget(self):
         with pytest.raises(WitnessNotFound) as exc:
             find_witness_root(1, max_order=1)
-        assert exc.value.max_order == 1
-        assert "1" in str(exc.value)
+        assert (exc.value.n, exc.value.max_order, exc.value.tried, exc.value.refused) == (1, 1, 0, 0)
+        assert "order <= 1 for n = 1" in str(exc.value)
+        assert "retry" not in str(exc.value)
+
+    def test_refusal_counts_the_signatures_taken(self, monkeypatch):
+        # every candidate passing the grid rule has sigma != 0 for n < 120, so
+        # the signature is stubbed: near-singular at -1, zero elsewhere
+        def stub(A, omega):
+            if omega == UnitCirclePoint.minus_one():
+                raise NearSingular(omega, "stub", 1, 0.0, 0.0)
+            return 0
+
+        monkeypatch.setattr(complexity, "lt_signature", stub)
+        with pytest.raises(WitnessNotFound) as exc:
+            find_witness_root(9, max_order=7)
+        assert (exc.value.tried, exc.value.refused) == (5, 1)
+        assert f"taken at {exc.value.tried} roots: 1 near-singular, " \
+               f"{exc.value.tried - 1} zero" in str(exc.value)
 
     def test_primes_in_order(self):
         want = [p for p in range(2, 5000) if is_prime(p)]
