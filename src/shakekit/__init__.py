@@ -36,7 +36,6 @@ from .laurent import (
     LaurentPoly,
     UnitCirclePoint,
     format_laurent,
-    lp_eval_unit,
     lp_is_symmetric,
     parse_laurent,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "goeritz_form",
     "inertia_hermitian_at_root",
     "inertia_symmetric_exact",
-    "lp_eval_unit",
     "lp_is_symmetric",
     "lt_signature",
     "normalize",

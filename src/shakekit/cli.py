@@ -15,7 +15,7 @@ import re
 import sys
 
 from .complexity import WitnessNotFound, a_family_profile, certify_complexity
-from .errors import DomainError
+from .errors import DomainError, strict_keys
 from .exactlinalg import (
     InvalidRoot,
     NearSingular,
@@ -45,7 +45,7 @@ _DOMAIN_ERRORS = (
     UnassignedAtom,
 )
 
-_ROOT_RE = re.compile(r"^(\d+)/(\d+)$")
+_ROOT_RE = re.compile(r"^([0-9]+)/([0-9]+)$")
 
 
 def _load_json(path: str):
@@ -124,9 +124,13 @@ def _profiles_from_json(doc: object) -> dict:
     for name, spec in doc.items():
         if not isinstance(spec, dict):
             raise ValueError(f"profile for {name!r} must be an object")
+        strict_keys(spec, ("table", "family"), f"the profile for {name!r}")
+        if len(spec) > 1:
+            raise ValueError(f'profile for {name!r} gives both a "table" and a "family"')
         if isinstance(spec.get("table"), dict):
             profiles[name] = table_profile(spec["table"])
         elif isinstance(spec.get("family"), dict) and isinstance(spec["family"].get("root"), str):
+            strict_keys(spec["family"], ("root",), f"the family profile for {name!r}")
             profiles[name] = a_family_profile(_parse_root(spec["family"]["root"]))
         else:
             raise ValueError(f'profile for {name!r} needs a "table" object or a '

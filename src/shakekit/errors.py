@@ -12,6 +12,14 @@ def strict_int(value: object, what: str) -> int:
     return value
 
 
+def strict_keys(doc: dict, allowed: tuple[str, ...], what: str) -> None:
+    """Refuse a key of doc outside allowed, so a misspelt key is never ignored."""
+    unknown = [key for key in doc if key not in allowed]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {what}; allowed keys: "
+                         + ", ".join(map(repr, allowed)))
+
+
 def strict_bool(value: object, what: str) -> bool:
     """value itself if it is a bool, never a string or number coerced to one."""
     if not isinstance(value, bool):

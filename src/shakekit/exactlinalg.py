@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import strict_int
 from .laurent import LaurentPoly, UnitCirclePoint, laurent_from_entry
@@ -378,15 +378,21 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _folded(terms: Iterable[tuple[int, int]], m: int) -> list[int]:
+    """sum c t^e over the (e, c) terms in Z[t]/(t^m - 1): coefficients of t^0..t^(m-1)."""
+    folded = [0] * m
+    for e, c in terms:
+        folded[e % m] += c
+    return folded
+
+
 def _mod_cyclotomic(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
     """sum c t^e over the (e, c) terms modulo Phi_m, as (exponent, nonzero c) pairs.
 
     Exponents fold modulo m (t^m = 1 at an m-th root), then the remainder
     by the monic Phi_m is taken with exact integers.
     """
-    folded = [0] * m
-    for e, c in terms:
-        folded[e % m] += c
+    folded = _folded(terms, m)
     phi = _cyclotomic(m)
     d = len(phi) - 1
     lower = [(e, c) for e, c in enumerate(phi[:d]) if c]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import strict_bool, strict_int
+from .errors import strict_bool, strict_int, strict_keys
 from .exactlinalg import signature
 
 
@@ -95,10 +95,12 @@ class GoeritzData:
 def band_presentation_from_json(doc: object) -> BandPresentation:
     if not isinstance(doc, dict) or not isinstance(doc.get("bands"), list):
         raise ValueError('band JSON must be an object with a "bands" list and "crossings"')
+    strict_keys(doc, ("bands", "crossings"), "the band presentation")
     bands = []
-    for raw in doc["bands"]:
+    for i, raw in enumerate(doc["bands"]):
         if not isinstance(raw, dict) or "orientable" not in raw:
             raise ValueError('each band needs at least an "orientable" flag')
+        strict_keys(raw, ("orientable", "half_twists", "self_writhe"), f"band {i}")
         bands.append(
             Band(
                 orientable=strict_bool(raw["orientable"], '"orientable"'),
@@ -110,7 +112,6 @@ def band_presentation_from_json(doc: object) -> BandPresentation:
     if crossings is not None:
         if not isinstance(crossings, list) or any(not isinstance(r, list) for r in crossings):
             raise ValueError('"crossings" must be a list of rows')
-        crossings = [[strict_int(x, "crossing count") for x in row] for row in crossings]
     return BandPresentation(bands, crossings)
 
 

@@ -2,16 +2,17 @@
 
 Coefficients are arbitrary-precision integers keyed by exponent; zero
 coefficients are never stored, so equality of canonical forms is plain
-structural equality.  Evaluation points on the unit circle are either
-exact rational rotations k/m (the root of unity e^{2*pi*i*k/m}) or a
-floating angle theta.  Symmetric polynomials (invariant under
-t -> 1/t) are evaluated through a real-only Chebyshev recursion,
-Re(z^k) from Re(z), so their values carry no imaginary round-off.
+structural equality.  Points on the unit circle are either exact
+rational rotations k/m (the root of unity e^{2*pi*i*k/m}) or a floating
+angle theta; they carry no float value of their own.  Signs on the
+circle are taken exactly elsewhere (exactlinalg: the remainder modulo
+the cyclotomic polynomial, then a certified sign).  The one float
+evaluator left is eval_symmetric_real, a real-only Chebyshev recursion
+for polynomials invariant under t -> 1/t.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 import re
@@ -212,23 +213,6 @@ class UnitCirclePoint:
             return math.tau * self.k / self.m
         return self._theta
 
-    def real_power(self, j: int) -> float:
-        """Re(z^j), with exact argument reduction for rational points."""
-        if self.is_rational:
-            return _cos_turn((self.k * j) % self.m, self.m)
-        return math.cos(self._theta * j)
-
-    def power(self, j: int) -> complex:
-        """z^j as a complex number."""
-        if self.is_rational:
-            r = (self.k * j) % self.m
-            return complex(_cos_turn(r, self.m), _sin_turn(r, self.m))
-        return cmath.exp(1j * self._theta * j)
-
-    @property
-    def value(self) -> complex:
-        return self.power(1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitCirclePoint):
             return NotImplemented
@@ -250,27 +234,6 @@ class UnitCirclePoint:
         if self.is_rational:
             return f"{self.k}/{self.m}"
         return f"theta={self._theta!r}"
-
-
-def _cos_turn(r: int, m: int) -> float:
-    # cos(2*pi*r/m) with the quarter-turn values returned exactly.
-    if r == 0:
-        return 1.0
-    if 2 * r == m:
-        return -1.0
-    if 4 * r == m or 4 * r == 3 * m:
-        return 0.0
-    return math.cos(math.tau * r / m)
-
-
-def _sin_turn(r: int, m: int) -> float:
-    if r == 0 or 2 * r == m:
-        return 0.0
-    if 4 * r == m:
-        return 1.0
-    if 4 * r == 3 * m:
-        return -1.0
-    return math.sin(math.tau * r / m)
 
 
 def eval_symmetric_real(p: LaurentPoly, x: float) -> float:
@@ -295,23 +258,11 @@ def eval_symmetric_real(p: LaurentPoly, x: float) -> float:
     return value
 
 
-def lp_eval_unit(p: LaurentPoly, z: UnitCirclePoint) -> complex | float:
-    """Evaluate p at the unit-circle point z.
-
-    Symmetric polynomials take the real-arithmetic path and return a
-    float with no imaginary part at all; everything else returns a
-    complex sum of a_k * z^k.
-    """
-    if lp_is_symmetric(p):
-        return eval_symmetric_real(p, z.real_power(1))
-    return sum((c * z.power(e) for e, c in p.coeffs.items()), 0j)
-
-
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
         (?:
-            (?P<coeff>\d+)\s*(?:\*\s*t(?:\^(?P<exp1>-?\d+))?)?
-          | t(?:\^(?P<exp2>-?\d+))?
+            (?P<coeff>[0-9]+)\s*(?:\*\s*t(?:\^(?P<exp1>-?[0-9]+))?)?
+          | t(?:\^(?P<exp2>-?[0-9]+))?
         )\s*""",
     re.VERBOSE,
 )

@@ -264,16 +264,23 @@ Profile = Callable[[int], int]
 
 
 def _twist_key(key: object) -> int:
-    """A table key: an int, or an int's plain decimal text, as JSON object keys are."""
-    if isinstance(key, str) and key.lstrip("-").isdigit():
-        return int(key)
+    """A table key: an int, or an int's plain ASCII decimal text, as JSON object keys are."""
+    if isinstance(key, str):
+        digits = key.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            return int(key)
     return strict_int(key, "profile twist")
 
 
 def table_profile(values: Mapping[int, int]) -> Profile:
-    """Invariant profile from a finite table n -> value."""
-    table = {_twist_key(k): strict_int(v, f"profile value at twist {k}")
-             for k, v in values.items()}
+    """Invariant profile from a finite table n -> value; two keys may not name one twist."""
+    table: dict[int, int] = {}
+    keys: dict[int, object] = {}
+    for k, v in values.items():
+        n = _twist_key(k)
+        if n in keys:
+            raise ValueError(f"profile keys {keys[n]!r} and {k!r} both name twist {n}")
+        keys[n], table[n] = k, strict_int(v, f"profile value at twist {k}")
 
     def profile(n: int) -> int:
         if n not in table:
@@ -343,7 +350,7 @@ class _Parser:
         if self.pos < len(self.src) and self.src[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and self.src[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == digits:
             raise self.error("expected an integer")

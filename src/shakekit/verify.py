@@ -9,13 +9,12 @@ two runs produce byte-identical reports.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .complexity import _primes, certify_complexity
-from .exactlinalg import NearSingular, det_laurent, signature
+from .exactlinalg import NearSingular, _folded, _reduced, _sign_at, det_laurent, signature
 from .goeritz import (
     GoeritzData,
     add_two_twists,
@@ -23,7 +22,7 @@ from .goeritz import (
     torus_band_presentation,
     verify_two_twist_stability,
 )
-from .laurent import LaurentPoly, UnitCirclePoint, eval_symmetric_real
+from .laurent import LaurentPoly, UnitCirclePoint
 from .patterns import (
     Atom,
     Bar,
@@ -104,26 +103,22 @@ def _check_delta_at_one() -> str:
 
 
 def _check_roots_of_unity_identity() -> str:
-    worst = 0.0
+    # An identity modulo t^n - 1 holds exactly at every n-th root of unity.
+    target = [(-1, 1), (0, -1), (1, 1)]  # t^-1 - 1 + t, which is 2Re(t) - 1 on the circle
     for n in range(2, 13):
-        poly = delta_n_closed(n)
-        for k in range(1, n):
-            root = UnitCirclePoint.root(k, n)
-            x = root.real_power(1)
-            err = abs(eval_symmetric_real(poly, x) - (2.0 * x - 1.0))
-            worst = max(worst, err)
-            if err >= 1e-9:
-                raise AssertionError(f"n={n}, root {k}/{n}: |delta - (2Re(t)-1)| = {err}")
-    return f"delta_n = 2Re(t) - 1 at n-th roots, n = 2..12 (max err {worst:.2e})"
+        got, want = _folded(delta_n_closed(n).coeffs.items(), n), _folded(target, n)
+        if got != want:
+            raise AssertionError(f"n={n}: delta_n folds to {got} mod t^n - 1, "
+                                 f"t + t^-1 - 1 to {want}")
+    return "delta_n = 2Re(t) - 1 at n-th roots, n = 2..12"
 
 
 def _check_sigma_q_vanishes(a1: Sequence[Sequence[int]]) -> str:
-    delta1 = delta_n_closed(1)
+    terms = sorted(delta_n_closed(1).coeffs.items())
     for j in range(360):
-        x = math.cos(math.tau * j / 360)
-        value = eval_symmetric_real(delta1, x)
-        if value <= 0:
-            raise AssertionError(f"4x^2 - 6x + 3 not positive at x = {x}: {value}")
+        omega = UnitCirclePoint.root(j, 360)
+        if _sign_at(omega, 0, _reduced(terms, omega.m)) <= 0:
+            raise AssertionError(f"delta_1 not positive at the root {j}/360")
     checked = 0
     for p in itertools.takewhile(lambda p: p <= 50, _primes()):
         for k in range(1, p):

@@ -5,12 +5,14 @@ but every criterion is also re-asserted inline so a regression points
 at the exact number that moved.
 """
 
+import cmath
 import math
 import random
 
 import pytest
 
-from oracles import det_cofactor, random_laurent_narrow
+from oracles import det_cofactor, eval_naive, random_laurent_narrow
+from shakekit import laurent, seifert, verify
 from shakekit.complexity import certify_complexity
 from shakekit.exactlinalg import det_laurent, signature
 from shakekit.goeritz import (
@@ -19,7 +21,7 @@ from shakekit.goeritz import (
     torus_band_presentation,
     verify_two_twist_stability,
 )
-from shakekit.laurent import UnitCirclePoint, eval_symmetric_real, lp_eval_unit
+from shakekit.laurent import LaurentPoly, UnitCirclePoint, eval_symmetric_real
 from shakekit.patterns import Atom, Compose, Star, normalize
 from shakekit.seifert import (
     alexander,
@@ -87,9 +89,9 @@ def test_05_root_of_unity_identity(report):
     for n in range(2, 13):
         d = delta_n_closed(n)
         for k in range(1, n):
-            w = UnitCirclePoint.root(k, n)
+            w = cmath.exp(1j * math.tau * k / n)
             expected = 2 * math.cos(math.tau * k / n) - 1
-            assert abs(lp_eval_unit(d, w) - expected) < 1e-9, (n, k)
+            assert abs(eval_naive(d, w) - expected) < 1e-9, (n, k)
 
 
 def test_06_base_pattern_signature_vanishes(report):
@@ -143,3 +145,31 @@ def test_10_determinant_oracle(report):
     for _ in range(200):
         rows = [[random_laurent_narrow(rng) for _ in range(5)] for _ in range(5)]
         assert det_laurent(rows) == det_cofactor(rows)
+
+
+def test_report_without_float_evaluation(monkeypatch):
+    def refuse(p, x):
+        raise RuntimeError("verify must not evaluate in floats")
+
+    monkeypatch.setattr(laurent, "eval_symmetric_real", refuse)
+    monkeypatch.setattr(seifert, "eval_symmetric_real", refuse)
+    monkeypatch.setattr(verify, "eval_symmetric_real", refuse, raising=False)
+    results = run_checks()
+    assert [r.name for r in results if not r.passed] == []
+    assert len(results) == 10
+
+
+@pytest.mark.parametrize("perturbation", [
+    LaurentPoly({0: 1}),
+    # sum of t^j + t^-j over j = 0..5 is 0 at every 6th root but 1: a
+    # check at the nontrivial roots alone cannot see it, the identity
+    # modulo t^6 - 1 does
+    LaurentPoly({e: 1 for e in range(-5, 6)}) + 1,
+])
+def test_perturbed_delta_fails_the_identity_row(monkeypatch, perturbation):
+    real = seifert.delta_n_closed
+    monkeypatch.setattr(verify, "delta_n_closed",
+                        lambda n: real(n) + perturbation if n == 6 else real(n))
+    row = {r.name: r for r in run_checks()}["root-of-unity identity"]
+    assert not row.passed
+    assert row.detail.startswith("AssertionError: n=6: delta_n folds to")

@@ -149,6 +149,14 @@ class TestLt:
         assert code == 2
         assert "k/m" in err
 
+    @pytest.mark.parametrize("root", ["\u0661/\u0662", "1/\uff12"])
+    def test_root_digits_are_ascii(self, capsys, write_json, root):
+        path = write_json("a1.json", A1_DOC)
+        code, out, err = run_cli(capsys, "lt", path, "--root", root)
+        assert code == 2
+        assert not out
+        assert "k/m" in err
+
     def test_fifth_root_on_trefoil(self, capsys, write_json):
         path = write_json("trefoil.json", TREFOIL_DOC)
         code, _, _ = run_cli(capsys, "lt", path, "--root", "1/5")
@@ -205,6 +213,19 @@ class TestGoeritz:
         assert code == 2
         assert '"bands" list' in err
 
+    @pytest.mark.parametrize("doc", [
+        {"bands": [{"orientable": False, "halftwists": 3}]},
+        {"bands": [{"orientable": False, "half_twists": 3}, {"orientable": False, "half_twists": 1}],
+         "crossing": [[0, 1], [1, 0]]},
+    ])
+    def test_unknown_keys_are_refused(self, capsys, write_json, doc):
+        path = write_json("bad.json", doc)
+        for argv in (["goeritz", path], ["signature", "--goeritz", path]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert not out
+            assert "unknown key" in err
+
     def test_crossings_are_not_coerced(self, capsys, write_json):
         doc = {"bands": [{"orientable": True}, {"orientable": True}],
                "crossings": [[0, 1.5], [1.5, 0]]}
@@ -243,7 +264,7 @@ class TestPattern:
         assert not out
         assert "expected integer" in err
 
-    @pytest.mark.parametrize("key", ["1_0", " 1", "1.0", "t"])
+    @pytest.mark.parametrize("key", ["1_0", " 1", "1.0", "t", "\u0661\u0660", "--10"])
     def test_table_keys_are_not_coerced(self, capsys, write_json, key):
         path = write_json("asg.json", {"P": {"table": {key: 1}}})
         code, out, err = run_cli(capsys, "pattern", "eval", "P_10", "--assignment", path)
@@ -253,6 +274,8 @@ class TestPattern:
 
     @pytest.mark.parametrize("spec", [
         {"table": [1, 2]}, {"family": "1/3"}, {"family": {"root": 3}}, {},
+        {"table": {"0": 2}, "family": {"root": "1/3"}}, {"table": {"0": 2}, "note": "x"},
+        {"family": {"root": "1/3", "roots": "1/5"}},
     ])
     def test_malformed_profiles(self, capsys, write_json, spec):
         path = write_json("asg.json", {"P": spec})
@@ -260,6 +283,21 @@ class TestPattern:
         assert code == 2
         assert not out
         assert "profile for 'P'" in err
+
+    @pytest.mark.parametrize("table", [{"0": 1, "-0": 5}, {"3": 1, "03": 2}])
+    def test_table_keys_naming_one_twist(self, capsys, write_json, table):
+        path = write_json("asg.json", {"P": {"table": table}})
+        code, out, err = run_cli(capsys, "pattern", "eval", "P", "--assignment", path)
+        assert code == 2
+        assert not out
+        assert "both name twist" in err
+
+    @pytest.mark.parametrize("expression", ["Q_\u0663", "Q_\u00b2"])
+    def test_twist_digits_are_ascii(self, capsys, expression):
+        code, out, err = run_cli(capsys, "pattern", "normalize", expression)
+        assert code == 2
+        assert not out
+        assert "expected an integer (at position 2)" in err
 
     def test_eval_unassigned_atom(self, capsys):
         code, _, err = run_cli(capsys, "pattern", "eval", "P")

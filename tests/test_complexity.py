@@ -248,7 +248,7 @@ class TestCertificates:
         assert cert.bound >= 2
         assert is_prime(cert.witness.m) and cert.witness.m <= 60
         # i_Qn is half the signature numpy finds at the witness
-        w = cert.witness.value
+        w = np.exp(1j * cert.witness.theta)
         M = np.array(an_family(1 + n), dtype=complex)
         eigs = np.linalg.eigvalsh((1 - w) * M + (1 - np.conj(w)) * M.T)
         assert float(np.min(np.abs(eigs))) > 1e-3

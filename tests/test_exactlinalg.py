@@ -538,7 +538,7 @@ class TestHermitianInertia:
 
 def numpy_inertia(A: list[list[int]], omega: UnitCirclePoint) -> Inertia | None:
     """Inertia of H(omega) from numpy eigenvalues; None when one is near zero."""
-    w = omega.value
+    w = np.exp(1j * omega.theta)
     M = np.array(A, dtype=complex)
     eigs = np.linalg.eigvalsh((1 - w) * M + (1 - np.conj(w)) * M.T)
     if float(np.min(np.abs(eigs))) < 1e-6:

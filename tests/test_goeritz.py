@@ -107,6 +107,10 @@ class TestGoeritzForm:
             band_presentation_from_json({"crossings": []})
         with pytest.raises(ValueError):
             band_presentation_from_json({"bands": [{}]})
+        with pytest.raises(ValueError, match="unknown key 'halftwists' in band 0"):
+            band_presentation_from_json({"bands": [{"orientable": False, "halftwists": 3}]})
+        with pytest.raises(ValueError, match="unknown key 'crossing' in the band presentation"):
+            band_presentation_from_json({"bands": [{"orientable": True}], "crossing": [[0]]})
 
 
 class TestTorusSignature:

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import pytest
@@ -12,7 +11,6 @@ from shakekit.laurent import (
     eval_symmetric_real,
     format_laurent,
     laurent_from_entry,
-    lp_eval_unit,
     lp_is_symmetric,
     parse_laurent,
 )
@@ -131,44 +129,31 @@ class TestUnitCirclePoint:
     def test_minus_one(self):
         w = UnitCirclePoint.minus_one()
         assert w == UnitCirclePoint.root(1, 2)
-        assert w.value == -1.0
+        assert w.theta == math.pi
 
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             UnitCirclePoint.root(1, 0)
 
-    def test_quarter_turn_values_exact(self):
-        i = UnitCirclePoint.root(1, 4)
-        assert i.value == complex(0.0, 1.0)
-        assert i.real_power(2) == -1.0
-        assert i.real_power(4) == 1.0
-        assert UnitCirclePoint.minus_one().real_power(3) == -1.0
-
-    def test_real_power_reduces_exactly(self):
-        w = UnitCirclePoint.root(1, 3)
-        # 3rd root cubed lands on 1 with no rounding
-        assert w.real_power(3) == 1.0
-        assert w.real_power(-3) == 1.0
-
-    @given(st.integers(1, 40), st.integers(1, 40), st.integers(-5, 5))
-    def test_power_matches_cmath(self, k, m, j):
-        w = UnitCirclePoint.root(k, m)
-        expected = cmath.exp(2j * math.pi * k / m * j)
-        assert abs(w.power(j) - expected) < 1e-12
-
     def test_angle_point(self):
         w = UnitCirclePoint.angle(1.0)
         assert not w.is_rational
-        assert abs(w.value - cmath.exp(1j)) < 1e-15
+        assert w.theta == 1.0
+
+
+def l1(p: LaurentPoly) -> float:
+    return float(sum(abs(c) for c in p.coeffs.values()))
 
 
 class TestEvaluation:
+    """eval_symmetric_real, the one float evaluator, against the naive power sum."""
+
     def test_delta1_at_one(self):
-        assert lp_eval_unit(DELTA_1, UnitCirclePoint.root(0, 1)) == 1.0
+        assert eval_symmetric_real(DELTA_1, 1.0) == 1.0
 
     def test_delta1_at_minus_one(self):
         # pinned against the naive power sum: 1 + 3 + 5 + 3 + 1
-        assert lp_eval_unit(DELTA_1, UnitCirclePoint.minus_one()) == 13.0
+        assert eval_symmetric_real(DELTA_1, -1.0) == 13.0
         assert eval_naive(DELTA_1, -1 + 0j) == 13 + 0j
 
     def test_delta1_quadratic_in_real_part(self):
@@ -179,7 +164,7 @@ class TestEvaluation:
             )
 
     def test_symmetric_evaluation_is_float(self):
-        val = lp_eval_unit(DELTA_1, UnitCirclePoint.root(1, 7))
+        val = eval_symmetric_real(DELTA_1, math.cos(math.tau / 7))
         assert isinstance(val, float)
 
     def test_eval_symmetric_real_rejects_asymmetric(self):
@@ -188,24 +173,26 @@ class TestEvaluation:
 
     @given(polys, st.integers(0, 60), st.integers(1, 60))
     def test_matches_naive_evaluation(self, p, k, m):
-        w = UnitCirclePoint.root(k, m)
-        got = lp_eval_unit(p, w)
-        want = eval_at_angle(p, w.theta)
-        scale = max(1.0, abs(want))
-        assert abs(complex(got) - want) <= 1e-12 * scale
+        sym = p + p.inverse_variable()
+        theta = math.tau * k / m
+        got = eval_symmetric_real(sym, math.cos(theta))
+        want = eval_at_angle(sym, theta)
+        assert abs(got - want) <= 1e-12 * max(1.0, l1(sym))
 
     @given(polys, polys, st.integers(0, 24), st.integers(1, 24))
     def test_evaluation_is_multiplicative(self, p, q, k, m):
-        w = UnitCirclePoint.root(k, m)
-        lhs = complex(lp_eval_unit(p * q, w))
-        rhs = complex(lp_eval_unit(p, w)) * complex(lp_eval_unit(q, w))
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+        p, q = p + p.inverse_variable(), q + q.inverse_variable()
+        x = math.cos(math.tau * k / m)
+        lhs = eval_symmetric_real(p * q, x)
+        rhs = eval_symmetric_real(p, x) * eval_symmetric_real(q, x)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, l1(p) * l1(q))
 
     @given(polys)
     def test_symmetric_part_evaluates_real(self, p):
         sym = p + p.inverse_variable()
-        val = lp_eval_unit(sym, UnitCirclePoint.root(1, 7))
-        assert isinstance(val, float)
+        theta = math.tau / 7
+        assert isinstance(eval_symmetric_real(sym, math.cos(theta)), float)
+        assert abs(eval_at_angle(sym, theta).imag) <= 1e-12 * max(1.0, l1(sym))
 
 
 class TestParseFormat:
@@ -224,7 +211,8 @@ class TestParseFormat:
         assert str(LaurentPoly({1: -1})) == "-t"
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "t^", "x + 1", "t**2", "3 3"]:
+        for bad in ["", "t^", "x + 1", "t**2", "3 3",
+                    "\u0663*t^\u0662", "t^\u0662", "\u0663", "2*t^-\u0663", "\uff11 + t", "t^\u00b2"]:
             with pytest.raises(ValueError):
                 parse_laurent(bad)
 

@@ -95,6 +95,11 @@ class TestParser:
             "P__2": 2,
             "P Q": 2,
             "(P": 2,
+            "Q_\u0663": 2,
+            "Q_\u00b2": 2,
+            "P^\u0662": 2,
+            "Q_-\u0663": 3,
+            "Q_1\u0663": 3,
         }
         for src, pos in cases.items():
             with pytest.raises(PatternSyntaxError) as exc:
@@ -291,6 +296,17 @@ class TestEval:
         with pytest.raises(UnassignedAtom) as exc:
             eval_invariant(Compose(P, Q), {"P": table_profile({0: 1})})
         assert exc.value.name == "Q"
+
+    @pytest.mark.parametrize("table", [{"0": 1, "-0": 5}, {3: 1, "3": 2}, {"03": 1, 3: 2}])
+    def test_table_keys_naming_one_twist_are_refused(self, table):
+        with pytest.raises(ValueError, match="both name twist") as exc:
+            table_profile(table)
+        assert not isinstance(exc.value, DomainError)
+
+    @pytest.mark.parametrize("key", ["\u0663", "\u00b3", "-\u0663", "--3"])
+    def test_table_keys_are_ascii_decimal(self, key):
+        with pytest.raises(ValueError, match="profile twist"):
+            table_profile({key: 4})
 
     def test_table_profile_domain(self):
         profile = table_profile({0: 1, 2: 5})
