@@ -46,6 +46,23 @@ _DOMAIN_ERRORS = (
 )
 
 _ROOT_RE = re.compile(r"^([0-9]+)/([0-9]+)$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_FLOAT_RE = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)",
+                       re.ASCII | re.IGNORECASE)
+
+
+def _ascii_int(text: str) -> int:
+    """An option's integer in ASCII decimal digits: no other digits, no '_', no spaces."""
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _ascii_float(text: str) -> float:
+    """An option's float in ASCII float syntax: no other digits, no '_', no spaces."""
+    if not _FLOAT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a number in ASCII float syntax, got {text!r}")
+    return float(text)
 
 
 def _load_json(path: str):
@@ -197,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="Seifert-matrix JSON file")
     root = p.add_mutually_exclusive_group(required=True)
     root.add_argument("--root", help="root of unity k/m, i.e. e^{2*pi*i*k/m}")
-    root.add_argument("--theta", type=float,
+    root.add_argument("--theta", type=_ascii_float,
                       help="finite angle in radians (signs certified by a rounding-error bound)")
     p.set_defaults(handler=cmd_lt)
 
@@ -213,9 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_pattern)
 
     p = sub.add_parser("certify", help="complexity-lower-bound certificate")
-    p.add_argument("--framing", type=int, required=True, help="nonzero framing n")
-    p.add_argument("--complexity", type=int, required=True, help="target complexity c >= 1")
-    p.add_argument("--max-order", type=int, default=60, help="largest witness order to try")
+    p.add_argument("--framing", type=_ascii_int, required=True, help="nonzero framing n")
+    p.add_argument("--complexity", type=_ascii_int, required=True,
+                   help="target complexity c >= 1")
+    p.add_argument("--max-order", type=_ascii_int, default=60,
+                   help="largest witness order to try")
     p.set_defaults(handler=cmd_certify)
 
     p = sub.add_parser("verify", help="recompute the package's reproduction table")

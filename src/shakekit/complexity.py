@@ -4,11 +4,24 @@ A certificate for framing n and target complexity c records the knot
 term (bar(Q*)_n)^c o Q^c built from the base pattern Q of the twisted
 family, a witness root of unity where the half-Levine-Tristram
 signature separates Q from Q_n, and the resulting bound
-c * |I(Q) - I(Q_n)| >= c.  The witness search tries prime-order roots in
-increasing order, inside the regions where the closed-form Alexander
-polynomial of the twisted family is negative by exact signs at the root
-and its neighbours on a 720-point grid, so results are deterministic
-and replayable.
+c * |I(Q) - I(Q_n)| >= c.
+
+The signature of the twisted family has a closed form: for its n-th
+member A_n and omega = e^(i*theta) != 1, sigma(A_n, omega) = 0 where
+Delta_n(omega) > 0 and 2 * sign(1 - 2cos(theta)) where Delta_n(omega) < 0;
+where Delta_n(omega) = 0 the form is singular and refused.  It follows
+from the pencil's leading minors P_1 = t - 1, P_2j = t^j,
+P_2j+1 = t^(j-1)(1 - 2t + 2t^2 - t^3) and P_(2n+2) = t^(n+1) * Delta_n by
+Jacobi's rule (seifert._family_signature has the sketch).  So a
+signature costs two exact signs, of Delta_n and of 1 - 2cos(theta), and
+certify builds no matrix: its cost does not grow with n.
+
+The witness search tries prime-order roots in increasing (p, k) order.
+The first root where Delta_(1+n) is negative at the root and at its
+neighbours on a 720-point grid is the witness; when no root passes that
+grid rule, the first prime-order root with Delta_(1+n) < 0, where sigma
+is 2 * sign(1 - 2cos(theta)) != 0, is.  Every sign is exact, so results
+are deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -19,10 +32,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError
-from .exactlinalg import NearSingular, _reduced, _sign_at
+from .exactlinalg import NearSingular
 from .laurent import UnitCirclePoint
 from .patterns import Atom, Profile, eval_invariant, render_term, retrace_term
-from .seifert import an_family, delta_n_closed, lt_signature
+from .seifert import _circle_sign, _family_signature, delta_n_closed
 
 DEFAULT_MAX_ORDER = 60
 WITNESS_GRID = 720
@@ -30,17 +43,17 @@ INVARIANT_NAME = "half-LT-signature"
 
 
 class WitnessNotFound(LookupError):
-    """No root of order <= max_order passed the witness rule for framing n.
+    """No prime-order root of order <= max_order has sigma(Q_n, omega) != 0.
 
-    The LT signature was taken at tried roots; refused of them were
-    near-singular and the rest had signature 0.
+    The LT signature was taken at all tried prime-order roots up to the
+    bound; refused of them were near-singular and the rest had signature 0.
     """
 
     def __init__(self, n: int, max_order: int, tried: int, refused: int):
         self.n, self.max_order, self.tried, self.refused = n, max_order, tried, refused
         super().__init__(
             f"no prime-order witness root of order <= {max_order} for n = {n}: the LT "
-            f"signature was taken at {tried} roots: {refused} near-singular, "
+            f"signature was taken at {tried} prime-order roots: {refused} near-singular, "
             f"{tried - refused} zero"
         )
 
@@ -51,12 +64,17 @@ def a_family_profile(omega: UnitCirclePoint) -> Profile:
     I is the half-Levine-Tristram signature sigma(., omega)/2, which bounds
     the 4-genus directly.  Q_k is the (1+k)-th family member, so the
     profile is declared on k >= 0 only; anything else raises DomainError.
+    sigma comes from the closed form: 0 where Delta_(1+k)(omega) > 0 and
+    2 * sign(1 - 2cos(theta)) where Delta_(1+k)(omega) < 0, read off the
+    pencil's leading minors by Jacobi's rule, so iota(k) costs the same
+    for every k.  Where Delta_(1+k)(omega) = 0 it raises NearSingular, and
+    InvalidRoot at omega = 1, as the general kernel does.
     """
 
     def profile(k: int) -> int:
         if k < 0:
             raise DomainError(f"the twisted family declares iota on k >= 0, got {k}")
-        sigma = lt_signature(an_family(1 + k), omega)
+        sigma = _family_signature(1 + k, omega)
         if sigma % 2:
             raise ArithmeticError(f"{INVARIANT_NAME} needs an even signature, got {sigma}")
         return sigma // 2
@@ -95,46 +113,50 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     """First prime-order root of unity where sigma(Q_n, omega) != 0 by the witness rule.
 
     Roots k/p are tried for primes p <= max_order in increasing (p, k)
-    order.  A root is a candidate when Delta = Delta_{1+n} is negative at
-    omega and at grid point i0 = int(theta / step) of the WITNESS_GRID-point
-    grid, and also at i0 + 1 unless theta is within 1e-12 of i0 * step;
-    i0 and that test are floating point and part of the rule.  Each sign
-    is exact (remainder modulo Phi_m of the point's own order m, then a
-    certified sign), and an exact zero counts as not negative.  The first
-    candidate whose signature is certified and nonzero is the witness; odd
-    twisting always yields omega = -1 (k/m = 1/2) first.  Raises
-    NearSingular should a sign of Delta not be certified.
+    order, and sigma is taken at each from the closed form: 0 where
+    Delta = Delta_{1+n} is positive at omega, 2 * sign(1 - 2cos(theta))
+    where it is negative.  The grid rule picks the first root with
+    sigma != 0 where Delta is also negative at grid point
+    i0 = int(theta / step) of the WITNESS_GRID-point grid, and at i0 + 1
+    unless theta is within 1e-12 of i0 * step; i0 and that test are
+    floating point and part of the rule.  When no root up to max_order
+    passes it, the exact rule takes the first root with sigma != 0, that
+    is with Delta(omega) < 0.  Each sign is exact (remainder modulo Phi_m
+    of the point's own order m, then a certified sign), and an exact zero
+    counts as not negative.  Odd twisting always yields omega = -1
+    (k/m = 1/2) first.  Raises NearSingular should a sign not be
+    certified, and WitnessNotFound when sigma = 0 at every root tried.
     """
     if n < 1:
         raise DomainError(f"witness search is defined for n >= 1, got {n}")
     terms = sorted(delta_n_closed(1 + n).coeffs.items())
     step = math.tau / WITNESS_GRID
 
-    def negative(omega: UnitCirclePoint) -> bool:
-        return _sign_at(omega, 0, _reduced(terms, omega.m)) < 0
-
-    def candidate(omega: UnitCirclePoint) -> bool:
-        if not negative(omega):
-            return False
-        theta = omega.theta % math.tau
+    def on_grid(theta: float) -> bool:
         i0 = int(theta / step) % WITNESS_GRID
         grid = (i0,) if abs(theta - i0 * step) < 1e-12 else (i0, (i0 + 1) % WITNESS_GRID)
-        return all(negative(UnitCirclePoint.root(i, WITNESS_GRID)) for i in grid)
+        return all(_circle_sign(terms, UnitCirclePoint.root(i, WITNESS_GRID)) < 0 for i in grid)
 
-    matrix = an_family(1 + n)
     tried = refused = 0
+    exact = None
     for p in itertools.takewhile(lambda p: p <= max_order, _primes()):
         for k in range(1, p):
             omega = UnitCirclePoint.root(k, p)
-            if not candidate(omega):
-                continue
+            delta = _circle_sign(terms, omega)
             tried += 1
             try:
-                if lt_signature(matrix, omega) != 0:
-                    return omega
+                if not _family_signature(1 + n, omega, delta):
+                    continue
             except NearSingular:
                 refused += 1
-    raise WitnessNotFound(n, max_order, tried, refused)
+                continue
+            if on_grid(omega.theta % math.tau):
+                return omega
+            if exact is None:
+                exact = omega
+    if exact is None:
+        raise WitnessNotFound(n, max_order, tried, refused)
+    return exact
 
 
 @dataclass(frozen=True)

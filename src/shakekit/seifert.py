@@ -5,7 +5,9 @@ it is always symmetric in t <-> 1/t and takes the value 1 at t = 1, and
 both facts are checked on every computation.  an_family(n) builds the
 (2n+2)x(2n+2) Seifert matrix of the n-th twisted satellite in the
 family this package certifies complexity bounds with; its Alexander
-polynomial has the nine-term closed form delta_n_closed(n).
+polynomial has the nine-term closed form delta_n_closed(n), and its
+Levine-Tristram signature one that needs only the signs of Delta_n and
+of 1 - 2cos(theta) (_family_signature).
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ import math
 from typing import Sequence
 
 from .errors import DomainError
-from .exactlinalg import _check_square, _pencil, inertia_hermitian_at_root, signature
+from .exactlinalg import (
+    InvalidRoot,
+    NearSingular,
+    _check_square,
+    _pencil,
+    _reduced,
+    _sign_at,
+    inertia_hermitian_at_root,
+    signature,
+)
 from .laurent import LaurentPoly, UnitCirclePoint, eval_symmetric_real, lp_is_symmetric
 
 
@@ -98,6 +109,49 @@ def delta_n_closed(n: int) -> LaurentPoly:
     for exp, coeff in terms:
         out[exp] = out.get(exp, 0) + coeff
     return LaurentPoly(out)
+
+
+# 1 - t - 1/t, which is 1 - 2cos(theta) at t = e^(i*theta)
+_ONE_MINUS_TWICE_COS = [(-1, -1), (0, 1), (1, -1)]
+
+
+def _circle_sign(terms: list[tuple[int, int]], omega: UnitCirclePoint) -> int:
+    """Exact sign of sum c t^e over the (e, c) terms, real on the circle, at omega."""
+    return _sign_at(omega, 0, _reduced(terms, omega.m) if omega.is_rational else terms)
+
+
+def _family_signature(n: int, omega: UnitCirclePoint, delta_sign: int | None = None) -> int:
+    """sigma(an_family(n), omega) in closed form, with no matrix built.
+
+    sigma is 0 where Delta_n(omega) > 0 and 2 * sign(1 - 2cos(theta))
+    where Delta_n(omega) < 0.  Proof sketch: past the 4x4 corner the
+    pencil t*A - A^T is tridiagonal with a zero diagonal, so its leading
+    minors are P_1 = t - 1, P_2j = t^j, P_2j+1 = t^(j-1)(1 - 2t + 2t^2 - t^3)
+    below dim = 2n+2, and P_dim = t^(n+1) * Delta_n.  The Hermitian minors
+    D_k = ((1 - omega)/omega)^k P_k(omega) then have the signs D_1 > 0,
+    (-1)^j for D_2j, (-1)^j * s for D_2j+1 with s = sign(1 - 2cos(theta)),
+    and (-1)^(n+1) * sign(Delta_n) for D_dim, and Jacobi's rule counts
+    n + [Delta_n > 0] sign changes when s = +1 and n + 1 + [Delta_n < 0]
+    when s = -1.  s = 0 only at the primitive sixth roots, where
+    Delta_n = 2 - 2cos(n*pi/3) >= 0, so sigma = 0 by Gundelfinger's rule
+    or the form is singular.  Where Delta_n(omega) = 0 this raises the
+    NearSingular the general kernel raises, and InvalidRoot at omega = 1.
+    delta_sign is the sign of Delta_n(omega) when the caller has taken it.
+    """
+    if omega.is_one():
+        raise InvalidRoot("the form vanishes identically at omega = 1")
+    if delta_sign is None:
+        delta_sign = _circle_sign(sorted(delta_n_closed(n).coeffs.items()), omega)
+    if delta_sign > 0:
+        return 0
+    s = _circle_sign(_ONE_MINUS_TWICE_COS, omega)
+    if delta_sign == 0:
+        dim = 2 * n + 2
+        if s:
+            raise NearSingular(omega, f"leading minor D_{dim} = 0 exactly", dim, 0.0, 0.0)
+        raise NearSingular(omega, f"leading minors D_{dim - 1} = D_{dim} = 0 exactly, two in a row",
+                           dim - 1, 0.0, 0.0)
+    return 2 * s
 
 
 def delta_sign_scan(p: LaurentPoly, grid_size: int) -> list[tuple[float, float]]:

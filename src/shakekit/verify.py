@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .complexity import _primes, certify_complexity
-from .exactlinalg import NearSingular, _folded, _reduced, _sign_at, det_laurent, signature
+from .exactlinalg import NearSingular, _folded, det_laurent, signature
 from .goeritz import (
     GoeritzData,
     add_two_twists,
@@ -38,6 +38,7 @@ from .patterns import (
     table_profile,
 )
 from .seifert import (
+    _circle_sign,
     alexander,
     an_family,
     classical_signature_seifert,
@@ -116,8 +117,7 @@ def _check_roots_of_unity_identity() -> str:
 def _check_sigma_q_vanishes(a1: Sequence[Sequence[int]]) -> str:
     terms = sorted(delta_n_closed(1).coeffs.items())
     for j in range(360):
-        omega = UnitCirclePoint.root(j, 360)
-        if _sign_at(omega, 0, _reduced(terms, omega.m)) <= 0:
+        if _circle_sign(terms, UnitCirclePoint.root(j, 360)) <= 0:
             raise AssertionError(f"delta_1 not positive at the root {j}/360")
     checked = 0
     for p in itertools.takewhile(lambda p: p <= 50, _primes()):
@@ -227,10 +227,18 @@ def _check_rewrite_identities() -> str:
 
 
 def _check_certificates() -> str:
+    # the certificates take sigma from the closed form; the general kernel
+    # on the family matrices is the independent cross-check
     primes = set(itertools.takewhile(lambda p: p <= 60, _primes()))
+    base = an_family(1)
     for n in range(1, 9):
+        family = an_family(1 + n)
         for c in range(1, 6):
             cert = certify_complexity(n, c)
+            kernel = (lt_signature(base, cert.witness), lt_signature(family, cert.witness))
+            if kernel != (2 * cert.i_q, 2 * cert.i_qn):
+                raise AssertionError(f"(n={n}, c={c}): the kernel gives sigma = {kernel} at "
+                                     f"{cert.witness}, the certificate 2 * ({cert.i_q}, {cert.i_qn})")
             if cert.bound < c:
                 raise AssertionError(f"(n={n}, c={c}): bound {cert.bound} < c")
             if cert.witness.m not in primes:

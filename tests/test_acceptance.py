@@ -12,7 +12,7 @@ import random
 import pytest
 
 from oracles import det_cofactor, eval_naive, random_laurent_narrow
-from shakekit import laurent, seifert, verify
+from shakekit import complexity, laurent, seifert, verify
 from shakekit.complexity import certify_complexity
 from shakekit.exactlinalg import det_laurent, signature
 from shakekit.goeritz import (
@@ -173,3 +173,14 @@ def test_perturbed_delta_fails_the_identity_row(monkeypatch, perturbation):
     row = {r.name: r for r in run_checks()}["root-of-unity identity"]
     assert not row.passed
     assert row.detail.startswith("AssertionError: n=6: delta_n folds to")
+
+
+def test_wrong_closed_form_fails_the_certificate_row(monkeypatch):
+    # a sign-flipped closed form still gives bounds >= c, so only the
+    # kernel's recomputation of i_Q and i_Qn can catch it
+    real = complexity._family_signature
+    monkeypatch.setattr(complexity, "_family_signature",
+                        lambda n, omega, delta_sign=None: -real(n, omega, delta_sign))
+    row = {r.name: r for r in run_checks()}["certificate pipeline"]
+    assert not row.passed
+    assert row.detail.startswith("AssertionError: (n=1, c=1): the kernel gives sigma = (0, 2)")

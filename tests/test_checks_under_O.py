@@ -43,7 +43,7 @@ complexity.eval_invariant = lambda term, assignment: 0
 outcome("cross-check", lambda: complexity.certify_complexity(1, 1))
 
 complexity.find_witness_root = lambda *args, **kwargs: UnitCirclePoint.root(1, 3)
-complexity.lt_signature = lambda *args, **kwargs: 0
+complexity._family_signature = lambda *args, **kwargs: 0
 outcome("bound", lambda: complexity.certify_complexity(2, 1))
 """
 

@@ -162,6 +162,23 @@ class TestLt:
         code, _, _ = run_cli(capsys, "lt", path, "--root", "1/5")
         assert code == 0
 
+    @pytest.mark.parametrize("theta", ["\u0661.\u0665", "1_0.5", " 1.5", "1.5\uff10", "0x1p0"])
+    def test_theta_is_ascii_float_syntax(self, capsys, write_json, theta):
+        path = write_json("trefoil.json", TREFOIL_DOC)
+        with pytest.raises(SystemExit) as exc:
+            main(["lt", path, f"--theta={theta}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "ASCII float syntax" in captured.err
+
+    @pytest.mark.parametrize("theta", ["1.5", "-2.5", ".5", "5.", "1e-3", "2E+0"])
+    def test_theta_float_syntax(self, capsys, write_json, theta):
+        path = write_json("trefoil.json", TREFOIL_DOC)
+        code, out, _ = run_cli(capsys, "lt", path, f"--theta={theta}")
+        assert code == 0
+        assert json.loads(out)["root"] == f"theta={float(theta)!r}"
+
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_non_finite_theta_is_malformed(self, capsys, write_json, theta):
         path = write_json("trefoil.json", TREFOIL_DOC)
@@ -340,6 +357,39 @@ class TestCertify:
         assert code == 1
         assert not out
         assert err.startswith("error: normal form would have 100000000 leaves")
+
+    @pytest.mark.parametrize("option, value", [
+        ("--framing", "\u0663"), ("--framing", "\uff13"), ("--framing", " 3"),
+        ("--framing", "3.0"), ("--complexity", "1_0"), ("--complexity", "\u00b2"),
+        ("--max-order", "\u0666\u0660"), ("--max-order", "60 "),
+    ])
+    def test_number_options_are_ascii_decimal(self, capsys, option, value):
+        argv = {"--framing": "3", "--complexity": "2", option: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", *(text for pair in argv.items() for text in pair)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"argument {option}: expected an integer in ASCII digits" in captured.err
+
+    def test_signed_framings_parse(self, capsys):
+        for framing, n in (("-3", -3), ("+3", 3)):
+            code, out, _ = run_cli(capsys, "certify", "--framing", framing, "--complexity", "2",
+                                   "--max-order", "60")
+            assert code == 0
+            assert json.loads(out)["n"] == n
+
+    def test_framing_beyond_the_grid_rule(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "--framing", "200", "--complexity", "1")
+        assert code == 0
+        assert json.loads(out)["witness"] == {"k": 1, "m": 3}
+
+    def test_large_framing(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "--framing", "1000000", "--complexity", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["witness"] == {"k": 5, "m": 11}
+        assert payload["bound"] == 2
 
     def test_exhausted_witness_budget(self, capsys):
         code, _, err = run_cli(

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shakekit import complexity, laurent, seifert
+from shakekit import complexity, exactlinalg, laurent, seifert
 from shakekit.complexity import (
     WitnessNotFound,
     a_family_profile,
@@ -14,25 +14,48 @@ from shakekit.complexity import (
     find_witness_root,
 )
 from shakekit.errors import DomainError
-from shakekit.exactlinalg import NearSingular, _reduced, _sign_at
+from shakekit.exactlinalg import InvalidRoot, NearSingular, _reduced, _sign_at
 from shakekit.laurent import UnitCirclePoint
 from shakekit.patterns import parse_pattern
-from shakekit.seifert import an_family, delta_n_closed, lt_signature
+from shakekit.seifert import _family_signature, an_family, delta_n_closed, lt_signature
 
-# find_witness_root(n) for n = 1..60, frozen from the 720-sample float scan
-# that the exact signs replaced
-WITNESSES = {
-    1: (1, 2), 2: (1, 3), 3: (1, 2), 4: (1, 5), 5: (1, 2), 6: (2, 7), 7: (1, 2),
-    8: (1, 3), 9: (1, 2), 10: (2, 11), 11: (1, 2), 12: (5, 11), 13: (1, 2),
-    14: (1, 3), 15: (1, 2), 16: (3, 13), 17: (1, 2), 18: (4, 11), 19: (1, 2),
-    20: (1, 3), 21: (1, 2), 22: (4, 13), 23: (1, 2), 24: (1, 5), 25: (1, 2),
-    26: (1, 3), 27: (1, 2), 28: (3, 11), 29: (1, 2), 30: (5, 11), 31: (1, 2),
-    32: (1, 3), 33: (1, 2), 34: (1, 5), 35: (1, 2), 36: (6, 13), 37: (1, 2),
-    38: (1, 3), 39: (1, 2), 40: (6, 13), 41: (1, 2), 42: (3, 13), 43: (1, 2),
-    44: (1, 3), 45: (1, 2), 46: (4, 11), 47: (1, 2), 48: (2, 7), 49: (1, 2),
-    50: (1, 3), 51: (1, 2), 52: (8, 17), 53: (1, 2), 54: (1, 5), 55: (1, 2),
-    56: (1, 3), 57: (1, 2), 58: (9, 19), 59: (1, 2), 60: (5, 17),
-}
+# find_witness_root(n) for n = 1..200, frozen from the search that took
+# each signature with the general kernel; odd n always witness at -1.
+# 190, 196, 198 and 200, which that search refused, pass no grid rule and
+# are answered by the exact rule.
+WITNESSES = {n: (1, 2) for n in range(1, 201, 2)}
+WITNESSES.update({
+    2: (1, 3), 4: (1, 5), 6: (2, 7), 8: (1, 3), 10: (2, 11), 12: (5, 11), 14: (1, 3),
+    16: (3, 13), 18: (4, 11), 20: (1, 3), 22: (4, 13), 24: (1, 5), 26: (1, 3), 28: (3, 11),
+    30: (5, 11), 32: (1, 3), 34: (1, 5), 36: (6, 13), 38: (1, 3), 40: (6, 13), 42: (3, 13),
+    44: (1, 3), 46: (4, 11), 48: (2, 7), 50: (1, 3), 52: (8, 17), 54: (1, 5), 56: (1, 3),
+    58: (9, 19), 60: (5, 17), 62: (1, 3), 64: (1, 5), 66: (6, 13), 68: (1, 3), 70: (8, 19),
+    72: (5, 13), 74: (1, 3), 76: (2, 7), 78: (5, 11), 80: (1, 3), 82: (8, 17), 84: (1, 5),
+    86: (1, 3), 88: (8, 23), 90: (2, 7), 92: (1, 3), 94: (1, 5), 96: (7, 17), 98: (3, 11),
+    100: (5, 11), 102: (7, 19), 104: (1, 5), 106: (7, 17), 108: (5, 17), 110: (10, 37),
+    112: (4, 11), 114: (1, 5), 116: (4, 13), 118: (2, 7), 120: (3, 11), 122: (5, 11),
+    124: (1, 5), 126: (8, 29), 128: (11, 29), 130: (10, 23), 132: (3, 7), 134: (1, 5),
+    136: (9, 19), 138: (10, 29), 140: (7, 19), 142: (4, 13), 144: (1, 5), 146: (3, 7),
+    148: (19, 41), 150: (5, 13), 152: (7, 17), 154: (1, 5), 156: (4, 11), 158: (8, 19),
+    160: (3, 7), 162: (10, 23), 164: (1, 5), 166: (12, 29), 168: (4, 13), 170: (16, 37),
+    172: (14, 41), 174: (1, 5), 176: (14, 31), 178: (4, 11), 180: (12, 31), 182: (17, 37),
+    184: (1, 5), 186: (7, 17), 188: (18, 37), 192: (25, 53), 194: (1, 5)
+})
+EXACT_RULE_WITNESSES = {190: (3, 11), 196: (6, 13), 198: (3, 13), 200: (1, 3)}
+WITNESSES.update(EXACT_RULE_WITNESSES)
+
+
+def outcome(fn):
+    """fn()'s value, or the type of the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def prime_order_roots(bound: int) -> list[UnitCirclePoint]:
+    primes = itertools.takewhile(lambda p: p <= bound, complexity._primes())
+    return [UnitCirclePoint.root(k, p) for p in primes for k in range(1, p)]
 
 
 def is_prime(m: int) -> bool:
@@ -76,6 +99,7 @@ class TestWitnessSearch:
             assert cert.witness == UnitCirclePoint.root(*WITNESSES[n]), n
 
     def test_witness_table(self):
+        assert sorted(WITNESSES) == list(range(1, 201))
         for n, (k, m) in WITNESSES.items():
             assert find_witness_root(n) == UnitCirclePoint.root(k, m), n
 
@@ -116,19 +140,41 @@ class TestWitnessSearch:
         assert "retry" not in str(exc.value)
 
     def test_refusal_counts_the_signatures_taken(self, monkeypatch):
-        # every candidate passing the grid rule has sigma != 0 for n < 120, so
-        # the signature is stubbed: near-singular at -1, zero elsewhere
-        def stub(A, omega):
+        # the closed-form signature is stubbed: near-singular at -1, zero
+        # elsewhere, so every prime-order root of order <= 7 is taken
+        def stub(n, omega, delta_sign=None):
             if omega == UnitCirclePoint.minus_one():
                 raise NearSingular(omega, "stub", 1, 0.0, 0.0)
             return 0
 
-        monkeypatch.setattr(complexity, "lt_signature", stub)
+        monkeypatch.setattr(complexity, "_family_signature", stub)
         with pytest.raises(WitnessNotFound) as exc:
             find_witness_root(9, max_order=7)
-        assert (exc.value.tried, exc.value.refused) == (5, 1)
-        assert f"taken at {exc.value.tried} roots: 1 near-singular, " \
-               f"{exc.value.tried - 1} zero" in str(exc.value)
+        assert (exc.value.tried, exc.value.refused) == (1 + 2 + 4 + 6, 1)
+        assert "taken at 13 prime-order roots: 1 near-singular, 12 zero" in str(exc.value)
+
+    def test_exact_rule_after_the_grid_rule(self):
+        # no root of order <= 60 passes the grid rule at these framings; the
+        # first prime-order root with Delta_(1+n) < 0 is the witness
+        for n, (k, m) in EXACT_RULE_WITNESSES.items():
+            terms = sorted(delta_n_closed(1 + n).coeffs.items())
+            witness = UnitCirclePoint.root(k, m)
+            assert find_witness_root(n) == witness, n
+            for omega in prime_order_roots(m):
+                if (omega.m, omega.k) < (m, k):
+                    assert _sign_at(omega, 0, _reduced(terms, omega.m)) > 0, (n, omega)
+            assert _sign_at(witness, 0, _reduced(terms, m)) < 0
+        # the kernel agrees on one of them; its pencil has dimension 400
+        assert lt_signature(an_family(199), UnitCirclePoint.root(3, 13)) == 2
+
+    def test_exact_rule_changes_no_grid_witness(self):
+        # Delta_99 < 0 at 1/3, 2/3 and 2/11, before the grid witness 3/11 of
+        # n = 98: the exact rule alone would have chosen 1/3
+        terms = sorted(delta_n_closed(99).coeffs.items())
+        early = [w for w in prime_order_roots(11) if (w.m, w.k) < (11, 3)
+                 and _sign_at(w, 0, _reduced(terms, w.m)) < 0]
+        assert early == [UnitCirclePoint.root(k, m) for k, m in ((1, 3), (2, 3), (2, 11))]
+        assert find_witness_root(98) == UnitCirclePoint.root(3, 11)
 
     def test_primes_in_order(self):
         want = [p for p in range(2, 5000) if is_prime(p)]
@@ -144,6 +190,69 @@ class TestWitnessSearch:
         assert peak < 1 << 20, peak
 
 
+class TestClosedForm:
+    """The closed-form signature against the general kernel on an_family(n)."""
+
+    def test_matches_the_kernel_at_every_root(self):
+        # every coprime k/m with m <= 48, omega = 1 and the primitive sixth
+        # roots, where the form can be singular, included
+        roots = [UnitCirclePoint.root(k, m) for m in range(1, 49)
+                 for k in range(m) if math.gcd(k, m) == 1]
+        refusals = {InvalidRoot: 0, NearSingular: 0}
+        for n in range(1, 41):
+            A = an_family(n)
+            for omega in roots:
+                got = outcome(lambda: _family_signature(n, omega))
+                assert got == outcome(lambda: lt_signature(A, omega)), (n, omega)
+                if got in refusals:
+                    refusals[got] += 1
+        assert refusals == {InvalidRoot: 40, NearSingular: 12}
+
+    # every residue class mod 6 past the all-roots range, and the matrix of
+    # framing 198, answered by the exact rule; the kernel's pencils grow
+    # costly with n, so the larger n are sampled
+    @pytest.mark.parametrize("n", [41, 42, 47, 48, 53, 54, 59, 60, 61, 98, 199])
+    def test_matches_the_kernel_at_prime_order_roots(self, n):
+        A = an_family(n)
+        for omega in prime_order_roots(61):
+            assert _family_signature(n, omega) == lt_signature(A, omega), (n, omega)
+
+    def test_matches_the_kernel_at_angles(self):
+        for n in range(1, 41):
+            A = an_family(n)
+            for theta in (0.1, 0.7, 2.0, 3.0, -1.3, 5.9):
+                omega = UnitCirclePoint.angle(theta)
+                assert _family_signature(n, omega) == lt_signature(A, omega), (n, theta)
+
+    def test_singular_form_is_refused_as_the_kernel_does(self):
+        # Delta_6 vanishes at the primitive sixth roots, where 1 - 2cos = 0 too
+        omega = UnitCirclePoint.root(1, 6)
+        for fn in (lambda: _family_signature(6, omega),
+                   lambda: lt_signature(an_family(6), omega)):
+            with pytest.raises(NearSingular) as exc:
+                fn()
+            assert exc.value.index == 13
+            assert "D_13 = D_14 = 0 exactly" in str(exc.value)
+        with pytest.raises(InvalidRoot):
+            _family_signature(3, UnitCirclePoint.root(0, 1))
+
+    def test_given_delta_sign_is_used(self):
+        omega = UnitCirclePoint.root(1, 3)  # 1 - 2cos(2pi/3) = 2 > 0
+        assert _family_signature(5, omega, 1) == 0
+        assert _family_signature(5, omega, -1) == 2
+
+    def test_certify_builds_no_pencil(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("certify must not run the general kernel")
+
+        monkeypatch.setattr(seifert, "lt_signature", refuse)
+        monkeypatch.setattr(exactlinalg, "_pencil", refuse)
+        for n in range(1, 61):
+            cert = certify_complexity(n, 2)
+            assert cert.witness == UnitCirclePoint.root(*WITNESSES[n]), n
+            assert cert.bound >= 2
+
+
 class TestInvariant:
     def test_half_lt_signature_values(self):
         for w in (UnitCirclePoint.minus_one(), UnitCirclePoint.root(1, 3),
@@ -153,7 +262,7 @@ class TestInvariant:
                 assert 2 * iota(k) == lt_signature(an_family(1 + k), w), (w, k)
 
     def test_scale_enforced(self, monkeypatch):
-        monkeypatch.setattr(complexity, "lt_signature", lambda A, omega: 3)
+        monkeypatch.setattr(complexity, "_family_signature", lambda n, omega: 3)
         with pytest.raises(ArithmeticError, match="even"):
             a_family_profile(UnitCirclePoint.minus_one())(0)
 

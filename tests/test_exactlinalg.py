@@ -191,12 +191,20 @@ class TestPencilMemo:
             return real(rows, **kwargs)
 
         monkeypatch.setattr(exactlinalg, "det_laurent", counting)
-        for n, c in ((25, 3), (4, 200)):
+        for n in (26, 5):
             exactlinalg._pencil.cache_clear()
             calls.clear()
-            certify_complexity(n, c)
-            assert len(calls) == len(set(calls)) == 2, (n, c)
+            for A in (an_family(1), an_family(n)):
+                alexander(A)
+                for k in range(1, 7):
+                    lt_signature(A, UnitCirclePoint.root(k, 7))
+                lt_signature(A, UnitCirclePoint.angle(2.0))
+            assert len(calls) == len(set(calls)) == 2, n
+        # certificates take the family's signature in closed form
         exactlinalg._pencil.cache_clear()
+        calls.clear()
+        certify_complexity(25, 3)
+        assert calls == []
 
     def test_mutating_the_matrix_never_gives_a_stale_result(self):
         A = [[-1, 1], [0, -1]]
