@@ -21,7 +21,9 @@ The first root where Delta_(1+n) is negative at the root and at its
 neighbours on a 720-point grid is the witness; when no root passes that
 grid rule, the first prime-order root with Delta_(1+n) < 0, where sigma
 is 2 * sign(1 - 2cos(theta)) != 0, is.  Every sign is exact, so results
-are deterministic and replayable.
+are deterministic and replayable: a float sum whose sign clears its
+rounding-error bound, and a remainder modulo Phi_m only where it does not,
+as at the sixth roots where Delta_(1+n) vanishes for n = 5 mod 6.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError
-from .exactlinalg import NearSingular
+from .exactlinalg import NearSingular, _sign_at
 from .laurent import UnitCirclePoint
 from .patterns import Atom, Profile, eval_invariant, render_term, retrace_term
-from .seifert import _circle_sign, _family_signature, delta_n_closed
+from .seifert import _family_signature, delta_n_closed
 
 DEFAULT_MAX_ORDER = 60
 WITNESS_GRID = 720
@@ -121,11 +123,12 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     unless theta is within 1e-12 of i0 * step; i0 and that test are
     floating point and part of the rule.  When no root up to max_order
     passes it, the exact rule takes the first root with sigma != 0, that
-    is with Delta(omega) < 0.  Each sign is exact (remainder modulo Phi_m
-    of the point's own order m, then a certified sign), and an exact zero
-    counts as not negative.  Odd twisting always yields omega = -1
-    (k/m = 1/2) first.  Raises NearSingular should a sign not be
-    certified, and WitnessNotFound when sigma = 0 at every root tried.
+    is with Delta(omega) < 0.  Each sign is exact (exactlinalg._sign_at: a
+    certified float sign, and the remainder modulo Phi_m of the point's own
+    order m only where that cannot decide), and an exact zero counts as not
+    negative.  Odd twisting always yields omega = -1 (k/m = 1/2) first.
+    Raises NearSingular should a sign not be certified, and
+    WitnessNotFound when sigma = 0 at every root tried.
     """
     if n < 1:
         raise DomainError(f"witness search is defined for n >= 1, got {n}")
@@ -135,14 +138,14 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     def on_grid(theta: float) -> bool:
         i0 = int(theta / step) % WITNESS_GRID
         grid = (i0,) if abs(theta - i0 * step) < 1e-12 else (i0, (i0 + 1) % WITNESS_GRID)
-        return all(_circle_sign(terms, UnitCirclePoint.root(i, WITNESS_GRID)) < 0 for i in grid)
+        return all(_sign_at(UnitCirclePoint.root(i, WITNESS_GRID), 0, terms) < 0 for i in grid)
 
     tried = refused = 0
     exact = None
     for p in itertools.takewhile(lambda p: p <= max_order, _primes()):
         for k in range(1, p):
             omega = UnitCirclePoint.root(k, p)
-            delta = _circle_sign(terms, omega)
+            delta = _sign_at(omega, 0, terms)
             tried += 1
             try:
                 if not _family_signature(1 + n, omega, delta):

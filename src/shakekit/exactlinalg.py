@@ -12,12 +12,12 @@ Seifert pencil t*A - A^T is eliminated once per matrix A and memoised;
 with symmetric pivoting its Bareiss pivots are its leading principal
 minors, which give both the determinant and, by Jacobi's sign rule, the
 exact inertia of the Hermitian form H(omega) at every unit-circle point.
-At a root of unity a minor vanishes exactly when its remainder modulo
-the cyclotomic polynomial does; every nonzero sign is certified by an
-explicit rounding-error bound or refused, and the witness search takes
-the signs of Alexander polynomials the same way.  Classical inertia of a
-symmetric integer matrix comes from the same elimination: its pivots
-are the matrix's exact integer leading minors.
+Every sign on the circle, a minor's or an Alexander polynomial's, is
+taken by _sign_at: a float sum that counts only when it clears a
+rounding-error bound, and else, at a root of unity, the remainder
+modulo the cyclotomic polynomial, which is empty exactly at a zero.
+Classical inertia of a symmetric integer matrix comes from the same
+elimination: its pivots are the matrix's exact integer leading minors.
 """
 
 from __future__ import annotations
@@ -280,7 +280,6 @@ class _Pencil:
         self.pivots = det_laurent([[LaurentPoly({1: A[i][j], 0: -A[j][i]})
                                     if A[i][j] or A[j][i] else 0 for j in range(n)]
                                    for i in range(n)], pivots=True)
-        self._residues: dict[int, list[list[tuple[int, int]]]] = {}
         self._signs: dict[object, list[int]] = {}
 
     @functools.cached_property
@@ -290,20 +289,13 @@ class _Pencil:
                 for k, low in enumerate(self.pivots.lows, 1)]
 
     def signs(self, omega: UnitCirclePoint) -> list[int]:
-        """Signs (+1, -1, or 0 when exactly zero) of D_1(omega), ..., D_n(omega).
+        """Exact signs (+1, -1, or 0) of D_1(omega), ..., D_n(omega), by _sign_at.
 
-        D_k(omega) has the sign _sign_at(omega, k, P_k), with P_k reduced
-        modulo Phi_m once per order m.  Raises NearSingular when a nonzero
-        sign is not certified.
+        Raises NearSingular when a nonzero sign is not certified.
         """
         key = (omega.k, omega.m) if omega.is_rational else omega.theta
         if key not in self._signs:
-            minors = self.terms
-            if omega.is_rational:
-                if omega.m not in self._residues:
-                    self._residues[omega.m] = [_reduced(t, omega.m) for t in minors]
-                minors = self._residues[omega.m]
-            self._signs[key] = [_sign_at(omega, k, terms) for k, terms in enumerate(minors, 1)]
+            self._signs[key] = [_sign_at(omega, k, terms) for k, terms in enumerate(self.terms, 1)]
         return self._signs[key]
 
 
@@ -407,21 +399,36 @@ def _mod_cyclotomic(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int
 _U = 2.0 ** -53  # unit roundoff of a double
 
 
-def _certified_sign(omega: UnitCirclePoint, k: int, coeffs: list[int],
-                    angles: list[float], err: float) -> int:
-    """Sign of sum_j coeffs[j] * cos(angles[j]), or NearSingular if it is uncertain.
+def _angle_error(theta: float, k: int, terms: list[tuple[int, int]]) -> float:
+    """Error bound of each computed angle theta*(e - k/2) - pi*k/2 over the sorted terms.
 
-    coeffs are exact integers, each computed angle is within err of the
-    true one.  Converting a coefficient, taking the cosine (1-Lipschitz,
-    one rounding) and multiplying each round once, so a term is off by at
-    most |c| * (err + 4u); fsum rounds the sum once more.  Integers beyond
-    the float range are first divided by a power of two, which keeps the
-    sign.  The sign counts only when |sum| clears the whole bound.
+    It counts the rounding of theta itself when it stands for 2*pi*r/m.
     """
-    scale = 1 << max(0, max(map(abs, coeffs)).bit_length() - 1000)
-    scaled = [c / scale for c in coeffs]
-    value = math.fsum(c * math.cos(x) for c, x in zip(scaled, angles))
-    bound = (err + 8 * _U) * math.fsum(map(abs, scaled))
+    reach = max(abs(terms[0][0] - k / 2), abs(terms[-1][0] - k / 2))
+    return 8 * _U * (abs(theta) * reach + k + 1)
+
+
+def _certified_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
+    """Sign of ((1 - omega)/omega)^k * P(omega) from the terms as given, or NearSingular.
+
+    P is sum p_e t^e over the nonempty (e, p_e) terms, lowest first.
+    With omega = e^(i*theta), ((1 - omega)/omega)^k
+    = (2 sin(theta/2))^k * e^(-i*k*(theta + pi)/2), so the value, being
+    real, has the sign of sin(theta/2)^k * sum_e p_e cos(theta*(e - k/2)
+    - pi*k/2).  Each computed angle is within err = _angle_error of the
+    true one; converting a coefficient, taking the cosine (1-Lipschitz,
+    one rounding) and multiplying each round once, so a term is off by at
+    most |p_e| * (err + 4u); fsum rounds the sum once more.  Integers
+    beyond the float range are first divided by a power of two, which
+    keeps the sign.  The sign counts, and the value is proven nonzero,
+    only when |sum| clears the whole bound.
+    """
+    theta = omega.theta
+    scale = 1 << max(0, max(abs(c) for _, c in terms).bit_length() - 1000)
+    scaled = [c / scale for _, c in terms]
+    value = math.fsum(c * math.cos(theta * (e - k / 2) - math.pi / 2 * k)
+                      for c, (e, _) in zip(scaled, terms))
+    bound = (_angle_error(theta, k, terms) + 8 * _U) * math.fsum(map(abs, scaled))
     if not abs(value) > bound:
         raise NearSingular(
             omega,
@@ -429,47 +436,39 @@ def _certified_sign(omega: UnitCirclePoint, k: int, coeffs: list[int],
             f"(|{value:.3g}| <= rounding-error bound {bound:.3g})",
             k, value, bound,
         )
-    return 1 if value > 0 else -1
-
-
-def _reduced(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
-    """The (exponent, coefficient) terms, lowest first, modulo Phi_m.
-
-    At a primitive m-th root omega the result has the same value as the
-    terms, and it is empty exactly when that value is 0.  Terms that span
-    at most sqrt(m/2) <= phi(m) exponents are already reduced and keep
-    their own exponents.
-    """
-    if not terms or (terms[-1][0] - terms[0][0] + 1) ** 2 <= m // 2:
-        return terms
-    return _mod_cyclotomic(terms, m)
+    sign = 1 if value > 0 else -1
+    return -sign if k % 2 and math.sin(theta / 2) < 0 else sign
 
 
 def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
-    """Sign (+1, -1, or 0 when terms is empty) of ((1 - omega)/omega)^k * P(omega).
+    """Exact sign (+1, -1, or 0 when P(omega) = 0) of ((1 - omega)/omega)^k * P(omega).
 
-    P is sum p_e t^e over the (e, p_e) terms, reduced first (_reduced) at
-    a root of unity so that an empty list is the exact zero test.  k >= 1
-    gives the Hermitian minor D_k from the pencil's P_k; k = 0 the value
-    of a P that is real on the circle, such as an Alexander polynomial.
-    With omega = e^(i*theta), ((1 - omega)/omega)^k
-    = (2 sin(theta/2))^k * e^(-i*k*(theta + pi)/2), so the value, being
-    real, has the sign of sin(theta/2)^k * sum_e p_e cos(theta*(e - k/2)
-    - pi*k/2).  Each computed angle is within 8u * (|theta| * max|e - k/2|
-    + k + 1) of the true one, counting the rounding of theta itself when
-    it stands for 2*pi*r/m.  Raises NearSingular when a nonzero sign is
-    not certified.
+    P is sum p_e t^e over the (e, p_e) terms, lowest first.  k >= 1 gives
+    the Hermitian minor D_k from the pencil's P_k; k = 0 the value of a P
+    that is real on the circle, such as an Alexander polynomial.  The
+    certified sign of the terms as given comes first, and is skipped only
+    when its angle error reaches 1 - 8u, so that its bound reaches
+    sum |p_e|.  Only when it does not clear, at a root of unity of order
+    m, are the terms reduced modulo Phi_m: the remainder has the same
+    value, and it is empty exactly when the value is 0.  Terms that span
+    at most sqrt(m/2) <= phi(m) exponents are already reduced.  Raises
+    NearSingular when a nonzero sign is not certified.
+
+    >>> _sign_at(UnitCirclePoint.root(1, 6), 0, [(-1, -1), (0, 1), (1, -1)])
+    0
     """
     if not terms:
         return 0
-    theta = omega.theta
-    offsets = [e - k / 2 for e, _ in terms]
-    sign = _certified_sign(
-        omega, k, [c for _, c in terms],
-        [theta * x - math.pi / 2 * k for x in offsets],
-        8 * _U * (abs(theta) * max(map(abs, offsets)) + k + 1),
-    )
-    return -sign if k % 2 and math.sin(theta / 2) < 0 else sign
+    if not omega.is_rational:
+        return _certified_sign(omega, k, terms)
+    if _angle_error(omega.theta, k, terms) + 8 * _U < 1:
+        try:
+            return _certified_sign(omega, k, terms)
+        except NearSingular:
+            pass
+    if (terms[-1][0] - terms[0][0] + 1) ** 2 > omega.m // 2:
+        terms = _mod_cyclotomic(terms, omega.m)
+    return _certified_sign(omega, k, terms) if terms else 0
 
 
 def _jacobi(signs: Sequence[int]) -> tuple[int, int]:

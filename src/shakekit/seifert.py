@@ -21,7 +21,6 @@ from .exactlinalg import (
     NearSingular,
     _check_square,
     _pencil,
-    _reduced,
     _sign_at,
     inertia_hermitian_at_root,
     signature,
@@ -115,11 +114,6 @@ def delta_n_closed(n: int) -> LaurentPoly:
 _ONE_MINUS_TWICE_COS = [(-1, -1), (0, 1), (1, -1)]
 
 
-def _circle_sign(terms: list[tuple[int, int]], omega: UnitCirclePoint) -> int:
-    """Exact sign of sum c t^e over the (e, c) terms, real on the circle, at omega."""
-    return _sign_at(omega, 0, _reduced(terms, omega.m) if omega.is_rational else terms)
-
-
 def _family_signature(n: int, omega: UnitCirclePoint, delta_sign: int | None = None) -> int:
     """sigma(an_family(n), omega) in closed form, with no matrix built.
 
@@ -141,10 +135,10 @@ def _family_signature(n: int, omega: UnitCirclePoint, delta_sign: int | None = N
     if omega.is_one():
         raise InvalidRoot("the form vanishes identically at omega = 1")
     if delta_sign is None:
-        delta_sign = _circle_sign(sorted(delta_n_closed(n).coeffs.items()), omega)
+        delta_sign = _sign_at(omega, 0, sorted(delta_n_closed(n).coeffs.items()))
     if delta_sign > 0:
         return 0
-    s = _circle_sign(_ONE_MINUS_TWICE_COS, omega)
+    s = _sign_at(omega, 0, _ONE_MINUS_TWICE_COS)
     if delta_sign == 0:
         dim = 2 * n + 2
         if s:

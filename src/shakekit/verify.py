@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .complexity import _primes, certify_complexity
-from .exactlinalg import NearSingular, _folded, det_laurent, signature
+from .exactlinalg import NearSingular, _folded, _sign_at, det_laurent, signature
 from .goeritz import (
     GoeritzData,
     add_two_twists,
@@ -38,7 +38,6 @@ from .patterns import (
     table_profile,
 )
 from .seifert import (
-    _circle_sign,
     alexander,
     an_family,
     classical_signature_seifert,
@@ -117,7 +116,7 @@ def _check_roots_of_unity_identity() -> str:
 def _check_sigma_q_vanishes(a1: Sequence[Sequence[int]]) -> str:
     terms = sorted(delta_n_closed(1).coeffs.items())
     for j in range(360):
-        if _circle_sign(terms, UnitCirclePoint.root(j, 360)) <= 0:
+        if _sign_at(UnitCirclePoint.root(j, 360), 0, terms) <= 0:
             raise AssertionError(f"delta_1 not positive at the root {j}/360")
     checked = 0
     for p in itertools.takewhile(lambda p: p <= 50, _primes()):

@@ -11,7 +11,8 @@ import cmath
 import random
 from fractions import Fraction
 
-from shakekit.laurent import LaurentPoly
+from shakekit import exactlinalg
+from shakekit.laurent import LaurentPoly, UnitCirclePoint
 
 
 def det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -43,6 +44,16 @@ def det_cofactor_fraction(rows: list[list[Fraction]]) -> Fraction:
         term = rows[0][j] * det_cofactor_fraction(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def reduce_first(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
+    """Sign of ((1 - omega)/omega)^k * P(omega) at a root of unity, remainder first.
+
+    P is reduced modulo Phi_m before any float sum is taken, so an empty
+    remainder is the exact zero; otherwise the remainder's certified sign.
+    """
+    rest = exactlinalg._mod_cyclotomic(terms, omega.m)
+    return exactlinalg._certified_sign(omega, k, rest) if rest else 0
 
 
 def eval_naive(p: LaurentPoly, z: complex) -> complex:

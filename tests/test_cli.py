@@ -391,6 +391,15 @@ class TestCertify:
         assert payload["witness"] == {"k": 5, "m": 11}
         assert payload["bound"] == 2
 
+    def test_framing_beyond_the_float_reach(self, capsys):
+        # at n = 10^18 the float sum of Delta_(1+n) cannot clear its bound,
+        # so each of its signs is taken from the remainder modulo Phi_m alone
+        for n, witness in ((10**18, {"k": 5, "m": 11}), (10**18 + 2, {"k": 3, "m": 11})):
+            code, out, _ = run_cli(capsys, "certify", "--framing", str(n), "--complexity", "2")
+            assert code == 0
+            payload = json.loads(out)
+            assert (payload["n"], payload["witness"], payload["bound"]) == (n, witness, 2)
+
     def test_exhausted_witness_budget(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shakekit import complexity, exactlinalg, laurent, seifert
+from oracles import reduce_first
+from shakekit import complexity, exactlinalg, laurent, seifert, verify
 from shakekit.complexity import (
     WitnessNotFound,
     a_family_profile,
@@ -14,7 +15,7 @@ from shakekit.complexity import (
     find_witness_root,
 )
 from shakekit.errors import DomainError
-from shakekit.exactlinalg import InvalidRoot, NearSingular, _reduced, _sign_at
+from shakekit.exactlinalg import InvalidRoot, NearSingular, _mod_cyclotomic, _sign_at
 from shakekit.laurent import UnitCirclePoint
 from shakekit.patterns import parse_pattern
 from shakekit.seifert import _family_signature, an_family, delta_n_closed, lt_signature
@@ -110,15 +111,26 @@ class TestWitnessSearch:
         assert find_witness_root(98) == UnitCirclePoint.root(3, 11)
         assert find_witness_root(104) == UnitCirclePoint.root(1, 5)
 
-    def test_exact_zero_at_sixth_roots(self):
+    def test_exact_zero_at_sixth_roots(self, monkeypatch):
         # for n = 5 mod 6, Delta_{1+n} vanishes at the primitive sixth roots
-        # (grid points 120 and 600), where a float sample reads about 2e-16
-        for n in (5, 11):
+        # (grid points 120 and 600), where a float sample reads about 2e-16:
+        # the float sign is not certified, and one remainder decides
+        reductions = []
+
+        def spy(terms, m):
+            reductions.append(m)
+            return _mod_cyclotomic(terms, m)
+
+        monkeypatch.setattr(exactlinalg, "_mod_cyclotomic", spy)
+        for n in (5, 11, 17, 197):
             terms = sorted(delta_n_closed(1 + n).coeffs.items())
-            for i in (120, 600):
-                omega = UnitCirclePoint.root(i, complexity.WITNESS_GRID)
+            for omega in (UnitCirclePoint.root(1, 6), UnitCirclePoint.root(5, 6),
+                          UnitCirclePoint.root(120, complexity.WITNESS_GRID),
+                          UnitCirclePoint.root(600, complexity.WITNESS_GRID)):
                 assert omega.m == 6
-                assert _sign_at(omega, 0, _reduced(terms, omega.m)) == 0, (n, i)
+                reductions.clear()
+                assert _sign_at(omega, 0, terms) == 0, (n, omega)
+                assert reductions == [6], (n, omega)
 
     def test_exact_signs_match_floats_on_the_grid(self):
         step = math.tau / complexity.WITNESS_GRID
@@ -130,7 +142,7 @@ class TestWitnessSearch:
                 if abs(value) > 1e-9:
                     omega = UnitCirclePoint.root(i, complexity.WITNESS_GRID)
                     want = 1 if value > 0 else -1
-                    assert _sign_at(omega, 0, _reduced(terms, omega.m)) == want, (n, i)
+                    assert _sign_at(omega, 0, terms) == want, (n, i)
 
     def test_exhausted_order_budget(self):
         with pytest.raises(WitnessNotFound) as exc:
@@ -162,8 +174,8 @@ class TestWitnessSearch:
             assert find_witness_root(n) == witness, n
             for omega in prime_order_roots(m):
                 if (omega.m, omega.k) < (m, k):
-                    assert _sign_at(omega, 0, _reduced(terms, omega.m)) > 0, (n, omega)
-            assert _sign_at(witness, 0, _reduced(terms, m)) < 0
+                    assert _sign_at(omega, 0, terms) > 0, (n, omega)
+            assert _sign_at(witness, 0, terms) < 0
         # the kernel agrees on one of them; its pencil has dimension 400
         assert lt_signature(an_family(199), UnitCirclePoint.root(3, 13)) == 2
 
@@ -172,7 +184,7 @@ class TestWitnessSearch:
         # n = 98: the exact rule alone would have chosen 1/3
         terms = sorted(delta_n_closed(99).coeffs.items())
         early = [w for w in prime_order_roots(11) if (w.m, w.k) < (11, 3)
-                 and _sign_at(w, 0, _reduced(terms, w.m)) < 0]
+                 and _sign_at(w, 0, terms) < 0]
         assert early == [UnitCirclePoint.root(k, m) for k, m in ((1, 3), (2, 3), (2, 11))]
         assert find_witness_root(98) == UnitCirclePoint.root(3, 11)
 
@@ -251,6 +263,36 @@ class TestClosedForm:
             cert = certify_complexity(n, 2)
             assert cert.witness == UnitCirclePoint.root(*WITNESSES[n]), n
             assert cert.bound >= 2
+
+
+class TestFloatFirstSigns:
+    """_sign_at decides in floats and reduces modulo Phi_m only when it cannot."""
+
+    def test_certify_takes_no_remainder(self, monkeypatch):
+        def refuse(terms, m):
+            raise RuntimeError(f"a sign was reduced modulo Phi_{m}")
+
+        monkeypatch.setattr(exactlinalg, "_mod_cyclotomic", refuse)
+        for n in range(1, 201):
+            for framing in (n, -n):
+                cert = certify_complexity(framing, 2)
+                assert cert.witness == UnitCirclePoint.root(*WITNESSES[n]), framing
+        # the row "base-pattern signature vanishes": Delta_1 > 0 at the 360th roots
+        verify._check_sigma_q_vanishes(an_family(1))
+
+    def test_agrees_with_reduce_first(self):
+        # Delta_n at every coprime k/m with m <= 96, omega = 1 included
+        roots = [UnitCirclePoint.root(k, m) for m in range(1, 97)
+                 for k in range(m) if math.gcd(k, m) == 1]
+        zeros = 0
+        for n in range(1, 61):
+            terms = sorted(delta_n_closed(n).coeffs.items())
+            for omega in roots:
+                got = outcome(lambda: _sign_at(omega, 0, terms))
+                assert got == outcome(lambda: reduce_first(omega, 0, terms)), (n, omega)
+                zeros += got == 0
+        # Delta_n vanishes only at the primitive sixth roots, for n = 0 mod 6
+        assert zeros == 2 * 10
 
 
 class TestInvariant:

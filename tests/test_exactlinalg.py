@@ -15,6 +15,7 @@ from oracles import (
     random_laurent_matrix,
     random_symmetric_matrix,
     random_unimodular,
+    reduce_first,
 )
 from shakekit import exactlinalg
 from shakekit.complexity import certify_complexity
@@ -657,6 +658,25 @@ class TestExactHermitianInertia:
         assert "not certified" in str(exc.value)
         assert exc.value.index == 2
         assert abs(exc.value.value) <= exc.value.bound
+        assert (exc.value.value, exc.value.bound) == (-6.661338147750939e-16,
+                                                      1.3448435834808408e-14)
+
+    def test_refusals_keep_their_numbers(self):
+        # the first refusals of the suite above, with the index, value and
+        # bound they had when every sign was reduced modulo Phi_m first
+        rng = random.Random(20261018)
+        want = {2: (1, 0.0, 0.0), 3: (6, 0.0, 0.0), 6: (1, 0.0, 0.0), 7: (1, 0.0, 0.0),
+                10: (3, 0.0, 0.0), 11: (2, 0.0, 0.0), 15: (5, 0.0, 0.0), 18: (5, 0.0, 0.0)}
+        got = {}
+        for case in range(19):
+            A = self.random_matrix(rng)
+            m = rng.randint(2, 13)
+            omega = UnitCirclePoint.root(rng.randint(1, m - 1), m)
+            try:
+                inertia_hermitian_at_root(A, omega)
+            except NearSingular as exc:
+                got[case] = (exc.index, exc.value, exc.bound)
+        assert got == want
 
     def test_invalid_root_at_one(self):
         for omega in (UnitCirclePoint.root(0, 1), UnitCirclePoint.root(5, 5),
@@ -670,6 +690,88 @@ class TestExactHermitianInertia:
         for k, p in ((1, 2), (1, 3), (5, 17)):
             omega = UnitCirclePoint.root(k, p)
             assert inertia_hermitian_at_root(A, omega) == numpy_inertia(A, omega)
+
+
+def sign_outcome(fn):
+    """fn()'s sign, or the index, value and bound of its NearSingular."""
+    try:
+        return fn()
+    except NearSingular as exc:
+        return exc.index, exc.value, exc.bound
+
+
+class TestSignAt:
+    """One exact sign routine: a certified float sign first, a remainder only when it fails."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        calls = []
+
+        def spy(terms, m):
+            calls.append(m)
+            return reduce_mod(terms, m)
+
+        reduce_mod = exactlinalg._mod_cyclotomic
+        monkeypatch.setattr(exactlinalg, "_mod_cyclotomic", spy)
+        return calls
+
+    def test_certified_float_sign_takes_no_remainder(self, reductions):
+        # Delta_99 spans 201 exponents, so each of these roots would reduce it
+        delta = sorted(delta_n_closed(99).coeffs.items())
+        assert exactlinalg._sign_at(UnitCirclePoint.root(1, 3), 0, delta) == -1
+        assert exactlinalg._sign_at(UnitCirclePoint.root(1, 2), 0, delta) == 1
+        assert exactlinalg._sign_at(UnitCirclePoint.root(3, 11), 0, delta) == -1
+        assert reductions == []
+
+    def test_exact_zero_beyond_the_float_reach(self, reductions, monkeypatch):
+        # t^(6*10^15) - 1 vanishes at 1/6; the angle error of the unreduced
+        # exponent alone exceeds 1, so no float sum is taken before the remainder
+        terms = [(0, -1), (6 * 10**15, 1)]
+        omega = UnitCirclePoint.root(1, 6)
+        assert exactlinalg._angle_error(omega.theta, 0, terms) > 1
+        sums = []
+        certified = exactlinalg._certified_sign
+        monkeypatch.setattr(exactlinalg, "_certified_sign",
+                            lambda *args: sums.append(args) or certified(*args))
+        assert exactlinalg._sign_at(omega, 0, terms) == 0
+        assert (reductions, sums) == ([6], [])
+        assert exactlinalg._sign_at(UnitCirclePoint.root(1, 7), 0, terms) == -1
+        assert reductions == [6, 7] and len(sums) == 1
+
+    def test_uncertified_remainder_is_refused_with_its_numbers(self, reductions):
+        # a * 2cos(2pi/7) + b is a few units at most for these 17-digit a, b,
+        # far inside the rounding-error bound: its sign is not certified
+        # before or after the remainder, and the refusal carries the
+        # remainder's value and bound
+        a = 10**17
+        b = -round(2 * a * math.cos(math.tau / 7))
+        terms = [(-1, a), (0, b), (1, a)]
+        omega = UnitCirclePoint.root(1, 7)
+        with pytest.raises(NearSingular) as exc:
+            exactlinalg._sign_at(omega, 0, terms)
+        assert reductions == [7]
+        assert "the sign of the polynomial is not certified" in str(exc.value)
+        want = sign_outcome(lambda: reduce_first(omega, 0, terms))
+        assert (exc.value.index, exc.value.value, exc.value.bound) == want
+
+    def test_agrees_with_reduce_first_on_random_pencils(self):
+        # every leading minor of the random pencils of
+        # TestExactHermitianInertia, at its roots and at every other root
+        # of the same order
+        rng = random.Random(20261018)
+        zeros = 0
+        for _ in range(1500):
+            A = TestExactHermitianInertia.random_matrix(rng)
+            m = rng.randint(2, 13)
+            rng.randint(1, m - 1)
+            minors = exactlinalg._Pencil(tuple(map(tuple, A))).terms
+            for j in range(1, m):
+                omega = UnitCirclePoint.root(j, m)
+                for k, terms in enumerate(minors, 1):
+                    got = sign_outcome(lambda: exactlinalg._sign_at(omega, k, terms))
+                    assert got == sign_outcome(lambda: reduce_first(omega, k, terms)), (A, omega, k)
+                    zeros += got == 0
+        assert zeros > 1000
 
 
 class TestJsonMatrices:
