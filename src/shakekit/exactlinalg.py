@@ -7,23 +7,30 @@ elimination works in proportion to the nonzero entries it touches: a
 row that a step does not read keeps its stored entries and the index s
 of the last prev it was scaled to, its true entries being
 stored * prev // chain[s] over the chain of prevs, and is rescaled only
-when a step reads it.  The
-Seifert pencil t*A - A^T is eliminated once per matrix A and memoised;
-with symmetric pivoting its Bareiss pivots are its leading principal
-minors, which give both the determinant and, by Jacobi's sign rule, the
-exact inertia of the Hermitian form H(omega) at every unit-circle point.
+when a step reads it.  The Seifert pencil M = t*A - A^T is eliminated
+once per matrix A and memoised; with symmetric pivoting its Bareiss
+pivots are its leading principal minors, which give both the
+determinant and, by Jacobi's sign rule, the exact inertia of the
+Hermitian form H(omega) at every unit-circle point.  M(t)^T is
+-t * M(1/t), so in a dense step of a large pencil the lower triangle of
+the Schur complement is the upper one with its base-2^B digits reversed
+and a sign: with B rounded up to whole bytes, a to_bytes, the byte
+chunks in reverse order and a from_bytes, so only the upper triangle is
+eliminated (det_laurent gives the rule for when).
 Every sign on the circle, a minor's or an Alexander polynomial's, is
-taken by _sign_at: a float sum that counts only when it clears a
-rounding-error bound, and else, at a root of unity, the remainder
-modulo the cyclotomic polynomial, which is empty exactly at a zero.
-Classical inertia of a symmetric integer matrix comes from the same
-elimination: its pivots are the matrix's exact integer leading minors.
+taken by _sign_at: exact for a monomial minor, else a float sum that
+counts only when it clears a rounding-error bound, and else, at a root
+of unity, the remainder modulo the cyclotomic polynomial, which is
+empty exactly at a zero.  Classical inertia of a symmetric integer
+matrix comes from the same elimination: its pivots are the matrix's
+exact integer leading minors.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -96,7 +103,9 @@ class Pivots:
 
     values[k-1] is the k-th pivot, the polynomial P_k / t^lows[k-1]
     evaluated at 2^bits, whose coefficients lie strictly inside
-    +-2^(bits-1).
+    +-2^(bits-1).  bits is rounded up to whole bytes for a pencil whose
+    dense steps are mirrored (det_laurent), so bits and values depend on
+    that route and minor(k) does not.
     """
 
     bits: int
@@ -131,6 +140,11 @@ def _swap(M: list[list[int]], scales: list[int], lows: list[int], i: int, j: int
     lows[i], lows[j] = lows[j], lows[i]
 
 
+# Measured crossovers of the mirrored pencil steps; det_laurent gives the rule.
+_MIRROR_ENTRY_BYTES = 48
+_MIRROR_PENCIL_BYTES = 256
+
+
 def _rescaled(row: list[int], scale: int, chain: list[int]) -> list[int]:
     """The true entries of a row stored at chain[scale]: stored * chain[-1] / chain[scale]."""
     if scale == len(chain) - 1:
@@ -140,22 +154,71 @@ def _rescaled(row: list[int], scale: int, chain: list[int]) -> list[int]:
 
 
 def _eliminate(M: list[list[int]], scales: list[int], chain: list[int], width: int,
-               update: Callable[[list[int]], list[int]]) -> tuple[list[list[int]], list[int]]:
+               update: Callable[[list[int], int], list[int]],
+               mirrored: Callable[[int, int, int], int] | None
+               ) -> tuple[list[list[int]], list[int]]:
     """Rows and columns after a Bareiss step on the first width pivots.
 
     A row with a nonzero entry in a pivot column is brought up to date and
-    update gives its new entries, at the scale of the step's prev; any
-    other row only loses the pivot columns and keeps its scale.
+    update(row, i) gives its new entries from column i on, at the scale of
+    the step's prev; any other row only loses the pivot columns and keeps
+    its scale.  When mirrored is given, every row is brought up to date,
+    row i gets its entries from column i on by update, and those left of
+    the diagonal are mirrored(x, i, j): entry (i, j) from entry x at (j, i).
     """
+    if mirrored:
+        rest: list[list[int]] = []
+        for i, (row, scale) in enumerate(zip(M[width:], scales[width:])):
+            rest.append([mirrored(above[i], i, j) if above[i] else 0
+                         for j, above in enumerate(rest)]
+                        + update(_rescaled(row, scale, chain), i))
+        return rest, [len(chain)] * len(rest)
     rest, rest_scales = [], []
     for row, scale in zip(M[width:], scales[width:]):
         if any(row[:width]):
-            rest.append(update(_rescaled(row, scale, chain)))
+            rest.append(update(_rescaled(row, scale, chain), 0))
             rest_scales.append(len(chain))
         else:
             rest.append(row[width:])
             rest_scales.append(scale)
     return rest, rest_scales
+
+
+def _is_pencil(polys: list[list[int | dict[int, int]]]) -> bool:
+    """Whether M(t)^T = -t * M(1/t): every M[j][i] is -t * M[i][j](1/t).
+
+    Entries are ints or coefficient dicts; a nonzero int entry is taken as
+    no pencil, which only forgoes the mirrored steps.
+    """
+    for i, row in enumerate(polys):
+        for j in range(i, len(row)):
+            e, f = row[j], polys[j][i]
+            if not e:
+                if f:
+                    return False
+            elif e.__class__ is int or f != {1 - x: -c for x, c in e.items()}:
+                return False
+    return True
+
+
+@functools.lru_cache(maxsize=256)
+def _reversal(digits: int, size: int) -> tuple[int, Callable[[bytes], tuple[bytes, ...]]]:
+    """Half of 2^(8*size) in each of digits digits, and the unpacker of their bytes."""
+    base = 1 << 8 * size
+    offset = base // 2 * ((base ** digits - 1) // (base - 1))
+    return offset, struct.Struct(f"{size}s" * digits).unpack
+
+
+def _reversed(x: int, digits: int, size: int) -> int:
+    """x with its balanced base-2^(8*size) digits d_0..d_(digits-1) in reverse order.
+
+    Adding half the base to every digit makes each one a plain unsigned
+    size-byte chunk of x's bytes, so the reversal is to_bytes, the chunks
+    in reverse order, from_bytes, and the same offset taken off again.
+    """
+    offset, unpack = _reversal(digits, size)
+    chunks = unpack((x + offset).to_bytes(digits * size, "little"))
+    return int.from_bytes(b"".join(chunks[::-1]), "little") - offset
 
 
 def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | Pivots:
@@ -192,31 +255,87 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     matrix is zero, the remaining minors are 0.  Symmetric matrices and
     Seifert pencils t*A - A^T have M[i][j] != 0 exactly when
     M[j][i] != 0, so a block always exists while the rest is nonzero.
+
+    A pencil M = t*A - A^T has M(t)^T = -t * M(1/t), so after p pivots
+    the Schur-complement entry (j, i), the minor on the pivot rows and j
+    and the pivot columns and i, is (-1)^(p+1) t^(p+1) times entry (i, j)
+    at 1/t.  In the Kronecker matrix, with row r shifted by t^-low_r and
+    L the pivots' shifts summed, entry (j, i) is entry (i, j) with its
+    W + 1 balanced base-2^B digits reversed and the sign (-1)^(p+1),
+    W = p + 1 - 2L - low_i - low_j; a 2x2 block step counts p after both
+    of its pivots.  A mirrored step computes the upper triangle with the
+    usual update and takes the lower one from it by _reversed.  With B
+    rounded up to whole bytes a reversal is to_bytes, the byte chunks in
+    reverse order and from_bytes, and any B at or above the Hadamard
+    bound reads back the same coefficients: Pivots.minor(k) is the same
+    either way, while Pivots.bits and Pivots.values may differ.  The rule
+    comes from timings on a 2-core x86-64 host under CPython 3.11:
+      - B is rounded, and the matrix mirrored, only when more than a
+        quarter of its entries are nonzero, its n-digit determinant spans
+        n*B >= 8*_MIRROR_PENCIL_BYTES (256 bytes) and the O(n^2) test
+        _is_pencil, run on such matrices only, passes.  Below that, the
+        rounding and the test cost what the mirrored steps saved (dense
+        pencils of dimension 18, n*B near 1,500 bits, changed by -6% to
+        +3%); from dimension 22 up (n*B near 2,400 bits) a pencil took
+        20-35% less time.
+      - A step is mirrored only when it brings every later row up to date
+        (no zero entry in its pivot rows, as a pencil's Schur complement
+        is zero at (i, j) exactly when at (j, i)) and its unshifted
+        entries span (W + 1) * B/8 >= _MIRROR_ENTRY_BYTES = 48 bytes.  At
+        42-60 bytes a reversal and the update it replaces each took
+        0.4-0.5 us, for every B from 48 to 160 bits; at 600 bytes the
+        update took 42 us and the reversal 1.6 us.
     """
-    _check_square(rows)
+    n = _check_square(rows)
     lows: list[int] = []
-    norm_sq = 1
+    norm_sq, nonzeros = 1, 0
     polys: list[list[int | dict[int, int]]] = []
     for row in rows:
         entries = [e if e.__class__ is int else laurent_from_entry(e)._coeffs for e in row]
-        low = min((0 if e.__class__ is int else min(e) for e in entries if e), default=None)
-        if low is None:
-            if not pivots:
-                return LaurentPoly.zero()
+        nonzero = [e for e in entries if e]
+        if nonzero:
+            low = min(0 if e.__class__ is int else min(e) for e in nonzero)
+        elif not pivots:
+            return LaurentPoly.zero()
+        else:
             low = 0
         lows.append(low)
         polys.append(entries)
+        nonzeros += len(nonzero)
         norm_sq *= max(1, sum((e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2)
-                              for e in entries if e))
+                              for e in nonzero))
     bits = (math.isqrt(norm_sq - 1) + 1).bit_length() + 1
+    mirror = (pivots and 4 * nonzeros > n * n and n * bits >= 8 * _MIRROR_PENCIL_BYTES
+              and _is_pencil(polys))
+    if mirror:
+        bits += -bits % 8
+    size = bits // 8  # bytes per digit, used only when mirror
     M = [[(e << (bits * -low) if e.__class__ is int else
            sum(c << (bits * (x - low)) for x, c in e.items())) if e else 0 for e in row]
          for row, low in zip(polys, lows)]
-    scales = [0] * len(M)
+    scales = [0] * n
     chain = [1]  # prev of every Bareiss step so far; prev is chain[-1]
     sign, offset = 1, 0
     values: list[int] = []
     offsets: list[int] = []
+
+    def mirror_map(width: int, covered: Iterable[object]) -> Callable[[int, int, int], int] | None:
+        """The mirror map of a step on the first width rows, or None if it is not mirrored.
+
+        covered holds, for each later column, whether a pivot row is
+        nonzero there; in a pencil that is whether the step reads the row.
+        """
+        done = len(values) + width  # p, the pivots taken once the step is done
+        digits = done + 2 - 2 * (offset + sum(lows[:width]))  # W + 1 for unshifted i, j
+        if digits * size < _MIRROR_ENTRY_BYTES or not all(covered):
+            return None
+        rest, negate = lows[width:], not done % 2
+
+        def entry(x: int, i: int, j: int) -> int:
+            y = _reversed(x, digits - rest[i] - rest[j], size)
+            return -y if negate else y
+        return entry
+
     while M:
         if not M[0][0] and not pivots:
             k = next((i for i, row in enumerate(M) if row[0]), None)
@@ -246,9 +365,11 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
                 top0, top1 = (_rescaled(M[i], scales[i], chain) for i in (0, 1))
                 b, c = top0[1], top1[0]
                 p2 = prev * prev
-                M, scales = _eliminate(M, scales, chain, 2, lambda row: [
+                M, scales = _eliminate(M, scales, chain, 2, lambda row, i: [
                     (b * (row[0] * y - c * w) + c * row[1] * x) // p2 if x or y or w else 0
-                    for x, y, w in zip(top0[2:], top1[2:], row[2:])])
+                    for x, y, w in zip(top0[2 + i:], top1[2 + i:], row[2 + i:])],
+                    mirror_map(2, (x or y for x, y in zip(top0[2:], top1[2:])))
+                    if mirror else None)
                 chain.append(-b * c // prev)
                 values += [0, chain[-1]]
                 offsets += [offset + lows[0], offset + lows[0] + lows[1]]
@@ -258,9 +379,10 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
         prev = chain[-1]
         top = _rescaled(M[0], scales[0], chain)
         pivot = top[0]
-        M, scales = _eliminate(M, scales, chain, 1, lambda row: [
+        M, scales = _eliminate(M, scales, chain, 1, lambda row, i: [
             (a * pivot - row[0] * b) // prev if a or b else 0
-            for a, b in zip(row[1:], top[1:])])
+            for a, b in zip(row[1 + i:], top[1 + i:])],
+            mirror_map(1, top[1:]) if mirror else None)
         chain.append(pivot)
         values.append(pivot)
         offset += lows.pop(0)
@@ -445,7 +567,11 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
 
     P is sum p_e t^e over the (e, p_e) terms, lowest first.  k >= 1 gives
     the Hermitian minor D_k from the pencil's P_k; k = 0 the value of a P
-    that is real on the circle, such as an Alexander polynomial.  The
+    that is real on the circle, such as an Alexander polynomial.  One
+    term c*t^e with 2e = k is decided with no float sum: its value is
+    c*(-1)^(k/2)*(2 sin(theta/2))^k.  Every monomial leading minor of a
+    pencil is one, because P_k(t) = (-1)^k t^k P_k(1/t); k = 0 covers
+    constants.  Otherwise the
     certified sign of the terms as given comes first, and is skipped only
     when its angle error reaches 1 - 8u, so that its bound reaches
     sum |p_e|.  Only when it does not clear, at a root of unity of order
@@ -459,6 +585,8 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
     """
     if not terms:
         return 0
+    if len(terms) == 1 and 2 * terms[0][0] == k:
+        return (1 if terms[0][1] > 0 else -1) * (-1 if k % 4 else 1)
     if not omega.is_rational:
         return _certified_sign(omega, k, terms)
     if _angle_error(omega.theta, k, terms) + 8 * _U < 1:

@@ -96,7 +96,10 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        coeffs = self._coeffs
+        if not coeffs or (len(coeffs) == 1 and 0 in coeffs):
+            return hash(coeffs.get(0, 0))  # a constant equals, so hashes as, its int
+        return hash(frozenset(coeffs.items()))
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):

@@ -116,3 +116,10 @@ def random_unimodular(rng: random.Random, dim: int, ops: int = 8) -> list[list[i
         else:
             e[i] = [-x for x in e[i]]
     return e
+
+
+def congruence(P: list[list[int]], A: list[list[int]]) -> list[list[int]]:
+    """P A P^T with exact integer products."""
+    n = len(A)
+    PA = [[sum(P[i][k] * A[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(PA[i][k] * P[j][k] for k in range(n)) for j in range(n)] for i in range(n)]

@@ -3,6 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    congruence,
     det_cofactor,
     det_cofactor_fraction,
     random_laurent_matrix,
@@ -17,7 +19,7 @@ from oracles import (
     random_unimodular,
     reduce_first,
 )
-from shakekit import exactlinalg
+from shakekit import exactlinalg, seifert
 from shakekit.complexity import certify_complexity
 from shakekit.exactlinalg import (
     Inertia,
@@ -359,6 +361,199 @@ class TestSparseKernel:
         pencil = exactlinalg._Pencil(tuple(map(tuple, A)))
         assert len(polys_built) <= 2 * nnz < len(A) ** 2 // 10
         assert pencil.pivots.minor(len(A)) == delta_n_closed(26).shift(len(A) // 2)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def dense_seifert(rng: random.Random, dim: int) -> list[list[int]]:
+    """A Seifert matrix with every entry nonzero."""
+    return [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(dim)] for _ in range(dim)]
+
+
+def pencil_minors(A: list[list[int]]) -> list[LaurentPoly]:
+    pivots = exactlinalg._Pencil(tuple(map(tuple, A))).pivots
+    return [pivots.minor(k) for k in range(1, len(A) + 1)]
+
+
+class TestMirroredSteps:
+    """Dense pencil steps that take the lower triangle by digit reversal.
+
+    After p pivots, entry (j, i) of the pencil's Schur complement is
+    (-1)^(p+1) t^(p+1) times entry (i, j) at 1/t, so a dense step of a
+    large pencil computes the upper triangle and reverses the base-2^B
+    digits of each entry for its mirror.  The always_mirrored fixture
+    lowers both size thresholds to 0, so every dense step of a pencil
+    with a quarter of its entries nonzero is mirrored, however small.
+    """
+
+    @pytest.fixture
+    def reversals(self, monkeypatch) -> list[int]:
+        """The digit count of every reversal taken from here on."""
+        calls = []
+        real = exactlinalg._reversed
+
+        def spy(x, digits, size):
+            calls.append(digits)
+            return real(x, digits, size)
+
+        monkeypatch.setattr(exactlinalg, "_reversed", spy)
+        return calls
+
+    @pytest.fixture
+    def always_mirrored(self, monkeypatch, reversals) -> list[int]:
+        monkeypatch.setattr(exactlinalg, "_MIRROR_ENTRY_BYTES", 0)
+        monkeypatch.setattr(exactlinalg, "_MIRROR_PENCIL_BYTES", 0)
+        return reversals
+
+    @pytest.fixture
+    def steps(self, monkeypatch) -> list[tuple[int, bool, bool]]:
+        """(width, mirrored, reads a row left at an older scale) of every step from here on."""
+        seen = []
+        real = exactlinalg._eliminate
+
+        def spy(M, scales, chain, width, update, mirrored):
+            stale = any(s < len(chain) - 1 for s in scales[width:])
+            seen.append((width, mirrored is not None, stale))
+            return real(M, scales, chain, width, update, mirrored)
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", spy)
+        return seen
+
+    @staticmethod
+    def unmirrored(A: list[list[int]], monkeypatch) -> list[LaurentPoly]:
+        with monkeypatch.context() as m:
+            m.setattr(exactlinalg, "_MIRROR_PENCIL_BYTES", 10**9)
+            return pencil_minors(A)
+
+    def test_reversal_of_balanced_digits(self):
+        rng = random.Random(7)
+        for size in (1, 2, 5, 17):
+            half = 1 << (8 * size - 1)
+            for digits in (1, 2, 3, 9):
+                d = [rng.randrange(1 - half, half) for _ in range(digits)]
+                d[rng.randrange(digits)] = rng.choice((1 - half, half - 1, 0))
+                value = sum(x << (8 * size * e) for e, x in enumerate(d))
+                want = sum(x << (8 * size * e) for e, x in enumerate(reversed(d)))
+                assert exactlinalg._reversed(value, digits, size) == want, (d, size)
+
+    def test_matches_cofactor_oracle(self, always_mirrored, steps):
+        # zero diagonals force 2x2 block steps, a zero column of A a row
+        # shift; every pivot against its cofactor minor
+        rng = random.Random(20261018)
+        mirrored = {"block": 0, "shift": 0, "plain": 0}
+        for trial in range(240):
+            dim = rng.randint(2, 6)
+            A = dense_seifert(rng, dim)
+            if trial % 3 == 1:
+                for i in range(dim):
+                    A[i][i] = 0
+            if trial % 4 == 2:
+                column = rng.randrange(dim)
+                for row in A:
+                    row[column] = 0
+            steps.clear()
+            minors = pencil_minors(A)
+            assert minors == symmetric_pivot_minors(t_matrix(A)), A
+            if any(m for _, m, _ in steps):
+                lows = exactlinalg._Pencil(tuple(map(tuple, A))).pivots.lows
+                kind = ("block" if any(w == 2 and m for w, m, _ in steps) else
+                        "shift" if any(lows) else "plain")
+                mirrored[kind] += 1
+        assert min(mirrored.values()) >= 20, mirrored
+        assert always_mirrored
+
+    def test_any_matrix_with_the_pencil_symmetry(self, always_mirrored):
+        # M[j][i] = -t * M[i][j](1/t) with exponents from -2 to 3, so rows
+        # are shifted by -2 to 1 and the windows vary entry by entry
+        rng = random.Random(3)
+        for _ in range(150):
+            dim = rng.randint(2, 6)
+            M = [[LaurentPoly()] * dim for _ in range(dim)]
+            for i in range(dim):
+                e, c = rng.randint(-2, 3), rng.choice((-2, -1, 1, 2))
+                M[i][i] = LaurentPoly({e: c, 1 - e: -c})
+                for j in range(i + 1, dim):
+                    M[i][j] = LaurentPoly({rng.randint(-2, 3): rng.choice((-3, -1, 1, 2))
+                                           for _ in range(rng.randint(1, 3))})
+                    M[j][i] = LaurentPoly({1 - x: -c for x, c in M[i][j].coeffs.items()})
+            pivots = det_laurent(M, pivots=True)
+            assert [pivots.minor(k) for k in range(1, dim + 1)] == symmetric_pivot_minors(M), M
+        assert len(always_mirrored) > 1000
+
+    def test_matches_unmirrored_elimination(self, always_mirrored, monkeypatch):
+        rng = random.Random(400)
+        for trial in range(400):
+            dim = rng.randint(2, 9)
+            A = dense_seifert(rng, dim)
+            for i in range(dim):
+                if trial % 2 and rng.random() < 0.5:
+                    A[i][i] = 0
+            if trial % 5 == 0:
+                column = rng.randrange(dim)
+                for row in A:
+                    row[column] = 0
+            assert pencil_minors(A) == self.unmirrored(A, monkeypatch), A
+        assert len(always_mirrored) > 4000
+
+    def test_row_left_at_an_older_scale(self, always_mirrored, steps):
+        # index 1 is 2 * index 0 where they meet index 4, so after the
+        # first step entries (1, 4) and (4, 1) of the Schur complement
+        # vanish: the second step is not mirrored and leaves row 4 at its
+        # old scale, and the third, mirrored, step reads it
+        A = dense_seifert(random.Random(11), 7)
+        A[0][0], A[1][1], A[0][1], A[1][0] = 1, 3, 2, 2
+        A[4][1], A[1][4] = 2 * A[4][0], 2 * A[0][4]
+        assert pencil_minors(A) == symmetric_pivot_minors(t_matrix(A))
+        assert [m for _, m, _ in steps[:3]] == [True, False, True]
+        assert steps[2][2]
+
+    def test_scrambled_family_matrices(self, reversals, monkeypatch):
+        # P A_k P^T for unimodular P is dense, with the family's Alexander
+        # polynomial; the default thresholds mirror these pencils
+        rng = random.Random(2040)
+        for dim in (20, 26, 32, 40):
+            k = dim // 2 - 1
+            A = congruence(random_unimodular(rng, dim, 10 * dim), an_family(k))
+            assert 4 * sum(map(bool, (x for row in A for x in row))) > dim * dim
+            reversals.clear()
+            exactlinalg._pencil.cache_clear()
+            assert alexander(A) == delta_n_closed(k)
+            assert reversals, dim
+            assert pencil_minors(A) == self.unmirrored(A, monkeypatch)
+
+    def test_reversal_runs_on_dense_pencils_only(self, reversals, monkeypatch):
+        doc = json.loads((FIXTURES / "dense_seifert_30.json").read_text())
+        A = int_matrix_from_json(doc)
+        assert pencil_minors(A)[-1] == delta_n_closed(14).shift(15)
+        assert len(reversals) > 300
+        reversals.clear()
+        sparse = an_family(40)
+        pivots = exactlinalg._Pencil(tuple(map(tuple, sparse))).pivots
+        assert reversals == []
+        with monkeypatch.context() as m:
+            m.setattr(exactlinalg, "_MIRROR_PENCIL_BYTES", 10**9)
+            assert exactlinalg._Pencil(tuple(map(tuple, sparse))).pivots == pivots
+
+    def test_fixture_is_a_scrambled_family_matrix(self):
+        doc = json.loads((FIXTURES / "dense_seifert_30.json").read_text())
+        P = random_unimodular(random.Random(31), 30, 300)
+        assert doc == {"dim": 30, "entries": congruence(P, an_family(14))}
+
+    def test_symmetric_and_near_pencil_matrices_are_not_mirrored(self, always_mirrored):
+        # a symmetric matrix, and a pencil with one entry off by t^2, keep
+        # the unmirrored elimination
+        rng = random.Random(5)
+        for _ in range(40):
+            dim = rng.randint(2, 7)
+            S = random_symmetric_matrix(rng, dim)
+            assert [det_laurent(S, pivots=True).minor(k) for k in range(1, dim + 1)] == \
+                symmetric_pivot_minors(as_laurent(S)), S
+            rows = t_matrix(dense_seifert(rng, dim))
+            rows[0][-1] = rows[0][-1] + LaurentPoly({2: 1})
+            pivots = det_laurent(rows, pivots=True)
+            assert [pivots.minor(k) for k in range(1, dim + 1)] == symmetric_pivot_minors(rows)
+        assert always_mirrored == []
 
 
 class TestInertiaSymmetric:
@@ -753,6 +948,36 @@ class TestSignAt:
         assert "the sign of the polynomial is not certified" in str(exc.value)
         want = sign_outcome(lambda: reduce_first(omega, 0, terms))
         assert (exc.value.index, exc.value.value, exc.value.bound) == want
+
+    def test_monomials_take_no_float_sum(self, monkeypatch):
+        # P_2j = t^j for the family, so half its minors are monomials; their
+        # signs come from c * (-1)^(k/2), and lt agrees with the closed form
+        certified = exactlinalg._certified_sign
+
+        def guarded(omega, k, terms):
+            if len(terms) == 1 and 2 * terms[0][0] == k:
+                raise AssertionError(f"float sum taken on the monomial {terms} for D_{k}")
+            return certified(omega, k, terms)
+
+        monkeypatch.setattr(exactlinalg, "_certified_sign", guarded)
+        for omega in (UnitCirclePoint.root(1, 7), UnitCirclePoint.root(5, 11),
+                      UnitCirclePoint.angle(2.5)):
+            assert exactlinalg._sign_at(omega, 0, [(0, 5)]) == 1
+            assert exactlinalg._sign_at(omega, 0, [(0, -3)]) == -1
+            assert exactlinalg._sign_at(omega, 2, [(1, 7)]) == -1
+            assert exactlinalg._sign_at(omega, 4, [(2, 7)]) == 1
+            assert exactlinalg._sign_at(omega, 6, [(3, -2)]) == 1
+        for n in (1, 2, 5, 12, 40):
+            exactlinalg._pencil.cache_clear()
+            A = an_family(n)
+            terms = exactlinalg._pencil(tuple(map(tuple, A))).terms
+            assert sum(len(t) == 1 for t in terms) >= n
+            for m in (3, 5, 7, 13):
+                for j in range(1, m):
+                    omega = UnitCirclePoint.root(j, m)
+                    got = sign_outcome(lambda: lt_signature(A, omega))
+                    want = sign_outcome(lambda: seifert._family_signature(n, omega))
+                    assert got == want, (n, omega)
 
     def test_agrees_with_reduce_first_on_random_pencils(self):
         # every leading minor of the random pencils of

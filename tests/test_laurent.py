@@ -42,6 +42,13 @@ class TestCanonicalForm:
     def test_hashable(self):
         assert len({LaurentPoly({0: 1}), LaurentPoly.one(), LaurentPoly.t()}) == 2
 
+    def test_constants_hash_as_the_int_they_equal(self):
+        for c in (0, 1, -1, 7, 10**30):
+            assert LaurentPoly({0: c}) == c and hash(LaurentPoly({0: c})) == hash(c)
+        assert len({LaurentPoly.one(), 1}) == len({LaurentPoly.zero(), 0}) == 1
+        assert {LaurentPoly.t(): "t", 1: "one"}[LaurentPoly.one()] == "one"
+        assert len({LaurentPoly.t(), LaurentPoly({0: 1, 1: 1}), 1}) == 3
+
     def test_exponent_range(self):
         p = LaurentPoly({-2: 1, 3: 4})
         assert p.min_exp() == -2
