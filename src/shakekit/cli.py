@@ -171,10 +171,7 @@ def cmd_certify(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    a1 = None
-    if args.a1_fixture:
-        a1 = int_matrix_from_json(_load_json(args.a1_fixture))
-    results = run_checks(a1)
+    results = run_checks()
     ok = all(r.passed for r in results)
     if args.json:
         doc = {
@@ -239,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recompute the package's reproduction table")
     p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--a1-fixture", metavar="FILE",
-                   help="override the 4x4 base family matrix (harness sanity hook)")
     p.set_defaults(handler=cmd_verify)
     return parser
 

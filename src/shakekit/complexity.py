@@ -9,21 +9,19 @@ c * |I(Q) - I(Q_n)| >= c.
 The signature of the twisted family has a closed form: for its n-th
 member A_n and omega = e^(i*theta) != 1, sigma(A_n, omega) = 0 where
 Delta_n(omega) > 0 and 2 * sign(1 - 2cos(theta)) where Delta_n(omega) < 0;
-where Delta_n(omega) = 0 the form is singular and refused.  It follows
+where Delta_n(omega) = 0 the form is singular (NearSingular).  It follows
 from the pencil's leading minors P_1 = t - 1, P_2j = t^j,
 P_2j+1 = t^(j-1)(1 - 2t + 2t^2 - t^3) and P_(2n+2) = t^(n+1) * Delta_n by
 Jacobi's rule (seifert._family_signature has the sketch).  So a
 signature costs two exact signs, of Delta_n and of 1 - 2cos(theta), and
 certify builds no matrix: its cost does not grow with n.
 
-The witness search tries prime-order roots in increasing (p, k) order.
-The first root where Delta_(1+n) is negative at the root and at its
-neighbours on a 720-point grid is the witness; when no root passes that
-grid rule, the first prime-order root with Delta_(1+n) < 0, where sigma
-is 2 * sign(1 - 2cos(theta)) != 0, is.  Every sign is exact, so results
-are deterministic and replayable: a float sum whose sign clears its
-rounding-error bound, and a remainder modulo Phi_m only where it does not,
-as at the sixth roots where Delta_(1+n) vanishes for n = 5 mod 6.
+The witness search tries prime-order roots in increasing (p, k) order,
+one exact sign each: there sigma != 0 exactly where Delta_(1+n) < 0.  The
+first such root where Delta_(1+n) is also negative at its neighbours on a
+720-point grid is the witness; when no root passes that grid rule, the
+first such root is.  Every sign is exact, so results are deterministic and
+replayable.
 """
 
 from __future__ import annotations
@@ -34,29 +32,25 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError
-from .exactlinalg import NearSingular, _sign_at
+from .exactlinalg import _sign_at
 from .laurent import UnitCirclePoint
 from .patterns import Atom, Profile, eval_invariant, render_term, retrace_term
 from .seifert import _family_signature, delta_n_closed
 
 DEFAULT_MAX_ORDER = 60
+MAX_ORDER = 10**9  # largest max_order the grid rule's 1e-12 test allows
 WITNESS_GRID = 720
 INVARIANT_NAME = "half-LT-signature"
 
 
 class WitnessNotFound(LookupError):
-    """No prime-order root of order <= max_order has sigma(Q_n, omega) != 0.
+    """No prime-order root of order <= max_order has sigma(Q_n, omega) != 0."""
 
-    The LT signature was taken at all tried prime-order roots up to the
-    bound; refused of them were near-singular and the rest had signature 0.
-    """
-
-    def __init__(self, n: int, max_order: int, tried: int, refused: int):
-        self.n, self.max_order, self.tried, self.refused = n, max_order, tried, refused
+    def __init__(self, n: int, max_order: int, tried: int):
+        self.n, self.max_order, self.tried = n, max_order, tried
         super().__init__(
-            f"no prime-order witness root of order <= {max_order} for n = {n}: the LT "
-            f"signature was taken at {tried} prime-order roots: {refused} near-singular, "
-            f"{tried - refused} zero"
+            f"no prime-order witness root of order <= {max_order} for n = {n}: Delta_{1 + n} "
+            f"is positive, so the LT signature is 0, at all {tried} prime-order roots tried"
         )
 
 
@@ -85,80 +79,71 @@ def a_family_profile(omega: UnitCirclePoint) -> Profile:
 
 
 def _primes() -> Iterator[int]:
-    """2, 3, 5, 7, ... with no upper bound, in O(sqrt(p)) memory.
-
-    An incremental sieve of Eratosthenes: each odd composite c is met as
-    the next multiple of one of its prime factors, and a prime p enters
-    the sieve only when the candidates reach p*p, with the primes up to
-    sqrt(c) drawn from a second, lazily advanced copy of the generator.
-    """
-    yield from (2, 3, 5, 7)
-    multiples: dict[int, int] = {}
-    base = _primes()
-    next(base)
-    p = next(base)
-    for c in itertools.count(9, 2):
-        if c in multiples:
-            step = multiples.pop(c)
-        elif c < p * p:
+    """2, 3, 5, 7, ... with no upper bound, by trial division, in O(1) memory."""
+    yield 2
+    for c in itertools.count(3, 2):
+        if all(c % d for d in range(3, math.isqrt(c) + 1, 2)):
             yield c
-            continue
-        else:
-            step, p = 2 * p, next(base)
-        nxt = c + step
-        while nxt in multiples:
-            nxt += step
-        multiples[nxt] = step
 
 
 def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCirclePoint:
     """First prime-order root of unity where sigma(Q_n, omega) != 0 by the witness rule.
 
     Roots k/p are tried for primes p <= max_order in increasing (p, k)
-    order, and sigma is taken at each from the closed form: 0 where
-    Delta = Delta_{1+n} is positive at omega, 2 * sign(1 - 2cos(theta))
-    where it is negative.  The grid rule picks the first root with
-    sigma != 0 where Delta is also negative at grid point
+    order.  The grid rule picks the first root with Delta = Delta_{1+n}
+    negative at omega (one exact sign, exactlinalg._sign_at), at grid point
     i0 = int(theta / step) of the WITNESS_GRID-point grid, and at i0 + 1
     unless theta is within 1e-12 of i0 * step; i0 and that test are
     floating point and part of the rule.  When no root up to max_order
-    passes it, the exact rule takes the first root with sigma != 0, that
-    is with Delta(omega) < 0.  Each sign is exact (exactlinalg._sign_at: a
-    certified float sign, and the remainder modulo Phi_m of the point's own
-    order m only where that cannot decide), and an exact zero counts as not
-    negative.  Odd twisting always yields omega = -1 (k/m = 1/2) first.
-    Raises NearSingular should a sign not be certified, and
-    WitnessNotFound when sigma = 0 at every root tried.
+    passes it, the exact rule takes the first root with Delta(omega) < 0.
+    Odd twisting always yields omega = -1 (k/m = 1/2) first.
+
+    A root of prime order p > 5 is off the grid and, for p <= MAX_ORDER,
+    more than 2*pi / (720 * p) > 1e-12 from it, so it is read against two
+    adjacent grid points.  Once an exact-rule root is held at p > 5 and as
+    many roots were tried as the grid has points (so this at most doubles
+    the cost), the grid signs are taken once; if no two adjacent ones are
+    negative, no later root can pass and the search stops.  Raises
+    DomainError past MAX_ORDER and WitnessNotFound when no root qualifies.
     """
     if n < 1:
         raise DomainError(f"witness search is defined for n >= 1, got {n}")
+    if max_order > MAX_ORDER:
+        raise DomainError(f"max_order {max_order} is over the limit of {MAX_ORDER}, "
+                          "past which the grid rule's 1e-12 test can fire off the grid")
     terms = sorted(delta_n_closed(1 + n).coeffs.items())
     step = math.tau / WITNESS_GRID
+
+    def negative(omega: UnitCirclePoint) -> bool:
+        return _sign_at(omega, 0, terms) < 0
 
     def on_grid(theta: float) -> bool:
         i0 = int(theta / step) % WITNESS_GRID
         grid = (i0,) if abs(theta - i0 * step) < 1e-12 else (i0, (i0 + 1) % WITNESS_GRID)
-        return all(_sign_at(UnitCirclePoint.root(i, WITNESS_GRID), 0, terms) < 0 for i in grid)
+        return all(negative(UnitCirclePoint.root(i, WITNESS_GRID)) for i in grid)
 
-    tried = refused = 0
-    exact = None
+    tried, exact, stop = 0, None, None
     for p in itertools.takewhile(lambda p: p <= max_order, _primes()):
+        if exact is not None and p > 5 and tried >= WITNESS_GRID and stop is None:
+            grid = [negative(UnitCirclePoint.root(i, WITNESS_GRID)) for i in range(WITNESS_GRID)]
+            stop = not any(a and b for a, b in zip(grid, grid[1:] + grid[:1]))
+        if stop:
+            return exact
         for k in range(1, p):
             omega = UnitCirclePoint.root(k, p)
-            delta = _sign_at(omega, 0, terms)
             tried += 1
-            try:
-                if not _family_signature(1 + n, omega, delta):
-                    continue
-            except NearSingular:
-                refused += 1
+            # Delta(omega) != 0 at a root of prime order p, since Phi_p would
+            # divide t^(n+1) * Delta and Phi_p(1) = p cannot divide Delta(1) = 1;
+            # 1 - 2cos(theta) vanishes only at the primitive sixth roots.  So
+            # sigma(Q_n, omega) != 0 exactly where Delta(omega) < 0.
+            if not negative(omega):
                 continue
             if on_grid(omega.theta % math.tau):
                 return omega
             if exact is None:
                 exact = omega
     if exact is None:
-        raise WitnessNotFound(n, max_order, tried, refused)
+        raise WitnessNotFound(n, max_order, tried)
     return exact
 
 

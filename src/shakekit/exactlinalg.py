@@ -402,7 +402,6 @@ class _Pencil:
         self.pivots = det_laurent([[LaurentPoly({1: A[i][j], 0: -A[j][i]})
                                     if A[i][j] or A[j][i] else 0 for j in range(n)]
                                    for i in range(n)], pivots=True)
-        self._signs: dict[object, list[int]] = {}
 
     @functools.cached_property
     def terms(self) -> list[list[tuple[int, int]]]:
@@ -415,10 +414,7 @@ class _Pencil:
 
         Raises NearSingular when a nonzero sign is not certified.
         """
-        key = (omega.k, omega.m) if omega.is_rational else omega.theta
-        if key not in self._signs:
-            self._signs[key] = [_sign_at(omega, k, terms) for k, terms in enumerate(self.terms, 1)]
-        return self._signs[key]
+        return [_sign_at(omega, k, terms) for k, terms in enumerate(self.terms, 1)]
 
 
 @functools.lru_cache(maxsize=64)

@@ -16,7 +16,7 @@ commute (connected sum), so normalize sorts each run of them.
 Evaluation sums leaf values per the satellite formula; a bar flag
 negates and a star flag reflects the twist argument.  Each distinct leaf
 is valued once and weighted by its multiplicity.  A normal form holds at
-most 2,000,000 leaves; a longer one is refused before it is built.
+most 2,000,000 leaves; a longer one raises DomainError before it is built.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Callable, Mapping, Union
 from .errors import DomainError, strict_int
 
 _MAX_LEAVES = 2_000_000  # longest composition chain a normal form may hold
+_MAX_NESTING = 100  # deepest nesting of parentheses, bar( and suffixes the parser takes
 
 
 class PatternSyntaxError(ValueError):
@@ -197,9 +198,17 @@ def _chain(t: PatternTerm) -> tuple[NormalLeaf, ...]:
             return (PoundLeaf(NormalForm((leaf,))),)
         return (leaf,)
     if isinstance(t, Compose):
-        left, right = _chain(t.left), _chain(t.right)
-        _check_size(len(left) + len(right))
-        return left + right
+        # walk the left spine in a loop: a parsed chain P o Q o ... nests there
+        rights = []
+        while isinstance(t, Compose):
+            rights.append(t.right)
+            t = t.left
+        out = list(_chain(t))
+        for right in reversed(rights):
+            chain = _chain(right)
+            _check_size(len(out) + len(chain))
+            out.extend(chain)
+        return tuple(out)
     if isinstance(t, Power):
         inner = _chain(t.inner)
         _check_size(len(inner) * t.m)
@@ -327,6 +336,7 @@ class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0  # parentheses and bar( open around the position
 
     def error(self, message: str) -> PatternSyntaxError:
         return PatternSyntaxError(message, self.pos)
@@ -366,17 +376,26 @@ class _Parser:
             self.pos += 1
         return self.src[start:self.pos]
 
-    def parse_term(self) -> PatternTerm:
-        node = self.parse_factor()
+    def nested(self, height: int) -> int:
+        """height + 1, or a PatternSyntaxError where nesting from the outermost term passes it."""
+        if self.depth + height + 1 > _MAX_NESTING:
+            raise self.error(f"nesting deeper than {_MAX_NESTING} levels")
+        return height + 1
+
+    def parse_term(self) -> tuple[PatternTerm, int]:
+        node, height = self.parse_factor()
         while self.peek() in ("o", "O"):
             self.pos += 1
-            node = Compose(node, self.parse_factor())
-        return node
+            right, h = self.parse_factor()
+            node, height = Compose(node, right), max(height, h)
+        return node, height
 
-    def parse_factor(self) -> PatternTerm:
-        node = self.parse_primary()
+    def parse_factor(self) -> tuple[PatternTerm, int]:
+        node, height = self.parse_primary()
         while True:
             c = self.peek()
+            if c and c in "*^_#":
+                height = self.nested(height)
             if c == "*":
                 self.pos += 1
                 node = Star(node)
@@ -398,23 +417,29 @@ class _Parser:
                 self.pos += 1
                 node = Pound(node)
             else:
-                return node
+                return node, height
 
-    def parse_primary(self) -> PatternTerm:
+    def parse_group(self) -> tuple[PatternTerm, int]:
+        """A term in parentheses, one nesting level deeper than the term around it."""
+        self.skip_ws()
+        self.nested(0)
+        self.expect("(")
+        self.depth += 1
+        node, height = self.parse_term()
+        self.expect(")")
+        self.depth -= 1
+        return node, height + 1
+
+    def parse_primary(self) -> tuple[PatternTerm, int]:
         c = self.peek()
         if c == "(":
-            self.pos += 1
-            node = self.parse_term()
-            self.expect(")")
-            return node
+            return self.parse_group()
         if c in _IDENT_START:
             name = self.read_ident()
-            if name == "bar":
-                self.expect("(")
-                node = self.parse_term()
-                self.expect(")")
-                return Bar(node)
-            return Atom(name)
+            if name != "bar":
+                return Atom(name), 0
+            node, height = self.parse_group()
+            return Bar(node), height
         raise self.error("expected a pattern name, 'bar(' or '('")
 
 
@@ -424,10 +449,12 @@ def parse_pattern(src: str) -> PatternTerm:
     term := factor { "o" factor }; factor := primary { suffix };
     suffix := "*" | "^" INT | "_" SIGNED_INT | "#" | "^-1";
     primary := IDENT | "bar(" term ")" | "(" term ")".
-    Identifiers never contain the letter o, which always composes.
+    Identifiers never contain the letter o, which always composes.  Each
+    parenthesis, bar( and suffix nests one level deeper, and nesting past
+    _MAX_NESTING levels is a PatternSyntaxError.
     """
     parser = _Parser(src)
-    term = parser.parse_term()
+    term, _ = parser.parse_term()
     if parser.peek():
         raise parser.error(f"unexpected trailing input {parser.src[parser.pos:]!r}")
     return term

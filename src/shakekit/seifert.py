@@ -114,7 +114,7 @@ def delta_n_closed(n: int) -> LaurentPoly:
 _ONE_MINUS_TWICE_COS = [(-1, -1), (0, 1), (1, -1)]
 
 
-def _family_signature(n: int, omega: UnitCirclePoint, delta_sign: int | None = None) -> int:
+def _family_signature(n: int, omega: UnitCirclePoint) -> int:
     """sigma(an_family(n), omega) in closed form, with no matrix built.
 
     sigma is 0 where Delta_n(omega) > 0 and 2 * sign(1 - 2cos(theta))
@@ -130,16 +130,14 @@ def _family_signature(n: int, omega: UnitCirclePoint, delta_sign: int | None = N
     Delta_n = 2 - 2cos(n*pi/3) >= 0, so sigma = 0 by Gundelfinger's rule
     or the form is singular.  Where Delta_n(omega) = 0 this raises the
     NearSingular the general kernel raises, and InvalidRoot at omega = 1.
-    delta_sign is the sign of Delta_n(omega) when the caller has taken it.
     """
     if omega.is_one():
         raise InvalidRoot("the form vanishes identically at omega = 1")
-    if delta_sign is None:
-        delta_sign = _sign_at(omega, 0, sorted(delta_n_closed(n).coeffs.items()))
-    if delta_sign > 0:
+    delta = _sign_at(omega, 0, sorted(delta_n_closed(n).coeffs.items()))
+    if delta > 0:
         return 0
     s = _sign_at(omega, 0, _ONE_MINUS_TWICE_COS)
-    if delta_sign == 0:
+    if delta == 0:
         dim = 2 * n + 2
         if s:
             raise NearSingular(omega, f"leading minor D_{dim} = 0 exactly", dim, 0.0, 0.0)

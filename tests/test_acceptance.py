@@ -180,7 +180,7 @@ def test_wrong_closed_form_fails_the_certificate_row(monkeypatch):
     # kernel's recomputation of i_Q and i_Qn can catch it
     real = complexity._family_signature
     monkeypatch.setattr(complexity, "_family_signature",
-                        lambda n, omega, delta_sign=None: -real(n, omega, delta_sign))
+                        lambda n, omega: -real(n, omega))
     row = {r.name: r for r in run_checks()}["certificate pipeline"]
     assert not row.passed
     assert row.detail.startswith("AssertionError: (n=1, c=1): the kernel gives sigma = (0, 2)")

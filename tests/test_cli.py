@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from shakekit import verify
 from shakekit.cli import main
 
 A1_DOC = {
@@ -332,6 +333,24 @@ class TestPattern:
         assert code == 2
         assert "position" in err
 
+    def test_long_chain_normalizes(self, capsys):
+        code, out, _ = run_cli(capsys, "pattern", "normalize", " o ".join(["P"] * 1500))
+        assert code == 0
+        assert json.loads(out)["normal_form"] == " o ".join(["P"] * 1500)
+
+    @pytest.mark.parametrize("suffix", ["*", "^1"])
+    def test_long_suffix_run_is_a_syntax_error(self, capsys, suffix):
+        code, out, err = run_cli(capsys, "pattern", "normalize", "P" + suffix * 1500)
+        assert code == 2
+        assert not out
+        assert f"nesting deeper than 100 levels (at position {1 + 100 * len(suffix)})" in err
+
+    def test_deep_parentheses_are_a_syntax_error(self, capsys):
+        code, out, err = run_cli(capsys, "pattern", "eval", "(" * 400 + "P" + ")" * 400)
+        assert code == 2
+        assert not out
+        assert "nesting deeper than 100 levels (at position 100)" in err
+
 
 class TestCertify:
     def test_payload(self, capsys):
@@ -409,6 +428,19 @@ class TestCertify:
         assert "witness root of order <= 1 for n = 1" in err
         assert "retry" not in err
 
+    def test_no_root_can_pass_the_grid_rule(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "--framing", "200", "--complexity", "1",
+                               "--max-order", "1000000")
+        assert code == 0
+        assert json.loads(out)["witness"] == {"k": 1, "m": 3}
+
+    def test_order_bound_over_the_limit(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--framing", "200", "--complexity", "1",
+                                 "--max-order", "2000000000")
+        assert code == 1
+        assert not out
+        assert "max_order 2000000000 is over the limit of 1000000000" in err
+
 
 class TestVerify:
     def test_table_output(self, capsys):
@@ -426,10 +458,11 @@ class TestVerify:
         assert len(payload["checks"]) == 10
         assert all(c["passed"] for c in payload["checks"])
 
-    def test_corrupted_fixture_fails_honestly(self, capsys, write_json):
-        broken = {"dim": 4, "entries": [[0] * 4 for _ in range(4)]}
-        path = write_json("broken-a1.json", broken)
-        code, out, _ = run_cli(capsys, "verify", "--a1-fixture", path)
+    def test_corrupted_fixture_fails_honestly(self, capsys, monkeypatch):
+        real = verify.an_family
+        monkeypatch.setattr(verify, "an_family",
+                            lambda n: [[0] * 4 for _ in range(4)] if n == 1 else real(n))
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL" in out
 

@@ -45,6 +45,18 @@ WITNESSES.update({
 EXACT_RULE_WITNESSES = {190: (3, 11), 196: (6, 13), 198: (3, 13), 200: (1, 3)}
 WITNESSES.update(EXACT_RULE_WITNESSES)
 
+# find_witness_root(n, max_order) for n = 185..215 at max_order 200 and at
+# 1000, frozen from the search that scanned every prime-order root up to
+# the bound; the two tables agree.  At these orders 190 and 196 pass the
+# grid rule, and 198 and 200, where no two adjacent grid points have
+# Delta_(1+n) < 0, keep their exact-rule witnesses.
+DEEP_WITNESSES = {n: (1, 2) for n in range(185, 216, 2)}
+DEEP_WITNESSES.update({
+    186: (7, 17), 188: (18, 37), 190: (29, 73), 192: (25, 53), 194: (1, 5), 196: (30, 61),
+    198: (3, 13), 200: (1, 3), 202: (2, 7), 204: (1, 5), 206: (1, 3), 208: (2, 11),
+    210: (5, 11), 212: (1, 3), 214: (1, 5),
+})
+
 
 def outcome(fn):
     """fn()'s value, or the type of the exception it raised."""
@@ -147,23 +159,64 @@ class TestWitnessSearch:
     def test_exhausted_order_budget(self):
         with pytest.raises(WitnessNotFound) as exc:
             find_witness_root(1, max_order=1)
-        assert (exc.value.n, exc.value.max_order, exc.value.tried, exc.value.refused) == (1, 1, 0, 0)
+        assert (exc.value.n, exc.value.max_order, exc.value.tried) == (1, 1, 0)
         assert "order <= 1 for n = 1" in str(exc.value)
         assert "retry" not in str(exc.value)
 
-    def test_refusal_counts_the_signatures_taken(self, monkeypatch):
-        # the closed-form signature is stubbed: near-singular at -1, zero
-        # elsewhere, so every prime-order root of order <= 7 is taken
-        def stub(n, omega, delta_sign=None):
-            if omega == UnitCirclePoint.minus_one():
-                raise NearSingular(omega, "stub", 1, 0.0, 0.0)
-            return 0
-
-        monkeypatch.setattr(complexity, "_family_signature", stub)
+    def test_refusal_counts_the_roots_tried(self):
+        # Delta_37 > 0 at every prime-order root of order <= 7; 3/11 is the
+        # first witness
+        terms = sorted(delta_n_closed(37).coeffs.items())
+        assert all(_sign_at(omega, 0, terms) > 0 for omega in prime_order_roots(7))
         with pytest.raises(WitnessNotFound) as exc:
-            find_witness_root(9, max_order=7)
-        assert (exc.value.tried, exc.value.refused) == (1 + 2 + 4 + 6, 1)
-        assert "taken at 13 prime-order roots: 1 near-singular, 12 zero" in str(exc.value)
+            find_witness_root(36, max_order=7)
+        assert exc.value.tried == 1 + 2 + 4 + 6
+        assert str(exc.value).endswith("Delta_37 is positive, so the LT signature is 0, "
+                                       "at all 13 prime-order roots tried")
+        assert find_witness_root(36, max_order=11) == UnitCirclePoint.root(3, 11)
+
+    def test_no_sign_vanishes_at_prime_order(self):
+        # the argument the search rests on: Delta_(1+n) and 1 - 2cos(theta)
+        # have nonzero exact signs at every root of prime order
+        roots = prime_order_roots(61)
+        assert len(roots) == 483
+        assert all(_sign_at(omega, 0, seifert._ONE_MINUS_TWICE_COS) for omega in roots)
+        for n in range(1, 61):
+            terms = sorted(delta_n_closed(1 + n).coeffs.items())
+            assert all(_sign_at(omega, 0, terms) for omega in roots), n
+
+    @pytest.mark.parametrize("max_order", [200, 1000])
+    def test_witness_table_at_larger_orders(self, max_order):
+        for n, (k, m) in DEEP_WITNESSES.items():
+            assert find_witness_root(n, max_order=max_order) == UnitCirclePoint.root(k, m), n
+
+    def test_scan_stops_when_no_root_can_pass_the_grid_rule(self, monkeypatch):
+        # no two adjacent grid points have Delta_201 < 0, so past order 5 no
+        # root passes the grid rule and the exact-rule witness 1/3 is final:
+        # a larger order bound takes no further sign
+        signs = []
+
+        def spy(omega, k, terms):
+            signs.append(omega)
+            return _sign_at(omega, k, terms)
+
+        monkeypatch.setattr(complexity, "_sign_at", spy)
+        taken = []
+        for max_order in (200, 1000, 2000):
+            signs.clear()
+            assert find_witness_root(200, max_order=max_order) == UnitCirclePoint.root(1, 3)
+            taken.append(len(signs))
+        assert taken[0] == taken[1] == taken[2] < 3 * complexity.WITNESS_GRID
+        # the framings of the certify grid stop before the grid signs are due
+        for n in range(1, 26):
+            signs.clear()
+            find_witness_root(n)
+            assert len(signs) < complexity.WITNESS_GRID, n
+
+    def test_order_bound_has_a_limit(self):
+        assert find_witness_root(1, max_order=complexity.MAX_ORDER) == UnitCirclePoint.root(1, 2)
+        with pytest.raises(DomainError, match="max_order 1000000001 is over the limit"):
+            find_witness_root(1, max_order=complexity.MAX_ORDER + 1)
 
     def test_exact_rule_after_the_grid_rule(self):
         # no root of order <= 60 passes the grid rule at these framings; the
@@ -248,11 +301,6 @@ class TestClosedForm:
         with pytest.raises(InvalidRoot):
             _family_signature(3, UnitCirclePoint.root(0, 1))
 
-    def test_given_delta_sign_is_used(self):
-        omega = UnitCirclePoint.root(1, 3)  # 1 - 2cos(2pi/3) = 2 > 0
-        assert _family_signature(5, omega, 1) == 0
-        assert _family_signature(5, omega, -1) == 2
-
     def test_certify_builds_no_pencil(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise RuntimeError("certify must not run the general kernel")
@@ -278,7 +326,7 @@ class TestFloatFirstSigns:
                 cert = certify_complexity(framing, 2)
                 assert cert.witness == UnitCirclePoint.root(*WITNESSES[n]), framing
         # the row "base-pattern signature vanishes": Delta_1 > 0 at the 360th roots
-        verify._check_sigma_q_vanishes(an_family(1))
+        verify._check_sigma_q_vanishes()
 
     def test_agrees_with_reduce_first(self):
         # Delta_n at every coprime k/m with m <= 96, omega = 1 included

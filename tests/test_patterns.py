@@ -106,6 +106,31 @@ class TestParser:
                 parse_pattern(src)
             assert exc.value.position == pos, src
 
+    def test_nesting_limit(self):
+        limit = patterns._MAX_NESTING
+        assert parse_pattern("(" * limit + "P" + ")" * limit) == P
+        assert normalize(parse_pattern("P" + "*" * limit)) == normalize(P)
+        # bar(, parentheses and suffixes add up along one path
+        inner = "bar(" * 30 + "(" * 30 + "P" + "*" * 40
+        assert normalize(parse_pattern(inner + ")" * 60)) == normalize(P)
+        with pytest.raises(PatternSyntaxError, match="nesting deeper than 100") as exc:
+            parse_pattern(inner + "*" + ")" * 60)
+        assert exc.value.position == len(inner)
+        # each group's suffixes count on top of the levels inside it
+        term = "P"
+        for _ in range(10):
+            term = f"({term}{'*' * 9})"
+        assert normalize(parse_pattern(term)) == normalize(P)
+        with pytest.raises(PatternSyntaxError) as exc:
+            parse_pattern(term + "_1")
+        assert exc.value.position == len(term)
+
+    def test_long_chain_is_not_nesting(self):
+        chain = parse_pattern(" o ".join(f"P_{i}" for i in range(3000)))
+        assert normalize(chain).leaves == tuple(Leaf("P", twist=i) for i in range(3000))
+        assert normalize(Star(chain)).leaves == tuple(
+            Leaf("P", star=True, twist=-i) for i in reversed(range(3000)))
+
     def test_power_zero_rejected(self):
         with pytest.raises(PatternSyntaxError):
             parse_pattern("P^0")
