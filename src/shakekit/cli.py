@@ -65,9 +65,19 @@ def _ascii_float(text: str) -> float:
     return float(text)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are all distinct; a repeated key is refused, never collapsed."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _payload(doc: dict) -> str:

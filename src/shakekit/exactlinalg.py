@@ -520,10 +520,15 @@ _U = 2.0 ** -53  # unit roundoff of a double
 def _angle_error(theta: float, k: int, terms: list[tuple[int, int]]) -> float:
     """Error bound of each computed angle theta*(e - k/2) - pi*k/2 over the sorted terms.
 
-    It counts the rounding of theta itself when it stands for 2*pi*r/m.
+    It counts the rounding of theta itself when it stands for 2*pi*r/m; a
+    subnormal theta is off by up to 2^-1074, so it counts as 2^-1022.
+    Exponents beyond the float range give inf: no float sum reaches them.
     """
-    reach = max(abs(terms[0][0] - k / 2), abs(terms[-1][0] - k / 2))
-    return 8 * _U * (abs(theta) * reach + k + 1)
+    try:
+        reach = max(abs(terms[0][0] - k / 2), abs(terms[-1][0] - k / 2))
+    except OverflowError:
+        return math.inf
+    return 8 * _U * (max(abs(theta), 2.0 ** -1022) * reach + k + 1)
 
 
 def _certified_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
@@ -542,16 +547,19 @@ def _certified_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]
     only when |sum| clears the whole bound.
     """
     theta = omega.theta
+    err = _angle_error(theta, k, terms)
     scale = 1 << max(0, max(abs(c) for _, c in terms).bit_length() - 1000)
     scaled = [c / scale for _, c in terms]
-    value = math.fsum(c * math.cos(theta * (e - k / 2) - math.pi / 2 * k)
-                      for c, (e, _) in zip(scaled, terms))
-    bound = (_angle_error(theta, k, terms) + 8 * _U) * math.fsum(map(abs, scaled))
+    value = math.nan if err == math.inf else math.fsum(
+        c * math.cos(theta * (e - k / 2) - math.pi / 2 * k) for c, (e, _) in zip(scaled, terms))
+    bound = (err + 8 * _U) * math.fsum(map(abs, scaled))
     if not abs(value) > bound:
+        why = ("an exponent is beyond the float range" if err == math.inf
+               else f"|{value:.3g}| <= rounding-error bound {bound:.3g}")
         raise NearSingular(
             omega,
             f"the sign of {f'leading minor D_{k}' if k else 'the polynomial'} is not certified "
-            f"(|{value:.3g}| <= rounding-error bound {bound:.3g})",
+            f"({why})",
             k, value, bound,
         )
     sign = 1 if value > 0 else -1
@@ -573,8 +581,10 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
     sum |p_e|.  Only when it does not clear, at a root of unity of order
     m, are the terms reduced modulo Phi_m: the remainder has the same
     value, and it is empty exactly when the value is 0.  Terms that span
-    at most sqrt(m/2) <= phi(m) exponents are already reduced.  Raises
-    NearSingular when a nonzero sign is not certified.
+    at most sqrt(m/2) <= phi(m) exponents are already reduced.  Exponents
+    beyond the float range are first taken modulo m, as t^m = 1.  Raises
+    NearSingular when a nonzero sign is not certified, and always at a
+    float angle when an exponent is beyond the float range.
 
     >>> _sign_at(UnitCirclePoint.root(1, 6), 0, [(-1, -1), (0, 1), (1, -1)])
     0
@@ -585,12 +595,21 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
         return (1 if terms[0][1] > 0 else -1) * (-1 if k % 4 else 1)
     if not omega.is_rational:
         return _certified_sign(omega, k, terms)
-    if _angle_error(omega.theta, k, terms) + 8 * _U < 1:
+    err = _angle_error(omega.theta, k, terms)
+    if err == math.inf:  # t^m = 1, so exponents fold below m, sparsely
+        folded: dict[int, int] = {}
+        for e, c in terms:
+            folded[e % omega.m] = folded.get(e % omega.m, 0) + c
+        terms = sorted((e, c) for e, c in folded.items() if c)
+        if not terms:
+            return 0
+        err = _angle_error(omega.theta, k, terms)
+    if err + 8 * _U < 1:
         try:
             return _certified_sign(omega, k, terms)
         except NearSingular:
             pass
-    if (terms[-1][0] - terms[0][0] + 1) ** 2 > omega.m // 2:
+    if err < math.inf and (terms[-1][0] - terms[0][0] + 1) ** 2 > omega.m // 2:
         terms = _mod_cyclotomic(terms, omega.m)
     return _certified_sign(omega, k, terms) if terms else 0
 

@@ -213,9 +213,14 @@ class UnitCirclePoint:
 
     @property
     def theta(self) -> float:
-        if self.is_rational:
-            return math.tau * self.k / self.m
-        return self._theta
+        """The angle in radians; past the float range, tau * (k/m) with k/m correctly rounded."""
+        if not self.is_rational:
+            return self._theta
+        try:
+            theta = math.tau * self.k / self.m
+        except OverflowError:
+            theta = math.inf
+        return theta if theta < math.inf else math.tau * (self.k / self.m)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitCirclePoint):

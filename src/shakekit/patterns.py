@@ -10,6 +10,11 @@ and a net twist, by orienting the calculus identities left to right:
     P^-1 = bar(P*)   (P o Q)* = Q* o P*     (P o Q)_n = P_n o Q_n
     bar(P o Q) = bar(P) o bar(Q)
 
+in one pass: the net star, bar and twist of the enclosing operators
+travel down to the atoms, so each leaf is built once.  Twist(n) adds n
+when star == bar and -n otherwise, a star also reverses a composition,
+and Inverse flips both star and bar.
+
 Pound produces a wrapping-number-one leaf: star, twist and repeated
 pound collapse on it, bar passes inside, and consecutive pound leaves
 commute (connected sum), so normalize sorts each run of them.
@@ -17,6 +22,10 @@ Evaluation sums leaf values per the satellite formula; a bar flag
 negates and a star flag reflects the twist argument.  Each distinct leaf
 is valued once and weighted by its multiplicity.  A normal form holds at
 most 2,000,000 leaves; a longer one raises DomainError before it is built.
+
+Leaves and normal forms print through render_term, the one concrete
+syntax.  One loop, _factors, reads a composition chain wherever it is
+normalized, rendered, compared or hashed, so no chain is walked by recursion.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from typing import Callable, Mapping, Union
 
 from .errors import DomainError, strict_int
@@ -66,10 +76,19 @@ class Twist:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Compose:
     left: "PatternTerm"
     right: "PatternTerm"
+
+    # structural, like the other terms, but along the left spine in a loop
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Compose):
+            return NotImplemented
+        return _factors(self) == _factors(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_factors(self)))
 
 
 @dataclass(frozen=True)
@@ -103,12 +122,12 @@ class Leaf:
     twist: int = 0
 
     def __str__(self) -> str:
-        body = self.atom + ("*" if self.star else "")
-        if self.bar:
-            body = f"bar({body})"
-        if self.twist:
-            body += f"_{self.twist}"
-        return body
+        return render_term(self.term())
+
+    def term(self) -> PatternTerm:
+        t = Star(Atom(self.atom)) if self.star else Atom(self.atom)
+        t = Bar(t) if self.bar else t
+        return Twist(t, self.twist) if self.twist else t
 
 
 @dataclass(frozen=True)
@@ -116,10 +135,10 @@ class PoundLeaf:
     inner: "NormalForm"
 
     def __str__(self) -> str:
-        leaves = self.inner.leaves
-        if len(leaves) == 1 and isinstance(leaves[0], Leaf):
-            return f"{leaves[0]}#"
-        return f"({self.inner})#"
+        return render_term(self.term())
+
+    def term(self) -> PatternTerm:
+        return Pound(self.inner.term())
 
 
 NormalLeaf = Union[Leaf, PoundLeaf]
@@ -130,43 +149,20 @@ class NormalForm:
     leaves: tuple[NormalLeaf, ...]
 
     def __str__(self) -> str:
-        return " o ".join(str(leaf) for leaf in self.leaves)
+        return render_term(self.term())
 
     def term(self) -> PatternTerm:
         """Reconstruct a PatternTerm that normalizes back to this form."""
-        return reduce(Compose, (_leaf_term(leaf) for leaf in self.leaves))
+        return reduce(Compose, (leaf.term() for leaf in self.leaves))
 
 
-def _leaf_term(leaf: NormalLeaf) -> PatternTerm:
-    if isinstance(leaf, PoundLeaf):
-        return Pound(leaf.inner.term())
-    t: PatternTerm = Atom(leaf.atom)
-    if leaf.star:
-        t = Star(t)
-    if leaf.bar:
-        t = Bar(t)
-    if leaf.twist:
-        t = Twist(t, leaf.twist)
-    return t
-
-
-def _star_leaf(leaf: NormalLeaf) -> NormalLeaf:
-    if isinstance(leaf, PoundLeaf):
-        return leaf
-    return Leaf(leaf.atom, not leaf.star, leaf.bar, -leaf.twist)
-
-
-def _bar_leaf(leaf: NormalLeaf) -> NormalLeaf:
-    if isinstance(leaf, PoundLeaf):
-        inner = tuple(_bar_leaf(x) for x in leaf.inner.leaves)
-        return PoundLeaf(NormalForm(_sort_pound_runs(inner)))
-    return Leaf(leaf.atom, leaf.star, not leaf.bar, -leaf.twist)
-
-
-def _twist_leaf(leaf: NormalLeaf, n: int) -> NormalLeaf:
-    if isinstance(leaf, PoundLeaf):
-        return leaf
-    return Leaf(leaf.atom, leaf.star, leaf.bar, leaf.twist + n)
+def _factors(t: PatternTerm) -> list[PatternTerm]:
+    """The factors of a composition chain in order, read off its left spine in a loop."""
+    factors = []
+    while isinstance(t, Compose):
+        factors.append(t.right)
+        t = t.left
+    return [t, *reversed(factors)]
 
 
 def _sort_pound_runs(leaves: tuple[NormalLeaf, ...]) -> tuple[NormalLeaf, ...]:
@@ -191,38 +187,40 @@ def _check_size(size: int) -> None:
                           f"over the limit of {_MAX_LEAVES}")
 
 
-def _chain(t: PatternTerm) -> tuple[NormalLeaf, ...]:
+def _chain(t: PatternTerm, star: bool = False, bar: bool = False,
+           twist: int = 0) -> tuple[NormalLeaf, ...]:
+    """The leaves of t under enclosing operators whose net effect is star, bar and twist.
+
+    Sizes are checked at composition prefixes in t's order, before a star reverses them.
+    """
     if isinstance(t, Atom):
-        leaf = Leaf(t.name)
         if t.wrapping_one:
-            return (PoundLeaf(NormalForm((leaf,))),)
-        return (leaf,)
+            return (PoundLeaf(NormalForm((Leaf(t.name, bar=bar),))),)
+        return (Leaf(t.name, star, bar, twist),)
     if isinstance(t, Compose):
-        # walk the left spine in a loop: a parsed chain P o Q o ... nests there
-        rights = []
-        while isinstance(t, Compose):
-            rights.append(t.right)
-            t = t.left
-        out = list(_chain(t))
-        for right in reversed(rights):
-            chain = _chain(right)
-            _check_size(len(out) + len(chain))
-            out.extend(chain)
-        return tuple(out)
+        parts, size = [], 0
+        for factor in _factors(t):
+            part = _chain(factor, star, bar, twist)
+            size += len(part)
+            _check_size(size)
+            parts.append(part)
+        if star:
+            parts.reverse()
+        return tuple(chain.from_iterable(parts))
     if isinstance(t, Power):
-        inner = _chain(t.inner)
+        inner = _chain(t.inner, star, bar, twist)
         _check_size(len(inner) * t.m)
         return inner * t.m
     if isinstance(t, Twist):
-        return tuple(_twist_leaf(x, t.n) for x in _chain(t.inner))
+        return _chain(t.inner, star, bar, twist + t.n if star == bar else twist - t.n)
     if isinstance(t, Star):
-        return tuple(_star_leaf(x) for x in reversed(_chain(t.inner)))
+        return _chain(t.inner, not star, bar, twist)
     if isinstance(t, Bar):
-        return tuple(_bar_leaf(x) for x in _chain(t.inner))
+        return _chain(t.inner, star, not bar, twist)
     if isinstance(t, Inverse):
-        return _chain(Bar(Star(t.inner)))
+        return _chain(t.inner, not star, not bar, twist)
     if isinstance(t, Pound):
-        inner = _sort_pound_runs(_chain(t.inner))
+        inner = _sort_pound_runs(_chain(t.inner, bar=bar))
         if all(isinstance(x, PoundLeaf) for x in inner):
             return inner
         return (PoundLeaf(NormalForm(inner)),)
@@ -253,7 +251,7 @@ def render_term(t: PatternTerm) -> str:
     if isinstance(t, Inverse):
         return f"{_render_factor(t.inner)}^-1"
     if isinstance(t, Compose):
-        return f"{render_term(t.left)} o {render_term(t.right)}"
+        return " o ".join(map(render_term, _factors(t)))
     raise TypeError(f"not a pattern term: {t!r}")
 
 

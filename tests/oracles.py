@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: cofactor expansion instead of
 fraction-free elimination, dense complex evaluation instead of the
-Chebyshev path.  Slow but independently checkable by eye.
+Chebyshev path, a pattern normalizer that maps every leaf again under
+each operator.  Slow but independently checkable by eye.
 """
 
 from __future__ import annotations
@@ -13,6 +14,19 @@ from fractions import Fraction
 
 from shakekit import exactlinalg
 from shakekit.laurent import LaurentPoly, UnitCirclePoint
+from shakekit.patterns import (
+    Atom,
+    Bar,
+    Compose,
+    Inverse,
+    Leaf,
+    NormalForm,
+    Pound,
+    PoundLeaf,
+    Power,
+    Star,
+    Twist,
+)
 
 
 def det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -123,3 +137,87 @@ def congruence(P: list[list[int]], A: list[list[int]]) -> list[list[int]]:
     n = len(A)
     PA = [[sum(P[i][k] * A[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     return [[sum(PA[i][k] * P[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def normalize_by_maps(t) -> NormalForm:
+    """The normal form of a pattern term, built bottom-up.
+
+    Each operator maps every leaf of its operand's chain: a star reverses
+    the chain, flips the star flag and negates the twist; a bar flips the
+    bar flag, negates the twist and bars inside pound leaves (sorting
+    their runs again); a twist adds to the twist; Inverse is bar of star.
+    Star and twist leave pound leaves alone.  No leaf limit.
+    """
+    return NormalForm(_sorted_pound_runs(_map_chain(t)))
+
+
+def render_normal_form(nf: NormalForm) -> str:
+    """The text of a normal form, written out leaf by leaf."""
+    return " o ".join(_render_leaf(leaf) for leaf in nf.leaves)
+
+
+def _render_leaf(leaf) -> str:
+    if isinstance(leaf, PoundLeaf):
+        inner = leaf.inner.leaves
+        if len(inner) == 1 and isinstance(inner[0], Leaf):
+            return f"{_render_leaf(inner[0])}#"
+        return f"({render_normal_form(leaf.inner)})#"
+    body = leaf.atom + ("*" if leaf.star else "")
+    if leaf.bar:
+        body = f"bar({body})"
+    if leaf.twist:
+        body += f"_{leaf.twist}"
+    return body
+
+
+def _sorted_pound_runs(leaves):
+    out, run = [], []
+    for leaf in leaves:
+        if isinstance(leaf, PoundLeaf):
+            run.append(leaf)
+        else:
+            out.extend(sorted(run, key=_render_leaf))
+            run = []
+            out.append(leaf)
+    out.extend(sorted(run, key=_render_leaf))
+    return tuple(out)
+
+
+def _bar_leaf(leaf):
+    if isinstance(leaf, PoundLeaf):
+        inner = tuple(_bar_leaf(x) for x in leaf.inner.leaves)
+        return PoundLeaf(NormalForm(_sorted_pound_runs(inner)))
+    return Leaf(leaf.atom, leaf.star, not leaf.bar, -leaf.twist)
+
+
+def _map_chain(t) -> tuple:
+    if isinstance(t, Atom):
+        leaf = Leaf(t.name)
+        return (PoundLeaf(NormalForm((leaf,))),) if t.wrapping_one else (leaf,)
+    if isinstance(t, Compose):
+        rights = []
+        while isinstance(t, Compose):
+            rights.append(t.right)
+            t = t.left
+        out = list(_map_chain(t))
+        for right in reversed(rights):
+            out.extend(_map_chain(right))
+        return tuple(out)
+    if isinstance(t, Power):
+        return _map_chain(t.inner) * t.m
+    if isinstance(t, Twist):
+        return tuple(x if isinstance(x, PoundLeaf) else Leaf(x.atom, x.star, x.bar, x.twist + t.n)
+                     for x in _map_chain(t.inner))
+    if isinstance(t, Star):
+        return tuple(x if isinstance(x, PoundLeaf) else Leaf(x.atom, not x.star, x.bar, -x.twist)
+                     for x in reversed(_map_chain(t.inner)))
+    if isinstance(t, Bar):
+        return tuple(_bar_leaf(x) for x in _map_chain(t.inner))
+    if isinstance(t, Inverse):
+        return _map_chain(Bar(Star(t.inner)))
+    if isinstance(t, Pound):
+        inner = _sorted_pound_runs(_map_chain(t.inner))
+        if all(isinstance(x, PoundLeaf) for x in inner):
+            return inner
+        return (PoundLeaf(NormalForm(inner)),)
+    raise TypeError(f"not a pattern term: {t!r}")

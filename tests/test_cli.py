@@ -442,6 +442,64 @@ class TestCertify:
         assert "max_order 2000000000 is over the limit of 1000000000" in err
 
 
+class TestDuplicateKeys:
+    """A key given twice in one JSON object is refused, never collapsed to its last value."""
+
+    @pytest.mark.parametrize("argv, text, key", [
+        (("signature", "--seifert"),
+         '{"dim": 2, "entries": [[-1, 1], [0, -1]], "entries": [[1, 0], [0, 1]]}', "entries"),
+        (("signature", "--goeritz"),
+         '{"bands": [{"orientable": false, "half_twists": 3, "half_twists": -4}],'
+         ' "crossings": [[0]]}', "half_twists"),
+        (("pattern", "eval", "P_1", "--assignment"), '{"P": {"table": {"1": 5, "1": 7}}}', "1"),
+        (("pattern", "eval", "Q_1", "--assignment"),
+         '{"Q": {"family": {"root": "1/3", "root": "5/11"}}}', "root"),
+    ], ids=["matrix", "bands", "table", "family"])
+    def test_duplicate_key_is_malformed(self, capsys, tmp_path, argv, text, key):
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert not out
+        assert f"error: duplicate key {key!r}" in err
+
+
+class TestBeyondTheFloatRange:
+    """Integers past the float range are answered exactly at a root of unity, or refused."""
+
+    BIG = 10**400
+
+    def test_certify(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "--framing", str(self.BIG), "--complexity", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["n"], payload["witness"], payload["bound"]) == (self.BIG, {"k": 5, "m": 11}, 2)
+
+    def test_family_profile_at_a_huge_twist(self, capsys, write_json):
+        # omega^11 = 1, so Q_(10^400) takes the value of Q_(k) with 1 + k = (1 + 10^400) mod 11 + 11
+        path = write_json("asg.json", {"Q": {"family": {"root": "5/11"}}})
+        small = (1 + self.BIG) % 11 + 10
+        _, out, _ = run_cli(capsys, "pattern", "eval", f"Q_{small}", "--assignment", path)
+        code, big_out, _ = run_cli(capsys, "pattern", "eval", f"Q_{self.BIG}", "--assignment", path)
+        assert code == 0
+        assert json.loads(big_out)["value"] == json.loads(out)["value"] == 1
+
+    def test_family_root_of_huge_order(self, capsys, write_json):
+        path = write_json("asg.json", {"Q": {"family": {"root": f"1/{self.BIG}"}}})
+        code, out, _ = run_cli(capsys, "pattern", "eval", "Q_1", "--assignment", path)
+        assert code == 0
+        assert json.loads(out)["value"] == 0
+        code, out, err = run_cli(capsys, "pattern", "eval", f"Q_{self.BIG}", "--assignment", path)
+        assert (code, out) == (1, "")
+        assert "an exponent is beyond the float range" in err
+
+    def test_lt_at_a_root_of_huge_order(self, capsys, write_json):
+        path = write_json("trefoil.json", TREFOIL_DOC)
+        code, out, err = run_cli(capsys, "lt", path, "--root", f"1/{self.BIG}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: form is near-singular")
+
+
 class TestVerify:
     def test_table_output(self, capsys):
         code, out, _ = run_cli(capsys, "verify")

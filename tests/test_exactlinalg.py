@@ -979,6 +979,35 @@ class TestSignAt:
                     want = sign_outcome(lambda: seifert._family_signature(n, omega))
                     assert got == want, (n, omega)
 
+    def test_exponents_beyond_the_float_range_fold_modulo_the_order(self):
+        # omega^p = 1, so Delta_N and Delta_(N mod p + p) take one value at k/p
+        primes = [p for p in range(2, 62) if all(p % d for d in range(2, p))]
+        for r in range(3):
+            n = 10**400 + r
+            big = sorted(delta_n_closed(n).coeffs.items())
+            for p in primes:
+                small = sorted(delta_n_closed(n % p + p).coeffs.items())
+                for k in range(1, p):
+                    omega = UnitCirclePoint.root(k, p)
+                    want = exactlinalg._sign_at(omega, 0, small)
+                    assert exactlinalg._sign_at(omega, 0, big) == want, (r, omega)
+
+    def test_exponents_beyond_the_float_range_are_refused_at_float_angles(self):
+        big = sorted(delta_n_closed(10**400).coeffs.items())
+        for omega in (UnitCirclePoint.angle(2.5), UnitCirclePoint.root(1, 10**400)):
+            with pytest.raises(NearSingular, match="beyond the float range") as exc:
+                exactlinalg._sign_at(omega, 0, big)
+            assert math.isnan(exc.value.value) and exc.value.bound == math.inf
+
+    def test_angle_bound_counts_a_subnormal_theta_as_the_smallest_normal(self):
+        terms = [(0, 1), (2**1020, 1)]
+        tiny = exactlinalg._angle_error(2.0**-1040, 0, terms)
+        assert tiny == exactlinalg._angle_error(2.0**-1022, 0, terms) == 8 * 2.0**-53 * 1.25
+        # 2cos(2*pi/1024) - 2 at 1/2^1030, where theta is subnormal
+        omega = UnitCirclePoint.root(1, 2**1030)
+        assert exactlinalg._sign_at(omega, 0, [(-(2**1020), 1), (0, -2), (2**1020, 1)]) == -1
+        assert exactlinalg._angle_error(0.5, 3, [(-2, 1), (4, 1)]) == 8 * 2.0**-53 * (0.5 * 3.5 + 4)
+
     def test_agrees_with_reduce_first_on_random_pencils(self):
         # every leading minor of the random pencils of
         # TestExactHermitianInertia, at its roots and at every other root

@@ -147,6 +147,14 @@ class TestUnitCirclePoint:
         assert not w.is_rational
         assert w.theta == 1.0
 
+    def test_theta_of_orders_beyond_the_float_range(self):
+        # tau * k / m as before wherever it is finite, tau * (k/m) past that
+        for k, m in ((1, 3), (5, 11), (10**17 + 1, 10**18), (1, 2**1000), (3, 2**1023 + 1)):
+            assert UnitCirclePoint.root(k, m).theta == math.tau * k / m
+        assert UnitCirclePoint.root(1, 10**400).theta == 0.0
+        assert UnitCirclePoint.root(10**400 - 1, 2 * 10**400).theta == math.pi
+        assert UnitCirclePoint.root(1, 2**1030).theta == math.tau * 2.0**-1030
+
 
 def l1(p: LaurentPoly) -> float:
     return float(sum(abs(c) for c in p.coeffs.values()))

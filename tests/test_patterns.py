@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import normalize_by_maps, render_normal_form
 from shakekit import patterns
 from shakekit.errors import DomainError
 from shakekit.patterns import (
@@ -411,3 +412,45 @@ class TestLeafLimit:
             normalize(Power(Compose(P, Q), 6))
         with pytest.raises(DomainError, match="12 leaves"):
             eval_invariant(Pound(Power(Twist(P, 1), 12)), {"P": table_profile({1: 1})})
+
+
+class TestOnePassNormalizer:
+    """The one-pass normalizer against the reference that maps every leaf under each operator."""
+
+    @given(terms)
+    def test_matches_map_normalizer(self, t):
+        want = normalize_by_maps(t)
+        assert normalize(t) == want
+        assert str(normalize(t)) == render_normal_form(want)
+
+    def test_matches_map_normalizer_on_seeded_terms(self):
+        rng = random.Random(20261018)
+        for _ in range(20_000):
+            t = random_term(rng, 7)
+            nf, want = normalize(t), normalize_by_maps(t)
+            assert nf == want, t
+            assert str(nf) == render_normal_form(want), t
+            assert [str(leaf) for leaf in nf.leaves] == [render_normal_form(NormalForm((leaf,)))
+                                                        for leaf in want.leaves], t
+
+    def test_composition_stays_non_associative(self):
+        left, right = Compose(Compose(P, Q), R), Compose(P, Compose(Q, R))
+        assert left != right
+        assert left == Compose(Compose(P, Q), R)
+        assert hash(left) == hash(Compose(Compose(P, Q), R))
+        assert Compose(P, Q) != P and Compose(P, Q) != "P o Q"
+
+
+class TestLongChains:
+    """A parsed chain nests along its left spine; nothing walks it by recursion."""
+
+    def test_chain_of_1500_atoms(self):
+        text = " o ".join(["P", "Q*", "bar(R)_2"] * 500)
+        t = parse_pattern(text)
+        assert render_term(t) == text
+        assert render_term(normalize(t).term()) == text
+        again = parse_pattern(render_term(t))
+        assert again == t and again is not t
+        assert hash(again) == hash(t)
+        assert again != parse_pattern(text + " o P")
+        assert normalize(Star(t)) == normalize_by_maps(Star(t))
