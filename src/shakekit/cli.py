@@ -3,8 +3,8 @@
 Subcommands: alexander, signature, lt, goeritz, pattern, certify,
 verify.  Inputs are JSON files; outputs are deterministic JSON payloads
 on stdout (verify prints a table unless --json is given).  Exit codes:
-0 success, 1 domain error (odd dimension, near-singular root, missing
-witness, ...), 2 malformed input.
+0 success, 1 domain error (odd dimension, a form that is singular or whose
+signs are not certified at the root, missing witness, ...), 2 malformed input.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import re
 import sys
 
-from .complexity import WitnessNotFound, a_family_profile, certify_complexity
+from .complexity import DEFAULT_MAX_ORDER, WitnessNotFound, a_family_profile, certify_complexity
 from .errors import DomainError, strict_keys
 from .exactlinalg import (
     InvalidRoot,
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--framing", type=_ascii_int, required=True, help="nonzero framing n")
     p.add_argument("--complexity", type=_ascii_int, required=True,
                    help="target complexity c >= 1")
-    p.add_argument("--max-order", type=_ascii_int, default=60,
+    p.add_argument("--max-order", type=_ascii_int, default=DEFAULT_MAX_ORDER,
                    help="largest witness order to try")
     p.set_defaults(handler=cmd_certify)
 

@@ -42,29 +42,36 @@ class InvalidRoot(ValueError):
     """The Hermitian form vanishes identically at omega = 1."""
 
 
-def _perturbation_hint(omega: UnitCirclePoint) -> str:
-    if omega.is_rational:
-        return f"perturb the root, e.g. use {8 * omega.k + 1}/{8 * omega.m}"
-    return f"perturb the angle, e.g. use theta={omega.theta + 1e-3!r}"
-
-
 class NearSingular(ArithmeticError):
-    """The form at omega is singular, or a leading minor's sign is uncertain.
+    """No exact inertia at omega: a zero leading minor stops Jacobi's rule, or a sign is uncertain.
 
     index is the leading minor D_index that triggered the refusal (0 for a
     polynomial's own sign), value the computed float whose sign is that of
     D_index (0.0 when D_index vanishes exactly) and bound the
-    rounding-error bound it had to clear.
+    rounding-error bound it had to clear.  It suggests no other root, as
+    that would answer another question; _zero_minors words exact zeros.
     """
 
-    def __init__(self, omega: UnitCirclePoint, reason: str, index: int, value: float,
+    def __init__(self, omega: UnitCirclePoint, message: str, index: int, value: float,
                  bound: float):
         self.omega = omega
-        self.suggestion = _perturbation_hint(omega)
         self.index = index
         self.value = value
         self.bound = bound
-        super().__init__(f"form is near-singular at {omega}: {reason}; {self.suggestion}")
+        super().__init__(message)
+
+
+def _zero_minors(omega: UnitCirclePoint, index: int, dim: int, singular: bool) -> NearSingular:
+    """The refusal where D_index(omega) = 0 exactly, and index = dim or D_(index+1) = 0 too.
+
+    It says "form is singular" only when singular, i.e. D_dim(omega) = 0.
+    """
+    zeros = (f"leading minor D_{dim} = 0 exactly" if index == dim else
+             f"leading minors D_{index} = D_{index + 1} = 0 exactly, two in a row")
+    if index + 1 < dim:
+        zeros += f", and D_{dim} {'=' if singular else '!='} 0"
+    head = "form is singular" if singular else "Jacobi's rule cannot count the inertia"
+    return NearSingular(omega, f"{head} at {omega}: {zeros}", index, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -111,6 +118,12 @@ class Pivots:
     bits: int
     values: tuple[int, ...]
     lows: tuple[int, ...]
+
+    @functools.cached_property
+    def terms(self) -> list[list[tuple[int, int]]]:
+        """P_k as (exponent, nonzero coefficient) pairs, lowest first, k = 1..n."""
+        return [[(low + i, d) for i, d in enumerate(self.digits(k)) if d]
+                for k, low in enumerate(self.lows, 1)]
 
     def digits(self, k: int) -> list[int]:
         """Coefficients of P_k / t^lows[k-1], lowest degree first."""
@@ -394,37 +407,16 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     return det if sign > 0 else -det
 
 
-class _Pencil:
-    """t*A - A^T eliminated once, with its leading minors read back on demand."""
-
-    def __init__(self, A: tuple[tuple[int, ...], ...]):
-        n = _check_square(A)
-        self.pivots = det_laurent([[LaurentPoly({1: A[i][j], 0: -A[j][i]})
-                                    if A[i][j] or A[j][i] else 0 for j in range(n)]
-                                   for i in range(n)], pivots=True)
-
-    @functools.cached_property
-    def terms(self) -> list[list[tuple[int, int]]]:
-        """P_k as (exponent, nonzero coefficient) pairs, lowest first, k = 1..n."""
-        return [[(low + i, d) for i, d in enumerate(self.pivots.digits(k)) if d]
-                for k, low in enumerate(self.pivots.lows, 1)]
-
-    def signs(self, omega: UnitCirclePoint) -> list[int]:
-        """Exact signs (+1, -1, or 0) of D_1(omega), ..., D_n(omega), by _sign_at.
-
-        Raises NearSingular when a nonzero sign is not certified.
-        """
-        return [_sign_at(omega, k, terms) for k, terms in enumerate(self.terms, 1)]
-
-
 @functools.lru_cache(maxsize=64)
-def _pencil(A: tuple[tuple[int, ...], ...]) -> _Pencil:
-    """The memoised pencil of A.
+def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
+    """The Pivots of the pencil t*A - A^T, eliminated once per matrix and memoised.
 
     Callers pass the immutable copy tuple(map(tuple, A)), so a matrix they
     mutate later is never answered from the memo.
     """
-    return _Pencil(A)
+    n = _check_square(A)
+    return det_laurent([[LaurentPoly({1: A[i][j], 0: -A[j][i]}) if A[i][j] or A[j][i] else 0
+                         for j in range(n)] for i in range(n)], pivots=True)
 
 
 def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
@@ -488,21 +480,30 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _folded(terms: Iterable[tuple[int, int]], m: int) -> list[int]:
-    """sum c t^e over the (e, c) terms in Z[t]/(t^m - 1): coefficients of t^0..t^(m-1)."""
-    folded = [0] * m
+def _folded(terms: Iterable[tuple[int, int]], m: int, k: int = 0) -> list[tuple[int, int]]:
+    """sum c t^e over the (e, c) terms in Z[t]/(t^m - 1), as (exponent, nonzero c) pairs.
+
+    Sparse: each exponent is taken modulo m into the window of m
+    exponents e with -m <= 2e - k < m, within m/2 of k/2, and the pairs
+    come lowest first.  Equal residues in Z[t]/(t^m - 1) fold to equal lists.
+    """
+    low = (k - m + 1) // 2
+    folded: dict[int, int] = {}
     for e, c in terms:
-        folded[e % m] += c
-    return folded
+        e = (e - low) % m + low
+        folded[e] = folded.get(e, 0) + c
+    return sorted((e, c) for e, c in folded.items() if c)
 
 
 def _mod_cyclotomic(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
     """sum c t^e over the (e, c) terms modulo Phi_m, as (exponent, nonzero c) pairs.
 
-    Exponents fold modulo m (t^m = 1 at an m-th root), then the remainder
-    by the monic Phi_m is taken with exact integers.
+    Exponents fold into a dense array (t^m = 1 at an m-th root), then the
+    remainder by the monic Phi_m is taken with exact integers.
     """
-    folded = _folded(terms, m)
+    folded = [0] * m
+    for e, c in terms:
+        folded[e % m] += c
     phi = _cyclotomic(m)
     d = len(phi) - 1
     lower = [(e, c) for e, c in enumerate(phi[:d]) if c]
@@ -558,8 +559,8 @@ def _certified_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]
                else f"|{value:.3g}| <= rounding-error bound {bound:.3g}")
         raise NearSingular(
             omega,
-            f"the sign of {f'leading minor D_{k}' if k else 'the polynomial'} is not certified "
-            f"({why})",
+            f"form is near-singular at {omega}: the sign of "
+            f"{f'leading minor D_{k}' if k else 'the polynomial'} is not certified ({why})",
             k, value, bound,
         )
     sign = 1 if value > 0 else -1
@@ -575,14 +576,15 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
     term c*t^e with 2e = k is decided with no float sum: its value is
     c*(-1)^(k/2)*(2 sin(theta/2))^k.  Every monomial leading minor of a
     pencil is one, because P_k(t) = (-1)^k t^k P_k(1/t); k = 0 covers
-    constants.  Otherwise the
-    certified sign of the terms as given comes first, and is skipped only
-    when its angle error reaches 1 - 8u, so that its bound reaches
-    sum |p_e|.  Only when it does not clear, at a root of unity of order
-    m, are the terms reduced modulo Phi_m: the remainder has the same
-    value, and it is empty exactly when the value is 0.  Terms that span
-    at most sqrt(m/2) <= phi(m) exponents are already reduced.  Exponents
-    beyond the float range are first taken modulo m, as t^m = 1.  Raises
+    constants.  Otherwise the certified sign of the terms as given comes
+    first, unless its angle error reaches 1 - 8u, so that its bound
+    reaches sum |p_e|; then, at a root of unity of order m, the terms fold
+    sparsely by t^m = 1 to within m/2 of k/2 (_folded), and the certified
+    sign is tried on the fold.  Only when it does not clear are the terms
+    reduced modulo Phi_m: the remainder has the same value, and it is
+    empty exactly when the value is 0.  Terms that span at most
+    sqrt(m/2) <= phi(m) exponents are already reduced, and terms beyond
+    the float range (m is then beyond it too) are not.  Raises
     NearSingular when a nonzero sign is not certified, and always at a
     float angle when an exponent is beyond the float range.
 
@@ -596,11 +598,8 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
     if not omega.is_rational:
         return _certified_sign(omega, k, terms)
     err = _angle_error(omega.theta, k, terms)
-    if err == math.inf:  # t^m = 1, so exponents fold below m, sparsely
-        folded: dict[int, int] = {}
-        for e, c in terms:
-            folded[e % omega.m] = folded.get(e % omega.m, 0) + c
-        terms = sorted((e, c) for e, c in folded.items() if c)
+    if err + 8 * _U >= 1:
+        terms = _folded(terms, omega.m, k)
         if not terms:
             return 0
         err = _angle_error(omega.theta, k, terms)
@@ -648,18 +647,18 @@ def inertia_hermitian_at_root(A: Sequence[Sequence[int]], omega: UnitCirclePoint
     are D_k = ((1 - t)/t)^k P_k with P_k those of the pencil, read from its
     symmetrically pivoted elimination (a congruence, which keeps the
     inertia), and Jacobi's rule counts their signs.  Raises NearSingular
-    when D_n(omega) = 0, when two consecutive minors vanish, or when a
-    sign is not certified, and InvalidRoot at omega = 1 where H vanishes.
+    (_zero_minors) when D_n(omega) = 0, where the form is singular, or
+    when two consecutive minors vanish, and NearSingular when a sign is
+    not certified; InvalidRoot at omega = 1 where H vanishes.
     """
     n = _check_square(A)
     if omega.is_one():
         raise InvalidRoot("the form vanishes identically at omega = 1")
-    signs = _pencil(tuple(map(tuple, A))).signs(omega)
+    signs = [_sign_at(omega, k, terms)
+             for k, terms in enumerate(_pencil(tuple(map(tuple, A))).terms, 1)]
     k = next((k for k in range(n) if not signs[k] and (k == n - 1 or not signs[k + 1])), None)
     if k is not None:
-        reason = (f"leading minor D_{k + 1} = 0 exactly" if k == n - 1 else
-                  f"leading minors D_{k + 1} = D_{k + 2} = 0 exactly, two in a row")
-        raise NearSingular(omega, reason, k + 1, 0.0, 0.0)
+        raise _zero_minors(omega, k + 1, n, not signs[-1])
     n_plus, n_minus = _jacobi(signs)
     return Inertia(n_plus, 0, n_minus)
 

@@ -15,7 +15,8 @@ travel down to the atoms, so each leaf is built once.  Twist(n) adds n
 when star == bar and -n otherwise, a star also reverses a composition,
 and Inverse flips both star and bar.
 
-Pound produces a wrapping-number-one leaf: star, twist and repeated
+Pound produces a wrapping-number-one leaf, and Pound(Atom(name)) is how
+an atom of wrapping number one is written: star, twist and repeated
 pound collapse on it, bar passes inside, and consecutive pound leaves
 commute (connected sum), so normalize sorts each run of them.
 Evaluation sums leaf values per the satellite formula; a bar flag
@@ -25,7 +26,8 @@ most 2,000,000 leaves; a longer one raises DomainError before it is built.
 
 Leaves and normal forms print through render_term, the one concrete
 syntax.  One loop, _factors, reads a composition chain wherever it is
-normalized, rendered, compared or hashed, so no chain is walked by recursion.
+normalized, rendered, compared, hashed, printed by repr, copied or
+pickled, so no chain is walked by recursion.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, groupby
 from typing import Callable, Mapping, Union
 
 from .errors import DomainError, strict_int
@@ -57,7 +59,6 @@ class UnassignedAtom(LookupError):
 @dataclass(frozen=True)
 class Atom:
     name: str
-    wrapping_one: bool = False
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,8 @@ class Compose:
     left: "PatternTerm"
     right: "PatternTerm"
 
-    # structural, like the other terms, but along the left spine in a loop
+    # structural, like the other terms, but along the left spine in a loop;
+    # so are repr (the dataclass's text), copy and pickle
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Compose):
             return NotImplemented
@@ -89,6 +91,14 @@ class Compose:
 
     def __hash__(self) -> int:
         return hash(tuple(_factors(self)))
+
+    def __repr__(self) -> str:
+        first, *rights = _factors(self)
+        return "Compose(left=" * len(rights) + repr(first) + "".join(
+            f", right={right!r})" for right in rights)
+
+    def __reduce__(self):
+        return reduce, (Compose, tuple(_factors(self)))
 
 
 @dataclass(frozen=True)
@@ -167,18 +177,9 @@ def _factors(t: PatternTerm) -> list[PatternTerm]:
 
 def _sort_pound_runs(leaves: tuple[NormalLeaf, ...]) -> tuple[NormalLeaf, ...]:
     # Consecutive pound leaves are connected summands, so their order is
-    # not meaningful; fix a canonical one.
-    out: list[NormalLeaf] = []
-    run: list[PoundLeaf] = []
-    for leaf in leaves:
-        if isinstance(leaf, PoundLeaf):
-            run.append(leaf)
-        else:
-            out.extend(sorted(run, key=str))
-            run = []
-            out.append(leaf)
-    out.extend(sorted(run, key=str))
-    return tuple(out)
+    # not meaningful; fix a canonical one.  Plain leaves pass through in runs.
+    return tuple(chain.from_iterable(sorted(run, key=str) if kind is PoundLeaf else run
+                                     for kind, run in groupby(leaves, type)))
 
 
 def _check_size(size: int) -> None:
@@ -194,8 +195,6 @@ def _chain(t: PatternTerm, star: bool = False, bar: bool = False,
     Sizes are checked at composition prefixes in t's order, before a star reverses them.
     """
     if isinstance(t, Atom):
-        if t.wrapping_one:
-            return (PoundLeaf(NormalForm((Leaf(t.name, bar=bar),))),)
         return (Leaf(t.name, star, bar, twist),)
     if isinstance(t, Compose):
         parts, size = [], 0

@@ -18,10 +18,10 @@ from typing import Sequence
 from .errors import DomainError
 from .exactlinalg import (
     InvalidRoot,
-    NearSingular,
     _check_square,
     _pencil,
     _sign_at,
+    _zero_minors,
     inertia_hermitian_at_root,
     signature,
 )
@@ -37,7 +37,7 @@ def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
     n = _check_square(A)
     if n % 2:
         raise OddDimension(f"dimension {n} is odd; the t^(-dim/2) normalization needs it even")
-    delta = _pencil(tuple(map(tuple, A))).pivots.minor(n).shift(-n // 2)
+    delta = _pencil(tuple(map(tuple, A))).minor(n).shift(-n // 2)
     if not lp_is_symmetric(delta):
         raise ArithmeticError(f"Alexander polynomial {delta} is not symmetric in t <-> 1/t")
     if sum(delta.coeffs.values()) != 1:
@@ -137,12 +137,9 @@ def _family_signature(n: int, omega: UnitCirclePoint) -> int:
     if delta > 0:
         return 0
     s = _sign_at(omega, 0, _ONE_MINUS_TWICE_COS)
-    if delta == 0:
+    if delta == 0:  # D_dim = 0, and D_(dim-1) = 0 too where s = 0
         dim = 2 * n + 2
-        if s:
-            raise NearSingular(omega, f"leading minor D_{dim} = 0 exactly", dim, 0.0, 0.0)
-        raise NearSingular(omega, f"leading minors D_{dim - 1} = D_{dim} = 0 exactly, two in a row",
-                           dim - 1, 0.0, 0.0)
+        raise _zero_minors(omega, dim if s else dim - 1, dim, True)
     return 2 * s
 
 

@@ -152,10 +152,10 @@ def _check_two_twist_stability() -> str:
 
 
 def random_pattern_term(rng: random.Random, depth: int) -> PatternTerm:
-    """A random term over atoms P, Q, R and a wrapping-one atom W."""
+    """A random term over atoms P, Q, R and the wrapping-one pattern W# (Pound(Atom("W")))."""
     if depth <= 0 or rng.random() < 0.25:
         name = rng.choice(["P", "Q", "R", "W"])
-        return Atom(name, wrapping_one=(name == "W"))
+        return Pound(Atom(name)) if name == "W" else Atom(name)
     kind = rng.randrange(7)
     if kind == 0:
         return Star(random_pattern_term(rng, depth - 1))
@@ -175,7 +175,7 @@ def random_pattern_term(rng: random.Random, depth: int) -> PatternTerm:
 def _check_rewrite_identities() -> str:
     P, Q = Atom("P"), Atom("Q")
     K, J = Pound(Atom("K")), Pound(Atom("J"))
-    W = Atom("W", wrapping_one=True)
+    W = Pound(Atom("W"))
     pairs: list[tuple[PatternTerm, PatternTerm]] = [
         # (i): pound patterns connected-sum commute; pound is idempotent
         (Compose(K, J), Compose(J, K)),

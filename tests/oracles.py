@@ -192,8 +192,7 @@ def _bar_leaf(leaf):
 
 def _map_chain(t) -> tuple:
     if isinstance(t, Atom):
-        leaf = Leaf(t.name)
-        return (PoundLeaf(NormalForm((leaf,))),) if t.wrapping_one else (leaf,)
+        return (Leaf(t.name),)
     if isinstance(t, Compose):
         rights = []
         while isinstance(t, Compose):

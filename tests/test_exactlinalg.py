@@ -1,7 +1,7 @@
 import json
 import math
 import random
-import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +20,7 @@ from oracles import (
     reduce_first,
 )
 from shakekit import exactlinalg, seifert
-from shakekit.complexity import certify_complexity
+from shakekit.complexity import a_family_profile, certify_complexity
 from shakekit.exactlinalg import (
     Inertia,
     InvalidRoot,
@@ -358,9 +358,9 @@ class TestSparseKernel:
     def test_pencil_builds_one_polynomial_per_nonzero_entry(self, polys_built):
         A = an_family(26)
         nnz = sum(map(bool, (x for row in A for x in row)))
-        pencil = exactlinalg._Pencil(tuple(map(tuple, A)))
+        pivots = exactlinalg._pencil.__wrapped__(tuple(map(tuple, A)))
         assert len(polys_built) <= 2 * nnz < len(A) ** 2 // 10
-        assert pencil.pivots.minor(len(A)) == delta_n_closed(26).shift(len(A) // 2)
+        assert pivots.minor(len(A)) == delta_n_closed(26).shift(len(A) // 2)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -371,8 +371,13 @@ def dense_seifert(rng: random.Random, dim: int) -> list[list[int]]:
     return [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(dim)] for _ in range(dim)]
 
 
+def pencil_pivots(A: list[list[int]]) -> exactlinalg.Pivots:
+    """The pencil's Pivots eliminated afresh, past the memo, under the thresholds in force."""
+    return exactlinalg._pencil.__wrapped__(tuple(map(tuple, A)))
+
+
 def pencil_minors(A: list[list[int]]) -> list[LaurentPoly]:
-    pivots = exactlinalg._Pencil(tuple(map(tuple, A))).pivots
+    pivots = pencil_pivots(A)
     return [pivots.minor(k) for k in range(1, len(A) + 1)]
 
 
@@ -456,7 +461,7 @@ class TestMirroredSteps:
             minors = pencil_minors(A)
             assert minors == symmetric_pivot_minors(t_matrix(A)), A
             if any(m for _, m, _ in steps):
-                lows = exactlinalg._Pencil(tuple(map(tuple, A))).pivots.lows
+                lows = pencil_pivots(A).lows
                 kind = ("block" if any(w == 2 and m for w, m, _ in steps) else
                         "shift" if any(lows) else "plain")
                 mirrored[kind] += 1
@@ -529,11 +534,11 @@ class TestMirroredSteps:
         assert len(reversals) > 300
         reversals.clear()
         sparse = an_family(40)
-        pivots = exactlinalg._Pencil(tuple(map(tuple, sparse))).pivots
+        pivots = pencil_pivots(sparse)
         assert reversals == []
         with monkeypatch.context() as m:
             m.setattr(exactlinalg, "_MIRROR_PENCIL_BYTES", 10**9)
-            assert exactlinalg._Pencil(tuple(map(tuple, sparse))).pivots == pivots
+            assert pencil_pivots(sparse) == pivots
 
     def test_fixture_is_a_scrambled_family_matrix(self):
         doc = json.loads((FIXTURES / "dense_seifert_30.json").read_text())
@@ -699,14 +704,12 @@ class TestHermitianInertia:
         assert "D_2 = 0 exactly" in str(exc.value)
         assert (exc.value.index, exc.value.value, exc.value.bound) == (2, 0.0, 0.0)
 
-    def test_near_singular_suggests_perturbation(self):
+    def test_singular_refusal_carries_no_advice(self):
+        # a signature at another root answers another question, so none is suggested
         with pytest.raises(NearSingular) as exc:
             inertia_hermitian_at_root(TREFOIL, UnitCirclePoint.root(1, 6))
-        match = re.search(r"(\d+)/(\d+)", exc.value.suggestion)
-        assert match, exc.value.suggestion
-        # the suggested nearby root must itself be valid for the same matrix
-        num, den = int(match.group(1)), int(match.group(2))
-        inertia_hermitian_at_root(TREFOIL, UnitCirclePoint.root(num, den))
+        assert str(exc.value) == "form is singular at 1/6: leading minor D_2 = 0 exactly"
+        assert not hasattr(exc.value, "suggestion")
 
     def test_agrees_with_symmetrized_signature(self):
         rng = random.Random(31)
@@ -775,6 +778,7 @@ class TestExactHermitianInertia:
             except NearSingular as exc:
                 # the one refusal of a nonsingular form: D_k = D_k+1 = 0
                 assert "two in a row" in str(exc), (A, omega)
+                assert "singular" not in str(exc), (A, omega)
                 continue
             assert got == want, (A, omega)
             answered += 1
@@ -829,7 +833,8 @@ class TestExactHermitianInertia:
         # D_2 vanishes at i without vanishing identically; D_1 < 0 < D_3
         A = [[-1, -1, -1], [1, -1, 0], [1, -1, 0]]
         omega = UnitCirclePoint.root(1, 4)
-        assert exactlinalg._pencil(tuple(map(tuple, A))).signs(omega) == [-1, 0, 1]
+        terms = exactlinalg._pencil(tuple(map(tuple, A))).terms
+        assert [exactlinalg._sign_at(omega, k, t) for k, t in enumerate(terms, 1)] == [-1, 0, 1]
         assert det_laurent(t_matrix(A), pivots=True).values[1] != 0
         assert inertia_hermitian_at_root(A, omega) == Inertia(1, 0, 2)
         assert numpy_inertia(A, omega) == Inertia(1, 0, 2)
@@ -841,9 +846,24 @@ class TestExactHermitianInertia:
         assert numpy_inertia(A, omega) == Inertia(2, 0, 2)
         with pytest.raises(NearSingular) as exc:
             inertia_hermitian_at_root(A, omega)
-        assert "D_2 = D_3 = 0" in str(exc.value)
-        assert "perturb" in str(exc.value)
-        assert exc.value.index == 2
+        assert str(exc.value) == ("Jacobi's rule cannot count the inertia at 1/6: leading "
+                                  "minors D_2 = D_3 = 0 exactly, two in a row, and D_4 != 0")
+        assert "singular" not in str(exc.value)
+        assert (exc.value.index, exc.value.value, exc.value.bound) == (2, 0.0, 0.0)
+
+    def test_zero_minor_refusals_say_singular_only_at_a_zero_determinant(self):
+        omega = UnitCirclePoint.root(1, 6)
+        head = "form is singular at 1/6: leading minor"
+        assert {args: str(exactlinalg._zero_minors(omega, *args)) for args in (
+            (4, 4, True), (3, 4, True), (1, 4, True), (1, 4, False))} == {
+            (4, 4, True): f"{head} D_4 = 0 exactly",
+            (3, 4, True): f"{head}s D_3 = D_4 = 0 exactly, two in a row",
+            (1, 4, True): f"{head}s D_1 = D_2 = 0 exactly, two in a row, and D_4 = 0",
+            (1, 4, False): "Jacobi's rule cannot count the inertia at 1/6: leading minors "
+                           "D_1 = D_2 = 0 exactly, two in a row, and D_4 != 0",
+        }
+        refusal = exactlinalg._zero_minors(omega, 3, 4, True)
+        assert (refusal.omega, refusal.index, refusal.value, refusal.bound) == (omega, 3, 0.0, 0.0)
 
     def test_uncertified_float_sign_is_refused(self):
         # at a float angle a vanishing D_2 cannot be told from a tiny one
@@ -920,7 +940,9 @@ class TestSignAt:
 
     def test_exact_zero_beyond_the_float_reach(self, reductions, monkeypatch):
         # t^(6*10^15) - 1 vanishes at 1/6; the angle error of the unreduced
-        # exponent alone exceeds 1, so no float sum is taken before the remainder
+        # exponent alone exceeds 1, so no float sum is taken on it: the
+        # sparse fold by t^6 = 1 empties it, and at 1/7 the certified sum
+        # runs on the folded t^r - 1 with |r| <= 3; neither takes a remainder
         terms = [(0, -1), (6 * 10**15, 1)]
         omega = UnitCirclePoint.root(1, 6)
         assert exactlinalg._angle_error(omega.theta, 0, terms) > 1
@@ -929,9 +951,11 @@ class TestSignAt:
         monkeypatch.setattr(exactlinalg, "_certified_sign",
                             lambda *args: sums.append(args) or certified(*args))
         assert exactlinalg._sign_at(omega, 0, terms) == 0
-        assert (reductions, sums) == ([6], [])
-        assert exactlinalg._sign_at(UnitCirclePoint.root(1, 7), 0, terms) == -1
-        assert reductions == [6, 7] and len(sums) == 1
+        assert (reductions, sums) == ([], [])
+        omega = UnitCirclePoint.root(1, 7)
+        assert exactlinalg._sign_at(omega, 0, terms) == -1
+        r = (6 * 10**15 + 3) % 7 - 3
+        assert reductions == [] and sums == [(omega, 0, sorted([(0, -1), (r, 1)]))]
 
     def test_uncertified_remainder_is_refused_with_its_numbers(self, reductions):
         # a * 2cos(2pi/7) + b is a few units at most for these 17-digit a, b,
@@ -994,10 +1018,46 @@ class TestSignAt:
 
     def test_exponents_beyond_the_float_range_are_refused_at_float_angles(self):
         big = sorted(delta_n_closed(10**400).coeffs.items())
-        for omega in (UnitCirclePoint.angle(2.5), UnitCirclePoint.root(1, 10**400)):
-            with pytest.raises(NearSingular, match="beyond the float range") as exc:
-                exactlinalg._sign_at(omega, 0, big)
-            assert math.isnan(exc.value.value) and exc.value.bound == math.inf
+        with pytest.raises(NearSingular, match="beyond the float range") as exc:
+            exactlinalg._sign_at(UnitCirclePoint.angle(2.5), 0, big)
+        assert math.isnan(exc.value.value) and exc.value.bound == math.inf
+        # at the root 1/10^400, t^m = 1 folds Delta_(10^400) to t^-1 - 1 + t,
+        # which is 2cos(2pi/10^400) - 1 > 0 there
+        omega = UnitCirclePoint.root(1, 10**400)
+        assert exactlinalg._folded(big, omega.m) == [(-1, 1), (0, -1), (1, 1)]
+        assert exactlinalg._sign_at(omega, 0, big) == 1
+        # exponents still beyond the float range after the fold are refused,
+        # never reduced by a dense remainder of 10^400 coefficients
+        half = [(0, 1), (5 * 10**399, 1)]
+        with pytest.raises(NearSingular, match="beyond the float range"):
+            exactlinalg._sign_at(omega, 0, half)
+
+    def test_fold_is_sparse_and_centred_on_k_half(self):
+        rng = random.Random(14)
+        for _ in range(2000):
+            m, k = rng.randint(1, 40), rng.randint(0, 12)
+            terms = sorted({rng.randint(-10**6, 10**6): rng.choice((-2, -1, 1, 3))
+                            for _ in range(rng.randint(0, 6))}.items())
+            folded = exactlinalg._folded(terms, m, k)
+            assert all(c and -m <= 2 * e - k < m for e, c in folded), (terms, m, k)
+            assert [e for e, _ in folded] == sorted({e for e, _ in folded})
+            dense = [0] * m
+            for e, c in terms:
+                dense[e % m] += c
+            assert {e % m: c for e, c in folded} == {e: c for e, c in enumerate(dense) if c}
+
+    def test_a_root_of_large_order_allocates_in_the_terms_not_the_order(self):
+        # Delta_(10^15 + 1) at 500001/1000003: the exponents as given are
+        # past any float sum's reach; the sparse fold brings them within
+        # m/2 of 0, where the certified sum decides with no remainder
+        profile = a_family_profile(UnitCirclePoint.root(500001, 1000003))
+        tracemalloc.start()
+        try:
+            assert profile(10**15) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, peak
 
     def test_angle_bound_counts_a_subnormal_theta_as_the_smallest_normal(self):
         terms = [(0, 1), (2**1020, 1)]
@@ -1018,7 +1078,7 @@ class TestSignAt:
             A = TestExactHermitianInertia.random_matrix(rng)
             m = rng.randint(2, 13)
             rng.randint(1, m - 1)
-            minors = exactlinalg._Pencil(tuple(map(tuple, A))).terms
+            minors = exactlinalg._pencil(tuple(map(tuple, A))).terms
             for j in range(1, m):
                 omega = UnitCirclePoint.root(j, m)
                 for k, terms in enumerate(minors, 1):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 
@@ -31,7 +33,7 @@ from shakekit.patterns import (
 )
 
 P, Q, R = Atom("P"), Atom("Q"), Atom("R")
-W = Atom("W", wrapping_one=True)
+W = Pound(Atom("W"))  # the one spelling of a wrapping-number-one atom
 
 def _term_strategy(atom_strategy):
     return st.recursive(
@@ -50,8 +52,6 @@ def _term_strategy(atom_strategy):
 
 
 terms = _term_strategy(st.sampled_from("PQR").map(Atom) | st.just(W))
-# wrapping-one atoms have no concrete syntax, so syntax round-trips skip W
-renderable_terms = _term_strategy(st.sampled_from("PQR").map(Atom))
 
 linear_profiles = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
     lambda ab: lambda n: ab[0] * n + ab[1]
@@ -142,7 +142,7 @@ class TestParser:
         with pytest.raises(DomainError):
             Power(P, 0)
 
-    @given(renderable_terms)
+    @given(terms)
     def test_render_parse_preserves_normal_form(self, t):
         assert normalize(parse_pattern(render_term(t))) == normalize(t)
 
@@ -454,3 +454,19 @@ class TestLongChains:
         assert hash(again) == hash(t)
         assert again != parse_pattern(text + " o P")
         assert normalize(Star(t)) == normalize_by_maps(Star(t))
+
+    def test_repr_copy_and_pickle_of_a_long_chain(self):
+        t = parse_pattern(" o ".join(["P", "Q*", "bar(R)_2"] * 500))
+        text = repr(t)
+        assert text.startswith("Compose(left=" * 1499 + "Atom(name='P'), right=Star(")
+        assert text.count("Compose(") == 1499
+        assert text.endswith(", right=Twist(inner=Bar(inner=Atom(name='R')), n=2))")
+        assert copy.deepcopy(t) == t
+        assert pickle.loads(pickle.dumps(t)) == t
+
+    def test_repr_of_a_short_chain_is_the_dataclass_text(self):
+        t = Compose(Compose(P, Star(Q)), Compose(R, W))
+        assert repr(t) == ("Compose(left=Compose(left=Atom(name='P'), right=Star(inner=Atom("
+                           "name='Q'))), right=Compose(left=Atom(name='R'), "
+                           "right=Pound(inner=Atom(name='W'))))")
+        assert copy.copy(t) == t and pickle.loads(pickle.dumps(t)) == t
