@@ -20,10 +20,10 @@ eliminated (det_laurent gives the rule for when).
 Every sign on the circle, a minor's or an Alexander polynomial's, is
 taken by _sign_at: exact for a monomial minor, else a float sum that
 counts only when it clears a rounding-error bound, and else, at a root
-of unity, the remainder modulo the cyclotomic polynomial, which is
-empty exactly at a zero.  Classical inertia of a symmetric integer
-matrix comes from the same elimination: its pivots are the matrix's
-exact integer leading minors.
+of unity of order <= _MAX_REMAINDER_ORDER, the remainder modulo the
+cyclotomic polynomial, which is empty exactly at a zero.  Classical
+inertia of a symmetric integer matrix comes from the same elimination:
+its pivots are the matrix's exact integer leading minors.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import strict_int
+from .errors import strict_int, strict_keys
 from .laurent import LaurentPoly, UnitCirclePoint, laurent_from_entry
 
 
@@ -517,13 +517,16 @@ def _mod_cyclotomic(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int
 
 _U = 2.0 ** -53  # unit roundoff of a double
 
+# The largest order at which _sign_at reduces modulo Phi_m: at most 0.2 s for
+# any m <= 5000 (2-core x86-64, CPython 3.11); README "Refusals" gives the rest.
+_MAX_REMAINDER_ORDER = 5000
+
 
 def _angle_error(theta: float, k: int, terms: list[tuple[int, int]]) -> float:
-    """Error bound of each computed angle theta*(e - k/2) - pi*k/2 over the sorted terms.
+    """Error bound of each computed angle theta*(e - k/2) - pi*k/2 at a float angle theta.
 
-    It counts the rounding of theta itself when it stands for 2*pi*r/m; a
-    subnormal theta is off by up to 2^-1074, so it counts as 2^-1022.
-    Exponents beyond the float range give inf: no float sum reaches them.
+    A product below the normal range is off by up to 2^-1074, so a subnormal
+    theta counts as 2^-1022.  Exponents past the float range give inf.
     """
     try:
         reach = max(abs(terms[0][0] - k / 2), abs(terms[-1][0] - k / 2))
@@ -533,27 +536,40 @@ def _angle_error(theta: float, k: int, terms: list[tuple[int, int]]) -> float:
 
 
 def _certified_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
-    """Sign of ((1 - omega)/omega)^k * P(omega) from the terms as given, or NearSingular.
+    """Sign of ((1 - omega)/omega)^k * P(omega), or NearSingular.
 
-    P is sum p_e t^e over the nonempty (e, p_e) terms, lowest first.
-    With omega = e^(i*theta), ((1 - omega)/omega)^k
-    = (2 sin(theta/2))^k * e^(-i*k*(theta + pi)/2), so the value, being
-    real, has the sign of sin(theta/2)^k * sum_e p_e cos(theta*(e - k/2)
-    - pi*k/2).  Each computed angle is within err = _angle_error of the
-    true one; converting a coefficient, taking the cosine (1-Lipschitz,
-    one rounding) and multiplying each round once, so a term is off by at
-    most |p_e| * (err + 4u); fsum rounds the sum once more.  Integers
-    beyond the float range are first divided by a power of two, which
-    keeps the sign.  The sign counts, and the value is proven nonzero,
-    only when |sum| clears the whole bound.
+    P is sum p_e t^e over the nonempty (e, p_e) terms, lowest first.  With
+    omega = e^(i*theta), ((1 - omega)/omega)^k = (2 sin(theta/2))^k *
+    e^(-i*k*(theta + pi)/2), so the real value has the sign of
+    sin(theta/2)^k * sum_e p_e cos(phi_e), phi_e = theta*(e - k/2) - pi*k/2.
+    At a float angle, _angle_error bounds the error err of each phi_e.  At
+    a root j/m, sin(theta/2) >= 0, the terms are summed in Z[t]/(t^m - 1)
+    first (_folded; empty means 0), and phi_e = pi * (N / (2m)) with
+    N = 2j(2e - k) - km reduced modulo 4m into (-2m, 2m].  N / (2m) rounds
+    correctly at any size, so phi_e is off by under 3.01u*|phi_e| + 2^-1072
+    (the quotient may underflow); err = 8u(max|phi_e| + 1) is over twice that.
+    A coefficient's conversion, the cosine (1-Lipschitz) and the product
+    each round once, so a term is off by at most |p_e| * (err + 4u), and
+    fsum rounds once more.  Integers past the float range are first divided
+    by a power of two.  The sign counts, and proves the value nonzero, only
+    when |sum| clears the bound.
     """
-    theta = omega.theta
-    err = _angle_error(theta, k, terms)
-    scale = 1 << max(0, max(abs(c) for _, c in terms).bit_length() - 1000)
-    scaled = [c / scale for _, c in terms]
-    value = math.nan if err == math.inf else math.fsum(
-        c * math.cos(theta * (e - k / 2) - math.pi / 2 * k) for c, (e, _) in zip(scaled, terms))
-    bound = (err + 8 * _U) * math.fsum(map(abs, scaled))
+    if omega.is_rational:
+        m, j, h = omega.m, omega.k, 2 * omega.m - 1
+        pairs = [(c, math.pi * (((2 * j * (2 * e - k) - k * m + h) % (4 * m) - h) / (2 * m)))
+                 for e, c in _folded(terms, m, k)]
+        if not pairs:
+            return 0
+        err = 8 * _U * (max(abs(a) for _, a in pairs) + 1)
+    else:
+        theta = omega.theta
+        err = _angle_error(theta, k, terms)
+        pairs = [(c, theta * (e - k / 2) - math.pi / 2 * k if err < math.inf else math.nan)
+                 for e, c in terms]
+    scale = 1 << max(0, max(abs(c) for c, _ in pairs).bit_length() - 1000)
+    scaled = [(c / scale, a) for c, a in pairs]
+    value = math.fsum(c * math.cos(a) for c, a in scaled)
+    bound = (err + 8 * _U) * math.fsum(abs(c) for c, _ in scaled)
     if not abs(value) > bound:
         why = ("an exponent is beyond the float range" if err == math.inf
                else f"|{value:.3g}| <= rounding-error bound {bound:.3g}")
@@ -564,7 +580,7 @@ def _certified_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]
             k, value, bound,
         )
     sign = 1 if value > 0 else -1
-    return -sign if k % 2 and math.sin(theta / 2) < 0 else sign
+    return -sign if k % 2 and not omega.is_rational and math.sin(theta / 2) < 0 else sign
 
 
 def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
@@ -576,15 +592,9 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
     term c*t^e with 2e = k is decided with no float sum: its value is
     c*(-1)^(k/2)*(2 sin(theta/2))^k.  Every monomial leading minor of a
     pencil is one, because P_k(t) = (-1)^k t^k P_k(1/t); k = 0 covers
-    constants.  Otherwise the certified sign of the terms as given comes
-    first, unless its angle error reaches 1 - 8u, so that its bound
-    reaches sum |p_e|; then, at a root of unity of order m, the terms fold
-    sparsely by t^m = 1 to within m/2 of k/2 (_folded), and the certified
-    sign is tried on the fold.  Only when it does not clear are the terms
-    reduced modulo Phi_m: the remainder has the same value, and it is
-    empty exactly when the value is 0.  Terms that span at most
-    sqrt(m/2) <= phi(m) exponents are already reduced, and terms beyond
-    the float range (m is then beyond it too) are not.  Raises
+    constants.  Any other sign is the certified sum's.  Only where that
+    does not clear, at a root of order m <= _MAX_REMAINDER_ORDER, are the
+    terms reduced modulo Phi_m, a remainder empty exactly at 0.  Raises
     NearSingular when a nonzero sign is not certified, and always at a
     float angle when an exponent is beyond the float range.
 
@@ -595,22 +605,15 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
         return 0
     if len(terms) == 1 and 2 * terms[0][0] == k:
         return (1 if terms[0][1] > 0 else -1) * (-1 if k % 4 else 1)
-    if not omega.is_rational:
+    try:
         return _certified_sign(omega, k, terms)
-    err = _angle_error(omega.theta, k, terms)
-    if err + 8 * _U >= 1:
-        terms = _folded(terms, omega.m, k)
-        if not terms:
-            return 0
-        err = _angle_error(omega.theta, k, terms)
-    if err + 8 * _U < 1:
-        try:
-            return _certified_sign(omega, k, terms)
-        except NearSingular:
-            pass
-    if err < math.inf and (terms[-1][0] - terms[0][0] + 1) ** 2 > omega.m // 2:
-        terms = _mod_cyclotomic(terms, omega.m)
-    return _certified_sign(omega, k, terms) if terms else 0
+    except NearSingular as exc:
+        if not omega.is_rational:
+            raise
+        if omega.m > _MAX_REMAINDER_ORDER:
+            why = f"{exc}; no remainder modulo Phi_m at order {omega.m} > {_MAX_REMAINDER_ORDER}"
+            raise NearSingular(omega, why, k, exc.value, exc.bound) from None
+    return _certified_sign(omega, k, _mod_cyclotomic(terms, omega.m))
 
 
 def _jacobi(signs: Sequence[int]) -> tuple[int, int]:
@@ -664,9 +667,10 @@ def inertia_hermitian_at_root(A: Sequence[Sequence[int]], omega: UnitCirclePoint
 
 
 def int_matrix_from_json(doc: object) -> list[list[int]]:
-    """Decode {"dim": n, "entries": [[...]]} with integer entries."""
+    """Decode {"dim": n, "entries": [[...]]} with integer entries; any other key is refused."""
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ValueError('matrix JSON must be an object with "dim" and "entries"')
+    strict_keys(doc, ("dim", "entries"), "the matrix")
     entries = doc["entries"]
     if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
         raise ValueError('"entries" must be a list of rows')

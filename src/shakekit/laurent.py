@@ -5,11 +5,9 @@ coefficients are never stored, so equality of canonical forms is plain
 structural equality.  Points on the unit circle are either exact
 rational rotations k/m (the root of unity e^{2*pi*i*k/m}) or a floating
 angle theta; they carry no float value of their own.  Signs on the
-circle are taken exactly elsewhere (exactlinalg._sign_at: a certified
-float sign, and the remainder modulo the cyclotomic polynomial only
-where that cannot decide).  The one float evaluator left is
-eval_symmetric_real, a real-only Chebyshev recursion for polynomials
-invariant under t -> 1/t.
+circle are taken exactly elsewhere (exactlinalg._sign_at).  The one
+float evaluator left is eval_symmetric_real, a real-only Chebyshev
+recursion for polynomials invariant under t -> 1/t.
 """
 
 from __future__ import annotations
@@ -164,7 +162,8 @@ class UnitCirclePoint:
     """A point on the unit circle: exact rotation k/m or a float angle.
 
     Rational points are stored in lowest terms with 0 <= k < m, so the
-    same root of unity always has the same representation.
+    same root of unity always has the same representation.  A root never
+    equals a float angle, so == and hash agree.
     """
 
     __slots__ = ("k", "m", "_theta")
@@ -225,14 +224,10 @@ class UnitCirclePoint:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitCirclePoint):
             return NotImplemented
-        if self.is_rational and other.is_rational:
-            return (self.k, self.m) == (other.k, other.m)
-        return self.theta == other.theta
+        return (self.k, self.m, self._theta) == (other.k, other.m, other._theta)
 
     def __hash__(self) -> int:
-        if self.is_rational:
-            return hash((self.k, self.m))
-        return hash(self._theta)
+        return hash((self.k, self.m, self._theta))
 
     def __repr__(self) -> str:
         if self.is_rational:

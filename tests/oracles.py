@@ -9,7 +9,9 @@ each operator.  Slow but independently checkable by eye.
 from __future__ import annotations
 
 import cmath
+import functools
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from shakekit import exactlinalg
@@ -68,6 +70,58 @@ def reduce_first(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -
     """
     rest = exactlinalg._mod_cyclotomic(terms, omega.m)
     return exactlinalg._certified_sign(omega, k, rest) if rest else 0
+
+
+def decimal_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
+    """Sign of ((1 - omega)/omega)^k * P(omega) at a root j/m other than 1, from exact phases.
+
+    (1 - omega)/omega = 2 sin(pi j/m) e^(-i pi (1/2 + j/m)) with
+    sin(pi j/m) > 0, so the term c t^e adds c (2 sin(pi j/m))^k cos(2 pi q)
+    for q = j e/m - k j/(2m) - k/4 turns, a Fraction taken modulo 1.
+    The cosines are summed in decimal at 50 digits, and a sum within
+    10^-40 of 0 per unit of sum |c| is the exact zero.
+    """
+    j, m = omega.k, omega.m
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = sum(c * _cos_turns(Fraction(j * e, m) - k * Fraction(j, 2 * m) - Fraction(k, 4))
+                    for e, c in terms)
+        if abs(total) <= Decimal(10) ** -40 * sum(abs(c) for _, c in terms):
+            return 0
+    return 1 if total > 0 else -1
+
+
+@functools.lru_cache(maxsize=None)
+def _cos_turns(q: Fraction) -> Decimal:
+    """cos(2 pi q) to 50 digits: q reduced into [-1/2, 1/2), then the Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        q -= (q + Fraction(1, 2)) // 1
+        x = 2 * _decimal_pi() * q.numerator / q.denominator
+        total, term, i = Decimal(1), Decimal(1), 0
+        while abs(term) > Decimal(10) ** -58:
+            i += 2
+            term *= -x * x / (i * (i - 1))
+            total += term
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _decimal_pi() -> Decimal:
+    """pi to 60 digits by Machin's formula, pi = 4 (4 arctan(1/5) - arctan(1/239)), in integers."""
+    scale = 10**70
+
+    def arctan_inverse(x: int) -> int:
+        total, power, n, sign = 0, scale // x, 1, 1
+        while power:
+            total += sign * power // n
+            power //= x * x
+            n, sign = n + 2, -sign
+        return total
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(4 * (4 * arctan_inverse(5) - arctan_inverse(239))) / scale
 
 
 def eval_naive(p: LaurentPoly, z: complex) -> complex:

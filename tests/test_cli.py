@@ -442,6 +442,18 @@ class TestCertify:
         assert "max_order 2000000000 is over the limit of 1000000000" in err
 
 
+class TestMatrixKeys:
+    @pytest.mark.parametrize("before, after", [
+        (["alexander"], []), (["signature", "--seifert"], []), (["lt"], ["--root", "1/3"]),
+    ], ids=["alexander", "signature", "lt"])
+    def test_unknown_matrix_key_is_malformed(self, capsys, write_json, before, after):
+        path = write_json("bad.json", {**TREFOIL_DOC, "transposed": True})
+        code, out, err = run_cli(capsys, *before, path, *after)
+        assert code == 2
+        assert not out
+        assert "unknown key 'transposed' in the matrix" in err
+
+
 class TestDuplicateKeys:
     """A key given twice in one JSON object is refused, never collapsed to its last value."""
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     congruence,
+    decimal_sign,
     det_cofactor,
     det_cofactor_fraction,
     random_laurent_matrix,
@@ -938,24 +940,12 @@ class TestSignAt:
         assert exactlinalg._sign_at(UnitCirclePoint.root(3, 11), 0, delta) == -1
         assert reductions == []
 
-    def test_exact_zero_beyond_the_float_reach(self, reductions, monkeypatch):
-        # t^(6*10^15) - 1 vanishes at 1/6; the angle error of the unreduced
-        # exponent alone exceeds 1, so no float sum is taken on it: the
-        # sparse fold by t^6 = 1 empties it, and at 1/7 the certified sum
-        # runs on the folded t^r - 1 with |r| <= 3; neither takes a remainder
+    def test_exact_zero_beyond_the_float_reach(self):
+        # t^(6*10^15) - 1 vanishes at 1/6, and at 1/7 it is t^r - 1 with
+        # r = 6*10^15 mod 7 != 0, whose real part is negative
         terms = [(0, -1), (6 * 10**15, 1)]
-        omega = UnitCirclePoint.root(1, 6)
-        assert exactlinalg._angle_error(omega.theta, 0, terms) > 1
-        sums = []
-        certified = exactlinalg._certified_sign
-        monkeypatch.setattr(exactlinalg, "_certified_sign",
-                            lambda *args: sums.append(args) or certified(*args))
-        assert exactlinalg._sign_at(omega, 0, terms) == 0
-        assert (reductions, sums) == ([], [])
-        omega = UnitCirclePoint.root(1, 7)
-        assert exactlinalg._sign_at(omega, 0, terms) == -1
-        r = (6 * 10**15 + 3) % 7 - 3
-        assert reductions == [] and sums == [(omega, 0, sorted([(0, -1), (r, 1)]))]
+        assert exactlinalg._sign_at(UnitCirclePoint.root(1, 6), 0, terms) == 0
+        assert exactlinalg._sign_at(UnitCirclePoint.root(1, 7), 0, terms) == -1
 
     def test_uncertified_remainder_is_refused_with_its_numbers(self, reductions):
         # a * 2cos(2pi/7) + b is a few units at most for these 17-digit a, b,
@@ -1026,10 +1016,10 @@ class TestSignAt:
         omega = UnitCirclePoint.root(1, 10**400)
         assert exactlinalg._folded(big, omega.m) == [(-1, 1), (0, -1), (1, 1)]
         assert exactlinalg._sign_at(omega, 0, big) == 1
-        # exponents still beyond the float range after the fold are refused,
-        # never reduced by a dense remainder of 10^400 coefficients
+        # 1 + t^(m/2) is exactly 0 there, which only a remainder modulo
+        # Phi_m of order 10^400 could show: refused
         half = [(0, 1), (5 * 10**399, 1)]
-        with pytest.raises(NearSingular, match="beyond the float range"):
+        with pytest.raises(NearSingular):
             exactlinalg._sign_at(omega, 0, half)
 
     def test_fold_is_sparse_and_centred_on_k_half(self):
@@ -1047,9 +1037,9 @@ class TestSignAt:
             assert {e % m: c for e, c in folded} == {e: c for e, c in enumerate(dense) if c}
 
     def test_a_root_of_large_order_allocates_in_the_terms_not_the_order(self):
-        # Delta_(10^15 + 1) at 500001/1000003: the exponents as given are
-        # past any float sum's reach; the sparse fold brings them within
-        # m/2 of 0, where the certified sum decides with no remainder
+        # Delta_(10^15 + 1) at 500001/1000003: each phase is reduced
+        # exactly modulo the order, and the certified sum decides with no
+        # remainder
         profile = a_family_profile(UnitCirclePoint.root(500001, 1000003))
         tracemalloc.start()
         try:
@@ -1058,6 +1048,88 @@ class TestSignAt:
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20, peak
+
+    @pytest.mark.parametrize("n, j, m, want", [
+        (250000000000000, 500000000000001, 1000000000000037, 1),
+        (25000000000000000000, 50000000000000000020, 100000000000000000039, 0),
+        (1000000192922, 170171, 510510, 1),
+    ])
+    def test_huge_twists_at_roots_of_huge_order(self, n, j, m, want):
+        # Delta_(1+n) is -0.657, +10.66 and -6.5e-6 there, and 1 - 2cos(theta)
+        # is about 3, 3 and 2 (50-digit checks); the first two once asked
+        # for a dense remainder of m coefficients, the third for Phi_510510
+        profile = a_family_profile(UnitCirclePoint.root(j, m))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert profile(n) == want
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 32 << 20, (elapsed, peak)
+
+    @pytest.mark.parametrize("j, m, terms", [
+        (1, 15015, [(0, 1), (5005, 1), (10010, 1)]),
+        (1, 30030, [(0, 1), (10010, 1), (20020, 1)]),
+        (1, 510510, [(0, 1), (170170, 1), (340340, 1)]),
+        (1, 10**400, [(0, 1), (5 * 10**399, 1)]),
+        ((10**15 + 37) // 3, 10**15 + 37, sorted(delta_n_closed(799209645399107).coeffs.items())),
+    ])
+    def test_no_remainder_past_the_order_limit(self, reductions, j, m, terms):
+        # exact zeros (1 + t^(m/3) + t^(2m/3), 1 + t^(m/2)) and a Delta_n of
+        # about 1e-14: no certified sum decides them, and past the limit no
+        # Phi_m is built, so each is refused at once
+        start = time.perf_counter()
+        with pytest.raises(NearSingular) as exc:
+            exactlinalg._sign_at(UnitCirclePoint.root(j, m), 0, terms)
+        assert time.perf_counter() - start < 1
+        assert reductions == []
+        assert str(exc.value).endswith(
+            f"; no remainder modulo Phi_m at order {m} > {exactlinalg._MAX_REMAINDER_ORDER}")
+        assert m > exactlinalg._MAX_REMAINDER_ORDER
+
+    def test_agrees_with_decimal_phases(self):
+        # every leading minor of random pencils at every root of its order,
+        # and Delta_n with exponents up to 10^400, against exact rational
+        # phases summed in 50-digit decimal
+        rng = random.Random(15)
+        signs = []
+        for _ in range(150):
+            A = TestExactHermitianInertia.random_matrix(rng)
+            m = rng.randint(2, 40)
+            minors = exactlinalg._pencil(tuple(map(tuple, A))).terms
+            for j in range(1, m):
+                if math.gcd(j, m) == 1:
+                    omega = UnitCirclePoint.root(j, m)
+                    for k, terms in enumerate(minors, 1):
+                        got = exactlinalg._sign_at(omega, k, terms)
+                        assert got == decimal_sign(omega, k, terms), (A, omega, k)
+                        signs.append(got)
+        roots = [UnitCirclePoint.root(j, m) for m in (2, 3, 5, 6, 7, 12, 30, 61, 1009)
+                 for j in range(1, m) if math.gcd(j, m) == 1]
+        for n in [*range(1, 13), 10**6 + 3, 10**18 + 7, 10**40 + 1, 10**400, 10**400 + 5]:
+            terms = sorted(delta_n_closed(n).coeffs.items())
+            for omega in roots:
+                got = exactlinalg._sign_at(omega, 0, terms)
+                assert got == decimal_sign(omega, 0, terms), (n, omega)
+                signs.append(got)
+        assert {signs.count(s) > 100 for s in (-1, 0, 1)} == {True}
+
+    def test_a_shift_by_a_multiple_of_the_order_keeps_the_outcome(self):
+        # omega^m = 1, so Delta_n and Delta_(n + 10^30 m) give the same sign,
+        # or the same refusal with the same index, value and bound
+        m = 10**15 + 37
+        cases = [(n, UnitCirclePoint.root(j, q)) for n in (1, 6, 7, 40, 10**6)
+                 for q in (6, 7, 60, 1009) for j in range(1, q) if math.gcd(j, q) == 1]
+        cases.append((799209645399107, UnitCirclePoint.root(m // 3, m)))
+
+        def outcome(n, omega):
+            terms = sorted(delta_n_closed(n).coeffs.items())
+            return sign_outcome(lambda: exactlinalg._sign_at(omega, 0, terms))
+        outcomes = [outcome(n, omega) for n, omega in cases]
+        assert [outcome(n + 10**30 * omega.m, omega) for n, omega in cases] == outcomes
+        assert {0, 1, -1} < set(outcomes)  # each sign, and the refusal at m // 3 / m
 
     def test_angle_bound_counts_a_subnormal_theta_as_the_smallest_normal(self):
         terms = [(0, 1), (2**1020, 1)]
@@ -1109,6 +1181,7 @@ class TestJsonMatrices:
             {"dim": 1, "entries": [[1, 2]]},
             {"dim": 1, "entries": [[True]]},
             {"dim": 2, "entries": "nope"},
+            {"dim": 1, "entries": [[1]], "transposed": True},
         ]:
             with pytest.raises(ValueError):
                 int_matrix_from_json(doc)

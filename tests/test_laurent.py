@@ -138,6 +138,15 @@ class TestUnitCirclePoint:
         assert w == UnitCirclePoint.root(1, 2)
         assert w.theta == math.pi
 
+    def test_a_root_never_equals_a_float_angle(self):
+        # equal points hash equal, so a set never holds two equal members
+        assert UnitCirclePoint.root(1, 2) != UnitCirclePoint.angle(math.pi)
+        assert len({UnitCirclePoint.root(1, 2), UnitCirclePoint.angle(math.pi)}) == 2
+        assert len({UnitCirclePoint.root(0, 1), UnitCirclePoint.angle(0.0)}) == 2
+        assert len({UnitCirclePoint.root(2, 4), UnitCirclePoint.minus_one()}) == 1
+        assert len({UnitCirclePoint.angle(0.0), UnitCirclePoint.angle(-0.0)}) == 1
+        assert UnitCirclePoint.angle(0.5) == UnitCirclePoint.angle(0.5)
+
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             UnitCirclePoint.root(1, 0)
