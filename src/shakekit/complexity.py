@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import Record
 from .errors import DomainError
 from .exactlinalg import _sign_at
 from .laurent import UnitCirclePoint
@@ -104,10 +104,14 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     many roots were tried as the grid has points (so this at most doubles
     the cost), the grid signs are taken once; if no two adjacent ones are
     negative, no later root can pass and the search stops.  Raises
-    DomainError past MAX_ORDER and WitnessNotFound when no root qualifies.
+    DomainError for max_order below 2 or past MAX_ORDER, and
+    WitnessNotFound when no root qualifies.
     """
     if n < 1:
         raise DomainError(f"witness search is defined for n >= 1, got {n}")
+    if max_order < 2:
+        raise DomainError(f"max_order {max_order} is under the lower bound of 2, "
+                          "the least prime order, so no root would be tried")
     if max_order > MAX_ORDER:
         raise DomainError(f"max_order {max_order} is over the limit of {MAX_ORDER}, "
                           "past which the grid rule's 1e-12 test can fire off the grid")
@@ -147,8 +151,7 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     return exact
 
 
-@dataclass(frozen=True)
-class ComplexityCertificate:
+class ComplexityCertificate(Record):
     n: int
     c: int
     witness: UnitCirclePoint

@@ -31,9 +31,9 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from ._record import Record
 from .errors import strict_int, strict_keys
 from .laurent import LaurentPoly, UnitCirclePoint, laurent_from_entry
 
@@ -74,13 +74,12 @@ def _zero_minors(omega: UnitCirclePoint, index: int, dim: int, singular: bool) -
     return NearSingular(omega, f"{head} at {omega}: {zeros}", index, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(Record):
     n_plus: int
     n_zero: int
     n_minus: int
 
-    def __post_init__(self):
+    def _validate(self):
         if min(self.n_plus, self.n_zero, self.n_minus) < 0:
             raise ValueError("inertia counts must be nonnegative")
 
@@ -104,8 +103,7 @@ def _check_square(rows: Sequence[Sequence]) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class Pivots:
+class Pivots(Record):
     """Bareiss pivots at t = 2^bits, each one a leading minor of the pivoted matrix.
 
     values[k-1] is the k-th pivot, the polynomial P_k / t^lows[k-1]

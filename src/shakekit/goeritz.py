@@ -12,28 +12,26 @@ signature of the underlying knot does not move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from ._record import Record
 from .errors import strict_bool, strict_int, strict_keys
 from .exactlinalg import signature
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(Record):
     orientable: bool
     half_twists: int = 0
     self_writhe: int = 0
 
-    def __post_init__(self):
+    def _validate(self):
         if self.self_writhe % 2:
             raise ValueError("self_writhe counts each self-crossing twice, so it is even")
         if self.orientable and self.half_twists % 2:
             raise ValueError("a band with an odd number of half twists cannot be orientable")
 
 
-@dataclass(frozen=True)
-class BandPresentation:
+class BandPresentation(Record):
     bands: tuple[Band, ...]
     crossings: tuple[tuple[int, ...], ...]
 
@@ -51,18 +49,16 @@ class BandPresentation:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"crossings must be symmetric, differs at ({i},{j})")
-        object.__setattr__(self, "bands", bands)
-        object.__setattr__(self, "crossings", rows)
+        self._assign(bands, rows)
 
     @property
     def band_count(self) -> int:
         return len(self.bands)
 
 
-@dataclass(frozen=True)
-class GoeritzData:
+class GoeritzData(Record):
     G: tuple[tuple[int, ...], ...]
-    nonorientable: frozenset[int] = field(default_factory=frozenset)
+    nonorientable: frozenset[int]
 
     def __init__(self, G: Sequence[Sequence[int]], nonorientable: Sequence[int] = ()):
         rows = tuple(tuple(strict_int(x, "Goeritz entry") for x in row) for row in G)
@@ -77,8 +73,7 @@ class GoeritzData:
         bad = sorted(i for i in marked if not 0 <= i < n)
         if bad:
             raise ValueError(f"non-orientable indices out of range: {bad}")
-        object.__setattr__(self, "G", rows)
-        object.__setattr__(self, "nonorientable", marked)
+        self._assign(rows, marked)
 
     @property
     def dim(self) -> int:

@@ -33,11 +33,11 @@ pickled, so no chain is walked by recursion.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, groupby
 from typing import Callable, Mapping, Union
 
+from ._record import Record
 from .errors import DomainError, strict_int
 
 _MAX_LEAVES = 2_000_000  # longest composition chain a normal form may hold
@@ -56,34 +56,29 @@ class UnassignedAtom(LookupError):
         super().__init__(f"no invariant profile assigned to atom {name!r}")
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Record):
     inner: "PatternTerm"
 
 
-@dataclass(frozen=True)
-class Bar:
+class Bar(Record):
     inner: "PatternTerm"
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(Record):
     inner: "PatternTerm"
     n: int
 
 
-@dataclass(frozen=True, eq=False)
-class Compose:
+class Compose(Record):
     left: "PatternTerm"
     right: "PatternTerm"
 
     # structural, like the other terms, but along the left spine in a loop;
-    # so are repr (the dataclass's text), copy and pickle
+    # so are repr, copy and pickle
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Compose):
             return NotImplemented
@@ -101,31 +96,27 @@ class Compose:
         return reduce, (Compose, tuple(_factors(self)))
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Record):
     inner: "PatternTerm"
     m: int
 
-    def __post_init__(self):
+    def _validate(self):
         if self.m < 1:
             raise DomainError(f"power exponent must be >= 1, got {self.m}")
 
 
-@dataclass(frozen=True)
-class Pound:
+class Pound(Record):
     inner: "PatternTerm"
 
 
-@dataclass(frozen=True)
-class Inverse:
+class Inverse(Record):
     inner: "PatternTerm"
 
 
 PatternTerm = Union[Atom, Star, Bar, Twist, Compose, Power, Pound, Inverse]
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     atom: str
     star: bool = False
     bar: bool = False
@@ -140,8 +131,7 @@ class Leaf:
         return Twist(t, self.twist) if self.twist else t
 
 
-@dataclass(frozen=True)
-class PoundLeaf:
+class PoundLeaf(Record):
     inner: "NormalForm"
 
     def __str__(self) -> str:
@@ -154,8 +144,7 @@ class PoundLeaf:
 NormalLeaf = Union[Leaf, PoundLeaf]
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     leaves: tuple[NormalLeaf, ...]
 
     def __str__(self) -> str:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable
 
+from ._record import Record
 from .complexity import _primes, certify_complexity
 from .exactlinalg import _folded, _sign_at, det_laurent, signature
 from .goeritz import (
@@ -59,8 +59,7 @@ SIX_BY_SIX_FAMILY_MATRIX = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str

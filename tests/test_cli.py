@@ -422,11 +422,21 @@ class TestCertify:
     def test_exhausted_witness_budget(self, capsys):
         code, _, err = run_cli(
             capsys,
-            "certify", "--framing", "1", "--complexity", "2", "--max-order", "1",
+            "certify", "--framing", "2", "--complexity", "2", "--max-order", "2",
         )
         assert code == 1
-        assert "witness root of order <= 1 for n = 1" in err
+        assert "witness root of order <= 2 for n = 2" in err
+        assert "at all 1 prime-order roots tried" in err
         assert "retry" not in err
+
+    @pytest.mark.parametrize("max_order", ["1", "-5"])
+    def test_order_bound_under_two(self, capsys, max_order):
+        code, out, err = run_cli(capsys, "certify", "--framing", "3", "--complexity", "1",
+                                 "--max-order", max_order)
+        assert code == 1
+        assert not out
+        assert f"max_order {max_order} is under the lower bound of 2" in err
+        assert "positive" not in err
 
     def test_no_root_can_pass_the_grid_rule(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--framing", "200", "--complexity", "1",

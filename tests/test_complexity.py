@@ -157,11 +157,21 @@ class TestWitnessSearch:
                     assert _sign_at(omega, 0, terms) == want, (n, i)
 
     def test_exhausted_order_budget(self):
+        # Delta_3(-1) > 0, and -1 is the one root of prime order <= 2
         with pytest.raises(WitnessNotFound) as exc:
-            find_witness_root(1, max_order=1)
-        assert (exc.value.n, exc.value.max_order, exc.value.tried) == (1, 1, 0)
-        assert "order <= 1 for n = 1" in str(exc.value)
+            find_witness_root(2, max_order=2)
+        assert (exc.value.n, exc.value.max_order, exc.value.tried) == (2, 2, 1)
+        assert "order <= 2 for n = 2" in str(exc.value)
         assert "retry" not in str(exc.value)
+
+    @pytest.mark.parametrize("max_order", [1, 0, -5])
+    def test_order_bound_under_two_is_refused(self, max_order):
+        # no root has prime order below 2, so such a search would try nothing
+        with pytest.raises(DomainError) as exc:
+            find_witness_root(1, max_order=max_order)
+        assert str(exc.value).startswith(f"max_order {max_order} is under the lower bound of 2")
+        with pytest.raises(DomainError, match="lower bound of 2"):
+            certify_complexity(3, 1, max_order=max_order)
 
     def test_refusal_counts_the_roots_tried(self):
         # Delta_37 > 0 at every prime-order root of order <= 7; 3/11 is the
