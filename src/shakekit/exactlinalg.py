@@ -1,22 +1,21 @@
 """Exact determinants of Laurent-polynomial matrices and inertia of forms.
 
-Determinants have one integer kernel: Kronecker substitution t = 2^B,
-with B from a Hadamard bound on the coefficients, fraction-free (Bareiss)
-elimination over the integers, and a balanced base-2^B read-back.  The
-elimination works in proportion to the nonzero entries it touches: a
-row that a step does not read keeps its stored entries and the index s
-of the last prev it was scaled to, its true entries being
-stored * prev // chain[s] over the chain of prevs, and is rescaled only
-when a step reads it.  The Seifert pencil M = t*A - A^T is eliminated
-once per matrix A and memoised; with symmetric pivoting its Bareiss
-pivots are its leading principal minors, which give both the
-determinant and, by Jacobi's sign rule, the exact inertia of the
-Hermitian form H(omega) at every unit-circle point.  M(t)^T is
--t * M(1/t), so in a dense step of a large pencil the lower triangle of
-the Schur complement is the upper one with its base-2^B digits reversed
-and a sign: with B rounded up to whole bytes, a to_bytes, the byte
-chunks in reverse order and a from_bytes, so only the upper triangle is
-eliminated (det_laurent gives the rule for when).
+Determinants have one integer kernel: Kronecker substitution t = 2^(8w),
+fraction-free (Bareiss) elimination over the integers on sparse rows,
+and a balanced base-2^(8w) read-back.  Each step packs at the width of w
+bytes that a running Hadamard bound gives its own minors, so the width
+grows with the minors produced.  A row that a step does not read keeps
+the width and the scale (index s in the chain of prevs) it was stored
+at, and is re-packed and rescaled, stored * prev // chain[s], only when a
+step reads it.  The Seifert pencil M = t*A - A^T is eliminated once per
+matrix A and memoised; with symmetric pivoting its Bareiss pivots are its
+leading principal minors, which give both the determinant and, by
+Jacobi's sign rule, the exact inertia of the Hermitian form H(omega) at
+every unit-circle point.  M(t)^T is -t * M(1/t), so in a dense step of a
+large pencil the lower triangle of the Schur complement is the upper one
+with its digits reversed and a sign: a to_bytes, the byte chunks in
+reverse order and a from_bytes, so only the upper triangle is eliminated
+(det_laurent gives the rule for when).
 Every sign on the circle, a minor's or an Alexander polynomial's, is
 taken by _sign_at: exact for a monomial minor, else a float sum that
 counts only when it clears a rounding-error bound, and else, at a root
@@ -28,9 +27,11 @@ its pivots are the matrix's exact integer leading minors.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import struct
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from ._record import Record
@@ -108,9 +109,10 @@ class Pivots(Record):
 
     values[k-1] is the k-th pivot, the polynomial P_k / t^lows[k-1]
     evaluated at 2^bits, whose coefficients lie strictly inside
-    +-2^(bits-1).  bits is rounded up to whole bytes for a pencil whose
-    dense steps are mirrored (det_laurent), so bits and values depend on
-    that route and minor(k) does not.
+    +-2^(bits-1).  bits is the width of the elimination's last step, in
+    whole bytes and at most the Hadamard width rounded up to bytes
+    (det_laurent); every pivot is re-packed to it at the end.  bits and
+    values depend on the step widths, minor(k) does not.
     """
 
     bits: int
@@ -142,82 +144,27 @@ class Pivots(Record):
         return LaurentPoly({low + i: d for i, d in enumerate(self.digits(k))})
 
 
-def _swap(M: list[list[int]], scales: list[int], lows: list[int], i: int, j: int) -> None:
-    """Exchange index i with j in rows and columns alike: a congruence."""
-    M[i], M[j] = M[j], M[i]
-    for row in M:
-        row[i], row[j] = row[j], row[i]
-    scales[i], scales[j] = scales[j], scales[i]
-    lows[i], lows[j] = lows[j], lows[i]
-
-
 # Measured crossovers of the mirrored pencil steps; det_laurent gives the rule.
 _MIRROR_ENTRY_BYTES = 48
 _MIRROR_PENCIL_BYTES = 256
 
 
-def _rescaled(row: list[int], scale: int, chain: list[int]) -> list[int]:
-    """The true entries of a row stored at chain[scale]: stored * chain[-1] / chain[scale]."""
-    if scale == len(chain) - 1:
-        return row
-    num, den = chain[-1], chain[scale]
-    return [x * num // den if x else 0 for x in row]
-
-
-def _eliminate(M: list[list[int]], scales: list[int], chain: list[int], width: int,
-               update: Callable[[list[int], int], list[int]],
-               mirrored: Callable[[int, int, int], int] | None
-               ) -> tuple[list[list[int]], list[int]]:
-    """Rows and columns after a Bareiss step on the first width pivots.
-
-    A row with a nonzero entry in a pivot column is brought up to date and
-    update(row, i) gives its new entries from column i on, at the scale of
-    the step's prev; any other row only loses the pivot columns and keeps
-    its scale.  When mirrored is given, every row is brought up to date,
-    row i gets its entries from column i on by update, and those left of
-    the diagonal are mirrored(x, i, j): entry (i, j) from entry x at (j, i).
-    """
-    if mirrored:
-        rest: list[list[int]] = []
-        for i, (row, scale) in enumerate(zip(M[width:], scales[width:])):
-            rest.append([mirrored(above[i], i, j) if above[i] else 0
-                         for j, above in enumerate(rest)]
-                        + update(_rescaled(row, scale, chain), i))
-        return rest, [len(chain)] * len(rest)
-    rest, rest_scales = [], []
-    for row, scale in zip(M[width:], scales[width:]):
-        if any(row[:width]):
-            rest.append(update(_rescaled(row, scale, chain), 0))
-            rest_scales.append(len(chain))
-        else:
-            rest.append(row[width:])
-            rest_scales.append(scale)
-    return rest, rest_scales
-
-
-def _is_pencil(polys: list[list[int | dict[int, int]]]) -> bool:
-    """Whether M(t)^T = -t * M(1/t): every M[j][i] is -t * M[i][j](1/t).
-
-    Entries are ints or coefficient dicts; a nonzero int entry is taken as
-    no pencil, which only forgoes the mirrored steps.
-    """
-    for i, row in enumerate(polys):
-        for j in range(i, len(row)):
-            e, f = row[j], polys[j][i]
-            if not e:
-                if f:
-                    return False
-            elif e.__class__ is int or f != {1 - x: -c for x, c in e.items()}:
-                return False
-    return True
+def _is_pencil(entries: list[dict]) -> bool:
+    """Whether M(t)^T = -t * M(1/t) for sparse rows; an int entry makes no pencil."""
+    return all(e.__class__ is not int and entries[j].get(i) == {1 - x: -c for x, c in e.items()}
+               for i, row in enumerate(entries) for j, e in row.items())
 
 
 @functools.lru_cache(maxsize=256)
-def _reversal(digits: int, size: int) -> tuple[int, Callable[[bytes], tuple[bytes, ...]]]:
-    """Half of 2^(8*size) in each of digits digits, and the unpacker of their bytes."""
-    base = 1 << 8 * size
-    offset = base // 2 * ((base ** digits - 1) // (base - 1))
-    return offset, struct.Struct(f"{size}s" * digits).unpack
+def _halves(digits: int, size: int, pad: int = 0) -> int:
+    """Half of 2^(8*size) in each of digits digits of size + pad bytes."""
+    half = (1 << 8 * size - 1).to_bytes(size, "little") + bytes(pad)
+    return int.from_bytes(half * digits, "little")
+
+
+@functools.lru_cache(maxsize=256)
+def _chunks(digits: int, size: int) -> Callable[[bytes], tuple[bytes, ...]]:
+    return struct.Struct(f"{size}s" * digits).unpack
 
 
 def _reversed(x: int, digits: int, size: int) -> int:
@@ -227,34 +174,227 @@ def _reversed(x: int, digits: int, size: int) -> int:
     size-byte chunk of x's bytes, so the reversal is to_bytes, the chunks
     in reverse order, from_bytes, and the same offset taken off again.
     """
-    offset, unpack = _reversal(digits, size)
-    chunks = unpack((x + offset).to_bytes(digits * size, "little"))
+    offset = _halves(digits, size)
+    chunks = _chunks(digits, size)((x + offset).to_bytes(digits * size, "little"))
     return int.from_bytes(b"".join(chunks[::-1]), "little") - offset
+
+
+def _repacked(values: list[int], old: int, new: int) -> list[int]:
+    """The values, balanced base 2^(8*old), with the same digits in base 2^(8*new) >= that.
+
+    As in _reversed, a digit plus half the base is an unsigned old-byte
+    chunk; a strided copy moves the chunks new bytes apart.
+    """
+    digits = (max(map(int.bit_length, values), default=0) + 1) // (8 * old) + 1
+    if old == new or digits == 1:
+        return values
+    packed = b"".join([(x + _halves(digits, old)).to_bytes(digits * old, "little")
+                       for x in values])
+    wide = bytearray(len(packed) // old * new)
+    for k in range(old):
+        wide[k::new] = packed[k::old]
+    high, span = _halves(digits, old, new - old), digits * new
+    return [int.from_bytes(wide[i:i + span], "little") - high for i in range(0, len(wide), span)]
+
+
+def _width(bound_sq: int) -> int:
+    """The bytes a digit needs for coefficients up to sqrt(bound_sq) in absolute value."""
+    return ((math.isqrt(bound_sq - 1) + 1).bit_length() + 8) // 8
+
+
+class _Rows:
+    """Sparse rows, column -> nonzero entry, at t = 2^(8*size) once read.
+
+    Row r is stored at width sizes[r] and scale chain[scales[r]]; chain holds each prev.
+    """
+
+    def __init__(self, rows: list[dict[int, int]], size: int):
+        self.rows, self.size = rows, size
+        self.scales, self.sizes = [0] * len(rows), [size] * len(rows)
+        self.chain, self.chain_sizes = [1], [size]
+
+    def link(self, s: int) -> int:
+        if self.chain_sizes[s] != self.size:
+            self.chain[s] = _repacked([self.chain[s]], self.chain_sizes[s], self.size)[0]
+            self.chain_sizes[s] = self.size
+        return self.chain[s]
+
+    def read(self, r: int) -> dict[int, int]:
+        """The true entries of row r: re-packed, times chain[-1] / chain[scales[r]]."""
+        row, size, s = self.rows[r], self.sizes[r], self.scales[r]
+        if size != self.size:
+            row = dict(zip(row, _repacked(list(row.values()), size, self.size)))
+        if s != len(self.chain) - 1:
+            num, den = self.link(-1), self.link(s)
+            row = {j: x * num // den for j, x in row.items()}
+        return row
+
+
+def _eliminate(K: _Rows, pivots: tuple[int, ...], rest: list[int],
+               update: Callable[[dict[int, int], int | None], dict[int, int]],
+               mirrored: Callable[[int, int, int], int] | None) -> None:
+    """A Bareiss step on the pivot columns, in place, over the rows rest.
+
+    A row holding a pivot column is read and update(row, None) gives its
+    new entries; any other row is left as stored.  When mirrored is given
+    every row is read, update(row, i) gives row rest[i] from column
+    rest[i] on, and mirrored(x, k, i) its entry k < i from x at (k, i).
+    """
+    if mirrored:
+        done: list[dict[int, int]] = []
+        for i, r in enumerate(rest):
+            new = update(K.read(r), i)
+            for k, above in enumerate(done):
+                if x := above.get(r):
+                    new[rest[k]] = mirrored(x, k, i)
+            done.append(new)
+        read = zip(rest, done)
+    else:
+        rows, p, q = K.rows, pivots[0], pivots[-1]
+        read = [(r, update(K.read(r), None)) for r in rest if p in rows[r] or q in rows[r]]
+    for r, new in read:
+        K.rows[r], K.scales[r], K.sizes[r] = new, len(K.chain), K.size
+
+
+def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
+    """det_laurent on sparse rows: row i maps column j to a nonzero int or coefficient dict."""
+    n = len(entries)
+    lows, norms, spread, nonzeros = [], [], 0, 0
+    for row in entries:
+        if not row and not pivots:
+            return LaurentPoly.zero()
+        exps = [x for e in row.values() for x in ((0,) if e.__class__ is int else e)]
+        lows.append(min(exps, default=0))
+        spread = max(spread, max(exps, default=0) - lows[-1])
+        nonzeros += len(row)
+        norms.append(max(1, sum(e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2
+                                for e in row.values())))
+    full = _width(math.prod(norms))
+    mirror = (pivots and 4 * nonzeros > n * n and n * full >= _MIRROR_PENCIL_BYTES
+              and _is_pencil(entries))
+    left = sorted(norms)  # of the rows not yet pivots
+    bits = 8 * (_width(left[-1]) if spread and n else full)  # a constant matrix never widens
+    K = _Rows([{j: e << bits * -low if e.__class__ is int else
+                sum(c << bits * (x - low) for x, c in e.items()) for j, e in row.items()}
+               for row, low in zip(entries, lows)], bits // 8)
+    order = list(range(n))  # rows left, in pivoting order; pivoting keeps column = row label
+    product, sign, offset = 1, 1, 0
+    values, offsets = [], []  # the pivots at the current width, and their shifts summed
+
+    def begin(taken: list[int]) -> Callable[[int, int, int], int] | None:
+        """Widen K for a step on the taken rows (det_laurent); its mirror map, or None."""
+        nonlocal product
+        for r in taken:
+            product *= norms[r]
+            del left[bisect.bisect_left(left, norms[r])]
+        need = _width(product * (left[-1] if left else 1))
+        if need > K.size:
+            size = min(full, max(need, -(-3 * K.size // 2)))
+            values[:], K.size = _repacked(values, K.size, size), size
+        done = len(values) + len(taken)  # p, the pivots taken once the step is done
+        digits = done + 2 - 2 * (offset + sum(lows[r] for r in taken))  # W + 1, unshifted
+        if (not mirror or digits * K.size < _MIRROR_ENTRY_BYTES
+                or len(set().union(*(K.rows[r] for r in taken))) < len(order)):
+            return None
+        size, negate, shifts = K.size, not done % 2, [lows[r] for r in order[len(taken):]]
+
+        def entry(x: int, i: int, j: int) -> int:
+            y = _reversed(x, digits - shifts[i] - shifts[j], size)
+            return -y if negate else y
+        return entry
+
+    while order:
+        first = order[0]
+        if not pivots and len(values) not in K.rows[first]:
+            k = next((i for i, r in enumerate(order) if len(values) in K.rows[r]), None)
+            if k is None:
+                return LaurentPoly.zero()
+            order[0], order[k], sign = order[k], first, -sign
+        elif pivots and first not in K.rows[first]:  # a nonzero diagonal, else a 2x2 block
+            r = len(order)
+            swaps = next(((i,) for i, s in enumerate(order) if s in K.rows[s]), None) or next(
+                ((i, j) for i in range(r) for j in range(i + 1, r)
+                 if order[j] in K.rows[order[i]] and order[i] in K.rows[order[j]]), None)
+            if swaps is None:
+                if any(K.rows[i] for i in order):
+                    raise ValueError("symmetric pivoting needs M[i][j] != 0 "
+                                     "exactly when M[j][i] != 0")
+                values += [0] * r
+                offsets += [offset] * r
+                break
+            for i, j in enumerate(swaps):
+                order[i], order[j] = order[j], order[i]
+        taken = order[:2] if pivots and order[0] not in K.rows[order[0]] else order[:1]
+        rest = order[len(taken):]
+        columns = tuple(taken) if pivots else (len(values),)
+        mirrored = begin(taken)
+        prev, tops = K.link(-1), [K.read(r) for r in taken]
+        if len(taken) == 1:
+            (pc,), (top,) = columns, tops
+            pivot = top[pc]
+            line = [(j, top[j]) for j in rest] if mirrored else [
+                (j, x) for j, x in top.items() if j != pc]
+
+            def update(row: dict[int, int], i: int | None) -> dict[int, int]:
+                c = row.get(pc, 0)
+                new = {j: z for j, x in (line if i is None else line[i:])
+                       if (z := (row.get(j, 0) * pivot - c * x) // prev)}
+                if i is None and not row.keys() <= top.keys():
+                    new.update({j: x * pivot // prev for j, x in row.items() if j not in top})
+                return new
+        else:  # a 2x2 block [[0, x], [y, 0]]: the 3x3 Sylvester determinants over prev^2
+            (a, b), (top0, top1) = taken, tops
+            x, y, p2 = top0[b], top1[a], prev * prev
+            pivot = -x * y // prev
+
+            def update(row: dict[int, int], i: int | None) -> dict[int, int]:
+                return {j: z for j in (rest[i:] if i is not None else
+                                       (row.keys() | top0.keys() | top1.keys()) - {a, b})
+                        if (z := (x * (row.get(a, 0) * top1.get(j, 0) - y * row.get(j, 0))
+                                  + y * row.get(b, 0) * top0.get(j, 0)) // p2)}
+        _eliminate(K, columns, rest, update, mirrored)
+        K.chain.append(pivot)
+        K.chain_sizes.append(K.size)
+        values += [0] * (len(taken) - 1) + [pivot]
+        for r in taken:
+            offset += lows[r]
+            offsets.append(offset)
+            K.rows[r] = {}
+        order = rest
+    found = Pivots(8 * K.size, tuple(values), tuple(offsets))
+    return found if pivots else found.minor(len(values)) * sign
 
 
 def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | Pivots:
     """Exact determinant of a square matrix of Laurent polynomials.
 
     Kronecker substitution: each row is shifted by a power of t so its
-    entries are polynomials.  On the unit circle Hadamard's inequality
-    gives |det| <= C = ceil(prod_i sqrt(sum_j ||a_ij||_1^2)), so C bounds
-    every coefficient of the determinant (Parseval), and of every minor
-    too, since no row factor is below 1.  The entries are evaluated at
-    t = 2^B with B = C.bit_length() + 1, integer Bareiss elimination with
-    row swaps takes the exact determinant there, and its balanced
-    base-2^B digits are the coefficients.  The 0x0 determinant is 1
-    (empty product).  Entries may be ints, LaurentPolys or their textual
-    form; an int goes straight into the Kronecker matrix.
+    entries are polynomials, packed at t = 2^(8w) for a width of w bytes;
+    integer Bareiss elimination with row swaps takes the determinant
+    there, and its balanced base-2^(8w) digits are the coefficients.  The
+    0x0 determinant is 1.  Entries may be ints, LaurentPolys or their
+    textual form; an int goes straight into the kernel.  Rows are sparse,
+    column -> entry, and a step reads only the rows holding a pivot column.
 
-    The elimination costs in proportion to the nonzero entries it
-    touches.  A Bareiss step only multiplies a row whose pivot-column
-    entry is zero by pivot/prev, so such a row is stored as it is,
-    together with the index s of the last prev it was scaled to in the
-    chain of prev values; its true entries are stored * chain[-1] //
-    chain[s], an exact division because the true entries are minors.  A
-    row is brought up to date only when a step reads it: as the pivot row,
-    or when its pivot-column entry is nonzero.  Zero tests read the stored
-    entries, which vanish exactly when the true ones do.
+    Step widths.  After p pivots an entry is a minor on the p pivot rows
+    and one more row.  On the unit circle |a_ij| <= ||a_ij||_1, so by
+    Hadamard it is at most the product of those rows' norms
+    sqrt(sum_j ||a_ij||_1^2): the running product over the pivot rows
+    times the largest norm left, which bounds its coefficients too
+    (Parseval).  A step packs at the least w whose digits hold that
+    bound; w grows by half or more when it grows, and stops at the whole
+    matrix's bound, which a matrix of constants takes at once.  This is
+    exact: Bareiss's products and exact divisions are identities in Z[t],
+    so they hold at any t = 2^(8w), and only the read-back, the zero
+    tests and the reversals need the coefficients to fit, as they do.
+
+    A step only multiplies a row whose pivot-column entry is zero by
+    pivot/prev, so such a row stays as stored, with its width and the
+    index s of the last prev it was scaled to in the chain of prevs.  A
+    step that reads it re-packs it (_repacked) and multiplies it by
+    chain[-1] // chain[s], exact as its true entries are minors; prevs
+    are re-packed when read, and the pivots whenever w grows, so
+    Pivots.bits is the last width.  Zero tests read stored entries.
 
     With pivots=True the same elimination pivots symmetrically and
     returns its Pivots instead.  A zero pivot is exchanged, row and column
@@ -268,141 +408,31 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     M[j][i] != 0, so a block always exists while the rest is nonzero.
 
     A pencil M = t*A - A^T has M(t)^T = -t * M(1/t), so after p pivots
-    the Schur-complement entry (j, i), the minor on the pivot rows and j
-    and the pivot columns and i, is (-1)^(p+1) t^(p+1) times entry (i, j)
-    at 1/t.  In the Kronecker matrix, with row r shifted by t^-low_r and
-    L the pivots' shifts summed, entry (j, i) is entry (i, j) with its
-    W + 1 balanced base-2^B digits reversed and the sign (-1)^(p+1),
-    W = p + 1 - 2L - low_i - low_j; a 2x2 block step counts p after both
-    of its pivots.  A mirrored step computes the upper triangle with the
-    usual update and takes the lower one from it by _reversed.  With B
-    rounded up to whole bytes a reversal is to_bytes, the byte chunks in
-    reverse order and from_bytes, and any B at or above the Hadamard
-    bound reads back the same coefficients: Pivots.minor(k) is the same
-    either way, while Pivots.bits and Pivots.values may differ.  The rule
-    comes from timings on a 2-core x86-64 host under CPython 3.11:
-      - B is rounded, and the matrix mirrored, only when more than a
-        quarter of its entries are nonzero, its n-digit determinant spans
-        n*B >= 8*_MIRROR_PENCIL_BYTES (256 bytes) and the O(n^2) test
-        _is_pencil, run on such matrices only, passes.  Below that, the
-        rounding and the test cost what the mirrored steps saved (dense
-        pencils of dimension 18, n*B near 1,500 bits, changed by -6% to
-        +3%); from dimension 22 up (n*B near 2,400 bits) a pencil took
-        20-35% less time.
-      - A step is mirrored only when it brings every later row up to date
-        (no zero entry in its pivot rows, as a pencil's Schur complement
-        is zero at (i, j) exactly when at (j, i)) and its unshifted
-        entries span (W + 1) * B/8 >= _MIRROR_ENTRY_BYTES = 48 bytes.  At
-        42-60 bytes a reversal and the update it replaces each took
-        0.4-0.5 us, for every B from 48 to 160 bits; at 600 bytes the
-        update took 42 us and the reversal 1.6 us.
+    Schur entry (j, i), the minor on the pivot rows and j and the pivot
+    columns and i, is (-1)^(p+1) t^(p+1) times entry (i, j) at 1/t.  With
+    row r shifted by t^-low_r and L the pivots' shifts summed, entry
+    (j, i) is entry (i, j) with its W + 1 digits reversed and the sign
+    (-1)^(p+1), W = p + 1 - 2L - low_i - low_j (a 2x2 block step counts p
+    after both pivots).  A mirrored step computes the upper triangle and
+    takes the lower one by _reversed.  The rule, from timings at the step
+    widths on a 2-core x86-64 host under CPython 3.11:
+      - A matrix is mirrored only when more than a quarter of its entries
+        are nonzero, n times the width of its bound is at least
+        _MIRROR_PENCIL_BYTES = 256 bytes, and _is_pencil, O(n^2) and run
+        on such matrices only, passes.  Dense pencils of dimension 10-18
+        (60-200 bytes) took 2-13% longer mirrored; unmirrored, dimension
+        22, 26 and 30 (308-600 bytes) took 14%, 28% and 43% longer.
+      - A step is mirrored only when it reads every row (a pencil's Schur
+        complement is zero at (i, j) exactly when at (j, i)) and its
+        unshifted entries span (W + 1) * w >= _MIRROR_ENTRY_BYTES = 48
+        bytes.  At 48 bytes a reversal and the update it replaces each
+        took 0.6 us with 6-16 byte digits (1.0 and 0.6 us with 2-byte
+        ones); at 192 bytes, 0.9-1.4 us and 5 us.
     """
-    n = _check_square(rows)
-    lows: list[int] = []
-    norm_sq, nonzeros = 1, 0
-    polys: list[list[int | dict[int, int]]] = []
-    for row in rows:
-        entries = [e if e.__class__ is int else laurent_from_entry(e)._coeffs for e in row]
-        nonzero = [e for e in entries if e]
-        if nonzero:
-            low = min(0 if e.__class__ is int else min(e) for e in nonzero)
-        elif not pivots:
-            return LaurentPoly.zero()
-        else:
-            low = 0
-        lows.append(low)
-        polys.append(entries)
-        nonzeros += len(nonzero)
-        norm_sq *= max(1, sum((e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2)
-                              for e in nonzero))
-    bits = (math.isqrt(norm_sq - 1) + 1).bit_length() + 1
-    mirror = (pivots and 4 * nonzeros > n * n and n * bits >= 8 * _MIRROR_PENCIL_BYTES
-              and _is_pencil(polys))
-    if mirror:
-        bits += -bits % 8
-    size = bits // 8  # bytes per digit, used only when mirror
-    M = [[(e << (bits * -low) if e.__class__ is int else
-           sum(c << (bits * (x - low)) for x, c in e.items())) if e else 0 for e in row]
-         for row, low in zip(polys, lows)]
-    scales = [0] * n
-    chain = [1]  # prev of every Bareiss step so far; prev is chain[-1]
-    sign, offset = 1, 0
-    values: list[int] = []
-    offsets: list[int] = []
-
-    def mirror_map(width: int, covered: Iterable[object]) -> Callable[[int, int, int], int] | None:
-        """The mirror map of a step on the first width rows, or None if it is not mirrored.
-
-        covered holds, for each later column, whether a pivot row is
-        nonzero there; in a pencil that is whether the step reads the row.
-        """
-        done = len(values) + width  # p, the pivots taken once the step is done
-        digits = done + 2 - 2 * (offset + sum(lows[:width]))  # W + 1 for unshifted i, j
-        if digits * size < _MIRROR_ENTRY_BYTES or not all(covered):
-            return None
-        rest, negate = lows[width:], not done % 2
-
-        def entry(x: int, i: int, j: int) -> int:
-            y = _reversed(x, digits - rest[i] - rest[j], size)
-            return -y if negate else y
-        return entry
-
-    while M:
-        if not M[0][0] and not pivots:
-            k = next((i for i, row in enumerate(M) if row[0]), None)
-            if k is None:
-                return LaurentPoly.zero()
-            M[0], M[k] = M[k], M[0]
-            scales[0], scales[k] = scales[k], scales[0]
-            sign = -sign
-        elif not M[0][0]:
-            k = next((i for i in range(len(M)) if M[i][i]), None)
-            if k is not None:
-                _swap(M, scales, lows, 0, k)
-            else:
-                r = len(M)
-                pair = next(((i, j) for i in range(r) for j in range(i + 1, r)
-                             if M[i][j] and M[j][i]), None)
-                if pair is None:
-                    if any(map(any, M)):
-                        raise ValueError("symmetric pivoting needs M[i][j] != 0 "
-                                         "exactly when M[j][i] != 0")
-                    values += [0] * r
-                    offsets += [offset] * r
-                    break
-                _swap(M, scales, lows, 0, pair[0])
-                _swap(M, scales, lows, 1, pair[1])
-                prev = chain[-1]
-                top0, top1 = (_rescaled(M[i], scales[i], chain) for i in (0, 1))
-                b, c = top0[1], top1[0]
-                p2 = prev * prev
-                M, scales = _eliminate(M, scales, chain, 2, lambda row, i: [
-                    (b * (row[0] * y - c * w) + c * row[1] * x) // p2 if x or y or w else 0
-                    for x, y, w in zip(top0[2 + i:], top1[2 + i:], row[2 + i:])],
-                    mirror_map(2, (x or y for x, y in zip(top0[2:], top1[2:])))
-                    if mirror else None)
-                chain.append(-b * c // prev)
-                values += [0, chain[-1]]
-                offsets += [offset + lows[0], offset + lows[0] + lows[1]]
-                offset = offsets[-1]
-                del lows[:2]
-                continue
-        prev = chain[-1]
-        top = _rescaled(M[0], scales[0], chain)
-        pivot = top[0]
-        M, scales = _eliminate(M, scales, chain, 1, lambda row, i: [
-            (a * pivot - row[0] * b) // prev if a or b else 0
-            for a, b in zip(row[1 + i:], top[1 + i:])],
-            mirror_map(1, top[1:]) if mirror else None)
-        chain.append(pivot)
-        values.append(pivot)
-        offset += lows.pop(0)
-        offsets.append(offset)
-    found = Pivots(bits, tuple(values), tuple(offsets))
-    if pivots:
-        return found
-    det = found.minor(len(values))
-    return det if sign > 0 else -det
+    _check_square(rows)
+    return _bareiss([{j: c for j, e in enumerate(row)
+                      if (c := e if e.__class__ is int else laurent_from_entry(e)._coeffs)}
+                     for row in rows], pivots)
 
 
 @functools.lru_cache(maxsize=64)
@@ -410,11 +440,13 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     """The Pivots of the pencil t*A - A^T, eliminated once per matrix and memoised.
 
     Callers pass the immutable copy tuple(map(tuple, A)), so a matrix they
-    mutate later is never answered from the memo.
+    mutate later is never answered from the memo.  No LaurentPoly is built.
     """
-    n = _check_square(A)
-    return det_laurent([[LaurentPoly({1: A[i][j], 0: -A[j][i]}) if A[i][j] or A[j][i] else 0
-                         for j in range(n)] for i in range(n)], pivots=True)
+    every = range(_check_square(A))
+    return _bareiss([{j: {1: a, 0: -b} if a and b else {1: a} if a else {0: -b}
+                      for j in set(compress(every, row)).union(compress(every, column))
+                      for a, b in ((row[j], column[j]),)}
+                     for row, column in zip(A, zip(*A))], True)
 
 
 def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
@@ -496,16 +528,22 @@ def _folded(terms: Iterable[tuple[int, int]], m: int, k: int = 0) -> list[tuple[
 def _mod_cyclotomic(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
     """sum c t^e over the (e, c) terms modulo Phi_m, as (exponent, nonzero c) pairs.
 
-    Exponents fold into a dense array (t^m = 1 at an m-th root), then the
-    remainder by the monic Phi_m is taken with exact integers.
+    Exponents fold into a dense array (t^m = 1 at an m-th root).  Phi_m
+    divides Psi = 1 + t^s + ... + t^(m-s), s = m/q for the least prime q
+    dividing m, so the array is reduced modulo Psi first, in O(m), and
+    then by the monic Phi_m with exact integers over m - s - phi(m) degrees.
     """
     folded = [0] * m
     for e, c in terms:
         folded[e % m] += c
+    s = m // next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
+    if m > 1:
+        high = folded[m - s:]
+        folded = [a - high[i % s] for i, a in enumerate(folded[:m - s])]
     phi = _cyclotomic(m)
     d = len(phi) - 1
     lower = [(e, c) for e, c in enumerate(phi[:d]) if c]
-    for top in range(m - 1, d - 1, -1):
+    for top in range(len(folded) - 1, d - 1, -1):
         c = folded[top]
         if c:
             for e, a in lower:
@@ -515,8 +553,9 @@ def _mod_cyclotomic(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int
 
 _U = 2.0 ** -53  # unit roundoff of a double
 
-# The largest order at which _sign_at reduces modulo Phi_m: at most 0.2 s for
-# any m <= 5000 (2-core x86-64, CPython 3.11); README "Refusals" gives the rest.
+# The largest order at which _sign_at reduces modulo Phi_m: at most 0.09 s for
+# any m <= 5000, Phi_m built included (m = 4785; 2-core x86-64, CPython 3.11);
+# README "Refusals" gives the rest.
 _MAX_REMAINDER_ORDER = 5000
 
 

@@ -72,6 +72,22 @@ def reduce_first(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -
     return exactlinalg._certified_sign(omega, k, rest) if rest else 0
 
 
+def dense_remainder(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
+    """sum c t^e modulo Phi_m by long division of the folded sum, one top degree at a time."""
+    folded = [0] * m
+    for e, c in terms:
+        folded[e % m] += c
+    phi = exactlinalg._cyclotomic(m)
+    d = len(phi) - 1
+    terms_of_phi = [(e, a) for e, a in enumerate(phi) if a]
+    for top in range(m - 1, d - 1, -1):
+        c = folded[top]
+        if c:
+            for e, a in terms_of_phi:
+                folded[top - d + e] -= c * a
+    return [(e, c) for e, c in enumerate(folded[:d]) if c]
+
+
 def decimal_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
     """Sign of ((1 - omega)/omega)^k * P(omega) at a root j/m other than 1, from exact phases.
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     congruence,
     decimal_sign,
+    dense_remainder,
     det_cofactor,
     det_cofactor_fraction,
     random_laurent_matrix,
@@ -189,13 +190,13 @@ class TestDetKernel:
 class TestPencilMemo:
     def test_one_determinant_per_matrix(self, monkeypatch):
         calls = []
-        real = exactlinalg.det_laurent
+        real = exactlinalg._bareiss
 
-        def counting(rows, **kwargs):
-            calls.append(tuple(map(tuple, rows)))
-            return real(rows, **kwargs)
+        def counting(entries, pivots):
+            calls.append(repr(entries))
+            return real(entries, pivots)
 
-        monkeypatch.setattr(exactlinalg, "det_laurent", counting)
+        monkeypatch.setattr(exactlinalg, "_bareiss", counting)
         for n in (26, 5):
             exactlinalg._pencil.cache_clear()
             calls.clear()
@@ -357,6 +358,10 @@ class TestSparseKernel:
         assert inertia_symmetric_exact(S).dim == 20
         assert polys_built == []
 
+    def test_pencil_passes_coefficients_straight_into_the_kernel(self, polys_built):
+        exactlinalg._pencil.__wrapped__(tuple(map(tuple, an_family(26))))
+        assert polys_built == []
+
     def test_pencil_builds_one_polynomial_per_nonzero_entry(self, polys_built):
         A = an_family(26)
         nnz = sum(map(bool, (x for row in A for x in row)))
@@ -419,10 +424,10 @@ class TestMirroredSteps:
         seen = []
         real = exactlinalg._eliminate
 
-        def spy(M, scales, chain, width, update, mirrored):
-            stale = any(s < len(chain) - 1 for s in scales[width:])
-            seen.append((width, mirrored is not None, stale))
-            return real(M, scales, chain, width, update, mirrored)
+        def spy(K, pivots, rest, update, mirrored):
+            stale = any(K.scales[r] < len(K.chain) - 1 for r in rest)
+            seen.append((len(pivots), mirrored is not None, stale))
+            return real(K, pivots, rest, update, mirrored)
 
         monkeypatch.setattr(exactlinalg, "_eliminate", spy)
         return seen
@@ -561,6 +566,122 @@ class TestMirroredSteps:
             pivots = det_laurent(rows, pivots=True)
             assert [pivots.minor(k) for k in range(1, dim + 1)] == symmetric_pivot_minors(rows)
         assert always_mirrored == []
+
+
+class TestStepWidths:
+    """Each step packs at the width its own minors need; rows catch up when read.
+
+    After p pivots every entry is a minor on the pivot rows and one more
+    row, so the kernel widens, in whole bytes, as the product of the pivot
+    rows' norms grows.  A row that no step reads keeps the scale and the
+    width it was stored at; these matrices make rows wait across
+    widenings, put block and mirrored steps right after one, and check
+    every pivot against its cofactor minor.
+    """
+
+    @pytest.fixture
+    def log(self, monkeypatch) -> list[dict]:
+        """Per step: its width, mirroring, Kronecker bytes, and the rows it reads stale."""
+        seen = []
+        real = exactlinalg._eliminate
+
+        def spy(K, pivots, rest, update, mirrored):
+            read = [r for r in rest if mirrored or any(p in K.rows[r] for p in pivots)]
+            seen.append({
+                "width": len(pivots),
+                "mirrored": mirrored is not None,
+                "widened": K.size > (seen[-1]["size"] if seen else min(K.sizes)),
+                "size": K.size,
+                "old": [r for r in read if K.scales[r] < len(K.chain) - 1
+                        and K.sizes[r] < K.size],
+            })
+            return real(K, pivots, rest, update, mirrored)
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", spy)
+        return seen
+
+    def test_repacking_of_balanced_digits(self):
+        # a top digit 1 above a digit -half needs one digit more than the
+        # bit length suggests; one call re-packs values of mixed lengths
+        rng = random.Random(9)
+        for old, new in ((1, 2), (1, 5), (2, 3), (3, 8)):
+            half = 1 << (8 * old - 1)
+            picks = (-half, 1 - half, -1, 0, 1, half - 1)
+            rows = [[rng.choice(picks) for _ in range(rng.randint(0, 6))] + [-half, 1]
+                    for _ in range(30)] + [[half - 1] * 4, [-half] * 3, [0]]
+            values = [sum(d << (8 * old * e) for e, d in enumerate(row)) for row in rows]
+            want = [sum(d << (8 * new * e) for e, d in enumerate(row)) for row in rows]
+            assert exactlinalg._repacked(values, old, new) == want
+            assert [exactlinalg._repacked([v], old, new)[0] for v in values] == want
+
+    def test_row_waits_across_widenings(self, log):
+        # a band: each row is first read when its neighbour is the pivot,
+        # after steps that widened the entries it has not seen
+        for n, scale in ((6, 20), (8, 9), (9, 40)):
+            A = [[0] * n for _ in range(n)]
+            for i in range(n):
+                A[i][i] = scale + i
+                if i + 1 < n:
+                    A[i][i + 1], A[i + 1][i] = scale - i, -scale
+            log.clear()
+            assert pencil_minors(A) == symmetric_pivot_minors(t_matrix(A)), A
+            assert any(step["old"] for step in log), log
+            assert any(step["widened"] for step in log[1:]), log
+
+    def test_block_and_mirrored_steps_right_after_a_widening(self, monkeypatch, log):
+        monkeypatch.setattr(exactlinalg, "_MIRROR_ENTRY_BYTES", 0)
+        monkeypatch.setattr(exactlinalg, "_MIRROR_PENCIL_BYTES", 0)
+        rng = random.Random(17)
+        seen = set()
+        for trial in range(40):
+            dim = rng.randint(3, 6)
+            A = [[rng.choice((-1, 1)) * rng.randint(5, 30) for _ in range(dim)]
+                 for _ in range(dim)]
+            if trial % 2:
+                for i in range(dim):
+                    A[i][i] = 0
+            log.clear()
+            assert pencil_minors(A) == symmetric_pivot_minors(t_matrix(A)), A
+            seen |= {step["width"] for step in log if step["mirrored"] and step["widened"]}
+        assert seen == {1, 2}
+
+    def test_row_swaps_without_pivoting(self, log):
+        # pivots=False: a zero leading entry forces a swap at the first
+        # step, and a second row proportional to the first on the first two
+        # columns a swap at the second, with coefficients that widen
+        rng = random.Random(23)
+        nonzero = 0
+        for trial in range(80):
+            dim = rng.randint(3, 5)
+            rows = [[LaurentPoly({rng.randint(-2, 2): rng.choice((-1, 1)) * rng.randint(1, 60)
+                                  for _ in range(rng.randint(1, 2))}) for _ in range(dim)]
+                    for _ in range(dim)]
+            if trial % 2:
+                rows[0][0] = LaurentPoly()
+            else:
+                f = LaurentPoly({rng.randint(-1, 1): rng.choice((-3, 2, 5))})
+                rows[1][:2] = [f * e for e in rows[0][:2]]
+            det = det_laurent(rows)
+            assert det == det_cofactor(rows), rows
+            nonzero += not det.is_zero()
+        assert nonzero > 60
+        assert any(step["widened"] for step in log)
+
+    def test_bits_never_exceed_the_hadamard_width(self):
+        rng = random.Random(31)
+        matrices = [random_laurent_matrix(rng, rng.randint(1, 6)) for _ in range(60)]
+        matrices += [t_matrix(dense_seifert(rng, rng.randint(2, 12))) for _ in range(30)]
+        matrices += [as_laurent(random_symmetric_matrix(rng, rng.randint(1, 8)))
+                     for _ in range(30)]
+        matrices.append(t_matrix(int_matrix_from_json(
+            json.loads((FIXTURES / "dense_seifert_30.json").read_text()))))
+        for rows in matrices:
+            norm_sq = math.prod(max(1, sum(sum(map(abs, e.coeffs.values())) ** 2 for e in row))
+                                for row in rows)
+            width = (math.isqrt(norm_sq - 1) + 1).bit_length() + 1
+            pivots = det_laurent(rows, pivots=True)
+            assert pivots.bits % 8 == 0
+            assert pivots.bits <= width + -width % 8, rows
 
 
 class TestInertiaSymmetric:
@@ -1088,6 +1209,27 @@ class TestSignAt:
         assert str(exc.value).endswith(
             f"; no remainder modulo Phi_m at order {m} > {exactlinalg._MAX_REMAINDER_ORDER}")
         assert m > exactlinalg._MAX_REMAINDER_ORDER
+
+    def test_remainder_agrees_with_dense_division(self):
+        # the remainder is taken modulo (t^m - 1)/(t^(m/q) - 1) first; every
+        # order below 400, twenty sums each, half of them multiples of Phi_m
+        rng = random.Random(4946)
+        for m in range(1, 400):
+            phi = exactlinalg._cyclotomic(m)
+            for trial in range(20):
+                terms = {}
+                if trial % 2:
+                    for _ in range(rng.randint(1, 4)):
+                        x, c = rng.randrange(-3 * m, 3 * m), rng.choice((-5, -1, 1, 2, 7))
+                        for e, a in enumerate(phi):
+                            terms[x + e] = terms.get(x + e, 0) + c * a
+                else:
+                    for _ in range(rng.randint(1, 30)):
+                        terms[rng.randrange(-10**6, 10**6)] = rng.choice((-9, -2, 1, 3, 8))
+                terms = sorted((e, c) for e, c in terms.items() if c)
+                rest = exactlinalg._mod_cyclotomic(terms, m)
+                assert rest == dense_remainder(terms, m), (m, terms)
+                assert not trial % 2 or rest == []
 
     def test_agrees_with_decimal_phases(self):
         # every leading minor of random pencils at every root of its order,
