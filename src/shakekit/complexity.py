@@ -31,7 +31,7 @@ import math
 from typing import Iterator
 
 from ._record import Record
-from .errors import DomainError
+from .errors import DomainError, strict_int
 from .exactlinalg import _sign_at
 from .laurent import UnitCirclePoint
 from .patterns import Atom, Profile, eval_invariant, render_term, retrace_term
@@ -64,16 +64,20 @@ def a_family_profile(omega: UnitCirclePoint) -> Profile:
     2 * sign(1 - 2cos(theta)) where Delta_(1+k)(omega) < 0, read off the
     pencil's leading minors by Jacobi's rule, so iota(k) costs the same
     for every k.  Where Delta_(1+k)(omega) = 0 it raises NearSingular, and
-    InvalidRoot at omega = 1, as the general kernel does.
+    InvalidRoot at omega = 1, as the general kernel does.  Each value is
+    computed once per profile and kept.
     """
+    values: dict[int, int] = {}
 
     def profile(k: int) -> int:
-        if k < 0:
-            raise DomainError(f"the twisted family declares iota on k >= 0, got {k}")
-        sigma = _family_signature(1 + k, omega)
-        if sigma % 2:
-            raise ArithmeticError(f"{INVARIANT_NAME} needs an even signature, got {sigma}")
-        return sigma // 2
+        if k not in values:
+            if k < 0:
+                raise DomainError(f"the twisted family declares iota on k >= 0, got {k}")
+            sigma = _family_signature(1 + k, omega)
+            if sigma % 2:
+                raise ArithmeticError(f"{INVARIANT_NAME} needs an even signature, got {sigma}")
+            values[k] = sigma // 2
+        return values[k]
 
     return profile
 
@@ -104,9 +108,12 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     many roots were tried as the grid has points (so this at most doubles
     the cost), the grid signs are taken once; if no two adjacent ones are
     negative, no later root can pass and the search stops.  Raises
-    DomainError for max_order below 2 or past MAX_ORDER, and
+    DomainError for max_order below 2 or past MAX_ORDER, ValueError for an
+    n or max_order that is not an int (a bool or a float included), and
     WitnessNotFound when no root qualifies.
     """
+    strict_int(n, "framing n")
+    strict_int(max_order, "max_order")
     if n < 1:
         raise DomainError(f"witness search is defined for n >= 1, got {n}")
     if max_order < 2:
@@ -186,8 +193,14 @@ def certify_complexity(
     I is the half-LT signature at the witness root: I(Q) from the base
     family member, I(Q_n) from the (1+|n|)-th.  The bound is
     cross-checked against an independent evaluation of the retrace term
-    through the pattern calculus.
+    through the pattern calculus.  The profile computes each value once,
+    so the cross-check reuses I(Q) and I(Q_n), and the retrace term
+    normalizes to two runs of multiplicity c: the cross-check costs O(1)
+    in c, and c may be any int >= 1.  n, c and max_order must be ints,
+    never a bool or a float (ValueError; find_witness_root checks max_order).
     """
+    strict_int(n, "framing n")
+    strict_int(c, "complexity target c")
     if n == 0:
         raise DomainError("framing n must be nonzero")
     if c < 1:

@@ -19,10 +19,17 @@ Pound produces a wrapping-number-one leaf, and Pound(Atom(name)) is how
 an atom of wrapping number one is written: star, twist and repeated
 pound collapse on it, bar passes inside, and consecutive pound leaves
 commute (connected sum), so normalize sorts each run of them.
+
+A normal form holds its chain as maximal (leaf, multiplicity) runs, so
+Power(t, m) costs the same for every m when t normalizes to one run,
+and the retrace term (bar(Q*)_n)^c o Q^c is two runs whatever c is.
 Evaluation sums leaf values per the satellite formula; a bar flag
 negates and a star flag reflects the twist argument.  Each distinct leaf
-is valued once and weighted by its multiplicity.  A normal form holds at
-most 2,000,000 leaves; a longer one raises DomainError before it is built.
+is valued once and weighted by its total multiplicity.  Only text
+expands the runs: the leaves property, term() and str of a form write
+out at most 2,000,000 leaves and raise DomainError before building a
+longer chain.  normalize holds at most 2,000,000 runs, checked the same
+way.
 
 Leaves and normal forms print through render_term, the one concrete
 syntax.  One loop, _factors, reads a composition chain wherever it is
@@ -32,15 +39,14 @@ pickled, so no chain is walked by recursion.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import reduce
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from typing import Callable, Mapping, Union
 
 from ._record import Record
 from .errors import DomainError, strict_int
 
-_MAX_LEAVES = 2_000_000  # longest composition chain a normal form may hold
+_MAX_LEAVES = 2_000_000  # most leaves a normal form writes out, and most runs it holds
 _MAX_NESTING = 100  # deepest nesting of parentheses, bar( and suffixes the parser takes
 
 
@@ -72,6 +78,9 @@ class Twist(Record):
     inner: "PatternTerm"
     n: int
 
+    def _validate(self):
+        strict_int(self.n, "twist")
+
 
 class Compose(Record):
     left: "PatternTerm"
@@ -101,7 +110,7 @@ class Power(Record):
     m: int
 
     def _validate(self):
-        if self.m < 1:
+        if strict_int(self.m, "power exponent") < 1:
             raise DomainError(f"power exponent must be >= 1, got {self.m}")
 
 
@@ -142,13 +151,28 @@ class PoundLeaf(Record):
 
 
 NormalLeaf = Union[Leaf, PoundLeaf]
+Run = tuple[NormalLeaf, int]
 
 
 class NormalForm(Record):
-    leaves: tuple[NormalLeaf, ...]
+    """A composition chain of leaves, held as maximal (leaf, multiplicity) runs.
+
+    Neighbouring runs hold different leaves, and each stretch of pound
+    runs is sorted by leaf text, so == and hash are canonical.  Only text
+    expands the runs: leaves, term() and str write every leaf out and
+    refuse a chain of more than _MAX_LEAVES leaves before building it.
+    """
+
+    runs: tuple[Run, ...]
 
     def __str__(self) -> str:
         return render_term(self.term())
+
+    @property
+    def leaves(self) -> tuple[NormalLeaf, ...]:
+        """The chain written out leaf by leaf."""
+        _check_size(sum(count for _, count in self.runs), "leaves")
+        return tuple(chain.from_iterable(repeat(leaf, count) for leaf, count in self.runs))
 
     def term(self) -> PatternTerm:
         """Reconstruct a PatternTerm that normalizes back to this form."""
@@ -164,41 +188,62 @@ def _factors(t: PatternTerm) -> list[PatternTerm]:
     return [t, *reversed(factors)]
 
 
-def _sort_pound_runs(leaves: tuple[NormalLeaf, ...]) -> tuple[NormalLeaf, ...]:
+def _extend(runs: list[Run], more) -> None:
+    """Append the runs more to runs, merging the seam where a leaf meets itself."""
+    for leaf, count in more:
+        if runs and runs[-1][0] == leaf:
+            runs[-1] = (leaf, runs[-1][1] + count)
+        else:
+            runs.append((leaf, count))
+
+
+def _sort_pound_runs(runs: list[Run]) -> list[Run]:
     # Consecutive pound leaves are connected summands, so their order is
-    # not meaningful; fix a canonical one.  Plain leaves pass through in runs.
-    return tuple(chain.from_iterable(sorted(run, key=str) if kind is PoundLeaf else run
-                                     for kind, run in groupby(leaves, type)))
+    # not meaningful; fix a canonical one.  Plain runs pass through.
+    if all(type(leaf) is Leaf for leaf, _ in runs):
+        return runs
+    out: list[Run] = []
+    for kind, group in groupby(runs, lambda run: type(run[0])):
+        group = list(group)
+        if kind is PoundLeaf and len(group) > 1:
+            group.sort(key=lambda run: str(run[0]))
+        _extend(out, group)
+    return out
 
 
-def _check_size(size: int) -> None:
+def _check_size(size: int, what: str) -> None:
     if size > _MAX_LEAVES:
-        raise DomainError(f"normal form would have {size} leaves, "
+        raise DomainError(f"normal form would have {size} {what}, "
                           f"over the limit of {_MAX_LEAVES}")
 
 
 def _chain(t: PatternTerm, star: bool = False, bar: bool = False,
-           twist: int = 0) -> tuple[NormalLeaf, ...]:
-    """The leaves of t under enclosing operators whose net effect is star, bar and twist.
+           twist: int = 0) -> list[Run]:
+    """The runs of t under enclosing operators whose net effect is star, bar and twist.
 
-    Sizes are checked at composition prefixes in t's order, before a star reverses them.
+    Run counts are checked as they grow, before a power repeats them.
     """
     if isinstance(t, Atom):
-        return (Leaf(t.name, star, bar, twist),)
+        return [(Leaf(t.name, star, bar, twist), 1)]
     if isinstance(t, Compose):
-        parts, size = [], 0
-        for factor in _factors(t):
-            part = _chain(factor, star, bar, twist)
-            size += len(part)
-            _check_size(size)
-            parts.append(part)
+        factors = _factors(t)
         if star:
-            parts.reverse()
-        return tuple(chain.from_iterable(parts))
+            factors.reverse()
+        runs: list[Run] = []
+        for factor in factors:
+            _extend(runs, _chain(factor, star, bar, twist))
+            _check_size(len(runs), "runs")
+        return runs
     if isinstance(t, Power):
         inner = _chain(t.inner, star, bar, twist)
-        _check_size(len(inner) * t.m)
-        return inner * t.m
+        if len(inner) == 1:
+            return [(inner[0][0], inner[0][1] * t.m)]
+        seams = t.m - 1 if inner[0][0] == inner[-1][0] else 0
+        _check_size(len(inner) * t.m - seams, "runs")
+        runs = []
+        for _ in range(t.m):
+            _extend(runs, inner)
+        return runs
     if isinstance(t, Twist):
         return _chain(t.inner, star, bar, twist + t.n if star == bar else twist - t.n)
     if isinstance(t, Star):
@@ -209,17 +254,17 @@ def _chain(t: PatternTerm, star: bool = False, bar: bool = False,
         return _chain(t.inner, not star, not bar, twist)
     if isinstance(t, Pound):
         inner = _sort_pound_runs(_chain(t.inner, bar=bar))
-        if all(isinstance(x, PoundLeaf) for x in inner):
+        if all(type(leaf) is PoundLeaf for leaf, _ in inner):
             return inner
-        return (PoundLeaf(NormalForm(inner)),)
+        return [(PoundLeaf(NormalForm(tuple(inner))), 1)]
     raise TypeError(f"not a pattern term: {t!r}")
 
 
 def normalize(t: PatternTerm) -> NormalForm:
-    """Unique normal form: a chain of star/bar/twist leaves and pound leaves."""
+    """Unique normal form: runs of star/bar/twist leaves and of pound leaves."""
     if isinstance(t, NormalForm):
         return t
-    return NormalForm(_sort_pound_runs(_chain(t)))
+    return NormalForm(tuple(_sort_pound_runs(_chain(t))))
 
 
 def render_term(t: PatternTerm) -> str:
@@ -294,19 +339,23 @@ def eval_invariant(t: "PatternTerm | NormalForm",
     lone star or lone bar reflects the twist argument.  Pound leaves
     contribute the value of their underlying knot.  Each distinct leaf
     calls its profile once, in first-seen order, so the first leaf that
-    fails still raises.
+    fails still raises, and its value is weighted by the leaf's total
+    multiplicity over the runs: the cost follows the runs, not the leaves.
     """
     nf = t if isinstance(t, NormalForm) else normalize(t)
-    return _chain_value(nf.leaves, assignment)
+    return _chain_value(nf.runs, assignment)
 
 
-def _chain_value(leaves: tuple[NormalLeaf, ...], assignment: Mapping[str, Profile]) -> int:
-    return sum(count * _leaf_value(leaf, assignment) for leaf, count in Counter(leaves).items())
+def _chain_value(runs: tuple[Run, ...], assignment: Mapping[str, Profile]) -> int:
+    counts: dict[NormalLeaf, int] = {}
+    for leaf, count in runs:
+        counts[leaf] = counts.get(leaf, 0) + count
+    return sum(count * _leaf_value(leaf, assignment) for leaf, count in counts.items())
 
 
 def _leaf_value(leaf: NormalLeaf, assignment: Mapping[str, Profile]) -> int:
     if isinstance(leaf, PoundLeaf):
-        return _chain_value(leaf.inner.leaves, assignment)
+        return _chain_value(leaf.inner.runs, assignment)
     if leaf.atom not in assignment:
         raise UnassignedAtom(leaf.atom)
     arg = leaf.twist if leaf.star == leaf.bar else -leaf.twist

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import random
+from itertools import groupby
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -216,9 +217,15 @@ def normalize_by_maps(t) -> NormalForm:
     the chain, flips the star flag and negates the twist; a bar flips the
     bar flag, negates the twist and bars inside pound leaves (sorting
     their runs again); a twist adds to the twist; Inverse is bar of star.
-    Star and twist leave pound leaves alone.  No leaf limit.
+    Star and twist leave pound leaves alone.  No leaf limit.  The flat
+    chain is grouped into runs of equal neighbours only at the end.
     """
-    return NormalForm(_sorted_pound_runs(_map_chain(t)))
+    return _form(_sorted_pound_runs(_map_chain(t)))
+
+
+def _form(leaves) -> NormalForm:
+    """The normal form of a flat chain: each stretch of equal leaves is one run."""
+    return NormalForm(tuple((leaf, len(list(same))) for leaf, same in groupby(leaves)))
 
 
 def render_normal_form(nf: NormalForm) -> str:
@@ -256,7 +263,7 @@ def _sorted_pound_runs(leaves):
 def _bar_leaf(leaf):
     if isinstance(leaf, PoundLeaf):
         inner = tuple(_bar_leaf(x) for x in leaf.inner.leaves)
-        return PoundLeaf(NormalForm(_sorted_pound_runs(inner)))
+        return PoundLeaf(_form(_sorted_pound_runs(inner)))
     return Leaf(leaf.atom, leaf.star, not leaf.bar, -leaf.twist)
 
 
@@ -288,5 +295,5 @@ def _map_chain(t) -> tuple:
         inner = _sorted_pound_runs(_map_chain(t.inner))
         if all(isinstance(x, PoundLeaf) for x in inner):
             return inner
-        return (PoundLeaf(NormalForm(inner)),)
+        return (PoundLeaf(_form(inner)),)
     raise TypeError(f"not a pattern term: {t!r}")

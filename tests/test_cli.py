@@ -322,11 +322,15 @@ class TestPattern:
         assert code == 1
         assert "P" in err
 
-    def test_oversized_power_is_refused(self, capsys):
-        code, out, err = run_cli(capsys, "pattern", "normalize", "P^100000000")
-        assert code == 1
-        assert not out
-        assert "limit of 2000000" in err
+    def test_oversized_power_is_refused(self, capsys, write_json):
+        # the normal form holds one run; writing it out is what the limit refuses
+        path = write_json("asg.json", {"P": {"table": {"0": 1}}})
+        for argv in (["normalize", "P^100000000"],
+                     ["eval", "P^100000000", "--assignment", path]):
+            code, out, err = run_cli(capsys, "pattern", *argv)
+            assert code == 1
+            assert not out
+            assert "normal form would have 100000000 leaves, over the limit of 2000000" in err
 
     def test_syntax_error(self, capsys):
         code, _, err = run_cli(capsys, "pattern", "normalize", "P^0")
@@ -369,13 +373,13 @@ class TestCertify:
         code, _, _ = run_cli(capsys, "certify", "--framing", "0", "--complexity", "2")
         assert code == 1
 
-    def test_oversized_complexity_is_refused(self, capsys):
-        code, out, err = run_cli(
-            capsys, "certify", "--framing", "2", "--complexity", "100000000"
-        )
-        assert code == 1
-        assert not out
-        assert err.startswith("error: normal form would have 100000000 leaves")
+    @pytest.mark.parametrize("c", [100000000, 10**18])
+    def test_complexity_past_the_leaf_limit_answers(self, capsys, c):
+        code, out, _ = run_cli(capsys, "certify", "--framing", "2", "--complexity", str(c))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound"] == c
+        assert payload["term"] == f"bar(Q*)_2^{c} o Q^{c}"
 
     @pytest.mark.parametrize("option, value", [
         ("--framing", "\u0663"), ("--framing", "\uff13"), ("--framing", " 3"),

@@ -393,6 +393,18 @@ class TestInvariant:
         assert certify_complexity(4, 640).bound == 640
         assert sorted(calls) == [0, 0, 4, 4]
 
+    def test_each_profile_value_is_computed_once(self, monkeypatch):
+        calls = []
+        real = complexity._family_signature
+
+        def counting(n, omega):
+            calls.append(n)
+            return real(n, omega)
+
+        monkeypatch.setattr(complexity, "_family_signature", counting)
+        assert certify_complexity(4, 640).bound == 640
+        assert sorted(calls) == [1, 5]
+
 
 class TestCertificates:
     def test_first_framing(self):
@@ -433,6 +445,37 @@ class TestCertificates:
 
     def test_deterministic(self):
         assert certify_complexity(2, 2) == certify_complexity(2, 2)
+
+    def test_bool_count_is_refused(self):
+        # True would be rendered into the term as bar(Q*)_2^True o Q^True
+        with pytest.raises(ValueError, match="expected integer complexity target c, got True"):
+            certify_complexity(2, True)
+
+    def test_bool_framing_is_refused(self):
+        # True would be written to the certificate JSON as "n": true
+        with pytest.raises(ValueError, match="expected integer framing n, got True"):
+            certify_complexity(True, 1)
+
+    def test_float_order_bound_is_refused(self):
+        with pytest.raises(ValueError, match="expected integer max_order, got 60.5"):
+            find_witness_root(3, max_order=60.5)
+        with pytest.raises(ValueError, match="expected integer max_order, got 60.0"):
+            certify_complexity(3, 1, max_order=60.0)
+        with pytest.raises(ValueError, match="expected integer framing n, got 3.0"):
+            find_witness_root(3.0)
+
+    @pytest.mark.parametrize("c", [10**6 + 1, 10**18, 10**400])
+    def test_any_count_certifies_in_constant_space(self, c):
+        small = certify_complexity(2, 10)
+        tracemalloc.start()
+        try:
+            cert = certify_complexity(2, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert cert.bound == c * small.bound // 10
+        assert cert.term == f"bar(Q*)_2^{c} o Q^{c}"
 
     def test_json_shape(self):
         doc = certify_complexity(1, 2).to_json()

@@ -142,6 +142,16 @@ class TestParser:
         with pytest.raises(DomainError):
             Power(P, 0)
 
+    def test_float_twist_is_refused(self):
+        # Q_1.5 would render as text that parse_pattern cannot read back
+        with pytest.raises(ValueError, match="expected integer twist, got 1.5"):
+            Twist(Atom("Q"), 1.5)
+
+    def test_bool_power_is_refused(self):
+        # Q^True would render as text, and count as a multiplicity
+        with pytest.raises(ValueError, match="expected integer power exponent, got True"):
+            Power(Q, True)
+
     @given(terms)
     def test_render_parse_preserves_normal_form(self, t):
         assert normalize(parse_pattern(render_term(t))) == normalize(t)
@@ -155,7 +165,7 @@ class TestParser:
 
 class TestNormalForm:
     def test_atom(self):
-        assert normalize(P) == NormalForm((Leaf("P"),))
+        assert normalize(P) == NormalForm(((Leaf("P"), 1),))
 
     def test_star_of_compose_reverses(self):
         assert str(normalize(parse_pattern("(PoQ)*"))) == "Q* o P*"
@@ -164,7 +174,7 @@ class TestNormalForm:
         assert str(normalize(parse_pattern("bar(PoQ)"))) == "bar(P) o bar(Q)"
 
     def test_twist_accumulates(self):
-        assert normalize(Twist(Twist(P, 2), 3)) == NormalForm((Leaf("P", twist=5),))
+        assert normalize(Twist(Twist(P, 2), 3)) == NormalForm(((Leaf("P", twist=5), 1),))
         assert str(normalize(parse_pattern("P_2_3"))) == "P_5"
 
     def test_leaf_rendering(self):
@@ -392,11 +402,16 @@ class TestCountedEvaluation:
 
 
 class TestLeafLimit:
+    """Runs hold any multiplicity; the limit fires where a form is written out leaf by leaf."""
+
     def test_power_is_refused_before_it_is_built(self):
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match="100000000 leaves.*limit of 2000000"):
-                normalize(parse_pattern("P^100000000"))
+            nf = normalize(parse_pattern("P^100000000"))
+            assert nf.runs == ((Leaf("P"), 100000000),)
+            for write_out in (lambda: nf.leaves, lambda: str(nf), nf.term):
+                with pytest.raises(DomainError, match="100000000 leaves.*limit of 2000000"):
+                    write_out()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -407,31 +422,90 @@ class TestLeafLimit:
         assert len(normalize(Compose(Power(P, 5), Power(Q, 5))).leaves) == 10
         assert len(normalize(Power(Compose(P, Q), 5)).leaves) == 10
         with pytest.raises(DomainError, match="11 leaves"):
-            normalize(Compose(Power(P, 6), Power(Q, 5)))
+            str(normalize(Compose(Power(P, 6), Power(Q, 5))))
         with pytest.raises(DomainError, match="12 leaves"):
+            normalize(Power(P, 12)).leaves
+        # a pound leaf over a long power values and compares; only its text is refused
+        long_pound = normalize(Pound(Power(Twist(P, 1), 12)))
+        assert eval_invariant(long_pound, {"P": table_profile({1: 1})}) == 12
+        assert long_pound == normalize(Pound(Compose(Power(Twist(P, 1), 7),
+                                                     Power(Twist(P, 1), 5))))
+        with pytest.raises(DomainError, match="12 leaves"):
+            str(long_pound)
+
+    def test_run_count_is_limited_before_a_power_repeats_it(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_MAX_LEAVES", 10)
+        assert len(normalize(Power(Compose(P, Q), 5)).runs) == 10
+        with pytest.raises(DomainError, match="12 runs, over the limit of 10"):
             normalize(Power(Compose(P, Q), 6))
-        with pytest.raises(DomainError, match="12 leaves"):
-            eval_invariant(Pound(Power(Twist(P, 1), 12)), {"P": table_profile({1: 1})})
+        # the seams P o P merge: (P o Q o P)^5 is 11 runs, ^4 is 9
+        assert len(normalize(Power(Compose(Compose(P, Q), P), 4)).runs) == 9
+        with pytest.raises(DomainError, match="11 runs"):
+            normalize(Power(Compose(Compose(P, Q), P), 5))
+        with pytest.raises(DomainError, match="11 runs"):
+            normalize(Compose(Power(Compose(P, Q), 5), R))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="200000000 runs"):
+                normalize(parse_pattern("(P o Q)^100000000"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestRuns:
+    """The seams where runs merge; TestOnePassNormalizer checks runs against the flat reference."""
+
+    def test_power_of_one_run_multiplies(self):
+        assert normalize(parse_pattern("(P o P)^3")).runs == ((Leaf("P"), 6),)
+
+    def test_power_merges_its_seams(self):
+        assert normalize(parse_pattern("(P o Q o P)^2")).runs == (
+            (Leaf("P"), 1), (Leaf("Q"), 1), (Leaf("P"), 2), (Leaf("Q"), 1), (Leaf("P"), 1))
+
+    def test_star_over_a_power(self):
+        assert normalize(parse_pattern("((P o Q_1)^3)*")).runs == (
+            (Leaf("Q", star=True, twist=-1), 1), (Leaf("P", star=True), 1)) * 3
+        assert normalize(parse_pattern("(P_2^4)*")).runs == ((Leaf("P", star=True, twist=-2), 4),)
+
+    def test_pound_runs_merge(self):
+        pound_p = PoundLeaf(NormalForm(((Leaf("P"), 1),)))
+        assert normalize(parse_pattern("P# o P#")).runs == ((pound_p, 2),)
+        assert str(normalize(parse_pattern("P# o Q# o P#"))) == "P# o P# o Q#"
+
+    def test_retrace_is_two_runs_at_any_count(self):
+        nf = normalize(retrace_term(Q, 2, 10**18))
+        assert nf.runs == ((Leaf("Q", star=True, bar=True, twist=2), 10**18), (Leaf("Q"), 10**18))
+        assert eval_invariant(nf, {"Q": table_profile({0: 0, 2: 1})}) == -10**18
 
 
 class TestOnePassNormalizer:
     """The one-pass normalizer against the reference that maps every leaf under each operator."""
 
+    TABLES = {name: {n: (7 * n + ord(name)) % 19 - 9 for n in range(-60, 61)} for name in "PQRW"}
+    ASSIGNMENT = {name: table_profile(table) for name, table in TABLES.items()}
+
+    def check(self, t):
+        """Runs agree with the flat reference in ==, hash, str, leaves and value."""
+        nf, want = normalize(t), normalize_by_maps(t)
+        assert nf == want and hash(nf) == hash(want), t
+        assert str(nf) == render_normal_form(want), t
+        assert nf.leaves == want.leaves, t
+        assert eval_invariant(nf, self.ASSIGNMENT) == leaf_by_leaf(want.leaves, self.TABLES), t
+        return nf, want
+
     @given(terms)
     def test_matches_map_normalizer(self, t):
-        want = normalize_by_maps(t)
-        assert normalize(t) == want
-        assert str(normalize(t)) == render_normal_form(want)
+        self.check(t)
 
     def test_matches_map_normalizer_on_seeded_terms(self):
         rng = random.Random(20261018)
         for _ in range(20_000):
             t = random_term(rng, 7)
-            nf, want = normalize(t), normalize_by_maps(t)
-            assert nf == want, t
-            assert str(nf) == render_normal_form(want), t
-            assert [str(leaf) for leaf in nf.leaves] == [render_normal_form(NormalForm((leaf,)))
-                                                        for leaf in want.leaves], t
+            nf, want = self.check(t)
+            assert [str(leaf) for leaf in nf.leaves] == [
+                render_normal_form(NormalForm(((leaf, 1),))) for leaf in want.leaves], t
 
     def test_composition_stays_non_associative(self):
         left, right = Compose(Compose(P, Q), R), Compose(P, Compose(Q, R))

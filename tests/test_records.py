@@ -50,13 +50,14 @@ RECORDS = [
     (Inverse, dict(inner=P), dict(inner=Q), "Inverse(inner=Atom(name='P'))"),
     (Leaf, dict(atom="P", twist=2), dict(star=True),
      "Leaf(atom='P', star=False, bar=False, twist=2)"),
-    (PoundLeaf, dict(inner=NormalForm((Leaf("P"), Leaf("Q", bar=True)))),
-     dict(inner=NormalForm((Leaf("P"),))),
-     "PoundLeaf(inner=NormalForm(leaves=(Leaf(atom='P', star=False, bar=False, twist=0), "
-     "Leaf(atom='Q', star=False, bar=True, twist=0))))"),
-    (NormalForm, dict(leaves=(Leaf("P", star=True), Leaf("Q"))), dict(leaves=(Leaf("Q"),)),
-     "NormalForm(leaves=(Leaf(atom='P', star=True, bar=False, twist=0), "
-     "Leaf(atom='Q', star=False, bar=False, twist=0)))"),
+    (PoundLeaf, dict(inner=NormalForm(((Leaf("P"), 1), (Leaf("Q", bar=True), 2)))),
+     dict(inner=NormalForm(((Leaf("P"), 1),))),
+     "PoundLeaf(inner=NormalForm(runs=((Leaf(atom='P', star=False, bar=False, twist=0), 1), "
+     "(Leaf(atom='Q', star=False, bar=True, twist=0), 2))))"),
+    (NormalForm, dict(runs=((Leaf("P", star=True), 1), (Leaf("Q"), 3))),
+     dict(runs=((Leaf("Q"), 1),)),
+     "NormalForm(runs=((Leaf(atom='P', star=True, bar=False, twist=0), 1), "
+     "(Leaf(atom='Q', star=False, bar=False, twist=0), 3)))"),
     (Band, dict(orientable=False, half_twists=3), dict(self_writhe=2),
      "Band(orientable=False, half_twists=3, self_writhe=0)"),
     (BandPresentation, dict(bands=(ORIENTED, TWISTED), crossings=((0, 1), (1, 0))),
