@@ -5,17 +5,17 @@ fraction-free (Bareiss) elimination over the integers on sparse rows,
 and a balanced base-2^(8w) read-back.  Each step packs at the width of w
 bytes that a running Hadamard bound gives its own minors, so the width
 grows with the minors produced.  A row that a step does not read keeps
-the width and the scale (index s in the chain of prevs) it was stored
-at, and is re-packed and rescaled, stored * prev // chain[s], only when a
-step reads it.  The Seifert pencil M = t*A - A^T is eliminated once per
-matrix A and memoised; with symmetric pivoting its Bareiss pivots are its
-leading principal minors, which give both the determinant and, by
-Jacobi's sign rule, the exact inertia of the Hermitian form H(omega) at
-every unit-circle point.  M(t)^T is -t * M(1/t), so in a dense step of a
-large pencil the lower triangle of the Schur complement is the upper one
-with its digits reversed and a sign: a to_bytes, the byte chunks in
-reverse order and a from_bytes, so only the upper triangle is eliminated
-(det_laurent gives the rule for when).
+the width and the scale (pivot s, for the s pivots taken then) it was
+stored at, and is re-packed and rescaled, stored * prev // pivot s, only
+when a step reads it.  The Seifert pencil M = t*A - A^T is eliminated
+once per matrix A and memoised; with symmetric pivoting its Bareiss
+pivots are its leading principal minors, which give both the determinant
+and, by Jacobi's sign rule, the exact inertia of the Hermitian form
+H(omega) at every unit-circle point.  M(t)^T is -t * M(1/t), so in a
+dense step of a large pencil the lower triangle of the Schur complement
+is the upper one with its digits reversed and a sign: a to_bytes, the
+byte chunks in reverse order and a from_bytes, so only the upper
+triangle is eliminated (det_laurent gives the rule for when).
 Every sign on the circle, a minor's or an Alexander polynomial's, is
 taken by _sign_at: exact for a monomial minor, else a float sum that
 counts only when it clears a rounding-error bound, and else, at a root
@@ -203,37 +203,40 @@ def _width(bound_sq: int) -> int:
 
 
 class _Rows:
-    """Sparse rows, column -> nonzero entry, at t = 2^(8*size) once read.
+    """Sparse rows, column -> nonzero entry, at t = 2^(8*size) once read, and the pivots.
 
-    Row r is stored at width sizes[r] and scale chain[scales[r]]; chain holds each prev.
+    pivots holds every pivot taken, at width size.  Row r was stored once
+    counts[r] pivots were taken, at width widths[counts[r]] and scaled to
+    the last of those pivots (1 before any).
     """
 
     def __init__(self, rows: list[dict[int, int]], size: int):
         self.rows, self.size = rows, size
-        self.scales, self.sizes = [0] * len(rows), [size] * len(rows)
-        self.chain, self.chain_sizes = [1], [size]
-
-    def link(self, s: int) -> int:
-        if self.chain_sizes[s] != self.size:
-            self.chain[s] = _repacked([self.chain[s]], self.chain_sizes[s], self.size)[0]
-            self.chain_sizes[s] = self.size
-        return self.chain[s]
+        self.pivots: list[int] = []
+        self.counts, self.widths = [0] * len(rows), [size]
 
     def read(self, r: int) -> dict[int, int]:
-        """The true entries of row r: re-packed, times chain[-1] / chain[scales[r]]."""
-        row, size, s = self.rows[r], self.sizes[r], self.scales[r]
-        if size != self.size:
-            row = dict(zip(row, _repacked(list(row.values()), size, self.size)))
-        if s != len(self.chain) - 1:
-            num, den = self.link(-1), self.link(s)
+        """The true entries of row r: re-packed, times pivots[-1] / pivots[counts[r] - 1]."""
+        row, count = self.rows[r], self.counts[r]
+        if self.widths[count] != self.size:
+            row = dict(zip(row, _repacked(list(row.values()), self.widths[count], self.size)))
+        if count != len(self.pivots):
+            num, den = self.pivots[-1], self.pivots[count - 1] if count else 1
             row = {j: x * num // den for j, x in row.items()}
         return row
+
+    def store(self, pivots: list[int], rows: Iterable[tuple[int, dict[int, int]]]) -> None:
+        """Take a step's pivots, then store the rows it wrote, tagged with the new count."""
+        self.pivots += pivots
+        self.widths += [self.size] * len(pivots)
+        for r, row in rows:
+            self.rows[r], self.counts[r] = row, len(self.pivots)
 
 
 def _eliminate(K: _Rows, pivots: tuple[int, ...], rest: list[int],
                update: Callable[[dict[int, int], int | None], dict[int, int]],
-               mirrored: Callable[[int, int, int], int] | None) -> None:
-    """A Bareiss step on the pivot columns, in place, over the rows rest.
+               mirrored: Callable[[int, int, int], int] | None) -> list[tuple[int, dict]]:
+    """A Bareiss step on the pivot columns over the rows rest: the rows it writes, new.
 
     A row holding a pivot column is read and update(row, None) gives its
     new entries; any other row is left as stored.  When mirrored is given
@@ -248,12 +251,9 @@ def _eliminate(K: _Rows, pivots: tuple[int, ...], rest: list[int],
                 if x := above.get(r):
                     new[rest[k]] = mirrored(x, k, i)
             done.append(new)
-        read = zip(rest, done)
-    else:
-        rows, p, q = K.rows, pivots[0], pivots[-1]
-        read = [(r, update(K.read(r), None)) for r in rest if p in rows[r] or q in rows[r]]
-    for r, new in read:
-        K.rows[r], K.scales[r], K.sizes[r] = new, len(K.chain), K.size
+        return list(zip(rest, done))
+    rows, p, q = K.rows, pivots[0], pivots[-1]
+    return [(r, update(K.read(r), None)) for r in rest if p in rows[r] or q in rows[r]]
 
 
 def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
@@ -279,7 +279,7 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
                for row, low in zip(entries, lows)], bits // 8)
     order = list(range(n))  # rows left, in pivoting order; pivoting keeps column = row label
     product, sign, offset = 1, 1, 0
-    values, offsets = [], []  # the pivots at the current width, and their shifts summed
+    offsets = []  # the pivots' shifts summed
 
     def begin(taken: list[int]) -> Callable[[int, int, int], int] | None:
         """Widen K for a step on the taken rows (det_laurent); its mirror map, or None."""
@@ -290,8 +290,8 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
         need = _width(product * (left[-1] if left else 1))
         if need > K.size:
             size = min(full, max(need, -(-3 * K.size // 2)))
-            values[:], K.size = _repacked(values, K.size, size), size
-        done = len(values) + len(taken)  # p, the pivots taken once the step is done
+            K.pivots[:], K.size = _repacked(K.pivots, K.size, size), size
+        done = len(K.pivots) + len(taken)  # p, the pivots taken once the step is done
         digits = done + 2 - 2 * (offset + sum(lows[r] for r in taken))  # W + 1, unshifted
         if (not mirror or digits * K.size < _MIRROR_ENTRY_BYTES
                 or len(set().union(*(K.rows[r] for r in taken))) < len(order)):
@@ -305,8 +305,8 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
 
     while order:
         first = order[0]
-        if not pivots and len(values) not in K.rows[first]:
-            k = next((i for i, r in enumerate(order) if len(values) in K.rows[r]), None)
+        if not pivots and len(K.pivots) not in K.rows[first]:
+            k = next((i for i, r in enumerate(order) if len(K.pivots) in K.rows[r]), None)
             if k is None:
                 return LaurentPoly.zero()
             order[0], order[k], sign = order[k], first, -sign
@@ -319,16 +319,16 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
                 if any(K.rows[i] for i in order):
                     raise ValueError("symmetric pivoting needs M[i][j] != 0 "
                                      "exactly when M[j][i] != 0")
-                values += [0] * r
+                K.store([0] * r, [])
                 offsets += [offset] * r
                 break
             for i, j in enumerate(swaps):
                 order[i], order[j] = order[j], order[i]
         taken = order[:2] if pivots and order[0] not in K.rows[order[0]] else order[:1]
         rest = order[len(taken):]
-        columns = tuple(taken) if pivots else (len(values),)
+        columns = tuple(taken) if pivots else (len(K.pivots),)
         mirrored = begin(taken)
-        prev, tops = K.link(-1), [K.read(r) for r in taken]
+        prev, tops = K.pivots[-1] if K.pivots else 1, [K.read(r) for r in taken]
         if len(taken) == 1:
             (pc,), (top,) = columns, tops
             pivot = top[pc]
@@ -352,17 +352,14 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
                                        (row.keys() | top0.keys() | top1.keys()) - {a, b})
                         if (z := (x * (row.get(a, 0) * top1.get(j, 0) - y * row.get(j, 0))
                                   + y * row.get(b, 0) * top0.get(j, 0)) // p2)}
-        _eliminate(K, columns, rest, update, mirrored)
-        K.chain.append(pivot)
-        K.chain_sizes.append(K.size)
-        values += [0] * (len(taken) - 1) + [pivot]
+        written = _eliminate(K, columns, rest, update, mirrored)
+        K.store([0] * (len(taken) - 1) + [pivot], [(r, {}) for r in taken] + written)
         for r in taken:
             offset += lows[r]
             offsets.append(offset)
-            K.rows[r] = {}
         order = rest
-    found = Pivots(8 * K.size, tuple(values), tuple(offsets))
-    return found if pivots else found.minor(len(values)) * sign
+    found = Pivots(8 * K.size, tuple(K.pivots), tuple(offsets))
+    return found if pivots else found.minor(len(K.pivots)) * sign
 
 
 def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | Pivots:
@@ -389,11 +386,11 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     tests and the reversals need the coefficients to fit, as they do.
 
     A step only multiplies a row whose pivot-column entry is zero by
-    pivot/prev, so such a row stays as stored, with its width and the
-    index s of the last prev it was scaled to in the chain of prevs.  A
+    pivot/prev, so such a row stays as stored, tagged with the count s of
+    pivots taken then, which fixes its width and its scale, pivot s.  A
     step that reads it re-packs it (_repacked) and multiplies it by
-    chain[-1] // chain[s], exact as its true entries are minors; prevs
-    are re-packed when read, and the pivots whenever w grows, so
+    prev // pivot s, exact as its true entries are minors.  The pivots,
+    each step's prev the last, are re-packed whenever w grows, so
     Pivots.bits is the last width.  Zero tests read stored entries.
 
     With pivots=True the same elimination pivots symmetrically and

@@ -25,22 +25,22 @@ Power(t, m) costs the same for every m when t normalizes to one run,
 and the retrace term (bar(Q*)_n)^c o Q^c is two runs whatever c is.
 Evaluation sums leaf values per the satellite formula; a bar flag
 negates and a star flag reflects the twist argument.  Each distinct leaf
-is valued once and weighted by its total multiplicity.  Only text
-expands the runs: the leaves property, term() and str of a form write
-out at most 2,000,000 leaves and raise DomainError before building a
-longer chain.  normalize holds at most 2,000,000 runs, checked the same
-way.
+is valued once and weighted by its total multiplicity.  Text is the only
+expansion of the runs: render_term writes each run's leaf text once and
+repeats it, and raises DomainError before writing more than 2,000,000
+leaves of one form, which sorting two or more pound leaves can hit, as
+it writes their text.  normalize holds at most 2,000,000 runs.
 
-Leaves and normal forms print through render_term, the one concrete
-syntax.  One loop, _factors, reads a composition chain wherever it is
-normalized, rendered, compared, hashed, printed by repr, copied or
+Terms, leaves and normal forms print through render_term, the one
+concrete syntax.  One loop, _factors, reads a composition chain wherever
+it is normalized, rendered, compared, hashed, printed by repr, copied or
 pickled, so no chain is walked by recursion.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, groupby, repeat
+from itertools import groupby
 from typing import Callable, Mapping, Union
 
 from ._record import Record
@@ -132,7 +132,7 @@ class Leaf(Record):
     twist: int = 0
 
     def __str__(self) -> str:
-        return render_term(self.term())
+        return render_term(self)
 
     def term(self) -> PatternTerm:
         t = Star(Atom(self.atom)) if self.star else Atom(self.atom)
@@ -144,10 +144,7 @@ class PoundLeaf(Record):
     inner: "NormalForm"
 
     def __str__(self) -> str:
-        return render_term(self.term())
-
-    def term(self) -> PatternTerm:
-        return Pound(self.inner.term())
+        return render_term(self)
 
 
 NormalLeaf = Union[Leaf, PoundLeaf]
@@ -158,25 +155,15 @@ class NormalForm(Record):
     """A composition chain of leaves, held as maximal (leaf, multiplicity) runs.
 
     Neighbouring runs hold different leaves, and each stretch of pound
-    runs is sorted by leaf text, so == and hash are canonical.  Only text
-    expands the runs: leaves, term() and str write every leaf out and
-    refuse a chain of more than _MAX_LEAVES leaves before building it.
+    runs is sorted by leaf text, so == and hash are canonical.  A form is
+    its runs and its text, which render_term writes from the runs and
+    parse_pattern reads back to a term of the same form.
     """
 
     runs: tuple[Run, ...]
 
     def __str__(self) -> str:
-        return render_term(self.term())
-
-    @property
-    def leaves(self) -> tuple[NormalLeaf, ...]:
-        """The chain written out leaf by leaf."""
-        _check_size(sum(count for _, count in self.runs), "leaves")
-        return tuple(chain.from_iterable(repeat(leaf, count) for leaf, count in self.runs))
-
-    def term(self) -> PatternTerm:
-        """Reconstruct a PatternTerm that normalizes back to this form."""
-        return reduce(Compose, (leaf.term() for leaf in self.leaves))
+        return render_term(self)
 
 
 def _factors(t: PatternTerm) -> list[PatternTerm]:
@@ -267,8 +254,8 @@ def normalize(t: PatternTerm) -> NormalForm:
     return NormalForm(tuple(_sort_pound_runs(_chain(t))))
 
 
-def render_term(t: PatternTerm) -> str:
-    """Concrete syntax for a term, parseable by parse_pattern."""
+def render_term(t: "PatternTerm | NormalForm | NormalLeaf") -> str:
+    """Concrete syntax for a term, a normal form or a leaf, parseable by parse_pattern."""
     if isinstance(t, Atom):
         return t.name
     if isinstance(t, Star):
@@ -285,6 +272,14 @@ def render_term(t: PatternTerm) -> str:
         return f"{_render_factor(t.inner)}^-1"
     if isinstance(t, Compose):
         return " o ".join(map(render_term, _factors(t)))
+    if isinstance(t, NormalForm):
+        _check_size(sum(count for _, count in t.runs), "leaves")
+        return " o ".join(" o ".join([render_term(leaf)] * count) for leaf, count in t.runs)
+    if isinstance(t, PoundLeaf):
+        text, runs = render_term(t.inner), t.inner.runs
+        return f"({text})#" if len(runs) > 1 or runs[0][1] > 1 else f"{text}#"
+    if isinstance(t, Leaf):
+        return render_term(t.term())
     raise TypeError(f"not a pattern term: {t!r}")
 
 

@@ -35,6 +35,7 @@ from .patterns import (
     Twist,
     eval_invariant,
     normalize,
+    parse_pattern,
     table_profile,
 )
 from .seifert import (
@@ -217,7 +218,7 @@ def _check_rewrite_identities() -> str:
     for case in range(500):
         term = random_pattern_term(rng, 6)
         once = normalize(term)
-        if normalize(once.term()) != once:
+        if normalize(parse_pattern(str(once))) != once:
             raise AssertionError(f"normalize not idempotent on case {case}: {term!r}")
     return "all eight identity groups hold; normalize idempotent on 500 random terms"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import random
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -228,14 +228,19 @@ def _form(leaves) -> NormalForm:
     return NormalForm(tuple((leaf, len(list(same))) for leaf, same in groupby(leaves)))
 
 
+def expand(nf: NormalForm) -> tuple:
+    """The chain of a normal form written out leaf by leaf: each run's leaf, count times."""
+    return tuple(chain.from_iterable(repeat(leaf, count) for leaf, count in nf.runs))
+
+
 def render_normal_form(nf: NormalForm) -> str:
     """The text of a normal form, written out leaf by leaf."""
-    return " o ".join(_render_leaf(leaf) for leaf in nf.leaves)
+    return " o ".join(_render_leaf(leaf) for leaf in expand(nf))
 
 
 def _render_leaf(leaf) -> str:
     if isinstance(leaf, PoundLeaf):
-        inner = leaf.inner.leaves
+        inner = expand(leaf.inner)
         if len(inner) == 1 and isinstance(inner[0], Leaf):
             return f"{_render_leaf(inner[0])}#"
         return f"({render_normal_form(leaf.inner)})#"
@@ -262,7 +267,7 @@ def _sorted_pound_runs(leaves):
 
 def _bar_leaf(leaf):
     if isinstance(leaf, PoundLeaf):
-        inner = tuple(_bar_leaf(x) for x in leaf.inner.leaves)
+        inner = tuple(_bar_leaf(x) for x in expand(leaf.inner))
         return PoundLeaf(_form(_sorted_pound_runs(inner)))
     return Leaf(leaf.atom, leaf.star, not leaf.bar, -leaf.twist)
 

@@ -425,7 +425,7 @@ class TestMirroredSteps:
         real = exactlinalg._eliminate
 
         def spy(K, pivots, rest, update, mirrored):
-            stale = any(K.scales[r] < len(K.chain) - 1 for r in rest)
+            stale = any(K.counts[r] < len(K.pivots) for r in rest)
             seen.append((len(pivots), mirrored is not None, stale))
             return real(K, pivots, rest, update, mirrored)
 
@@ -590,10 +590,10 @@ class TestStepWidths:
             seen.append({
                 "width": len(pivots),
                 "mirrored": mirrored is not None,
-                "widened": K.size > (seen[-1]["size"] if seen else min(K.sizes)),
+                "widened": K.size > (seen[-1]["size"] if seen else K.widths[0]),
                 "size": K.size,
-                "old": [r for r in read if K.scales[r] < len(K.chain) - 1
-                        and K.sizes[r] < K.size],
+                "old": [r for r in read if K.counts[r] < len(K.pivots)
+                        and K.widths[K.counts[r]] < K.size],
             })
             return real(K, pivots, rest, update, mirrored)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import normalize_by_maps, render_normal_form
+from oracles import expand, normalize_by_maps, render_normal_form
 from shakekit import patterns
 from shakekit.errors import DomainError
 from shakekit.patterns import (
@@ -128,8 +128,8 @@ class TestParser:
 
     def test_long_chain_is_not_nesting(self):
         chain = parse_pattern(" o ".join(f"P_{i}" for i in range(3000)))
-        assert normalize(chain).leaves == tuple(Leaf("P", twist=i) for i in range(3000))
-        assert normalize(Star(chain)).leaves == tuple(
+        assert expand(normalize(chain)) == tuple(Leaf("P", twist=i) for i in range(3000))
+        assert expand(normalize(Star(chain))) == tuple(
             Leaf("P", star=True, twist=-i) for i in reversed(range(3000)))
 
     def test_power_zero_rejected(self):
@@ -185,19 +185,19 @@ class TestNormalForm:
         assert normalize(Power(P, 3)) == normalize(Compose(Compose(P, P), P))
 
     def test_wrapping_one_atom_is_a_pound_leaf(self):
-        nf = normalize(W)
-        assert len(nf.leaves) == 1
-        assert isinstance(nf.leaves[0], PoundLeaf)
+        leaves = expand(normalize(W))
+        assert len(leaves) == 1
+        assert isinstance(leaves[0], PoundLeaf)
 
     @given(terms)
     def test_leaves_are_flat(self, t):
-        for leaf in normalize(t).leaves:
+        for leaf in expand(normalize(t)):
             assert isinstance(leaf, (Leaf, PoundLeaf))
 
     @given(terms)
     def test_normalize_is_idempotent(self, t):
         once = normalize(t)
-        assert normalize(once.term()) == once
+        assert normalize(parse_pattern(str(once))) == once
         assert normalize(once) == once
 
 
@@ -272,7 +272,7 @@ class TestRetrace:
 
     def test_zero_twist(self):
         nf = normalize(retrace_term(Q, 0, 2))
-        assert nf.leaves == (
+        assert expand(nf) == (
             Leaf("Q", star=True, bar=True),
             Leaf("Q", star=True, bar=True),
             Leaf("Q"),
@@ -376,7 +376,7 @@ def leaf_by_leaf(leaves, tables) -> int:
     total = 0
     for leaf in leaves:
         if isinstance(leaf, PoundLeaf):
-            total += leaf_by_leaf(leaf.inner.leaves, tables)
+            total += leaf_by_leaf(expand(leaf.inner), tables)
             continue
         arg = leaf.twist if leaf.star == leaf.bar else -leaf.twist
         total += -tables[leaf.atom][arg] if leaf.bar else tables[leaf.atom][arg]
@@ -390,7 +390,7 @@ class TestCountedEvaluation:
             t = random_term(rng, 5)
             tables = {name: {n: rng.randint(-9, 9) for n in range(-40, 41)} for name in "PQRW"}
             asg = {name: table_profile(table) for name, table in tables.items()}
-            assert eval_invariant(t, asg) == leaf_by_leaf(normalize(t).leaves, tables), t
+            assert eval_invariant(t, asg) == leaf_by_leaf(expand(normalize(t)), tables), t
 
     def test_first_failing_leaf_raises(self):
         asg = {"P": table_profile({0: 1})}
@@ -402,16 +402,15 @@ class TestCountedEvaluation:
 
 
 class TestLeafLimit:
-    """Runs hold any multiplicity; the limit fires where a form is written out leaf by leaf."""
+    """Runs hold any multiplicity; the limit fires where a form is written out as text."""
 
     def test_power_is_refused_before_it_is_built(self):
         tracemalloc.start()
         try:
             nf = normalize(parse_pattern("P^100000000"))
             assert nf.runs == ((Leaf("P"), 100000000),)
-            for write_out in (lambda: nf.leaves, lambda: str(nf), nf.term):
-                with pytest.raises(DomainError, match="100000000 leaves.*limit of 2000000"):
-                    write_out()
+            with pytest.raises(DomainError, match="100000000 leaves.*limit of 2000000"):
+                str(nf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -419,12 +418,12 @@ class TestLeafLimit:
 
     def test_limit_is_inclusive_at_power_and_compose(self, monkeypatch):
         monkeypatch.setattr(patterns, "_MAX_LEAVES", 10)
-        assert len(normalize(Compose(Power(P, 5), Power(Q, 5))).leaves) == 10
-        assert len(normalize(Power(Compose(P, Q), 5)).leaves) == 10
+        assert str(normalize(Compose(Power(P, 5), Power(Q, 5)))) == " o ".join("P" * 5 + "Q" * 5)
+        assert str(normalize(Power(Compose(P, Q), 5))) == " o ".join("PQ" * 5)
         with pytest.raises(DomainError, match="11 leaves"):
             str(normalize(Compose(Power(P, 6), Power(Q, 5))))
         with pytest.raises(DomainError, match="12 leaves"):
-            normalize(Power(P, 12)).leaves
+            str(normalize(Power(P, 12)))
         # a pound leaf over a long power values and compares; only its text is refused
         long_pound = normalize(Pound(Power(Twist(P, 1), 12)))
         assert eval_invariant(long_pound, {"P": table_profile({1: 1})}) == 12
@@ -432,6 +431,20 @@ class TestLeafLimit:
                                                      Power(Twist(P, 1), 5))))
         with pytest.raises(DomainError, match="12 leaves"):
             str(long_pound)
+
+    @pytest.mark.parametrize("write", [lambda: str(normalize(Power(P, 200_000))),
+                                       lambda: normalize(parse_pattern("(P^200000)# o Q#"))],
+                             ids=["power", "pound-runs"])
+    def test_text_is_written_from_runs(self, write):
+        # each run's leaf is rendered once and repeated; no term tree of the leaves is built,
+        # also where ordering pound runs writes their text
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_run_count_is_limited_before_a_power_repeats_it(self, monkeypatch):
         monkeypatch.setattr(patterns, "_MAX_LEAVES", 10)
@@ -491,8 +504,8 @@ class TestOnePassNormalizer:
         nf, want = normalize(t), normalize_by_maps(t)
         assert nf == want and hash(nf) == hash(want), t
         assert str(nf) == render_normal_form(want), t
-        assert nf.leaves == want.leaves, t
-        assert eval_invariant(nf, self.ASSIGNMENT) == leaf_by_leaf(want.leaves, self.TABLES), t
+        assert expand(nf) == expand(want), t
+        assert eval_invariant(nf, self.ASSIGNMENT) == leaf_by_leaf(expand(want), self.TABLES), t
         return nf, want
 
     @given(terms)
@@ -504,8 +517,9 @@ class TestOnePassNormalizer:
         for _ in range(20_000):
             t = random_term(rng, 7)
             nf, want = self.check(t)
-            assert [str(leaf) for leaf in nf.leaves] == [
-                render_normal_form(NormalForm(((leaf, 1),))) for leaf in want.leaves], t
+            assert normalize(parse_pattern(str(nf))) == nf, t
+            assert [str(leaf) for leaf in expand(nf)] == [
+                render_normal_form(NormalForm(((leaf, 1),))) for leaf in expand(want)], t
 
     def test_composition_stays_non_associative(self):
         left, right = Compose(Compose(P, Q), R), Compose(P, Compose(Q, R))
@@ -522,7 +536,7 @@ class TestLongChains:
         text = " o ".join(["P", "Q*", "bar(R)_2"] * 500)
         t = parse_pattern(text)
         assert render_term(t) == text
-        assert render_term(normalize(t).term()) == text
+        assert str(normalize(t)) == text
         again = parse_pattern(render_term(t))
         assert again == t and again is not t
         assert hash(again) == hash(t)
