@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complexity", type=_ascii_int, required=True,
                    help="target complexity c >= 1")
     p.add_argument("--max-order", type=_ascii_int, default=DEFAULT_MAX_ORDER,
-                   help="largest witness order to try")
+                   help="largest witness order to try, any int >= 2")
     p.set_defaults(handler=cmd_certify)
 
     p = sub.add_parser("verify", help="recompute the package's reproduction table")

@@ -38,7 +38,6 @@ from .patterns import Atom, Profile, eval_invariant, render_term, retrace_term
 from .seifert import _family_signature, delta_n_closed
 
 DEFAULT_MAX_ORDER = 60
-MAX_ORDER = 10**9  # largest max_order the grid rule's 1e-12 test allows
 WITNESS_GRID = 720
 INVARIANT_NAME = "half-LT-signature"
 
@@ -90,27 +89,29 @@ def _primes() -> Iterator[int]:
             yield c
 
 
+def _grid_points(k: int, p: int) -> tuple[int, ...]:
+    """Grid points k/p is read against: j = ceil(720k/p), and j - 1 (mod 720) unless p is
+    2 or 5.  The third roots keep j - 1: the float reading gave 1/3 points 239 and 240."""
+    j = -(-WITNESS_GRID * k // p)
+    return (j,) if p in (2, 5) else (j - 1, j % WITNESS_GRID)
+
+
 def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCirclePoint:
     """First prime-order root of unity where sigma(Q_n, omega) != 0 by the witness rule.
 
-    Roots k/p are tried for primes p <= max_order in increasing (p, k)
-    order.  The grid rule picks the first root with Delta = Delta_{1+n}
-    negative at omega (one exact sign, exactlinalg._sign_at), at grid point
-    i0 = int(theta / step) of the WITNESS_GRID-point grid, and at i0 + 1
-    unless theta is within 1e-12 of i0 * step; i0 and that test are
-    floating point and part of the rule.  When no root up to max_order
-    passes it, the exact rule takes the first root with Delta(omega) < 0.
-    Odd twisting always yields omega = -1 (k/m = 1/2) first.
+    Roots k/p are tried for primes p <= max_order (any int >= 2) in increasing
+    (p, k) order.  The grid rule picks the first root with Delta = Delta_{1+n}
+    negative at omega and at _grid_points(k, p) on the WITNESS_GRID-point grid,
+    each one exact sign (exactlinalg._sign_at).  When no root passes it, the
+    exact rule takes the first root with Delta(omega) < 0.  Odd twisting always
+    yields omega = -1 first.
 
-    A root of prime order p > 5 is off the grid and, for p <= MAX_ORDER,
-    more than 2*pi / (720 * p) > 1e-12 from it, so it is read against two
-    adjacent grid points.  Once an exact-rule root is held at p > 5 and as
-    many roots were tried as the grid has points (so this at most doubles
-    the cost), the grid signs are taken once; if no two adjacent ones are
-    negative, no later root can pass and the search stops.  Raises
-    DomainError for max_order below 2 or past MAX_ORDER, ValueError for an
-    n or max_order that is not an int (a bool or a float included), and
-    WitnessNotFound when no root qualifies.
+    Once an exact-rule root is held at p > 5 after as many roots as the grid
+    has points (at most doubling the cost), the grid signs are taken once; if
+    no two adjacent ones are negative, no later root can pass and the search
+    stops.  Raises DomainError for n < 1 or max_order < 2, ValueError for an n
+    or max_order that is not an int (bools and floats too), and WitnessNotFound
+    if no root qualifies.
     """
     strict_int(n, "framing n")
     strict_int(max_order, "max_order")
@@ -119,19 +120,10 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     if max_order < 2:
         raise DomainError(f"max_order {max_order} is under the lower bound of 2, "
                           "the least prime order, so no root would be tried")
-    if max_order > MAX_ORDER:
-        raise DomainError(f"max_order {max_order} is over the limit of {MAX_ORDER}, "
-                          "past which the grid rule's 1e-12 test can fire off the grid")
     terms = sorted(delta_n_closed(1 + n).coeffs.items())
-    step = math.tau / WITNESS_GRID
 
     def negative(omega: UnitCirclePoint) -> bool:
         return _sign_at(omega, 0, terms) < 0
-
-    def on_grid(theta: float) -> bool:
-        i0 = int(theta / step) % WITNESS_GRID
-        grid = (i0,) if abs(theta - i0 * step) < 1e-12 else (i0, (i0 + 1) % WITNESS_GRID)
-        return all(negative(UnitCirclePoint.root(i, WITNESS_GRID)) for i in grid)
 
     tried, exact, stop = 0, None, None
     for p in itertools.takewhile(lambda p: p <= max_order, _primes()):
@@ -149,7 +141,7 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
             # sigma(Q_n, omega) != 0 exactly where Delta(omega) < 0.
             if not negative(omega):
                 continue
-            if on_grid(omega.theta % math.tau):
+            if all(negative(UnitCirclePoint.root(i, WITNESS_GRID)) for i in _grid_points(k, p)):
                 return omega
             if exact is None:
                 exact = omega

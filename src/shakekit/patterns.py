@@ -134,11 +134,6 @@ class Leaf(Record):
     def __str__(self) -> str:
         return render_term(self)
 
-    def term(self) -> PatternTerm:
-        t = Star(Atom(self.atom)) if self.star else Atom(self.atom)
-        t = Bar(t) if self.bar else t
-        return Twist(t, self.twist) if self.twist else t
-
 
 class PoundLeaf(Record):
     inner: "NormalForm"
@@ -161,6 +156,16 @@ class NormalForm(Record):
     """
 
     runs: tuple[Run, ...]
+
+    def _validate(self):
+        if not self.runs:
+            raise ValueError("a normal form needs at least one run, got none")
+        for i, (leaf, count) in enumerate(self.runs):
+            if strict_int(count, f"count of run {i}") < 1:
+                raise ValueError(f"run {i} has count {count}; a count is an int >= 1")
+            if i and leaf == self.runs[i - 1][0]:
+                raise ValueError(f"runs {i - 1} and {i} hold the same leaf {leaf}; "
+                                 "neighbouring runs hold different leaves")
 
     def __str__(self) -> str:
         return render_term(self)
@@ -279,7 +284,9 @@ def render_term(t: "PatternTerm | NormalForm | NormalLeaf") -> str:
         text, runs = render_term(t.inner), t.inner.runs
         return f"({text})#" if len(runs) > 1 or runs[0][1] > 1 else f"{text}#"
     if isinstance(t, Leaf):
-        return render_term(t.term())
+        text = f"{t.atom}*" if t.star else t.atom
+        text = f"bar({text})" if t.bar else text
+        return f"{text}_{t.twist}" if t.twist else text
     raise TypeError(f"not a pattern term: {t!r}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 import random
 from itertools import chain, groupby, repeat
 from decimal import Decimal, localcontext
@@ -139,6 +140,20 @@ def _decimal_pi() -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 60
         return Decimal(4 * (4 * arctan_inverse(5) - arctan_inverse(239))) / scale
+
+
+def float_grid_points(k: int, p: int, grid: int = 720) -> tuple[int, ...]:
+    """The grid points the witness search read the root k/p against in floats.
+
+    i0 = int(theta / step) for step = 2*pi / grid, and i0 + 1 as well unless
+    theta is within 1e-12 of i0 * step.  This was the package's rule before
+    it read the grid in integers; 1/3 gives 239 and 240, as theta / step is
+    239.99999999999997.
+    """
+    theta = UnitCirclePoint.root(k, p).theta % math.tau
+    step = math.tau / grid
+    i0 = int(theta / step) % grid
+    return (i0,) if abs(theta - i0 * step) < 1e-12 else (i0, (i0 + 1) % grid)
 
 
 def eval_naive(p: LaurentPoly, z: complex) -> complex:

@@ -448,12 +448,16 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["witness"] == {"k": 1, "m": 3}
 
-    def test_order_bound_over_the_limit(self, capsys):
-        code, out, err = run_cli(capsys, "certify", "--framing", "200", "--complexity", "1",
-                                 "--max-order", "2000000000")
+    def test_huge_order_bound_answers(self, capsys):
+        # the product of the primes <= 59 has no witness of order <= 60
+        n = str(math.prod(p for p in range(2, 60) if all(p % d for d in range(2, p))))
+        code, _, err = run_cli(capsys, "certify", "--framing", n, "--complexity", "1")
         assert code == 1
-        assert not out
-        assert "max_order 2000000000 is over the limit of 1000000000" in err
+        assert "at all 423 prime-order roots tried" in err
+        code, out, _ = run_cli(capsys, "certify", "--framing", n, "--complexity", "1",
+                               "--max-order", str(10**12))
+        assert code == 0
+        assert json.loads(out)["witness"] == {"k": 19, "m": 73}
 
 
 class TestMatrixKeys:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import reduce_first
+from oracles import float_grid_points, reduce_first
 from shakekit import complexity, exactlinalg, laurent, seifert, verify
 from shakekit.complexity import (
     WitnessNotFound,
@@ -75,6 +75,11 @@ def is_prime(m: int) -> bool:
     return m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
 
 
+# the product of the primes <= 59: Delta_(1+n) > 0 at every prime-order
+# root of order <= 59, so it has no witness at the default order bound
+PRIMORIAL_59 = math.prod(p for p in range(2, 60) if is_prime(p))
+
+
 class TestWitnessSearch:
     def test_first_twist_uses_minus_one(self):
         assert find_witness_root(1) == UnitCirclePoint.root(1, 2)
@@ -116,12 +121,28 @@ class TestWitnessSearch:
         for n, (k, m) in WITNESSES.items():
             assert find_witness_root(n) == UnitCirclePoint.root(k, m), n
 
-    def test_grid_index_is_taken_in_floats(self):
-        # theta / step for 1/3 is 239.99999999999997, so i0 = 239 and 1/3 is
-        # read against grid points 239 and 240; aligning i0 to the integer
-        # 240 would pick 1/3 at both framings
+    def test_third_roots_keep_two_grid_points(self):
+        # 1/3 and 2/3 lie on grid points 240 and 480, but are read against
+        # 239 and 240 and against 479 and 480, as the float rule read them;
+        # reading them at 240 and 480 alone would pick 1/3 at both framings
+        assert complexity._grid_points(1, 3) == (239, 240)
+        assert complexity._grid_points(2, 3) == (479, 480)
         assert find_witness_root(98) == UnitCirclePoint.root(3, 11)
         assert find_witness_root(104) == UnitCirclePoint.root(1, 5)
+
+    def test_grid_points_match_the_float_reading(self):
+        # the integer reading agrees with the float rule it replaced on every
+        # root of prime order <= 2000
+        tried = 0
+        for p in itertools.takewhile(lambda p: p <= 2000, complexity._primes()):
+            for k in range(1, p):
+                assert complexity._grid_points(k, p) == float_grid_points(k, p), (k, p)
+                tried += 1
+        assert tried == 276747
+        assert complexity._grid_points(1, 2) == (360,)
+        assert complexity._grid_points(4, 5) == (576,)
+        assert complexity._grid_points(1, 7) == (102, 103)
+        assert complexity._grid_points(1008, 1009) == (719, 0)
 
     def test_exact_zero_at_sixth_roots(self, monkeypatch):
         # for n = 5 mod 6, Delta_{1+n} vanishes at the primitive sixth roots
@@ -223,10 +244,13 @@ class TestWitnessSearch:
             find_witness_root(n)
             assert len(signs) < complexity.WITNESS_GRID, n
 
-    def test_order_bound_has_a_limit(self):
-        assert find_witness_root(1, max_order=complexity.MAX_ORDER) == UnitCirclePoint.root(1, 2)
-        with pytest.raises(DomainError, match="max_order 1000000001 is over the limit"):
-            find_witness_root(1, max_order=complexity.MAX_ORDER + 1)
+    def test_huge_order_bound_answers(self):
+        # the grid is read in integers, so no order bound is too large for it
+        assert find_witness_root(200, max_order=10**12) == UnitCirclePoint.root(1, 3)
+        with pytest.raises(WitnessNotFound):
+            find_witness_root(PRIMORIAL_59)
+        assert find_witness_root(PRIMORIAL_59, max_order=10**12) == UnitCirclePoint.root(19, 73)
+        assert find_witness_root(1, max_order=10**100) == UnitCirclePoint.root(1, 2)
 
     def test_exact_rule_after_the_grid_rule(self):
         # no root of order <= 60 passes the grid rule at these framings; the

@@ -134,3 +134,15 @@ def test_pivots_cache_their_terms():
 def test_validation_hooks_refuse(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("runs, message", [
+    ((), "needs at least one run"),
+    (((Leaf("P"), 0),), "run 0 has count 0"),
+    (((Leaf("P"), True),), "integer count of run 0, got True"),
+    (((Leaf("P"), 1), (Leaf("Q"), 2.0)), "integer count of run 1, got 2.0"),
+    (((Leaf("P"), 1), (Leaf("P"), 1)), "runs 0 and 1 hold the same leaf P"),
+], ids=["empty", "zero", "bool", "float", "equal-neighbours"])
+def test_normal_form_refuses_runs_normalize_never_builds(runs, message):
+    with pytest.raises(ValueError, match=message):
+        NormalForm(runs)
