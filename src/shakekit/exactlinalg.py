@@ -11,11 +11,10 @@ when a step reads it.  The Seifert pencil M = t*A - A^T is eliminated
 once per matrix A and memoised; with symmetric pivoting its Bareiss
 pivots are its leading principal minors, which give both the determinant
 and, by Jacobi's sign rule, the exact inertia of the Hermitian form
-H(omega) at every unit-circle point.  M(t)^T is -t * M(1/t), so in a
-dense step of a large pencil the lower triangle of the Schur complement
-is the upper one with its digits reversed and a sign: a to_bytes, the
-byte chunks in reverse order and a from_bytes, so only the upper
-triangle is eliminated (det_laurent gives the rule for when).
+H(omega) at every unit-circle point.  Its principal minors are
+palindromic, P(t) = +-t^d P(1/t), so a pencil is packed once at half the
+Hadamard width and its pivots are read back from both ends
+(det_laurent gives the proof).
 Every sign on the circle, a minor's or an Alexander polynomial's, is
 taken by _sign_at: exact for a monomial minor, else a float sum that
 counts only when it clears a rounding-error bound, and else, at a root
@@ -30,7 +29,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import struct
 from itertools import compress
 from typing import Callable, Iterable, Sequence
 
@@ -108,16 +106,19 @@ class Pivots(Record):
     """Bareiss pivots at t = 2^bits, each one a leading minor of the pivoted matrix.
 
     values[k-1] is the k-th pivot, the polynomial P_k / t^lows[k-1]
-    evaluated at 2^bits, whose coefficients lie strictly inside
-    +-2^(bits-1).  bits is the width of the elimination's last step, in
-    whole bytes and at most the Hadamard width rounded up to bytes
-    (det_laurent); every pivot is re-packed to it at the end.  bits and
-    values depend on the step widths, minor(k) does not.
+    evaluated at 2^bits.  bits is the width of the elimination's last
+    step, in whole bytes and at most the Hadamard width rounded up to
+    bytes (det_laurent); every pivot is re-packed to it at the end, and
+    the coefficients lie strictly inside +-2^(bits-1).  A pencil's pivots
+    (pencil=True) are packed at half that width instead, with
+    coefficients below 2^(2*bits-2), and are read from both ends.  bits
+    and values depend on the widths, minor(k) does not.
     """
 
     bits: int
     values: tuple[int, ...]
     lows: tuple[int, ...]
+    pencil: bool = False
 
     @functools.cached_property
     def terms(self) -> list[list[tuple[int, int]]]:
@@ -126,15 +127,36 @@ class Pivots(Record):
                 for k, low in enumerate(self.lows, 1)]
 
     def digits(self, k: int) -> list[int]:
-        """Coefficients of P_k / t^lows[k-1], lowest degree first."""
+        """Coefficients of P_k / t^lows[k-1], lowest degree first.
+
+        A pencil's Q = P_k / t^lows[k-1] has degree d = k - 2*lows[k-1] and
+        coefficients c_i = s*c_(d-i), s = (-1)^k.  Its value V at T = 2^bits
+        gives the outer coefficient c_0 modulo T, and s*round(V / T^d) within
+        T/4 + 1 of it, as |c_i| < T^2/4; the two fix it.  Then
+        (V - c_0*(1 + s*T^d)) / T is the value of the inner coefficients.
+        """
         value, bits = self.values[k - 1], self.bits
         half, mask = 1 << (bits - 1), (1 << bits) - 1
         out: list[int] = []
-        while value:
-            digit = ((value + half) & mask) - half
-            out.append(digit)
-            value = (value - digit) >> bits
-        return out
+        if not self.pencil:
+            while value:
+                digit = ((value + half) & mask) - half
+                out.append(digit)
+                value = (value - digit) >> bits
+            return out
+        d, s = k - 2 * self.lows[k - 1], -1 if k % 2 else 1
+        while value and d > 0:
+            low = value & mask
+            top = (value + (1 << bits * d - 1)) >> bits * d
+            c = low - ((low - s * top + half) >> bits << bits)
+            out.append(c)
+            value = (value - c - (s * c << bits * d)) >> bits
+            d -= 2
+        if value and d < 0:
+            raise ArithmeticError(f"pivot {k} is not a palindromic minor at width {bits}: "
+                                  f"{value} is left after {len(out)} outer coefficients")
+        inner = [value] if d == 0 else [0] * max(d + 1, 0)
+        return out + inner + [s * c for c in reversed(out)]
 
     def minor(self, k: int) -> LaurentPoly:
         """P_k as a Laurent polynomial; P_0 = 1."""
@@ -142,11 +164,6 @@ class Pivots(Record):
             return LaurentPoly.one()
         low = self.lows[k - 1]
         return LaurentPoly({low + i: d for i, d in enumerate(self.digits(k))})
-
-
-# Measured crossovers of the mirrored pencil steps; det_laurent gives the rule.
-_MIRROR_ENTRY_BYTES = 48
-_MIRROR_PENCIL_BYTES = 256
 
 
 def _is_pencil(entries: list[dict]) -> bool:
@@ -162,28 +179,12 @@ def _halves(digits: int, size: int, pad: int = 0) -> int:
     return int.from_bytes(half * digits, "little")
 
 
-@functools.lru_cache(maxsize=256)
-def _chunks(digits: int, size: int) -> Callable[[bytes], tuple[bytes, ...]]:
-    return struct.Struct(f"{size}s" * digits).unpack
-
-
-def _reversed(x: int, digits: int, size: int) -> int:
-    """x with its balanced base-2^(8*size) digits d_0..d_(digits-1) in reverse order.
-
-    Adding half the base to every digit makes each one a plain unsigned
-    size-byte chunk of x's bytes, so the reversal is to_bytes, the chunks
-    in reverse order, from_bytes, and the same offset taken off again.
-    """
-    offset = _halves(digits, size)
-    chunks = _chunks(digits, size)((x + offset).to_bytes(digits * size, "little"))
-    return int.from_bytes(b"".join(chunks[::-1]), "little") - offset
-
-
 def _repacked(values: list[int], old: int, new: int) -> list[int]:
     """The values, balanced base 2^(8*old), with the same digits in base 2^(8*new) >= that.
 
-    As in _reversed, a digit plus half the base is an unsigned old-byte
-    chunk; a strided copy moves the chunks new bytes apart.
+    Adding half the base to every digit makes each one an unsigned
+    old-byte chunk of the value's bytes; a strided copy moves the chunks
+    new bytes apart.
     """
     digits = (max(map(int.bit_length, values), default=0) + 1) // (8 * old) + 1
     if old == new or digits == 1:
@@ -234,46 +235,34 @@ class _Rows:
 
 
 def _eliminate(K: _Rows, pivots: tuple[int, ...], rest: list[int],
-               update: Callable[[dict[int, int], int | None], dict[int, int]],
-               mirrored: Callable[[int, int, int], int] | None) -> list[tuple[int, dict]]:
+               update: Callable[[dict[int, int]], dict[int, int]]) -> list[tuple[int, dict]]:
     """A Bareiss step on the pivot columns over the rows rest: the rows it writes, new.
 
-    A row holding a pivot column is read and update(row, None) gives its
-    new entries; any other row is left as stored.  When mirrored is given
-    every row is read, update(row, i) gives row rest[i] from column
-    rest[i] on, and mirrored(x, k, i) its entry k < i from x at (k, i).
+    A row holding a pivot column is read and update gives its new
+    entries; any other row is left as stored.
     """
-    if mirrored:
-        done: list[dict[int, int]] = []
-        for i, r in enumerate(rest):
-            new = update(K.read(r), i)
-            for k, above in enumerate(done):
-                if x := above.get(r):
-                    new[rest[k]] = mirrored(x, k, i)
-            done.append(new)
-        return list(zip(rest, done))
     rows, p, q = K.rows, pivots[0], pivots[-1]
-    return [(r, update(K.read(r), None)) for r in rest if p in rows[r] or q in rows[r]]
+    return [(r, update(K.read(r))) for r in rest if p in rows[r] or q in rows[r]]
 
 
 def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
     """det_laurent on sparse rows: row i maps column j to a nonzero int or coefficient dict."""
     n = len(entries)
-    lows, norms, spread, nonzeros = [], [], 0, 0
+    lows, norms, spread = [], [], 0
     for row in entries:
         if not row and not pivots:
             return LaurentPoly.zero()
         exps = [x for e in row.values() for x in ((0,) if e.__class__ is int else e)]
         lows.append(min(exps, default=0))
         spread = max(spread, max(exps, default=0) - lows[-1])
-        nonzeros += len(row)
         norms.append(max(1, sum(e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2
                                 for e in row.values())))
-    full = _width(math.prod(norms))
-    mirror = (pivots and 4 * nonzeros > n * n and n * full >= _MIRROR_PENCIL_BYTES
-              and _is_pencil(entries))
+    bound = math.prod(norms)
+    pencil = pivots and spread > 0 and _is_pencil(entries)
+    full = _width(math.isqrt(bound) + 1 if pencil else bound)
     left = sorted(norms)  # of the rows not yet pivots
-    bits = 8 * (_width(left[-1]) if spread and n else full)  # a constant matrix never widens
+    # a pencil, like a matrix of constants, never widens
+    bits = 8 * (_width(left[-1]) if spread and not pencil else full)
     K = _Rows([{j: e << bits * -low if e.__class__ is int else
                 sum(c << bits * (x - low) for x, c in e.items()) for j, e in row.items()}
                for row, low in zip(entries, lows)], bits // 8)
@@ -281,8 +270,8 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
     product, sign, offset = 1, 1, 0
     offsets = []  # the pivots' shifts summed
 
-    def begin(taken: list[int]) -> Callable[[int, int, int], int] | None:
-        """Widen K for a step on the taken rows (det_laurent); its mirror map, or None."""
+    def widen(taken: list[int]) -> None:
+        """Widen K for a step on the taken rows (det_laurent)."""
         nonlocal product
         for r in taken:
             product *= norms[r]
@@ -291,17 +280,6 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
         if need > K.size:
             size = min(full, max(need, -(-3 * K.size // 2)))
             K.pivots[:], K.size = _repacked(K.pivots, K.size, size), size
-        done = len(K.pivots) + len(taken)  # p, the pivots taken once the step is done
-        digits = done + 2 - 2 * (offset + sum(lows[r] for r in taken))  # W + 1, unshifted
-        if (not mirror or digits * K.size < _MIRROR_ENTRY_BYTES
-                or len(set().union(*(K.rows[r] for r in taken))) < len(order)):
-            return None
-        size, negate, shifts = K.size, not done % 2, [lows[r] for r in order[len(taken):]]
-
-        def entry(x: int, i: int, j: int) -> int:
-            y = _reversed(x, digits - shifts[i] - shifts[j], size)
-            return -y if negate else y
-        return entry
 
     while order:
         first = order[0]
@@ -327,19 +305,18 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
         taken = order[:2] if pivots and order[0] not in K.rows[order[0]] else order[:1]
         rest = order[len(taken):]
         columns = tuple(taken) if pivots else (len(K.pivots),)
-        mirrored = begin(taken)
+        if K.size < full:
+            widen(taken)
         prev, tops = K.pivots[-1] if K.pivots else 1, [K.read(r) for r in taken]
         if len(taken) == 1:
             (pc,), (top,) = columns, tops
             pivot = top[pc]
-            line = [(j, top[j]) for j in rest] if mirrored else [
-                (j, x) for j, x in top.items() if j != pc]
+            line = [(j, x) for j, x in top.items() if j != pc]
 
-            def update(row: dict[int, int], i: int | None) -> dict[int, int]:
+            def update(row: dict[int, int]) -> dict[int, int]:
                 c = row.get(pc, 0)
-                new = {j: z for j, x in (line if i is None else line[i:])
-                       if (z := (row.get(j, 0) * pivot - c * x) // prev)}
-                if i is None and not row.keys() <= top.keys():
+                new = {j: z for j, x in line if (z := (row.get(j, 0) * pivot - c * x) // prev)}
+                if not row.keys() <= top.keys():
                     new.update({j: x * pivot // prev for j, x in row.items() if j not in top})
                 return new
         else:  # a 2x2 block [[0, x], [y, 0]]: the 3x3 Sylvester determinants over prev^2
@@ -347,18 +324,17 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
             x, y, p2 = top0[b], top1[a], prev * prev
             pivot = -x * y // prev
 
-            def update(row: dict[int, int], i: int | None) -> dict[int, int]:
-                return {j: z for j in (rest[i:] if i is not None else
-                                       (row.keys() | top0.keys() | top1.keys()) - {a, b})
+            def update(row: dict[int, int]) -> dict[int, int]:
+                return {j: z for j in (row.keys() | top0.keys() | top1.keys()) - {a, b}
                         if (z := (x * (row.get(a, 0) * top1.get(j, 0) - y * row.get(j, 0))
                                   + y * row.get(b, 0) * top0.get(j, 0)) // p2)}
-        written = _eliminate(K, columns, rest, update, mirrored)
+        written = _eliminate(K, columns, rest, update)
         K.store([0] * (len(taken) - 1) + [pivot], [(r, {}) for r in taken] + written)
         for r in taken:
             offset += lows[r]
             offsets.append(offset)
         order = rest
-    found = Pivots(8 * K.size, tuple(K.pivots), tuple(offsets))
+    found = Pivots(8 * K.size, tuple(K.pivots), tuple(offsets), pencil)
     return found if pivots else found.minor(len(K.pivots)) * sign
 
 
@@ -382,8 +358,8 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     bound; w grows by half or more when it grows, and stops at the whole
     matrix's bound, which a matrix of constants takes at once.  This is
     exact: Bareiss's products and exact divisions are identities in Z[t],
-    so they hold at any t = 2^(8w), and only the read-back, the zero
-    tests and the reversals need the coefficients to fit, as they do.
+    so they hold at any t = 2^(8w), and only the read-back and the zero
+    tests need the coefficients to fit, as they do.
 
     A step only multiplies a row whose pivot-column entry is zero by
     pivot/prev, so such a row stays as stored, tagged with the count s of
@@ -404,27 +380,27 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     Seifert pencils t*A - A^T have M[i][j] != 0 exactly when
     M[j][i] != 0, so a block always exists while the rest is nonzero.
 
-    A pencil M = t*A - A^T has M(t)^T = -t * M(1/t), so after p pivots
-    Schur entry (j, i), the minor on the pivot rows and j and the pivot
-    columns and i, is (-1)^(p+1) t^(p+1) times entry (i, j) at 1/t.  With
-    row r shifted by t^-low_r and L the pivots' shifts summed, entry
-    (j, i) is entry (i, j) with its W + 1 digits reversed and the sign
-    (-1)^(p+1), W = p + 1 - 2L - low_i - low_j (a 2x2 block step counts p
-    after both pivots).  A mirrored step computes the upper triangle and
-    takes the lower one by _reversed.  The rule, from timings at the step
-    widths on a 2-core x86-64 host under CPython 3.11:
-      - A matrix is mirrored only when more than a quarter of its entries
-        are nonzero, n times the width of its bound is at least
-        _MIRROR_PENCIL_BYTES = 256 bytes, and _is_pencil, O(n^2) and run
-        on such matrices only, passes.  Dense pencils of dimension 10-18
-        (60-200 bytes) took 2-13% longer mirrored; unmirrored, dimension
-        22, 26 and 30 (308-600 bytes) took 14%, 28% and 43% longer.
-      - A step is mirrored only when it reads every row (a pencil's Schur
-        complement is zero at (i, j) exactly when at (j, i)) and its
-        unshifted entries span (W + 1) * w >= _MIRROR_ENTRY_BYTES = 48
-        bytes.  At 48 bytes a reversal and the update it replaces each
-        took 0.6 us with 6-16 byte digits (1.0 and 0.6 us with 2-byte
-        ones); at 192 bytes, 0.9-1.4 us and 5 us.
+    Half width for pencils.  A matrix with M(t)^T = -t * M(1/t) and a
+    nonconstant entry, such as t*A - A^T, pivoted symmetrically, is
+    packed once at w = _width(isqrt(H^2) + 1) bytes, H the Hadamard bound
+    of the whole matrix, so T = 2^(8w) > 2 sqrt(H), about half the bits
+    of H, and it never widens or re-packs.  A principal minor R of such a
+    matrix satisfies R(t) = +-t^d R(1/t), and so does each row-shifted
+    one.  If such an integer polynomial R != 0 had R(T) = 0, then
+    R(1/T) = 0 too, so (t - T)(T*t - 1) would divide R (Gauss's lemma),
+    and ||R||_2 >= M(R) >= T^2 (Landau's inequality, Mahler's measure)
+    would exceed H >= ||R||_2 (Parseval).  So at T:
+      - a diagonal Schur entry, a principal minor, is zero only if it is
+        zero as a polynomial, and so is a pivot;
+      - where the diagonal is zero, Schur entry (i, j) != 0 forces
+        (j, i) != 0, as their 2x2 block's minor is principal and nonzero
+        (the symmetry makes (j, i) t^(p+1) times (i, j) at 1/t, up to
+        sign);
+    and the pivots taken are those of the full width.  Off-diagonal
+    entries are exact values at T but never read back.  Pivots.digits
+    reads pivot k from both ends: its coefficients are palindromic up to
+    the sign (-1)^k and below H < T^2/4, so the value modulo T and the
+    rounded top digits fix each outer pair.
     """
     _check_square(rows)
     return _bareiss([{j: c for j, e in enumerate(row)

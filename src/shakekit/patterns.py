@@ -44,7 +44,7 @@ from itertools import groupby
 from typing import Callable, Mapping, Union
 
 from ._record import Record
-from .errors import DomainError, strict_int
+from .errors import DomainError, strict_bool, strict_int
 
 _MAX_LEAVES = 2_000_000  # most leaves a normal form writes out, and most runs it holds
 _MAX_NESTING = 100  # deepest nesting of parentheses, bar( and suffixes the parser takes
@@ -126,10 +126,22 @@ PatternTerm = Union[Atom, Star, Bar, Twist, Compose, Power, Pound, Inverse]
 
 
 class Leaf(Record):
+    """An atom with a star flag, a bar flag and a net twist; only text the parser reads back."""
+
     atom: str
     star: bool = False
     bar: bool = False
     twist: int = 0
+
+    def _validate(self):
+        atom = self.atom
+        if not (atom.__class__ is str and atom[:1] in _IDENT_START
+                and _IDENT_CONT.issuperset(atom) and atom != "bar"):
+            raise ValueError(f"leaf atom {atom!r} is not a pattern name: a letter, then "
+                             "letters and digits, never the letter o, and not bar")
+        strict_bool(self.star, "leaf star")
+        strict_bool(self.bar, "leaf bar")
+        strict_int(self.twist, "leaf twist")
 
     def __str__(self) -> str:
         return render_term(self)

@@ -1,9 +1,10 @@
 """Reference implementations the tests compare against.
 
-Everything here is deliberately naive: cofactor expansion instead of
-fraction-free elimination, dense complex evaluation instead of the
-Chebyshev path, a pattern normalizer that maps every leaf again under
-each operator.  Slow but independently checkable by eye.
+Everything here is deliberately naive: cofactor expansion, or dense
+elimination at one integer point, instead of the packed sparse kernel,
+dense complex evaluation instead of the Chebyshev path, a pattern
+normalizer that maps every leaf again under each operator.  Slow but
+independently checkable by eye.
 """
 
 from __future__ import annotations
@@ -62,6 +63,45 @@ def det_cofactor_fraction(rows: list[list[Fraction]]) -> Fraction:
         term = rows[0][j] * det_cofactor_fraction(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Determinant of a dense integer matrix by fraction-free elimination with row exchanges."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        pivot, row = m[k][k], m[k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k]
+            m[i][k + 1:] = [(a * pivot - f * b) // prev for a, b in zip(m[i][k + 1:], row[k + 1:])]
+        prev = pivot
+    return sign * prev
+
+
+def leading_minors(rows: list[list[int]]) -> list[int]:
+    """det rows[:k][:k] for k = 1..n of a dense integer matrix.
+
+    Fraction-free elimination without row exchanges makes pivot k the k-th
+    leading minor (Bareiss); from the first zero pivot on, each remaining
+    minor is taken afresh by det_int.
+    """
+    m = [list(row) for row in rows]
+    out, prev = [], 1
+    for k, row in enumerate(m):
+        p = row[k]
+        if not p:
+            return out + [det_int([r[:j] for r in rows[:j]]) for j in range(k + 1, len(m) + 1)]
+        out.append(p)
+        for i in range(k + 1, len(m)):
+            f = m[i][k]
+            m[i][k + 1:] = [(a * p - f * b) // prev for a, b in zip(m[i][k + 1:], row[k + 1:])]
+        prev = p
+    return out
 
 
 def reduce_first(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:

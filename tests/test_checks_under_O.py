@@ -32,6 +32,9 @@ outcome("alexander", lambda: seifert.alexander([[-1, 1], [0, -1]]))
 exactlinalg._bareiss = real_bareiss
 exactlinalg._pencil.cache_clear()
 
+# a pencil's pivot of odd degree whose value T - 1 does not divide
+outcome("read-back", lambda: exactlinalg.Pivots(8, (1,), (0,), True).minor(1))
+
 # an isolated zero minor between two minors of the same sign
 real_sign_at = exactlinalg._sign_at
 exactlinalg._sign_at = lambda omega, k, terms: [-1, 0, -1][k - 1]
@@ -56,11 +59,13 @@ def test_checks_raise_under_python_O():
     lines = proc.stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [
         ["alexander", "ArithmeticError"],
+        ["read-back", "ArithmeticError"],
         ["inertia", "ArithmeticError"],
         ["cross-check", "ArithmeticError"],
         ["bound", "ArithmeticError"],
     ], proc.stdout
     assert "not symmetric" in lines[0]
-    assert "D_1 and D_3 around the zero D_2" in lines[1]
-    assert "pattern-calculus" in lines[2]
-    assert "bound 0 < c = 1" in lines[3]
+    assert "not a palindromic minor" in lines[1]
+    assert "D_1 and D_3 around the zero D_2" in lines[2]
+    assert "pattern-calculus" in lines[3]
+    assert "bound 0 < c = 1" in lines[4]

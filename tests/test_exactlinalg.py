@@ -17,6 +17,7 @@ from oracles import (
     dense_remainder,
     det_cofactor,
     det_cofactor_fraction,
+    leading_minors,
     random_laurent_matrix,
     random_symmetric_matrix,
     random_unimodular,
@@ -383,77 +384,73 @@ def pencil_pivots(A: list[list[int]]) -> exactlinalg.Pivots:
     return exactlinalg._pencil.__wrapped__(tuple(map(tuple, A)))
 
 
+def all_minors(pivots: exactlinalg.Pivots) -> list[LaurentPoly]:
+    return [pivots.minor(k) for k in range(1, len(pivots.lows) + 1)]
+
+
 def pencil_minors(A: list[list[int]]) -> list[LaurentPoly]:
-    pivots = pencil_pivots(A)
-    return [pivots.minor(k) for k in range(1, len(A) + 1)]
+    return all_minors(pencil_pivots(A))
 
 
 class TestMirroredSteps:
-    """Dense pencil steps that take the lower triangle by digit reversal.
+    """Pencils, whose Schur complements mirror, packed once at half the Hadamard width.
 
-    After p pivots, entry (j, i) of the pencil's Schur complement is
-    (-1)^(p+1) t^(p+1) times entry (i, j) at 1/t, so a dense step of a
-    large pencil computes the upper triangle and reverses the base-2^B
-    digits of each entry for its mirror.  The always_mirrored fixture
-    lowers both size thresholds to 0, so every dense step of a pencil
-    with a quarter of its entries nonzero is mirrored, however small.
+    After p pivots, entry (j, i) of a pencil's Schur complement is
+    (-1)^(p+1) t^(p+1) times entry (i, j) at 1/t, and every principal
+    minor is palindromic.  So the kernel packs a pencil once at half the
+    bits of its Hadamard bound and reads each pivot from both ends.  These
+    matrices compare every pivot with its cofactor minor, and with the
+    general elimination, which widens to the full bound.
     """
 
     @pytest.fixture
-    def reversals(self, monkeypatch) -> list[int]:
-        """The digit count of every reversal taken from here on."""
-        calls = []
-        real = exactlinalg._reversed
-
-        def spy(x, digits, size):
-            calls.append(digits)
-            return real(x, digits, size)
-
-        monkeypatch.setattr(exactlinalg, "_reversed", spy)
-        return calls
-
-    @pytest.fixture
-    def always_mirrored(self, monkeypatch, reversals) -> list[int]:
-        monkeypatch.setattr(exactlinalg, "_MIRROR_ENTRY_BYTES", 0)
-        monkeypatch.setattr(exactlinalg, "_MIRROR_PENCIL_BYTES", 0)
-        return reversals
-
-    @pytest.fixture
-    def steps(self, monkeypatch) -> list[tuple[int, bool, bool]]:
-        """(width, mirrored, reads a row left at an older scale) of every step from here on."""
+    def steps(self, monkeypatch) -> list[tuple[int, bool]]:
+        """(width, reads a row left at an older scale) of every step from here on."""
         seen = []
         real = exactlinalg._eliminate
 
-        def spy(K, pivots, rest, update, mirrored):
-            stale = any(K.counts[r] < len(K.pivots) for r in rest)
-            seen.append((len(pivots), mirrored is not None, stale))
-            return real(K, pivots, rest, update, mirrored)
+        def spy(K, pivots, rest, update):
+            read = [r for r in rest if any(p in K.rows[r] for p in pivots)]
+            seen.append((len(pivots), any(K.counts[r] < len(K.pivots) for r in read)))
+            return real(K, pivots, rest, update)
 
         monkeypatch.setattr(exactlinalg, "_eliminate", spy)
         return seen
 
     @staticmethod
-    def unmirrored(A: list[list[int]], monkeypatch) -> list[LaurentPoly]:
+    def general(A: list[list[int]], monkeypatch) -> exactlinalg.Pivots:
+        """The pencil's Pivots from the general elimination, at widths up to the full bound."""
         with monkeypatch.context() as m:
-            m.setattr(exactlinalg, "_MIRROR_PENCIL_BYTES", 10**9)
-            return pencil_minors(A)
+            m.setattr(exactlinalg, "_is_pencil", lambda entries: False)
+            return pencil_pivots(A)
 
-    def test_reversal_of_balanced_digits(self):
+    def test_two_ended_read_back(self):
+        # palindromic coefficient lists, c_i = (-1)^k c_(d-i), with
+        # coefficients up to the T^2/4 the width allows, read back from
+        # their value at T; at odd degree a value off by one is refused
         rng = random.Random(7)
-        for size in (1, 2, 5, 17):
-            half = 1 << (8 * size - 1)
-            for digits in (1, 2, 3, 9):
-                d = [rng.randrange(1 - half, half) for _ in range(digits)]
-                d[rng.randrange(digits)] = rng.choice((1 - half, half - 1, 0))
-                value = sum(x << (8 * size * e) for e, x in enumerate(d))
-                want = sum(x << (8 * size * e) for e, x in enumerate(reversed(d)))
-                assert exactlinalg._reversed(value, digits, size) == want, (d, size)
+        for bits in (8, 16, 40):
+            top = 1 << (2 * bits - 2)
+            for k in range(1, 12):
+                for low in range(0, (k + 1) // 2 + 1):
+                    d, s = k - 2 * low, -1 if k % 2 else 1
+                    c = [rng.choice((1 - top, top - 1, 0, rng.randrange(1 - top, top)))
+                         for _ in range(d + 1)]
+                    c = [c[i] if 2 * i <= d else s * c[d - i] for i in range(d + 1)]
+                    value = sum(x << (bits * e) for e, x in enumerate(c))
+                    lows = (0,) * (k - 1) + (low,)
+                    pivots = exactlinalg.Pivots(bits, (0,) * (k - 1) + (value,), lows, True)
+                    assert pivots.digits(k) == c, (bits, k, low)
+                    if d % 2:  # then Q(1) = 0, so T - 1 divides every true value
+                        bad = exactlinalg.Pivots(bits, (0,) * (k - 1) + (value + 1,), lows, True)
+                        with pytest.raises(ArithmeticError, match="not a palindromic minor"):
+                            bad.digits(k)
 
-    def test_matches_cofactor_oracle(self, always_mirrored, steps):
+    def test_matches_cofactor_oracle(self, steps):
         # zero diagonals force 2x2 block steps, a zero column of A a row
         # shift; every pivot against its cofactor minor
         rng = random.Random(20261018)
-        mirrored = {"block": 0, "shift": 0, "plain": 0}
+        kinds = {"block": 0, "shift": 0, "plain": 0}
         for trial in range(240):
             dim = rng.randint(2, 6)
             A = dense_seifert(rng, dim)
@@ -467,15 +464,12 @@ class TestMirroredSteps:
             steps.clear()
             minors = pencil_minors(A)
             assert minors == symmetric_pivot_minors(t_matrix(A)), A
-            if any(m for _, m, _ in steps):
-                lows = pencil_pivots(A).lows
-                kind = ("block" if any(w == 2 and m for w, m, _ in steps) else
-                        "shift" if any(lows) else "plain")
-                mirrored[kind] += 1
-        assert min(mirrored.values()) >= 20, mirrored
-        assert always_mirrored
+            kind = ("block" if any(w == 2 for w, _ in steps) else
+                    "shift" if any(pencil_pivots(A).lows) else "plain")
+            kinds[kind] += 1
+        assert min(kinds.values()) >= 20, kinds
 
-    def test_any_matrix_with_the_pencil_symmetry(self, always_mirrored):
+    def test_any_matrix_with_the_pencil_symmetry(self):
         # M[j][i] = -t * M[i][j](1/t) with exponents from -2 to 3, so rows
         # are shifted by -2 to 1 and the windows vary entry by entry
         rng = random.Random(3)
@@ -490,10 +484,10 @@ class TestMirroredSteps:
                                            for _ in range(rng.randint(1, 3))})
                     M[j][i] = LaurentPoly({1 - x: -c for x, c in M[i][j].coeffs.items()})
             pivots = det_laurent(M, pivots=True)
-            assert [pivots.minor(k) for k in range(1, dim + 1)] == symmetric_pivot_minors(M), M
-        assert len(always_mirrored) > 1000
+            assert pivots.pencil
+            assert all_minors(pivots) == symmetric_pivot_minors(M), M
 
-    def test_matches_unmirrored_elimination(self, always_mirrored, monkeypatch):
+    def test_matches_unmirrored_elimination(self, monkeypatch):
         rng = random.Random(400)
         for trial in range(400):
             dim = rng.randint(2, 9)
@@ -505,97 +499,134 @@ class TestMirroredSteps:
                 column = rng.randrange(dim)
                 for row in A:
                     row[column] = 0
-            assert pencil_minors(A) == self.unmirrored(A, monkeypatch), A
-        assert len(always_mirrored) > 4000
+            assert pencil_minors(A) == all_minors(self.general(A, monkeypatch)), A
 
-    def test_row_left_at_an_older_scale(self, always_mirrored, steps):
+    def test_row_left_at_an_older_scale(self, steps):
         # index 1 is 2 * index 0 where they meet index 4, so after the
         # first step entries (1, 4) and (4, 1) of the Schur complement
-        # vanish: the second step is not mirrored and leaves row 4 at its
-        # old scale, and the third, mirrored, step reads it
+        # vanish: the second step leaves row 4 at its old scale, and the
+        # third step reads it
         A = dense_seifert(random.Random(11), 7)
         A[0][0], A[1][1], A[0][1], A[1][0] = 1, 3, 2, 2
         A[4][1], A[1][4] = 2 * A[4][0], 2 * A[0][4]
         assert pencil_minors(A) == symmetric_pivot_minors(t_matrix(A))
-        assert [m for _, m, _ in steps[:3]] == [True, False, True]
-        assert steps[2][2]
+        assert [stale for _, stale in steps[:3]] == [False, False, True]
 
-    def test_scrambled_family_matrices(self, reversals, monkeypatch):
+    def test_scrambled_family_matrices(self, monkeypatch):
         # P A_k P^T for unimodular P is dense, with the family's Alexander
-        # polynomial; the default thresholds mirror these pencils
+        # polynomial
         rng = random.Random(2040)
         for dim in (20, 26, 32, 40):
             k = dim // 2 - 1
             A = congruence(random_unimodular(rng, dim, 10 * dim), an_family(k))
             assert 4 * sum(map(bool, (x for row in A for x in row))) > dim * dim
-            reversals.clear()
             exactlinalg._pencil.cache_clear()
             assert alexander(A) == delta_n_closed(k)
-            assert reversals, dim
-            assert pencil_minors(A) == self.unmirrored(A, monkeypatch)
+            assert pencil_pivots(A).pencil
+            assert pencil_minors(A) == all_minors(self.general(A, monkeypatch))
 
-    def test_reversal_runs_on_dense_pencils_only(self, reversals, monkeypatch):
+    def test_half_width_on_dense_and_sparse_pencils(self, monkeypatch):
+        # the dense fixture and a sparse family pencil both take half the
+        # bits of the general elimination's last width, or fewer
         doc = json.loads((FIXTURES / "dense_seifert_30.json").read_text())
-        A = int_matrix_from_json(doc)
-        assert pencil_minors(A)[-1] == delta_n_closed(14).shift(15)
-        assert len(reversals) > 300
-        reversals.clear()
-        sparse = an_family(40)
-        pivots = pencil_pivots(sparse)
-        assert reversals == []
-        with monkeypatch.context() as m:
-            m.setattr(exactlinalg, "_MIRROR_PENCIL_BYTES", 10**9)
-            assert pencil_pivots(sparse) == pivots
+        for A, k in ((int_matrix_from_json(doc), 14), (an_family(40), 40)):
+            pivots, general = pencil_pivots(A), self.general(A, monkeypatch)
+            assert pivots.pencil and not general.pencil
+            assert 2 * pivots.bits <= general.bits + 16
+            assert all_minors(pivots) == all_minors(general)
+            assert all_minors(pivots)[-1] == delta_n_closed(k).shift(k + 1)
 
     def test_fixture_is_a_scrambled_family_matrix(self):
         doc = json.loads((FIXTURES / "dense_seifert_30.json").read_text())
         P = random_unimodular(random.Random(31), 30, 300)
         assert doc == {"dim": 30, "entries": congruence(P, an_family(14))}
 
-    def test_symmetric_and_near_pencil_matrices_are_not_mirrored(self, always_mirrored):
+    def test_symmetric_and_near_pencil_matrices_are_not_mirrored(self):
         # a symmetric matrix, and a pencil with one entry off by t^2, keep
-        # the unmirrored elimination
+        # the general elimination
         rng = random.Random(5)
         for _ in range(40):
             dim = rng.randint(2, 7)
             S = random_symmetric_matrix(rng, dim)
-            assert [det_laurent(S, pivots=True).minor(k) for k in range(1, dim + 1)] == \
-                symmetric_pivot_minors(as_laurent(S)), S
+            pivots = det_laurent(S, pivots=True)
+            assert not pivots.pencil
+            assert all_minors(pivots) == symmetric_pivot_minors(as_laurent(S)), S
             rows = t_matrix(dense_seifert(rng, dim))
             rows[0][-1] = rows[0][-1] + LaurentPoly({2: 1})
             pivots = det_laurent(rows, pivots=True)
-            assert [pivots.minor(k) for k in range(1, dim + 1)] == symmetric_pivot_minors(rows)
-        assert always_mirrored == []
+            assert not pivots.pencil
+            assert all_minors(pivots) == symmetric_pivot_minors(rows)
+
+
+def random_seifert(rng: random.Random, dim: int, dense: bool) -> list[list[int]]:
+    """A Seifert matrix with entries up to +-3, +-30 or +-1000; dense ones have no zero entry."""
+    bound = rng.choice((3, 30, 1000))
+    density = 1.0 if dense else rng.uniform(0.15, 0.7)
+    return [[rng.choice((-1, 1)) * rng.randint(1, bound) if rng.random() < density else 0
+             for _ in range(dim)] for _ in range(dim)]
+
+
+def test_pencil_pivots_match_elimination_at_integer_points(monkeypatch):
+    # every pivot of random and dense pencils, dimension <= 22, against
+    # the leading principal minors of the pivoted matrix at t = -3, 2 and
+    # 5; at least 1,000 pivots have a coefficient of T/2 or more, so only
+    # the two-ended read gets them right
+    order = []
+    real = exactlinalg._eliminate
+
+    def spy(K, pivots, rest, update):
+        order.extend(pivots)
+        return real(K, pivots, rest, update)
+
+    monkeypatch.setattr(exactlinalg, "_eliminate", spy)
+    rng = random.Random(20261019)
+    two_ended = 0
+    for trial in range(330):
+        blocks = trial % 7 == 3  # a zero diagonal: 2x2 block steps
+        dim = rng.randint(1, 22)
+        A = random_seifert(rng, dim, trial % 2 == 1)
+        for i in range(dim if blocks else 0):
+            A[i][i] = 0
+        order.clear()
+        pivots = pencil_pivots(A)
+        order += [i for i in range(dim) if i not in order]  # a zero Schur complement's rows
+        minors = all_minors(pivots)
+        for t in (-3, 2, 5):
+            N = [[t * A[i][j] - A[j][i] for j in order] for i in order]
+            assert [sum(c * t ** e for e, c in m.coeffs.items()) for m in minors] == \
+                leading_minors(N), (A, t)
+        half = 1 << (pivots.bits - 1)
+        two_ended += sum(any(abs(c) >= half for c in m.coeffs.values()) for m in minors)
+    assert two_ended >= 1000, two_ended
 
 
 class TestStepWidths:
     """Each step packs at the width its own minors need; rows catch up when read.
 
     After p pivots every entry is a minor on the pivot rows and one more
-    row, so the kernel widens, in whole bytes, as the product of the pivot
-    rows' norms grows.  A row that no step reads keeps the scale and the
-    width it was stored at; these matrices make rows wait across
-    widenings, put block and mirrored steps right after one, and check
-    every pivot against its cofactor minor.
+    row, so the general kernel widens, in whole bytes, as the product of
+    the pivot rows' norms grows.  A row that no step reads keeps the scale
+    and the width it was stored at; these matrices, none of them a pencil,
+    make rows wait across widenings, put block steps right after one, and
+    check every pivot against its cofactor minor.
     """
 
     @pytest.fixture
     def log(self, monkeypatch) -> list[dict]:
-        """Per step: its width, mirroring, Kronecker bytes, and the rows it reads stale."""
+        """Per step: its width, Kronecker bytes, and the rows it reads stale."""
         seen = []
         real = exactlinalg._eliminate
 
-        def spy(K, pivots, rest, update, mirrored):
-            read = [r for r in rest if mirrored or any(p in K.rows[r] for p in pivots)]
+        def spy(K, pivots, rest, update):
+            read = [r for r in rest if any(p in K.rows[r] for p in pivots)]
             seen.append({
                 "width": len(pivots),
-                "mirrored": mirrored is not None,
                 "widened": K.size > (seen[-1]["size"] if seen else K.widths[0]),
                 "size": K.size,
                 "old": [r for r in read if K.counts[r] < len(K.pivots)
                         and K.widths[K.counts[r]] < K.size],
             })
-            return real(K, pivots, rest, update, mirrored)
+            return real(K, pivots, rest, update)
 
         monkeypatch.setattr(exactlinalg, "_eliminate", spy)
         return seen
@@ -615,34 +646,40 @@ class TestStepWidths:
             assert [exactlinalg._repacked([v], old, new)[0] for v in values] == want
 
     def test_row_waits_across_widenings(self, log):
-        # a band: each row is first read when its neighbour is the pivot,
-        # after steps that widened the entries it has not seen
+        # a symmetric band of Laurent polynomials: each row is first read
+        # when its neighbour is the pivot, after steps that widened the
+        # entries it has not seen
         for n, scale in ((6, 20), (8, 9), (9, 40)):
-            A = [[0] * n for _ in range(n)]
+            M = [[LaurentPoly()] * n for _ in range(n)]
             for i in range(n):
-                A[i][i] = scale + i
+                M[i][i] = LaurentPoly({0: scale + i, 1: -scale})
                 if i + 1 < n:
-                    A[i][i + 1], A[i + 1][i] = scale - i, -scale
+                    M[i][i + 1] = M[i + 1][i] = LaurentPoly({0: scale - i, 1: scale})
             log.clear()
-            assert pencil_minors(A) == symmetric_pivot_minors(t_matrix(A)), A
+            pivots = det_laurent(M, pivots=True)
+            assert not pivots.pencil
+            assert all_minors(pivots) == symmetric_pivot_minors(M), M
             assert any(step["old"] for step in log), log
             assert any(step["widened"] for step in log[1:]), log
 
-    def test_block_and_mirrored_steps_right_after_a_widening(self, monkeypatch, log):
-        monkeypatch.setattr(exactlinalg, "_MIRROR_ENTRY_BYTES", 0)
-        monkeypatch.setattr(exactlinalg, "_MIRROR_PENCIL_BYTES", 0)
+    def test_block_steps_right_after_a_widening(self, log):
+        # symmetric Laurent matrices with coefficients 5..30; zero
+        # diagonals force 2x2 block steps, some of them the first step at
+        # a new width
         rng = random.Random(17)
         seen = set()
         for trial in range(40):
             dim = rng.randint(3, 6)
-            A = [[rng.choice((-1, 1)) * rng.randint(5, 30) for _ in range(dim)]
-                 for _ in range(dim)]
-            if trial % 2:
-                for i in range(dim):
-                    A[i][i] = 0
+            M = [[LaurentPoly()] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(i if trial % 2 == 0 else i + 1, dim):
+                    M[i][j] = M[j][i] = LaurentPoly(
+                        {e: rng.choice((-1, 1)) * rng.randint(5, 30) for e in (0, 1)})
             log.clear()
-            assert pencil_minors(A) == symmetric_pivot_minors(t_matrix(A)), A
-            seen |= {step["width"] for step in log if step["mirrored"] and step["widened"]}
+            pivots = det_laurent(M, pivots=True)
+            assert not pivots.pencil
+            assert all_minors(pivots) == symmetric_pivot_minors(M), M
+            seen |= {step["width"] for step in log if step["widened"]}
         assert seen == {1, 2}
 
     def test_row_swaps_without_pivoting(self, log):

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -23,6 +24,8 @@ from shakekit.patterns import (
     Power,
     Star,
     Twist,
+    normalize,
+    parse_pattern,
 )
 from shakekit.verify import CheckResult
 
@@ -38,7 +41,7 @@ RECORDS = [
     (Inertia, dict(n_plus=2, n_zero=0, n_minus=1), dict(n_zero=1),
      "Inertia(n_plus=2, n_zero=0, n_minus=1)"),
     (Pivots, dict(bits=8, values=(-1, 258), lows=(0, 1)), dict(lows=(0, 0)),
-     "Pivots(bits=8, values=(-1, 258), lows=(0, 1))"),
+     "Pivots(bits=8, values=(-1, 258), lows=(0, 1), pencil=False)"),
     (Atom, dict(name="P"), dict(name="Q"), "Atom(name='P')"),
     (Star, dict(inner=P), dict(inner=Q), "Star(inner=Atom(name='P'))"),
     (Bar, dict(inner=P), dict(inner=Q), "Bar(inner=Atom(name='P'))"),
@@ -126,6 +129,13 @@ def test_pivots_cache_their_terms():
     assert pivots == Pivots(8, (-1, 258), (0, 1))
 
 
+def test_pencil_pivots_are_read_from_both_ends():
+    # coefficients past 2^(bits-1), palindromic up to the sign (-1)^k
+    pivots = Pivots(8, (300 - 300 * 256, 200 - 5 * 256 + 200 * 256**2), (0, 0), pencil=True)
+    assert pivots.terms == [[(0, 300), (1, -300)], [(0, 200), (1, -5), (2, 200)]]
+    assert pivots != Pivots(8, pivots.values, (0, 0))
+
+
 @pytest.mark.parametrize("build, error", [
     (lambda: Inertia(-1, 0, 0), ValueError),
     (lambda: Band(orientable=True, self_writhe=1), ValueError),
@@ -146,3 +156,26 @@ def test_validation_hooks_refuse(build, error):
 def test_normal_form_refuses_runs_normalize_never_builds(runs, message):
     with pytest.raises(ValueError, match=message):
         NormalForm(runs)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(atom="P o Q"), "leaf atom 'P o Q' is not a pattern name"),
+    (dict(atom="Po"), "leaf atom 'Po' is not a pattern name"),
+    (dict(atom=""), "leaf atom '' is not a pattern name"),
+    (dict(atom="2P"), "leaf atom '2P' is not a pattern name"),
+    (dict(atom="bar"), "leaf atom 'bar' is not a pattern name"),
+    (dict(atom=Atom("P")), "is not a pattern name"),
+    (dict(atom="P", star=1), "expected true or false for leaf star, got 1"),
+    (dict(atom="P", bar="yes"), "expected true or false for leaf bar, got 'yes'"),
+    (dict(atom="P", twist=True), "expected integer leaf twist, got True"),
+    (dict(atom="P", twist=1.0), "expected integer leaf twist, got 1.0"),
+], ids=["composite", "letter-o", "empty", "digit-first", "keyword", "not-str", "star-int",
+        "bar-str", "twist-bool", "twist-float"])
+def test_leaf_refuses_what_the_parser_cannot_read_back(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Leaf(**fields)
+
+
+def test_leaf_text_reads_back_to_the_leaf():
+    for leaf in (Leaf("P"), Leaf("barX", star=True, twist=-3), Leaf("K12", bar=True, twist=7)):
+        assert normalize(parse_pattern(str(leaf))) == NormalForm(((leaf, 1),))
