@@ -2,12 +2,12 @@
 
 Determinants have one integer kernel: Kronecker substitution t = 2^(8w),
 fraction-free (Bareiss) elimination over the integers on sparse rows,
-and a balanced base-2^(8w) read-back.  Each step packs at the width of w
-bytes that a running Hadamard bound gives its own minors, so the width
-grows with the minors produced.  A row that a step does not read keeps
-the width and the scale (pivot s, for the s pivots taken then) it was
-stored at, and is re-packed and rescaled, stored * prev // pivot s, only
-when a step reads it.  The Seifert pencil M = t*A - A^T is eliminated
+and a balanced base-2^(8w) read-back.  Each matrix is packed once, at a
+width of w bytes fixed before the first step: the Hadamard width of the
+whole matrix, or half of it for a pencil.  A row that a step does not
+read keeps the scale (pivot s, for the s pivots taken then) it was
+stored at, and is rescaled, stored * prev // pivot s, only when a step
+reads it.  The Seifert pencil M = t*A - A^T is eliminated
 once per matrix A and memoised; with symmetric pivoting its Bareiss
 pivots are its leading principal minors, which give both the determinant
 and, by Jacobi's sign rule, the exact inertia of the Hermitian form
@@ -26,7 +26,6 @@ its pivots are the matrix's exact integer leading minors.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from itertools import compress
@@ -106,13 +105,12 @@ class Pivots(Record):
     """Bareiss pivots at t = 2^bits, each one a leading minor of the pivoted matrix.
 
     values[k-1] is the k-th pivot, the polynomial P_k / t^lows[k-1]
-    evaluated at 2^bits.  bits is the width of the elimination's last
-    step, in whole bytes and at most the Hadamard width rounded up to
-    bytes (det_laurent); every pivot is re-packed to it at the end, and
+    evaluated at 2^bits.  bits is the elimination's one width: the
+    Hadamard width of the whole matrix in whole bytes (det_laurent), and
     the coefficients lie strictly inside +-2^(bits-1).  A pencil's pivots
     (pencil=True) are packed at half that width instead, with
     coefficients below 2^(2*bits-2), and are read from both ends.  bits
-    and values depend on the widths, minor(k) does not.
+    and values depend on the width, minor(k) does not.
     """
 
     bits: int
@@ -172,55 +170,26 @@ def _is_pencil(entries: list[dict]) -> bool:
                for i, row in enumerate(entries) for j, e in row.items())
 
 
-@functools.lru_cache(maxsize=256)
-def _halves(digits: int, size: int, pad: int = 0) -> int:
-    """Half of 2^(8*size) in each of digits digits of size + pad bytes."""
-    half = (1 << 8 * size - 1).to_bytes(size, "little") + bytes(pad)
-    return int.from_bytes(half * digits, "little")
-
-
-def _repacked(values: list[int], old: int, new: int) -> list[int]:
-    """The values, balanced base 2^(8*old), with the same digits in base 2^(8*new) >= that.
-
-    Adding half the base to every digit makes each one an unsigned
-    old-byte chunk of the value's bytes; a strided copy moves the chunks
-    new bytes apart.
-    """
-    digits = (max(map(int.bit_length, values), default=0) + 1) // (8 * old) + 1
-    if old == new or digits == 1:
-        return values
-    packed = b"".join([(x + _halves(digits, old)).to_bytes(digits * old, "little")
-                       for x in values])
-    wide = bytearray(len(packed) // old * new)
-    for k in range(old):
-        wide[k::new] = packed[k::old]
-    high, span = _halves(digits, old, new - old), digits * new
-    return [int.from_bytes(wide[i:i + span], "little") - high for i in range(0, len(wide), span)]
-
-
 def _width(bound_sq: int) -> int:
     """The bytes a digit needs for coefficients up to sqrt(bound_sq) in absolute value."""
     return ((math.isqrt(bound_sq - 1) + 1).bit_length() + 8) // 8
 
 
 class _Rows:
-    """Sparse rows, column -> nonzero entry, at t = 2^(8*size) once read, and the pivots.
+    """Sparse rows, column -> nonzero entry, packed at the elimination's one width, and the pivots.
 
-    pivots holds every pivot taken, at width size.  Row r was stored once
-    counts[r] pivots were taken, at width widths[counts[r]] and scaled to
-    the last of those pivots (1 before any).
+    pivots holds every pivot taken.  Row r was stored once counts[r]
+    pivots were taken, scaled to the last of those pivots (1 before any).
     """
 
-    def __init__(self, rows: list[dict[int, int]], size: int):
-        self.rows, self.size = rows, size
+    def __init__(self, rows: list[dict[int, int]]):
+        self.rows = rows
         self.pivots: list[int] = []
-        self.counts, self.widths = [0] * len(rows), [size]
+        self.counts = [0] * len(rows)
 
     def read(self, r: int) -> dict[int, int]:
-        """The true entries of row r: re-packed, times pivots[-1] / pivots[counts[r] - 1]."""
+        """The true entries of row r: stored, times pivots[-1] / pivots[counts[r] - 1]."""
         row, count = self.rows[r], self.counts[r]
-        if self.widths[count] != self.size:
-            row = dict(zip(row, _repacked(list(row.values()), self.widths[count], self.size)))
         if count != len(self.pivots):
             num, den = self.pivots[-1], self.pivots[count - 1] if count else 1
             row = {j: x * num // den for j, x in row.items()}
@@ -229,7 +198,6 @@ class _Rows:
     def store(self, pivots: list[int], rows: Iterable[tuple[int, dict[int, int]]]) -> None:
         """Take a step's pivots, then store the rows it wrote, tagged with the new count."""
         self.pivots += pivots
-        self.widths += [self.size] * len(pivots)
         for r, row in rows:
             self.rows[r], self.counts[r] = row, len(self.pivots)
 
@@ -248,38 +216,23 @@ def _eliminate(K: _Rows, pivots: tuple[int, ...], rest: list[int],
 def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
     """det_laurent on sparse rows: row i maps column j to a nonzero int or coefficient dict."""
     n = len(entries)
-    lows, norms, spread = [], [], 0
+    lows, bound, spread = [], 1, 0
     for row in entries:
         if not row and not pivots:
             return LaurentPoly.zero()
         exps = [x for e in row.values() for x in ((0,) if e.__class__ is int else e)]
         lows.append(min(exps, default=0))
         spread = max(spread, max(exps, default=0) - lows[-1])
-        norms.append(max(1, sum(e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2
-                                for e in row.values())))
-    bound = math.prod(norms)
+        bound *= max(1, sum(e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2
+                            for e in row.values()))
     pencil = pivots and spread > 0 and _is_pencil(entries)
-    full = _width(math.isqrt(bound) + 1 if pencil else bound)
-    left = sorted(norms)  # of the rows not yet pivots
-    # a pencil, like a matrix of constants, never widens
-    bits = 8 * (_width(left[-1]) if spread and not pencil else full)
+    bits = 8 * _width(math.isqrt(bound) + 1 if pencil else bound)
     K = _Rows([{j: e << bits * -low if e.__class__ is int else
                 sum(c << bits * (x - low) for x, c in e.items()) for j, e in row.items()}
-               for row, low in zip(entries, lows)], bits // 8)
+               for row, low in zip(entries, lows)])
     order = list(range(n))  # rows left, in pivoting order; pivoting keeps column = row label
-    product, sign, offset = 1, 1, 0
+    sign, offset = 1, 0
     offsets = []  # the pivots' shifts summed
-
-    def widen(taken: list[int]) -> None:
-        """Widen K for a step on the taken rows (det_laurent)."""
-        nonlocal product
-        for r in taken:
-            product *= norms[r]
-            del left[bisect.bisect_left(left, norms[r])]
-        need = _width(product * (left[-1] if left else 1))
-        if need > K.size:
-            size = min(full, max(need, -(-3 * K.size // 2)))
-            K.pivots[:], K.size = _repacked(K.pivots, K.size, size), size
 
     while order:
         first = order[0]
@@ -305,8 +258,6 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
         taken = order[:2] if pivots and order[0] not in K.rows[order[0]] else order[:1]
         rest = order[len(taken):]
         columns = tuple(taken) if pivots else (len(K.pivots),)
-        if K.size < full:
-            widen(taken)
         prev, tops = K.pivots[-1] if K.pivots else 1, [K.read(r) for r in taken]
         if len(taken) == 1:
             (pc,), (top,) = columns, tops
@@ -334,7 +285,7 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
             offset += lows[r]
             offsets.append(offset)
         order = rest
-    found = Pivots(8 * K.size, tuple(K.pivots), tuple(offsets), pencil)
+    found = Pivots(bits, tuple(K.pivots), tuple(offsets), pencil)
     return found if pivots else found.minor(len(K.pivots)) * sign
 
 
@@ -349,25 +300,22 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     textual form; an int goes straight into the kernel.  Rows are sparse,
     column -> entry, and a step reads only the rows holding a pivot column.
 
-    Step widths.  After p pivots an entry is a minor on the p pivot rows
-    and one more row.  On the unit circle |a_ij| <= ||a_ij||_1, so by
-    Hadamard it is at most the product of those rows' norms
-    sqrt(sum_j ||a_ij||_1^2): the running product over the pivot rows
-    times the largest norm left, which bounds its coefficients too
-    (Parseval).  A step packs at the least w whose digits hold that
-    bound; w grows by half or more when it grows, and stops at the whole
-    matrix's bound, which a matrix of constants takes at once.  This is
-    exact: Bareiss's products and exact divisions are identities in Z[t],
-    so they hold at any t = 2^(8w), and only the read-back and the zero
-    tests need the coefficients to fit, as they do.
+    One width.  Every entry the elimination writes is a minor of the
+    row-shifted matrix.  On the unit circle |a_ij| <= ||a_ij||_1, so by
+    Hadamard such a minor is at most H, the product of the row norms
+    sqrt(sum_j ||a_ij||_1^2), which bounds its coefficients too
+    (Parseval).  The matrix is packed once, before the first step, at the
+    least w whose digits hold H, half of that for a pencil (below), and
+    w never changes.  This is exact: Bareiss's products and exact
+    divisions are identities in Z[t], so they hold at any t = 2^(8w), and
+    only the read-back and the zero tests need the coefficients to fit,
+    as they do.
 
     A step only multiplies a row whose pivot-column entry is zero by
     pivot/prev, so such a row stays as stored, tagged with the count s of
-    pivots taken then, which fixes its width and its scale, pivot s.  A
-    step that reads it re-packs it (_repacked) and multiplies it by
-    prev // pivot s, exact as its true entries are minors.  The pivots,
-    each step's prev the last, are re-packed whenever w grows, so
-    Pivots.bits is the last width.  Zero tests read stored entries.
+    pivots taken then, which fixes its scale, pivot s.  A step that reads
+    it multiplies it by prev // pivot s, exact as its true entries are
+    minors.  Zero tests read stored entries.
 
     With pivots=True the same elimination pivots symmetrically and
     returns its Pivots instead.  A zero pivot is exchanged, row and column
@@ -384,7 +332,7 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     nonconstant entry, such as t*A - A^T, pivoted symmetrically, is
     packed once at w = _width(isqrt(H^2) + 1) bytes, H the Hadamard bound
     of the whole matrix, so T = 2^(8w) > 2 sqrt(H), about half the bits
-    of H, and it never widens or re-packs.  A principal minor R of such a
+    of H, in place of the full width.  A principal minor R of such a
     matrix satisfies R(t) = +-t^d R(1/t), and so does each row-shifted
     one.  If such an integer polynomial R != 0 had R(T) = 0, then
     R(1/T) = 0 too, so (t - T)(T*t - 1) would divide R (Gauss's lemma),

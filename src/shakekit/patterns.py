@@ -148,7 +148,16 @@ class Leaf(Record):
 
 
 class PoundLeaf(Record):
+    """The pound of a normal form, which holds a plain leaf run as normalize builds it."""
+
     inner: "NormalForm"
+
+    def _validate(self):
+        if self.inner.__class__ is not NormalForm:
+            raise ValueError(f"a pound leaf holds a normal form, got {self.inner!r}")
+        if not any(leaf.__class__ is Leaf for leaf, _ in self.inner.runs):
+            raise ValueError(f"the form {self.inner} inside a pound leaf has no plain leaf run; "
+                             "the pound of a form of pound leaves is that form")
 
     def __str__(self) -> str:
         return render_term(self)

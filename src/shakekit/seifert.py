@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, strict_int
 from .exactlinalg import (
     InvalidRoot,
     _check_square,
@@ -72,7 +72,7 @@ def an_family(n: int) -> list[list[int]]:
     row 5 to the bottom.  For n = 1 the run is empty and the matrix is
     the 4x4 corner with the -1 landing in column 4.
     """
-    if n < 1:
+    if strict_int(n, "family index n") < 1:
         raise DomainError(f"the family is defined for n >= 1, got {n}")
     dim = 2 * n + 2
     A = [[0] * dim for _ in range(dim)]
@@ -97,7 +97,7 @@ def delta_n_closed(n: int) -> LaurentPoly:
     1/t^(n+1) - 2/t^n + 1/t^(n-1) - 1/t + 3 - t + t^(n-1) - 2t^n + t^(n+1),
     with terms merging for small n.
     """
-    if n < 1:
+    if strict_int(n, "family index n") < 1:
         raise DomainError(f"the closed form is defined for n >= 1, got {n}")
     terms = [
         (-(n + 1), 1), (-n, -2), (-(n - 1), 1),

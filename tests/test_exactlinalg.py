@@ -400,7 +400,7 @@ class TestMirroredSteps:
     minor is palindromic.  So the kernel packs a pencil once at half the
     bits of its Hadamard bound and reads each pivot from both ends.  These
     matrices compare every pivot with its cofactor minor, and with the
-    general elimination, which widens to the full bound.
+    general elimination, which takes the full width.
     """
 
     @pytest.fixture
@@ -419,7 +419,7 @@ class TestMirroredSteps:
 
     @staticmethod
     def general(A: list[list[int]], monkeypatch) -> exactlinalg.Pivots:
-        """The pencil's Pivots from the general elimination, at widths up to the full bound."""
+        """The pencil's Pivots from the general elimination, at the full width."""
         with monkeypatch.context() as m:
             m.setattr(exactlinalg, "_is_pencil", lambda entries: False)
             return pencil_pivots(A)
@@ -527,7 +527,7 @@ class TestMirroredSteps:
 
     def test_half_width_on_dense_and_sparse_pencils(self, monkeypatch):
         # the dense fixture and a sparse family pencil both take half the
-        # bits of the general elimination's last width, or fewer
+        # bits of the general elimination's width, or fewer
         doc = json.loads((FIXTURES / "dense_seifert_30.json").read_text())
         for A, k in ((int_matrix_from_json(doc), 14), (an_family(40), 40)):
             pivots, general = pencil_pivots(A), self.general(A, monkeypatch)
@@ -601,54 +601,34 @@ def test_pencil_pivots_match_elimination_at_integer_points(monkeypatch):
 
 
 class TestStepWidths:
-    """Each step packs at the width its own minors need; rows catch up when read.
+    """Every matrix is packed once, at one width fixed before the first step.
 
-    After p pivots every entry is a minor on the pivot rows and one more
-    row, so the general kernel widens, in whole bytes, as the product of
-    the pivot rows' norms grows.  A row that no step reads keeps the scale
-    and the width it was stored at; these matrices, none of them a pencil,
-    make rows wait across widenings, put block steps right after one, and
-    check every pivot against its cofactor minor.
+    A pencil takes half the Hadamard width and any other matrix the full
+    width, which no step changes.  A row that no step reads keeps the
+    scale it was stored at; these matrices, none of them a pencil, make
+    rows wait across steps, take 2x2 block steps and swap rows, and check
+    every pivot against its cofactor minor.
     """
 
     @pytest.fixture
     def log(self, monkeypatch) -> list[dict]:
-        """Per step: its width, Kronecker bytes, and the rows it reads stale."""
+        """Per step: its pivot count and the rows it reads at an older scale."""
         seen = []
         real = exactlinalg._eliminate
 
         def spy(K, pivots, rest, update):
             read = [r for r in rest if any(p in K.rows[r] for p in pivots)]
-            seen.append({
-                "width": len(pivots),
-                "widened": K.size > (seen[-1]["size"] if seen else K.widths[0]),
-                "size": K.size,
-                "old": [r for r in read if K.counts[r] < len(K.pivots)
-                        and K.widths[K.counts[r]] < K.size],
-            })
+            seen.append({"block": len(pivots),
+                         "old": [r for r in read if K.counts[r] < len(K.pivots)]})
             return real(K, pivots, rest, update)
 
         monkeypatch.setattr(exactlinalg, "_eliminate", spy)
         return seen
 
-    def test_repacking_of_balanced_digits(self):
-        # a top digit 1 above a digit -half needs one digit more than the
-        # bit length suggests; one call re-packs values of mixed lengths
-        rng = random.Random(9)
-        for old, new in ((1, 2), (1, 5), (2, 3), (3, 8)):
-            half = 1 << (8 * old - 1)
-            picks = (-half, 1 - half, -1, 0, 1, half - 1)
-            rows = [[rng.choice(picks) for _ in range(rng.randint(0, 6))] + [-half, 1]
-                    for _ in range(30)] + [[half - 1] * 4, [-half] * 3, [0]]
-            values = [sum(d << (8 * old * e) for e, d in enumerate(row)) for row in rows]
-            want = [sum(d << (8 * new * e) for e, d in enumerate(row)) for row in rows]
-            assert exactlinalg._repacked(values, old, new) == want
-            assert [exactlinalg._repacked([v], old, new)[0] for v in values] == want
-
-    def test_row_waits_across_widenings(self, log):
+    def test_rows_read_at_an_older_scale(self, log):
         # a symmetric band of Laurent polynomials: each row is first read
-        # when its neighbour is the pivot, after steps that widened the
-        # entries it has not seen
+        # when its neighbour is the pivot, after steps that left it as
+        # stored
         for n, scale in ((6, 20), (8, 9), (9, 40)):
             M = [[LaurentPoly()] * n for _ in range(n)]
             for i in range(n):
@@ -660,32 +640,33 @@ class TestStepWidths:
             assert not pivots.pencil
             assert all_minors(pivots) == symmetric_pivot_minors(M), M
             assert any(step["old"] for step in log), log
-            assert any(step["widened"] for step in log[1:]), log
 
-    def test_block_steps_right_after_a_widening(self, log):
+    def test_block_steps_on_symmetric_laurent_matrices(self, log):
         # symmetric Laurent matrices with coefficients 5..30; zero
-        # diagonals force 2x2 block steps, some of them the first step at
-        # a new width
+        # diagonals force 2x2 block steps, and from trial 40 on half the
+        # entries are zero, so some block steps read a row left at an
+        # older scale
         rng = random.Random(17)
         seen = set()
-        for trial in range(40):
+        for trial in range(100):
             dim = rng.randint(3, 6)
             M = [[LaurentPoly()] * dim for _ in range(dim)]
             for i in range(dim):
                 for j in range(i if trial % 2 == 0 else i + 1, dim):
-                    M[i][j] = M[j][i] = LaurentPoly(
-                        {e: rng.choice((-1, 1)) * rng.randint(5, 30) for e in (0, 1)})
+                    if trial < 40 or rng.random() < 0.5:
+                        M[i][j] = M[j][i] = LaurentPoly(
+                            {e: rng.choice((-1, 1)) * rng.randint(5, 30) for e in (0, 1)})
             log.clear()
             pivots = det_laurent(M, pivots=True)
             assert not pivots.pencil
             assert all_minors(pivots) == symmetric_pivot_minors(M), M
-            seen |= {step["width"] for step in log if step["widened"]}
-        assert seen == {1, 2}
+            seen |= {(step["block"], bool(step["old"])) for step in log}
+        assert seen >= {(1, True), (2, True), (2, False)}, seen
 
     def test_row_swaps_without_pivoting(self, log):
         # pivots=False: a zero leading entry forces a swap at the first
         # step, and a second row proportional to the first on the first two
-        # columns a swap at the second, with coefficients that widen
+        # columns a swap at the second
         rng = random.Random(23)
         nonzero = 0
         for trial in range(80):
@@ -702,7 +683,24 @@ class TestStepWidths:
             assert det == det_cofactor(rows), rows
             nonzero += not det.is_zero()
         assert nonzero > 60
-        assert any(step["widened"] for step in log)
+
+    def test_non_pencils_take_the_full_hadamard_width(self):
+        # the rank-one v v^T has a zero Schur complement after one step, so
+        # a width that followed the minors would stop below the bound's
+        v = [LaurentPoly({0: 1}), LaurentPoly({1: 1, 0: 5}), LaurentPoly({1: 1, 0: 7}),
+             LaurentPoly({1: 3, 0: 9})]
+        rank_one = [[a * b for b in v] for a in v]
+        rng = random.Random(37)
+        matrices = [rank_one] + [random_laurent_matrix(rng, rng.randint(1, 6)) for _ in range(40)]
+        matrices += [as_laurent(random_symmetric_matrix(rng, rng.randint(1, 8), 40))
+                     for _ in range(20)]
+        for rows in matrices:
+            norm_sq = math.prod(max(1, sum(sum(map(abs, e.coeffs.values())) ** 2 for e in row))
+                                for row in rows)
+            pivots = det_laurent(rows, pivots=True)
+            assert not pivots.pencil
+            assert pivots.bits == 8 * exactlinalg._width(norm_sq), rows
+        assert det_laurent(rank_one, pivots=True).bits == 32
 
     def test_bits_never_exceed_the_hadamard_width(self):
         rng = random.Random(31)

@@ -158,6 +158,17 @@ def test_normal_form_refuses_runs_normalize_never_builds(runs, message):
         NormalForm(runs)
 
 
+@pytest.mark.parametrize("inner, message", [
+    ("P", "a pound leaf holds a normal form, got 'P'"),
+    (Leaf("P"), "a pound leaf holds a normal form, got Leaf("),
+    (normalize(parse_pattern("P#")), "the form P# inside a pound leaf has no plain leaf run"),
+    (normalize(parse_pattern("Q# o P#")), "the form P# o Q# inside a pound leaf has no plain"),
+], ids=["str", "leaf", "pound", "pound-runs"])
+def test_pound_leaf_refuses_forms_normalize_never_builds(inner, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PoundLeaf(inner)
+
+
 @pytest.mark.parametrize("fields, message", [
     (dict(atom="P o Q"), "leaf atom 'P o Q' is not a pattern name"),
     (dict(atom="Po"), "leaf atom 'Po' is not a pattern name"),

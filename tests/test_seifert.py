@@ -126,6 +126,12 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             delta_n_closed(0)
 
+    @pytest.mark.parametrize("build", [an_family, delta_n_closed])
+    @pytest.mark.parametrize("n", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    def test_index_is_an_int_never_coerced(self, build, n):
+        with pytest.raises(ValueError, match=f"expected integer family index n, got {n!r}"):
+            build(n)
+
     def test_symmetric_with_value_one_at_one(self):
         for n in range(1, 13):
             d = delta_n_closed(n)
