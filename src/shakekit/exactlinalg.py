@@ -18,8 +18,8 @@ Hadamard width and its pivots are read back from both ends
 Every sign on the circle, a minor's or an Alexander polynomial's, is
 taken by _sign_at: exact for a monomial minor, else a float sum that
 counts only when it clears a rounding-error bound, and else, at a root
-of unity of order <= _MAX_REMAINDER_ORDER, the remainder modulo the
-cyclotomic polynomial, which is empty exactly at a zero.  Classical
+of unity of order <= _MAX_ZERO_TEST_ORDER, the sparse exact zero test
+_vanishes.  Classical
 inertia of a symmetric integer matrix comes from the same elimination:
 its pivots are the matrix's exact integer leading minors.
 """
@@ -396,41 +396,6 @@ def signature(S: Sequence[Sequence[int]]) -> int:
     return inertia_symmetric_exact(S).signature
 
 
-@functools.lru_cache(maxsize=128)
-def _cyclotomic(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, lowest degree first.
-
-    Phi_m = prod over d | m of (t^d - 1)^mu(m/d): multiply by the factors
-    with mu = +1, then divide exactly by those with mu = -1.
-    """
-    primes, rest, p = [], m, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        primes.append(rest)
-    factors = sorted(
-        (bin(mask).count("1") % 2, m // math.prod(q for i, q in enumerate(primes) if mask >> i & 1))
-        for mask in range(1 << len(primes))
-    )
-    poly = [1]
-    for divide, d in factors:
-        if divide:  # q * (t^d - 1) = poly, solved from the lowest degree up
-            q = poly[: len(poly) - d]
-            for i in range(len(q)):
-                q[i] = (q[i - d] if i >= d else 0) - poly[i]
-            poly = q
-        else:
-            out = [-c for c in poly] + [0] * d
-            for i, c in enumerate(poly):
-                out[i + d] += c
-            poly = out
-    return tuple(poly)
-
-
 def _folded(terms: Iterable[tuple[int, int]], m: int, k: int = 0) -> list[tuple[int, int]]:
     """sum c t^e over the (e, c) terms in Z[t]/(t^m - 1), as (exponent, nonzero c) pairs.
 
@@ -446,38 +411,35 @@ def _folded(terms: Iterable[tuple[int, int]], m: int, k: int = 0) -> list[tuple[
     return sorted((e, c) for e, c in folded.items() if c)
 
 
-def _mod_cyclotomic(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
-    """sum c t^e over the (e, c) terms modulo Phi_m, as (exponent, nonzero c) pairs.
+def _vanishes(terms: Iterable[tuple[int, int]], m: int) -> bool:
+    """Whether F = sum c t^e over the (e, c) terms is 0 at a primitive m-th root of unity.
 
-    Exponents fold into a dense array (t^m = 1 at an m-th root).  Phi_m
-    divides Psi = 1 + t^s + ... + t^(m-s), s = m/q for the least prime q
-    dividing m, so the array is reduced modulo Psi first, in O(m), and
-    then by the monic Phi_m with exact integers over m - s - phi(m) degrees.
+    F's values at the primitive m-th roots are Galois conjugates.  G, the
+    product of 1 - t^(m/q) over the primes q | m, vanishes at every other
+    m-th root and at no primitive one.  So F(omega) = 0 exactly when F*G
+    is 0 at every m-th root: when it folds to nothing modulo t^m - 1.
     """
-    folded = [0] * m
-    for e, c in terms:
-        folded[e % m] += c
-    s = m // next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
-    if m > 1:
-        high = folded[m - s:]
-        folded = [a - high[i % s] for i, a in enumerate(folded[:m - s])]
-    phi = _cyclotomic(m)
-    d = len(phi) - 1
-    lower = [(e, c) for e, c in enumerate(phi[:d]) if c]
-    for top in range(len(folded) - 1, d - 1, -1):
-        c = folded[top]
-        if c:
-            for e, a in lower:
-                folded[top - d + e] -= c * a
-    return [(e, c) for e, c in enumerate(folded[:d]) if c]
+    folded, rest, q = {e % m: c for e, c in _folded(terms, m)}, m, 2
+    while folded and rest > 1:
+        if q * q > rest:
+            q = rest
+        if rest % q == 0:
+            s, product = m // q, folded.copy()
+            for e, c in folded.items():
+                e = (e + s) % m
+                product[e] = product.get(e, 0) - c
+            folded = {e: c for e, c in product.items() if c}
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    return not folded
 
 
 _U = 2.0 ** -53  # unit roundoff of a double
 
-# The largest order at which _sign_at reduces modulo Phi_m: at most 0.09 s for
-# any m <= 5000, Phi_m built included (m = 4785; 2-core x86-64, CPython 3.11);
-# README "Refusals" gives the rest.
-_MAX_REMAINDER_ORDER = 5000
+# The largest order at which _sign_at tests for an exact zero, as _vanishes
+# factors m by trial division; README "Refusals" says how to lift it.
+_MAX_ZERO_TEST_ORDER = 5000
 
 
 def _angle_error(theta: float, k: int, terms: list[tuple[int, int]]) -> float:
@@ -550,11 +512,10 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
     term c*t^e with 2e = k is decided with no float sum: its value is
     c*(-1)^(k/2)*(2 sin(theta/2))^k.  Every monomial leading minor of a
     pencil is one, because P_k(t) = (-1)^k t^k P_k(1/t); k = 0 covers
-    constants.  Any other sign is the certified sum's.  Only where that
-    does not clear, at a root of order m <= _MAX_REMAINDER_ORDER, are the
-    terms reduced modulo Phi_m, a remainder empty exactly at 0.  Raises
-    NearSingular when a nonzero sign is not certified, and always at a
-    float angle when an exponent is beyond the float range.
+    constants.  Any other sign is the certified sum's; where that does
+    not clear at a root of order m <= _MAX_ZERO_TEST_ORDER, _vanishes
+    decides a zero.  Otherwise the sum's NearSingular is raised with its
+    own value and bound, and past that order its message names the cap.
 
     >>> _sign_at(UnitCirclePoint.root(1, 6), 0, [(-1, -1), (0, 1), (1, -1)])
     0
@@ -566,12 +527,12 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
     try:
         return _certified_sign(omega, k, terms)
     except NearSingular as exc:
-        if not omega.is_rational:
-            raise
-        if omega.m > _MAX_REMAINDER_ORDER:
-            why = f"{exc}; no remainder modulo Phi_m at order {omega.m} > {_MAX_REMAINDER_ORDER}"
+        if omega.is_rational and omega.m > _MAX_ZERO_TEST_ORDER:
+            why = f"{exc}; no exact zero test at order {omega.m} > {_MAX_ZERO_TEST_ORDER}"
             raise NearSingular(omega, why, k, exc.value, exc.bound) from None
-    return _certified_sign(omega, k, _mod_cyclotomic(terms, omega.m))
+        if not omega.is_rational or not _vanishes(terms, omega.m):
+            raise
+    return 0
 
 
 def _jacobi(signs: Sequence[int]) -> tuple[int, int]:

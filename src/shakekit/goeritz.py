@@ -25,7 +25,9 @@ class Band(Record):
     self_writhe: int = 0
 
     def _validate(self):
-        if self.self_writhe % 2:
+        strict_bool(self.orientable, '"orientable"')
+        strict_int(self.half_twists, '"half_twists"')
+        if strict_int(self.self_writhe, '"self_writhe"') % 2:
             raise ValueError("self_writhe counts each self-crossing twice, so it is even")
         if self.orientable and self.half_twists % 2:
             raise ValueError("a band with an odd number of half twists cannot be orientable")
@@ -96,13 +98,8 @@ def band_presentation_from_json(doc: object) -> BandPresentation:
         if not isinstance(raw, dict) or "orientable" not in raw:
             raise ValueError('each band needs at least an "orientable" flag')
         strict_keys(raw, ("orientable", "half_twists", "self_writhe"), f"band {i}")
-        bands.append(
-            Band(
-                orientable=strict_bool(raw["orientable"], '"orientable"'),
-                half_twists=strict_int(raw.get("half_twists", 0), '"half_twists"'),
-                self_writhe=strict_int(raw.get("self_writhe", 0), '"self_writhe"'),
-            )
-        )
+        bands.append(Band(orientable=raw["orientable"], half_twists=raw.get("half_twists", 0),
+                          self_writhe=raw.get("self_writhe", 0)))
     crossings = doc.get("crossings")
     if crossings is not None:
         if not isinstance(crossings, list) or any(not isinstance(r, list) for r in crossings):
@@ -128,7 +125,7 @@ def classical_signature_goeritz(bp: BandPresentation) -> int:
 
 def torus_band_presentation(n: int) -> BandPresentation:
     """The one-band presentation of the (2, 2n+1) torus knot: G = [2n+1]."""
-    if n < 0:
+    if strict_int(n, "torus knot index n") < 0:
         raise ValueError("need n >= 0")
     return BandPresentation([Band(orientable=False, half_twists=2 * n + 1)])
 

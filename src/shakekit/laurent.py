@@ -18,6 +18,8 @@ import re
 from math import gcd
 from typing import Mapping
 
+from .errors import strict_int
+
 
 class LaurentPoly:
     """A Laurent polynomial sum(a_k * t^k) with integer coefficients.
@@ -171,9 +173,9 @@ class UnitCirclePoint:
     def __init__(self, k: int | None = None, m: int | None = None,
                  theta: float | None = None):
         if theta is None:
-            if k is None or m is None or m < 1:
+            if k is None or m is None or strict_int(m, "root order m") < 1:
                 raise ValueError("need k/m with m >= 1, or a float theta")
-            k %= m
+            k = strict_int(k, "root index k") % m
             g = gcd(k, m)
             self.k = k // g
             self.m = m // g

@@ -187,6 +187,10 @@ class NormalForm(Record):
             if i and leaf == self.runs[i - 1][0]:
                 raise ValueError(f"runs {i - 1} and {i} hold the same leaf {leaf}; "
                                  "neighbouring runs hold different leaves")
+            if (i and leaf.__class__ is PoundLeaf is self.runs[i - 1][0].__class__
+                    and str(self.runs[i - 1][0]) >= str(leaf)):
+                raise ValueError(f"pound runs {i - 1} and {i} are out of order; "
+                                 "a stretch of pound runs is sorted by text")
 
     def __str__(self) -> str:
         return render_term(self)

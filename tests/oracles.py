@@ -104,13 +104,40 @@ def leading_minors(rows: list[list[int]]) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def cyclotomic(m: int) -> tuple[int, ...]:
+    """Coefficients of the m-th cyclotomic polynomial, lowest degree first.
+
+    Phi_m = prod over d | m of (t^d - 1)^mu(m/d): multiply by the factors
+    with mu = +1, then divide exactly by those with mu = -1.
+    """
+    primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+    factors = sorted(
+        (bin(mask).count("1") % 2, m // math.prod(q for i, q in enumerate(primes) if mask >> i & 1))
+        for mask in range(1 << len(primes))
+    )
+    poly = [1]
+    for divide, d in factors:
+        if divide:  # q * (t^d - 1) = poly, solved from the lowest degree up
+            q = poly[: len(poly) - d]
+            for i in range(len(q)):
+                q[i] = (q[i - d] if i >= d else 0) - poly[i]
+            poly = q
+        else:
+            out = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly):
+                out[i + d] += c
+            poly = out
+    return tuple(poly)
+
+
 def reduce_first(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
     """Sign of ((1 - omega)/omega)^k * P(omega) at a root of unity, remainder first.
 
     P is reduced modulo Phi_m before any float sum is taken, so an empty
     remainder is the exact zero; otherwise the remainder's certified sign.
     """
-    rest = exactlinalg._mod_cyclotomic(terms, omega.m)
+    rest = dense_remainder(terms, omega.m)
     return exactlinalg._certified_sign(omega, k, rest) if rest else 0
 
 
@@ -119,7 +146,7 @@ def dense_remainder(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int
     folded = [0] * m
     for e, c in terms:
         folded[e % m] += c
-    phi = exactlinalg._cyclotomic(m)
+    phi = cyclotomic(m)
     d = len(phi) - 1
     terms_of_phi = [(e, a) for e, a in enumerate(phi) if a]
     for top in range(m - 1, d - 1, -1):

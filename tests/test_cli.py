@@ -415,8 +415,9 @@ class TestCertify:
         assert payload["bound"] == 2
 
     def test_framing_beyond_the_float_reach(self, capsys):
-        # at n = 10^18 the float sum of Delta_(1+n) cannot clear its bound,
-        # so each of its signs is taken from the remainder modulo Phi_m alone
+        # Delta_(1+n) has exponents near 10^18, past a double's integers;
+        # each phase is reduced exactly modulo the order, so the float sum
+        # certifies every folded sign and no exact zero test is taken
         for n, witness in ((10**18, {"k": 5, "m": 11}), (10**18 + 2, {"k": 3, "m": 11})):
             code, out, _ = run_cli(capsys, "certify", "--framing", str(n), "--complexity", "2")
             assert code == 0

@@ -15,7 +15,7 @@ from shakekit.complexity import (
     find_witness_root,
 )
 from shakekit.errors import DomainError
-from shakekit.exactlinalg import InvalidRoot, NearSingular, _mod_cyclotomic, _sign_at
+from shakekit.exactlinalg import InvalidRoot, NearSingular, _sign_at, _vanishes
 from shakekit.laurent import UnitCirclePoint
 from shakekit.patterns import parse_pattern
 from shakekit.seifert import _family_signature, an_family, delta_n_closed, lt_signature
@@ -147,14 +147,14 @@ class TestWitnessSearch:
     def test_exact_zero_at_sixth_roots(self, monkeypatch):
         # for n = 5 mod 6, Delta_{1+n} vanishes at the primitive sixth roots
         # (grid points 120 and 600), where a float sample reads about 2e-16:
-        # the float sign is not certified, and one remainder decides
+        # the float sign is not certified, and one exact zero test decides
         reductions = []
 
         def spy(terms, m):
             reductions.append(m)
-            return _mod_cyclotomic(terms, m)
+            return _vanishes(terms, m)
 
-        monkeypatch.setattr(exactlinalg, "_mod_cyclotomic", spy)
+        monkeypatch.setattr(exactlinalg, "_vanishes", spy)
         for n in (5, 11, 17, 197):
             terms = sorted(delta_n_closed(1 + n).coeffs.items())
             for omega in (UnitCirclePoint.root(1, 6), UnitCirclePoint.root(5, 6),
@@ -348,13 +348,13 @@ class TestClosedForm:
 
 
 class TestFloatFirstSigns:
-    """_sign_at decides in floats and reduces modulo Phi_m only when it cannot."""
+    """_sign_at decides in floats and tests for an exact zero only when it cannot."""
 
     def test_certify_takes_no_remainder(self, monkeypatch):
         def refuse(terms, m):
-            raise RuntimeError(f"a sign was reduced modulo Phi_{m}")
+            raise RuntimeError(f"a sign took the exact zero test at order {m}")
 
-        monkeypatch.setattr(exactlinalg, "_mod_cyclotomic", refuse)
+        monkeypatch.setattr(exactlinalg, "_vanishes", refuse)
         for n in range(1, 201):
             for framing in (n, -n):
                 cert = certify_complexity(framing, 2)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     congruence,
+    cyclotomic,
     decimal_sign,
     dense_remainder,
     det_cofactor,
@@ -1074,7 +1075,7 @@ def sign_outcome(fn):
 
 
 class TestSignAt:
-    """One exact sign routine: a certified float sign first, a remainder only when it fails."""
+    """One exact sign routine: a certified float sign first, a zero test only when it fails."""
 
     @pytest.fixture
     def reductions(self, monkeypatch):
@@ -1082,10 +1083,10 @@ class TestSignAt:
 
         def spy(terms, m):
             calls.append(m)
-            return reduce_mod(terms, m)
+            return vanishes(terms, m)
 
-        reduce_mod = exactlinalg._mod_cyclotomic
-        monkeypatch.setattr(exactlinalg, "_mod_cyclotomic", spy)
+        vanishes = exactlinalg._vanishes
+        monkeypatch.setattr(exactlinalg, "_vanishes", spy)
         return calls
 
     def test_certified_float_sign_takes_no_remainder(self, reductions):
@@ -1103,11 +1104,11 @@ class TestSignAt:
         assert exactlinalg._sign_at(UnitCirclePoint.root(1, 6), 0, terms) == 0
         assert exactlinalg._sign_at(UnitCirclePoint.root(1, 7), 0, terms) == -1
 
-    def test_uncertified_remainder_is_refused_with_its_numbers(self, reductions):
+    def test_uncertified_sum_is_refused_with_its_numbers(self, reductions):
         # a * 2cos(2pi/7) + b is a few units at most for these 17-digit a, b,
-        # far inside the rounding-error bound: its sign is not certified
-        # before or after the remainder, and the refusal carries the
-        # remainder's value and bound
+        # far inside the rounding-error bound: its sign is not certified,
+        # the zero test finds no zero, and the refusal carries the sum's
+        # own value and bound
         a = 10**17
         b = -round(2 * a * math.cos(math.tau / 7))
         terms = [(-1, a), (0, b), (1, a)]
@@ -1116,8 +1117,10 @@ class TestSignAt:
             exactlinalg._sign_at(omega, 0, terms)
         assert reductions == [7]
         assert "the sign of the polynomial is not certified" in str(exc.value)
-        want = sign_outcome(lambda: reduce_first(omega, 0, terms))
+        assert "zero test" not in str(exc.value)
+        want = sign_outcome(lambda: exactlinalg._certified_sign(omega, 0, terms))
         assert (exc.value.index, exc.value.value, exc.value.bound) == want
+        assert sign_outcome(lambda: decimal_sign(omega, 0, terms)) != 0
 
     def test_monomials_take_no_float_sum(self, monkeypatch):
         # P_2j = t^j for the family, so half its minors are monomials; their
@@ -1172,8 +1175,8 @@ class TestSignAt:
         omega = UnitCirclePoint.root(1, 10**400)
         assert exactlinalg._folded(big, omega.m) == [(-1, 1), (0, -1), (1, 1)]
         assert exactlinalg._sign_at(omega, 0, big) == 1
-        # 1 + t^(m/2) is exactly 0 there, which only a remainder modulo
-        # Phi_m of order 10^400 could show: refused
+        # 1 + t^(m/2) is exactly 0 there, which only a zero test at order
+        # 10^400 could show: refused
         half = [(0, 1), (5 * 10**399, 1)]
         with pytest.raises(NearSingular):
             exactlinalg._sign_at(omega, 0, half)
@@ -1235,22 +1238,27 @@ class TestSignAt:
     def test_no_remainder_past_the_order_limit(self, reductions, j, m, terms):
         # exact zeros (1 + t^(m/3) + t^(2m/3), 1 + t^(m/2)) and a Delta_n of
         # about 1e-14: no certified sum decides them, and past the limit no
-        # Phi_m is built, so each is refused at once
+        # zero test is taken, so each is refused at once with the sum's
+        # numbers
+        omega = UnitCirclePoint.root(j, m)
         start = time.perf_counter()
         with pytest.raises(NearSingular) as exc:
-            exactlinalg._sign_at(UnitCirclePoint.root(j, m), 0, terms)
+            exactlinalg._sign_at(omega, 0, terms)
         assert time.perf_counter() - start < 1
         assert reductions == []
         assert str(exc.value).endswith(
-            f"; no remainder modulo Phi_m at order {m} > {exactlinalg._MAX_REMAINDER_ORDER}")
-        assert m > exactlinalg._MAX_REMAINDER_ORDER
+            f"; no exact zero test at order {m} > {exactlinalg._MAX_ZERO_TEST_ORDER}")
+        assert m > exactlinalg._MAX_ZERO_TEST_ORDER
+        want = sign_outcome(lambda: exactlinalg._certified_sign(omega, 0, terms))
+        assert (exc.value.index, exc.value.value, exc.value.bound) == want
 
-    def test_remainder_agrees_with_dense_division(self):
-        # the remainder is taken modulo (t^m - 1)/(t^(m/q) - 1) first; every
-        # order below 400, twenty sums each, half of them multiples of Phi_m
+    def test_zero_test_agrees_with_dense_division(self):
+        # _vanishes says zero exactly where the remainder modulo Phi_m is
+        # empty; every order below 400, twenty sums each, half of them
+        # multiples of Phi_m
         rng = random.Random(4946)
         for m in range(1, 400):
-            phi = exactlinalg._cyclotomic(m)
+            phi = cyclotomic(m)
             for trial in range(20):
                 terms = {}
                 if trial % 2:
@@ -1262,9 +1270,28 @@ class TestSignAt:
                     for _ in range(rng.randint(1, 30)):
                         terms[rng.randrange(-10**6, 10**6)] = rng.choice((-9, -2, 1, 3, 8))
                 terms = sorted((e, c) for e, c in terms.items() if c)
-                rest = exactlinalg._mod_cyclotomic(terms, m)
-                assert rest == dense_remainder(terms, m), (m, terms)
-                assert not trial % 2 or rest == []
+                zero = exactlinalg._vanishes(terms, m)
+                assert zero == (dense_remainder(terms, m) == []), (m, terms)
+                assert not trial % 2 or zero
+
+    @pytest.mark.parametrize("m", [6, 12, 30, 60, 210, 720, 2310, 4785])
+    def test_zero_test_separates_the_divisors_of_the_order(self, m):
+        # Phi_d * (a + b t^y) * t^x with |a| != |b|, a cofactor with no zero
+        # on the circle, vanishes at a primitive m-th root only for d = m;
+        # every prime of m takes its binomial, the largest one included
+        rng = random.Random(m)
+        for d in (d for d in range(1, m + 1) if m % d == 0):
+            phi = cyclotomic(d)
+            x, y = rng.randrange(-2 * m, 2 * m), rng.randrange(1, m)
+            a, b = rng.choice(((1, 2), (-3, 1), (2, -5)))
+            terms = {}
+            for e, c in enumerate(phi):
+                terms[x + e] = terms.get(x + e, 0) + a * c
+                terms[x + e + y] = terms.get(x + e + y, 0) + b * c
+            terms = sorted((e, c) for e, c in terms.items() if c)
+            assert exactlinalg._vanishes(terms, m) == (d == m), (m, d)
+        # the last divisor is m itself: the float sum cannot decide, the zero test does
+        assert exactlinalg._sign_at(UnitCirclePoint.root(1, m), 0, terms) == 0
 
     def test_agrees_with_decimal_phases(self):
         # every leading minor of random pencils at every root of its order,

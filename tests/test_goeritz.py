@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,18 @@ class TestBandValidation:
     def test_orientable_odd_twists_rejected(self):
         with pytest.raises(ValueError):
             Band(orientable=True, half_twists=1)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(orientable="no"), "expected true or false for \"orientable\", got 'no'"),
+        (dict(orientable=1), "expected true or false for \"orientable\", got 1"),
+        (dict(orientable=False, half_twists=True), "expected integer \"half_twists\", got True"),
+        (dict(orientable=False, half_twists=3.0), "expected integer \"half_twists\", got 3.0"),
+        (dict(orientable=True, self_writhe=2.0), "expected integer \"self_writhe\", got 2.0"),
+    ], ids=["orientable-str", "orientable-int", "twists-bool", "twists-float", "writhe-float"])
+    def test_refuses_coerced_values(self, fields, message):
+        # Band(orientable="no") built an orientable band
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Band(**fields)
 
     def test_nonorientable_odd_twists_allowed(self):
         band = Band(orientable=False, half_twists=3)
@@ -133,6 +146,12 @@ class TestTorusSignature:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             torus_band_presentation(-1)
+
+    def test_index_is_an_int_never_coerced(self):
+        # torus_band_presentation(True) was the trefoil's presentation
+        for n in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match=re.escape(f"torus knot index n, got {n!r}")):
+                torus_band_presentation(n)
 
 
 class TestAgainstSeifertRoute:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -150,6 +151,20 @@ class TestUnitCirclePoint:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             UnitCirclePoint.root(1, 0)
+
+    @pytest.mark.parametrize("k, m, message", [
+        (1, True, "expected integer root order m, got True"),
+        (True, 3, "expected integer root index k, got True"),
+        (1, 2.0, "expected integer root order m, got 2.0"),
+        (0.5, 4, "expected integer root index k, got 0.5"),
+        ("1", 3, "expected integer root index k, got '1'"),
+    ], ids=["order-bool", "index-bool", "order-float", "index-float", "index-str"])
+    def test_takes_ints_only(self, k, m, message):
+        # root(1, True) was omega = 1 and root(True, 3) the root 1/3
+        with pytest.raises(ValueError, match=re.escape(message)):
+            UnitCirclePoint.root(k, m)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            UnitCirclePoint(k=k, m=m)
 
     def test_angle_point(self):
         w = UnitCirclePoint.angle(1.0)

@@ -152,10 +152,25 @@ def test_validation_hooks_refuse(build, error):
     (((Leaf("P"), True),), "integer count of run 0, got True"),
     (((Leaf("P"), 1), (Leaf("Q"), 2.0)), "integer count of run 1, got 2.0"),
     (((Leaf("P"), 1), (Leaf("P"), 1)), "runs 0 and 1 hold the same leaf P"),
-], ids=["empty", "zero", "bool", "float", "equal-neighbours"])
+    (((PoundLeaf(normalize(parse_pattern("Q"))), 1), (PoundLeaf(normalize(parse_pattern("P"))), 1)),
+     "pound runs 0 and 1 are out of order"),
+    (((Leaf("R"), 1), (PoundLeaf(normalize(parse_pattern("P o P"))), 1),
+      (PoundLeaf(normalize(parse_pattern("P o Q"))), 2),
+      (PoundLeaf(normalize(parse_pattern("P^2 o Q"))), 1)),
+     "pound runs 2 and 3 are out of order"),
+], ids=["empty", "zero", "bool", "float", "equal-neighbours", "pounds-unsorted",
+        "pounds-unsorted-late"])
 def test_normal_form_refuses_runs_normalize_never_builds(runs, message):
     with pytest.raises(ValueError, match=message):
         NormalForm(runs)
+
+
+def test_pound_stretch_in_text_order_is_its_texts_normal_form():
+    # Q# o P# was accepted and printed as text whose normal form is P# o Q#
+    p, q = (PoundLeaf(normalize(parse_pattern(x))) for x in "PQ")
+    form = NormalForm(((p, 1), (q, 1)))
+    assert str(form) == "P# o Q#"
+    assert normalize(parse_pattern("Q# o P#")) == form
 
 
 @pytest.mark.parametrize("inner, message", [
