@@ -6,15 +6,10 @@ family, a witness root of unity where the half-Levine-Tristram
 signature separates Q from Q_n, and the resulting bound
 c * |I(Q) - I(Q_n)| >= c.
 
-The signature of the twisted family has a closed form: for its n-th
-member A_n and omega = e^(i*theta) != 1, sigma(A_n, omega) = 0 where
-Delta_n(omega) > 0 and 2 * sign(1 - 2cos(theta)) where Delta_n(omega) < 0;
-where Delta_n(omega) = 0 the form is singular (NearSingular).  It follows
-from the pencil's leading minors P_1 = t - 1, P_2j = t^j,
-P_2j+1 = t^(j-1)(1 - 2t + 2t^2 - t^3) and P_(2n+2) = t^(n+1) * Delta_n by
-Jacobi's rule (seifert._family_signature has the sketch).  So a
-signature costs two exact signs, of Delta_n and of 1 - 2cos(theta), and
-certify builds no matrix: its cost does not grow with n.
+The signature of the twisted family has a closed form in the signs of
+Delta_n and of 1 - 2cos(theta) (seifert._family_signature states and
+proves it).  So a signature costs two exact signs, and certify builds no
+matrix: its cost does not grow with n.
 
 The witness search tries prime-order roots in increasing (p, k) order,
 one exact sign each: there sigma != 0 exactly where Delta_(1+n) < 0.  The
@@ -59,12 +54,9 @@ def a_family_profile(omega: UnitCirclePoint) -> Profile:
     I is the half-Levine-Tristram signature sigma(., omega)/2, which bounds
     the 4-genus directly.  Q_k is the (1+k)-th family member, so the
     profile is declared on k >= 0 only; anything else raises DomainError.
-    sigma comes from the closed form: 0 where Delta_(1+k)(omega) > 0 and
-    2 * sign(1 - 2cos(theta)) where Delta_(1+k)(omega) < 0, read off the
-    pencil's leading minors by Jacobi's rule, so iota(k) costs the same
-    for every k.  Where Delta_(1+k)(omega) = 0 it raises NearSingular, and
-    InvalidRoot at omega = 1, as the general kernel does.  Each value is
-    computed once per profile and kept.
+    sigma comes from the family's closed form (seifert._family_signature),
+    so iota(k) costs the same for every k and raises what that raises.
+    Each value is computed once per profile and kept.
     """
     values: dict[int, int] = {}
 

@@ -14,14 +14,14 @@ and, by Jacobi's sign rule, the exact inertia of the Hermitian form
 H(omega) at every unit-circle point.  Its principal minors are
 palindromic, P(t) = +-t^d P(1/t), so a pencil is packed once at half the
 Hadamard width and its pivots are read back from both ends
-(det_laurent gives the proof).
+(_pencil gives the proof).
 Every sign on the circle, a minor's or an Alexander polynomial's, is
 taken by _sign_at: exact for a monomial minor, else a float sum that
 counts only when it clears a rounding-error bound, and else, at a root
 of unity of order <= _MAX_ZERO_TEST_ORDER, the sparse exact zero test
-_vanishes.  Classical
-inertia of a symmetric integer matrix comes from the same elimination:
-its pivots are the matrix's exact integer leading minors.
+_vanishes.  Classical inertia of a symmetric integer matrix comes from
+the same elimination: its pivots are the matrix's exact integer leading
+minors.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 from ._record import Record
 from .errors import strict_int, strict_keys
-from .laurent import LaurentPoly, UnitCirclePoint, laurent_from_entry
+from .laurent import LaurentPoly, UnitCirclePoint
 
 
 class InvalidRoot(ValueError):
@@ -90,9 +90,6 @@ class Inertia(Record):
         return self.n_plus - self.n_minus
 
 
-LaurentMatrix = Sequence[Sequence[LaurentPoly]]
-
-
 def _check_square(rows: Sequence[Sequence]) -> int:
     n = len(rows)
     for row in rows:
@@ -106,8 +103,8 @@ class Pivots(Record):
 
     values[k-1] is the k-th pivot, the polynomial P_k / t^lows[k-1]
     evaluated at 2^bits.  bits is the elimination's one width: the
-    Hadamard width of the whole matrix in whole bytes (det_laurent), and
-    the coefficients lie strictly inside +-2^(bits-1).  A pencil's pivots
+    Hadamard width of the whole matrix in whole bytes (an integer form),
+    and the coefficients lie strictly inside +-2^(bits-1).  A pencil's pivots
     (pencil=True) are packed at half that width instead, with
     coefficients below 2^(2*bits-2), and are read from both ends.  bits
     and values depend on the width, minor(k) does not.
@@ -164,12 +161,6 @@ class Pivots(Record):
         return LaurentPoly({low + i: d for i, d in enumerate(self.digits(k))})
 
 
-def _is_pencil(entries: list[dict]) -> bool:
-    """Whether M(t)^T = -t * M(1/t) for sparse rows; an int entry makes no pencil."""
-    return all(e.__class__ is not int and entries[j].get(i) == {1 - x: -c for x, c in e.items()}
-               for i, row in enumerate(entries) for j, e in row.items())
-
-
 def _width(bound_sq: int) -> int:
     """The bytes a digit needs for coefficients up to sqrt(bound_sq) in absolute value."""
     return ((math.isqrt(bound_sq - 1) + 1).bit_length() + 8) // 8
@@ -214,7 +205,37 @@ def _eliminate(K: _Rows, pivots: tuple[int, ...], rest: list[int],
 
 
 def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
-    """det_laurent on sparse rows: row i maps column j to a nonzero int or coefficient dict."""
+    """Bareiss on sparse rows: row i maps column j to a nonzero int or coefficient dict.
+
+    With pivots=False it swaps rows and returns the determinant.  One
+    width: every entry the elimination writes is a minor of the
+    row-shifted matrix.  On the unit circle |a_ij| <= ||a_ij||_1, so by
+    Hadamard such a minor is at most H, the product of the row norms
+    sqrt(sum_j ||a_ij||_1^2), which bounds its coefficients too
+    (Parseval).  The matrix is packed once, at the least w whose digits
+    hold H, half of that for a pencil (_pencil).  This is exact:
+    Bareiss's products and exact divisions are identities in Z[t], so they
+    hold at any t = 2^(8w), and only the read-back and the zero tests
+    need the coefficients to fit, as they do.  A step leaves a row whose
+    pivot-column entry is zero as stored; the rescale stored * prev //
+    pivot s of a later read is exact, as the true entries are minors.
+    Zero tests read stored entries.
+
+    With pivots=True it pivots symmetrically and returns its Pivots.  A
+    zero pivot is exchanged, row and column together, for the first
+    nonzero diagonal entry after it; when every remaining diagonal entry
+    is zero, a 2x2 block [[0, b], [c, 0]] with b, c != 0 takes two Bareiss
+    steps at once (the 3x3 Sylvester determinants divided by prev^2).
+    The pivoted matrix is P M P^T, so pivot k is its k-th leading
+    principal minor; once the rest of the matrix is zero, the remaining
+    minors are 0.  Symmetric matrices and Seifert pencils have
+    M[i][j] != 0 exactly when M[j][i] != 0, so a block always exists while
+    the rest is nonzero, and a ValueError reports a matrix without that
+    symmetry.  Symmetric mode has two callers: inertia_symmetric_exact,
+    whose entries are ints, and _pencil, which passes t*A - A^T.  So there
+    a row whose shifted entries are not all constants (spread > 0) means
+    a pencil, which is packed at half the width.
+    """
     n = len(entries)
     lows, bound, spread = [], 1, 0
     for row in entries:
@@ -225,7 +246,7 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
         spread = max(spread, max(exps, default=0) - lows[-1])
         bound *= max(1, sum(e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2
                             for e in row.values()))
-    pencil = pivots and spread > 0 and _is_pencil(entries)
+    pencil = pivots and spread > 0
     bits = 8 * _width(math.isqrt(bound) + 1 if pencil else bound)
     K = _Rows([{j: e << bits * -low if e.__class__ is int else
                 sum(c << bits * (x - low) for x, c in e.items()) for j, e in row.items()}
@@ -289,55 +310,43 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
     return found if pivots else found.minor(len(K.pivots)) * sign
 
 
-def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | Pivots:
-    """Exact determinant of a square matrix of Laurent polynomials.
+def det_laurent(rows: Sequence[Sequence[LaurentPoly | int]]) -> LaurentPoly:
+    """Exact determinant of a square matrix of ints and LaurentPolys; the 0x0 one is 1.
 
-    Kronecker substitution: each row is shifted by a power of t so its
-    entries are polynomials, packed at t = 2^(8w) for a width of w bytes;
-    integer Bareiss elimination with row swaps takes the determinant
-    there, and its balanced base-2^(8w) digits are the coefficients.  The
-    0x0 determinant is 1.  Entries may be ints, LaurentPolys or their
-    textual form; an int goes straight into the kernel.  Rows are sparse,
-    column -> entry, and a step reads only the rows holding a pivot column.
+    Bareiss elimination with row swaps on sparse rows at one Kronecker
+    width (_bareiss).  An entry that is neither an int (a bool is not one)
+    nor a LaurentPoly is refused with a ValueError that names it.
+    """
+    _check_square(rows)
+    return _bareiss([{j: c for j, e in enumerate(row) if (c := _entry(e))} for row in rows], False)
 
-    One width.  Every entry the elimination writes is a minor of the
-    row-shifted matrix.  On the unit circle |a_ij| <= ||a_ij||_1, so by
-    Hadamard such a minor is at most H, the product of the row norms
-    sqrt(sum_j ||a_ij||_1^2), which bounds its coefficients too
-    (Parseval).  The matrix is packed once, before the first step, at the
-    least w whose digits hold H, half of that for a pencil (below), and
-    w never changes.  This is exact: Bareiss's products and exact
-    divisions are identities in Z[t], so they hold at any t = 2^(8w), and
-    only the read-back and the zero tests need the coefficients to fit,
-    as they do.
 
-    A step only multiplies a row whose pivot-column entry is zero by
-    pivot/prev, so such a row stays as stored, tagged with the count s of
-    pivots taken then, which fixes its scale, pivot s.  A step that reads
-    it multiplies it by prev // pivot s, exact as its true entries are
-    minors.  Zero tests read stored entries.
+def _entry(e: object) -> dict[int, int] | int:
+    """A det_laurent entry as _bareiss reads it: an int, or a LaurentPoly's coefficients."""
+    if isinstance(e, LaurentPoly):
+        return e._coeffs
+    if isinstance(e, int) and not isinstance(e, bool):
+        return int(e)
+    raise ValueError(f"a matrix entry must be an int or a LaurentPoly, got {e!r}")
 
-    With pivots=True the same elimination pivots symmetrically and
-    returns its Pivots instead.  A zero pivot is exchanged, row and column
-    together, for the first nonzero diagonal entry after it; when every
-    remaining diagonal entry is zero, a 2x2 block [[0, b], [c, 0]] with
-    b, c != 0 takes two Bareiss steps at once (the 3x3 Sylvester
-    determinants divided by prev^2).  The pivoted matrix is P M P^T, so
-    pivot k is its k-th leading principal minor; once the rest of the
-    matrix is zero, the remaining minors are 0.  Symmetric matrices and
-    Seifert pencils t*A - A^T have M[i][j] != 0 exactly when
-    M[j][i] != 0, so a block always exists while the rest is nonzero.
 
-    Half width for pencils.  A matrix with M(t)^T = -t * M(1/t) and a
-    nonconstant entry, such as t*A - A^T, pivoted symmetrically, is
-    packed once at w = _width(isqrt(H^2) + 1) bytes, H the Hadamard bound
-    of the whole matrix, so T = 2^(8w) > 2 sqrt(H), about half the bits
-    of H, in place of the full width.  A principal minor R of such a
-    matrix satisfies R(t) = +-t^d R(1/t), and so does each row-shifted
-    one.  If such an integer polynomial R != 0 had R(T) = 0, then
-    R(1/T) = 0 too, so (t - T)(T*t - 1) would divide R (Gauss's lemma),
-    and ||R||_2 >= M(R) >= T^2 (Landau's inequality, Mahler's measure)
-    would exceed H >= ||R||_2 (Parseval).  So at T:
+@functools.lru_cache(maxsize=64)
+def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
+    """The Pivots of the pencil t*A - A^T, eliminated once per matrix and memoised.
+
+    Callers pass the immutable copy tuple(map(tuple, A)), so a matrix they
+    mutate later is never answered from the memo.  No LaurentPoly is built.
+
+    Half width.  M = t*A - A^T satisfies M(t)^T = -t * M(1/t).  Once a
+    row of M holds both powers of t (spread > 0), _bareiss packs it at
+    w = _width(isqrt(H^2) + 1) bytes, H the Hadamard bound of the whole
+    matrix, so T = 2^(8w) > 2 sqrt(H), about half the bits of H, in place
+    of the full width.  A principal minor R of M satisfies
+    R(t) = +-t^d R(1/t), and so does each row-shifted one.  If such an
+    integer polynomial R != 0 had R(T) = 0, then R(1/T) = 0 too, so
+    (t - T)(T*t - 1) would divide R (Gauss's lemma), and
+    ||R||_2 >= M(R) >= T^2 (Landau's inequality, Mahler's measure) would
+    exceed H >= ||R||_2 (Parseval).  So at T:
       - a diagonal Schur entry, a principal minor, is zero only if it is
         zero as a polynomial, and so is a pivot;
       - where the diagonal is zero, Schur entry (i, j) != 0 forces
@@ -350,19 +359,6 @@ def det_laurent(rows: LaurentMatrix, *, pivots: bool = False) -> LaurentPoly | P
     the sign (-1)^k and below H < T^2/4, so the value modulo T and the
     rounded top digits fix each outer pair.
     """
-    _check_square(rows)
-    return _bareiss([{j: c for j, e in enumerate(row)
-                      if (c := e if e.__class__ is int else laurent_from_entry(e)._coeffs)}
-                     for row in rows], pivots)
-
-
-@functools.lru_cache(maxsize=64)
-def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
-    """The Pivots of the pencil t*A - A^T, eliminated once per matrix and memoised.
-
-    Callers pass the immutable copy tuple(map(tuple, A)), so a matrix they
-    mutate later is never answered from the memo.  No LaurentPoly is built.
-    """
     every = range(_check_square(A))
     return _bareiss([{j: {1: a, 0: -b} if a and b else {1: a} if a else {0: -b}
                       for j in set(compress(every, row)).union(compress(every, column))
@@ -373,7 +369,7 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
 def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
     """Exact inertia of a symmetric integer matrix.
 
-    The symmetrically pivoted elimination of det_laurent gives the exact
+    The symmetrically pivoted elimination of _bareiss gives the exact
     leading principal minors of P S P^T, a congruence of S.  It stops
     once the rest of the matrix is zero, so a trailing run of zero minors
     is that zero Schur complement and counts as n_zero; Jacobi's rule
@@ -382,9 +378,10 @@ def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
     n = _check_square(S)
     for i, row in enumerate(S):
         for j in range(i, n):
-            if strict_int(row[j], "matrix entry") != S[j][i]:
+            if strict_int(row[j], "matrix entry") != strict_int(S[j][i], "matrix entry"):
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    signs = [(v > 0) - (v < 0) for v in det_laurent(S, pivots=True).values]
+    rows = [{j: int(x) for j, x in enumerate(row) if x} for row in S]
+    signs = [(v > 0) - (v < 0) for v in _bareiss(rows, True).values]
     rank = n
     while rank and not signs[rank - 1]:
         rank -= 1

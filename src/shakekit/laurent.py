@@ -18,6 +18,7 @@ import re
 from math import gcd
 from typing import Mapping
 
+from ._record import Record
 from .errors import strict_int
 
 
@@ -160,15 +161,17 @@ def lp_is_symmetric(p: LaurentPoly) -> bool:
     return all(coeffs.get(-e) == c for e, c in coeffs.items())
 
 
-class UnitCirclePoint:
+class UnitCirclePoint(Record):
     """A point on the unit circle: exact rotation k/m or a float angle.
 
     Rational points are stored in lowest terms with 0 <= k < m, so the
     same root of unity always has the same representation.  A root never
-    equals a float angle, so == and hash agree.
+    equals a float angle, so == and hash agree.  Points are immutable.
     """
 
-    __slots__ = ("k", "m", "_theta")
+    k: int | None
+    m: int | None
+    _theta: float | None
 
     def __init__(self, k: int | None = None, m: int | None = None,
                  theta: float | None = None):
@@ -177,18 +180,14 @@ class UnitCirclePoint:
                 raise ValueError("need k/m with m >= 1, or a float theta")
             k = strict_int(k, "root index k") % m
             g = gcd(k, m)
-            self.k = k // g
-            self.m = m // g
-            self._theta = None
+            self._assign(k // g, m // g, None)
         else:
             if k is not None or m is not None:
                 raise ValueError("give either k/m or theta, not both")
             theta = float(theta)
             if not math.isfinite(theta):
                 raise ValueError(f"theta must be a finite angle, got {theta!r}")
-            self.k = None
-            self.m = None
-            self._theta = theta
+            self._assign(None, None, theta)
 
     @classmethod
     def root(cls, k: int, m: int) -> "UnitCirclePoint":
@@ -222,14 +221,6 @@ class UnitCirclePoint:
         except OverflowError:
             theta = math.inf
         return theta if theta < math.inf else math.tau * (self.k / self.m)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnitCirclePoint):
-            return NotImplemented
-        return (self.k, self.m, self._theta) == (other.k, other.m, other._theta)
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.m, self._theta))
 
     def __repr__(self) -> str:
         if self.is_rational:
@@ -330,15 +321,3 @@ def format_laurent(p: LaurentPoly) -> str:
             parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
     return " ".join(parts)
 
-
-def laurent_from_entry(entry: "int | str | LaurentPoly") -> LaurentPoly:
-    """Coerce a JSON matrix entry (int or textual form) to a LaurentPoly."""
-    if isinstance(entry, LaurentPoly):
-        return entry
-    if isinstance(entry, bool):
-        raise ValueError("matrix entries must be integers or Laurent strings")
-    if isinstance(entry, int):
-        return LaurentPoly({0: entry})
-    if isinstance(entry, str):
-        return parse_laurent(entry)
-    raise ValueError(f"matrix entries must be integers or Laurent strings, got {entry!r}")

@@ -39,7 +39,7 @@ pickled, so no chain is walked by recursion.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import groupby
 from typing import Callable, Mapping, Union
 
@@ -148,7 +148,11 @@ class Leaf(Record):
 
 
 class PoundLeaf(Record):
-    """The pound of a normal form, which holds a plain leaf run as normalize builds it."""
+    """The pound of a normal form, which holds a plain leaf run as normalize builds it.
+
+    Its text is written once, by the first of sorting, checking and
+    rendering to need it, and kept.
+    """
 
     inner: "NormalForm"
 
@@ -159,8 +163,13 @@ class PoundLeaf(Record):
             raise ValueError(f"the form {self.inner} inside a pound leaf has no plain leaf run; "
                              "the pound of a form of pound leaves is that form")
 
+    @cached_property
+    def text(self) -> str:
+        text, runs = render_term(self.inner), self.inner.runs
+        return f"({text})#" if len(runs) > 1 or runs[0][1] > 1 else f"{text}#"
+
     def __str__(self) -> str:
-        return render_term(self)
+        return self.text
 
 
 NormalLeaf = Union[Leaf, PoundLeaf]
@@ -188,7 +197,7 @@ class NormalForm(Record):
                 raise ValueError(f"runs {i - 1} and {i} hold the same leaf {leaf}; "
                                  "neighbouring runs hold different leaves")
             if (i and leaf.__class__ is PoundLeaf is self.runs[i - 1][0].__class__
-                    and str(self.runs[i - 1][0]) >= str(leaf)):
+                    and self.runs[i - 1][0].text >= leaf.text):
                 raise ValueError(f"pound runs {i - 1} and {i} are out of order; "
                                  "a stretch of pound runs is sorted by text")
 
@@ -223,7 +232,7 @@ def _sort_pound_runs(runs: list[Run]) -> list[Run]:
     for kind, group in groupby(runs, lambda run: type(run[0])):
         group = list(group)
         if kind is PoundLeaf and len(group) > 1:
-            group.sort(key=lambda run: str(run[0]))
+            group.sort(key=lambda run: run[0].text)
         _extend(out, group)
     return out
 
@@ -306,8 +315,7 @@ def render_term(t: "PatternTerm | NormalForm | NormalLeaf") -> str:
         _check_size(sum(count for _, count in t.runs), "leaves")
         return " o ".join(" o ".join([render_term(leaf)] * count) for leaf, count in t.runs)
     if isinstance(t, PoundLeaf):
-        text, runs = render_term(t.inner), t.inner.runs
-        return f"({text})#" if len(runs) > 1 or runs[0][1] > 1 else f"{text}#"
+        return t.text
     if isinstance(t, Leaf):
         text = f"{t.atom}*" if t.star else t.atom
         text = f"bar({text})" if t.bar else text

@@ -6,8 +6,8 @@ both facts are checked on every computation.  an_family(n) builds the
 (2n+2)x(2n+2) Seifert matrix of the n-th twisted satellite in the
 family this package certifies complexity bounds with; its Alexander
 polynomial has the nine-term closed form delta_n_closed(n), and its
-Levine-Tristram signature one that needs only the signs of Delta_n and
-of 1 - 2cos(theta) (_family_signature).
+Levine-Tristram signature a closed form, with its proof sketch, in
+_family_signature.
 """
 
 from __future__ import annotations

@@ -104,6 +104,15 @@ def leading_minors(rows: list[list[int]]) -> list[int]:
     return out
 
 
+def is_pencil(entries: list[dict]) -> bool:
+    """Whether sparse rows M, column -> int or coefficient dict, have M(t)^T = -t * M(1/t).
+
+    An int entry makes no pencil.
+    """
+    return all(e.__class__ is not int and entries[j].get(i) == {1 - x: -c for x, c in e.items()}
+               for i, row in enumerate(entries) for j, e in row.items())
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, lowest degree first.

@@ -18,13 +18,14 @@ from oracles import (
     dense_remainder,
     det_cofactor,
     det_cofactor_fraction,
+    is_pencil,
     leading_minors,
     random_laurent_matrix,
     random_symmetric_matrix,
     random_unimodular,
     reduce_first,
 )
-from shakekit import exactlinalg, seifert
+from shakekit import exactlinalg, goeritz, seifert, verify
 from shakekit.complexity import a_family_profile, certify_complexity
 from shakekit.exactlinalg import (
     Inertia,
@@ -36,7 +37,7 @@ from shakekit.exactlinalg import (
     int_matrix_from_json,
     signature,
 )
-from shakekit.laurent import LaurentPoly, UnitCirclePoint, laurent_from_entry
+from shakekit.laurent import LaurentPoly, UnitCirclePoint, parse_laurent
 from shakekit.seifert import alexander, an_family, delta_n_closed, lt_signature
 
 A1 = [
@@ -97,6 +98,16 @@ class TestDetLaurent:
         with pytest.raises(ValueError):
             det_laurent([[LaurentPoly.one()], []])
 
+    def test_refuses_entries_that_are_neither_ints_nor_polynomials(self):
+        # JSON booleans, floats and textual polynomials are not coerced
+        assert det_laurent([[3]]) == LaurentPoly({0: 3})
+        assert det_laurent([[LaurentPoly({1: 1, 0: -1})]]) == LaurentPoly({1: 1, 0: -1})
+        for bad in (True, 1.5, "t - 1"):
+            with pytest.raises(ValueError, match=f"LaurentPoly, got {bad!r}$"):
+                det_laurent([[bad]])
+            with pytest.raises(ValueError, match=f"got {bad!r}$"):
+                det_laurent([[LaurentPoly.t(), 0], [2, bad]])
+
     def test_matches_cofactor_oracle(self):
         rng = random.Random(20260814)
         for trial in range(250):
@@ -119,12 +130,15 @@ class TestDetLaurent:
             assert det_laurent(prod) == det_laurent(a) * det_laurent(b)
 
 
+def norm_sq(rows: list[list[LaurentPoly]]) -> int:
+    """prod_i max(1, sum_j ||a_ij||_1^2), the square of the kernel's Hadamard bound."""
+    return math.prod(max(1, sum(sum(map(abs, e.coeffs.values())) ** 2 for e in row))
+                     for row in rows)
+
+
 def hadamard_bound(rows: list[list[LaurentPoly]]) -> int:
     """ceil(prod_i sqrt(sum_j ||a_ij||_1^2)), the coefficient bound of the kernel."""
-    norm_sq = 1
-    for row in rows:
-        norm_sq *= sum(sum(abs(c) for c in e.coeffs.values()) ** 2 for e in row)
-    return math.isqrt(norm_sq - 1) + 1
+    return math.isqrt(norm_sq(rows) - 1) + 1
 
 
 H2 = [[1, 1], [1, -1]]
@@ -225,6 +239,35 @@ class TestPencilMemo:
         assert lt_signature(A, UnitCirclePoint.root(1, 3)) == 0
 
 
+def test_symmetric_elimination_gets_integer_forms_or_pencils(monkeypatch):
+    # _bareiss packs a symmetric-mode matrix with a nonconstant entry at
+    # half the Hadamard width, which only a pencil allows; every such call
+    # from the invariants, the Goeritz route and the reproduction table
+    # passes an integer form or a pencil
+    calls = {"forms": 0, "pencils": 0}
+    real = exactlinalg._bareiss
+
+    def spy(entries, pivots):
+        if pivots:
+            form = all(e.__class__ is int for row in entries for e in row.values())
+            assert form or is_pencil(entries), entries
+            calls["forms" if form else "pencils"] += 1
+        return real(entries, pivots)
+
+    monkeypatch.setattr(exactlinalg, "_bareiss", spy)
+    exactlinalg._pencil.cache_clear()
+    dense = congruence(random_unimodular(random.Random(5), 12, 60), an_family(5))
+    for A in (dense, an_family(3), TREFOIL, [[0, 1], [0, 0]]):
+        alexander(A)
+        seifert.classical_signature_seifert(A)
+        lt_signature(A, UnitCirclePoint.minus_one())
+        lt_signature(A, UnitCirclePoint.angle(2.0))
+    signature([[2, 1, 0], [1, 0, 3], [0, 3, 0]])
+    goeritz.classical_signature_goeritz(goeritz.torus_band_presentation(5))
+    assert all(result.passed for result in verify.run_checks())
+    assert calls["forms"] >= 10 and calls["pencils"] >= 4, calls
+
+
 def symmetric_pivot_minors(rows: list[list[LaurentPoly]]) -> list[LaurentPoly]:
     """P_1..P_n of P M P^T for the order symmetric pivoting picks, all by cofactors.
 
@@ -262,6 +305,20 @@ def as_laurent(S: list[list[int]]) -> list[list[LaurentPoly]]:
     return [[LaurentPoly({0: x}) for x in row] for row in S]
 
 
+def form_pivots(S: list[list[int]]) -> exactlinalg.Pivots:
+    """The symmetric elimination of an integer form, as inertia_symmetric_exact runs it."""
+    return exactlinalg._bareiss([{j: x for j, x in enumerate(row) if x} for row in S], True)
+
+
+def pencil_pivots(A: list[list[int]]) -> exactlinalg.Pivots:
+    """The pencil's Pivots eliminated afresh, past the memo."""
+    return exactlinalg._pencil.__wrapped__(tuple(map(tuple, A)))
+
+
+def all_minors(pivots: exactlinalg.Pivots) -> list[LaurentPoly]:
+    return [pivots.minor(k) for k in range(1, len(pivots.lows) + 1)]
+
+
 def sparse_symmetric(rng: random.Random, dim: int, density: float) -> list[list[int]]:
     S = [[0] * dim for _ in range(dim)]
     for i in range(dim):
@@ -275,19 +332,13 @@ class TestSparseKernel:
     """Rows left alone by Bareiss steps must come back at the right scale.
 
     A step only rescales a row whose pivot-column entry is zero, so the
-    kernel keeps such a row as it is until a step reads it; these matrices
-    leave rows untouched for several steps, across 2x2 block pivots too,
-    and compare every pivot with its cofactor minor.
+    kernel keeps such a row as it is until a step reads it; these integer
+    forms leave rows untouched for several steps, across 2x2 block pivots
+    too, and compare every pivot with its cofactor minor.
     """
 
     def check(self, S: list[list[int]]) -> None:
-        pivots = det_laurent(S, pivots=True)
-        assert [pivots.minor(k) for k in range(1, len(S) + 1)] == \
-            symmetric_pivot_minors(as_laurent(S)), S
-        rows = t_matrix(S)
-        pivots = det_laurent(rows, pivots=True)
-        assert [pivots.minor(k) for k in range(1, len(S) + 1)] == \
-            symmetric_pivot_minors(rows), S
+        assert all_minors(form_pivots(S)) == symmetric_pivot_minors(as_laurent(S)), S
 
     def test_arrow(self):
         # every middle row is read first when it becomes the pivot row
@@ -317,7 +368,7 @@ class TestSparseKernel:
         S[0][0] = 3
         for i, j, x in ((1, 2, 2), (3, 4, 3), (3, 5, 1), (4, 5, 1), (5, 6, 1)):
             S[i][j] = S[j][i] = x
-        pivots = det_laurent(S, pivots=True)
+        pivots = form_pivots(S)
         assert pivots.values[1] == pivots.values[3] == 0
         assert all(pivots.values[k] for k in (0, 2, 4, 5, 6))
         self.check(S)
@@ -327,7 +378,7 @@ class TestSparseKernel:
                   [[0, 0, 0, 0], [0, 1, 2, 0], [0, 2, 1, 1], [0, 0, 1, 0]]):
             self.check(S)
             assert det_laurent(S) == LaurentPoly.zero()
-            assert det_laurent(S, pivots=True).values[-1] == 0
+            assert form_pivots(S).values[-1] == 0
 
     def test_random_sparse_symmetric_and_pencils(self):
         rng = random.Random(20261018)
@@ -337,10 +388,7 @@ class TestSparseKernel:
             self.check(sparse_symmetric(rng, dim, density))
             A = [[rng.choice((-2, -1, 1, 2)) if rng.random() < density else 0
                   for _ in range(dim)] for _ in range(dim)]
-            rows = t_matrix(A)
-            pivots = det_laurent(rows, pivots=True)
-            assert [pivots.minor(k) for k in range(1, dim + 1)] == \
-                symmetric_pivot_minors(rows), A
+            assert all_minors(pencil_pivots(A)) == symmetric_pivot_minors(t_matrix(A)), A
 
     @pytest.fixture
     def polys_built(self, monkeypatch) -> list:
@@ -380,17 +428,35 @@ def dense_seifert(rng: random.Random, dim: int) -> list[list[int]]:
     return [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(dim)] for _ in range(dim)]
 
 
-def pencil_pivots(A: list[list[int]]) -> exactlinalg.Pivots:
-    """The pencil's Pivots eliminated afresh, past the memo, under the thresholds in force."""
-    return exactlinalg._pencil.__wrapped__(tuple(map(tuple, A)))
-
-
-def all_minors(pivots: exactlinalg.Pivots) -> list[LaurentPoly]:
-    return [pivots.minor(k) for k in range(1, len(pivots.lows) + 1)]
-
-
 def pencil_minors(A: list[list[int]]) -> list[LaurentPoly]:
     return all_minors(pencil_pivots(A))
+
+
+def pencil_at_points(A: list[list[int]], monkeypatch) -> exactlinalg.Pivots:
+    """The pencil's Pivots, each checked against leading_minors of the pivoted pencil at points.
+
+    The points are t = -3, 2 and 5, and one t above twice the Hadamard
+    bound H of the pencil.  Every coefficient of a true minor is at most
+    H, and so is every pivot's (asserted), so there the value fixes them.
+    """
+    order = []
+    real = exactlinalg._eliminate
+
+    def spy(K, pivots, rest, update):
+        order.extend(pivots)
+        return real(K, pivots, rest, update)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exactlinalg, "_eliminate", spy)
+        pivots = pencil_pivots(A)
+    order += [i for i in range(len(A)) if i not in order]  # a zero Schur complement's rows
+    minors, bound = all_minors(pivots), hadamard_bound(t_matrix(A))
+    assert all(abs(c) <= bound for m in minors for c in m.coeffs.values()), A
+    for t in (-3, 2, 5, 2 * bound + 1):
+        N = [[t * A[i][j] - A[j][i] for j in order] for i in order]
+        assert [sum(c * t ** e for e, c in m.coeffs.items()) for m in minors] == \
+            leading_minors(N), (A, t)
+    return pivots
 
 
 class TestMirroredSteps:
@@ -400,8 +466,9 @@ class TestMirroredSteps:
     (-1)^(p+1) t^(p+1) times entry (i, j) at 1/t, and every principal
     minor is palindromic.  So the kernel packs a pencil once at half the
     bits of its Hadamard bound and reads each pivot from both ends.  These
-    matrices compare every pivot with its cofactor minor, and with the
-    general elimination, which takes the full width.
+    matrices compare every pivot with its cofactor minor, or with the
+    leading minors of the pivoted pencil at integer points
+    (pencil_at_points), which no width enters.
     """
 
     @pytest.fixture
@@ -417,13 +484,6 @@ class TestMirroredSteps:
 
         monkeypatch.setattr(exactlinalg, "_eliminate", spy)
         return seen
-
-    @staticmethod
-    def general(A: list[list[int]], monkeypatch) -> exactlinalg.Pivots:
-        """The pencil's Pivots from the general elimination, at the full width."""
-        with monkeypatch.context() as m:
-            m.setattr(exactlinalg, "_is_pencil", lambda entries: False)
-            return pencil_pivots(A)
 
     def test_two_ended_read_back(self):
         # palindromic coefficient lists, c_i = (-1)^k c_(d-i), with
@@ -470,24 +530,6 @@ class TestMirroredSteps:
             kinds[kind] += 1
         assert min(kinds.values()) >= 20, kinds
 
-    def test_any_matrix_with_the_pencil_symmetry(self):
-        # M[j][i] = -t * M[i][j](1/t) with exponents from -2 to 3, so rows
-        # are shifted by -2 to 1 and the windows vary entry by entry
-        rng = random.Random(3)
-        for _ in range(150):
-            dim = rng.randint(2, 6)
-            M = [[LaurentPoly()] * dim for _ in range(dim)]
-            for i in range(dim):
-                e, c = rng.randint(-2, 3), rng.choice((-2, -1, 1, 2))
-                M[i][i] = LaurentPoly({e: c, 1 - e: -c})
-                for j in range(i + 1, dim):
-                    M[i][j] = LaurentPoly({rng.randint(-2, 3): rng.choice((-3, -1, 1, 2))
-                                           for _ in range(rng.randint(1, 3))})
-                    M[j][i] = LaurentPoly({1 - x: -c for x, c in M[i][j].coeffs.items()})
-            pivots = det_laurent(M, pivots=True)
-            assert pivots.pencil
-            assert all_minors(pivots) == symmetric_pivot_minors(M), M
-
     def test_matches_unmirrored_elimination(self, monkeypatch):
         rng = random.Random(400)
         for trial in range(400):
@@ -500,7 +542,7 @@ class TestMirroredSteps:
                 column = rng.randrange(dim)
                 for row in A:
                     row[column] = 0
-            assert pencil_minors(A) == all_minors(self.general(A, monkeypatch)), A
+            pencil_at_points(A, monkeypatch)
 
     def test_row_left_at_an_older_scale(self, steps):
         # index 1 is 2 * index 0 where they meet index 4, so after the
@@ -523,40 +565,22 @@ class TestMirroredSteps:
             assert 4 * sum(map(bool, (x for row in A for x in row))) > dim * dim
             exactlinalg._pencil.cache_clear()
             assert alexander(A) == delta_n_closed(k)
-            assert pencil_pivots(A).pencil
-            assert pencil_minors(A) == all_minors(self.general(A, monkeypatch))
+            assert pencil_at_points(A, monkeypatch).pencil
 
     def test_half_width_on_dense_and_sparse_pencils(self, monkeypatch):
         # the dense fixture and a sparse family pencil both take half the
-        # bits of the general elimination's width, or fewer
+        # bits of the full Hadamard width, or fewer
         doc = json.loads((FIXTURES / "dense_seifert_30.json").read_text())
         for A, k in ((int_matrix_from_json(doc), 14), (an_family(40), 40)):
-            pivots, general = pencil_pivots(A), self.general(A, monkeypatch)
-            assert pivots.pencil and not general.pencil
-            assert 2 * pivots.bits <= general.bits + 16
-            assert all_minors(pivots) == all_minors(general)
+            pivots = pencil_at_points(A, monkeypatch)
+            assert pivots.pencil
+            assert 2 * pivots.bits <= 8 * exactlinalg._width(norm_sq(t_matrix(A))) + 16
             assert all_minors(pivots)[-1] == delta_n_closed(k).shift(k + 1)
 
     def test_fixture_is_a_scrambled_family_matrix(self):
         doc = json.loads((FIXTURES / "dense_seifert_30.json").read_text())
         P = random_unimodular(random.Random(31), 30, 300)
         assert doc == {"dim": 30, "entries": congruence(P, an_family(14))}
-
-    def test_symmetric_and_near_pencil_matrices_are_not_mirrored(self):
-        # a symmetric matrix, and a pencil with one entry off by t^2, keep
-        # the general elimination
-        rng = random.Random(5)
-        for _ in range(40):
-            dim = rng.randint(2, 7)
-            S = random_symmetric_matrix(rng, dim)
-            pivots = det_laurent(S, pivots=True)
-            assert not pivots.pencil
-            assert all_minors(pivots) == symmetric_pivot_minors(as_laurent(S)), S
-            rows = t_matrix(dense_seifert(rng, dim))
-            rows[0][-1] = rows[0][-1] + LaurentPoly({2: 1})
-            pivots = det_laurent(rows, pivots=True)
-            assert not pivots.pencil
-            assert all_minors(pivots) == symmetric_pivot_minors(rows)
 
 
 def random_seifert(rng: random.Random, dim: int, dense: bool) -> list[list[int]]:
@@ -569,17 +593,9 @@ def random_seifert(rng: random.Random, dim: int, dense: bool) -> list[list[int]]
 
 def test_pencil_pivots_match_elimination_at_integer_points(monkeypatch):
     # every pivot of random and dense pencils, dimension <= 22, against
-    # the leading principal minors of the pivoted matrix at t = -3, 2 and
-    # 5; at least 1,000 pivots have a coefficient of T/2 or more, so only
-    # the two-ended read gets them right
-    order = []
-    real = exactlinalg._eliminate
-
-    def spy(K, pivots, rest, update):
-        order.extend(pivots)
-        return real(K, pivots, rest, update)
-
-    monkeypatch.setattr(exactlinalg, "_eliminate", spy)
+    # the leading principal minors of the pivoted matrix at integer points
+    # (pencil_at_points); at least 1,000 pivots have a coefficient of T/2
+    # or more, so only the two-ended read gets them right
     rng = random.Random(20261019)
     two_ended = 0
     for trial in range(330):
@@ -588,14 +604,8 @@ def test_pencil_pivots_match_elimination_at_integer_points(monkeypatch):
         A = random_seifert(rng, dim, trial % 2 == 1)
         for i in range(dim if blocks else 0):
             A[i][i] = 0
-        order.clear()
-        pivots = pencil_pivots(A)
-        order += [i for i in range(dim) if i not in order]  # a zero Schur complement's rows
+        pivots = pencil_at_points(A, monkeypatch)
         minors = all_minors(pivots)
-        for t in (-3, 2, 5):
-            N = [[t * A[i][j] - A[j][i] for j in order] for i in order]
-            assert [sum(c * t ** e for e, c in m.coeffs.items()) for m in minors] == \
-                leading_minors(N), (A, t)
         half = 1 << (pivots.bits - 1)
         two_ended += sum(any(abs(c) >= half for c in m.coeffs.values()) for m in minors)
     assert two_ended >= 1000, two_ended
@@ -606,9 +616,9 @@ class TestStepWidths:
 
     A pencil takes half the Hadamard width and any other matrix the full
     width, which no step changes.  A row that no step reads keeps the
-    scale it was stored at; these matrices, none of them a pencil, make
-    rows wait across steps, take 2x2 block steps and swap rows, and check
-    every pivot against its cofactor minor.
+    scale it was stored at; these pencils and integer forms make rows wait
+    across steps and take 2x2 block steps, determinants swap rows, and
+    every pivot is checked against its cofactor minor.
     """
 
     @pytest.fixture
@@ -626,48 +636,65 @@ class TestStepWidths:
         monkeypatch.setattr(exactlinalg, "_eliminate", spy)
         return seen
 
+    @pytest.fixture
+    def widths(self, monkeypatch) -> list[tuple[int, int]]:
+        """(squared bound, bytes) of every width taken from here on."""
+        seen = []
+        real = exactlinalg._width
+
+        def spy(bound_sq):
+            seen.append((bound_sq, real(bound_sq)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(exactlinalg, "_width", spy)
+        return seen
+
     def test_rows_read_at_an_older_scale(self, log):
-        # a symmetric band of Laurent polynomials: each row is first read
-        # when its neighbour is the pivot, after steps that left it as
+        # a symmetric band of integers and a band pencil: each row is first
+        # read when its neighbour is the pivot, after steps that left it as
         # stored
         for n, scale in ((6, 20), (8, 9), (9, 40)):
-            M = [[LaurentPoly()] * n for _ in range(n)]
+            S = [[0] * n for _ in range(n)]
+            A = [[0] * n for _ in range(n)]
             for i in range(n):
-                M[i][i] = LaurentPoly({0: scale + i, 1: -scale})
+                S[i][i], A[i][i] = scale + i, scale
                 if i + 1 < n:
-                    M[i][i + 1] = M[i + 1][i] = LaurentPoly({0: scale - i, 1: scale})
-            log.clear()
-            pivots = det_laurent(M, pivots=True)
-            assert not pivots.pencil
-            assert all_minors(pivots) == symmetric_pivot_minors(M), M
-            assert any(step["old"] for step in log), log
+                    S[i][i + 1] = S[i + 1][i] = scale - i
+                    A[i][i + 1], A[i + 1][i] = scale - i, scale + 1
+            for eliminate, M, rows in ((form_pivots, S, as_laurent(S)),
+                                       (pencil_pivots, A, t_matrix(A))):
+                log.clear()
+                assert all_minors(eliminate(M)) == symmetric_pivot_minors(rows), M
+                assert all(step["block"] == 1 for step in log), log
+                assert any(step["old"] for step in log), log
 
-    def test_block_steps_on_symmetric_laurent_matrices(self, log):
-        # symmetric Laurent matrices with coefficients 5..30; zero
-        # diagonals force 2x2 block steps, and from trial 40 on half the
-        # entries are zero, so some block steps read a row left at an
-        # older scale
+    def test_block_steps_on_pencils_and_integer_forms(self, log):
+        # pencils and integer forms with entries 5..30; zero diagonals
+        # force 2x2 block steps, and from trial 40 on half the entries are
+        # zero, so some block steps read a row left at an older scale
         rng = random.Random(17)
         seen = set()
         for trial in range(100):
             dim = rng.randint(3, 6)
-            M = [[LaurentPoly()] * dim for _ in range(dim)]
+            A = [[0] * dim for _ in range(dim)]
+            S = [[0] * dim for _ in range(dim)]
             for i in range(dim):
                 for j in range(i if trial % 2 == 0 else i + 1, dim):
                     if trial < 40 or rng.random() < 0.5:
-                        M[i][j] = M[j][i] = LaurentPoly(
-                            {e: rng.choice((-1, 1)) * rng.randint(5, 30) for e in (0, 1)})
-            log.clear()
-            pivots = det_laurent(M, pivots=True)
-            assert not pivots.pencil
-            assert all_minors(pivots) == symmetric_pivot_minors(M), M
-            seen |= {(step["block"], bool(step["old"])) for step in log}
+                        S[i][j] = S[j][i] = rng.choice((-1, 1)) * rng.randint(5, 30)
+                        A[i][j], A[j][i] = (rng.choice((-1, 1)) * rng.randint(5, 30)
+                                            for _ in range(2))
+            for eliminate, M, rows in ((form_pivots, S, as_laurent(S)),
+                                       (pencil_pivots, A, t_matrix(A))):
+                log.clear()
+                assert all_minors(eliminate(M)) == symmetric_pivot_minors(rows), M
+                seen |= {(step["block"], bool(step["old"])) for step in log}
         assert seen >= {(1, True), (2, True), (2, False)}, seen
 
     def test_row_swaps_without_pivoting(self, log):
-        # pivots=False: a zero leading entry forces a swap at the first
-        # step, and a second row proportional to the first on the first two
-        # columns a swap at the second
+        # a zero leading entry forces a swap at the first step, and a
+        # second row proportional to the first on the first two columns a
+        # swap at the second
         rng = random.Random(23)
         nonzero = 0
         for trial in range(80):
@@ -685,7 +712,7 @@ class TestStepWidths:
             nonzero += not det.is_zero()
         assert nonzero > 60
 
-    def test_non_pencils_take_the_full_hadamard_width(self):
+    def test_non_pencils_take_the_full_hadamard_width(self, widths):
         # the rank-one v v^T has a zero Schur complement after one step, so
         # a width that followed the minors would stop below the bound's
         v = [LaurentPoly({0: 1}), LaurentPoly({1: 1, 0: 5}), LaurentPoly({1: 1, 0: 7}),
@@ -693,31 +720,34 @@ class TestStepWidths:
         rank_one = [[a * b for b in v] for a in v]
         rng = random.Random(37)
         matrices = [rank_one] + [random_laurent_matrix(rng, rng.randint(1, 6)) for _ in range(40)]
-        matrices += [as_laurent(random_symmetric_matrix(rng, rng.randint(1, 8), 40))
-                     for _ in range(20)]
-        for rows in matrices:
-            norm_sq = math.prod(max(1, sum(sum(map(abs, e.coeffs.values())) ** 2 for e in row))
-                                for row in rows)
-            pivots = det_laurent(rows, pivots=True)
+        for rows in filter(lambda rows: all(map(any, rows)), matrices):  # a zero row packs nothing
+            widths.clear()
+            det_laurent(rows)
+            assert [bound_sq for bound_sq, _ in widths] == [norm_sq(rows)], rows
+        det_laurent(rank_one)
+        assert widths[-1][1] == 4
+        for _ in range(20):
+            S = random_symmetric_matrix(rng, rng.randint(1, 8), 40)
+            pivots = form_pivots(S)
             assert not pivots.pencil
-            assert pivots.bits == 8 * exactlinalg._width(norm_sq), rows
-        assert det_laurent(rank_one, pivots=True).bits == 32
+            assert pivots.bits == 8 * exactlinalg._width(norm_sq(as_laurent(S))), S
 
-    def test_bits_never_exceed_the_hadamard_width(self):
+    def test_bits_never_exceed_the_hadamard_width(self, widths):
         rng = random.Random(31)
-        matrices = [random_laurent_matrix(rng, rng.randint(1, 6)) for _ in range(60)]
-        matrices += [t_matrix(dense_seifert(rng, rng.randint(2, 12))) for _ in range(30)]
-        matrices += [as_laurent(random_symmetric_matrix(rng, rng.randint(1, 8)))
-                     for _ in range(30)]
-        matrices.append(t_matrix(int_matrix_from_json(
-            json.loads((FIXTURES / "dense_seifert_30.json").read_text()))))
-        for rows in matrices:
-            norm_sq = math.prod(max(1, sum(sum(map(abs, e.coeffs.values())) ** 2 for e in row))
-                                for row in rows)
-            width = (math.isqrt(norm_sq - 1) + 1).bit_length() + 1
-            pivots = det_laurent(rows, pivots=True)
-            assert pivots.bits % 8 == 0
-            assert pivots.bits <= width + -width % 8, rows
+        doc = json.loads((FIXTURES / "dense_seifert_30.json").read_text())
+        cases = [(det_laurent, M, M) for M in
+                 (random_laurent_matrix(rng, rng.randint(1, 6)) for _ in range(60))]
+        cases += [(pencil_pivots, A, t_matrix(A)) for A in
+                  (dense_seifert(rng, rng.randint(2, 12)) for _ in range(30))]
+        cases += [(form_pivots, S, as_laurent(S)) for S in
+                  (random_symmetric_matrix(rng, rng.randint(1, 8)) for _ in range(30))]
+        A = int_matrix_from_json(doc)
+        cases.append((pencil_pivots, A, t_matrix(A)))
+        for eliminate, M, rows in cases:
+            width = (math.isqrt(norm_sq(rows) - 1) + 1).bit_length() + 1
+            widths.clear()
+            eliminate(M)
+            assert all(8 * w <= width + -width % 8 for _, w in widths), rows
 
 
 class TestInertiaSymmetric:
@@ -958,7 +988,7 @@ class TestExactHermitianInertia:
 
     def test_pivots_are_the_leading_minors(self):
         rows = t_matrix(A1)
-        pivots = det_laurent(rows, pivots=True)
+        pivots = pencil_pivots(A1)
         assert len(pivots.values) == 4
         for k in range(5):
             assert pivots.minor(k) == det_cofactor([row[:k] for row in rows[:k]]), k
@@ -966,7 +996,7 @@ class TestExactHermitianInertia:
     def test_two_by_two_block_pivot(self):
         # t*A - A^T = [[0, t], [-1, 0]]: no nonzero diagonal entry to swap in
         A = [[0, 1], [0, 0]]
-        pivots = det_laurent(t_matrix(A), pivots=True)
+        pivots = pencil_pivots(A)
         assert [pivots.minor(k) for k in (1, 2)] == [LaurentPoly.zero(), LaurentPoly.t()]
         for m in (2, 3, 7):
             omega = UnitCirclePoint.root(1, m)
@@ -977,7 +1007,7 @@ class TestExactHermitianInertia:
         # a zero diagonal twice over: blocks {0, 3} and then {1, 2}
         A = [[0, 0, 0, 1], [0, 0, -1, 1], [0, -1, 0, -1], [1, -1, -1, 0]]
         rows = t_matrix(A)
-        pivots = det_laurent(rows, pivots=True)
+        pivots = pencil_pivots(A)
         assert pivots.values[0] == pivots.values[2] == 0
         block = [[rows[i][j] for j in (0, 3)] for i in (0, 3)]
         assert pivots.minor(2) == det_cofactor(block)
@@ -994,7 +1024,7 @@ class TestExactHermitianInertia:
         omega = UnitCirclePoint.root(1, 4)
         terms = exactlinalg._pencil(tuple(map(tuple, A))).terms
         assert [exactlinalg._sign_at(omega, k, t) for k, t in enumerate(terms, 1)] == [-1, 0, 1]
-        assert det_laurent(t_matrix(A), pivots=True).values[1] != 0
+        assert pencil_pivots(A).values[1] != 0
         assert inertia_hermitian_at_root(A, omega) == Inertia(1, 0, 2)
         assert numpy_inertia(A, omega) == Inertia(1, 0, 2)
 
@@ -1370,10 +1400,14 @@ class TestJsonMatrices:
         assert int_matrix_from_json(json.loads(text)) == A1
 
     def test_laurent_entries(self):
-        rows = [[laurent_from_entry(e) for e in row] for row in [["t - 1", 0], [2, "t^-1"]]]
+        # textual entries are refused; their parsed polynomials are taken
+        text = [["t - 1", 0], [2, "t^-1"]]
+        with pytest.raises(ValueError, match="got 't - 1'"):
+            det_laurent(text)
+        rows = [[parse_laurent(e) if isinstance(e, str) else e for e in row] for row in text]
         assert rows[0][0] == LaurentPoly({1: 1, 0: -1})
-        assert rows[0][1] == LaurentPoly.zero()
         assert rows[1][1] == LaurentPoly({-1: 1})
+        assert det_laurent(rows) == LaurentPoly({0: 1, -1: -1})
 
     def test_dim_is_optional_when_consistent(self):
         assert int_matrix_from_json({"entries": [[7]]}) == [[7]]

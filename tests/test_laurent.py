@@ -11,7 +11,6 @@ from shakekit.laurent import (
     UnitCirclePoint,
     eval_symmetric_real,
     format_laurent,
-    laurent_from_entry,
     lp_is_symmetric,
     parse_laurent,
 )
@@ -258,13 +257,3 @@ class TestParseFormat:
     @given(polys)
     def test_round_trip(self, p):
         assert parse_laurent(format_laurent(p)) == p
-
-    def test_laurent_from_entry(self):
-        assert laurent_from_entry(3) == LaurentPoly({0: 3})
-        assert laurent_from_entry("t - 1") == LaurentPoly({1: 1, 0: -1})
-        assert laurent_from_entry(DELTA_1) == DELTA_1
-        # JSON booleans/floats are invalid entries, not coercible ints
-        with pytest.raises(ValueError):
-            laurent_from_entry(True)
-        with pytest.raises(ValueError):
-            laurent_from_entry(1.5)  # type: ignore[arg-type]

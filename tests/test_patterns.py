@@ -446,6 +446,23 @@ class TestLeafLimit:
             tracemalloc.stop()
         assert peak < 8 << 20
 
+    def test_each_pound_leaf_writes_its_text_once(self, monkeypatch):
+        # sorting a pound stretch, checking its order and writing the form
+        # all read each pound leaf's one text
+        written = []
+        real = patterns.render_term
+
+        def spy(t):
+            written.append(t)
+            return real(t)
+
+        monkeypatch.setattr(patterns, "render_term", spy)
+        form = normalize(parse_pattern("(Q o P)# o (P o Q)# o (P^2)# o R"))
+        assert str(form) == "(P o P)# o (P o Q)# o (Q o P)# o R"
+        forms = [t for t in written if t.__class__ is NormalForm]
+        assert forms[-1] is form and len(forms) == len(set(forms)) == 4, forms
+        assert all(leaf.text is leaf.text for leaf, _ in form.runs[:3])
+
     def test_run_count_is_limited_before_a_power_repeats_it(self, monkeypatch):
         monkeypatch.setattr(patterns, "_MAX_LEAVES", 10)
         assert len(normalize(Power(Compose(P, Q), 5)).runs) == 10

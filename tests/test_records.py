@@ -110,6 +110,24 @@ def test_record_behaviour(cls, fields, change, text):
         assert type(clone) is cls and clone == record and repr(clone) == text
 
 
+@pytest.mark.parametrize("point", [UnitCirclePoint.root(1, 3), UnitCirclePoint.root(-7, 14),
+                                   UnitCirclePoint.angle(2.0), UnitCirclePoint.angle(-1e-300)],
+                         ids=["1/3", "-7/14", "theta", "subnormal"])
+def test_unit_circle_points_are_immutable(point):
+    # a point held in a set keeps its hash, and a root stays in lowest terms
+    key, held = (point.k, point.m, point._theta), {point}
+    for name in ("k", "m", "_theta", "theta", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(point, name, 6)
+        with pytest.raises(AttributeError):
+            delattr(point, name)
+    assert (point.k, point.m, point._theta) == key and point in held
+    assert hash(point) == hash(key)
+    for clone in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point), copy.copy(point)):
+        assert type(clone) is UnitCirclePoint and clone == point and hash(clone) == hash(point)
+        assert repr(clone) == repr(point) and str(clone) == str(point)
+
+
 def test_terms_of_one_field_differ_by_class():
     terms = [Star(P), Bar(P), Pound(P), Inverse(P)]
     assert all((a == b) == (a is b) for a in terms for b in terms)
