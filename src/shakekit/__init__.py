@@ -37,7 +37,6 @@ from .laurent import (
     UnitCirclePoint,
     format_laurent,
     lp_is_symmetric,
-    parse_laurent,
 )
 from .patterns import (
     Atom,
@@ -112,7 +111,6 @@ __all__ = [
     "lp_is_symmetric",
     "lt_signature",
     "normalize",
-    "parse_laurent",
     "parse_pattern",
     "render_term",
     "retrace_term",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Iterable, Sequence
 
 from ._record import Record
@@ -96,6 +96,22 @@ def _check_square(rows: Sequence[Sequence]) -> int:
         if len(row) != n:
             raise ValueError(f"matrix must be square, got a row of length {len(row)} in dim {n}")
     return n
+
+
+def _seifert_key(A: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """A square int matrix as _pencil's memo key; a bool or float entry is refused.
+
+    The check precedes the memo, where (1.0, True) == (1, 1) would answer
+    or refuse such a matrix by call history.  The ValueError names the
+    entry and its position.
+    """
+    _check_square(A)
+    key = tuple(map(tuple, A))
+    if {*map(type, chain.from_iterable(key))} - {int}:
+        i, j = next((i, j) for i, row in enumerate(key) for j, a in enumerate(row)
+                    if a.__class__ is not int)
+        raise ValueError(f"expected integer matrix entry at ({i},{j}), got {key[i][j]!r}")
+    return key
 
 
 class Pivots(Record):
@@ -334,7 +350,7 @@ def _entry(e: object) -> dict[int, int] | int:
 def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     """The Pivots of the pencil t*A - A^T, eliminated once per matrix and memoised.
 
-    Callers pass the immutable copy tuple(map(tuple, A)), so a matrix they
+    Callers pass the immutable key _seifert_key(A), so a matrix they
     mutate later is never answered from the memo.  No LaurentPoly is built.
 
     Half width.  M = t*A - A^T satisfies M(t)^T = -t * M(1/t).  Once a
@@ -376,10 +392,11 @@ def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
     counts the minors before it.
     """
     n = _check_square(S)
-    for i, row in enumerate(S):
-        for j in range(i, n):
-            if strict_int(row[j], "matrix entry") != strict_int(S[j][i], "matrix entry"):
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
+    if not ({*map(type, chain.from_iterable(S))} <= {int} and [*zip(*S)] == [*map(tuple, S)]):
+        for i, row in enumerate(S):  # names what is refused; lets int subclasses pass
+            for j in range(i, n):
+                if strict_int(row[j], "matrix entry") != strict_int(S[j][i], "matrix entry"):
+                    raise ValueError(f"matrix is not symmetric at ({i},{j})")
     rows = [{j: int(x) for j, x in enumerate(row) if x} for row in S]
     signs = [(v > 0) - (v < 0) for v in _bareiss(rows, True).values]
     rank = n
@@ -570,11 +587,11 @@ def inertia_hermitian_at_root(A: Sequence[Sequence[int]], omega: UnitCirclePoint
     when two consecutive minors vanish, and NearSingular when a sign is
     not certified; InvalidRoot at omega = 1 where H vanishes.
     """
-    n = _check_square(A)
+    key = _seifert_key(A)
+    n = len(key)
     if omega.is_one():
         raise InvalidRoot("the form vanishes identically at omega = 1")
-    signs = [_sign_at(omega, k, terms)
-             for k, terms in enumerate(_pencil(tuple(map(tuple, A))).terms, 1)]
+    signs = [_sign_at(omega, k, terms) for k, terms in enumerate(_pencil(key).terms, 1)]
     k = next((k for k in range(n) if not signs[k] and (k == n - 1 or not signs[k + 1])), None)
     if k is not None:
         raise _zero_minors(omega, k + 1, n, not signs[-1])

@@ -1,20 +1,24 @@
-"""Exact integer Laurent polynomials in one variable t.
+"""Exact integer Laurent polynomials in one variable t, and unit-circle points.
 
-Coefficients are arbitrary-precision integers keyed by exponent; zero
-coefficients are never stored, so equality of canonical forms is plain
-structural equality.  Points on the unit circle are either exact
-rational rotations k/m (the root of unity e^{2*pi*i*k/m}) or a floating
-angle theta; they carry no float value of their own.  Signs on the
-circle are taken exactly elsewhere (exactlinalg._sign_at).  The one
-float evaluator left is eval_symmetric_real, a real-only Chebyshev
-recursion for polynomials invariant under t -> 1/t.
+A LaurentPoly is an output: the package builds it from a coefficient
+dict (a pencil minor, a closed form), then reads, compares, shifts,
+tests for symmetry and formats it; no polynomial is read from text.
+Its only ring operations are *, by which det_laurent applies its sign,
+and +, unary - and *, with which verify's determinant oracle expands
+cofactors.  Coefficients are arbitrary-precision integers keyed by
+exponent; zero coefficients are never stored, so equality of canonical
+forms is plain structural equality.  Points on the unit circle are
+either exact rational rotations k/m (the root of unity e^{2*pi*i*k/m})
+or a floating angle theta; they carry no float value of their own.
+Signs on the circle are taken exactly elsewhere (exactlinalg._sign_at).
+The one float evaluator left is eval_symmetric_real, a real-only
+Chebyshev recursion for polynomials invariant under t -> 1/t.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import re
 from math import gcd
 from typing import Mapping
 
@@ -25,10 +29,10 @@ from .errors import strict_int
 class LaurentPoly:
     """A Laurent polynomial sum(a_k * t^k) with integer coefficients.
 
-    >>> t = LaurentPoly({1: 1})
-    >>> (t - 1) * (t.inverse_variable() - 1)
+    >>> p, q = LaurentPoly({1: 1, 0: -1}), LaurentPoly({-1: 1, 0: -1})
+    >>> p * q
     LaurentPoly({-1: -1, 0: 2, 1: -1})
-    >>> print((t - 1) * (t.inverse_variable() - 1))
+    >>> print(p * q)
     -t^-1 + 2 - t
     """
 
@@ -53,11 +57,6 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def t(cls, exp: int = 1, coeff: int = 1) -> "LaurentPoly":
-        """The monomial coeff * t^exp."""
-        return cls({exp: coeff})
-
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
@@ -68,23 +67,9 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def min_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._coeffs)
-
-    def max_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._coeffs)
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
         return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
-
-    def inverse_variable(self) -> "LaurentPoly":
-        """Substitute t -> 1/t."""
-        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -110,18 +95,8 @@ class LaurentPoly:
             merged[exp] = merged.get(exp, 0) + coeff
         return LaurentPoly(merged)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly({0: other}) - self
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
@@ -134,18 +109,6 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a general polynomial are not defined")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __repr__(self) -> str:
         items = ", ".join(f"{e}: {c}" for e, c in sorted(self._coeffs.items()))
@@ -253,53 +216,6 @@ def eval_symmetric_real(p: LaurentPoly, x: float) -> float:
             value += 2.0 * a * c_cur
         c_prev, c_cur = c_cur, 2.0 * x * c_cur - c_prev
     return value
-
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>[0-9]+)\s*(?:\*\s*t(?:\^(?P<exp1>-?[0-9]+))?)?
-          | t(?:\^(?P<exp2>-?[0-9]+))?
-        )\s*""",
-    re.VERBOSE,
-)
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the textual form, e.g. "t^-2 - 3*t^-1 + 5 - 3*t + t^2".
-
-    >>> parse_laurent("t^-2 - 3*t^-1 + 5").coeffs == {-2: 1, -1: -3, 0: 5}
-    True
-    """
-    out: dict[int, int] = {}
-    pos = 0
-    first = True
-    stripped = text.strip()
-    if not stripped:
-        raise ValueError("empty Laurent polynomial text")
-    if stripped == "0":
-        return LaurentPoly.zero()
-    while pos < len(stripped):
-        match = _TERM_RE.match(stripped, pos)
-        if not match or match.end() == pos:
-            raise ValueError(f"bad Laurent term at position {pos}: {stripped[pos:]!r}")
-        sign_txt = match.group("sign")
-        if sign_txt is None and not first:
-            raise ValueError(f"missing +/- before position {pos} in {stripped!r}")
-        sign = -1 if sign_txt == "-" else 1
-        if match.group("coeff") is not None:
-            coeff = sign * int(match.group("coeff"))
-            has_t = "t" in match.group(0)
-            exp_txt = match.group("exp1")
-            exp = int(exp_txt) if exp_txt is not None else (1 if has_t else 0)
-        else:
-            coeff = sign
-            exp_txt = match.group("exp2")
-            exp = int(exp_txt) if exp_txt is not None else 1
-        out[exp] = out.get(exp, 0) + coeff
-        pos = match.end()
-        first = False
-    return LaurentPoly(out)
 
 
 def format_laurent(p: LaurentPoly) -> str:

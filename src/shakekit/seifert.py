@@ -18,8 +18,8 @@ from typing import Sequence
 from .errors import DomainError, strict_int
 from .exactlinalg import (
     InvalidRoot,
-    _check_square,
     _pencil,
+    _seifert_key,
     _sign_at,
     _zero_minors,
     inertia_hermitian_at_root,
@@ -34,10 +34,11 @@ class OddDimension(ValueError):
 
 def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
     """Symmetrized Alexander polynomial t^(-dim/2) * det(t*A - A^T)."""
-    n = _check_square(A)
+    key = _seifert_key(A)
+    n = len(key)
     if n % 2:
         raise OddDimension(f"dimension {n} is odd; the t^(-dim/2) normalization needs it even")
-    delta = _pencil(tuple(map(tuple, A))).minor(n).shift(-n // 2)
+    delta = _pencil(key).minor(n).shift(-n // 2)
     if not lp_is_symmetric(delta):
         raise ArithmeticError(f"Alexander polynomial {delta} is not symmetric in t <-> 1/t")
     if sum(delta.coeffs.values()) != 1:
@@ -50,8 +51,9 @@ def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
 
 def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
     """Signature of the symmetrized form A + A^T."""
-    n = _check_square(A)
-    sym = [[A[i][j] + A[j][i] for j in range(n)] for i in range(n)]
+    key = _seifert_key(A)
+    n = len(key)
+    sym = [[key[i][j] + key[j][i] for j in range(n)] for i in range(n)]
     return signature(sym)
 
 

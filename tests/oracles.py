@@ -47,7 +47,7 @@ def det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             continue
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         term = rows[0][j] * det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
+        total = total + (-term if j % 2 else term)
     return total
 
 

@@ -1,5 +1,6 @@
-"""The checks on the determinant, inertia and certificate paths are explicit
-exceptions, not asserts, so they hold under ``python -O`` too."""
+"""The checks on the determinant, inertia and certificate paths, and on
+Seifert-matrix entries, are explicit exceptions, not asserts, so they hold
+under ``python -O`` too."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ if __debug__:
 def outcome(label, fn):
     try:
         fn()
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(label, type(exc).__name__, exc)
     else:
         print(label, "no error")
@@ -48,6 +49,12 @@ outcome("cross-check", lambda: complexity.certify_complexity(1, 1))
 complexity.find_witness_root = lambda *args, **kwargs: UnitCirclePoint.root(1, 3)
 complexity._family_signature = lambda *args, **kwargs: 0
 outcome("bound", lambda: complexity.certify_complexity(2, 1))
+
+# a float entry, before and after the memo holds the pencil of an equal key
+exactlinalg._pencil.cache_clear()
+outcome("float-cold", lambda: seifert.alexander([[1.0, 1], [0, 1]]))
+seifert.alexander([[1, 1], [0, 1]])
+outcome("float-warm", lambda: seifert.alexander([[1.0, 1], [0, 1]]))
 """
 
 
@@ -63,9 +70,13 @@ def test_checks_raise_under_python_O():
         ["inertia", "ArithmeticError"],
         ["cross-check", "ArithmeticError"],
         ["bound", "ArithmeticError"],
+        ["float-cold", "ValueError"],
+        ["float-warm", "ValueError"],
     ], proc.stdout
     assert "not symmetric" in lines[0]
     assert "not a palindromic minor" in lines[1]
     assert "D_1 and D_3 around the zero D_2" in lines[2]
     assert "pattern-calculus" in lines[3]
     assert "bound 0 < c = 1" in lines[4]
+    assert lines[5].split(None, 1)[1] == lines[6].split(None, 1)[1] \
+        == "ValueError expected integer matrix entry at (0,0), got 1.0"

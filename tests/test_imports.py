@@ -1,4 +1,5 @@
-"""What `import shakekit.cli` loads: no dataclasses machinery, every traced module."""
+"""What `import shakekit` offers, name by name, and what `import shakekit.cli`
+loads: no dataclasses machinery, every traced module."""
 
 import importlib.util
 import json
@@ -7,6 +8,30 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# The public API; a name joins or leaves it only by an edit here.
+PUBLIC_API = [
+    "Atom", "Band", "BandPresentation", "Bar", "ComplexityCertificate", "Compose",
+    "DomainError", "GoeritzData", "Inertia", "InvalidRoot", "Inverse", "LaurentPoly",
+    "NearSingular", "NormalForm", "OddDimension", "PatternSyntaxError", "Pound", "Power",
+    "Star", "Twist", "UnassignedAtom", "UnitCirclePoint", "WitnessNotFound",
+    "add_two_twists", "alexander", "an_family", "certify_complexity",
+    "classical_signature_goeritz", "classical_signature_seifert", "delta_n_closed",
+    "delta_sign_scan", "det_laurent", "eval_invariant", "find_witness_root",
+    "format_laurent", "goeritz_form", "inertia_hermitian_at_root",
+    "inertia_symmetric_exact", "lp_is_symmetric", "lt_signature", "normalize",
+    "parse_pattern", "render_term", "retrace_term", "signature", "table_profile",
+    "torus_band_presentation", "verify_two_twist_stability",
+]
+
+
+def test_public_api_is_pinned():
+    import shakekit
+
+    names = shakekit.__all__
+    assert names == sorted(set(names)), "__all__ is sorted, without duplicates"
+    assert [name for name in names if not hasattr(shakekit, name)] == []
+    assert names == PUBLIC_API
 
 
 def test_cli_import_loads_no_dataclasses_and_every_traced_module():

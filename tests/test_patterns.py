@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from oracles import expand, normalize_by_maps, render_normal_form
@@ -52,6 +52,23 @@ def _term_strategy(atom_strategy):
 
 
 terms = _term_strategy(st.sampled_from("PQR").map(Atom) | st.just(W))
+
+
+def _runs(leaves):
+    return st.lists(st.tuples(leaves, st.integers(1, 3)), min_size=1, max_size=4)
+
+
+# Run specs for NormalForm: a leaf, or a nested spec that stands for the
+# PoundLeaf of its form.  Pound leaves nest two deep.
+plain_leaves = st.builds(Leaf, atom=st.sampled_from(["P", "Q", "R2"]), star=st.booleans(),
+                         bar=st.booleans(), twist=st.integers(-2, 2))
+form_specs = _runs(plain_leaves | _runs(plain_leaves | _runs(plain_leaves)))
+
+
+def build_form(spec) -> NormalForm:
+    return NormalForm(tuple((leaf if isinstance(leaf, Leaf) else PoundLeaf(build_form(leaf)), count)
+                            for leaf, count in spec))
+
 
 linear_profiles = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
     lambda ab: lambda n: ab[0] * n + ab[1]
@@ -199,6 +216,15 @@ class TestNormalForm:
         once = normalize(t)
         assert normalize(parse_pattern(str(once))) == once
         assert normalize(once) == once
+
+    @given(form_specs)
+    def test_every_form_the_constructors_accept_round_trips(self, spec):
+        # wider than the idempotence above: normalize never built these forms
+        try:
+            nf = build_form(spec)
+        except ValueError:
+            reject()
+        assert normalize(parse_pattern(str(nf))) == nf
 
 
 class TestRewriteIdentities:

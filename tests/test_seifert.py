@@ -5,6 +5,7 @@ import pytest
 
 from oracles import eval_naive
 from shakekit.errors import DomainError
+from shakekit import exactlinalg
 from shakekit.exactlinalg import inertia_hermitian_at_root
 from shakekit.laurent import LaurentPoly, UnitCirclePoint, lp_is_symmetric
 from shakekit.seifert import (
@@ -186,6 +187,33 @@ class TestSignatures:
                 assert lt_signature(a, w) % 2 == 0
 
 
+class TestEntriesAreInts:
+    """A bool or float entry is refused before _pencil's memo, where (1.0, True) == (1, 1)."""
+
+    FUNCTIONS = {
+        "alexander": alexander,
+        "classical": classical_signature_seifert,
+        "lt": lambda A: lt_signature(A, UnitCirclePoint.minus_one()),
+        "hermitian": lambda A: inertia_hermitian_at_root(A, UnitCirclePoint.minus_one()),
+    }
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    @pytest.mark.parametrize("bad, where", [
+        ([[1.0, 1], [0, 1]], "at (0,0), got 1.0"),
+        ([[1, 1], [0, True]], "at (1,1), got True"),
+        ([[True, True], [False, True]], "at (0,0), got True"),
+    ], ids=["float", "bool", "all-bool"])
+    def test_refused_with_a_cold_memo_and_a_warm_one(self, name, bad, where):
+        fn = self.FUNCTIONS[name]
+        exactlinalg._pencil.cache_clear()
+        with pytest.raises(ValueError) as cold:
+            fn(bad)
+        fn([[1, 1], [0, 1]])  # an int matrix equal to bad, answered and memoised
+        with pytest.raises(ValueError) as warm:
+            fn(bad)
+        assert str(cold.value) == str(warm.value) == f"expected integer matrix entry {where}"
+
+
 class TestSignScan:
     def test_positive_polynomial_has_no_arcs(self):
         assert delta_sign_scan(delta_n_closed(1), 360) == []
@@ -219,7 +247,7 @@ class TestSignScan:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            delta_sign_scan(LaurentPoly.t(), 360)
+            delta_sign_scan(LaurentPoly({1: 1}), 360)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
