@@ -20,7 +20,6 @@ from .exactlinalg import (
     det_laurent,
     inertia_hermitian_at_root,
     inertia_symmetric_exact,
-    signature,
 )
 from .goeritz import (
     Band,
@@ -114,7 +113,6 @@ __all__ = [
     "parse_pattern",
     "render_term",
     "retrace_term",
-    "signature",
     "table_profile",
     "torus_band_presentation",
     "verify_two_twist_stability",

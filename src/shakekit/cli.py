@@ -20,8 +20,8 @@ from .exactlinalg import (
     InvalidRoot,
     NearSingular,
     inertia_hermitian_at_root,
+    inertia_symmetric_exact,
     int_matrix_from_json,
-    signature,
 )
 from .goeritz import band_presentation_from_json, classical_signature_goeritz, goeritz_form
 from .laurent import UnitCirclePoint, format_laurent
@@ -77,7 +77,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def _payload(doc: dict) -> str:
@@ -138,7 +141,7 @@ def cmd_lt(args) -> tuple[str, int]:
 def cmd_goeritz(args) -> tuple[str, int]:
     bp = band_presentation_from_json(_load_json(args.bands))
     gd = goeritz_form(bp)
-    sign_g = signature(gd.G)
+    sign_g = inertia_symmetric_exact(gd.G).signature
     doc = gd.to_json()
     doc.update({"eta": gd.eta, "sign_G": sign_g, "sigma": sign_g - gd.eta})
     return _payload(doc), 0

@@ -1,4 +1,7 @@
-"""Shared exception types and the strict scalar checks of the JSON decoders."""
+"""Shared exception types and the strict input checks: an integer is exactly an int."""
+
+from itertools import chain
+from typing import Sequence
 
 
 class DomainError(ValueError):
@@ -6,10 +9,34 @@ class DomainError(ValueError):
 
 
 def strict_int(value: object, what: str) -> int:
-    """value itself if it is an int, never a bool, float or string coerced to one."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """value itself if it is exactly an int, never a bool, float, string or int subclass."""
+    if value.__class__ is not int:
         raise ValueError(f"expected integer {what}, got {value!r}")
     return value
+
+
+def strict_matrix(rows: Sequence[Sequence[int]], what: str,
+                  symmetric: bool = False) -> tuple[tuple[int, ...], ...]:
+    """rows as a square tuple of int tuples, symmetric if asked, else a ValueError.
+
+    Acceptance is decided in C, from the sets of row lengths and entry types
+    and the transpose; only a refusal walks the entries, to name the first
+    (i,j) missing, extra or not an int, or else the first asymmetric pair.
+    """
+    key = tuple(map(tuple, rows))
+    n = len(key)
+    if ({*map(len, key)} - {n} or {*map(type, chain.from_iterable(key))} - {int}
+            or symmetric and [*zip(*key)] != [*key]):
+        for i, row in enumerate(key):
+            if len(row) != n:
+                got = "no entry" if len(row) < n else "an entry"
+                raise ValueError(f"{what} must be {n}x{n}, got {got} at ({i},{min(len(row), n)})")
+            for j, x in enumerate(row):
+                if x.__class__ is not int:
+                    raise ValueError(f"expected integer {what} entry at ({i},{j}), got {x!r}")
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if key[i][j] != key[j][i])
+        raise ValueError(f"{what} must be symmetric, differs at ({i},{j})")
+    return key
 
 
 def strict_keys(doc: dict, allowed: tuple[str, ...], what: str) -> None:

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain, compress
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from ._record import Record
-from .errors import strict_int, strict_keys
+from .errors import strict_int, strict_keys, strict_matrix
 from .laurent import LaurentPoly, UnitCirclePoint
 
 
@@ -88,30 +88,6 @@ class Inertia(Record):
     @property
     def signature(self) -> int:
         return self.n_plus - self.n_minus
-
-
-def _check_square(rows: Sequence[Sequence]) -> int:
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError(f"matrix must be square, got a row of length {len(row)} in dim {n}")
-    return n
-
-
-def _seifert_key(A: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """A square int matrix as _pencil's memo key; a bool or float entry is refused.
-
-    The check precedes the memo, where (1.0, True) == (1, 1) would answer
-    or refuse such a matrix by call history.  The ValueError names the
-    entry and its position.
-    """
-    _check_square(A)
-    key = tuple(map(tuple, A))
-    if {*map(type, chain.from_iterable(key))} - {int}:
-        i, j = next((i, j) for i, row in enumerate(key) for j, a in enumerate(row)
-                    if a.__class__ is not int)
-        raise ValueError(f"expected integer matrix entry at ({i},{j}), got {key[i][j]!r}")
-    return key
 
 
 class Pivots(Record):
@@ -333,7 +309,8 @@ def det_laurent(rows: Sequence[Sequence[LaurentPoly | int]]) -> LaurentPoly:
     width (_bareiss).  An entry that is neither an int (a bool is not one)
     nor a LaurentPoly is refused with a ValueError that names it.
     """
-    _check_square(rows)
+    if bad := [len(row) for row in rows if len(row) != len(rows)]:
+        raise ValueError(f"matrix must be square, got a row of length {bad[0]} in dim {len(rows)}")
     return _bareiss([{j: c for j, e in enumerate(row) if (c := _entry(e))} for row in rows], False)
 
 
@@ -341,8 +318,8 @@ def _entry(e: object) -> dict[int, int] | int:
     """A det_laurent entry as _bareiss reads it: an int, or a LaurentPoly's coefficients."""
     if isinstance(e, LaurentPoly):
         return e._coeffs
-    if isinstance(e, int) and not isinstance(e, bool):
-        return int(e)
+    if e.__class__ is int:
+        return e
     raise ValueError(f"a matrix entry must be an int or a LaurentPoly, got {e!r}")
 
 
@@ -350,8 +327,8 @@ def _entry(e: object) -> dict[int, int] | int:
 def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     """The Pivots of the pencil t*A - A^T, eliminated once per matrix and memoised.
 
-    Callers pass the immutable key _seifert_key(A), so a matrix they
-    mutate later is never answered from the memo.  No LaurentPoly is built.
+    Callers pass the immutable key strict_matrix(A, "matrix"), so a matrix
+    they mutate later is never answered from the memo.  No LaurentPoly is built.
 
     Half width.  M = t*A - A^T satisfies M(t)^T = -t * M(1/t).  Once a
     row of M holds both powers of t (spread > 0), _bareiss packs it at
@@ -375,7 +352,7 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     the sign (-1)^k and below H < T^2/4, so the value modulo T and the
     rounded top digits fix each outer pair.
     """
-    every = range(_check_square(A))
+    every = range(len(A))
     return _bareiss([{j: {1: a, 0: -b} if a and b else {1: a} if a else {0: -b}
                       for j in set(compress(every, row)).union(compress(every, column))
                       for a, b in ((row[j], column[j]),)}
@@ -391,23 +368,15 @@ def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
     is that zero Schur complement and counts as n_zero; Jacobi's rule
     counts the minors before it.
     """
-    n = _check_square(S)
-    if not ({*map(type, chain.from_iterable(S))} <= {int} and [*zip(*S)] == [*map(tuple, S)]):
-        for i, row in enumerate(S):  # names what is refused; lets int subclasses pass
-            for j in range(i, n):
-                if strict_int(row[j], "matrix entry") != strict_int(S[j][i], "matrix entry"):
-                    raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    rows = [{j: int(x) for j, x in enumerate(row) if x} for row in S]
+    S = strict_matrix(S, "matrix", symmetric=True)
+    n = len(S)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in S]
     signs = [(v > 0) - (v < 0) for v in _bareiss(rows, True).values]
     rank = n
     while rank and not signs[rank - 1]:
         rank -= 1
     n_plus, n_minus = _jacobi(signs[:rank])
     return Inertia(n_plus, n - rank, n_minus)
-
-
-def signature(S: Sequence[Sequence[int]]) -> int:
-    return inertia_symmetric_exact(S).signature
 
 
 def _folded(terms: Iterable[tuple[int, int]], m: int, k: int = 0) -> list[tuple[int, int]]:
@@ -587,7 +556,7 @@ def inertia_hermitian_at_root(A: Sequence[Sequence[int]], omega: UnitCirclePoint
     when two consecutive minors vanish, and NearSingular when a sign is
     not certified; InvalidRoot at omega = 1 where H vanishes.
     """
-    key = _seifert_key(A)
+    key = strict_matrix(A, "matrix")
     n = len(key)
     if omega.is_one():
         raise InvalidRoot("the form vanishes identically at omega = 1")
@@ -608,6 +577,6 @@ def int_matrix_from_json(doc: object) -> list[list[int]]:
     if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
         raise ValueError('"entries" must be a list of rows')
     dim = strict_int(doc.get("dim", len(entries)), '"dim"')
-    if dim != len(entries) or any(len(r) != dim for r in entries):
+    if dim != len(entries):
         raise ValueError(f'"entries" must be {dim}x{dim} to match "dim"')
-    return [[strict_int(entry, "matrix entry") for entry in row] for row in entries]
+    return [list(row) for row in strict_matrix(entries, "matrix")]

@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._record import Record
-from .errors import strict_bool, strict_int, strict_keys
-from .exactlinalg import signature
+from .errors import strict_bool, strict_int, strict_keys, strict_matrix
+from .exactlinalg import inertia_symmetric_exact
 
 
 class Band(Record):
@@ -42,15 +42,11 @@ class BandPresentation(Record):
         n = len(bands)
         if crossings is None:
             crossings = [[0] * n for _ in range(n)]
-        rows = tuple(tuple(strict_int(x, "crossing count") for x in row) for row in crossings)
-        if len(rows) != n or any(len(row) != n for row in rows):
+        rows = strict_matrix(crossings, "crossings", symmetric=True)
+        if len(rows) != n:
             raise ValueError(f"crossings must be {n}x{n}")
-        for i in range(n):
-            if rows[i][i] != 0:
-                raise ValueError("crossings diagonal must be zero; self-crossings live in self_writhe")
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"crossings must be symmetric, differs at ({i},{j})")
+        if any(rows[i][i] for i in range(n)):
+            raise ValueError("crossings diagonal must be zero; self-crossings live in self_writhe")
         self._assign(bands, rows)
 
     @property
@@ -63,16 +59,9 @@ class GoeritzData(Record):
     nonorientable: frozenset[int]
 
     def __init__(self, G: Sequence[Sequence[int]], nonorientable: Sequence[int] = ()):
-        rows = tuple(tuple(strict_int(x, "Goeritz entry") for x in row) for row in G)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("G must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"G must be symmetric, differs at ({i},{j})")
+        rows = strict_matrix(G, "G", symmetric=True)
         marked = frozenset(strict_int(i, "non-orientable index") for i in nonorientable)
-        bad = sorted(i for i in marked if not 0 <= i < n)
+        bad = sorted(i for i in marked if not 0 <= i < len(rows))
         if bad:
             raise ValueError(f"non-orientable indices out of range: {bad}")
         self._assign(rows, marked)
@@ -120,7 +109,7 @@ def goeritz_form(bp: BandPresentation) -> GoeritzData:
 def classical_signature_goeritz(bp: BandPresentation) -> int:
     """sigma(K) = sign(G) - eta."""
     gd = goeritz_form(bp)
-    return signature(gd.G) - gd.eta
+    return inertia_symmetric_exact(gd.G).signature - gd.eta
 
 
 def torus_band_presentation(n: int) -> BandPresentation:
@@ -152,4 +141,5 @@ def add_two_twists(gd: GoeritzData, l: Sequence[int]) -> GoeritzData:
 def verify_two_twist_stability(gd: GoeritzData, l: Sequence[int]) -> bool:
     """True iff sign(G2) - eta2 equals sign(G) - eta, i.e. sigma is unchanged."""
     gd2 = add_two_twists(gd, l)
-    return signature(gd2.G) - gd2.eta == signature(gd.G) - gd.eta
+    return (inertia_symmetric_exact(gd2.G).signature - gd2.eta
+            == inertia_symmetric_exact(gd.G).signature - gd.eta)

@@ -15,15 +15,14 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import DomainError, strict_int
+from .errors import DomainError, strict_int, strict_matrix
 from .exactlinalg import (
     InvalidRoot,
     _pencil,
-    _seifert_key,
     _sign_at,
     _zero_minors,
     inertia_hermitian_at_root,
-    signature,
+    inertia_symmetric_exact,
 )
 from .laurent import LaurentPoly, UnitCirclePoint, eval_symmetric_real, lp_is_symmetric
 
@@ -34,7 +33,7 @@ class OddDimension(ValueError):
 
 def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
     """Symmetrized Alexander polynomial t^(-dim/2) * det(t*A - A^T)."""
-    key = _seifert_key(A)
+    key = strict_matrix(A, "matrix")
     n = len(key)
     if n % 2:
         raise OddDimension(f"dimension {n} is odd; the t^(-dim/2) normalization needs it even")
@@ -51,10 +50,9 @@ def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
 
 def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
     """Signature of the symmetrized form A + A^T."""
-    key = _seifert_key(A)
-    n = len(key)
-    sym = [[key[i][j] + key[j][i] for j in range(n)] for i in range(n)]
-    return signature(sym)
+    key = strict_matrix(A, "matrix")
+    sym = [[a + b for a, b in zip(row, column)] for row, column in zip(key, zip(*key))]
+    return inertia_symmetric_exact(sym).signature
 
 
 def lt_signature(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> int:

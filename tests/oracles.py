@@ -104,6 +104,51 @@ def leading_minors(rows: list[list[int]]) -> list[int]:
     return out
 
 
+def _milnor_seifert(n: int) -> list[list[int]]:
+    """V_n, the (n-1)x(n-1) matrix with -1 on the diagonal and +1 just above it."""
+    return [[-1 if j == i else int(j == i + 1) for j in range(n - 1)] for i in range(n - 1)]
+
+
+def torus_seifert(p: int, q: int) -> list[list[int]]:
+    """A Seifert matrix of the torus knot T(p, q): -V_p (x) V_q, of dimension (p-1)(q-1).
+
+    T(p, q) is the link of the singularity x^p + y^q = 0, so its Seifert
+    form is minus the tensor product of those of x^p and y^q
+    (Sebastiani-Thom).  Row (i, k) is i*(q-1) + k.
+    """
+    vp, vq = _milnor_seifert(p), _milnor_seifert(q)
+    return [[-a * b for a in row_p for b in row_q] for row_p in vp for row_q in vq]
+
+
+def torus_delta(p: int, q: int) -> LaurentPoly:
+    """(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), shifted to be symmetric in t <-> 1/t."""
+    coeffs = [0] * (p * q + 2)  # (t^pq - 1)(t - 1), lowest degree first
+    coeffs[p * q + 1], coeffs[p * q], coeffs[1], coeffs[0] = 1, -1, -1, 1
+    for d in (p, q):  # exact long division by the monic t^d - 1
+        quotient = [0] * (len(coeffs) - d)
+        for e in reversed(range(len(quotient))):
+            quotient[e] = coeffs[e + d]
+            coeffs[e] += quotient[e]
+        if any(coeffs[:d]):
+            raise ArithmeticError(f"t^{d} - 1 leaves a remainder")
+        coeffs = quotient
+    shift = (p - 1) * (q - 1) // 2
+    return LaurentPoly({e - shift: c for e, c in enumerate(coeffs) if c})
+
+
+def litherland_signature(p: int, q: int, k: int, m: int) -> int:
+    """The Levine-Tristram signature of T(p, q) at e^(2 pi i x), x = k/m in (0, 1).
+
+    Litherland (1979): the form is diagonal over the pairs 1 <= i < p,
+    1 <= j < q.  A pair is negative where x < i/p + j/q < x + 1, positive
+    where i/p + j/q lies outside [x, x + 1], and null at either end, where
+    Delta(e^(2 pi i x)) = 0.  Compared in integers, times p*q*m.
+    """
+    lo, hi = k * p * q, (k + m) * p * q
+    sums = [(i * q + j * p) * m for i in range(1, p) for j in range(1, q)]
+    return sum(s < lo or s > hi for s in sums) - sum(lo < s < hi for s in sums)
+
+
 def is_pencil(entries: list[dict]) -> bool:
     """Whether sparse rows M, column -> int or coefficient dict, have M(t)^T = -t * M(1/t).
 

@@ -14,7 +14,7 @@ import pytest
 from oracles import det_cofactor, eval_naive, random_laurent_narrow
 from shakekit import complexity, laurent, seifert, verify
 from shakekit.complexity import certify_complexity
-from shakekit.exactlinalg import det_laurent, signature
+from shakekit.exactlinalg import det_laurent
 from shakekit.goeritz import (
     GoeritzData,
     classical_signature_goeritz,

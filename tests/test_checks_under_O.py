@@ -1,5 +1,5 @@
 """The checks on the determinant, inertia and certificate paths, and on
-Seifert-matrix entries, are explicit exceptions, not asserts, so they hold
+integer-matrix entries, are explicit exceptions, not asserts, so they hold
 under ``python -O`` too."""
 
 import os
@@ -10,7 +10,9 @@ from pathlib import Path
 import shakekit
 
 SCRIPT = r"""
-from shakekit import complexity, exactlinalg, seifert
+import enum
+
+from shakekit import complexity, exactlinalg, goeritz, seifert
 from shakekit.laurent import UnitCirclePoint
 
 if __debug__:
@@ -55,6 +57,16 @@ exactlinalg._pencil.cache_clear()
 outcome("float-cold", lambda: seifert.alexander([[1.0, 1], [0, 1]]))
 seifert.alexander([[1, 1], [0, 1]])
 outcome("float-warm", lambda: seifert.alexander([[1.0, 1], [0, 1]]))
+
+
+class Flag(enum.IntEnum):
+    ONE = 1
+
+
+# the refusals of the symmetric integer forms
+for form in (goeritz.GoeritzData, exactlinalg.inertia_symmetric_exact):
+    outcome(f"{form.__name__}-asymmetric", lambda: form([[0, 1], [2, 0]]))
+    outcome(f"{form.__name__}-enum", lambda: form([[0, 1], [Flag.ONE, 0]]))
 """
 
 
@@ -72,6 +84,10 @@ def test_checks_raise_under_python_O():
         ["bound", "ArithmeticError"],
         ["float-cold", "ValueError"],
         ["float-warm", "ValueError"],
+        ["GoeritzData-asymmetric", "ValueError"],
+        ["GoeritzData-enum", "ValueError"],
+        ["inertia_symmetric_exact-asymmetric", "ValueError"],
+        ["inertia_symmetric_exact-enum", "ValueError"],
     ], proc.stdout
     assert "not symmetric" in lines[0]
     assert "not a palindromic minor" in lines[1]
@@ -80,3 +96,9 @@ def test_checks_raise_under_python_O():
     assert "bound 0 < c = 1" in lines[4]
     assert lines[5].split(None, 1)[1] == lines[6].split(None, 1)[1] \
         == "ValueError expected integer matrix entry at (0,0), got 1.0"
+    assert [line.split(None, 2)[2] for line in lines[7:]] == [
+        "G must be symmetric, differs at (0,1)",
+        "expected integer G entry at (1,0), got <Flag.ONE: 1>",
+        "matrix must be symmetric, differs at (0,1)",
+        "expected integer matrix entry at (1,0), got <Flag.ONE: 1>",
+    ]

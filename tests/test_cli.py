@@ -495,6 +495,46 @@ class TestDuplicateKeys:
         assert f"error: duplicate key {key!r}" in err
 
 
+class TestMalformedMatrices:
+    """Every subcommand that reads JSON exits 2 with one error line on input it cannot use."""
+
+    READERS = {
+        "alexander": (("alexander",), ()),
+        "signature-seifert": (("signature", "--seifert"), ()),
+        "signature-goeritz": (("signature", "--goeritz"), ()),
+        "lt": (("lt",), ("--root", "1/3")),
+        "goeritz": (("goeritz",), ()),
+        "pattern-eval": (("pattern", "eval", "P", "--assignment"), ()),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_json_nested_too_deeply(self, capsys, tmp_path, reader):
+        # a RecursionError traceback with exit 1 before the decoder named the file
+        before, after = self.READERS[reader]
+        path = tmp_path / "deep.json"
+        path.write_text('{"dim": 1, "entries": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run_cli(capsys, *before, str(path), *after)
+        assert code == 2
+        assert not out
+        assert err.splitlines() == [f"error: {path}: JSON nested too deeply to decode"]
+
+    @pytest.mark.parametrize("reader", ["alexander", "signature-seifert", "lt", "goeritz"])
+    @pytest.mark.parametrize("rows, message", [
+        ([[-1, 1], [0.0, -1]], "expected integer {} entry at (1,0), got 0.0"),
+        ([[-1, 1], [0]], "{} must be 2x2, got no entry at (1,1)"),
+    ], ids=["float", "ragged"])
+    def test_entries_are_refused_by_position(self, capsys, write_json, reader, rows, message):
+        before, after = self.READERS[reader]
+        if reader == "goeritz":
+            doc, what = {"bands": [{"orientable": False}] * 2, "crossings": rows}, "crossings"
+        else:
+            doc, what = {"dim": 2, "entries": rows}, "matrix"
+        code, out, err = run_cli(capsys, *before, write_json("bad.json", doc), *after)
+        assert code == 2
+        assert not out
+        assert err.splitlines() == ["error: " + message.format(what)]
+
+
 class TestBeyondTheFloatRange:
     """Integers past the float range are answered exactly at a root of unity, or refused."""
 

@@ -1,0 +1,67 @@
+"""Torus knots: an oracle independent of the kernel, with closed forms at every root.
+
+T(p, q) has the dense Seifert matrix -V_p (x) V_q, the Alexander polynomial
+(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) and, by Litherland, a
+Levine-Tristram signature counted from the sums i/p + j/q (tests/oracles.py).
+"""
+
+import math
+
+import pytest
+
+from oracles import litherland_signature, torus_delta, torus_seifert
+from shakekit import (
+    NearSingular,
+    UnitCirclePoint,
+    alexander,
+    classical_signature_goeritz,
+    classical_signature_seifert,
+    inertia_hermitian_at_root,
+    torus_band_presentation,
+)
+
+# Coprime pairs up to dimension (p - 1)(q - 1) = 60, five of them at 60.
+PAIRS = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 9), (4, 5), (3, 7), (5, 6), (7, 8),
+         (2, 61), (3, 31), (4, 21), (5, 16), (7, 11)]
+
+# T(2,3) ... T(7,8): eleven knots of dimension 2 to 42.
+SMALL = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6), (6, 7), (7, 8)]
+
+
+def test_the_matrix_is_the_tensor_product():
+    assert torus_seifert(2, 3) == [[-1, 1], [0, -1]]
+    A = torus_seifert(3, 4)
+    assert len(A) == 6 and A[0][:3] == [-1, 1, 0] and A[0][3:] == [1, -1, 0]
+
+
+@pytest.mark.parametrize("p, q", PAIRS, ids=[f"T({p},{q})" for p, q in PAIRS])
+def test_alexander_and_classical_signature(p, q):
+    A = torus_seifert(p, q)
+    assert alexander(A) == torus_delta(p, q)
+    assert classical_signature_seifert(A) == litherland_signature(p, q, 1, 2)
+
+
+def test_levine_tristram_at_every_primitive_root_of_order_up_to_30():
+    """Every answer the kernel gives equals Litherland's count; a refusal is allowed."""
+    answers = refusals = 0
+    for p, q in SMALL:
+        A = torus_seifert(p, q)
+        for m in range(2, 31):
+            for k in range(1, m):
+                if math.gcd(k, m) != 1:
+                    continue
+                try:
+                    inertia = inertia_hermitian_at_root(A, UnitCirclePoint.root(k, m))
+                except NearSingular:
+                    refusals += 1
+                    continue
+                assert inertia.signature == litherland_signature(p, q, k, m), (p, q, k, m)
+                answers += 1
+    assert answers > 2800 and refusals < 200, (answers, refusals)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_goeritz_route_agrees_with_the_seifert_route(n):
+    # torus_band_presentation(n) presents T(2, 2n + 1); T(2, 1) is the unknot
+    expected = classical_signature_seifert(torus_seifert(2, 2 * n + 1))
+    assert classical_signature_goeritz(torus_band_presentation(n)) == expected == -2 * n
