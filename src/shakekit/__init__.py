@@ -34,7 +34,6 @@ from .goeritz import (
 from .laurent import (
     LaurentPoly,
     UnitCirclePoint,
-    format_laurent,
     lp_is_symmetric,
 )
 from .patterns import (
@@ -103,7 +102,6 @@ __all__ = [
     "det_laurent",
     "eval_invariant",
     "find_witness_root",
-    "format_laurent",
     "goeritz_form",
     "inertia_hermitian_at_root",
     "inertia_symmetric_exact",

@@ -15,7 +15,7 @@ import re
 import sys
 
 from .complexity import DEFAULT_MAX_ORDER, WitnessNotFound, a_family_profile, certify_complexity
-from .errors import DomainError, strict_keys
+from .errors import DomainError, brief, strict_keys
 from .exactlinalg import (
     InvalidRoot,
     NearSingular,
@@ -24,7 +24,7 @@ from .exactlinalg import (
     int_matrix_from_json,
 )
 from .goeritz import band_presentation_from_json, classical_signature_goeritz, goeritz_form
-from .laurent import UnitCirclePoint, format_laurent
+from .laurent import UnitCirclePoint
 from .patterns import (
     PatternSyntaxError,
     UnassignedAtom,
@@ -54,14 +54,19 @@ _FLOAT_RE = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|i
 def _ascii_int(text: str) -> int:
     """An option's integer in ASCII decimal digits: no other digits, no '_', no spaces."""
     if not _INT_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {brief(text)}")
+    try:
+        return int(text)
+    except ValueError:  # past the digit limit of str-to-int conversion
+        raise argparse.ArgumentTypeError(f"expected at most {sys.get_int_max_str_digits()} digits, "
+                                         f"got {brief(text)}") from None
 
 
 def _ascii_float(text: str) -> float:
     """An option's float in ASCII float syntax: no other digits, no '_', no spaces."""
     if not _FLOAT_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected a number in ASCII float syntax, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a number in ASCII float syntax, "
+                                         f"got {brief(text)}")
     return float(text)
 
 
@@ -70,7 +75,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ValueError(f"duplicate key {key!r} in a JSON object")
+            raise ValueError(f"duplicate key {brief(key)} in a JSON object")
         doc[key] = value
     return doc
 
@@ -90,7 +95,7 @@ def _payload(doc: dict) -> str:
 def _parse_root(text: str) -> UnitCirclePoint:
     match = _ROOT_RE.match(text.strip())
     if not match:
-        raise ValueError(f"roots are written k/m, e.g. 1/2 for -1; got {text!r}")
+        raise ValueError(f"roots are written k/m, e.g. 1/2 for -1; got {brief(text)}")
     k, m = int(match.group(1)), int(match.group(2))
     if m < 1:
         raise ValueError("the root denominator must be >= 1")
@@ -107,7 +112,7 @@ def cmd_alexander(args) -> tuple[str, int]:
     matrix = int_matrix_from_json(_load_json(args.matrix))
     delta = alexander(matrix)
     doc = {
-        "alexander": format_laurent(delta),
+        "alexander": str(delta),
         "coeffs": {str(e): c for e, c in sorted(delta.coeffs.items())},
         "dim": len(matrix),
     }
@@ -153,17 +158,17 @@ def _profiles_from_json(doc: object) -> dict:
     profiles = {}
     for name, spec in doc.items():
         if not isinstance(spec, dict):
-            raise ValueError(f"profile for {name!r} must be an object")
-        strict_keys(spec, ("table", "family"), f"the profile for {name!r}")
+            raise ValueError(f"profile for {brief(name)} must be an object")
+        strict_keys(spec, ("table", "family"), f"the profile for {brief(name)}")
         if len(spec) > 1:
-            raise ValueError(f'profile for {name!r} gives both a "table" and a "family"')
+            raise ValueError(f'profile for {brief(name)} gives both a "table" and a "family"')
         if isinstance(spec.get("table"), dict):
             profiles[name] = table_profile(spec["table"])
         elif isinstance(spec.get("family"), dict) and isinstance(spec["family"].get("root"), str):
-            strict_keys(spec["family"], ("root",), f"the family profile for {name!r}")
+            strict_keys(spec["family"], ("root",), f"the family profile for {brief(name)}")
             profiles[name] = a_family_profile(_parse_root(spec["family"]["root"]))
         else:
-            raise ValueError(f'profile for {name!r} needs a "table" object or a '
+            raise ValueError(f'profile for {brief(name)} needs a "table" object or a '
                              '"family" object with a "root" string')
     return profiles
 

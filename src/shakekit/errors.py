@@ -8,10 +8,16 @@ class DomainError(ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
+def brief(value: object) -> str:
+    """repr(value) for a message: as is up to 100 characters, else clipped, naming its length."""
+    text = repr(value)
+    return text if len(text) <= 100 else f"{text[:80]}... ({len(text)} characters in all)"
+
+
 def strict_int(value: object, what: str) -> int:
     """value itself if it is exactly an int, never a bool, float, string or int subclass."""
     if value.__class__ is not int:
-        raise ValueError(f"expected integer {what}, got {value!r}")
+        raise ValueError(f"expected integer {what}, got {brief(value)}")
     return value
 
 
@@ -19,10 +25,14 @@ def strict_matrix(rows: Sequence[Sequence[int]], what: str,
                   symmetric: bool = False) -> tuple[tuple[int, ...], ...]:
     """rows as a square tuple of int tuples, symmetric if asked, else a ValueError.
 
+    A row that is not a list or a tuple is refused, never split into items.
     Acceptance is decided in C, from the sets of row lengths and entry types
     and the transpose; only a refusal walks the entries, to name the first
     (i,j) missing, extra or not an int, or else the first asymmetric pair.
     """
+    if {*map(type, rows)} - {list, tuple}:
+        i, row = next((i, row) for i, row in enumerate(rows) if type(row) not in (list, tuple))
+        raise ValueError(f"{what} row {i} must be a list or a tuple, got {brief(row)}")
     key = tuple(map(tuple, rows))
     n = len(key)
     if ({*map(len, key)} - {n} or {*map(type, chain.from_iterable(key))} - {int}
@@ -33,7 +43,7 @@ def strict_matrix(rows: Sequence[Sequence[int]], what: str,
                 raise ValueError(f"{what} must be {n}x{n}, got {got} at ({i},{min(len(row), n)})")
             for j, x in enumerate(row):
                 if x.__class__ is not int:
-                    raise ValueError(f"expected integer {what} entry at ({i},{j}), got {x!r}")
+                    raise ValueError(f"expected integer {what} entry at ({i},{j}), got {brief(x)}")
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if key[i][j] != key[j][i])
         raise ValueError(f"{what} must be symmetric, differs at ({i},{j})")
     return key
@@ -43,12 +53,12 @@ def strict_keys(doc: dict, allowed: tuple[str, ...], what: str) -> None:
     """Refuse a key of doc outside allowed, so a misspelt key is never ignored."""
     unknown = [key for key in doc if key not in allowed]
     if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {what}; allowed keys: "
+        raise ValueError(f"unknown key {brief(unknown[0])} in {what}; allowed keys: "
                          + ", ".join(map(repr, allowed)))
 
 
 def strict_bool(value: object, what: str) -> bool:
     """value itself if it is a bool, never a string or number coerced to one."""
     if not isinstance(value, bool):
-        raise ValueError(f"expected true or false for {what}, got {value!r}")
+        raise ValueError(f"expected true or false for {what}, got {brief(value)}")
     return value

@@ -4,12 +4,12 @@ A LaurentPoly is an output: the package builds it from a coefficient
 dict (a pencil minor, a closed form), then reads, compares, shifts,
 tests for symmetry and formats it; no polynomial is read from text.
 Its only ring operations are *, by which det_laurent applies its sign,
-and +, unary - and *, with which verify's determinant oracle expands
-cofactors.  Coefficients are arbitrary-precision integers keyed by
-exponent; zero coefficients are never stored, so equality of canonical
-forms is plain structural equality.  Points on the unit circle are
-either exact rational rotations k/m (the root of unity e^{2*pi*i*k/m})
-or a floating angle theta; they carry no float value of their own.
+and + and unary -, which only the tests' cofactor oracle uses.
+Coefficients are arbitrary-precision integers keyed by exponent; zero
+coefficients are never stored, so equality of canonical forms is plain
+structural equality.  Points on the unit circle are either exact
+rational rotations k/m (the root of unity e^{2*pi*i*k/m}) or a
+floating angle theta; they carry no float value of their own.
 Signs on the circle are taken exactly elsewhere (exactlinalg._sign_at).
 The one float evaluator left is eval_symmetric_real, a real-only
 Chebyshev recursion for polynomials invariant under t -> 1/t.
@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 import operator
 from math import gcd
+from sys import float_info
 from typing import Mapping
 
 from ._record import Record
-from .errors import strict_int
+from .errors import brief, strict_int
 
 
 class LaurentPoly:
@@ -60,9 +61,6 @@ class LaurentPoly:
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
-
-    def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -115,7 +113,22 @@ class LaurentPoly:
         return f"LaurentPoly({{{items}}})"
 
     def __str__(self) -> str:
-        return format_laurent(self)
+        """Ascending exponent order: "t^-2 - 3*t^-1 + 5 - 3*t + t^2"."""
+        if not self._coeffs:
+            return "0"
+        parts: list[str] = []
+        for exp, coeff in sorted(self._coeffs.items()):
+            mag = abs(coeff)
+            if exp == 0:
+                body = str(mag)
+            else:
+                t_part = "t" if exp == 1 else f"t^{exp}"
+                body = t_part if mag == 1 else f"{mag}*{t_part}"
+            if not parts:
+                parts.append(f"-{body}" if coeff < 0 else body)
+            else:
+                parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
+        return " ".join(parts)
 
 
 def lp_is_symmetric(p: LaurentPoly) -> bool:
@@ -147,6 +160,10 @@ class UnitCirclePoint(Record):
         else:
             if k is not None or m is not None:
                 raise ValueError("give either k/m or theta, not both")
+            if theta.__class__ is not float and (theta.__class__ is not int
+                                                 or abs(theta) > float_info.max):
+                raise ValueError(f"theta must be a float, or an int within the float range "
+                                 f"+-{float_info.max!r}; got {brief(theta)}")
             theta = float(theta)
             if not math.isfinite(theta):
                 raise ValueError(f"theta must be a finite angle, got {theta!r}")
@@ -216,24 +233,3 @@ def eval_symmetric_real(p: LaurentPoly, x: float) -> float:
             value += 2.0 * a * c_cur
         c_prev, c_cur = c_cur, 2.0 * x * c_cur - c_prev
     return value
-
-
-def format_laurent(p: LaurentPoly) -> str:
-    """Render in ascending exponent order: "t^-2 - 3*t^-1 + 5 - 3*t + t^2"."""
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for exp in sorted(p.coeffs):
-        coeff = p.coeff(exp)
-        mag = abs(coeff)
-        if exp == 0:
-            body = str(mag)
-        else:
-            t_part = "t" if exp == 1 else f"t^{exp}"
-            body = t_part if mag == 1 else f"{mag}*{t_part}"
-        if not parts:
-            parts.append(f"-{body}" if coeff < 0 else body)
-        else:
-            parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
-    return " ".join(parts)
-

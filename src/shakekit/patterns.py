@@ -44,7 +44,7 @@ from itertools import groupby
 from typing import Callable, Mapping, Union
 
 from ._record import Record
-from .errors import DomainError, strict_bool, strict_int
+from .errors import DomainError, brief, strict_bool, strict_int
 
 _MAX_LEAVES = 2_000_000  # most leaves a normal form writes out, and most runs it holds
 _MAX_NESTING = 100  # deepest nesting of parentheses, bar( and suffixes the parser takes
@@ -59,7 +59,7 @@ class PatternSyntaxError(ValueError):
 class UnassignedAtom(LookupError):
     def __init__(self, name: str):
         self.name = name
-        super().__init__(f"no invariant profile assigned to atom {name!r}")
+        super().__init__(f"no invariant profile assigned to atom {brief(name)}")
 
 
 class Atom(Record):
@@ -354,7 +354,7 @@ def table_profile(values: Mapping[int, int]) -> Profile:
     for k, v in values.items():
         n = _twist_key(k)
         if n in keys:
-            raise ValueError(f"profile keys {keys[n]!r} and {k!r} both name twist {n}")
+            raise ValueError(f"profile keys {brief(keys[n])} and {brief(k)} both name twist {n}")
         keys[n], table[n] = k, strict_int(v, f"profile value at twist {k}")
 
     def profile(n: int) -> int:
@@ -526,5 +526,5 @@ def parse_pattern(src: str) -> PatternTerm:
     parser = _Parser(src)
     term, _ = parser.parse_term()
     if parser.peek():
-        raise parser.error(f"unexpected trailing input {parser.src[parser.pos:]!r}")
+        raise parser.error(f"unexpected trailing input {brief(parser.src[parser.pos:])}")
     return term

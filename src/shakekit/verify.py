@@ -14,7 +14,8 @@ from typing import Callable
 
 from ._record import Record
 from .complexity import _primes, certify_complexity
-from .exactlinalg import _folded, _sign_at, det_laurent, inertia_symmetric_exact
+from .errors import strict_matrix
+from .exactlinalg import _folded, _pencil, _sign_at, inertia_symmetric_exact
 from .goeritz import (
     GoeritzData,
     add_two_twists,
@@ -22,7 +23,7 @@ from .goeritz import (
     torus_band_presentation,
     verify_two_twist_stability,
 )
-from .laurent import LaurentPoly, UnitCirclePoint
+from .laurent import UnitCirclePoint
 from .patterns import (
     Atom,
     Bar,
@@ -248,38 +249,27 @@ def _check_certificates() -> str:
     return "bounds >= c with prime witnesses <= 60 for n = 1..8, c = 1..5; odd n pins -1"
 
 
-def _random_laurent_entry(rng: random.Random) -> LaurentPoly:
-    low = rng.randint(-2, 1)
-    coeffs = {low + d: rng.randint(-3, 3) for d in range(rng.randint(1, 4))}
-    return LaurentPoly(coeffs)
-
-
-def _det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    if n == 1:
-        return rows[0][0]
-    total = LaurentPoly.zero()
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = entry * _det_cofactor(minor)
-        total = total + (-term if j % 2 else term)
-    return total
+def _det(M: list[list[int]]) -> int:
+    """An integer determinant by cofactor expansion along the first row."""
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in M[1:]])
+               for j, x in enumerate(M[0])) if M else 1
 
 
 def _check_determinant_oracle() -> str:
+    # P_n = det(tA - A^T) has exponents 0..n, so agreeing at t = 0..n proves the
+    # identity; every fourth A has a zero diagonal, so 2x2 block steps run
     rng = random.Random(_SEED)
     for case in range(200):
-        rows = [[_random_laurent_entry(rng) for _ in range(5)] for _ in range(5)]
-        fast = det_laurent(rows)
-        slow = _det_cofactor(rows)
-        if fast != slow:
-            raise AssertionError(f"case {case}: Bareiss {fast} vs cofactor {slow}")
-    return "Bareiss equals cofactor expansion on 200 random 5x5 Laurent matrices"
+        n = rng.randint(1, 5)
+        A = [[rng.randint(-3, 3) if case % 4 or i != j else 0 for j in range(n)] for i in range(n)]
+        minor = _pencil(strict_matrix(A, "matrix")).minor(n)
+        for t in range(n + 1):
+            got = sum(c * t ** e for e, c in minor.coeffs.items())
+            want = _det([[t * A[i][j] - A[j][i] for j in range(n)] for i in range(n)])
+            if got != want:
+                raise AssertionError(f"case {case}: the pencil minor {minor} of A = {A} is {got} "
+                                     f"at t = {t}, the cofactor expansion {want}")
+    return "pencil P_n = cofactor det(tA - A^T) at t = 0..n for 200 random A, n = 1..5"
 
 
 def run_checks() -> list[CheckResult]:

@@ -8,13 +8,14 @@ at the exact number that moved.
 import cmath
 import math
 import random
+import re
 
 import pytest
 
-from oracles import det_cofactor, eval_naive, random_laurent_narrow
-from shakekit import complexity, laurent, seifert, verify
+from oracles import det_cofactor, det_int, eval_naive, random_laurent_narrow
+from shakekit import complexity, exactlinalg, laurent, seifert, verify
 from shakekit.complexity import certify_complexity
-from shakekit.exactlinalg import det_laurent
+from shakekit.exactlinalg import _pencil, det_laurent
 from shakekit.goeritz import (
     GoeritzData,
     classical_signature_goeritz,
@@ -145,6 +146,47 @@ def test_10_determinant_oracle(report):
     for _ in range(200):
         rows = [[random_laurent_narrow(rng) for _ in range(5)] for _ in range(5)]
         assert det_laurent(rows) == det_cofactor(rows)
+    # the row's claim: the pencil's last minor is det(tA - A^T), of degree <= n
+    for case in range(100):
+        n = rng.randint(1, 6)
+        A = [[rng.randint(-3, 3) if case % 3 or i != j else 0 for j in range(n)] for i in range(n)]
+        minor = _pencil(tuple(map(tuple, A))).minor(n)
+        assert min(minor.coeffs, default=0) >= 0 and max(minor.coeffs, default=0) <= n
+        for t in range(-2, n + 3):
+            got = sum(c * t ** e for e, c in minor.coeffs.items())
+            assert got == det_int([[t * a - b for a, b in zip(r, c)] for r, c in zip(A, zip(*A))])
+
+
+def test_off_by_one_pencil_read_back_fails_the_determinant_row(monkeypatch):
+    # add 1 to the top coefficient of every pencil minor read back; the
+    # row's detail names the case and the point t where it fails
+    real = exactlinalg.Pivots.digits
+
+    def digits(self, k):
+        out = real(self, k)
+        return out[:-1] + [out[-1] + 1] if self.pencil and out else out
+
+    monkeypatch.setattr(exactlinalg.Pivots, "digits", digits)
+    try:
+        row = {r.name: r for r in run_checks()}["determinant oracle"]
+    finally:
+        _pencil.cache_clear()  # memoised pivots cache terms read with the mutation
+    assert not row.passed
+    assert re.fullmatch(r"AssertionError: case \d+: the pencil minor .* is -?\d+ at t = \d+, "
+                        r"the cofactor expansion -?\d+", row.detail), row.detail
+
+
+def test_the_determinant_row_takes_block_steps(monkeypatch):
+    real, steps = exactlinalg._eliminate, []
+
+    def spy(K, pivots, rest, update):
+        steps.append(len(pivots))
+        return real(K, pivots, rest, update)
+
+    monkeypatch.setattr(exactlinalg, "_eliminate", spy)
+    _pencil.cache_clear()
+    verify._check_determinant_oracle()
+    assert steps.count(2) >= 1 and steps.count(1) >= 1
 
 
 def test_report_without_float_evaluation(monkeypatch):

@@ -1,6 +1,6 @@
-"""The checks on the determinant, inertia and certificate paths, and on
-integer-matrix entries, are explicit exceptions, not asserts, so they hold
-under ``python -O`` too."""
+"""The checks on the determinant, inertia and certificate paths, on
+integer-matrix rows and entries and on angles, are explicit exceptions, not
+asserts, so they hold under ``python -O`` too."""
 
 import os
 import subprocess
@@ -67,6 +67,13 @@ class Flag(enum.IntEnum):
 for form in (goeritz.GoeritzData, exactlinalg.inertia_symmetric_exact):
     outcome(f"{form.__name__}-asymmetric", lambda: form([[0, 1], [2, 0]]))
     outcome(f"{form.__name__}-enum", lambda: form([[0, 1], [Flag.ONE, 0]]))
+
+# a row that is not a list, and an angle that is not a float or an int in the float range
+from shakekit.errors import strict_matrix
+outcome("strict_matrix-row", lambda: strict_matrix(["12", "34"], "matrix"))
+outcome("theta-str", lambda: UnitCirclePoint(theta="0.5"))
+outcome("theta-bool", lambda: UnitCirclePoint(theta=True))
+outcome("theta-huge", lambda: UnitCirclePoint(theta=10**400))
 """
 
 
@@ -88,6 +95,10 @@ def test_checks_raise_under_python_O():
         ["GoeritzData-enum", "ValueError"],
         ["inertia_symmetric_exact-asymmetric", "ValueError"],
         ["inertia_symmetric_exact-enum", "ValueError"],
+        ["strict_matrix-row", "ValueError"],
+        ["theta-str", "ValueError"],
+        ["theta-bool", "ValueError"],
+        ["theta-huge", "ValueError"],
     ], proc.stdout
     assert "not symmetric" in lines[0]
     assert "not a palindromic minor" in lines[1]
@@ -101,4 +112,11 @@ def test_checks_raise_under_python_O():
         "expected integer G entry at (1,0), got <Flag.ONE: 1>",
         "matrix must be symmetric, differs at (0,1)",
         "expected integer matrix entry at (1,0), got <Flag.ONE: 1>",
+        "matrix row 0 must be a list or a tuple, got '12'",
+        "theta must be a float, or an int within the float range +-1.7976931348623157e+308; "
+        "got '0.5'",
+        "theta must be a float, or an int within the float range +-1.7976931348623157e+308; "
+        "got True",
+        "theta must be a float, or an int within the float range +-1.7976931348623157e+308; "
+        "got " + "1" + "0" * 79 + "... (401 characters in all)",
     ]

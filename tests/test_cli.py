@@ -535,6 +535,40 @@ class TestMalformedMatrices:
         assert err.splitlines() == ["error: " + message.format(what)]
 
 
+class TestHugeInputsAreRefusedBriefly:
+    """A refusal clips the value it echoes, so its one line stays short whatever the input's size."""
+
+    CASES = {
+        "alexander-entry": (["alexander", "FILE"], {"dim": 1, "entries": [[[0] * 200_000]]}),
+        "alexander-key": (["alexander", "FILE"], {"dim": 1, "entries": [[0]], "k" * 100_000: 0}),
+        "family-root": (["pattern", "eval", "P", "--assignment", "FILE"],
+                        {"P": {"family": {"root": "1" * 100_000}}}),
+        "table-value": (["pattern", "eval", "P", "--assignment", "FILE"],
+                        {"P": {"table": {"0": [0] * 100_000}}}),
+        "orientable": (["goeritz", "FILE"], {"bands": [{"orientable": [0] * 100_000}]}),
+        "trailing-input": (["pattern", "normalize", "P" + ")" * 100_000], None),
+        "framing-digits": (["certify", "--framing", "1" * 100_000, "--complexity", "1"], None),
+        # two more echoes of the same kind: a duplicate key and a profile's atom name
+        "duplicate-key": (["alexander", "FILE"], '{"%s": 0, "%s": 1}' % (("k" * 100_000,) * 2)),
+        "profile-name": (["pattern", "eval", "P", "--assignment", "FILE"], {"P" * 100_000: 0}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_2_with_a_short_error(self, tmp_path, case):
+        argv, doc = self.CASES[case]
+        if doc is not None:
+            path = tmp_path / "huge.json"
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            argv = [str(path) if arg == "FILE" else arg for arg in argv]
+        proc = subprocess.run([sys.executable, "-m", "shakekit.cli", *argv],
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr[:1000]
+        assert not proc.stdout
+        assert len(proc.stderr) < 1000, proc.stderr[:1000]
+        assert b"Traceback" not in proc.stderr
+        assert b"characters in all)" in proc.stderr
+
+
 class TestBeyondTheFloatRange:
     """Integers past the float range are answered exactly at a root of unity, or refused."""
 

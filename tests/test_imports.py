@@ -18,7 +18,7 @@ PUBLIC_API = [
     "add_two_twists", "alexander", "an_family", "certify_complexity",
     "classical_signature_goeritz", "classical_signature_seifert", "delta_n_closed",
     "delta_sign_scan", "det_laurent", "eval_invariant", "find_witness_root",
-    "format_laurent", "goeritz_form", "inertia_hermitian_at_root",
+    "goeritz_form", "inertia_hermitian_at_root",
     "inertia_symmetric_exact", "lp_is_symmetric", "lt_signature", "normalize",
     "parse_pattern", "render_term", "retrace_term", "table_profile",
     "torus_band_presentation", "verify_two_twist_stability",

@@ -13,10 +13,13 @@ from shakekit import (
     alexander,
     an_family,
     classical_signature_seifert,
+    eval_invariant,
     inertia_hermitian_at_root,
     inertia_symmetric_exact,
+    parse_pattern,
+    table_profile,
 )
-from shakekit.errors import strict_int, strict_matrix
+from shakekit.errors import brief, strict_bool, strict_int, strict_keys, strict_matrix
 from shakekit.exactlinalg import int_matrix_from_json
 
 
@@ -66,6 +69,18 @@ class TestStrictMatrix:
         with pytest.raises(ValueError, match=r"^matrix must be 2x2, got no entry at \(0,1\)$"):
             strict_matrix([[1], [2.5, 1]], "matrix")
 
+    @pytest.mark.parametrize("rows, shown", [
+        (["12", "34"], "'12'"),  # was split into characters: "got '1'" at (0,0)
+        ([[1, 0], b"\x00\x01"], "b'\\x00\\x01'"),  # was read as the row (0, 1)
+        ([[1], {0: 1}], "{0: 1}"),  # was read as its keys
+        ([range(1)], "range(0, 1)"),
+    ], ids=["str", "bytes", "dict", "range"])
+    def test_a_row_that_is_not_a_list_or_tuple_is_named(self, rows, shown):
+        i = next(i for i, row in enumerate(rows) if type(row) not in (list, tuple))
+        with pytest.raises(ValueError) as refusal:
+            strict_matrix(rows, "matrix")
+        assert str(refusal.value) == f"matrix row {i} must be a list or a tuple, got {shown}"
+
     def test_the_first_asymmetric_pair_is_named(self):
         rows = [[0, 1, 2], [1, 0, 3], [2, 4, 0]]
         assert strict_matrix(rows, "matrix") == tuple(map(tuple, rows))
@@ -80,3 +95,52 @@ def test_a_scalar_follows_the_entry_rule():
             strict_int(bad, "count")
     with pytest.raises(ValueError, match="expected integer family index n, got <Flag.ONE: 1>"):
         an_family(Flag.ONE)
+
+
+@pytest.mark.parametrize("theta, shown", [
+    ("0.5", "'0.5'"),  # was read as 0.5
+    (True, "True"),  # was read as 1.0
+    (Flag.ONE, "<Flag.ONE: 1>"),
+    (10**400, "1" + "0" * 79 + "... (401 characters in all)"),  # was an OverflowError
+    (-(2**1024), repr(-(2**1024))[:80] + "... (310 characters in all)"),
+], ids=["str", "bool", "IntEnum", "past-the-float-range", "just-past-it"])
+def test_theta_is_a_float_or_an_int_in_the_float_range(theta, shown):
+    with pytest.raises(ValueError) as refusal:
+        UnitCirclePoint(theta=theta)
+    assert str(refusal.value) == ("theta must be a float, or an int within the float range "
+                                  f"+-1.7976931348623157e+308; got {shown}")
+    assert UnitCirclePoint(theta=2).theta == UnitCirclePoint(theta=2.0).theta == 2.0
+    assert UnitCirclePoint(theta=int(1.7976931348623157e+308)).theta == 1.7976931348623157e+308
+
+
+class TestBriefRepr:
+    def test_a_short_value_is_shown_whole(self):
+        value = "x" * 98
+        assert brief(value) == repr(value)
+        assert brief(Flag.ONE) == "<Flag.ONE: 1>"
+
+    def test_a_long_value_is_clipped_and_its_length_named(self):
+        value = "x" * 99
+        assert brief(value) == "'" + "x" * 79 + "... (101 characters in all)"
+
+    def test_an_angle_too_long_to_show_is_still_refused(self):
+        # repr of an int past the digit limit of int-to-str conversion is a ValueError
+        with pytest.raises(ValueError, match="integer string conversion"):
+            UnitCirclePoint(theta=10**5000)
+
+    @pytest.mark.parametrize("check", [
+        lambda value: strict_int(value, "count"),
+        lambda value: strict_bool(value, "flag"),
+        lambda value: strict_keys({value: 0}, ("a",), "the doc"),
+        lambda value: strict_matrix([[value]], "matrix"),
+        lambda value: UnitCirclePoint(theta=value),
+        lambda value: table_profile({"0": 0, "-" + "0" * 4000: 0}),
+        lambda value: eval_invariant(parse_pattern(value[:50_000]), {}),
+    ], ids=["strict_int", "strict_bool", "strict_keys", "strict_matrix", "theta",
+            "profile-keys", "unassigned-atom"])
+    def test_every_refusal_clips_what_it_echoes(self, check):
+        value = "y" * 100_000
+        with pytest.raises((ValueError, LookupError)) as refusal:
+            check(value)
+        assert len(str(refusal.value)) < 200
+        assert " characters in all)" in str(refusal.value)
