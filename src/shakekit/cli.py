@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
 from .complexity import DEFAULT_MAX_ORDER, WitnessNotFound, a_family_profile, certify_complexity
-from .errors import DomainError, brief, strict_keys
+from .errors import DomainError, brief, clip, strict_keys
 from .exactlinalg import (
     InvalidRoot,
     NearSingular,
@@ -207,8 +208,15 @@ def cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines), 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals, such as an invalid choice, clip the argument they echo."""
+
+    def error(self, message: str):
+        super().error(clip(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shakekit",
         description="Exact knot invariants: Alexander polynomials, signatures, "
         "pattern calculus, and complexity certificates.",
@@ -268,7 +276,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # stdout closed early, as by `shakekit verify | head -1`
+        # the interpreter flushes stdout again on exit, so give it somewhere to go
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

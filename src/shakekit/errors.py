@@ -9,8 +9,12 @@ class DomainError(ValueError):
 
 
 def brief(value: object) -> str:
-    """repr(value) for a message: as is up to 100 characters, else clipped, naming its length."""
-    text = repr(value)
+    """repr(value) for a message, clipped."""
+    return clip(repr(value))
+
+
+def clip(text: str) -> str:
+    """text for a message: as is up to 100 characters, else clipped, naming its length."""
     return text if len(text) <= 100 else f"{text[:80]}... ({len(text)} characters in all)"
 
 

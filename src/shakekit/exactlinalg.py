@@ -7,9 +7,15 @@ width of w bytes fixed before the first step: the Hadamard width of the
 whole matrix, or half of it for a pencil.  A row that a step does not
 read keeps the scale (pivot s, for the s pivots taken then) it was
 stored at, and is rescaled, stored * prev // pivot s, only when a step
-reads it.  The Seifert pencil M = t*A - A^T is eliminated
-once per matrix A and memoised; with symmetric pivoting its Bareiss
-pivots are its leading principal minors, which give both the determinant
+reads it.  A pivot that carries a power of t, t^v times a cofactor, is
+u * 2^s at t = 2^(8w), s = 8wv.  A step whose pivot or prev carries one
+writes x * pivot as (x * u) << s and an exact N // prev as (N >> s) // u:
+N = prev * q is a multiple of 2^s, so the shift drops only zero bits and
+leaves u * q.  Both are integer identities, so every value is the plain
+formula's, and the shifts take time linear in the size.  The Seifert
+pencil M = t*A - A^T is eliminated once per matrix A and memoised; with
+symmetric pivoting its Bareiss pivots are its leading principal minors,
+which give both the determinant
 and, by Jacobi's sign rule, the exact inertia of the Hermitian form
 H(omega) at every unit-circle point.  Its principal minors are
 palindromic, P(t) = +-t^d P(1/t), so a pencil is packed once at half the
@@ -29,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from itertools import compress
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
 from .errors import strict_int, strict_keys, strict_matrix
@@ -161,39 +167,91 @@ def _width(bound_sq: int) -> int:
 class _Rows:
     """Sparse rows, column -> nonzero entry, packed at the elimination's one width, and the pivots.
 
-    pivots holds every pivot taken.  Row r was stored once counts[r]
-    pivots were taken, scaled to the last of those pivots (1 before any).
+    pivots holds every pivot taken, and splits each one as (u, s) with
+    pivot = u << s (split).  Row r was stored once counts[r] pivots were
+    taken, scaled to the last of those pivots (1 before any).
     """
 
-    def __init__(self, rows: list[dict[int, int]]):
+    def __init__(self, rows: list[dict[int, int]], bits: int):
         self.rows = rows
+        self.bits = bits
         self.pivots: list[int] = []
+        self.splits: list[tuple[int, int]] = []
         self.counts = [0] * len(rows)
+
+    def split(self, p: int) -> tuple[int, int]:
+        """(u, s) with p = u << s, s = v*bits for the largest v with 2^s | p: the t^v p carries.
+
+        A zero pivot, which no step divides by, splits as (0, 0).
+        """
+        s = ((p & -p).bit_length() - 1) // self.bits * self.bits if p else 0
+        return p >> s, s
 
     def read(self, r: int) -> dict[int, int]:
         """The true entries of row r: stored, times pivots[-1] / pivots[counts[r] - 1]."""
         row, count = self.rows[r], self.counts[r]
         if count != len(self.pivots):
-            num, den = self.pivots[-1], self.pivots[count - 1] if count else 1
-            row = {j: x * num // den for j, x in row.items()}
+            (u, s), (v, z) = self.splits[-1], self.splits[count - 1] if count else (1, 0)
+            if s or z:
+                row = {j: ((x * u << s) >> z) // v for j, x in row.items()}
+            else:
+                row = {j: x * u // v for j, x in row.items()}
         return row
 
-    def store(self, pivots: list[int], rows: Iterable[tuple[int, dict[int, int]]]) -> None:
-        """Take a step's pivots, then store the rows it wrote, tagged with the new count."""
+    def store(self, pivots: list[int], splits: list[tuple[int, int]],
+              rows: Iterable[tuple[int, dict[int, int]]]) -> None:
+        """Take a step's pivots and their splits, then store the rows it wrote, tagged."""
         self.pivots += pivots
+        self.splits += splits
         for r, row in rows:
             self.rows[r], self.counts[r] = row, len(self.pivots)
 
 
-def _eliminate(K: _Rows, pivots: tuple[int, ...], rest: list[int],
-               update: Callable[[dict[int, int]], dict[int, int]]) -> list[tuple[int, dict]]:
-    """A Bareiss step on the pivot columns over the rows rest: the rows it writes, new.
+def _eliminate(K: _Rows, columns: tuple[int, ...], rest: list[int], taken: list[int]) -> None:
+    """One Bareiss step on the pivot columns of the rows taken; it stores its pivots and rows.
 
-    A row holding a pivot column is read and update gives its new
-    entries; any other row is left as stored.
+    A row of rest holding a pivot column is read and rewritten; any other
+    row is left as stored.  A step whose pivot or prev carries a power of
+    t (_Rows.split) applies it as a shift and the cofactor u, and any
+    other step runs the plain formula.
     """
-    rows, p, q = K.rows, pivots[0], pivots[-1]
-    return [(r, update(K.read(r))) for r in rest if p in rows[r] or q in rows[r]]
+    rows, prev = K.rows, K.pivots[-1] if K.pivots else 1
+    v, z = K.splits[-1] if K.splits else (1, 0)
+    tops, written = [K.read(r) for r in taken], [(r, {}) for r in taken]
+    if len(taken) == 1:
+        (pc,), (top,) = columns, tops
+        pivot = top[pc]
+        u, s = K.split(pivot)
+        line = [(j, x) for j, x in top.items() if j != pc]
+        for r in [r for r in rest if pc in rows[r]]:
+            row = K.read(r)
+            c = row[pc]
+            if s or z:
+                new = {j: ((y * u << s) >> z) // v for j, y in row.items() if j not in top}
+                for j, x in line:
+                    if y := (((row.get(j, 0) * u << s) - c * x) >> z) // v:
+                        new[j] = y
+            else:
+                new = {j: y * pivot // prev for j, y in row.items() if j not in top}
+                for j, x in line:
+                    if y := (row.get(j, 0) * pivot - c * x) // prev:
+                        new[j] = y
+            written.append((r, new))
+        K.store([pivot], [(u, s)], written)
+        return
+    # a 2x2 block [[0, x], [y, 0]]: the 3x3 Sylvester determinants over prev^2
+    (a, b), (top0, top1) = columns, tops
+    x, y = top0[b], top1[a]
+    v2, z2 = v * v, 2 * z
+    pivot = (-x * y >> z) // v
+    for r in rest:
+        if a in rows[r] or b in rows[r]:
+            row = K.read(r)
+            ra, rb = row.get(a, 0), row.get(b, 0)
+            written.append((r, {j: w for j in (row.keys() | top0.keys() | top1.keys()) - {a, b}
+                                if (w := ((x * (ra * top1.get(j, 0) - y * row.get(j, 0))
+                                           + y * rb * top0.get(j, 0)) >> z2) // v2)}))
+    K.store([0, pivot], [(0, 0), K.split(pivot)], written)
 
 
 def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
@@ -223,7 +281,7 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
     minors are 0.  Symmetric matrices and Seifert pencils have
     M[i][j] != 0 exactly when M[j][i] != 0, so a block always exists while
     the rest is nonzero, and a ValueError reports a matrix without that
-    symmetry.  Symmetric mode has two callers: inertia_symmetric_exact,
+    symmetry.  Symmetric mode has two callers: _form_inertia,
     whose entries are ints, and _pencil, which passes t*A - A^T.  So there
     a row whose shifted entries are not all constants (spread > 0) means
     a pencil, which is packed at half the width.
@@ -242,7 +300,7 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
     bits = 8 * _width(math.isqrt(bound) + 1 if pencil else bound)
     K = _Rows([{j: e << bits * -low if e.__class__ is int else
                 sum(c << bits * (x - low) for x, c in e.items()) for j, e in row.items()}
-               for row, low in zip(entries, lows)])
+               for row, low in zip(entries, lows)], bits)
     order = list(range(n))  # rows left, in pivoting order; pivoting keeps column = row label
     sign, offset = 1, 0
     offsets = []  # the pivots' shifts summed
@@ -263,37 +321,14 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
                 if any(K.rows[i] for i in order):
                     raise ValueError("symmetric pivoting needs M[i][j] != 0 "
                                      "exactly when M[j][i] != 0")
-                K.store([0] * r, [])
+                K.store([0] * r, [(0, 0)] * r, [])
                 offsets += [offset] * r
                 break
             for i, j in enumerate(swaps):
                 order[i], order[j] = order[j], order[i]
         taken = order[:2] if pivots and order[0] not in K.rows[order[0]] else order[:1]
         rest = order[len(taken):]
-        columns = tuple(taken) if pivots else (len(K.pivots),)
-        prev, tops = K.pivots[-1] if K.pivots else 1, [K.read(r) for r in taken]
-        if len(taken) == 1:
-            (pc,), (top,) = columns, tops
-            pivot = top[pc]
-            line = [(j, x) for j, x in top.items() if j != pc]
-
-            def update(row: dict[int, int]) -> dict[int, int]:
-                c = row.get(pc, 0)
-                new = {j: z for j, x in line if (z := (row.get(j, 0) * pivot - c * x) // prev)}
-                if not row.keys() <= top.keys():
-                    new.update({j: x * pivot // prev for j, x in row.items() if j not in top})
-                return new
-        else:  # a 2x2 block [[0, x], [y, 0]]: the 3x3 Sylvester determinants over prev^2
-            (a, b), (top0, top1) = taken, tops
-            x, y, p2 = top0[b], top1[a], prev * prev
-            pivot = -x * y // prev
-
-            def update(row: dict[int, int]) -> dict[int, int]:
-                return {j: z for j in (row.keys() | top0.keys() | top1.keys()) - {a, b}
-                        if (z := (x * (row.get(a, 0) * top1.get(j, 0) - y * row.get(j, 0))
-                                  + y * row.get(b, 0) * top0.get(j, 0)) // p2)}
-        written = _eliminate(K, columns, rest, update)
-        K.store([0] * (len(taken) - 1) + [pivot], [(r, {}) for r in taken] + written)
+        _eliminate(K, tuple(taken) if pivots else (len(K.pivots),), rest, taken)
         for r in taken:
             offset += lows[r]
             offsets.append(offset)
@@ -352,15 +387,26 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     the sign (-1)^k and below H < T^2/4, so the value modulo T and the
     rounded top digits fix each outer pair.
     """
-    every = range(len(A))
     return _bareiss([{j: {1: a, 0: -b} if a and b else {1: a} if a else {0: -b}
-                      for j in set(compress(every, row)).union(compress(every, column))
-                      for a, b in ((row[j], column[j]),)}
-                     for row, column in zip(A, zip(*A))], True)
+                      for j in support for a, b in ((row[j], column[j]),)}
+                     for row, column, support in _sides(A)], True)
+
+
+def _sides(A: Sequence[Sequence[int]]) -> Iterator[tuple[Sequence[int], Sequence[int], set[int]]]:
+    """Row i and column i of the square A, and the j where either is nonzero, for each i."""
+    every = range(len(A))
+    for row, column in zip(A, zip(*A)):
+        yield row, column, set(compress(every, row)).union(compress(every, column))
 
 
 def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
-    """Exact inertia of a symmetric integer matrix.
+    """Exact inertia of a symmetric integer matrix (_form_inertia)."""
+    S = strict_matrix(S, "matrix", symmetric=True)
+    return _form_inertia([{j: x for j, x in enumerate(row) if x} for row in S])
+
+
+def _form_inertia(rows: list[dict[int, int]]) -> Inertia:
+    """Exact inertia of a symmetric integer form given as checked sparse rows, column -> entry.
 
     The symmetrically pivoted elimination of _bareiss gives the exact
     leading principal minors of P S P^T, a congruence of S.  It stops
@@ -368,9 +414,7 @@ def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
     is that zero Schur complement and counts as n_zero; Jacobi's rule
     counts the minors before it.
     """
-    S = strict_matrix(S, "matrix", symmetric=True)
-    n = len(S)
-    rows = [{j: x for j, x in enumerate(row) if x} for row in S]
+    n = len(rows)
     signs = [(v > 0) - (v < 0) for v in _bareiss(rows, True).values]
     rank = n
     while rank and not signs[rank - 1]:

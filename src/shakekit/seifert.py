@@ -18,11 +18,12 @@ from typing import Sequence
 from .errors import DomainError, strict_int, strict_matrix
 from .exactlinalg import (
     InvalidRoot,
+    _form_inertia,
     _pencil,
+    _sides,
     _sign_at,
     _zero_minors,
     inertia_hermitian_at_root,
-    inertia_symmetric_exact,
 )
 from .laurent import LaurentPoly, UnitCirclePoint, eval_symmetric_real, lp_is_symmetric
 
@@ -50,9 +51,8 @@ def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
 
 def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
     """Signature of the symmetrized form A + A^T."""
-    key = strict_matrix(A, "matrix")
-    sym = [[a + b for a, b in zip(row, column)] for row, column in zip(key, zip(*key))]
-    return inertia_symmetric_exact(sym).signature
+    return _form_inertia([{j: x for j in support if (x := row[j] + column[j])}
+                          for row, column, support in _sides(strict_matrix(A, "matrix"))]).signature
 
 
 def lt_signature(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> int:

@@ -179,9 +179,9 @@ def test_off_by_one_pencil_read_back_fails_the_determinant_row(monkeypatch):
 def test_the_determinant_row_takes_block_steps(monkeypatch):
     real, steps = exactlinalg._eliminate, []
 
-    def spy(K, pivots, rest, update):
+    def spy(K, pivots, rest, taken):
         steps.append(len(pivots))
-        return real(K, pivots, rest, update)
+        return real(K, pivots, rest, taken)
 
     monkeypatch.setattr(exactlinalg, "_eliminate", spy)
     _pencil.cache_clear()

@@ -551,6 +551,9 @@ class TestHugeInputsAreRefusedBriefly:
         # two more echoes of the same kind: a duplicate key and a profile's atom name
         "duplicate-key": (["alexander", "FILE"], '{"%s": 0, "%s": 1}' % (("k" * 100_000,) * 2)),
         "profile-name": (["pattern", "eval", "P", "--assignment", "FILE"], {"P" * 100_000: 0}),
+        # argparse's own refusals
+        "invalid-choice": (["pattern", "x" * 100_000, "P"], None),
+        "unrecognized-arguments": (["pattern", "normalize", "P", "x" * 100_000], None),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -567,6 +570,31 @@ class TestHugeInputsAreRefusedBriefly:
         assert len(proc.stderr) < 1000, proc.stderr[:1000]
         assert b"Traceback" not in proc.stderr
         assert b"characters in all)" in proc.stderr
+
+
+class TestClosedStdout:
+    """A stdout closed before the answer is written ends the CLI with exit 1 and no traceback."""
+
+    def start(self, *argv):
+        return subprocess.Popen([sys.executable, "-m", "shakekit.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def test_closed_after_one_line(self):
+        # `shakekit verify | head -1`: whether the rest of the table still fits
+        # in the pipe is a race, so the exit status is 0 or 1
+        proc = self.start("verify")
+        assert proc.stdout.readline().startswith(b"PASS")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert b"Traceback" not in err and not err, err[-1000:]
+        assert proc.returncode in (0, 1)
+
+    def test_closed_before_the_answer(self):
+        proc = self.start("certify", "--framing", "3", "--complexity", "2")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert not err, err[-1000:]
+        assert proc.returncode == 1
 
 
 class TestBeyondTheFloatRange:

@@ -440,9 +440,9 @@ def pencil_at_points(A: list[list[int]], monkeypatch) -> exactlinalg.Pivots:
     order = []
     real = exactlinalg._eliminate
 
-    def spy(K, pivots, rest, update):
+    def spy(K, pivots, rest, taken):
         order.extend(pivots)
-        return real(K, pivots, rest, update)
+        return real(K, pivots, rest, taken)
 
     with monkeypatch.context() as patch:
         patch.setattr(exactlinalg, "_eliminate", spy)
@@ -475,10 +475,10 @@ class TestMirroredSteps:
         seen = []
         real = exactlinalg._eliminate
 
-        def spy(K, pivots, rest, update):
+        def spy(K, pivots, rest, taken):
             read = [r for r in rest if any(p in K.rows[r] for p in pivots)]
             seen.append((len(pivots), any(K.counts[r] < len(K.pivots) for r in read)))
-            return real(K, pivots, rest, update)
+            return real(K, pivots, rest, taken)
 
         monkeypatch.setattr(exactlinalg, "_eliminate", spy)
         return seen
@@ -625,11 +625,11 @@ class TestStepWidths:
         seen = []
         real = exactlinalg._eliminate
 
-        def spy(K, pivots, rest, update):
+        def spy(K, pivots, rest, taken):
             read = [r for r in rest if any(p in K.rows[r] for p in pivots)]
             seen.append({"block": len(pivots),
                          "old": [r for r in read if K.counts[r] < len(K.pivots)]})
-            return real(K, pivots, rest, update)
+            return real(K, pivots, rest, taken)
 
         monkeypatch.setattr(exactlinalg, "_eliminate", spy)
         return seen

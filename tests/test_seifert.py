@@ -123,6 +123,20 @@ class TestClosedForm:
         for n in range(13, 41):
             assert alexander(an_family(n)) == delta_n_closed(n), f"n={n}"
 
+    def test_every_leading_minor_in_closed_form(self):
+        # _family_signature's proof sketch: P_1 = t - 1, P_2j = t^j and
+        # P_2j+1 = t^(j-1)(1 - 2t + 2t^2 - t^3) below dim = 2n+2, and
+        # P_dim = t^(n+1) * Delta_n; these pivots carry powers of t, which
+        # the elimination applies as shifts
+        cubic = LaurentPoly({0: 1, 1: -2, 2: 2, 3: -1})
+        for n in range(1, 121):
+            pivots = exactlinalg._pencil.__wrapped__(tuple(map(tuple, an_family(n))))
+            dim = 2 * n + 2
+            want = [LaurentPoly({1: 1, 0: -1})] + [
+                LaurentPoly({k // 2: 1}) if k % 2 == 0 else cubic.shift(k // 2 - 1)
+                for k in range(2, dim)] + [delta_n_closed(n).shift(n + 1)]
+            assert [pivots.minor(k) for k in range(1, dim + 1)] == want, f"n={n}"
+
     def test_rejects_bad_index(self):
         with pytest.raises(DomainError):
             delta_n_closed(0)
