@@ -209,10 +209,14 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose refusals, such as an invalid choice, clip the argument they echo."""
+    """An ArgumentParser whose refusals, such as an invalid choice, are clipped.
+
+    The limit keeps every refusal of a short argument whole, the list of
+    choices included; only an argument hundreds of characters long is cut.
+    """
 
     def error(self, message: str):
-        super().error(clip(message))
+        super().error(clip(message, 400))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,9 +13,9 @@ def brief(value: object) -> str:
     return clip(repr(value))
 
 
-def clip(text: str) -> str:
-    """text for a message: as is up to 100 characters, else clipped, naming its length."""
-    return text if len(text) <= 100 else f"{text[:80]}... ({len(text)} characters in all)"
+def clip(text: str, limit: int = 100) -> str:
+    """text for a message: as is up to limit characters, else clipped, naming its length."""
+    return text if len(text) <= limit else f"{text[:limit - 20]}... ({len(text)} characters in all)"
 
 
 def strict_int(value: object, what: str) -> int:

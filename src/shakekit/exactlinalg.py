@@ -213,7 +213,9 @@ def _eliminate(K: _Rows, columns: tuple[int, ...], rest: list[int], taken: list[
     A row of rest holding a pivot column is read and rewritten; any other
     row is left as stored.  A step whose pivot or prev carries a power of
     t (_Rows.split) applies it as a shift and the cofactor u, and any
-    other step runs the plain formula.
+    other step runs the plain formula: with s = 0 the shift formula gives
+    the same values but pays two no-op shifts per entry, about 5 % of a
+    dense pencil's alexander and signature.
     """
     rows, prev = K.rows, K.pivots[-1] if K.pivots else 1
     v, z = K.splits[-1] if K.splits else (1, 0)
