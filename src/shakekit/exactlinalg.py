@@ -2,32 +2,31 @@
 
 Determinants have one integer kernel: Kronecker substitution t = 2^(8w),
 fraction-free (Bareiss) elimination over the integers on sparse rows,
-and a balanced base-2^(8w) read-back.  Each matrix is packed once, at a
-width of w bytes fixed before the first step: the Hadamard width of the
-whole matrix, or half of it for a pencil.  A row that a step does not
-read keeps the scale (pivot s, for the s pivots taken then) it was
-stored at, and is rescaled, stored * prev // pivot s, only when a step
-reads it.  A pivot that carries a power of t, t^v times a cofactor, is
-u * 2^s at t = 2^(8w), s = 8wv.  A step whose pivot or prev carries one
-writes x * pivot as (x * u) << s and an exact N // prev as (N >> s) // u:
+and a balanced base-2^(8w) read-back.  Each caller packs its own checked
+input once, at a width of w bytes fixed before the first step: the
+Hadamard width of the whole matrix, or half of it for a pencil.  The
+coefficient-dict packer serves det_laurent alone.  A row that a step does
+not read keeps the scale (pivot s, for the s pivots taken then) it was
+stored at, and is rescaled, stored * prev // pivot s, when a step reads
+it.  A pivot that carries a power of t, t^v times a cofactor, is u * 2^s
+at t = 2^(8w), s = 8wv.  A step whose pivot or prev carries one writes
+x * pivot as (x * u) << s and an exact N // prev as (N >> s) // u:
 N = prev * q is a multiple of 2^s, so the shift drops only zero bits and
 leaves u * q.  Both are integer identities, so every value is the plain
 formula's, and the shifts take time linear in the size.  The Seifert
 pencil M = t*A - A^T is eliminated once per matrix A and memoised; with
 symmetric pivoting its Bareiss pivots are its leading principal minors,
-which give both the determinant
-and, by Jacobi's sign rule, the exact inertia of the Hermitian form
-H(omega) at every unit-circle point.  Its principal minors are
-palindromic, P(t) = +-t^d P(1/t), so a pencil is packed once at half the
-Hadamard width and its pivots are read back from both ends
-(_pencil gives the proof).
-Every sign on the circle, a minor's or an Alexander polynomial's, is
-taken by _sign_at: exact for a monomial minor, else a float sum that
-counts only when it clears a rounding-error bound, and else, at a root
-of unity of order <= _MAX_ZERO_TEST_ORDER, the sparse exact zero test
-_vanishes.  Classical inertia of a symmetric integer matrix comes from
-the same elimination: its pivots are the matrix's exact integer leading
-minors.
+which give both the determinant and, by Jacobi's sign rule, the exact
+inertia of the Hermitian form H(omega) at every unit-circle point.  Its
+principal minors are palindromic, P(t) = +-t^d P(1/t), so a pencil is
+packed at half the Hadamard width and its pivots are read back from both
+ends (_pencil gives the proof).  Every sign on the circle, a minor's or
+an Alexander polynomial's, is taken by _sign_at: exact for a monomial
+minor, else a float sum that counts only when it clears a rounding-error
+bound, and else, at a root of unity of order <= _MAX_ZERO_TEST_ORDER,
+the sparse exact zero test _vanishes.  Classical inertia of a symmetric
+integer matrix comes from the same elimination: its pivots are the
+matrix's exact integer leading minors.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._record import Record
 from .errors import strict_int, strict_keys, strict_matrix
@@ -167,145 +166,104 @@ def _width(bound_sq: int) -> int:
 class _Rows:
     """Sparse rows, column -> nonzero entry, packed at the elimination's one width, and the pivots.
 
-    pivots holds every pivot taken, and splits each one as (u, s) with
-    pivot = u << s (split).  Row r was stored once counts[r] pivots were
-    taken, scaled to the last of those pivots (1 before any).
+    splits[k] is the k-th pivot (1 for k = 0) as u << s, s = v*bits for the
+    largest v with 2^s | pivot, the t^v it carries ((0, 0) for a zero
+    pivot).  Row r was stored once counts[r] pivots were taken, scaled to
+    the last of them.
     """
 
     def __init__(self, rows: list[dict[int, int]], bits: int):
         self.rows = rows
         self.bits = bits
         self.pivots: list[int] = []
-        self.splits: list[tuple[int, int]] = []
+        self.splits: list[tuple[int, int]] = [(1, 0)]
         self.counts = [0] * len(rows)
 
-    def split(self, p: int) -> tuple[int, int]:
-        """(u, s) with p = u << s, s = v*bits for the largest v with 2^s | p: the t^v p carries.
 
-        A zero pivot, which no step divides by, splits as (0, 0).
-        """
-        s = ((p & -p).bit_length() - 1) // self.bits * self.bits if p else 0
-        return p >> s, s
-
-    def read(self, r: int) -> dict[int, int]:
-        """The true entries of row r: stored, times pivots[-1] / pivots[counts[r] - 1]."""
-        row, count = self.rows[r], self.counts[r]
-        if count != len(self.pivots):
-            (u, s), (v, z) = self.splits[-1], self.splits[count - 1] if count else (1, 0)
-            if s or z:
-                row = {j: ((x * u << s) >> z) // v for j, x in row.items()}
-            else:
-                row = {j: x * u // v for j, x in row.items()}
-        return row
-
-    def store(self, pivots: list[int], splits: list[tuple[int, int]],
-              rows: Iterable[tuple[int, dict[int, int]]]) -> None:
-        """Take a step's pivots and their splits, then store the rows it wrote, tagged."""
-        self.pivots += pivots
-        self.splits += splits
-        for r, row in rows:
-            self.rows[r], self.counts[r] = row, len(self.pivots)
+def _rescaled(row: dict[int, int], split: tuple[int, int], v: int, z: int) -> dict[int, int]:
+    """A row stored at the pivot u << s, split = (u, s), rescaled to prev = v << z."""
+    u, s = split
+    return ({j: ((x * v << z) >> s) // u for j, x in row.items()} if z or s else
+            {j: x * v // u for j, x in row.items()})
 
 
 def _eliminate(K: _Rows, columns: tuple[int, ...], rest: list[int], taken: list[int]) -> None:
     """One Bareiss step on the pivot columns of the rows taken; it stores its pivots and rows.
 
-    A row of rest holding a pivot column is read and rewritten; any other
-    row is left as stored.  A step whose pivot or prev carries a power of
-    t (_Rows.split) applies it as a shift and the cofactor u, and any
-    other step runs the plain formula: with s = 0 the shift formula gives
-    the same values but pays two no-op shifts per entry, about 5 % of a
-    dense pencil's alexander and signature.
+    A row of rest holding a pivot column is read, rescaled from the pivot
+    it was stored at to prev if it is older (_rescaled, the one call a
+    row can cost), and rewritten; any other is left as stored.  A step
+    whose pivot or prev carries a power of t (_Rows.splits) applies it as
+    a shift and the cofactor u, any other the plain formula: with s = 0
+    the shift formula gives the same values but pays two no-op shifts per
+    entry, about 5 % of a dense pencil's alexander and signature.
     """
-    rows, prev = K.rows, K.pivots[-1] if K.pivots else 1
-    v, z = K.splits[-1] if K.splits else (1, 0)
-    tops, written = [K.read(r) for r in taken], [(r, {}) for r in taken]
+    rows, counts, pivots, splits, bits = K.rows, K.counts, K.pivots, K.splits, K.bits
+    n, done = len(pivots), len(pivots) + len(taken)
+    prev, (v, z) = pivots[-1] if n else 1, splits[n]
+    tops = []
+    for r in taken:
+        tops.append(rows[r] if counts[r] == n else _rescaled(rows[r], splits[counts[r]], v, z))
+        rows[r], counts[r] = {}, done
     if len(taken) == 1:
         (pc,), (top,) = columns, tops
-        pivot = top[pc]
-        u, s = K.split(pivot)
+        pivot, hit = top[pc], [r for r in rest if pc in rows[r]]
         line = [(j, x) for j, x in top.items() if j != pc]
-        for r in [r for r in rest if pc in rows[r]]:
-            row = K.read(r)
-            c = row[pc]
-            if s or z:
-                new = {j: ((y * u << s) >> z) // v for j, y in row.items() if j not in top}
-                for j, x in line:
-                    if y := (((row.get(j, 0) * u << s) - c * x) >> z) // v:
-                        new[j] = y
-            else:
-                new = {j: y * pivot // prev for j, y in row.items() if j not in top}
-                for j, x in line:
-                    if y := (row.get(j, 0) * pivot - c * x) // prev:
-                        new[j] = y
-            written.append((r, new))
-        K.store([pivot], [(u, s)], written)
-        return
-    # a 2x2 block [[0, x], [y, 0]]: the 3x3 Sylvester determinants over prev^2
-    (a, b), (top0, top1) = columns, tops
-    x, y = top0[b], top1[a]
-    v2, z2 = v * v, 2 * z
-    pivot = (-x * y >> z) // v
-    for r in rest:
-        if a in rows[r] or b in rows[r]:
-            row = K.read(r)
+    else:  # a 2x2 block [[0, x], [y, 0]]: the 3x3 Sylvester determinants over prev^2
+        (a, b), (top0, top1) = columns, tops
+        x, y = top0[b], top1[a]
+        pivot, v2, z2 = (-x * y >> z) // v, v * v, 2 * z
+        hit = [r for r in rest if a in rows[r] or b in rows[r]]
+    s = ((pivot & -pivot).bit_length() - 1) // bits * bits
+    u = pivot >> s
+    for r in hit:
+        row = rows[r] if counts[r] == n else _rescaled(rows[r], splits[counts[r]], v, z)
+        if len(taken) == 2:
             ra, rb = row.get(a, 0), row.get(b, 0)
-            written.append((r, {j: w for j in (row.keys() | top0.keys() | top1.keys()) - {a, b}
-                                if (w := ((x * (ra * top1.get(j, 0) - y * row.get(j, 0))
-                                           + y * rb * top0.get(j, 0)) >> z2) // v2)}))
-    K.store([0, pivot], [(0, 0), K.split(pivot)], written)
+            new = {j: w for j in (row.keys() | top0.keys() | top1.keys()) - {a, b}
+                   if (w := ((x * (ra * top1.get(j, 0) - y * row.get(j, 0))
+                              + y * rb * top0.get(j, 0)) >> z2) // v2)}
+        elif s or z:  # loops, not comprehensions: a row holds a few entries
+            c, get, new = row[pc], row.get, {}
+            for j, y in row.items():
+                if j not in top:
+                    new[j] = ((y * u << s) >> z) // v
+            for j, x in line:
+                if y := (((get(j, 0) * u << s) - c * x) >> z) // v:
+                    new[j] = y
+        else:
+            c, get, new = row[pc], row.get, {}
+            for j, y in row.items():
+                if j not in top:
+                    new[j] = y * pivot // prev
+            for j, x in line:
+                if y := (get(j, 0) * pivot - c * x) // prev:
+                    new[j] = y
+        rows[r], counts[r] = new, done
+    pivots += [0, pivot] if len(taken) == 2 else [pivot]
+    splits += [(0, 0), (u, s)] if len(taken) == 2 else [(u, s)]
 
 
-def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
-    """Bareiss on sparse rows: row i maps column j to a nonzero int or coefficient dict.
+def _kernel(rows: list[dict[int, int]], lows: list[int], bits: int, pivots: bool,
+            pencil: bool) -> LaurentPoly | Pivots:
+    """Bareiss on rows packed at t = 2^bits: row i maps column j to t^-lows[i] * a_ij at 2^bits.
 
-    With pivots=False it swaps rows and returns the determinant.  One
-    width: every entry the elimination writes is a minor of the
-    row-shifted matrix.  On the unit circle |a_ij| <= ||a_ij||_1, so by
-    Hadamard such a minor is at most H, the product of the row norms
-    sqrt(sum_j ||a_ij||_1^2), which bounds its coefficients too
-    (Parseval).  The matrix is packed once, at the least w whose digits
-    hold H, half of that for a pencil (_pencil).  This is exact:
-    Bareiss's products and exact divisions are identities in Z[t], so they
-    hold at any t = 2^(8w), and only the read-back and the zero tests
-    need the coefficients to fit, as they do.  A step leaves a row whose
-    pivot-column entry is zero as stored; the rescale stored * prev //
-    pivot s of a later read is exact, as the true entries are minors.
-    Zero tests read stored entries.
-
-    With pivots=True it pivots symmetrically and returns its Pivots.  A
-    zero pivot is exchanged, row and column together, for the first
-    nonzero diagonal entry after it; when every remaining diagonal entry
-    is zero, a 2x2 block [[0, b], [c, 0]] with b, c != 0 takes two Bareiss
-    steps at once (the 3x3 Sylvester determinants divided by prev^2).
-    The pivoted matrix is P M P^T, so pivot k is its k-th leading
-    principal minor; once the rest of the matrix is zero, the remaining
+    Each caller packs its own checked input at a width that holds what the
+    read-back and the zero tests, which read stored entries, need.  With
+    pivots=False it swaps rows and returns the determinant; with
+    pivots=True it pivots symmetrically and returns its Pivots, flagged
+    pencil as the caller says.  A zero pivot is exchanged, row and column
+    together, for the first nonzero diagonal entry after it, else a 2x2
+    block [[0, b], [c, 0]] with b, c != 0 takes two steps at once (the 3x3
+    Sylvester determinants over prev^2).  Pivot k is the k-th leading
+    principal minor of P M P^T; once the rest is zero, the remaining
     minors are 0.  Symmetric matrices and Seifert pencils have
-    M[i][j] != 0 exactly when M[j][i] != 0, so a block always exists while
-    the rest is nonzero, and a ValueError reports a matrix without that
-    symmetry.  Symmetric mode has two callers: _form_inertia,
-    whose entries are ints, and _pencil, which passes t*A - A^T.  So there
-    a row whose shifted entries are not all constants (spread > 0) means
-    a pencil, which is packed at half the width.
+    M[i][j] != 0 exactly when M[j][i] != 0, so a block exists while the
+    rest is nonzero; a ValueError reports a matrix without that symmetry.
     """
-    n = len(entries)
-    lows, bound, spread = [], 1, 0
-    for row in entries:
-        if not row and not pivots:
-            return LaurentPoly.zero()
-        exps = [x for e in row.values() for x in ((0,) if e.__class__ is int else e)]
-        lows.append(min(exps, default=0))
-        spread = max(spread, max(exps, default=0) - lows[-1])
-        bound *= max(1, sum(e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2
-                            for e in row.values()))
-    pencil = pivots and spread > 0
-    bits = 8 * _width(math.isqrt(bound) + 1 if pencil else bound)
-    K = _Rows([{j: e << bits * -low if e.__class__ is int else
-                sum(c << bits * (x - low) for x, c in e.items()) for j, e in row.items()}
-               for row, low in zip(entries, lows)], bits)
-    order = list(range(n))  # rows left, in pivoting order; pivoting keeps column = row label
-    sign, offset = 1, 0
-    offsets = []  # the pivots' shifts summed
+    K = _Rows(rows, bits)
+    order = list(range(len(rows)))  # rows left, in pivoting order; column = row label
+    sign, offset, offsets = 1, 0, []  # offsets: the pivots' shifts summed
 
     while order:
         first = order[0]
@@ -323,7 +281,8 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
                 if any(K.rows[i] for i in order):
                     raise ValueError("symmetric pivoting needs M[i][j] != 0 "
                                      "exactly when M[j][i] != 0")
-                K.store([0] * r, [(0, 0)] * r, [])
+                K.pivots += [0] * r
+                K.splits += [(0, 0)] * r
                 offsets += [offset] * r
                 break
             for i, j in enumerate(swaps):
@@ -339,6 +298,28 @@ def _bareiss(entries: list[dict], pivots: bool) -> LaurentPoly | Pivots:
     return found if pivots else found.minor(len(K.pivots)) * sign
 
 
+def _bareiss(entries: list[dict]) -> LaurentPoly:
+    """det_laurent's determinant of sparse rows of ints and coefficient dicts, packed for _kernel.
+
+    Every entry the elimination writes is a minor of the row-shifted
+    matrix, so by Hadamard at most H, the product of the row norms
+    sqrt(sum_j ||a_ij||_1^2) (|a_ij| <= ||a_ij||_1 on the unit circle), as
+    are its coefficients (Parseval).  Each row is shifted by its lowest
+    exponent and packed at the least width whose digits hold H.
+    """
+    lows, bound = [], 1
+    for row in entries:
+        if not row:
+            return LaurentPoly.zero()
+        lows.append(min(x for e in row.values() for x in ((0,) if e.__class__ is int else e)))
+        bound *= sum(e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2
+                     for e in row.values())
+    bits = 8 * _width(bound)
+    return _kernel([{j: e << bits * -low if e.__class__ is int else
+                     sum(c << bits * (x - low) for x, c in e.items()) for j, e in row.items()}
+                    for row, low in zip(entries, lows)], lows, bits, False, False)
+
+
 def det_laurent(rows: Sequence[Sequence[LaurentPoly | int]]) -> LaurentPoly:
     """Exact determinant of a square matrix of ints and LaurentPolys; the 0x0 one is 1.
 
@@ -348,7 +329,7 @@ def det_laurent(rows: Sequence[Sequence[LaurentPoly | int]]) -> LaurentPoly:
     """
     if bad := [len(row) for row in rows if len(row) != len(rows)]:
         raise ValueError(f"matrix must be square, got a row of length {bad[0]} in dim {len(rows)}")
-    return _bareiss([{j: c for j, e in enumerate(row) if (c := _entry(e))} for row in rows], False)
+    return _bareiss([{j: c for j, e in enumerate(row) if (c := _entry(e))} for row in rows])
 
 
 def _entry(e: object) -> dict[int, int] | int:
@@ -365,10 +346,13 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     """The Pivots of the pencil t*A - A^T, eliminated once per matrix and memoised.
 
     Callers pass the immutable key strict_matrix(A, "matrix"), so a matrix
-    they mutate later is never answered from the memo.  No LaurentPoly is built.
+    they mutate later is never answered from the memo.  No LaurentPoly is
+    built: one pass over A gives each row i its support, Hadamard factor
+    sum_j (|a_ij| + |a_ji|)^2 and low (1 if column i of A is zero and row i
+    is not), and entry (i, j) is packed as ((a_ij << bits) - a_ji) >> bits*low.
 
     Half width.  M = t*A - A^T satisfies M(t)^T = -t * M(1/t).  Once a
-    row of M holds both powers of t (spread > 0), _bareiss packs it at
+    row of M holds both powers of t (a pencil), it is packed at
     w = _width(isqrt(H^2) + 1) bytes, H the Hadamard bound of the whole
     matrix, so T = 2^(8w) > 2 sqrt(H), about half the bits of H, in place
     of the full width.  A principal minor R of M satisfies
@@ -389,16 +373,23 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     the sign (-1)^k and below H < T^2/4, so the value modulo T and the
     rounded top digits fix each outer pair.
     """
-    return _bareiss([{j: {1: a, 0: -b} if a and b else {1: a} if a else {0: -b}
-                      for j in support for a, b in ((row[j], column[j]),)}
-                     for row, column, support in _sides(A)], True)
-
-
-def _sides(A: Sequence[Sequence[int]]) -> Iterator[tuple[Sequence[int], Sequence[int], set[int]]]:
-    """Row i and column i of the square A, and the j where either is nonzero, for each i."""
     every = range(len(A))
-    for row, column in zip(A, zip(*A)):
-        yield row, column, set(compress(every, row)).union(compress(every, column))
+    ts = [[*compress(every, row)] for row in A]  # row i's t side: the j with a_ij != 0
+    cs = [{} for _ in every]  # row i's constant side, j -> -a_ji, then its packed entries
+    norms = [0] * len(A)
+    for i, (row, js) in enumerate(zip(A, ts)):
+        for j in js:
+            cs[j][i] = -(a := row[j])
+            norms[i] += a * a + 2 * abs(a * A[j][i])
+            norms[j] += a * a
+    pencil = any(js and c for js, c in zip(ts, cs))
+    bound = math.prod(norm or 1 for norm in norms)
+    bits = 8 * _width(math.isqrt(bound) + 1 if pencil else bound)
+    lows = [0 if c or not js else 1 for js, c in zip(ts, cs)]
+    for row, js, c, low in zip(A, ts, cs, lows):
+        for j in js:
+            c[j] = (row[j] << bits - bits * low) + c.get(j, 0)
+    return _kernel(cs, lows, bits, True, pencil)
 
 
 def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
@@ -407,18 +398,22 @@ def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
     return _form_inertia([{j: x for j, x in enumerate(row) if x} for row in S])
 
 
+def _form_pivots(rows: list[dict[int, int]]) -> Pivots:
+    """The Pivots of a symmetric integer form's checked sparse rows, at its full Hadamard width."""
+    bits = 8 * _width(math.prod(max(1, sum(x * x for x in row.values())) for row in rows))
+    return _kernel(rows, [0] * len(rows), bits, True, False)
+
+
 def _form_inertia(rows: list[dict[int, int]]) -> Inertia:
     """Exact inertia of a symmetric integer form given as checked sparse rows, column -> entry.
 
-    The symmetrically pivoted elimination of _bareiss gives the exact
-    leading principal minors of P S P^T, a congruence of S.  It stops
-    once the rest of the matrix is zero, so a trailing run of zero minors
-    is that zero Schur complement and counts as n_zero; Jacobi's rule
-    counts the minors before it.
+    _form_pivots's symmetric pivoting gives the exact leading principal
+    minors of P S P^T, a congruence of S, and stops once the rest is
+    zero, so a trailing run of zero minors is that zero Schur complement
+    and counts as n_zero; Jacobi's rule counts the minors before it.
     """
-    n = len(rows)
-    signs = [(v > 0) - (v < 0) for v in _bareiss(rows, True).values]
-    rank = n
+    signs = [(v > 0) - (v < 0) for v in _form_pivots(rows).values]
+    n = rank = len(rows)
     while rank and not signs[rank - 1]:
         rank -= 1
     n_plus, n_minus = _jacobi(signs[:rank])

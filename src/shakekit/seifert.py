@@ -13,6 +13,7 @@ _family_signature.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Sequence
 
 from .errors import DomainError, strict_int, strict_matrix
@@ -20,7 +21,6 @@ from .exactlinalg import (
     InvalidRoot,
     _form_inertia,
     _pencil,
-    _sides,
     _sign_at,
     _zero_minors,
     inertia_hermitian_at_root,
@@ -51,8 +51,11 @@ def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
 
 def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
     """Signature of the symmetrized form A + A^T."""
-    return _form_inertia([{j: x for j in support if (x := row[j] + column[j])}
-                          for row, column, support in _sides(strict_matrix(A, "matrix"))]).signature
+    A = strict_matrix(A, "matrix")
+    every = range(len(A))
+    return _form_inertia([{j: x for j in {*compress(every, row), *compress(every, column)}
+                           if (x := row[j] + column[j])}
+                          for row, column in zip(A, zip(*A))]).signature
 
 
 def lt_signature(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -204,13 +205,13 @@ class TestDetKernel:
 class TestPencilMemo:
     def test_one_determinant_per_matrix(self, monkeypatch):
         calls = []
-        real = exactlinalg._bareiss
+        real = exactlinalg._kernel
 
-        def counting(entries, pivots):
-            calls.append(repr(entries))
-            return real(entries, pivots)
+        def counting(rows, lows, bits, pivots, pencil):
+            calls.append(repr(rows))
+            return real(rows, lows, bits, pivots, pencil)
 
-        monkeypatch.setattr(exactlinalg, "_bareiss", counting)
+        monkeypatch.setattr(exactlinalg, "_kernel", counting)
         for n in (26, 5):
             exactlinalg._pencil.cache_clear()
             calls.clear()
@@ -237,22 +238,41 @@ class TestPencilMemo:
         assert lt_signature(A, UnitCirclePoint.root(1, 3)) == 0
 
 
-def test_symmetric_elimination_gets_integer_forms_or_pencils(monkeypatch):
-    # _bareiss packs a symmetric-mode matrix with a nonconstant entry at
-    # half the Hadamard width, which only a pencil allows; every such call
-    # from the invariants, the Goeritz route and the reproduction table
-    # passes an integer form or a pencil
-    calls = {"forms": 0, "pencils": 0}
-    real = exactlinalg._bareiss
+def unpacked_pencil(rows: list[dict[int, int]], lows: list[int], bits: int) -> list[dict]:
+    """Rows packed as a pencil's, as coefficient dicts: entry (i, j) is x * T^lows[i] at T = 2^bits.
 
-    def spy(entries, pivots):
+    For a pencil, entries (i, j) and (j, i) are a*T - b and b*T - a, so
+    a = ((a*T - b)*T + b*T - a) / (T^2 - 1); this reads a that way and
+    the constant term as the rest.
+    """
+    T = 1 << bits
+    values = [{j: x << bits * low for j, x in row.items()} for row, low in zip(rows, lows)]
+    entries = []
+    for i, row in enumerate(values):
+        entries.append({})
+        for j, y in row.items():
+            a = (y * T + values[j].get(i, 0)) // (T * T - 1)
+            entries[i][j] = {x: c for x, c in ((1, a), (0, y - a * T)) if c}
+    return entries
+
+
+def test_symmetric_elimination_gets_integer_forms_or_pencils(monkeypatch):
+    # _kernel runs a matrix flagged as a pencil at half the Hadamard
+    # width, which only a pencil allows; every symmetric-mode call from the
+    # invariants, the Goeritz route and the reproduction table passes an
+    # integer form, unshifted, or a pencil
+    calls = {"forms": 0, "pencils": 0}
+    real = exactlinalg._kernel
+
+    def spy(rows, lows, bits, pivots, pencil):
         if pivots:
-            form = all(e.__class__ is int for row in entries for e in row.values())
+            form = not pencil and not any(lows)
+            entries = rows if form else unpacked_pencil(rows, lows, bits)
             assert form or is_pencil(entries), entries
             calls["forms" if form else "pencils"] += 1
-        return real(entries, pivots)
+        return real(rows, lows, bits, pivots, pencil)
 
-    monkeypatch.setattr(exactlinalg, "_bareiss", spy)
+    monkeypatch.setattr(exactlinalg, "_kernel", spy)
     exactlinalg._pencil.cache_clear()
     dense = congruence(random_unimodular(random.Random(5), 12, 60), an_family(5))
     for A in (dense, an_family(3), TREFOIL, [[0, 1], [0, 0]]):
@@ -305,7 +325,7 @@ def as_laurent(S: list[list[int]]) -> list[list[LaurentPoly]]:
 
 def form_pivots(S: list[list[int]]) -> exactlinalg.Pivots:
     """The symmetric elimination of an integer form, as inertia_symmetric_exact runs it."""
-    return exactlinalg._bareiss([{j: x for j, x in enumerate(row) if x} for row in S], True)
+    return exactlinalg._form_pivots([{j: x for j, x in enumerate(row) if x} for row in S])
 
 
 def pencil_pivots(A: list[list[int]]) -> exactlinalg.Pivots:
@@ -607,6 +627,77 @@ def test_pencil_pivots_match_elimination_at_integer_points(monkeypatch):
         half = 1 << (pivots.bits - 1)
         two_ended += sum(any(abs(c) >= half for c in m.coeffs.values()) for m in minors)
     assert two_ended >= 1000, two_ended
+
+
+def kernel_cases() -> list[list[list[int]]]:
+    """Seeded Seifert matrices whose pencils and forms A + A^T the kernel digest pins.
+
+    First [[0, 1], [0, 0]], where no row of the pencil holds both powers
+    of t, so it is packed at full width; then sparse +-1 congruences of
+    the family, dense unimodular scrambles, and random matrices with zero
+    diagonals (2x2 blocks, swaps, rows left at an older scale), zero
+    columns (rows holding only t), zero rows (rows holding only constants)
+    and empty rows.
+    """
+    rng = random.Random(20261019)
+    cases = [[[0, 1], [0, 0]]]
+    for n in range(1, 41):
+        s = [rng.choice((1, -1)) for _ in range(2 * n + 2)]
+        cases.append([[s[i] * s[j] * x for j, x in enumerate(row)]
+                      for i, row in enumerate(an_family(n))])
+    for dim in (4, 8, 10, 14, 18, 22):
+        cases.append(congruence(random_unimodular(rng, dim, 6 * dim), an_family(dim // 2 - 1)))
+    for trial in range(240):
+        dim = rng.randint(1, 9)
+        density = rng.uniform(0.2, 1.0)
+        bound = rng.choice((1, 3, 40, 10 ** 6))
+        A = [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(dim)]
+             for _ in range(dim)]
+        if trial % 2:
+            for i in range(dim):
+                A[i][i] = 0
+        if trial % 3 == 0:
+            c = rng.randrange(dim)
+            for row in A:
+                row[c] = 0
+        if trial % 5 == 0:
+            A[rng.randrange(dim)] = [0] * dim
+        if trial % 7 == 0:
+            e = rng.randrange(dim)
+            A[e] = [0] * dim
+            for row in A:
+                row[e] = 0
+        cases.append(A)
+    return cases
+
+
+# SHA-256 of the Pivots of kernel_cases(), as the kernel gave them before
+# each caller packed its own rows; a change to any pivot value, width, low
+# or pencil flag changes it
+KERNEL_DIGEST = "35558d6827d87d8c8b56c692c7ede8fa99058affd72f301899a8977d0ff9ff30"
+
+
+def test_kernel_pivots_match_their_digest(monkeypatch):
+    # the pencil, and the form A + A^T both through the classical
+    # signature and through inertia_symmetric_exact, of every case
+    found = []
+    real = exactlinalg._kernel
+
+    def spy(*args):
+        found.append(real(*args))
+        return found[-1]
+
+    monkeypatch.setattr(exactlinalg, "_kernel", spy)
+    cases = kernel_cases()
+    for A in cases:
+        exactlinalg._pencil.__wrapped__(tuple(map(tuple, A)))
+        seifert.classical_signature_seifert(A)
+        inertia_symmetric_exact([[a + b for a, b in zip(row, column)]
+                                 for row, column in zip(A, zip(*A))])
+    assert len(found) == 3 * len(cases)
+    assert sum(p.pencil for p in found) > 200 and not found[0].pencil
+    text = repr([(p.bits, [hex(v) for v in p.values], p.lows, p.pencil) for p in found])
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGEST
 
 
 class TestStepWidths:
