@@ -8,13 +8,16 @@ c * |I(Q) - I(Q_n)| >= c.
 
 The signature of the twisted family has a closed form in the signs of
 Delta_n and of 1 - 2cos(theta) (seifert._family_signature states and
-proves it).  So a signature costs two exact signs, and certify builds no
-matrix: its cost does not grow with n.
+proves it).  At a root k/m, Delta_n = 4(x - 1)cos(n*theta) + 3 - 2x with
+x = cos(theta) is one float value with a certified error bound
+(seifert._delta_sign), which exactlinalg._sign_at decides only inside that
+bound, and the sign of 1 - 2cos(theta) is read from k and m in integers.
+So certify builds no matrix, and its cost does not grow with n.
 
 The witness search tries prime-order roots in increasing (p, k) order,
-one exact sign each: there sigma != 0 exactly where Delta_(1+n) < 0.  The
-first such root where Delta_(1+n) is also negative at its neighbours on a
-720-point grid is the witness; when no root passes that grid rule, the
+one closed-form value each: there sigma != 0 exactly where Delta_(1+n) < 0.
+The first such root where Delta_(1+n) is also negative at its neighbours on
+a 720-point grid is the witness; when no root passes that grid rule, the
 first such root is.  Every sign is exact, so results are deterministic and
 replayable.
 """
@@ -27,10 +30,9 @@ from typing import Iterator
 
 from ._record import Record
 from .errors import DomainError, strict_int
-from .exactlinalg import _sign_at
 from .laurent import UnitCirclePoint
 from .patterns import Atom, Profile, eval_invariant, render_term, retrace_term
-from .seifert import _family_signature, delta_n_closed
+from .seifert import _delta_sign, _family_signature
 
 DEFAULT_MAX_ORDER = 60
 WITNESS_GRID = 720
@@ -55,7 +57,9 @@ def a_family_profile(omega: UnitCirclePoint) -> Profile:
     the 4-genus directly.  Q_k is the (1+k)-th family member, so the
     profile is declared on k >= 0 only; anything else raises DomainError.
     sigma comes from the family's closed form (seifert._family_signature),
-    so iota(k) costs the same for every k and raises what that raises.
+    which at a root k/m reads Delta_(1+k) as one certified value and
+    1 - 2cos(theta) in integers, so iota(k) costs the same for every k and
+    raises what that raises.
     Each value is computed once per profile and kept.
     """
     values: dict[int, int] = {}
@@ -94,8 +98,11 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     Roots k/p are tried for primes p <= max_order (any int >= 2) in increasing
     (p, k) order.  The grid rule picks the first root with Delta = Delta_{1+n}
     negative at omega and at _grid_points(k, p) on the WITNESS_GRID-point grid,
-    each one exact sign (exactlinalg._sign_at).  When no root passes it, the
-    exact rule takes the first root with Delta(omega) < 0.  Odd twisting always
+    each one exact sign from the closed form (seifert._delta_sign: one certified
+    value, and exactlinalg._sign_at only inside its error bound).  Roots are
+    passed as (k, p) and (i, WITNESS_GRID) int pairs, and only the witness
+    becomes a UnitCirclePoint.  When no root passes it, the exact rule takes
+    the first root with Delta(omega) < 0.  Odd twisting always
     yields omega = -1 first.
 
     Once an exact-rule root is held at p > 5 after as many roots as the grid
@@ -112,34 +119,33 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     if max_order < 2:
         raise DomainError(f"max_order {max_order} is under the lower bound of 2, "
                           "the least prime order, so no root would be tried")
-    terms = sorted(delta_n_closed(1 + n).coeffs.items())
+    N = 1 + n
 
-    def negative(omega: UnitCirclePoint) -> bool:
-        return _sign_at(omega, 0, terms) < 0
+    def negative(k: int, m: int) -> bool:
+        return _delta_sign(N, k, m) < 0
 
     tried, exact, stop = 0, None, None
     for p in itertools.takewhile(lambda p: p <= max_order, _primes()):
         if exact is not None and p > 5 and tried >= WITNESS_GRID and stop is None:
-            grid = [negative(UnitCirclePoint.root(i, WITNESS_GRID)) for i in range(WITNESS_GRID)]
+            grid = [negative(i, WITNESS_GRID) for i in range(WITNESS_GRID)]
             stop = not any(a and b for a, b in zip(grid, grid[1:] + grid[:1]))
         if stop:
-            return exact
+            break
         for k in range(1, p):
-            omega = UnitCirclePoint.root(k, p)
             tried += 1
             # Delta(omega) != 0 at a root of prime order p, since Phi_p would
             # divide t^(n+1) * Delta and Phi_p(1) = p cannot divide Delta(1) = 1;
             # 1 - 2cos(theta) vanishes only at the primitive sixth roots.  So
             # sigma(Q_n, omega) != 0 exactly where Delta(omega) < 0.
-            if not negative(omega):
+            if not negative(k, p):
                 continue
-            if all(negative(UnitCirclePoint.root(i, WITNESS_GRID)) for i in _grid_points(k, p)):
-                return omega
+            if all(negative(i, WITNESS_GRID) for i in _grid_points(k, p)):
+                return UnitCirclePoint.root(k, p)
             if exact is None:
-                exact = omega
+                exact = (k, p)
     if exact is None:
         raise WitnessNotFound(n, max_order, tried)
-    return exact
+    return UnitCirclePoint.root(*exact)
 
 
 class ComplexityCertificate(Record):

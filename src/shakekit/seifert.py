@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .errors import DomainError, strict_int, strict_matrix
 from .exactlinalg import (
+    _U,
     InvalidRoot,
     _form_inertia,
     _pencil,
@@ -116,6 +117,52 @@ def delta_n_closed(n: int) -> LaurentPoly:
 # 1 - t - 1/t, which is 1 - 2cos(theta) at t = e^(i*theta)
 _ONE_MINUS_TWICE_COS = [(-1, -1), (0, 1), (1, -1)]
 
+# The least |value| whose sign _delta_sign counts: twice the error bound its docstring derives
+_DELTA_BOUND = 640 * _U
+
+
+def _delta_sign(n: int, k: int, m: int) -> int:
+    """Exact sign (+1, -1, or 0) of Delta_n at the root e^(2*pi*i*k/m), m >= 1.
+
+    Delta_n(e^(i*theta)) = 4(x - 1)cos(n*theta) + 3 - 2x with x = cos(theta),
+    since t^(n+1) + t^(n-1) + their inverses give 4x*cos(n*theta).  Both
+    phases are reduced in integers first, theta to 2*pi*r/m with r = k mod m
+    and n*theta to 2*pi*(n*k mod m)/m, so either is a phase q in [0, 1)
+    turns.  As in exactlinalg._certified_sign, q = r/m rounds correctly at any
+    size (an underflow is off by under 2^-1075) and tau*q rounds twice more,
+    so the angle is off by under 3.01u * 2*pi + 2^-1072 < 18.95u, u = _U; the
+    cosine is 1-Lipschitz and rounds once, so x and c = cos(n*theta) are each
+    off by under 20u.  |dv/dx| = |4cos(n*theta) - 2| <= 6 and |dv/dc| = 4|x - 1|
+    <= 8, so those errors move v by under 280u (their product term is under
+    1600u^2).  Evaluating v rounds four times, each by at most u times the
+    size of its result: x - 1 (<= 2, and times 4|c| <= 4 after), the product
+    (<= 8), + 3 (<= 11) and - 2x (<= 13), under 40u more.  So v is within
+    320u of Delta_n, and _DELTA_BOUND is twice that, which also covers a libm
+    cosine off by a full ulp.  Only a value past that bound counts; any other
+    goes to _sign_at on delta_n_closed(n), which decides an exact zero.
+    Delta_n vanishes on the circle only at the primitive sixth roots, where
+    x = 1/2 and Delta_n = 2 - 2cos(n*pi/3), when 6 | n.
+    """
+    x = math.cos(math.tau * (k % m / m))
+    v = 4 * (x - 1) * math.cos(math.tau * (n * k % m / m)) + 3 - 2 * x
+    if v > _DELTA_BOUND:
+        return 1
+    if v < -_DELTA_BOUND:
+        return -1
+    return _sign_at(UnitCirclePoint.root(k, m), 0, sorted(delta_n_closed(n).coeffs.items()))
+
+
+def _one_minus_twice_cos_sign(k: int, m: int) -> int:
+    """Sign of 1 - 2cos(theta) at the root e^(2*pi*i*k/m), in integers.
+
+    cos(theta) > 1/2 exactly where r/m < 1/6 or r/m > 5/6, r = k mod m, and
+    cos(theta) = 1/2 at the primitive sixth roots alone.
+    """
+    r = k % m
+    if 6 * r < m or 6 * r > 5 * m:
+        return -1
+    return 0 if 6 * r in (m, 5 * m) else 1
+
 
 def _family_signature(n: int, omega: UnitCirclePoint) -> int:
     """sigma(an_family(n), omega) in closed form, with no matrix built.
@@ -129,17 +176,28 @@ def _family_signature(n: int, omega: UnitCirclePoint) -> int:
     (-1)^j for D_2j, (-1)^j * s for D_2j+1 with s = sign(1 - 2cos(theta)),
     and (-1)^(n+1) * sign(Delta_n) for D_dim, and Jacobi's rule counts
     n + [Delta_n > 0] sign changes when s = +1 and n + 1 + [Delta_n < 0]
-    when s = -1.  s = 0 only at the primitive sixth roots, where
-    Delta_n = 2 - 2cos(n*pi/3) >= 0, so sigma = 0 by Gundelfinger's rule
-    or the form is singular.  Where Delta_n(omega) = 0 this raises the
-    NearSingular the general kernel raises, and InvalidRoot at omega = 1.
+    when s = -1.  With x = cos(theta), Delta_n(omega) = 4(x - 1)cos(n*theta)
+    + 3 - 2x, which is positive where x = 1/2 unless cos(n*pi/3) = 1: so
+    Delta_n vanishes on the circle only at the primitive sixth roots, and
+    there exactly when 6 | n.  s = 0 only at those roots, where Delta_n >= 0,
+    so sigma = 0 by Gundelfinger's rule or the form is singular.  At a root
+    k/m both signs are read in closed form (_delta_sign, and s in
+    integers); at a float angle by _sign_at.  Where Delta_n(omega) = 0 this
+    raises the NearSingular the general kernel raises, and InvalidRoot at
+    omega = 1.
     """
     if omega.is_one():
         raise InvalidRoot("the form vanishes identically at omega = 1")
-    delta = _sign_at(omega, 0, sorted(delta_n_closed(n).coeffs.items()))
+    if omega.is_rational:
+        delta = _delta_sign(n, omega.k, omega.m)
+    else:
+        delta = _sign_at(omega, 0, sorted(delta_n_closed(n).coeffs.items()))
     if delta > 0:
         return 0
-    s = _sign_at(omega, 0, _ONE_MINUS_TWICE_COS)
+    if omega.is_rational:
+        s = _one_minus_twice_cos_sign(omega.k, omega.m)
+    else:
+        s = _sign_at(omega, 0, _ONE_MINUS_TWICE_COS)
     if delta == 0:  # D_dim = 0, and D_(dim-1) = 0 too where s = 0
         dim = 2 * n + 2
         raise _zero_minors(omega, dim if s else dim - 1, dim, True)

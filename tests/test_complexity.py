@@ -227,11 +227,11 @@ class TestWitnessSearch:
         # a larger order bound takes no further sign
         signs = []
 
-        def spy(omega, k, terms):
-            signs.append(omega)
-            return _sign_at(omega, k, terms)
+        def spy(n, k, m):
+            signs.append((k, m))
+            return seifert._delta_sign(n, k, m)
 
-        monkeypatch.setattr(complexity, "_sign_at", spy)
+        monkeypatch.setattr(complexity, "_delta_sign", spy)
         taken = []
         for max_order in (200, 1000, 2000):
             signs.clear()
@@ -345,6 +345,45 @@ class TestClosedForm:
             cert = certify_complexity(n, 2)
             assert cert.witness == UnitCirclePoint.root(*WITNESSES[n]), n
             assert cert.bound >= 2
+
+
+class TestClosedFormSigns:
+    """seifert's closed-form sign of Delta_n and integer sign of 1 - 2cos(theta) against _sign_at."""
+
+    def test_delta_matches_sign_at_and_falls_back_only_at_zeros(self, monkeypatch):
+        # every k/m with m <= 60 and every i/720; _sign_at is taken once per distinct root
+        grid = complexity.WITNESS_GRID
+        points = {(k, m): UnitCirclePoint.root(k, m) for m in range(1, 61) for k in range(m)}
+        points.update({(i, grid): UnitCirclePoint.root(i, grid) for i in range(grid)})
+        sixths = [p for p, omega in points.items() if omega.m == 6]
+        assert {(1, 6), (5, 6), (120, grid), (600, grid)} <= set(sixths)
+        fallbacks = []
+
+        def spy(omega, k, terms):
+            fallbacks.append(omega)
+            return _sign_at(omega, k, terms)
+
+        monkeypatch.setattr(seifert, "_sign_at", spy)
+        for n in [*range(1, 61), 10**18 + 6, 6 * 10**30, 10**400 + 7]:
+            terms = sorted(delta_n_closed(n).coeffs.items())
+            want = {omega: _sign_at(omega, 0, terms) for omega in set(points.values())}
+            fallbacks.clear()
+            for (k, m), omega in points.items():
+                assert seifert._delta_sign(n, k, m) == want[omega], (n, k, m)
+            # Delta_n vanishes only at the primitive sixth roots, for n = 0 mod 6,
+            # and only there does the closed form leave the sign to _sign_at
+            zeros = sixths if n % 6 == 0 else []
+            assert [p for p, omega in points.items() if want[omega] == 0] == zeros, n
+            assert fallbacks == [points[p] for p in zeros], n
+
+    def test_one_minus_twice_cos_matches_sign_at(self):
+        # every k/m with m <= 720, as j*k/j*m for k/m in lowest terms
+        for m in range(1, 721):
+            for k in range(m):
+                if math.gcd(k, m) == 1:
+                    want = _sign_at(UnitCirclePoint.root(k, m), 0, seifert._ONE_MINUS_TWICE_COS)
+                    for j in range(1, 720 // m + 1):
+                        assert seifert._one_minus_twice_cos_sign(j * k, j * m) == want, (k, m, j)
 
 
 class TestFloatFirstSigns:
