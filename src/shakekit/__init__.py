@@ -4,114 +4,70 @@ Laurent-polynomial Alexander polynomials, classical and Levine-Tristram
 signatures from Seifert and Goeritz data, a term calculus for
 dualizable satellite patterns, and replayable lower-bound certificates
 for the complexity of shake-slice knots.
-"""
 
-from .complexity import (
-    ComplexityCertificate,
-    WitnessNotFound,
-    certify_complexity,
-    find_witness_root,
-)
-from .errors import DomainError
-from .exactlinalg import (
-    Inertia,
-    InvalidRoot,
-    NearSingular,
-    det_laurent,
-    inertia_hermitian_at_root,
-    inertia_symmetric_exact,
-)
-from .goeritz import (
-    Band,
-    BandPresentation,
-    GoeritzData,
-    add_two_twists,
-    classical_signature_goeritz,
-    goeritz_form,
-    torus_band_presentation,
-    verify_two_twist_stability,
-)
-from .laurent import (
-    LaurentPoly,
-    UnitCirclePoint,
-    lp_is_symmetric,
-)
-from .patterns import (
-    Atom,
-    Bar,
-    Compose,
-    Inverse,
-    NormalForm,
-    PatternSyntaxError,
-    Pound,
-    Power,
-    Star,
-    Twist,
-    UnassignedAtom,
-    eval_invariant,
-    normalize,
-    parse_pattern,
-    render_term,
-    retrace_term,
-    table_profile,
-)
-from .seifert import (
-    OddDimension,
-    alexander,
-    an_family,
-    classical_signature_seifert,
-    delta_n_closed,
-    delta_sign_scan,
-    lt_signature,
-)
+Importing the package executes none of its modules.  Each one is
+registered in sys.modules, and as an attribute of the package, by
+importlib.util.LazyLoader, so it executes at its first attribute access;
+a public name is read from its module on each use (PEP 562).  A CLI
+command thus executes only the modules it uses, while `import
+shakekit.seifert` and sys.modules["shakekit.seifert"] still reach the
+module, as code that inspects the loaded modules expects.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atom",
-    "Band",
-    "BandPresentation",
-    "Bar",
-    "ComplexityCertificate",
-    "Compose",
-    "DomainError",
-    "GoeritzData",
-    "Inertia",
-    "InvalidRoot",
-    "Inverse",
-    "LaurentPoly",
-    "NearSingular",
-    "NormalForm",
-    "OddDimension",
-    "PatternSyntaxError",
-    "Pound",
-    "Power",
-    "Star",
-    "Twist",
-    "UnassignedAtom",
-    "UnitCirclePoint",
-    "WitnessNotFound",
-    "add_two_twists",
-    "alexander",
-    "an_family",
-    "certify_complexity",
-    "classical_signature_goeritz",
-    "classical_signature_seifert",
-    "delta_n_closed",
-    "delta_sign_scan",
-    "det_laurent",
-    "eval_invariant",
-    "find_witness_root",
-    "goeritz_form",
-    "inertia_hermitian_at_root",
-    "inertia_symmetric_exact",
-    "lp_is_symmetric",
-    "lt_signature",
-    "normalize",
-    "parse_pattern",
-    "render_term",
-    "retrace_term",
-    "table_profile",
-    "torus_band_presentation",
-    "verify_two_twist_stability",
-]
+# Public name -> the module that defines it.
+_HOME = {name: module for module, names in {
+    "complexity": ("ComplexityCertificate", "WitnessNotFound", "certify_complexity",
+                   "find_witness_root"),
+    "errors": ("DomainError",),
+    "exactlinalg": ("Inertia", "InvalidRoot", "NearSingular", "det_laurent",
+                    "inertia_hermitian_at_root", "inertia_symmetric_exact"),
+    "goeritz": ("Band", "BandPresentation", "GoeritzData", "add_two_twists",
+                "classical_signature_goeritz", "goeritz_form", "torus_band_presentation",
+                "verify_two_twist_stability"),
+    "laurent": ("LaurentPoly", "UnitCirclePoint", "lp_is_symmetric"),
+    "patterns": ("Atom", "Bar", "Compose", "Inverse", "NormalForm", "PatternSyntaxError",
+                 "Pound", "Power", "Star", "Twist", "UnassignedAtom", "eval_invariant",
+                 "normalize", "parse_pattern", "render_term", "retrace_term", "table_profile"),
+    "seifert": ("OddDimension", "alexander", "an_family", "classical_signature_seifert",
+                "delta_n_closed", "delta_sign_scan", "lt_signature"),
+}.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def _register(name: str):
+    """The module shakekit.<name>, registered to execute at its first attribute access.
+
+    A module already in sys.modules is returned as it is.
+    """
+    import importlib.util
+    import sys
+
+    fullname = f"{__name__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        globals()[name] = module
+    return sys.modules[fullname]
+
+
+def __getattr__(name: str):
+    """A public name, read from its module, which executes that module on first use."""
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__} - {"_HOME", "_register", "__getattr__", "__dir__"})
+
+
+for _name in ("_record", "errors", "laurent", "exactlinalg", "seifert", "goeritz", "patterns",
+              "complexity"):
+    _register(_name)
+del _name

@@ -10,41 +10,28 @@ signs are not certified at the root, missing witness, ...), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 
-from .complexity import DEFAULT_MAX_ORDER, WitnessNotFound, a_family_profile, certify_complexity
-from .errors import DomainError, brief, clip, strict_keys
-from .exactlinalg import (
-    InvalidRoot,
-    NearSingular,
-    inertia_hermitian_at_root,
-    inertia_symmetric_exact,
-    int_matrix_from_json,
-)
-from .goeritz import band_presentation_from_json, classical_signature_goeritz, goeritz_form
-from .laurent import UnitCirclePoint
-from .patterns import (
-    PatternSyntaxError,
-    UnassignedAtom,
-    eval_invariant,
-    normalize,
-    parse_pattern,
-    table_profile,
-)
-from .seifert import OddDimension, alexander, classical_signature_seifert
-from .verify import run_checks
+from . import _register, complexity, errors, exactlinalg, goeritz, laurent, patterns, seifert
 
-_DOMAIN_ERRORS = (
-    DomainError,
-    OddDimension,
-    NearSingular,
-    InvalidRoot,
-    WitnessNotFound,
-    UnassignedAtom,
-)
+# Only `shakekit verify` executes verify (and imports random); registering it
+# lazily, rather than importing it in cmd_verify, keeps it in sys.modules.
+verify = _register("verify")
+
+# The refusals that exit 1, named by where they are defined: an exception
+# is matched against them without executing a module it cannot come from.
+_DOMAIN_ERRORS = frozenset({
+    "shakekit.errors.DomainError",
+    "shakekit.seifert.OddDimension",
+    "shakekit.exactlinalg.NearSingular",
+    "shakekit.exactlinalg.InvalidRoot",
+    "shakekit.complexity.WitnessNotFound",
+    "shakekit.patterns.UnassignedAtom",
+})
 
 _ROOT_RE = re.compile(r"^([0-9]+)/([0-9]+)$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -55,19 +42,20 @@ _FLOAT_RE = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|i
 def _ascii_int(text: str) -> int:
     """An option's integer in ASCII decimal digits: no other digits, no '_', no spaces."""
     if not _INT_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {brief(text)}")
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, "
+                                         f"got {errors.brief(text)}")
     try:
         return int(text)
     except ValueError:  # past the digit limit of str-to-int conversion
         raise argparse.ArgumentTypeError(f"expected at most {sys.get_int_max_str_digits()} digits, "
-                                         f"got {brief(text)}") from None
+                                         f"got {errors.brief(text)}") from None
 
 
 def _ascii_float(text: str) -> float:
     """An option's float in ASCII float syntax: no other digits, no '_', no spaces."""
     if not _FLOAT_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected a number in ASCII float syntax, "
-                                         f"got {brief(text)}")
+                                         f"got {errors.brief(text)}")
     return float(text)
 
 
@@ -76,7 +64,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ValueError(f"duplicate key {brief(key)} in a JSON object")
+            raise ValueError(f"duplicate key {errors.brief(key)} in a JSON object")
         doc[key] = value
     return doc
 
@@ -93,25 +81,25 @@ def _payload(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _parse_root(text: str) -> UnitCirclePoint:
+def _parse_root(text: str) -> laurent.UnitCirclePoint:
     match = _ROOT_RE.match(text.strip())
     if not match:
-        raise ValueError(f"roots are written k/m, e.g. 1/2 for -1; got {brief(text)}")
+        raise ValueError(f"roots are written k/m, e.g. 1/2 for -1; got {errors.brief(text)}")
     k, m = int(match.group(1)), int(match.group(2))
     if m < 1:
         raise ValueError("the root denominator must be >= 1")
-    return UnitCirclePoint.root(k, m)
+    return laurent.UnitCirclePoint.root(k, m)
 
 
-def _root_from_args(args) -> UnitCirclePoint:
+def _root_from_args(args) -> laurent.UnitCirclePoint:
     if args.root is not None:
         return _parse_root(args.root)
-    return UnitCirclePoint.angle(args.theta)
+    return laurent.UnitCirclePoint.angle(args.theta)
 
 
 def cmd_alexander(args) -> tuple[str, int]:
-    matrix = int_matrix_from_json(_load_json(args.matrix))
-    delta = alexander(matrix)
+    matrix = exactlinalg.int_matrix_from_json(_load_json(args.matrix))
+    delta = seifert.alexander(matrix)
     doc = {
         "alexander": str(delta),
         "coeffs": {str(e): c for e, c in sorted(delta.coeffs.items())},
@@ -122,16 +110,18 @@ def cmd_alexander(args) -> tuple[str, int]:
 
 def cmd_signature(args) -> tuple[str, int]:
     if args.goeritz:
-        bp = band_presentation_from_json(_load_json(args.goeritz))
-        return _payload({"method": "goeritz", "signature": classical_signature_goeritz(bp)}), 0
-    matrix = int_matrix_from_json(_load_json(args.seifert))
-    return _payload({"method": "seifert", "signature": classical_signature_seifert(matrix)}), 0
+        bp = goeritz.band_presentation_from_json(_load_json(args.goeritz))
+        signature = goeritz.classical_signature_goeritz(bp)
+        return _payload({"method": "goeritz", "signature": signature}), 0
+    matrix = exactlinalg.int_matrix_from_json(_load_json(args.seifert))
+    signature = seifert.classical_signature_seifert(matrix)
+    return _payload({"method": "seifert", "signature": signature}), 0
 
 
 def cmd_lt(args) -> tuple[str, int]:
-    matrix = int_matrix_from_json(_load_json(args.matrix))
+    matrix = exactlinalg.int_matrix_from_json(_load_json(args.matrix))
     omega = _root_from_args(args)
-    inertia = inertia_hermitian_at_root(matrix, omega)
+    inertia = exactlinalg.inertia_hermitian_at_root(matrix, omega)
     doc = {
         "root": str(omega),
         "signature": inertia.signature,
@@ -145,9 +135,9 @@ def cmd_lt(args) -> tuple[str, int]:
 
 
 def cmd_goeritz(args) -> tuple[str, int]:
-    bp = band_presentation_from_json(_load_json(args.bands))
-    gd = goeritz_form(bp)
-    sign_g = inertia_symmetric_exact(gd.G).signature
+    bp = goeritz.band_presentation_from_json(_load_json(args.bands))
+    gd = goeritz.goeritz_form(bp)
+    sign_g = exactlinalg.inertia_symmetric_exact(gd.G).signature
     doc = gd.to_json()
     doc.update({"eta": gd.eta, "sign_G": sign_g, "sigma": sign_g - gd.eta})
     return _payload(doc), 0
@@ -158,39 +148,41 @@ def _profiles_from_json(doc: object) -> dict:
         raise ValueError("assignment JSON must map atom names to profiles")
     profiles = {}
     for name, spec in doc.items():
+        label = errors.brief(name)
         if not isinstance(spec, dict):
-            raise ValueError(f"profile for {brief(name)} must be an object")
-        strict_keys(spec, ("table", "family"), f"the profile for {brief(name)}")
+            raise ValueError(f"profile for {label} must be an object")
+        errors.strict_keys(spec, ("table", "family"), f"the profile for {label}")
         if len(spec) > 1:
-            raise ValueError(f'profile for {brief(name)} gives both a "table" and a "family"')
+            raise ValueError(f'profile for {label} gives both a "table" and a "family"')
         if isinstance(spec.get("table"), dict):
-            profiles[name] = table_profile(spec["table"])
+            profiles[name] = patterns.table_profile(spec["table"])
         elif isinstance(spec.get("family"), dict) and isinstance(spec["family"].get("root"), str):
-            strict_keys(spec["family"], ("root",), f"the family profile for {brief(name)}")
-            profiles[name] = a_family_profile(_parse_root(spec["family"]["root"]))
+            errors.strict_keys(spec["family"], ("root",), f"the family profile for {label}")
+            profiles[name] = complexity.a_family_profile(_parse_root(spec["family"]["root"]))
         else:
-            raise ValueError(f'profile for {brief(name)} needs a "table" object or a '
+            raise ValueError(f'profile for {label} needs a "table" object or a '
                              '"family" object with a "root" string')
     return profiles
 
 
 def cmd_pattern(args) -> tuple[str, int]:
-    term = parse_pattern(args.expression)
-    nf = normalize(term)
+    term = patterns.parse_pattern(args.expression)
+    nf = patterns.normalize(term)
     if args.action == "normalize":
         return _payload({"normal_form": str(nf)}), 0
     profiles = _profiles_from_json(_load_json(args.assignment)) if args.assignment else {}
-    value = eval_invariant(nf, profiles)
+    value = patterns.eval_invariant(nf, profiles)
     return _payload({"normal_form": str(nf), "value": value}), 0
 
 
 def cmd_certify(args) -> tuple[str, int]:
-    cert = certify_complexity(args.framing, args.complexity, max_order=args.max_order)
+    max_order = complexity.DEFAULT_MAX_ORDER if args.max_order is None else args.max_order
+    cert = complexity.certify_complexity(args.framing, args.complexity, max_order=max_order)
     return _payload(cert.to_json()), 0
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    results = run_checks()
+    results = verify.run_checks()
     ok = all(r.passed for r in results)
     if args.json:
         doc = {
@@ -216,7 +208,7 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def error(self, message: str):
-        super().error(clip(message, 400))
+        super().error(errors.clip(message, 400))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--framing", type=_ascii_int, required=True, help="nonzero framing n")
     p.add_argument("--complexity", type=_ascii_int, required=True,
                    help="target complexity c >= 1")
-    p.add_argument("--max-order", type=_ascii_int, default=DEFAULT_MAX_ORDER,
+    p.add_argument("--max-order", type=_ascii_int,
                    help="largest witness order to try, any int >= 2")
     p.set_defaults(handler=cmd_certify)
 
@@ -270,16 +262,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_domain_error(exc: Exception) -> bool:
+    return any(f"{c.__module__}.{c.__qualname__}" in _DOMAIN_ERRORS for c in type(exc).__mro__)
+
+
+# One parser per process: a parse leaves no state on it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text, code = args.handler(args)
-    except _DOMAIN_ERRORS as exc:
+    except Exception as exc:
+        if _is_domain_error(exc):
+            code = 1
+        elif isinstance(exc, (ValueError, OSError)):
+            code = 2
+        else:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return code
     try:
         print(text, flush=True)
     except BrokenPipeError:  # stdout closed early, as by `shakekit verify | head -1`

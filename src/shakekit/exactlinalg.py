@@ -115,40 +115,65 @@ class Pivots(Record):
     @functools.cached_property
     def terms(self) -> list[list[tuple[int, int]]]:
         """P_k as (exponent, nonzero coefficient) pairs, lowest first, k = 1..n."""
-        return [[(low + i, d) for i, d in enumerate(self.digits(k)) if d]
-                for k, low in enumerate(self.lows, 1)]
+        return [[(low + i, c) for i, c in self._read(k)[0]] for k, low in enumerate(self.lows, 1)]
 
     def digits(self, k: int) -> list[int]:
-        """Coefficients of P_k / t^lows[k-1], lowest degree first.
+        """Coefficients of P_k / t^lows[k-1], lowest degree first."""
+        pairs, size = self._read(k)
+        out = [0] * size
+        for i, c in pairs:
+            out[i] = c
+        return out
+
+    def _read(self, k: int) -> tuple[list[tuple[int, int]], int]:
+        """P_k / t^lows[k-1] as (degree, nonzero coefficient) pairs, lowest first, and its length.
 
         A pencil's Q = P_k / t^lows[k-1] has degree d = k - 2*lows[k-1] and
         coefficients c_i = s*c_(d-i), s = (-1)^k.  Its value V at T = 2^bits
         gives the outer coefficient c_0 modulo T, and s*round(V / T^d) within
         T/4 + 1 of it, as |c_i| < T^2/4; the two fix it.  Then
         (V - c_0*(1 + s*T^d)) / T is the value of the inner coefficients.
+
+        A run of zero outer pairs is dropped with one shift.  If the low j
+        digits of V != 0 are 0 and |V| < T^(d-j+1)/2, then T^j <= |V| gives
+        2j <= d, and at each step i < j the value is V_i = V / T^i, its low
+        digit is 0, and |V_i| < T^(d-j+1-i)/2 <= T^(d-2i)/2, so its top
+        rounds to 0: the step reads c_i = 0 and leaves V_i / T.  The j steps
+        thus leave V / T^j and d - 2j >= 0, and read only zeros.
         """
         value, bits = self.values[k - 1], self.bits
         half, mask = 1 << (bits - 1), (1 << bits) - 1
-        out: list[int] = []
+        out: list[tuple[int, int]] = []
+        i = 0
         if not self.pencil:
             while value:
                 digit = ((value + half) & mask) - half
-                out.append(digit)
+                if digit:
+                    out.append((i, digit))
                 value = (value - digit) >> bits
-            return out
+                i += 1
+            return out, i
         d, s = k - 2 * self.lows[k - 1], -1 if k % 2 else 1
+        size = max(d + 1, 0)
         while value and d > 0:
             low = value & mask
+            if not low:
+                j = ((value & -value).bit_length() - 1) // bits
+                if abs(value).bit_length() < bits * (d - j + 1):  # |V| < T^(d-j+1)/2
+                    value >>= bits * j
+                    i, d = i + j, d - 2 * j
+                    continue
             top = (value + (1 << bits * d - 1)) >> bits * d
             c = low - ((low - s * top + half) >> bits << bits)
-            out.append(c)
+            if c:
+                out.append((i, c))
             value = (value - c - (s * c << bits * d)) >> bits
-            d -= 2
+            i, d = i + 1, d - 2
         if value and d < 0:
             raise ArithmeticError(f"pivot {k} is not a palindromic minor at width {bits}: "
-                                  f"{value} is left after {len(out)} outer coefficients")
-        inner = [value] if d == 0 else [0] * max(d + 1, 0)
-        return out + inner + [s * c for c in reversed(out)]
+                                  f"{value} is left after {i} outer coefficients")
+        inner = [(i, value)] if d == 0 and value else []
+        return out + inner + [(size - 1 - e, s * c) for e, c in reversed(out)], size
 
     def minor(self, k: int) -> LaurentPoly:
         """P_k as a Laurent polynomial; P_0 = 1."""

@@ -12,11 +12,14 @@ and that chunk's first command.
 
 The groups:
 - certify: `certify --framing n --complexity c` for n = +-1..+-1000 and
-  c in (1, 2, 7), ordered by |n|, so the first 12 chunks are |n| <= 100;
+  c in (1, 2, 7), ordered by |n|;
 - family: `pattern eval` on seeded terms over the atom Q, with
   {"Q": {"family": {"root": "k/m"}}} at every k/m in lowest terms with
   0 <= k < m <= 13 (0/1 included), which runs the family's closed-form
-  signature.
+  signature;
+- seifert: `alexander`, `signature --seifert` and `lt` at the 57 primitive
+  roots k/m of order 2 <= m <= 13 on tests/fixtures/dense_seifert_30.json,
+  then `lt` at those roots on an_family(n) for a few n.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 from shakekit.cli import main
+from shakekit.seifert import an_family
 
 CHUNK = 50
 DIGESTS = Path(__file__).resolve().parent / "golden"
@@ -70,7 +74,22 @@ def family_commands() -> list[tuple[str, list[str], dict]]:
             for doc in ({"Q": {"family": {"root": root}}} for root in roots) for term in terms]
 
 
-GROUPS = {"certify": certify_commands, "family": family_commands}
+def seifert_commands() -> list[tuple[str, list[str], dict]]:
+    fixture = Path(__file__).resolve().parent / "fixtures" / "dense_seifert_30.json"
+    dense = json.loads(fixture.read_text(encoding="utf-8"))
+    roots = [f"{k}/{m}" for m in range(2, 14) for k in range(1, m) if math.gcd(k, m) == 1]
+    commands = [(f"alexander {fixture.name}", ["alexander"], dense),
+                (f"signature --seifert {fixture.name}", ["signature", "--seifert"], dense)]
+    commands += [(f"lt --root {root} {fixture.name}", ["lt", "--root", root], dense)
+                 for root in roots]
+    for n in (1, 2, 5, 12, 40):
+        doc = {"dim": 2 * n + 2, "entries": an_family(n)}
+        commands += [(f"lt --root {root} an_family({n})", ["lt", "--root", root], doc)
+                     for root in roots]
+    return commands
+
+
+GROUPS = {"certify": certify_commands, "family": family_commands, "seifert": seifert_commands}
 
 
 def _run(argv: list[str]) -> tuple[str, str, int]:
@@ -80,11 +99,9 @@ def _run(argv: list[str]) -> tuple[str, str, int]:
     return out.getvalue(), err.getvalue(), code
 
 
-def digests(group: str, chunks: int | None = None) -> list[tuple[str, str]]:
-    """(digest, first command) of each chunk of the group, or of its first `chunks`."""
+def digests(group: str) -> list[tuple[str, str]]:
+    """(digest, first command) of each chunk of the group."""
     commands = GROUPS[group]()
-    if chunks is not None:
-        commands = commands[:chunks * CHUNK]
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "input.json")
@@ -105,14 +122,13 @@ def stored(group: str) -> list[tuple[str, str]]:
     return [tuple(line.split("  ", 1)) for line in lines]
 
 
-def mismatch(group: str, chunks: int | None = None) -> str | None:
-    """None when the group's chunks (all, or the first `chunks`) match their digests.
+def mismatch(group: str) -> str | None:
+    """None when the group's chunks match their digests.
 
     Otherwise a line naming the first chunk that differs and its first command.
     """
     want = stored(group)
-    got = digests(group, chunks)
-    want = want[:len(got)] if chunks is not None else want
+    got = digests(group)
     if len(got) != len(want):
         return f"{group}: {len(got)} chunks, but {len(want)} digests are stored"
     for i, ((g, first), (w, _)) in enumerate(zip(got, want)):

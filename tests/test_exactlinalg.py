@@ -525,6 +525,55 @@ class TestMirroredSteps:
                         with pytest.raises(ArithmeticError, match="not a palindromic minor"):
                             bad.digits(k)
 
+    @staticmethod
+    def _pair_by_pair(bits, value, d, s):
+        """The two-ended read taking every outer pair in turn, or None where it refuses."""
+        half, mask, out = 1 << (bits - 1), (1 << bits) - 1, []
+        while value and d > 0:
+            low, top = value & mask, (value + (1 << bits * d - 1)) >> bits * d
+            c = low - ((low - s * top + half) >> bits << bits)
+            out.append(c)
+            value, d = (value - c - (s * c << bits * d)) >> bits, d - 2
+        if value and d < 0:
+            return None
+        return out + ([value] if d == 0 else [0] * max(d + 1, 0)) + [s * c for c in reversed(out)]
+
+    def test_zero_pair_runs_at_their_bound(self):
+        # values whose low j digits are 0, at |V| = T^e/2 and T^j either
+        # side of it, for e around the bound T^(d-j+1)/2 under which the j
+        # pairs are dropped at once; and minors whose outer coefficient
+        # j-1 is +-T, whose low digit is 0 though the coefficient is not.
+        # Each read equals the pair-by-pair one.
+        rng = random.Random(36)
+        for bits in (8, 16):
+            T, top = 1 << bits, 1 << (2 * bits - 2)
+            for k in range(1, 13):
+                for low in range(0, (k + 1) // 2 + 1):
+                    d, s = k - 2 * low, -1 if k % 2 else 1
+                    lows = (0,) * (k - 1) + (low,)
+                    for j in range(1, (d + 1) // 2 + 1):
+                        values = [sign * (T ** e // 2) + step * T ** j
+                                  for e in range(j + 1, d - j + 4) for sign in (1, -1)
+                                  for step in (-1, 0, 1)]
+                        for outer in (T, -T):
+                            c = [0] * (j - 1) + [outer] + [rng.randrange(1 - top, top)
+                                                           for _ in range(d + 1 - j)]
+                            c = [c[i] if 2 * i <= d else s * c[d - i] for i in range(d + 1)]
+                            values.append(sum(x << (bits * e) for e, x in enumerate(c)))
+                            pivots = exactlinalg.Pivots(bits, (0,) * (k - 1) + (values[-1],),
+                                                        lows, True)
+                            assert pivots.digits(k) == c, (bits, k, low, j, outer)
+                        for value in values:
+                            pivots = exactlinalg.Pivots(bits, (0,) * (k - 1) + (value,), lows, True)
+                            want = self._pair_by_pair(bits, value, d, s)
+                            if want is None:
+                                with pytest.raises(ArithmeticError, match="not a palindromic"):
+                                    pivots.digits(k)
+                            else:
+                                assert pivots.digits(k) == want, (bits, k, low, j, value)
+                                assert pivots.terms[-1] == [(low + i, x) for i, x in
+                                                            enumerate(want) if x]
+
     def test_matches_cofactor_oracle(self, steps):
         # zero diagonals force 2x2 block steps, a zero column of A a row
         # shift; every pivot against its cofactor minor

@@ -1,0 +1,121 @@
+"""What a fresh process executes: `import shakekit` runs no module, and each CLI
+command runs only the modules it uses.
+
+A registered module that has not run is still a lazy module; reading its
+type, unlike reading an attribute, does not make it run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh(code: str, *args: str, site: bool = False):
+    """The JSON that code prints last, run in a fresh process with src/ on its path.
+
+    code runs after `import json, sys, types`; argv[2:] are args.  The
+    process runs with `python -S` unless site is true.
+    """
+    prelude = "import json, sys, types; sys.path.insert(0, sys.argv[1])\n"
+    flags = [] if site else ["-S"]
+    proc = subprocess.run([sys.executable, *flags, "-c", prelude + code, str(ROOT / "src"), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# The shakekit modules that have executed, and whether random is imported.
+EXECUTED = ("[sorted(name for name, module in sys.modules.items()\n"
+            "        if name.startswith('shakekit') and type(module) is types.ModuleType),\n"
+            " 'random' in sys.modules]")
+
+
+def test_import_executes_no_module():
+    assert fresh(f"import shakekit; print(json.dumps({EXECUTED}))") == [["shakekit"], False]
+
+
+def test_dir_lists_the_public_names_and_the_registered_modules():
+    names = fresh("import shakekit; print(json.dumps([dir(shakekit), shakekit.__all__]))")
+    modules = ["_record", "complexity", "errors", "exactlinalg", "goeritz", "laurent", "patterns",
+               "seifert"]
+    dunders = ["__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+               "__name__", "__package__", "__path__", "__spec__", "__version__"]
+    assert names == [sorted(names[1] + modules + dunders), sorted(names[1])]
+
+
+CORE = ["shakekit", "shakekit._record", "shakekit.cli", "shakekit.errors"]
+LINALG = sorted([*CORE, "shakekit.exactlinalg", "shakekit.laurent"])
+SEIFERT = sorted([*LINALG, "shakekit.seifert"])
+GOERITZ = sorted([*LINALG, "shakekit.goeritz"])
+PATTERNS = sorted([*CORE, "shakekit.patterns"])
+CERTIFY = sorted([*SEIFERT, "shakekit.complexity", "shakekit.patterns"])
+
+
+@pytest.mark.parametrize("argv, code, executed", [
+    pytest.param(["pattern", "normalize", "(P o Q)*"], 0, PATTERNS, id="normalize"),
+    pytest.param(["pattern", "normalize", "P o"], 2, PATTERNS, id="normalize-refused"),
+    pytest.param(["pattern", "eval", "P_1", "--assignment", "TABLE"], 0, PATTERNS, id="eval-table"),
+    pytest.param(["pattern", "eval", "Q_1", "--assignment", "FAMILY"], 0, CERTIFY,
+                 id="eval-family"),
+    pytest.param(["alexander", "TREFOIL"], 0, SEIFERT, id="alexander"),
+    pytest.param(["signature", "--seifert", "TREFOIL"], 0, SEIFERT, id="signature-seifert"),
+    pytest.param(["lt", "TREFOIL", "--root", "1/3"], 0, LINALG, id="lt"),
+    pytest.param(["lt", "TREFOIL", "--root", "1/6"], 1, LINALG, id="lt-singular"),
+    pytest.param(["goeritz", "BANDS"], 0, GOERITZ, id="goeritz"),
+    pytest.param(["signature", "--goeritz", "BANDS"], 0, GOERITZ, id="signature-goeritz"),
+    pytest.param(["certify", "--framing", "5", "--complexity", "2"], 0, CERTIFY, id="certify"),
+    pytest.param(["certify", "--framing", "0", "--complexity", "2"], 1, CERTIFY,
+                 id="certify-refused"),
+])
+def test_each_command_executes_only_its_modules(tmp_path, argv, code, executed):
+    files = {
+        "TABLE": {"P": {"table": {"1": 3}}},
+        "FAMILY": {"Q": {"family": {"root": "1/3"}}},
+        "TREFOIL": {"dim": 2, "entries": [[-1, 1], [0, -1]]},
+        "BANDS": {"bands": [{"orientable": False, "half_twists": 3}], "crossings": [[0]]},
+    }
+    for i, arg in enumerate(argv):
+        if arg in files:
+            argv[i] = str(tmp_path / f"{arg}.json")
+            Path(argv[i]).write_text(json.dumps(files[arg]), encoding="utf-8")
+    run = ("import contextlib, io; from shakekit.cli import main\n"
+           "out, err = io.StringIO(), io.StringIO()\n"
+           "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+           "    code = main(sys.argv[2:])\n"
+           f"print(json.dumps([code, *{EXECUTED}]))")
+    assert fresh(run, *argv) == [code, executed, False]
+
+
+def test_only_verify_executes_verify():
+    run = ("import contextlib, io; from shakekit.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    code = main(['verify', '--json'])\n"
+           f"print(json.dumps([code, *{EXECUTED}]))")
+    everything = sorted([*CERTIFY, "shakekit.goeritz", "shakekit.verify"])
+    assert fresh(run) == [0, everything, True]
+
+
+def test_bench_tracer_installs_after_the_cli_import_alone():
+    pytest.importorskip("numpy")
+    code = ("import importlib.util\n"
+            "import shakekit.cli\n"
+            "spec = importlib.util.spec_from_file_location('tracing', sys.argv[2])\n"
+            "tracing = importlib.util.module_from_spec(spec); spec.loader.exec_module(tracing)\n"
+            "tracer = tracing.Tracer(); tracer.install()\n"
+            "wrapped = hasattr(sys.modules['shakekit.verify'].run_checks, '__wrapped__')\n"
+            "tracer.uninstall()\n"
+            "print(json.dumps([wrapped, hasattr(sys.modules['shakekit.verify'].run_checks, "
+            "'__wrapped__')]))")
+    assert fresh(code, str(ROOT / "bench" / "tracing.py"), site=True) == [True, False]
+
+
+def test_an_import_statement_reaches_a_registered_module():
+    code = ("import shakekit, shakekit.seifert\n"
+            "delta = shakekit.seifert.alexander([[-1, 1], [0, -1]])\n"
+            "print(json.dumps([str(delta), shakekit.alexander is shakekit.seifert.alexander]))")
+    assert fresh(code) == ["t^-1 - 1 + t", True]
