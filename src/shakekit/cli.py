@@ -3,8 +3,10 @@
 Subcommands: alexander, signature, lt, goeritz, pattern, certify,
 verify.  Inputs are JSON files; outputs are deterministic JSON payloads
 on stdout (verify prints a table unless --json is given).  Exit codes:
-0 success, 1 domain error (odd dimension, a form that is singular or whose
-signs are not certified at the root, missing witness, ...), 2 malformed input.
+0 success, 1 a refusal, which is exactly a shakekit.DomainError (odd
+dimension, a form that is singular or whose signs are not certified at the
+root, missing witness, ...), 2 any other ValueError or OSError: malformed
+input.
 """
 
 from __future__ import annotations
@@ -21,17 +23,6 @@ from . import _register, complexity, errors, exactlinalg, goeritz, laurent, patt
 # Only `shakekit verify` executes verify (and imports random); registering it
 # lazily, rather than importing it in cmd_verify, keeps it in sys.modules.
 verify = _register("verify")
-
-# The refusals that exit 1, named by where they are defined: an exception
-# is matched against them without executing a module it cannot come from.
-_DOMAIN_ERRORS = frozenset({
-    "shakekit.errors.DomainError",
-    "shakekit.seifert.OddDimension",
-    "shakekit.exactlinalg.NearSingular",
-    "shakekit.exactlinalg.InvalidRoot",
-    "shakekit.complexity.WitnessNotFound",
-    "shakekit.patterns.UnassignedAtom",
-})
 
 _ROOT_RE = re.compile(r"^([0-9]+)/([0-9]+)$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -70,9 +61,16 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _load_json(path: str):
+    def parse_int(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:  # past the digit limit of str-to-int conversion
+            raise ValueError(f"{path}: expected at most {sys.get_int_max_str_digits()} digits "
+                             f"in an integer, got {len(text.lstrip('-'))}") from None
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_int=parse_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
@@ -85,7 +83,11 @@ def _parse_root(text: str) -> laurent.UnitCirclePoint:
     match = _ROOT_RE.match(text.strip())
     if not match:
         raise ValueError(f"roots are written k/m, e.g. 1/2 for -1; got {errors.brief(text)}")
-    k, m = int(match.group(1)), int(match.group(2))
+    try:
+        k, m = int(match.group(1)), int(match.group(2))
+    except ValueError:  # past the digit limit of str-to-int conversion
+        raise ValueError(f"root {errors.brief(text)}: expected at most "
+                         f"{sys.get_int_max_str_digits()} digits in k and in m") from None
     if m < 1:
         raise ValueError("the root denominator must be >= 1")
     return laurent.UnitCirclePoint.root(k, m)
@@ -262,10 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_domain_error(exc: Exception) -> bool:
-    return any(f"{c.__module__}.{c.__qualname__}" in _DOMAIN_ERRORS for c in type(exc).__mro__)
-
-
 # One parser per process: a parse leaves no state on it.
 _parser = functools.cache(build_parser)
 
@@ -274,15 +272,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         text, code = args.handler(args)
-    except Exception as exc:
-        if _is_domain_error(exc):
-            code = 1
-        elif isinstance(exc, (ValueError, OSError)):
-            code = 2
-        else:
-            raise
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return 1 if isinstance(exc, errors.DomainError) else 2
     try:
         print(text, flush=True)
     except BrokenPipeError:  # stdout closed early, as by `shakekit verify | head -1`

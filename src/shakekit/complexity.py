@@ -29,7 +29,7 @@ import math
 from typing import Iterator
 
 from ._record import Record
-from .errors import DomainError, strict_int
+from .errors import DomainError, brief, clip, strict_int
 from .laurent import UnitCirclePoint
 from .patterns import Atom, Profile, eval_invariant, render_term, retrace_term
 from .seifert import _delta_sign, _family_signature
@@ -39,13 +39,14 @@ WITNESS_GRID = 720
 INVARIANT_NAME = "half-LT-signature"
 
 
-class WitnessNotFound(LookupError):
+class WitnessNotFound(DomainError, LookupError):
     """No prime-order root of order <= max_order has sigma(Q_n, omega) != 0."""
 
     def __init__(self, n: int, max_order: int, tried: int):
         self.n, self.max_order, self.tried = n, max_order, tried
         super().__init__(
-            f"no prime-order witness root of order <= {max_order} for n = {n}: Delta_{1 + n} "
+            f"no prime-order witness root of order <= {max_order} for n = {clip(str(n), 50)}: "
+            f"Delta_{clip(str(1 + n), 50)} "
             f"is positive, so the LT signature is 0, at all {tried} prime-order roots tried"
         )
 
@@ -117,7 +118,7 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     if n < 1:
         raise DomainError(f"witness search is defined for n >= 1, got {n}")
     if max_order < 2:
-        raise DomainError(f"max_order {max_order} is under the lower bound of 2, "
+        raise DomainError(f"max_order {brief(max_order)} is under the lower bound of 2, "
                           "the least prime order, so no root would be tried")
     N = 1 + n
 
@@ -194,7 +195,7 @@ def certify_complexity(
     if n == 0:
         raise DomainError("framing n must be nonzero")
     if c < 1:
-        raise DomainError(f"complexity target must be >= 1, got {c}")
+        raise DomainError(f"complexity target must be >= 1, got {brief(c)}")
     a = abs(n)
     omega = find_witness_root(a, max_order=max_order)
     profile = a_family_profile(omega)

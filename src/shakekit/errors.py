@@ -5,7 +5,12 @@ from typing import Sequence
 
 
 class DomainError(ValueError):
-    """An argument is outside the domain an operation is defined on."""
+    """A refusal: an argument is outside the domain an operation is defined on.
+
+    The CLI exits 1 exactly on a DomainError, and 2 on any other ValueError.
+    Its subclasses are OddDimension, InvalidRoot, NearSingular (also an
+    ArithmeticError), WitnessNotFound and UnassignedAtom (also LookupErrors).
+    """
 
 
 def brief(value: object) -> str:

@@ -37,15 +37,15 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .errors import strict_int, strict_keys, strict_matrix
+from .errors import DomainError, clip, strict_int, strict_keys, strict_matrix
 from .laurent import LaurentPoly, UnitCirclePoint
 
 
-class InvalidRoot(ValueError):
+class InvalidRoot(DomainError):
     """The Hermitian form vanishes identically at omega = 1."""
 
 
-class NearSingular(ArithmeticError):
+class NearSingular(DomainError, ArithmeticError):
     """No exact inertia at omega: a zero leading minor stops Jacobi's rule, or a sign is uncertain.
 
     index is the leading minor D_index that triggered the refusal (0 for a
@@ -74,7 +74,7 @@ def _zero_minors(omega: UnitCirclePoint, index: int, dim: int, singular: bool) -
     if index + 1 < dim:
         zeros += f", and D_{dim} {'=' if singular else '!='} 0"
     head = "form is singular" if singular else "Jacobi's rule cannot count the inertia"
-    return NearSingular(omega, f"{head} at {omega}: {zeros}", index, 0.0, 0.0)
+    return NearSingular(omega, f"{head} at {clip(str(omega))}: {zeros}", index, 0.0, 0.0)
 
 
 class Inertia(Record):
@@ -544,7 +544,7 @@ def _certified_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]
                else f"|{value:.3g}| <= rounding-error bound {bound:.3g}")
         raise NearSingular(
             omega,
-            f"form is near-singular at {omega}: the sign of "
+            f"form is near-singular at {clip(str(omega), 50)}: the sign of "
             f"{f'leading minor D_{k}' if k else 'the polynomial'} is not certified ({why})",
             k, value, bound,
         )
@@ -577,7 +577,8 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
         return _certified_sign(omega, k, terms)
     except NearSingular as exc:
         if omega.is_rational and omega.m > _MAX_ZERO_TEST_ORDER:
-            why = f"{exc}; no exact zero test at order {omega.m} > {_MAX_ZERO_TEST_ORDER}"
+            why = (f"{exc}; no exact zero test at order {clip(str(omega.m), 50)} "
+                   f"> {_MAX_ZERO_TEST_ORDER}")
             raise NearSingular(omega, why, k, exc.value, exc.bound) from None
         if not omega.is_rational or not _vanishes(terms, omega.m):
             raise

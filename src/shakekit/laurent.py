@@ -3,8 +3,8 @@
 A LaurentPoly is an output: the package builds it from a coefficient
 dict (a pencil minor, a closed form), then reads, compares, shifts,
 tests for symmetry and formats it; no polynomial is read from text.
-Its only ring operations are *, by which det_laurent applies its sign,
-and + and unary -, which only the tests' cofactor oracle uses.
+Its only ring operation is *, by which det_laurent applies its sign; a
+sum is built from coefficient dicts.
 Coefficients are arbitrary-precision integers keyed by exponent; zero
 coefficients are never stored, so equality of canonical forms is plain
 structural equality.  Points on the unit circle are either exact
@@ -84,17 +84,6 @@ class LaurentPoly:
         if not coeffs or (len(coeffs) == 1 and 0 in coeffs):
             return hash(coeffs.get(0, 0))  # a constant equals, so hashes as, its int
         return hash(frozenset(coeffs.items()))
-
-    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        merged = dict(self._coeffs)
-        for exp, coeff in other._coeffs.items():
-            merged[exp] = merged.get(exp, 0) + coeff
-        return LaurentPoly(merged)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):

@@ -39,12 +39,13 @@ pickled, so no chain is walked by recursion.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property, reduce
 from itertools import groupby
 from typing import Callable, Mapping, Union
 
 from ._record import Record
-from .errors import DomainError, brief, strict_bool, strict_int
+from .errors import DomainError, brief, clip, strict_bool, strict_int
 
 _MAX_LEAVES = 2_000_000  # most leaves a normal form writes out, and most runs it holds
 _MAX_NESTING = 100  # deepest nesting of parentheses, bar( and suffixes the parser takes
@@ -56,7 +57,7 @@ class PatternSyntaxError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-class UnassignedAtom(LookupError):
+class UnassignedAtom(DomainError, LookupError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"no invariant profile assigned to atom {brief(name)}")
@@ -111,7 +112,7 @@ class Power(Record):
 
     def _validate(self):
         if strict_int(self.m, "power exponent") < 1:
-            raise DomainError(f"power exponent must be >= 1, got {self.m}")
+            raise DomainError(f"power exponent must be >= 1, got {brief(self.m)}")
 
 
 class Pound(Record):
@@ -239,7 +240,7 @@ def _sort_pound_runs(runs: list[Run]) -> list[Run]:
 
 def _check_size(size: int, what: str) -> None:
     if size > _MAX_LEAVES:
-        raise DomainError(f"normal form would have {size} {what}, "
+        raise DomainError(f"normal form would have {brief(size)} {what}, "
                           f"over the limit of {_MAX_LEAVES}")
 
 
@@ -343,7 +344,11 @@ def _twist_key(key: object) -> int:
     if isinstance(key, str):
         digits = key.removeprefix("-")
         if digits.isascii() and digits.isdigit():
-            return int(key)
+            try:
+                return int(key)
+            except ValueError:  # past the digit limit of str-to-int conversion
+                raise ValueError(f"profile twist {brief(key)}: expected at most "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
     return strict_int(key, "profile twist")
 
 
@@ -355,11 +360,11 @@ def table_profile(values: Mapping[int, int]) -> Profile:
         n = _twist_key(k)
         if n in keys:
             raise ValueError(f"profile keys {brief(keys[n])} and {brief(k)} both name twist {n}")
-        keys[n], table[n] = k, strict_int(v, f"profile value at twist {k}")
+        keys[n], table[n] = k, strict_int(v, f"profile value at twist {clip(str(k))}")
 
     def profile(n: int) -> int:
         if n not in table:
-            raise DomainError(f"invariant profile is not declared at twist {n}")
+            raise DomainError(f"invariant profile is not declared at twist {brief(n)}")
         return table[n]
 
     return profile
@@ -434,7 +439,12 @@ class _Parser:
             self.pos += 1
         if self.pos == digits:
             raise self.error("expected an integer")
-        return int(self.src[start:self.pos])
+        try:
+            return int(self.src[start:self.pos])
+        except ValueError:  # past the digit limit of str-to-int conversion
+            count, self.pos = self.pos - digits, start
+            raise self.error(f"expected at most {sys.get_int_max_str_digits()} digits, "
+                             f"got {count}") from None
 
     def read_ident(self) -> str:
         self.skip_ws()
@@ -479,7 +489,8 @@ class _Parser:
                     node = Power(node, k)
                 else:
                     self.pos = at
-                    raise self.error(f"power exponent must be >= 1 or the inverse ^-1, got {k}")
+                    raise self.error(f"power exponent must be >= 1 or the inverse ^-1, "
+                                     f"got {brief(k)}")
             elif c == "_":
                 self.pos += 1
                 node = Twist(node, self.read_int())

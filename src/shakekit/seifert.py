@@ -29,7 +29,7 @@ from .exactlinalg import (
 from .laurent import LaurentPoly, UnitCirclePoint, eval_symmetric_real, lp_is_symmetric
 
 
-class OddDimension(ValueError):
+class OddDimension(DomainError):
     """Alexander normalization t^(-dim/2) needs an even-dimensional matrix."""
 
 

@@ -34,20 +34,28 @@ from shakekit.patterns import (
 )
 
 
-def det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """First-row cofactor expansion over Laurent polynomials."""
+def det_cofactor(rows: list[list[LaurentPoly | int]]) -> LaurentPoly:
+    """First-row cofactor expansion over Laurent polynomials, on their coefficient dicts."""
+    return LaurentPoly(_det_coeffs([[x.coeffs if isinstance(x, LaurentPoly) else {0: x}
+                                     for x in row] for row in rows]))
+
+
+def _det_coeffs(rows: list[list[dict[int, int]]]) -> dict[int, int]:
+    """det of a matrix of coefficient dicts, each product a convolution of two dicts."""
     n = len(rows)
     if n == 0:
-        return LaurentPoly.one()
+        return {0: 1}
     if n == 1:
         return rows[0][0]
-    total = LaurentPoly.zero()
+    total: dict[int, int] = {}
     for j in range(n):
-        if not rows[0][j]:  # a zero term; skipping it keeps sparse minors cheap
+        if not any(rows[0][j].values()):  # a zero term; skipping it keeps sparse minors cheap
             continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * det_cofactor(minor)
-        total = total + (-term if j % 2 else term)
+        minor = _det_coeffs([row[:j] + row[j + 1 :] for row in rows[1:]])
+        sign = -1 if j % 2 else 1
+        for e1, c1 in rows[0][j].items():
+            for e2, c2 in minor.items():
+                total[e1 + e2] = total.get(e1 + e2, 0) + sign * c1 * c2
     return total
 
 

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from shakekit import verify
+import shakekit
+from shakekit import cli, verify
 from shakekit.cli import main
 
 A1_DOC = {
@@ -570,6 +571,160 @@ class TestHugeInputsAreRefusedBriefly:
         assert len(proc.stderr) < 1000, proc.stderr[:1000]
         assert b"Traceback" not in proc.stderr
         assert b"characters in all)" in proc.stderr
+
+
+N = "9" * 4000
+LCM = math.lcm(*range(1, 61))
+LCM_MULTIPLE = str(10**3996 // LCM * LCM)  # 3,996 digits, and no witness of order <= 60
+
+
+class TestLongNumbersAreClipped:
+    """A refusal clips each number it echoes, and keeps its other numbers, such as counts, whole."""
+
+    CASES = {
+        "complexity": (["certify", "--framing", "3", "--complexity", "-" + N], None, 1),
+        "max-order": (["certify", "--framing", "3", "--complexity", "1", "--max-order", "-" + N],
+                      None, 1),
+        "power": (["pattern", "normalize", "P^-" + N], None, 2),
+        "leaf-limit": (["pattern", "normalize", "P^" + N], None, 1),
+        "undeclared-twist": (["pattern", "eval", "P_" + N, "--assignment", "FILE"],
+                             {"P": {"table": {"0": 1}}}, 1),
+        "table-value": (["pattern", "eval", "P", "--assignment", "FILE"],
+                        '{"P": {"table": {"%s": 1.5}}}' % N, 2),
+        "singular-root": (["lt", "--root", "1/6" + N, "FILE"], TREFOIL_DOC, 1),
+        "witness-not-found": (["certify", "--framing", LCM_MULTIPLE, "--complexity", "1"], None, 1),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_short_line(self, capsys, tmp_path, case):
+        argv, doc, want = self.CASES[case]
+        if doc is not None:
+            path = tmp_path / "input.json"
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            argv = [str(path) if arg == "FILE" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == want
+        assert not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 300, err
+        assert "characters in all)" in err
+
+    def test_counts_stay_whole(self, capsys):
+        _, _, err = run_cli(capsys, "certify", "--framing", LCM_MULTIPLE, "--complexity", "1")
+        assert f"for n = {LCM_MULTIPLE[:30]}" in err
+        assert "(3996 characters in all)" in err
+        assert err.endswith(", at all 423 prime-order roots tried\n")
+
+
+class TestIntegersPastTheDigitLimit:
+    """An integer past str-to-int's digit limit exits 2, naming where it was."""
+
+    LIMIT = sys.get_int_max_str_digits()
+    DIGITS = "9" * (LIMIT + 1)
+
+    @pytest.mark.parametrize("expression", ["P^" + DIGITS, "P o Q_-" + DIGITS])
+    def test_pattern_integer(self, capsys, expression):
+        code, out, err = run_cli(capsys, "pattern", "normalize", expression)
+        assert code == 2 and not out
+        at = expression.index("^" if "^" in expression else "_") + 1
+        assert err == (f"error: expected at most {self.LIMIT} digits, got {self.LIMIT + 1} "
+                       f"(at position {at})\n")
+
+    def test_root_option(self, capsys, write_json):
+        path = write_json("trefoil.json", TREFOIL_DOC)
+        code, out, err = run_cli(capsys, "lt", path, "--root", "1/" + self.DIGITS)
+        assert code == 2 and not out
+        assert err.startswith("error: root '1/999")
+        assert err.endswith(f"characters in all): expected at most {self.LIMIT} digits "
+                            "in k and in m\n")
+
+    def test_family_root(self, capsys, write_json):
+        path = write_json("assign.json", {"P": {"family": {"root": self.DIGITS + "/1"}}})
+        code, out, err = run_cli(capsys, "pattern", "eval", "P", "--assignment", path)
+        assert code == 2 and not out
+        assert err.startswith("error: root '999") and "in k and in m" in err
+
+    def test_table_key(self, capsys, tmp_path):
+        path = tmp_path / "assign.json"
+        path.write_text('{"P": {"table": {"-%s": 1}}}' % self.DIGITS)
+        code, out, err = run_cli(capsys, "pattern", "eval", "P", "--assignment", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error: profile twist '-999")
+        assert err.endswith(f": expected at most {self.LIMIT} digits\n")
+
+    @pytest.mark.parametrize("argv, text", [
+        (["alexander"], '{"dim": 2, "entries": [[-1, 1], [0, -%s]]}'),
+        (["goeritz"], '{"bands": [{"orientable": false, "half_twists": %s}]}'),
+        (["pattern", "eval", "P", "--assignment"], '{"P": {"table": {"0": %s}}}'),
+    ], ids=["matrix", "bands", "assignment"])
+    def test_json_literal(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "input.json"
+        path.write_text(text % self.DIGITS)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2 and not out
+        assert err == (f"error: {path}: expected at most {self.LIMIT} digits in an integer, "
+                       f"got {self.LIMIT + 1}\n")
+
+
+def _refusals():
+    omega = shakekit.UnitCirclePoint.root(1, 6)
+    return {
+        "DomainError": shakekit.DomainError("outside the domain"),
+        "InvalidRoot": shakekit.InvalidRoot("the form vanishes identically at omega = 1"),
+        "NearSingular": shakekit.NearSingular(omega, "form is singular at 1/6", 2, 0.0, 0.0),
+        "OddDimension": shakekit.OddDimension("dimension 3 is odd"),
+        "UnassignedAtom": shakekit.UnassignedAtom("P"),
+        "WitnessNotFound": shakekit.WitnessNotFound(2, 2, 1),
+    }
+
+
+class TestExitCodes:
+    """Exit 1 is exactly a DomainError; any other ValueError or OSError exits 2."""
+
+    REFUSALS = _refusals()
+    MALFORMED = {
+        "PatternSyntaxError": shakekit.PatternSyntaxError("expected an integer", 2),
+        "ValueError": ValueError("malformed"),
+        "OSError": OSError(2, "No such file or directory"),
+    }
+
+    def raise_from_a_handler(self, monkeypatch, capsys, exc):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_verify", handler)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        return run_cli(capsys, "verify")
+
+    def test_every_public_exception_is_named(self):
+        public = {name for name in shakekit.__all__
+                  if isinstance(getattr(shakekit, name), type)
+                  and issubclass(getattr(shakekit, name), BaseException)}
+        assert public == set(self.REFUSALS) | {"PatternSyntaxError"}
+
+    @pytest.mark.parametrize("name", REFUSALS)
+    def test_a_refusal_exits_1(self, monkeypatch, capsys, name):
+        exc = self.REFUSALS[name]
+        code, out, err = self.raise_from_a_handler(monkeypatch, capsys, exc)
+        assert (code, out, err) == (1, "", f"error: {exc}\n")
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_other_value_and_os_errors_exit_2(self, monkeypatch, capsys, name):
+        exc = self.MALFORMED[name]
+        code, out, err = self.raise_from_a_handler(monkeypatch, capsys, exc)
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+
+    def test_an_arithmetic_error_propagates(self, monkeypatch, capsys):
+        with pytest.raises(ArithmeticError, match="^no Hermitian form$"):
+            self.raise_from_a_handler(monkeypatch, capsys, ArithmeticError("no Hermitian form"))
+
+    def test_refusals_keep_their_former_bases(self):
+        for exc in self.REFUSALS.values():
+            assert isinstance(exc, shakekit.DomainError) and isinstance(exc, ValueError)
+        assert isinstance(self.REFUSALS["NearSingular"], ArithmeticError)
+        assert isinstance(self.REFUSALS["WitnessNotFound"], LookupError)
+        assert isinstance(self.REFUSALS["UnassignedAtom"], LookupError)
+        assert not isinstance(self.MALFORMED["PatternSyntaxError"], shakekit.DomainError)
 
 
 def test_a_short_invalid_choice_is_refused_in_full(capsys):
