@@ -76,7 +76,12 @@ def _load_json(path: str):
 
 
 def _payload(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True)
+    try:
+        return json.dumps(doc, sort_keys=True)
+    except ValueError:  # an int past the digit limit, the one ValueError these documents raise
+        raise errors.DomainError(f"an output integer is past the limit of "
+                                 f"{sys.get_int_max_str_digits()} digits for integer string "
+                                 "conversion") from None
 
 
 def _parse_root(text: str) -> laurent.UnitCirclePoint:
@@ -116,6 +121,7 @@ def cmd_signature(args) -> tuple[str, int]:
         signature = goeritz.classical_signature_goeritz(bp)
         return _payload({"method": "goeritz", "signature": signature}), 0
     matrix = exactlinalg.int_matrix_from_json(_load_json(args.seifert))
+    seifert._even_dimension(len(matrix))
     signature = seifert.classical_signature_seifert(matrix)
     return _payload({"method": "seifert", "signature": signature}), 0
 

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from ._record import Record
-from .errors import DomainError, brief, clip, strict_int
+from .errors import DomainError, brief, strict_int
 from .laurent import UnitCirclePoint
 from .patterns import Atom, Profile, eval_invariant, render_term, retrace_term
 from .seifert import _delta_sign, _family_signature
@@ -45,8 +45,8 @@ class WitnessNotFound(DomainError, LookupError):
     def __init__(self, n: int, max_order: int, tried: int):
         self.n, self.max_order, self.tried = n, max_order, tried
         super().__init__(
-            f"no prime-order witness root of order <= {max_order} for n = {clip(str(n), 50)}: "
-            f"Delta_{clip(str(1 + n), 50)} "
+            f"no prime-order witness root of order <= {max_order} for n = {brief(n, 50)}: "
+            f"Delta_{brief(1 + n, 50)} "
             f"is positive, so the LT signature is 0, at all {tried} prime-order roots tried"
         )
 

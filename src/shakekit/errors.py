@@ -1,7 +1,9 @@
 """Shared exception types and the strict input checks: an integer is exactly an int."""
 
+import math
+import sys
+from collections.abc import Sequence
 from itertools import chain
-from typing import Sequence
 
 
 class DomainError(ValueError):
@@ -13,9 +15,28 @@ class DomainError(ValueError):
     """
 
 
-def brief(value: object) -> str:
-    """repr(value) for a message, clipped."""
-    return clip(repr(value))
+def brief(value: object, limit: int = 100, text=repr) -> str:
+    """text(value), repr by default, for a message, clipped past limit characters.
+
+    An int past the digit limit of int-to-str conversion is never
+    converted: it is described by its count of digits.
+    """
+    if isinstance(value, int) and (most := sys.get_int_max_str_digits()) and abs(value) >= 10**most:
+        size = abs(value)
+        digits = int(math.log10(size)) + 1  # the float log may be one off either way
+        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+        return f"<{'a negative' if value < 0 else 'an'} int of {digits} digits>"
+    return clip(text(value), limit)
+
+
+def int_text(n: int) -> str:
+    """str(n) for an output, or a DomainError where n is past the digit limit of conversion."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DomainError(f"output integer {brief(n)} is past the limit of "
+                          f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+                          ) from None
 
 
 def clip(text: str, limit: int = 100) -> str:

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Sequence
 from itertools import compress
-from typing import Iterable, Sequence
 
+from . import laurent
 from ._record import Record
-from .errors import DomainError, clip, strict_int, strict_keys, strict_matrix
-from .laurent import LaurentPoly, UnitCirclePoint
+from .errors import DomainError, brief, strict_int, strict_keys, strict_matrix
 
 
 class InvalidRoot(DomainError):
@@ -55,7 +55,7 @@ class NearSingular(DomainError, ArithmeticError):
     that would answer another question; _zero_minors words exact zeros.
     """
 
-    def __init__(self, omega: UnitCirclePoint, message: str, index: int, value: float,
+    def __init__(self, omega: laurent.UnitCirclePoint, message: str, index: int, value: float,
                  bound: float):
         self.omega = omega
         self.index = index
@@ -64,17 +64,18 @@ class NearSingular(DomainError, ArithmeticError):
         super().__init__(message)
 
 
-def _zero_minors(omega: UnitCirclePoint, index: int, dim: int, singular: bool) -> NearSingular:
+def _zero_minors(omega: laurent.UnitCirclePoint, index: int, dim: int,
+                 singular: bool) -> NearSingular:
     """The refusal where D_index(omega) = 0 exactly, and index = dim or D_(index+1) = 0 too.
 
     It says "form is singular" only when singular, i.e. D_dim(omega) = 0.
     """
-    zeros = (f"leading minor D_{dim} = 0 exactly" if index == dim else
-             f"leading minors D_{index} = D_{index + 1} = 0 exactly, two in a row")
+    zeros = (f"leading minor D_{brief(dim)} = 0 exactly" if index == dim else
+             f"leading minors D_{brief(index)} = D_{brief(index + 1)} = 0 exactly, two in a row")
     if index + 1 < dim:
-        zeros += f", and D_{dim} {'=' if singular else '!='} 0"
+        zeros += f", and D_{brief(dim)} {'=' if singular else '!='} 0"
     head = "form is singular" if singular else "Jacobi's rule cannot count the inertia"
-    return NearSingular(omega, f"{head} at {clip(str(omega))}: {zeros}", index, 0.0, 0.0)
+    return NearSingular(omega, f"{head} at {brief(omega, text=str)}: {zeros}", index, 0.0, 0.0)
 
 
 class Inertia(Record):
@@ -175,12 +176,12 @@ class Pivots(Record):
         inner = [(i, value)] if d == 0 and value else []
         return out + inner + [(size - 1 - e, s * c) for e, c in reversed(out)], size
 
-    def minor(self, k: int) -> LaurentPoly:
+    def minor(self, k: int) -> laurent.LaurentPoly:
         """P_k as a Laurent polynomial; P_0 = 1."""
         if k == 0:
-            return LaurentPoly.one()
+            return laurent.LaurentPoly.one()
         low = self.lows[k - 1]
-        return LaurentPoly({low + i: d for i, d in enumerate(self.digits(k))})
+        return laurent.LaurentPoly({low + i: d for i, d in enumerate(self.digits(k))})
 
 
 def _width(bound_sq: int) -> int:
@@ -270,7 +271,7 @@ def _eliminate(K: _Rows, columns: tuple[int, ...], rest: list[int], taken: list[
 
 
 def _kernel(rows: list[dict[int, int]], lows: list[int], bits: int, pivots: bool,
-            pencil: bool) -> LaurentPoly | Pivots:
+            pencil: bool) -> laurent.LaurentPoly | Pivots:
     """Bareiss on rows packed at t = 2^bits: row i maps column j to t^-lows[i] * a_ij at 2^bits.
 
     Each caller packs its own checked input at a width that holds what the
@@ -295,7 +296,7 @@ def _kernel(rows: list[dict[int, int]], lows: list[int], bits: int, pivots: bool
         if not pivots and len(K.pivots) not in K.rows[first]:
             k = next((i for i, r in enumerate(order) if len(K.pivots) in K.rows[r]), None)
             if k is None:
-                return LaurentPoly.zero()
+                return laurent.LaurentPoly.zero()
             order[0], order[k], sign = order[k], first, -sign
         elif pivots and first not in K.rows[first]:  # a nonzero diagonal, else a 2x2 block
             r = len(order)
@@ -323,7 +324,7 @@ def _kernel(rows: list[dict[int, int]], lows: list[int], bits: int, pivots: bool
     return found if pivots else found.minor(len(K.pivots)) * sign
 
 
-def _bareiss(entries: list[dict]) -> LaurentPoly:
+def _bareiss(entries: list[dict]) -> laurent.LaurentPoly:
     """det_laurent's determinant of sparse rows of ints and coefficient dicts, packed for _kernel.
 
     Every entry the elimination writes is a minor of the row-shifted
@@ -335,7 +336,7 @@ def _bareiss(entries: list[dict]) -> LaurentPoly:
     lows, bound = [], 1
     for row in entries:
         if not row:
-            return LaurentPoly.zero()
+            return laurent.LaurentPoly.zero()
         lows.append(min(x for e in row.values() for x in ((0,) if e.__class__ is int else e)))
         bound *= sum(e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2
                      for e in row.values())
@@ -345,7 +346,7 @@ def _bareiss(entries: list[dict]) -> LaurentPoly:
                     for row, low in zip(entries, lows)], lows, bits, False, False)
 
 
-def det_laurent(rows: Sequence[Sequence[LaurentPoly | int]]) -> LaurentPoly:
+def det_laurent(rows: Sequence[Sequence[laurent.LaurentPoly | int]]) -> laurent.LaurentPoly:
     """Exact determinant of a square matrix of ints and LaurentPolys; the 0x0 one is 1.
 
     Bareiss elimination with row swaps on sparse rows at one Kronecker
@@ -359,7 +360,7 @@ def det_laurent(rows: Sequence[Sequence[LaurentPoly | int]]) -> LaurentPoly:
 
 def _entry(e: object) -> dict[int, int] | int:
     """A det_laurent entry as _bareiss reads it: an int, or a LaurentPoly's coefficients."""
-    if isinstance(e, LaurentPoly):
+    if isinstance(e, laurent.LaurentPoly):
         return e._coeffs
     if e.__class__ is int:
         return e
@@ -504,7 +505,7 @@ def _angle_error(theta: float, k: int, terms: list[tuple[int, int]]) -> float:
     return 8 * _U * (max(abs(theta), 2.0 ** -1022) * reach + k + 1)
 
 
-def _certified_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
+def _certified_sign(omega: laurent.UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
     """Sign of ((1 - omega)/omega)^k * P(omega), or NearSingular.
 
     P is sum p_e t^e over the nonempty (e, p_e) terms, lowest first.  With
@@ -544,7 +545,7 @@ def _certified_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]
                else f"|{value:.3g}| <= rounding-error bound {bound:.3g}")
         raise NearSingular(
             omega,
-            f"form is near-singular at {clip(str(omega), 50)}: the sign of "
+            f"form is near-singular at {brief(omega, 50, str)}: the sign of "
             f"{f'leading minor D_{k}' if k else 'the polynomial'} is not certified ({why})",
             k, value, bound,
         )
@@ -552,7 +553,7 @@ def _certified_sign(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]
     return -sign if k % 2 and not omega.is_rational and math.sin(theta / 2) < 0 else sign
 
 
-def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
+def _sign_at(omega: laurent.UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> int:
     """Exact sign (+1, -1, or 0 when P(omega) = 0) of ((1 - omega)/omega)^k * P(omega).
 
     P is sum p_e t^e over the (e, p_e) terms, lowest first.  k >= 1 gives
@@ -566,7 +567,7 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
     decides a zero.  Otherwise the sum's NearSingular is raised with its
     own value and bound, and past that order its message names the cap.
 
-    >>> _sign_at(UnitCirclePoint.root(1, 6), 0, [(-1, -1), (0, 1), (1, -1)])
+    >>> _sign_at(laurent.UnitCirclePoint.root(1, 6), 0, [(-1, -1), (0, 1), (1, -1)])
     0
     """
     if not terms:
@@ -577,7 +578,7 @@ def _sign_at(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -> in
         return _certified_sign(omega, k, terms)
     except NearSingular as exc:
         if omega.is_rational and omega.m > _MAX_ZERO_TEST_ORDER:
-            why = (f"{exc}; no exact zero test at order {clip(str(omega.m), 50)} "
+            why = (f"{exc}; no exact zero test at order {brief(omega.m, 50)} "
                    f"> {_MAX_ZERO_TEST_ORDER}")
             raise NearSingular(omega, why, k, exc.value, exc.bound) from None
         if not omega.is_rational or not _vanishes(terms, omega.m):
@@ -612,7 +613,8 @@ def _jacobi(signs: Sequence[int]) -> tuple[int, int]:
     return n_plus, n_minus
 
 
-def inertia_hermitian_at_root(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> Inertia:
+def inertia_hermitian_at_root(A: Sequence[Sequence[int]],
+                              omega: laurent.UnitCirclePoint) -> Inertia:
     """Exact inertia of H(omega) = (1 - omega) A + (1 - conj(omega)) A^T.
 
     H(t) = ((1 - t)/t) (t*A - A^T), so the leading principal minors of H

@@ -12,7 +12,7 @@ signature of the underlying knot does not move.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._record import Record
 from .errors import strict_bool, strict_int, strict_keys, strict_matrix

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from math import gcd
 from sys import float_info
-from typing import Mapping
 
 from ._record import Record
-from .errors import brief, strict_int
+from .errors import brief, int_text, strict_int
 
 
 class LaurentPoly:
@@ -109,10 +109,10 @@ class LaurentPoly:
         for exp, coeff in sorted(self._coeffs.items()):
             mag = abs(coeff)
             if exp == 0:
-                body = str(mag)
+                body = int_text(mag)
             else:
                 t_part = "t" if exp == 1 else f"t^{exp}"
-                body = t_part if mag == 1 else f"{mag}*{t_part}"
+                body = t_part if mag == 1 else f"{int_text(mag)}*{t_part}"
             if not parts:
                 parts.append(f"-{body}" if coeff < 0 else body)
             else:

@@ -40,12 +40,12 @@ pickled, so no chain is walked by recursion.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable, Mapping
 from functools import cached_property, reduce
 from itertools import groupby
-from typing import Callable, Mapping, Union
 
 from ._record import Record
-from .errors import DomainError, brief, clip, strict_bool, strict_int
+from .errors import DomainError, brief, int_text, strict_bool, strict_int
 
 _MAX_LEAVES = 2_000_000  # most leaves a normal form writes out, and most runs it holds
 _MAX_NESTING = 100  # deepest nesting of parentheses, bar( and suffixes the parser takes
@@ -123,7 +123,7 @@ class Inverse(Record):
     inner: "PatternTerm"
 
 
-PatternTerm = Union[Atom, Star, Bar, Twist, Compose, Power, Pound, Inverse]
+PatternTerm = Atom | Star | Bar | Twist | Compose | Power | Pound | Inverse
 
 
 class Leaf(Record):
@@ -173,7 +173,7 @@ class PoundLeaf(Record):
         return self.text
 
 
-NormalLeaf = Union[Leaf, PoundLeaf]
+NormalLeaf = Leaf | PoundLeaf
 Run = tuple[NormalLeaf, int]
 
 
@@ -303,9 +303,9 @@ def render_term(t: "PatternTerm | NormalForm | NormalLeaf") -> str:
     if isinstance(t, Bar):
         return f"bar({render_term(t.inner)})"
     if isinstance(t, Twist):
-        return f"{_render_factor(t.inner)}_{t.n}"
+        return f"{_render_factor(t.inner)}_{int_text(t.n)}"
     if isinstance(t, Power):
-        return f"{_render_factor(t.inner)}^{t.m}"
+        return f"{_render_factor(t.inner)}^{int_text(t.m)}"
     if isinstance(t, Pound):
         return f"{_render_factor(t.inner)}#"
     if isinstance(t, Inverse):
@@ -320,7 +320,7 @@ def render_term(t: "PatternTerm | NormalForm | NormalLeaf") -> str:
     if isinstance(t, Leaf):
         text = f"{t.atom}*" if t.star else t.atom
         text = f"bar({text})" if t.bar else text
-        return f"{text}_{t.twist}" if t.twist else text
+        return f"{text}_{int_text(t.twist)}" if t.twist else text
     raise TypeError(f"not a pattern term: {t!r}")
 
 
@@ -359,8 +359,9 @@ def table_profile(values: Mapping[int, int]) -> Profile:
     for k, v in values.items():
         n = _twist_key(k)
         if n in keys:
-            raise ValueError(f"profile keys {brief(keys[n])} and {brief(k)} both name twist {n}")
-        keys[n], table[n] = k, strict_int(v, f"profile value at twist {clip(str(k))}")
+            raise ValueError(f"profile keys {brief(keys[n])} and {brief(k)} "
+                             f"both name twist {brief(n)}")
+        keys[n], table[n] = k, strict_int(v, f"profile value at twist {brief(k, text=str)}")
 
     def profile(n: int) -> int:
         if n not in table:

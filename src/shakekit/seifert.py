@@ -13,39 +13,35 @@ _family_signature.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import compress
-from typing import Sequence
 
-from .errors import DomainError, strict_int, strict_matrix
-from .exactlinalg import (
-    _U,
-    InvalidRoot,
-    _form_inertia,
-    _pencil,
-    _sign_at,
-    _zero_minors,
-    inertia_hermitian_at_root,
-)
-from .laurent import LaurentPoly, UnitCirclePoint, eval_symmetric_real, lp_is_symmetric
+from . import exactlinalg, laurent
+from .errors import DomainError, brief, strict_int, strict_matrix
 
 
 class OddDimension(DomainError):
     """Alexander normalization t^(-dim/2) needs an even-dimensional matrix."""
 
 
-def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
+def _even_dimension(n: int) -> None:
+    """Refuse an odd dimension n: the t^(-dim/2) normalization needs it even."""
+    if n % 2:
+        raise OddDimension(f"dimension {n} is odd; the t^(-dim/2) normalization needs it even")
+
+
+def alexander(A: Sequence[Sequence[int]]) -> laurent.LaurentPoly:
     """Symmetrized Alexander polynomial t^(-dim/2) * det(t*A - A^T)."""
     key = strict_matrix(A, "matrix")
     n = len(key)
-    if n % 2:
-        raise OddDimension(f"dimension {n} is odd; the t^(-dim/2) normalization needs it even")
-    delta = _pencil(key).minor(n).shift(-n // 2)
-    if not lp_is_symmetric(delta):
+    _even_dimension(n)
+    delta = exactlinalg._pencil(key).minor(n).shift(-n // 2)
+    if not laurent.lp_is_symmetric(delta):
         raise ArithmeticError(f"Alexander polynomial {delta} is not symmetric in t <-> 1/t")
     if sum(delta.coeffs.values()) != 1:
         raise ValueError(
             "not a knot Seifert matrix: det(A - A^T) must be 1, "
-            f"got Alexander value {sum(delta.coeffs.values())} at t = 1"
+            f"got Alexander value {brief(sum(delta.coeffs.values()))} at t = 1"
         )
     return delta
 
@@ -54,18 +50,18 @@ def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
     """Signature of the symmetrized form A + A^T."""
     A = strict_matrix(A, "matrix")
     every = range(len(A))
-    return _form_inertia([{j: x for j in {*compress(every, row), *compress(every, column)}
-                           if (x := row[j] + column[j])}
-                          for row, column in zip(A, zip(*A))]).signature
+    return exactlinalg._form_inertia([{j: x for j in {*compress(every, row), *compress(every, col)}
+                                       if (x := row[j] + col[j])}
+                                      for row, col in zip(A, zip(*A))]).signature
 
 
-def lt_signature(A: Sequence[Sequence[int]], omega: UnitCirclePoint) -> int:
+def lt_signature(A: Sequence[Sequence[int]], omega: laurent.UnitCirclePoint) -> int:
     """Levine-Tristram signature sigma(K, omega), an even integer.
 
     Raises NearSingular where the form is singular or a sign is not
     certified, and InvalidRoot at omega=1.
     """
-    return inertia_hermitian_at_root(A, omega).signature
+    return exactlinalg.inertia_hermitian_at_root(A, omega).signature
 
 
 def an_family(n: int) -> list[list[int]]:
@@ -95,7 +91,7 @@ def an_family(n: int) -> list[list[int]]:
     return A
 
 
-def delta_n_closed(n: int) -> LaurentPoly:
+def delta_n_closed(n: int) -> laurent.LaurentPoly:
     """Closed form of the family's Alexander polynomial.
 
     1/t^(n+1) - 2/t^n + 1/t^(n-1) - 1/t + 3 - t + t^(n-1) - 2t^n + t^(n+1),
@@ -111,14 +107,15 @@ def delta_n_closed(n: int) -> LaurentPoly:
     out: dict[int, int] = {}
     for exp, coeff in terms:
         out[exp] = out.get(exp, 0) + coeff
-    return LaurentPoly(out)
+    return laurent.LaurentPoly(out)
 
 
 # 1 - t - 1/t, which is 1 - 2cos(theta) at t = e^(i*theta)
 _ONE_MINUS_TWICE_COS = [(-1, -1), (0, 1), (1, -1)]
 
-# The least |value| whose sign _delta_sign counts: twice the error bound its docstring derives
-_DELTA_BOUND = 640 * _U
+# The least |value| whose sign _delta_sign counts: twice the error bound its docstring derives,
+# in units of u = 2^-53, the unit roundoff of a double
+_DELTA_BOUND = 640 * 2.0**-53
 
 
 def _delta_sign(n: int, k: int, m: int) -> int:
@@ -130,7 +127,7 @@ def _delta_sign(n: int, k: int, m: int) -> int:
     and n*theta to 2*pi*(n*k mod m)/m, so either is a phase q in [0, 1)
     turns.  As in exactlinalg._certified_sign, q = r/m rounds correctly at any
     size (an underflow is off by under 2^-1075) and tau*q rounds twice more,
-    so the angle is off by under 3.01u * 2*pi + 2^-1072 < 18.95u, u = _U; the
+    so the angle is off by under 3.01u * 2*pi + 2^-1072 < 18.95u, u = 2^-53; the
     cosine is 1-Lipschitz and rounds once, so x and c = cos(n*theta) are each
     off by under 20u.  |dv/dx| = |4cos(n*theta) - 2| <= 6 and |dv/dc| = 4|x - 1|
     <= 8, so those errors move v by under 280u (their product term is under
@@ -149,7 +146,8 @@ def _delta_sign(n: int, k: int, m: int) -> int:
         return 1
     if v < -_DELTA_BOUND:
         return -1
-    return _sign_at(UnitCirclePoint.root(k, m), 0, sorted(delta_n_closed(n).coeffs.items()))
+    return exactlinalg._sign_at(laurent.UnitCirclePoint.root(k, m), 0,
+                                sorted(delta_n_closed(n).coeffs.items()))
 
 
 def _one_minus_twice_cos_sign(k: int, m: int) -> int:
@@ -164,7 +162,7 @@ def _one_minus_twice_cos_sign(k: int, m: int) -> int:
     return 0 if 6 * r in (m, 5 * m) else 1
 
 
-def _family_signature(n: int, omega: UnitCirclePoint) -> int:
+def _family_signature(n: int, omega: laurent.UnitCirclePoint) -> int:
     """sigma(an_family(n), omega) in closed form, with no matrix built.
 
     sigma is 0 where Delta_n(omega) > 0 and 2 * sign(1 - 2cos(theta))
@@ -187,35 +185,35 @@ def _family_signature(n: int, omega: UnitCirclePoint) -> int:
     omega = 1.
     """
     if omega.is_one():
-        raise InvalidRoot("the form vanishes identically at omega = 1")
+        raise exactlinalg.InvalidRoot("the form vanishes identically at omega = 1")
     if omega.is_rational:
         delta = _delta_sign(n, omega.k, omega.m)
     else:
-        delta = _sign_at(omega, 0, sorted(delta_n_closed(n).coeffs.items()))
+        delta = exactlinalg._sign_at(omega, 0, sorted(delta_n_closed(n).coeffs.items()))
     if delta > 0:
         return 0
     if omega.is_rational:
         s = _one_minus_twice_cos_sign(omega.k, omega.m)
     else:
-        s = _sign_at(omega, 0, _ONE_MINUS_TWICE_COS)
+        s = exactlinalg._sign_at(omega, 0, _ONE_MINUS_TWICE_COS)
     if delta == 0:  # D_dim = 0, and D_(dim-1) = 0 too where s = 0
         dim = 2 * n + 2
-        raise _zero_minors(omega, dim if s else dim - 1, dim, True)
+        raise exactlinalg._zero_minors(omega, dim if s else dim - 1, dim, True)
     return 2 * s
 
 
-def delta_sign_scan(p: LaurentPoly, grid_size: int) -> list[tuple[float, float]]:
+def delta_sign_scan(p: laurent.LaurentPoly, grid_size: int) -> list[tuple[float, float]]:
     """Arcs (theta_i, theta_{i+1}) where p changes strict sign on the circle.
 
     Samples the real value of the symmetric p at grid_size equispaced
     angles and reports each adjacent pair with opposite strict signs.
     """
-    if not lp_is_symmetric(p):
+    if not laurent.lp_is_symmetric(p):
         raise ValueError("sign scan is defined for symmetric polynomials")
     if grid_size < 2:
         raise ValueError("need at least two grid points")
     step = math.tau / grid_size
-    values = [eval_symmetric_real(p, math.cos(i * step)) for i in range(grid_size)]
+    values = [laurent.eval_symmetric_real(p, math.cos(i * step)) for i in range(grid_size)]
     arcs: list[tuple[float, float]] = []
     for i, a in enumerate(values):
         b = values[(i + 1) % grid_size]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable
+from collections.abc import Callable
 
 from ._record import Record
 from .complexity import _primes, certify_complexity

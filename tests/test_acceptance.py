@@ -194,7 +194,6 @@ def test_report_without_float_evaluation(monkeypatch):
         raise RuntimeError("verify must not evaluate in floats")
 
     monkeypatch.setattr(laurent, "eval_symmetric_real", refuse)
-    monkeypatch.setattr(seifert, "eval_symmetric_real", refuse)
     monkeypatch.setattr(verify, "eval_symmetric_real", refuse, raising=False)
     results = run_checks()
     assert [r.name for r in results if not r.passed] == []

@@ -101,6 +101,12 @@ class TestSignature:
         assert code == 0
         assert json.loads(out) == {"method": "goeritz", "signature": -2}
 
+    def test_seifert_route_refuses_an_odd_dimension_as_alexander_does(self, capsys, write_json):
+        path = write_json("odd.json", {"dim": 1, "entries": [[1]]})
+        code, out, err = run_cli(capsys, "signature", "--seifert", path)
+        assert code == 1 and not out
+        assert err == "error: dimension 1 is odd; the t^(-dim/2) normalization needs it even\n"
+        assert run_cli(capsys, "alexander", path)[2] == err
 
     @pytest.mark.parametrize("doc", [
         {"dim": True, "entries": [[1]]},
@@ -664,6 +670,49 @@ class TestIntegersPastTheDigitLimit:
         assert code == 2 and not out
         assert err == (f"error: {path}: expected at most {self.LIMIT} digits in an integer, "
                        f"got {self.LIMIT + 1}\n")
+
+
+class TestOutputsPastTheDigitLimit:
+    """An integer past int-to-str's digit limit, read or computed, is refused in one short line.
+
+    No message converts it: a refusal describes it by its digit count, and an
+    output integer past the limit is a DomainError that names the limit.
+    """
+
+    LIMIT = sys.get_int_max_str_digits()
+    N = "9" * LIMIT  # the largest integer the parser reads
+    M = str(6 * 10 ** (LIMIT - 1) - 1)  # Q_M is the family member 1 + M, and 6 divides it
+
+    CASES = {
+        "normal-form-twist": (["pattern", "normalize", f"(P_{N})_{N}"], None,
+                              f"output integer <an int of {LIMIT + 1} digits> is past the limit"),
+        "leaf-count": (["pattern", "normalize", f"(P^{N})^{N}"], None,
+                       f"normal form would have <an int of {2 * LIMIT} digits> leaves"),
+        "undeclared-twist": (["pattern", "eval", f"(P_{N})_{N}", "--assignment", "FILE"],
+                             {"P": {"table": {"1": 3}}},
+                             f"not declared at twist <an int of {LIMIT + 1} digits>"),
+        "eval-value": (["pattern", "eval", "P^2", "--assignment", "FILE"],
+                       '{"P": {"table": {"0": %s}}}' % N,
+                       f"an output integer is past the limit of {LIMIT} digits"),
+        "singular-index": (["pattern", "eval", f"Q_{M}", "--assignment", "FILE"],
+                           {"Q": {"family": {"root": "1/6"}}},
+                           f"leading minors D_<an int of {LIMIT + 1} digits> = "
+                           f"D_<an int of {LIMIT + 1} digits> = 0 exactly"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_short_refusal(self, capsys, tmp_path, case):
+        argv, doc, says = self.CASES[case]
+        if doc is not None:
+            path = tmp_path / "input.json"
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            argv = [str(path) if arg == "FILE" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 300, err
+        assert says in err
+        assert "Exceeds the limit" not in err
 
 
 def _refusals():

@@ -111,7 +111,6 @@ class TestWitnessSearch:
             raise RuntimeError("the witness search must not evaluate in floats")
 
         monkeypatch.setattr(laurent, "eval_symmetric_real", refuse)
-        monkeypatch.setattr(seifert, "eval_symmetric_real", refuse)
         for n in range(1, 13):
             cert = certify_complexity(n, 2)
             assert cert.witness == UnitCirclePoint.root(*WITNESSES[n]), n
@@ -363,7 +362,7 @@ class TestClosedFormSigns:
             fallbacks.append(omega)
             return _sign_at(omega, k, terms)
 
-        monkeypatch.setattr(seifert, "_sign_at", spy)
+        monkeypatch.setattr(exactlinalg, "_sign_at", spy)
         for n in [*range(1, 61), 10**18 + 6, 6 * 10**30, 10**400 + 7]:
             terms = sorted(delta_n_closed(n).coeffs.items())
             want = {omega: _sign_at(omega, 0, terms) for omega in set(points.values())}

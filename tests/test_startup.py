@@ -1,5 +1,5 @@
-"""What a fresh process executes: `import shakekit` runs no module, and each CLI
-command runs only the modules it uses.
+"""What a fresh process executes: `import shakekit` runs no module, each CLI
+command runs only the modules it uses, and none imports typing.
 
 A registered module that has not run is still a lazy module; reading its
 type, unlike reading an attribute, does not make it run.
@@ -29,14 +29,14 @@ def fresh(code: str, *args: str, site: bool = False):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# The shakekit modules that have executed, and whether random is imported.
+# The shakekit modules that have executed, and whether random and typing are imported.
 EXECUTED = ("[sorted(name for name, module in sys.modules.items()\n"
             "        if name.startswith('shakekit') and type(module) is types.ModuleType),\n"
-            " 'random' in sys.modules]")
+            " 'random' in sys.modules, 'typing' in sys.modules]")
 
 
 def test_import_executes_no_module():
-    assert fresh(f"import shakekit; print(json.dumps({EXECUTED}))") == [["shakekit"], False]
+    assert fresh(f"import shakekit; print(json.dumps({EXECUTED}))") == [["shakekit"], False, False]
 
 
 def test_dir_lists_the_public_names_and_the_registered_modules():
@@ -51,9 +51,13 @@ def test_dir_lists_the_public_names_and_the_registered_modules():
 CORE = ["shakekit", "shakekit._record", "shakekit.cli", "shakekit.errors"]
 LINALG = sorted([*CORE, "shakekit.exactlinalg", "shakekit.laurent"])
 SEIFERT = sorted([*LINALG, "shakekit.seifert"])
-GOERITZ = sorted([*LINALG, "shakekit.goeritz"])
+# the classical signature reads integer pivots alone, so no Laurent polynomial is built
+SIGNATURE = sorted([*CORE, "shakekit.exactlinalg", "shakekit.seifert"])
+GOERITZ = sorted([*CORE, "shakekit.exactlinalg", "shakekit.goeritz"])
 PATTERNS = sorted([*CORE, "shakekit.patterns"])
-CERTIFY = sorted([*SEIFERT, "shakekit.complexity", "shakekit.patterns"])
+# the family's closed-form signs run no kernel unless a sign needs the exact fallback
+CERTIFY = sorted([*CORE, "shakekit.complexity", "shakekit.laurent", "shakekit.patterns",
+                  "shakekit.seifert"])
 
 
 @pytest.mark.parametrize("argv, code, executed", [
@@ -62,8 +66,11 @@ CERTIFY = sorted([*SEIFERT, "shakekit.complexity", "shakekit.patterns"])
     pytest.param(["pattern", "eval", "P_1", "--assignment", "TABLE"], 0, PATTERNS, id="eval-table"),
     pytest.param(["pattern", "eval", "Q_1", "--assignment", "FAMILY"], 0, CERTIFY,
                  id="eval-family"),
+    # Delta_6 vanishes at 1/6, so its sign takes the exact fallback, which refuses
+    pytest.param(["pattern", "eval", "Q_5", "--assignment", "SIXTH"], 1,
+                 sorted([*CERTIFY, "shakekit.exactlinalg"]), id="eval-family-singular"),
     pytest.param(["alexander", "TREFOIL"], 0, SEIFERT, id="alexander"),
-    pytest.param(["signature", "--seifert", "TREFOIL"], 0, SEIFERT, id="signature-seifert"),
+    pytest.param(["signature", "--seifert", "TREFOIL"], 0, SIGNATURE, id="signature-seifert"),
     pytest.param(["lt", "TREFOIL", "--root", "1/3"], 0, LINALG, id="lt"),
     pytest.param(["lt", "TREFOIL", "--root", "1/6"], 1, LINALG, id="lt-singular"),
     pytest.param(["goeritz", "BANDS"], 0, GOERITZ, id="goeritz"),
@@ -76,6 +83,7 @@ def test_each_command_executes_only_its_modules(tmp_path, argv, code, executed):
     files = {
         "TABLE": {"P": {"table": {"1": 3}}},
         "FAMILY": {"Q": {"family": {"root": "1/3"}}},
+        "SIXTH": {"Q": {"family": {"root": "1/6"}}},
         "TREFOIL": {"dim": 2, "entries": [[-1, 1], [0, -1]]},
         "BANDS": {"bands": [{"orientable": False, "half_twists": 3}], "crossings": [[0]]},
     }
@@ -88,7 +96,7 @@ def test_each_command_executes_only_its_modules(tmp_path, argv, code, executed):
            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
            "    code = main(sys.argv[2:])\n"
            f"print(json.dumps([code, *{EXECUTED}]))")
-    assert fresh(run, *argv) == [code, executed, False]
+    assert fresh(run, *argv) == [code, executed, False, False]
 
 
 def test_only_verify_executes_verify():
@@ -96,8 +104,8 @@ def test_only_verify_executes_verify():
            "with contextlib.redirect_stdout(io.StringIO()):\n"
            "    code = main(['verify', '--json'])\n"
            f"print(json.dumps([code, *{EXECUTED}]))")
-    everything = sorted([*CERTIFY, "shakekit.goeritz", "shakekit.verify"])
-    assert fresh(run) == [0, everything, True]
+    everything = sorted([*CERTIFY, "shakekit.exactlinalg", "shakekit.goeritz", "shakekit.verify"])
+    assert fresh(run) == [0, everything, True, False]
 
 
 def test_bench_tracer_installs_after_the_cli_import_alone():

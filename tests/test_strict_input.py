@@ -2,6 +2,7 @@
 errors.strict_matrix, and an entry is exactly an int."""
 
 import enum
+import sys
 
 import pytest
 
@@ -124,9 +125,20 @@ class TestBriefRepr:
         assert brief(value) == "'" + "x" * 79 + "... (101 characters in all)"
 
     def test_an_angle_too_long_to_show_is_still_refused(self):
-        # repr of an int past the digit limit of int-to-str conversion is a ValueError
-        with pytest.raises(ValueError, match="integer string conversion"):
+        # an int past the digit limit of int-to-str conversion is named by its digit count
+        with pytest.raises(ValueError, match="got <an int of 5001 digits>$"):
             UnitCirclePoint(theta=10**5000)
+
+    LIMIT = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("value, digits", [
+        (10**LIMIT, LIMIT + 1), (10 ** (LIMIT + 1) - 1, LIMIT + 1),
+        (-(10 ** (LIMIT + 1)), LIMIT + 2), (2 * 10 ** (2 * LIMIT - 1), 2 * LIMIT),
+    ], ids=["power-of-ten", "all-nines", "negative", "twice-the-limit"])
+    def test_an_int_past_the_digit_limit_is_named_by_its_digit_count(self, value, digits):
+        sign = "a negative" if value < 0 else "an"
+        assert brief(value) == f"<{sign} int of {digits} digits>"
+        assert brief(10**self.LIMIT - 1).endswith(f"({self.LIMIT} characters in all)")
 
     @pytest.mark.parametrize("check", [
         lambda value: strict_int(value, "count"),
