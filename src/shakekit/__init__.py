@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _HOME = {name: module for module, names in {
     "complexity": ("ComplexityCertificate", "WitnessNotFound", "certify_complexity",
                    "find_witness_root"),
-    "errors": ("DomainError",),
+    "errors": ("DomainError", "OddDimension"),
     "exactlinalg": ("Inertia", "InvalidRoot", "NearSingular", "det_laurent",
                     "inertia_hermitian_at_root", "inertia_symmetric_exact"),
     "goeritz": ("Band", "BandPresentation", "GoeritzData", "add_two_twists",
@@ -30,8 +30,8 @@ _HOME = {name: module for module, names in {
     "patterns": ("Atom", "Bar", "Compose", "Inverse", "NormalForm", "PatternSyntaxError",
                  "Pound", "Power", "Star", "Twist", "UnassignedAtom", "eval_invariant",
                  "normalize", "parse_pattern", "render_term", "retrace_term", "table_profile"),
-    "seifert": ("OddDimension", "alexander", "an_family", "classical_signature_seifert",
-                "delta_n_closed", "delta_sign_scan", "lt_signature"),
+    "seifert": ("alexander", "an_family", "classical_signature_seifert", "delta_n_closed",
+                "delta_sign_scan", "lt_signature"),
 }.items() for name in names}
 
 __all__ = sorted(_HOME)

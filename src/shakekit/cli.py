@@ -121,7 +121,7 @@ def cmd_signature(args) -> tuple[str, int]:
         signature = goeritz.classical_signature_goeritz(bp)
         return _payload({"method": "goeritz", "signature": signature}), 0
     matrix = exactlinalg.int_matrix_from_json(_load_json(args.seifert))
-    seifert._even_dimension(len(matrix))
+    errors.even_dimension(len(matrix))
     signature = seifert.classical_signature_seifert(matrix)
     return _payload({"method": "seifert", "signature": signature}), 0
 
@@ -129,6 +129,7 @@ def cmd_signature(args) -> tuple[str, int]:
 def cmd_lt(args) -> tuple[str, int]:
     matrix = exactlinalg.int_matrix_from_json(_load_json(args.matrix))
     omega = _root_from_args(args)
+    errors.even_dimension(len(matrix))
     inertia = exactlinalg.inertia_hermitian_at_root(matrix, omega)
     doc = {
         "root": str(omega),

@@ -1,4 +1,5 @@
-"""Shared exception types and the strict input checks: an integer is exactly an int."""
+"""Shared exception types and the strict input checks: an integer is exactly an int,
+and a Seifert matrix has even dimension (else OddDimension)."""
 
 import math
 import sys
@@ -13,6 +14,16 @@ class DomainError(ValueError):
     Its subclasses are OddDimension, InvalidRoot, NearSingular (also an
     ArithmeticError), WitnessNotFound and UnassignedAtom (also LookupErrors).
     """
+
+
+class OddDimension(DomainError):
+    """Alexander normalization t^(-dim/2) needs an even-dimensional matrix."""
+
+
+def even_dimension(n: int) -> None:
+    """Refuse an odd dimension n: the t^(-dim/2) normalization needs it even."""
+    if n % 2:
+        raise OddDimension(f"dimension {n} is odd; the t^(-dim/2) normalization needs it even")
 
 
 def brief(value: object, limit: int = 100, text=repr) -> str:

@@ -116,23 +116,16 @@ class Pivots(Record):
     @functools.cached_property
     def terms(self) -> list[list[tuple[int, int]]]:
         """P_k as (exponent, nonzero coefficient) pairs, lowest first, k = 1..n."""
-        return [[(low + i, c) for i, c in self._read(k)[0]] for k, low in enumerate(self.lows, 1)]
+        return [self._read(k) for k in range(1, len(self.lows) + 1)]
 
-    def digits(self, k: int) -> list[int]:
-        """Coefficients of P_k / t^lows[k-1], lowest degree first."""
-        pairs, size = self._read(k)
-        out = [0] * size
-        for i, c in pairs:
-            out[i] = c
-        return out
-
-    def _read(self, k: int) -> tuple[list[tuple[int, int]], int]:
-        """P_k / t^lows[k-1] as (degree, nonzero coefficient) pairs, lowest first, and its length.
+    def _read(self, k: int) -> list[tuple[int, int]]:
+        """P_k as (exponent, nonzero coefficient) pairs, lowest first.
 
         A pencil's Q = P_k / t^lows[k-1] has degree d = k - 2*lows[k-1] and
-        coefficients c_i = s*c_(d-i), s = (-1)^k.  Its value V at T = 2^bits
-        gives the outer coefficient c_0 modulo T, and s*round(V / T^d) within
-        T/4 + 1 of it, as |c_i| < T^2/4; the two fix it.  Then
+        coefficients c_i = s*c_(d-i), s = (-1)^k, so exponent e of P_k
+        mirrors to k - e.  Q's value V at T = 2^bits gives the outer
+        coefficient c_0 modulo T, and s*round(V / T^d) within T/4 + 1 of
+        it, as |c_i| < T^2/4; the two fix it.  Then
         (V - c_0*(1 + s*T^d)) / T is the value of the inner coefficients.
 
         A run of zero outer pairs is dropped with one shift.  If the low j
@@ -142,10 +135,9 @@ class Pivots(Record):
         rounds to 0: the step reads c_i = 0 and leaves V_i / T.  The j steps
         thus leave V / T^j and d - 2j >= 0, and read only zeros.
         """
-        value, bits = self.values[k - 1], self.bits
+        value, bits, i = self.values[k - 1], self.bits, self.lows[k - 1]
         half, mask = 1 << (bits - 1), (1 << bits) - 1
         out: list[tuple[int, int]] = []
-        i = 0
         if not self.pencil:
             while value:
                 digit = ((value + half) & mask) - half
@@ -153,9 +145,8 @@ class Pivots(Record):
                     out.append((i, digit))
                 value = (value - digit) >> bits
                 i += 1
-            return out, i
-        d, s = k - 2 * self.lows[k - 1], -1 if k % 2 else 1
-        size = max(d + 1, 0)
+            return out
+        start, d, s = i, k - 2 * i, -1 if k % 2 else 1
         while value and d > 0:
             low = value & mask
             if not low:
@@ -172,16 +163,13 @@ class Pivots(Record):
             i, d = i + 1, d - 2
         if value and d < 0:
             raise ArithmeticError(f"pivot {k} is not a palindromic minor at width {bits}: "
-                                  f"{value} is left after {i} outer coefficients")
+                                  f"{value} is left after {i - start} outer coefficients")
         inner = [(i, value)] if d == 0 and value else []
-        return out + inner + [(size - 1 - e, s * c) for e, c in reversed(out)], size
+        return out + inner + [(k - e, s * c) for e, c in reversed(out)]
 
     def minor(self, k: int) -> laurent.LaurentPoly:
         """P_k as a Laurent polynomial; P_0 = 1."""
-        if k == 0:
-            return laurent.LaurentPoly.one()
-        low = self.lows[k - 1]
-        return laurent.LaurentPoly({low + i: d for i, d in enumerate(self.digits(k))})
+        return laurent.LaurentPoly(dict(self._read(k))) if k else laurent.LaurentPoly.one()
 
 
 def _width(bound_sq: int) -> int:
@@ -394,7 +382,7 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
         (the symmetry makes (j, i) t^(p+1) times (i, j) at 1/t, up to
         sign);
     and the pivots taken are those of the full width.  Off-diagonal
-    entries are exact values at T but never read back.  Pivots.digits
+    entries are exact values at T but never read back.  Pivots._read
     reads pivot k from both ends: its coefficients are palindromic up to
     the sign (-1)^k and below H < T^2/4, so the value modulo T and the
     rounded top digits fix each outer pair.

@@ -17,31 +17,21 @@ from collections.abc import Sequence
 from itertools import compress
 
 from . import exactlinalg, laurent
-from .errors import DomainError, brief, strict_int, strict_matrix
-
-
-class OddDimension(DomainError):
-    """Alexander normalization t^(-dim/2) needs an even-dimensional matrix."""
-
-
-def _even_dimension(n: int) -> None:
-    """Refuse an odd dimension n: the t^(-dim/2) normalization needs it even."""
-    if n % 2:
-        raise OddDimension(f"dimension {n} is odd; the t^(-dim/2) normalization needs it even")
+from .errors import DomainError, OddDimension, brief, even_dimension, strict_int, strict_matrix
 
 
 def alexander(A: Sequence[Sequence[int]]) -> laurent.LaurentPoly:
     """Symmetrized Alexander polynomial t^(-dim/2) * det(t*A - A^T)."""
     key = strict_matrix(A, "matrix")
     n = len(key)
-    _even_dimension(n)
+    even_dimension(n)
     delta = exactlinalg._pencil(key).minor(n).shift(-n // 2)
     if not laurent.lp_is_symmetric(delta):
         raise ArithmeticError(f"Alexander polynomial {delta} is not symmetric in t <-> 1/t")
-    if sum(delta.coeffs.values()) != 1:
+    if (value := sum(delta.coeffs.values())) != 1:
         raise ValueError(
             "not a knot Seifert matrix: det(A - A^T) must be 1, "
-            f"got Alexander value {brief(sum(delta.coeffs.values()))} at t = 1"
+            f"got Alexander value {brief(value)} at t = 1"
         )
     return delta
 

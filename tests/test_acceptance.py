@@ -158,15 +158,15 @@ def test_10_determinant_oracle(report):
 
 
 def test_off_by_one_pencil_read_back_fails_the_determinant_row(monkeypatch):
-    # add 1 to the top coefficient of every pencil minor read back; the
-    # row's detail names the case and the point t where it fails
-    real = exactlinalg.Pivots.digits
+    # add 1 to the top pair of every pencil minor read back; the row's
+    # detail names the case and the point t where it fails
+    real = exactlinalg.Pivots._read
 
-    def digits(self, k):
+    def read(self, k):
         out = real(self, k)
-        return out[:-1] + [out[-1] + 1] if self.pencil and out else out
+        return out[:-1] + [(out[-1][0], out[-1][1] + 1)] if self.pencil and out else out
 
-    monkeypatch.setattr(exactlinalg.Pivots, "digits", digits)
+    monkeypatch.setattr(exactlinalg.Pivots, "_read", read)
     try:
         row = {r.name: r for r in run_checks()}["determinant oracle"]
     finally:

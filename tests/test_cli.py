@@ -138,6 +138,20 @@ class TestLt:
         assert code == 0
         assert json.loads(out)["signature"] == 2
 
+    @pytest.mark.parametrize("doc, root", [
+        ({"dim": 1, "entries": [[1]]}, ["--root", "1/3"]),
+        ({"dim": 3, "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, ["--root", "1/2"]),
+        ({"dim": 1, "entries": [[1]]}, ["--theta", "2.0"]),
+    ], ids=["one-third", "identity-3", "theta"])
+    def test_an_odd_dimension_is_refused_as_alexander_does(self, capsys, write_json, doc, root):
+        # no knot has an odd Seifert matrix, nor an odd signature
+        path = write_json("odd.json", doc)
+        code, out, err = run_cli(capsys, "lt", path, *root)
+        n = doc["dim"]
+        assert (code, out) == (1, "")
+        assert err == f"error: dimension {n} is odd; the t^(-dim/2) normalization needs it even\n"
+        assert run_cli(capsys, "alexander", path)[2] == err
+
     def test_near_singular_root(self, capsys, write_json):
         path = write_json("trefoil.json", TREFOIL_DOC)
         code, _, err = run_cli(capsys, "lt", path, "--root", "1/6")

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import shakekit
 from oracles import eval_naive
 from shakekit.errors import DomainError
 from shakekit import exactlinalg
@@ -92,6 +93,7 @@ class TestAlexander:
         assert alexander([]) == LaurentPoly.one()
 
     def test_odd_dimension_rejected(self):
+        assert OddDimension is shakekit.OddDimension is shakekit.errors.OddDimension
         with pytest.raises(OddDimension):
             alexander([[1]])
         with pytest.raises(OddDimension):

@@ -73,6 +73,8 @@ CERTIFY = sorted([*CORE, "shakekit.complexity", "shakekit.laurent", "shakekit.pa
     pytest.param(["signature", "--seifert", "TREFOIL"], 0, SIGNATURE, id="signature-seifert"),
     pytest.param(["lt", "TREFOIL", "--root", "1/3"], 0, LINALG, id="lt"),
     pytest.param(["lt", "TREFOIL", "--root", "1/6"], 1, LINALG, id="lt-singular"),
+    # refused by the parity check alexander uses, without executing seifert
+    pytest.param(["lt", "ODD", "--root", "1/3"], 1, LINALG, id="lt-odd"),
     pytest.param(["goeritz", "BANDS"], 0, GOERITZ, id="goeritz"),
     pytest.param(["signature", "--goeritz", "BANDS"], 0, GOERITZ, id="signature-goeritz"),
     pytest.param(["certify", "--framing", "5", "--complexity", "2"], 0, CERTIFY, id="certify"),
@@ -85,6 +87,7 @@ def test_each_command_executes_only_its_modules(tmp_path, argv, code, executed):
         "FAMILY": {"Q": {"family": {"root": "1/3"}}},
         "SIXTH": {"Q": {"family": {"root": "1/6"}}},
         "TREFOIL": {"dim": 2, "entries": [[-1, 1], [0, -1]]},
+        "ODD": {"dim": 1, "entries": [[1]]},
         "BANDS": {"bands": [{"orientable": False, "half_twists": 3}], "crossings": [[0]]},
     }
     for i, arg in enumerate(argv):
