@@ -98,12 +98,6 @@ def _parse_root(text: str) -> laurent.UnitCirclePoint:
     return laurent.UnitCirclePoint.root(k, m)
 
 
-def _root_from_args(args) -> laurent.UnitCirclePoint:
-    if args.root is not None:
-        return _parse_root(args.root)
-    return laurent.UnitCirclePoint.angle(args.theta)
-
-
 def cmd_alexander(args) -> tuple[str, int]:
     matrix = exactlinalg.int_matrix_from_json(_load_json(args.matrix))
     delta = seifert.alexander(matrix)
@@ -128,7 +122,8 @@ def cmd_signature(args) -> tuple[str, int]:
 
 def cmd_lt(args) -> tuple[str, int]:
     matrix = exactlinalg.int_matrix_from_json(_load_json(args.matrix))
-    omega = _root_from_args(args)
+    omega = (_parse_root(args.root) if args.root is not None
+             else laurent.UnitCirclePoint.angle(args.theta))
     errors.even_dimension(len(matrix))
     inertia = exactlinalg.inertia_hermitian_at_root(matrix, omega)
     doc = {

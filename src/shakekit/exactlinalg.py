@@ -169,7 +169,7 @@ class Pivots(Record):
 
     def minor(self, k: int) -> laurent.LaurentPoly:
         """P_k as a Laurent polynomial; P_0 = 1."""
-        return laurent.LaurentPoly(dict(self._read(k))) if k else laurent.LaurentPoly.one()
+        return laurent.LaurentPoly(dict(self._read(k))) if k else laurent.LaurentPoly({0: 1})
 
 
 def _width(bound_sq: int) -> int:
@@ -284,7 +284,7 @@ def _kernel(rows: list[dict[int, int]], lows: list[int], bits: int, pivots: bool
         if not pivots and len(K.pivots) not in K.rows[first]:
             k = next((i for i, r in enumerate(order) if len(K.pivots) in K.rows[r]), None)
             if k is None:
-                return laurent.LaurentPoly.zero()
+                return laurent.LaurentPoly()
             order[0], order[k], sign = order[k], first, -sign
         elif pivots and first not in K.rows[first]:  # a nonzero diagonal, else a 2x2 block
             r = len(order)
@@ -309,7 +309,8 @@ def _kernel(rows: list[dict[int, int]], lows: list[int], bits: int, pivots: bool
             offsets.append(offset)
         order = rest
     found = Pivots(bits, tuple(K.pivots), tuple(offsets), pencil)
-    return found if pivots else found.minor(len(K.pivots)) * sign
+    return found if pivots else laurent.LaurentPoly(
+        {e: sign * c for e, c in found.minor(len(K.pivots)).coeffs.items()})
 
 
 def _bareiss(entries: list[dict]) -> laurent.LaurentPoly:
@@ -324,7 +325,7 @@ def _bareiss(entries: list[dict]) -> laurent.LaurentPoly:
     lows, bound = [], 1
     for row in entries:
         if not row:
-            return laurent.LaurentPoly.zero()
+            return laurent.LaurentPoly()
         lows.append(min(x for e in row.values() for x in ((0,) if e.__class__ is int else e)))
         bound *= sum(e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2
                      for e in row.values())

@@ -49,10 +49,6 @@ class BandPresentation(Record):
             raise ValueError("crossings diagonal must be zero; self-crossings live in self_writhe")
         self._assign(bands, rows)
 
-    @property
-    def band_count(self) -> int:
-        return len(self.bands)
-
 
 class GoeritzData(Record):
     G: tuple[tuple[int, ...], ...]
@@ -65,10 +61,6 @@ class GoeritzData(Record):
         if bad:
             raise ValueError(f"non-orientable indices out of range: {bad}")
         self._assign(rows, marked)
-
-    @property
-    def dim(self) -> int:
-        return len(self.G)
 
     @property
     def eta(self) -> int:
@@ -98,7 +90,6 @@ def band_presentation_from_json(doc: object) -> BandPresentation:
 
 def goeritz_form(bp: BandPresentation) -> GoeritzData:
     """G[i][i] = W(X_i) + T(X_i), off-diagonal = signed crossing counts."""
-    n = bp.band_count
     G = [list(row) for row in bp.crossings]
     for i, band in enumerate(bp.bands):
         G[i][i] = band.self_writhe + band.half_twists
@@ -129,7 +120,7 @@ def add_two_twists(gd: GoeritzData, l: Sequence[int]) -> GoeritzData:
     """
     if gd.nonorientable:
         raise ValueError("two-twist insertion is defined for all-orientable surfaces")
-    n = gd.dim
+    n = len(gd.G)
     l = [strict_int(x, "through-disk count") for x in l]
     if len(l) != n:
         raise ValueError(f"l must assign a through-disk count to each of the {n} bands")

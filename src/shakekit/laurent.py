@@ -1,10 +1,10 @@
 """Exact integer Laurent polynomials in one variable t, and unit-circle points.
 
-A LaurentPoly is an output: the package builds it from a coefficient
-dict (a pencil minor, a closed form), then reads, compares, shifts,
-tests for symmetry and formats it; no polynomial is read from text.
-Its only ring operation is *, by which det_laurent applies its sign; a
-sum is built from coefficient dicts.
+A LaurentPoly is an output: the package builds it only from a
+coefficient dict (a pencil minor, a closed form; LaurentPoly() is zero),
+then reads, compares, shifts, tests for symmetry and formats it; no
+polynomial is read from text.  Its only ring operation is *, which no
+code in the package calls; a sum or a sign is built from coefficient dicts.
 Coefficients are arbitrary-precision integers keyed by exponent; zero
 coefficients are never stored, so equality of canonical forms is plain
 structural equality.  Points on the unit circle are either exact
@@ -50,20 +50,9 @@ class LaurentPoly:
                     clean[exp] = coeff
         self._coeffs = clean
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
@@ -166,10 +155,6 @@ class UnitCirclePoint(Record):
     @classmethod
     def angle(cls, theta: float) -> "UnitCirclePoint":
         return cls(theta=theta)
-
-    @classmethod
-    def minus_one(cls) -> "UnitCirclePoint":
-        return cls(k=1, m=2)
 
     @property
     def is_rational(self) -> bool:

@@ -29,7 +29,7 @@ def alexander(A: Sequence[Sequence[int]]) -> laurent.LaurentPoly:
     if not laurent.lp_is_symmetric(delta):
         raise ArithmeticError(f"Alexander polynomial {delta} is not symmetric in t <-> 1/t")
     if (value := sum(delta.coeffs.values())) != 1:
-        raise ValueError(
+        raise DomainError(
             "not a knot Seifert matrix: det(A - A^T) must be 1, "
             f"got Alexander value {brief(value)} at t = 1"
         )

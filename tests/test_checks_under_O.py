@@ -43,7 +43,7 @@ outcome("read-back", lambda: exactlinalg.Pivots(8, (1,), (0,), True).minor(1))
 real_sign_at = exactlinalg._sign_at
 exactlinalg._sign_at = lambda omega, k, terms: [-1, 0, -1][k - 1]
 outcome("inertia", lambda: exactlinalg.inertia_hermitian_at_root(
-    [[-1, 1, 0], [0, -1, 1], [0, 0, -1]], UnitCirclePoint.minus_one()))
+    [[-1, 1, 0], [0, -1, 1], [0, 0, -1]], UnitCirclePoint.root(1, 2)))
 exactlinalg._sign_at = real_sign_at
 
 complexity.eval_invariant = lambda term, assignment: 0

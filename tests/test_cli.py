@@ -70,10 +70,11 @@ class TestAlexander:
         assert not out
         assert "error:" in err
 
-    def test_non_seifert_matrix_is_input_error(self, capsys, write_json):
+    def test_non_seifert_matrix_is_domain_error(self, capsys, write_json):
         path = write_json("zeros.json", {"dim": 2, "entries": [[0, 0], [0, 0]]})
-        code, _, err = run_cli(capsys, "alexander", path)
-        assert code == 2
+        code, out, err = run_cli(capsys, "alexander", path)
+        assert code == 1
+        assert not out
         assert "must be 1" in err
 
     def test_missing_file(self, capsys, tmp_path):

@@ -417,7 +417,7 @@ class TestFloatFirstSigns:
 
 class TestInvariant:
     def test_half_lt_signature_values(self):
-        for w in (UnitCirclePoint.minus_one(), UnitCirclePoint.root(1, 3),
+        for w in (UnitCirclePoint.root(1, 2), UnitCirclePoint.root(1, 3),
                   UnitCirclePoint.root(2, 7)):
             iota = a_family_profile(w)
             for k in range(5):
@@ -426,15 +426,15 @@ class TestInvariant:
     def test_scale_enforced(self, monkeypatch):
         monkeypatch.setattr(complexity, "_family_signature", lambda n, omega: 3)
         with pytest.raises(ArithmeticError, match="even"):
-            a_family_profile(UnitCirclePoint.minus_one())(0)
+            a_family_profile(UnitCirclePoint.root(1, 2))(0)
 
     def test_profile_values(self):
-        iota = a_family_profile(UnitCirclePoint.minus_one())
+        iota = a_family_profile(UnitCirclePoint.root(1, 2))
         assert iota(0) == 0
         assert iota(1) == 1
 
     def test_profile_domain(self):
-        iota = a_family_profile(UnitCirclePoint.minus_one())
+        iota = a_family_profile(UnitCirclePoint.root(1, 2))
         with pytest.raises(DomainError):
             iota(-1)
 

@@ -67,7 +67,7 @@ class TestBandValidation:
     def test_default_crossings(self):
         bp = BandPresentation([Band(orientable=True), Band(orientable=False)])
         assert bp.crossings == ((0, 0), (0, 0))
-        assert bp.band_count == 2
+        assert len(bp.bands) == 2
 
 
 class TestGoeritzForm:

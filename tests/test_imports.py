@@ -34,6 +34,28 @@ def test_public_api_is_pinned():
     assert names == PUBLIC_API
 
 
+# The public members of the value classes, fields included; each value has
+# one spelling, so an alias joins a class only by an edit here.
+VALUE_MEMBERS = {
+    "LaurentPoly": ["coeffs", "shift"],
+    "UnitCirclePoint": ["angle", "is_one", "is_rational", "k", "m", "root", "theta"],
+    "Inertia": ["dim", "n_minus", "n_plus", "n_zero", "signature"],
+    "BandPresentation": ["bands", "crossings"],
+    "GoeritzData": ["G", "eta", "nonorientable", "to_json"],
+}
+
+
+def test_value_class_members_are_pinned():
+    import shakekit
+
+    members = {}
+    for name in VALUE_MEMBERS:
+        cls = getattr(shakekit, name)
+        members[name] = sorted(m for m in {*dir(cls), *getattr(cls, "_fields", ())}
+                               if not m.startswith("_"))
+    assert members == VALUE_MEMBERS
+
+
 def test_cli_import_loads_no_dataclasses_and_every_traced_module():
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)

@@ -33,7 +33,7 @@ ENTRY_POINTS = {
     "alexander": (alexander, "matrix"),
     "classical_signature_seifert": (classical_signature_seifert, "matrix"),
     "inertia_hermitian_at_root": (
-        lambda rows: inertia_hermitian_at_root(rows, UnitCirclePoint.minus_one()), "matrix"),
+        lambda rows: inertia_hermitian_at_root(rows, UnitCirclePoint.root(1, 2)), "matrix"),
     "inertia_symmetric_exact": (inertia_symmetric_exact, "matrix"),
     "GoeritzData": (GoeritzData, "G"),
     "BandPresentation": (
