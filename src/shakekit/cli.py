@@ -4,9 +4,9 @@ Subcommands: alexander, signature, lt, goeritz, pattern, certify,
 verify.  Inputs are JSON files; outputs are deterministic JSON payloads
 on stdout (verify prints a table unless --json is given).  Exit codes:
 0 success, 1 a refusal, which is exactly a shakekit.DomainError (odd
-dimension, a form that is singular or whose signs are not certified at the
-root, missing witness, ...), 2 any other ValueError or OSError: malformed
-input.
+dimension or det(A - A^T) != 1, both checked before any elimination, a form
+that is singular or whose signs are not certified at the root, missing
+witness, ...), 2 any other ValueError or OSError: malformed input.
 """
 
 from __future__ import annotations
@@ -100,6 +100,7 @@ def _parse_root(text: str) -> laurent.UnitCirclePoint:
 
 def cmd_alexander(args) -> tuple[str, int]:
     matrix = exactlinalg.int_matrix_from_json(_load_json(args.matrix))
+    exactlinalg.knot_rule(matrix)
     delta = seifert.alexander(matrix)
     doc = {
         "alexander": str(delta),
@@ -115,7 +116,7 @@ def cmd_signature(args) -> tuple[str, int]:
         signature = goeritz.classical_signature_goeritz(bp)
         return _payload({"method": "goeritz", "signature": signature}), 0
     matrix = exactlinalg.int_matrix_from_json(_load_json(args.seifert))
-    errors.even_dimension(len(matrix))
+    exactlinalg.knot_rule(matrix)
     signature = seifert.classical_signature_seifert(matrix)
     return _payload({"method": "seifert", "signature": signature}), 0
 
@@ -124,7 +125,7 @@ def cmd_lt(args) -> tuple[str, int]:
     matrix = exactlinalg.int_matrix_from_json(_load_json(args.matrix))
     omega = (_parse_root(args.root) if args.root is not None
              else laurent.UnitCirclePoint.angle(args.theta))
-    errors.even_dimension(len(matrix))
+    exactlinalg.knot_rule(matrix)
     inertia = exactlinalg.inertia_hermitian_at_root(matrix, omega)
     doc = {
         "root": str(omega),

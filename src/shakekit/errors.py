@@ -1,5 +1,6 @@
 """Shared exception types and the strict input checks: an integer is exactly an int,
-and a Seifert matrix has even dimension (else OddDimension)."""
+and a knot's Seifert matrix A has even dimension (else OddDimension) and
+det(A - A^T) = 1."""
 
 import math
 import sys
@@ -24,6 +25,13 @@ def even_dimension(n: int) -> None:
     """Refuse an odd dimension n: the t^(-dim/2) normalization needs it even."""
     if n % 2:
         raise OddDimension(f"dimension {n} is odd; the t^(-dim/2) normalization needs it even")
+
+
+def unit_determinant(value: int) -> None:
+    """Refuse det(A - A^T) = value unless it is 1, as it is for a knot's Seifert matrix A."""
+    if value != 1:
+        raise DomainError("not a knot Seifert matrix: det(A - A^T) must be 1, "
+                          f"got Alexander value {brief(value)} at t = 1")
 
 
 def brief(value: object, limit: int = 100, text=repr) -> str:

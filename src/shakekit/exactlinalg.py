@@ -17,7 +17,11 @@ formula's, and the shifts take time linear in the size.  The Seifert
 pencil M = t*A - A^T is eliminated once per matrix A and memoised; with
 symmetric pivoting its Bareiss pivots are its leading principal minors,
 which give both the determinant and, by Jacobi's sign rule, the exact
-inertia of the Hermitian form H(omega) at every unit-circle point.  Its
+inertia of the Hermitian form H(omega) at every unit-circle point.  The
+memo can be queried without computing (_pencil.held): where it holds the
+pencil, sigma(-1) = sigma(A + A^T) is counted from the exact integers
+D_k(-1) = (-2)^k P_k(-1) (_minus_one_signature), and where it does not,
+or where those signs do not count, the form A + A^T is eliminated.  Its
 principal minors are palindromic, P(t) = +-t^d P(1/t), so a pencil is
 packed at half the Hadamard width and its pivots are read back from both
 ends (_pencil gives the proof).  Every sign on the circle, a minor's or
@@ -38,7 +42,8 @@ from itertools import compress
 
 from . import laurent
 from ._record import Record
-from .errors import DomainError, brief, strict_int, strict_keys, strict_matrix
+from .errors import (DomainError, brief, even_dimension, strict_int, strict_keys, strict_matrix,
+                     unit_determinant)
 
 
 class InvalidRoot(DomainError):
@@ -356,12 +361,37 @@ def _entry(e: object) -> dict[int, int] | int:
     raise ValueError(f"a matrix entry must be an int or a LaurentPoly, got {e!r}")
 
 
-@functools.lru_cache(maxsize=64)
+def _memoised(eliminate):
+    """eliminate, memoised for the 64 keys used last, as functools.lru_cache(64) would.
+
+    The memo is the dict .held, least recently used first, so a caller can
+    look a key up (.held.get) without computing anything; .cache_clear
+    empties it, and .__wrapped__ is eliminate itself, which fills no memo.
+    """
+    held = {}
+
+    @functools.wraps(eliminate)
+    def memo(key):
+        found = held.pop(key, None)
+        if found is None:
+            found = eliminate(key)
+            if len(held) >= 64:
+                del held[next(iter(held))]
+        held[key] = found
+        return found
+
+    memo.held, memo.cache_clear = held, held.clear
+    return memo
+
+
+@_memoised
 def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     """The Pivots of the pencil t*A - A^T, eliminated once per matrix and memoised.
 
     Callers pass the immutable key strict_matrix(A, "matrix"), so a matrix
-    they mutate later is never answered from the memo.  No LaurentPoly is
+    they mutate later is never answered from the memo, and a caller may
+    read _pencil.held.get(key) to use the pivots only if they are held, as
+    classical_signature_seifert does (_minus_one_signature).  No LaurentPoly is
     built: one pass over A gives each row i its support, Hadamard factor
     sum_j (|a_ij| + |a_ji|)^2 and low (1 if column i of A is zero and row i
     is not), and entry (i, j) is packed as ((a_ij << bits) - a_ji) >> bits*low.
@@ -405,6 +435,43 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
         for j in js:
             c[j] = (row[j] << bits - bits * low) + c.get(j, 0)
     return _kernel(cs, lows, bits, True, pencil)
+
+
+def _minus_one_signature(pivots: Pivots) -> int | None:
+    """sigma(A + A^T) from the pencil t*A - A^T's Pivots, or None where Jacobi's rule cannot count.
+
+    H(-1) = 2(A + A^T), so its leading minors are D_k(-1) = (-2)^k P_k(-1),
+    exact integers with P_k(-1) = sum c*(-1)^e over the (e, c) pairs of P_k:
+    sign D_k = (-1)^k sign P_k(-1), with no float and no _sign_at.  They
+    count when D_n(-1) != 0 and no two consecutive ones vanish; a singular
+    A + A^T, two zeros in a row or trailing zero pivots give None, and the
+    caller eliminates A + A^T instead.  For a knot D_n(-1) is never 0, as
+    det(K) = |Delta(-1)| is odd.
+    """
+    signs = []
+    for k, terms in enumerate(pivots.terms, 1):
+        value = sum(-c if e % 2 else c for e, c in terms)
+        signs.append(((value > 0) - (value < 0)) * (-1 if k % 2 else 1))
+    if 0 in signs[-1:] or (0, 0) in zip(signs, signs[1:]):
+        return None
+    n_plus, n_minus = _jacobi(signs)
+    return n_plus - n_minus
+
+
+def knot_rule(A: Sequence[Sequence[int]]) -> None:
+    """Refuse a checked matrix A that is no knot's Seifert matrix, before any pencil is built.
+
+    A knot's Seifert matrix has an even dimension (even_dimension) and
+    det(A - A^T) = 1 (unit_determinant).  A - A^T is skew, so its sparse
+    rows have a symmetric pattern, and their last _form_pivots pivot is
+    det(A - A^T) exactly: a trailing zero pivot, where the rest is zero,
+    is a zero determinant.  The CLI's Seifert commands call this; the
+    library's alexander checks Delta(1) = det(A - A^T) after its pencil.
+    """
+    even_dimension(len(A))
+    rows = [{j: x for j, (a, b) in enumerate(zip(row, col)) if (x := a - b)}
+            for row, col in zip(A, zip(*A))]
+    unit_determinant(_form_pivots(rows).values[-1] if rows else 1)
 
 
 def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:

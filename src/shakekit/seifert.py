@@ -17,7 +17,8 @@ from collections.abc import Sequence
 from itertools import compress
 
 from . import exactlinalg, laurent
-from .errors import DomainError, OddDimension, brief, even_dimension, strict_int, strict_matrix
+from .errors import (DomainError, OddDimension, even_dimension, strict_int, strict_matrix,
+                     unit_determinant)
 
 
 def alexander(A: Sequence[Sequence[int]]) -> laurent.LaurentPoly:
@@ -28,17 +29,23 @@ def alexander(A: Sequence[Sequence[int]]) -> laurent.LaurentPoly:
     delta = exactlinalg._pencil(key).minor(n).shift(-n // 2)
     if not laurent.lp_is_symmetric(delta):
         raise ArithmeticError(f"Alexander polynomial {delta} is not symmetric in t <-> 1/t")
-    if (value := sum(delta.coeffs.values())) != 1:
-        raise DomainError(
-            "not a knot Seifert matrix: det(A - A^T) must be 1, "
-            f"got Alexander value {brief(value)} at t = 1"
-        )
+    unit_determinant(sum(delta.coeffs.values()))
     return delta
 
 
 def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
-    """Signature of the symmetrized form A + A^T."""
+    """Signature of the symmetrized form A + A^T, the Levine-Tristram signature at -1.
+
+    Where the memo already holds the pencil of A (after alexander or
+    lt_signature on it), the signs of its leading minors at -1 are counted
+    with no elimination (exactlinalg._minus_one_signature).  Otherwise, and
+    where that count cannot decide, the form A + A^T is eliminated; a cold
+    call never builds the pencil, which costs about three times the form.
+    """
     A = strict_matrix(A, "matrix")
+    held = exactlinalg._pencil.held.get(A)
+    if held is not None and (signature := exactlinalg._minus_one_signature(held)) is not None:
+        return signature
     every = range(len(A))
     return exactlinalg._form_inertia([{j: x for j in {*compress(every, row), *compress(every, col)}
                                        if (x := row[j] + col[j])}

@@ -315,6 +315,17 @@ def random_laurent_matrix(rng: random.Random, dim: int) -> list[list[LaurentPoly
     return [[random_laurent(rng) for _ in range(dim)] for _ in range(dim)]
 
 
+def numpy_signature(S: list[list[int]]) -> int:
+    """Signature of a small symmetric integer matrix from numpy's eigenvalues, |x| <= 1e-9 as 0.
+
+    numpy is imported here, so the oracles load without it.
+    """
+    import numpy as np
+
+    values = np.linalg.eigvalsh(np.array(S, dtype=float))
+    return int((values > 1e-9).sum()) - int((values < -1e-9).sum())
+
+
 def random_int_matrix(rng: random.Random, dim: int, bound: int = 4) -> list[list[int]]:
     return [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)]
 

@@ -1,12 +1,15 @@
 import json
 import math
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import shakekit
-from shakekit import cli, verify
+from oracles import det_int
+from shakekit import cli, exactlinalg, verify
 from shakekit.cli import main
 
 A1_DOC = {
@@ -209,6 +212,60 @@ class TestLt:
         assert code == 2
         assert not out
         assert "finite" in err
+
+
+class TestKnotRule:
+    """alexander, signature --seifert and lt refuse a matrix with det(A - A^T) != 1 before any
+    elimination of its pencil or form, after the parity check, with alexander's message."""
+
+    READERS = {"alexander": ["alexander"], "signature": ["signature", "--seifert"],
+               "lt": ["lt", "--root", "1/3"]}
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_non_knot_matrix_exits_1_with_alexanders_message(self, capsys, write_json,
+                                                                monkeypatch, reader):
+        calls = []
+        real = exactlinalg._kernel
+        monkeypatch.setattr(exactlinalg, "_kernel",
+                            lambda *args: calls.append(args[1:]) or real(*args))
+        exactlinalg._pencil.cache_clear()
+        path = write_json("identity.json", {"dim": 2, "entries": [[1, 0], [0, 1]]})
+        code, out, err = run_cli(capsys, *self.READERS[reader], path)
+        assert (code, out) == (1, "")
+        assert err == ("error: not a knot Seifert matrix: det(A - A^T) must be 1, "
+                       "got Alexander value 0 at t = 1\n")
+        # one elimination, of the integer form A - A^T; no pencil is built
+        assert calls == [([0, 0], 8, True, False)] and exactlinalg._pencil.held == {}
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_large_random_matrix_is_refused_at_once(self, capsys, write_json, reader):
+        # the late check took minutes here, after eliminating the whole pencil
+        rng = random.Random(5)
+        entries = [[rng.randint(-3, 3) for _ in range(120)] for _ in range(120)]
+        path = write_json("random.json", {"dim": 120, "entries": entries})
+        exactlinalg._pencil.cache_clear()
+        start = time.process_time()
+        code, out, err = run_cli(capsys, *self.READERS[reader], path)
+        assert time.process_time() - start < 1
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("error: not a knot Seifert matrix: det(A - A^T) must be 1, got ")
+        assert exactlinalg._pencil.held == {}
+
+    def test_the_determinant_is_exact(self):
+        rng = random.Random(21)
+        for trial in range(300):
+            n = 2 * rng.randint(1, 5)
+            A = [[rng.randint(-3, 3) if rng.random() < 0.6 else 0 for _ in range(n)]
+                 for _ in range(n)]
+            want = det_int([[a - b for a, b in zip(row, col)] for row, col in zip(A, zip(*A))])
+            if want == 1:
+                assert exactlinalg.knot_rule(A) is None
+                continue
+            with pytest.raises(shakekit.DomainError) as exc:
+                exactlinalg.knot_rule(A)
+            assert str(exc.value).endswith(f"got Alexander value {want} at t = 1")
+        with pytest.raises(shakekit.DomainError, match="Alexander value 4 at"):
+            exactlinalg.knot_rule([[0, 2], [0, 0]])
 
 
 class TestGoeritz:

@@ -226,6 +226,23 @@ class TestPencilMemo:
         certify_complexity(25, 3)
         assert calls == []
 
+    def test_the_memo_holds_the_64_matrices_used_last(self):
+        exactlinalg._pencil.cache_clear()
+        keys = [((k,),) for k in range(70)]
+        exactlinalg._pencil.__wrapped__(keys[0])  # the raw elimination fills no memo
+        assert exactlinalg._pencil.held == {}
+        for key in keys[:64]:
+            exactlinalg._pencil(key)
+        first = exactlinalg._pencil.held[keys[0]]
+        assert exactlinalg._pencil(keys[0]) is first  # answered from the memo, now used last
+        for key in keys[64:]:
+            exactlinalg._pencil(key)
+        held = exactlinalg._pencil.held
+        assert list(held) == [*keys[7:64], keys[0], *keys[64:]]
+        assert held[keys[0]] is first and keys[1] not in held
+        exactlinalg._pencil.cache_clear()
+        assert exactlinalg._pencil.held == {}
+
     def test_mutating_the_matrix_never_gives_a_stale_result(self):
         A = [[-1, 1], [0, -1]]
         assert alexander(A) == LaurentPoly({-1: 1, 0: -1, 1: 1})

@@ -1,10 +1,11 @@
 import cmath
 import math
+import random
 
 import pytest
 
 import shakekit
-from oracles import eval_naive
+from oracles import congruence, eval_naive, numpy_signature, random_unimodular
 from shakekit.errors import DomainError
 from shakekit import exactlinalg
 from shakekit.exactlinalg import inertia_hermitian_at_root
@@ -178,6 +179,14 @@ class TestSignatures:
         assert classical_signature_seifert(A2) == 2
         assert classical_signature_seifert(TREFOIL) == -2
 
+    def test_classical_after_the_pencil_is_memoised(self):
+        # the trefoil's D_1(-1) = -2 P_1(-1) < 0 and D_2(-1) = 4 P_2(-1) > 0:
+        # without the (-1)^k factor the count would give +2
+        for A, want in ((A1, 0), (A2, 2), (TREFOIL, -2)):
+            exactlinalg._pencil.cache_clear()
+            alexander(A)
+            assert classical_signature_seifert(A) == want
+
     def test_lt_at_minus_one_matches_classical(self):
         w = UnitCirclePoint.root(1, 2)
         for n in range(1, 5):
@@ -224,10 +233,78 @@ class TestEntriesAreInts:
         exactlinalg._pencil.cache_clear()
         with pytest.raises(ValueError) as cold:
             fn(bad)
-        fn([[1, 1], [0, 1]])  # an int matrix equal to bad, answered and memoised
+        # an int matrix equal to bad, answered, with its pencil memoised
+        alexander([[1, 1], [0, 1]])
+        fn([[1, 1], [0, 1]])
         with pytest.raises(ValueError) as warm:
             fn(bad)
         assert str(cold.value) == str(warm.value) == f"expected integer matrix entry {where}"
+
+
+class TestClassicalSignatureRoutes:
+    """sigma(A + A^T) is counted from the pencil's pivots where the memo holds them, else the
+    form A + A^T is eliminated; both answers agree with numpy for any square matrix."""
+
+    def test_both_routes_agree_with_numpy(self, monkeypatch):
+        forms = []
+        real = exactlinalg._form_inertia
+        monkeypatch.setattr(exactlinalg, "_form_inertia",
+                            lambda rows: forms.append(1) or real(rows))
+        rng = random.Random(45)
+        routes = {"pencil": 0, "form": 0}
+        for trial in range(3200):
+            n = rng.randint(1, 9)  # odd, singular and non-knot matrices included
+            density = (0.2, 0.5, 0.9)[trial % 3]
+            A = [[rng.randint(-2, 2) if rng.random() < density else 0 for _ in range(n)]
+                 for _ in range(n)]
+            exactlinalg._pencil.cache_clear()
+            cold = classical_signature_seifert(A)
+            assert exactlinalg._pencil.held == {}
+            exactlinalg._pencil(tuple(map(tuple, A)))
+            forms.clear()
+            warm = classical_signature_seifert(A)
+            routes["form" if forms else "pencil"] += 1
+            want = numpy_signature([[a + b for a, b in zip(row, col)]
+                                    for row, col in zip(A, zip(*A))])
+            assert cold == warm == want, A
+        assert min(routes.values()) >= 1000, routes
+
+    def test_after_alexander_no_kernel_runs(self, monkeypatch):
+        calls = []
+        real = exactlinalg._kernel
+        monkeypatch.setattr(exactlinalg, "_kernel",
+                            lambda *args: calls.append(args) or real(*args))
+        A = congruence(random_unimodular(random.Random(45), 18, 60), an_family(8))
+        exactlinalg._pencil.cache_clear()
+        alexander(A)
+        assert len(calls) == 1 and calls[0][4]
+        calls.clear()
+        assert classical_signature_seifert(A) == classical_signature_seifert(an_family(8)) == 2
+        assert len(calls) == 1  # an_family(8)'s cold call
+
+    def test_a_cold_call_builds_no_pencil(self, monkeypatch):
+        calls = []
+        real = exactlinalg._kernel
+
+        def spy(rows, *args):
+            calls.append(([dict(row) for row in rows], *args))
+            return real(rows, *args)
+
+        monkeypatch.setattr(exactlinalg, "_kernel", spy)
+        exactlinalg._pencil.cache_clear()
+        assert classical_signature_seifert(TREFOIL) == -2
+        (rows, lows, _, pivots, pencil), = calls
+        assert rows == [{0: -2, 1: 1}, {0: 1, 1: -2}] and not any(lows) and pivots and not pencil
+        assert exactlinalg._pencil.held == {}
+
+    def test_the_library_checks_no_knot_rule(self):
+        # A - A^T = 0: no knot's matrix, but a square one with sigma(A + A^T) = 2
+        exactlinalg._pencil.cache_clear()
+        assert classical_signature_seifert([[1, 0], [0, 1]]) == 2
+        assert lt_signature([[1, 0], [0, 1]], UnitCirclePoint.root(1, 3)) == 2
+        assert classical_signature_seifert([[1, 0], [0, 1]]) == 2
+        with pytest.raises(DomainError, match="must be 1, got Alexander value 0 at t = 1"):
+            alexander([[1, 0], [0, 1]])
 
 
 class TestSignScan:

@@ -53,6 +53,7 @@ LINALG = sorted([*CORE, "shakekit.exactlinalg", "shakekit.laurent"])
 SEIFERT = sorted([*LINALG, "shakekit.seifert"])
 # the classical signature reads integer pivots alone, so no Laurent polynomial is built
 SIGNATURE = sorted([*CORE, "shakekit.exactlinalg", "shakekit.seifert"])
+KNOT_RULE = sorted([*CORE, "shakekit.exactlinalg"])
 GOERITZ = sorted([*CORE, "shakekit.exactlinalg", "shakekit.goeritz"])
 PATTERNS = sorted([*CORE, "shakekit.patterns"])
 # the family's closed-form signs run no kernel unless a sign needs the exact fallback
@@ -75,6 +76,11 @@ CERTIFY = sorted([*CORE, "shakekit.complexity", "shakekit.laurent", "shakekit.pa
     pytest.param(["lt", "TREFOIL", "--root", "1/6"], 1, LINALG, id="lt-singular"),
     # refused by the parity check alexander uses, without executing seifert
     pytest.param(["lt", "ODD", "--root", "1/3"], 1, LINALG, id="lt-odd"),
+    # det(A - A^T) = 0: refused by the knot rule, which executes no seifert
+    pytest.param(["alexander", "NOT_A_KNOT"], 1, KNOT_RULE, id="alexander-not-a-knot"),
+    pytest.param(["signature", "--seifert", "NOT_A_KNOT"], 1, KNOT_RULE,
+                 id="signature-not-a-knot"),
+    pytest.param(["lt", "NOT_A_KNOT", "--root", "1/3"], 1, LINALG, id="lt-not-a-knot"),
     pytest.param(["goeritz", "BANDS"], 0, GOERITZ, id="goeritz"),
     pytest.param(["signature", "--goeritz", "BANDS"], 0, GOERITZ, id="signature-goeritz"),
     pytest.param(["certify", "--framing", "5", "--complexity", "2"], 0, CERTIFY, id="certify"),
@@ -88,6 +94,7 @@ def test_each_command_executes_only_its_modules(tmp_path, argv, code, executed):
         "SIXTH": {"Q": {"family": {"root": "1/6"}}},
         "TREFOIL": {"dim": 2, "entries": [[-1, 1], [0, -1]]},
         "ODD": {"dim": 1, "entries": [[1]]},
+        "NOT_A_KNOT": {"dim": 2, "entries": [[1, 0], [0, 1]]},
         "BANDS": {"bands": [{"orientable": False, "half_twists": 3}], "crossings": [[0]]},
     }
     for i, arg in enumerate(argv):
