@@ -1,15 +1,15 @@
 """Exact determinants of Laurent-polynomial matrices and inertia of forms.
 
-Determinants have one integer kernel: Kronecker substitution t = 2^(8w),
+Determinants have one integer kernel: Kronecker substitution t = 2^b,
 fraction-free (Bareiss) elimination over the integers on sparse rows,
-and a balanced base-2^(8w) read-back.  Each caller packs its own checked
-input once, at a width of w bytes fixed before the first step: the
+and a balanced base-2^b read-back.  Each caller packs its own checked
+input once, at a width of b bits fixed before the first step: the
 Hadamard width of the whole matrix, or half of it for a pencil.  The
 coefficient-dict packer serves det_laurent alone.  A row that a step does
 not read keeps the scale (pivot s, for the s pivots taken then) it was
 stored at, and is rescaled, stored * prev // pivot s, when a step reads
 it.  A pivot that carries a power of t, t^v times a cofactor, is u * 2^s
-at t = 2^(8w), s = 8wv.  A step whose pivot or prev carries one writes
+at t = 2^b, s = bv.  A step whose pivot or prev carries one writes
 x * pivot as (x * u) << s and an exact N // prev as (N >> s) // u:
 N = prev * q is a multiple of 2^s, so the shift drops only zero bits and
 leaves u * q.  Both are integer identities, so every value is the plain
@@ -20,17 +20,24 @@ which give both the determinant and, by Jacobi's sign rule, the exact
 inertia of the Hermitian form H(omega) at every unit-circle point.  The
 memo can be queried without computing (_pencil.held): where it holds the
 pencil, sigma(-1) = sigma(A + A^T) is counted from the exact integers
-D_k(-1) = (-2)^k P_k(-1) (_minus_one_signature), and where it does not,
+D_k(-1) = (-2)^k P_k(-1) (_minus_one_signs), and where it does not,
 or where those signs do not count, the form A + A^T is eliminated.  Its
 principal minors are palindromic, P(t) = +-t^d P(1/t), so a pencil is
 packed at half the Hadamard width and its pivots are read back from both
-ends (_pencil gives the proof).  Every sign on the circle, a minor's or
-an Alexander polynomial's, is taken by _sign_at: exact for a monomial
-minor, else a float sum that counts only when it clears a rounding-error
-bound, and else, at a root of unity of order <= _MAX_ZERO_TEST_ORDER,
-the sparse exact zero test _vanishes.  Classical inertia of a symmetric
-integer matrix comes from the same elimination: its pivots are the
-matrix's exact integer leading minors.
+ends.  A pencil wider than _NARROW_BITS whose A holds more than two
+nonzero entries per row is first eliminated at two or more narrow points
+that spend the same Hadamard budget, as its arithmetic grows faster than
+the width; their answer is kept only where every point took the same
+path and read the same minors, and else the one half-width point answers
+(_pencil gives the tests and the proofs).  Every sign on the circle, a
+minor's or an Alexander polynomial's, is taken by _sign_at: exact for a
+monomial minor, else a float sum that counts only when it clears a
+rounding-error bound, and else, at a root of unity of order <=
+_MAX_ZERO_TEST_ORDER, the sparse exact zero test _vanishes.  At
+omega = -1 a minor's sign is read from the exact integer P_k(-1) instead
+(_minus_one_signs).  Classical inertia of a symmetric integer matrix
+comes from the same elimination: its pivots are the matrix's exact
+integer leading minors.
 """
 
 from __future__ import annotations
@@ -105,12 +112,15 @@ class Pivots(Record):
     """Bareiss pivots at t = 2^bits, each one a leading minor of the pivoted matrix.
 
     values[k-1] is the k-th pivot, the polynomial P_k / t^lows[k-1]
-    evaluated at 2^bits.  bits is the elimination's one width: the
-    Hadamard width of the whole matrix in whole bytes (an integer form),
-    and the coefficients lie strictly inside +-2^(bits-1).  A pencil's pivots
+    evaluated at 2^bits.  bits is the elimination's one width, in bits:
+    the Hadamard width of the whole matrix (an integer form), and the
+    coefficients lie strictly inside +-2^(bits-1).  A pencil's pivots
     (pencil=True) are packed at half that width instead, with
-    coefficients below 2^(2*bits-2), and are read from both ends.  bits
-    and values depend on the width, minor(k) does not.
+    coefficients below 2^(2*bits-2), and are read from both ends; or, for
+    a pencil split over narrow points (_pencil), at the first point's
+    narrower width, with terms already read and checked against every
+    point.  bits and values depend on the width, minor(k) and terms do
+    not.
     """
 
     bits: int
@@ -178,8 +188,8 @@ class Pivots(Record):
 
 
 def _width(bound_sq: int) -> int:
-    """The bytes a digit needs for coefficients up to sqrt(bound_sq) in absolute value."""
-    return ((math.isqrt(bound_sq - 1) + 1).bit_length() + 8) // 8
+    """The bits b whose balanced digits, inside +-2^(b-1), hold coefficients to sqrt(bound_sq)."""
+    return (math.isqrt(bound_sq - 1) + 1).bit_length() + 1
 
 
 class _Rows:
@@ -264,7 +274,7 @@ def _eliminate(K: _Rows, columns: tuple[int, ...], rest: list[int], taken: list[
 
 
 def _kernel(rows: list[dict[int, int]], lows: list[int], bits: int, pivots: bool,
-            pencil: bool) -> laurent.LaurentPoly | Pivots:
+            pencil: bool, path: list[list[int]] | None = None) -> laurent.LaurentPoly | Pivots:
     """Bareiss on rows packed at t = 2^bits: row i maps column j to t^-lows[i] * a_ij at 2^bits.
 
     Each caller packs its own checked input at a width that holds what the
@@ -279,6 +289,7 @@ def _kernel(rows: list[dict[int, int]], lows: list[int], bits: int, pivots: bool
     minors are 0.  Symmetric matrices and Seifert pencils have
     M[i][j] != 0 exactly when M[j][i] != 0, so a block exists while the
     rest is nonzero; a ValueError reports a matrix without that symmetry.
+    A list given as path receives the rows each step takes, in order.
     """
     K = _Rows(rows, bits)
     order = list(range(len(rows)))  # rows left, in pivoting order; column = row label
@@ -308,6 +319,8 @@ def _kernel(rows: list[dict[int, int]], lows: list[int], bits: int, pivots: bool
                 order[i], order[j] = order[j], order[i]
         taken = order[:2] if pivots and order[0] not in K.rows[order[0]] else order[:1]
         rest = order[len(taken):]
+        if path is not None:
+            path.append(taken)
         _eliminate(K, tuple(taken) if pivots else (len(K.pivots),), rest, taken)
         for r in taken:
             offset += lows[r]
@@ -322,19 +335,25 @@ def _bareiss(entries: list[dict]) -> laurent.LaurentPoly:
     """det_laurent's determinant of sparse rows of ints and coefficient dicts, packed for _kernel.
 
     Every entry the elimination writes is a minor of the row-shifted
-    matrix, so by Hadamard at most H, the product of the row norms
-    sqrt(sum_j ||a_ij||_1^2) (|a_ij| <= ||a_ij||_1 on the unit circle), as
-    are its coefficients (Parseval).  Each row is shifted by its lowest
-    exponent and packed at the least width whose digits hold H.
+    matrix, so by Hadamard, by rows or by columns, at most H, the smaller
+    of the product of the row norms sqrt(sum_j ||a_ij||_1^2) and that of
+    the nonzero column norms sqrt(sum_i ||a_ij||_1^2) (|a_ij| <= ||a_ij||_1
+    on the unit circle, and a shift keeps |a_ij|), as are its coefficients
+    (Parseval).  Each row is shifted by its lowest exponent and packed at
+    the least width in bits whose digits hold H.
     """
-    lows, bound = [], 1
+    lows, rows_sq, cols = [], 1, {}
     for row in entries:
         if not row:
             return laurent.LaurentPoly()
         lows.append(min(x for e in row.values() for x in ((0,) if e.__class__ is int else e)))
-        bound *= sum(e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2
-                     for e in row.values())
-    bits = 8 * _width(bound)
+        norm = 0
+        for j, e in row.items():
+            x = e * e if e.__class__ is int else sum(map(abs, e.values())) ** 2
+            norm += x
+            cols[j] = cols.get(j, 0) + x
+        rows_sq *= norm
+    bits = _width(min(rows_sq, math.prod(cols.values())))
     return _kernel([{j: e << bits * -low if e.__class__ is int else
                      sum(c << bits * (x - low) for x, c in e.items()) for j, e in row.items()}
                     for row, low in zip(entries, lows)], lows, bits, False, False)
@@ -384,6 +403,11 @@ def _memoised(eliminate):
     return memo
 
 
+# The widest half width, in bits, at which a pencil is eliminated at one point; a wider one is
+# first split over narrow points (_pencil)
+_NARROW_BITS = 56
+
+
 @_memoised
 def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     """The Pivots of the pencil t*A - A^T, eliminated once per matrix and memoised.
@@ -393,65 +417,145 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     read _pencil.held.get(key) to use the pivots only if they are held, as
     classical_signature_seifert does (_minus_one_signature).  No LaurentPoly is
     built: one pass over A gives each row i its support, Hadamard factor
-    sum_j (|a_ij| + |a_ji|)^2 and low (1 if column i of A is zero and row i
-    is not), and entry (i, j) is packed as ((a_ij << bits) - a_ji) >> bits*low.
+    alpha_i + 2|sum_j a_ij*a_ji| with alpha_i = sum_j (a_ij^2 + a_ji^2), and
+    low (1 if column i of A is zero and row i is not), and entry (i, j) is
+    packed as ((a_ij << bits) - a_ji) >> bits*low.  On the unit circle
+    |a_ij*w - a_ji|^2 = a_ij^2 + a_ji^2 - 2*a_ij*a_ji*cos(theta), so the
+    factor bounds row i's squared norm there, and H^2, the product of the
+    factors, bounds every minor R's |R(w)|^2 (Hadamard), and so ||R||_2^2
+    (Parseval).
 
     Half width.  M = t*A - A^T satisfies M(t)^T = -t * M(1/t).  Once a
     row of M holds both powers of t (a pencil), it is packed at
-    w = _width(isqrt(H^2) + 1) bytes, H the Hadamard bound of the whole
-    matrix, so T = 2^(8w) > 2 sqrt(H), about half the bits of H, in place
-    of the full width.  A principal minor R of M satisfies
-    R(t) = +-t^d R(1/t), and so does each row-shifted one.  If such an
-    integer polynomial R != 0 had R(T) = 0, then R(1/T) = 0 too, so
+    b = _width(isqrt(H^2) + 1) bits, so T = 2^b > 2 sqrt(H), about half the
+    bits of H, in place of the full width.  A principal minor R of M
+    satisfies R(t) = +-t^d R(1/t), and so does each row-shifted one.  If
+    such an integer polynomial R != 0 had R(T) = 0, then R(1/T) = 0 too, so
     (t - T)(T*t - 1) would divide R (Gauss's lemma), and
     ||R||_2 >= M(R) >= T^2 (Landau's inequality, Mahler's measure) would
-    exceed H >= ||R||_2 (Parseval).  So at T:
+    exceed H >= ||R||_2.  So at T:
       - a diagonal Schur entry, a principal minor, is zero only if it is
         zero as a polynomial, and so is a pivot;
       - where the diagonal is zero, Schur entry (i, j) != 0 forces
         (j, i) != 0, as their 2x2 block's minor is principal and nonzero
         (the symmetry makes (j, i) t^(p+1) times (i, j) at 1/t, up to
         sign);
-    and the pivots taken are those of the full width.  Off-diagonal
+    and the pivots taken are those of the polynomials.  Off-diagonal
     entries are exact values at T but never read back.  Pivots._read
     reads pivot k from both ends: its coefficients are palindromic up to
     the sign (-1)^k and below H < T^2/4, so the value modulo T and the
     rounded top digits fix each outer pair.
+
+    Narrow points.  Where the Schur complements fill in, the arithmetic
+    grows faster than linearly in the width.  So where b > _NARROW_BITS and
+    A holds more than two nonzero entries per row on average, the pencil
+    is first eliminated at j = ceil(b / _NARROW_BITS) narrow points
+    T_i = 2^(b_i), with distinct b_i and prod T_i^4 > 4H^2, i.e.
+    prod T_i^2 > 2H (_narrow).  A sparser A, such as an_family's, fills in
+    little: its steps cost about linearly in the width, and j points would
+    only repeat their per-step work.  The narrow answer, the first point's
+    Pivots with its terms, is kept only if every point took the same rows
+    at each step (and so left the same trailing zeros), read the same
+    (exponent, coefficient) pairs for every P_k and raised nothing, and if
+    sum c^2 <= H^2 over the pairs of every P_k.  Then with Q_k the minor
+    and R_k its pairs, Q_k - R_k is palindromic and vanishes at every T_i,
+    as a read is exact (R_k(T_i) is the value), so at every 1/T_i too, and
+    prod (t - T_i)(T_i*t - 1) divides it: ||Q_k - R_k||_2 >= prod T_i^2 >
+    2H >= ||Q_k||_2 + ||R_k||_2 unless Q_k = R_k.  Each zero test the path
+    made is a principal minor S that vanished at every T_i: a skipped
+    diagonal, a 2x2 block's -E_ab*E_ba/prev, or, at the trailing zeros,
+    those of the rest.  As ||S||_2 <= H, S = 0 by the same argument, so the
+    path is that of the polynomials.  Any disagreement, and a ValueError or
+    ArithmeticError at a narrow point, falls back to the one point at b,
+    packed in place.
     """
     every = range(len(A))
     ts = [[*compress(every, row)] for row in A]  # row i's t side: the j with a_ij != 0
-    cs = [{} for _ in every]  # row i's constant side, j -> -a_ji, then its packed entries
-    norms = [0] * len(A)
+    cs = [{} for _ in every]  # row i's constant side, j -> -a_ji
+    alphas, cross = [0] * len(A), [0] * len(A)
     for i, (row, js) in enumerate(zip(A, ts)):
         for j in js:
             cs[j][i] = -(a := row[j])
-            norms[i] += a * a + 2 * abs(a * A[j][i])
-            norms[j] += a * a
+            alphas[i] += a * a
+            alphas[j] += a * a
+            cross[i] += a * A[j][i]
     pencil = any(js and c for js, c in zip(ts, cs))
-    bound = math.prod(norm or 1 for norm in norms)
-    bits = 8 * _width(math.isqrt(bound) + 1 if pencil else bound)
+    bound = math.prod(alpha + 2 * abs(x) or 1 for alpha, x in zip(alphas, cross))
     lows = [0 if c or not js else 1 for js, c in zip(ts, cs)]
-    for row, js, c, low in zip(A, ts, cs, lows):
+    if not pencil:
+        bits = _width(bound)
+    elif (bits := _width(math.isqrt(bound) + 1)) > _NARROW_BITS and sum(map(len, ts)) > 2 * len(A):
+        found = _narrow(A, ts, cs, lows, bound, -(-bits // _NARROW_BITS))
+        if found is not None:
+            return found
+    return _kernel(_packed(A, ts, cs, lows, bits, cs), lows, bits, True, pencil)
+
+
+def _packed(A: tuple[tuple[int, ...], ...], ts: list[list[int]], cs: list[dict[int, int]],
+            lows: list[int], bits: int, rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """rows, copies of the constant sides cs or cs itself, with entry (i, j) packed at t = 2^bits.
+
+    Entry (i, j) becomes ((a_ij << bits) - a_ji) >> bits*lows[i], for the
+    j in row i's t side ts[i]; the others keep -a_ji.
+    """
+    for row, js, c, packed, low in zip(A, ts, cs, rows, lows):
         for j in js:
-            c[j] = (row[j] << bits - bits * low) + c.get(j, 0)
-    return _kernel(cs, lows, bits, True, pencil)
+            packed[j] = (row[j] << bits - bits * low) + c.get(j, 0)
+    return rows
 
 
-def _minus_one_signature(pivots: Pivots) -> int | None:
-    """sigma(A + A^T) from the pencil t*A - A^T's Pivots, or None where Jacobi's rule cannot count.
+def _narrow(A: tuple[tuple[int, ...], ...], ts: list[list[int]], cs: list[dict[int, int]],
+            lows: list[int], bound: int, count: int) -> Pivots | None:
+    """The pencil's Pivots at the first of count narrow points, or None where _pencil falls back.
 
-    H(-1) = 2(A + A^T), so its leading minors are D_k(-1) = (-2)^k P_k(-1),
-    exact integers with P_k(-1) = sum c*(-1)^e over the (e, c) pairs of P_k:
-    sign D_k = (-1)^k sign P_k(-1), with no float and no _sign_at.  They
-    count when D_n(-1) != 0 and no two consecutive ones vanish; a singular
-    A + A^T, two zeros in a row or trailing zero pivots give None, and the
-    caller eliminates A + A^T instead.  For a knot D_n(-1) is never 0, as
-    det(K) = |Delta(-1)| is odd.
+    The points are T = 2^bits for count consecutive bits from base up,
+    whose sum is at least base * count >= (bound.bit_length() + 2) / 4, so
+    prod T^4 > 4 * bound = 4H^2.  Each packs copies of the constant sides
+    cs; _pencil gives the tests and the proof.
+    """
+    base = -(-((bound.bit_length() + 5) // 4) // count)
+    first = path = None
+    for bits in range(base, base + count):
+        taken: list[list[int]] = []
+        try:
+            found = _kernel(_packed(A, ts, cs, lows, bits, [c.copy() for c in cs]), lows, bits,
+                            True, True, taken)
+            terms = found.terms
+        except (ValueError, ArithmeticError):
+            return None
+        if first is None:
+            if any(sum(c * c for _, c in pairs) > bound for pairs in terms):
+                return None
+            first, path = found, taken
+        elif taken != path or terms != first.terms:
+            return None
+    return first
+
+
+def _minus_one_signs(pivots: Pivots) -> list[int]:
+    """The exact signs of the leading minors D_k(-1) of H(-1) = 2(A + A^T), from a pencil's Pivots.
+
+    D_k(-1) = (-2)^k P_k(-1), exact integers with P_k(-1) = sum c*(-1)^e
+    over the (e, c) pairs of P_k: sign D_k = (-1)^k sign P_k(-1), with no
+    float and no _sign_at.
     """
     signs = []
     for k, terms in enumerate(pivots.terms, 1):
         value = sum(-c if e % 2 else c for e, c in terms)
         signs.append(((value > 0) - (value < 0)) * (-1 if k % 2 else 1))
+    return signs
+
+
+def _minus_one_signature(pivots: Pivots) -> int | None:
+    """sigma(A + A^T) from the pencil t*A - A^T's Pivots, or None where Jacobi's rule cannot count.
+
+    The signs of D_k(-1) are exact (_minus_one_signs).  They count when
+    D_n(-1) != 0 and no two consecutive ones vanish; a singular A + A^T,
+    two zeros in a row or trailing zero pivots give None, and the caller
+    eliminates A + A^T instead.  For a knot D_n(-1) is never 0, as
+    det(K) = |Delta(-1)| is odd.
+    """
+    signs = _minus_one_signs(pivots)
     if 0 in signs[-1:] or (0, 0) in zip(signs, signs[1:]):
         return None
     n_plus, n_minus = _jacobi(signs)
@@ -482,7 +586,7 @@ def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
 
 def _form_pivots(rows: list[dict[int, int]]) -> Pivots:
     """The Pivots of a symmetric integer form's checked sparse rows, at its full Hadamard width."""
-    bits = 8 * _width(math.prod(max(1, sum(x * x for x in row.values())) for row in rows))
+    bits = _width(math.prod(max(1, sum(x * x for x in row.values())) for row in rows))
     return _kernel(rows, [0] * len(rows), bits, True, False)
 
 
@@ -676,16 +780,20 @@ def inertia_hermitian_at_root(A: Sequence[Sequence[int]],
     H(t) = ((1 - t)/t) (t*A - A^T), so the leading principal minors of H
     are D_k = ((1 - t)/t)^k P_k with P_k those of the pencil, read from its
     symmetrically pivoted elimination (a congruence, which keeps the
-    inertia), and Jacobi's rule counts their signs.  Raises NearSingular
-    (_zero_minors) when D_n(omega) = 0, where the form is singular, or
-    when two consecutive minors vanish, and NearSingular when a sign is
-    not certified; InvalidRoot at omega = 1 where H vanishes.
+    inertia), and Jacobi's rule counts their signs: at omega = -1 (order
+    m = 2) the exact integer signs of _minus_one_signs, elsewhere
+    _sign_at's.  Raises NearSingular (_zero_minors) when D_n(omega) = 0,
+    where the form is singular, or when two consecutive minors vanish, and
+    NearSingular when a sign is not certified; InvalidRoot at omega = 1
+    where H vanishes.
     """
     key = strict_matrix(A, "matrix")
     n = len(key)
     if omega.is_one():
         raise InvalidRoot("the form vanishes identically at omega = 1")
-    signs = [_sign_at(omega, k, terms) for k, terms in enumerate(_pencil(key).terms, 1)]
+    pivots = _pencil(key)
+    signs = (_minus_one_signs(pivots) if omega.is_rational and omega.m == 2 else
+             [_sign_at(omega, k, terms) for k, terms in enumerate(pivots.terms, 1)])
     k = next((k for k in range(n) if not signs[k] and (k == n - 1 or not signs[k + 1])), None)
     if k is not None:
         raise _zero_minors(omega, k + 1, n, not signs[-1])

@@ -39,11 +39,12 @@ exactlinalg._pencil.cache_clear()
 # a pencil's pivot of odd degree whose value T - 1 does not divide
 outcome("read-back", lambda: exactlinalg.Pivots(8, (1,), (0,), True).minor(1))
 
-# an isolated zero minor between two minors of the same sign
+# an isolated zero minor between two minors of the same sign, at 1/3, where the signs are
+# _sign_at's (at 1/2 they are exact integers)
 real_sign_at = exactlinalg._sign_at
 exactlinalg._sign_at = lambda omega, k, terms: [-1, 0, -1][k - 1]
 outcome("inertia", lambda: exactlinalg.inertia_hermitian_at_root(
-    [[-1, 1, 0], [0, -1, 1], [0, 0, -1]], UnitCirclePoint.root(1, 2)))
+    [[-1, 1, 0], [0, -1, 1], [0, 0, -1]], UnitCirclePoint.root(1, 3)))
 exactlinalg._sign_at = real_sign_at
 
 complexity.eval_invariant = lambda term, assignment: 0

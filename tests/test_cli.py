@@ -235,7 +235,7 @@ class TestKnotRule:
         assert err == ("error: not a knot Seifert matrix: det(A - A^T) must be 1, "
                        "got Alexander value 0 at t = 1\n")
         # one elimination, of the integer form A - A^T; no pencil is built
-        assert calls == [([0, 0], 8, True, False)] and exactlinalg._pencil.held == {}
+        assert calls == [([0, 0], 2, True, False)] and exactlinalg._pencil.held == {}
 
     @pytest.mark.parametrize("reader", READERS)
     def test_a_large_random_matrix_is_refused_at_once(self, capsys, write_json, reader):

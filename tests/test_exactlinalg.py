@@ -25,6 +25,7 @@ from oracles import (
     random_symmetric_matrix,
     random_unimodular,
     reduce_first,
+    torus_seifert,
 )
 from shakekit import exactlinalg, goeritz, seifert, verify
 from shakekit.complexity import a_family_profile, certify_complexity
@@ -175,6 +176,23 @@ class TestDetKernel:
             assert [abs(c) for c in det.coeffs.values()] == [hadamard_bound(rows)]
             mirrored = [[e * -1 for e in rows[0]]] + rows[1:]
             assert det_laurent(mirrored) == det * -1
+
+    def test_coefficient_at_the_column_bound(self, monkeypatch):
+        # H4 with its columns scaled by 1, 2**30, 3 and 2**61 + 1 meets the
+        # column form of Hadamard's inequality with equality, well below
+        # the row form: the width is the column bound's, and still holds
+        # the determinant
+        widths = []
+        real = exactlinalg._width
+        monkeypatch.setattr(exactlinalg, "_width", lambda sq: widths.append(sq) or real(sq))
+        scales = (1, 2**30, 3, 2**61 + 1)
+        rows = [[LaurentPoly({2 * i - j: x * s}) for j, (x, s) in enumerate(zip(row, scales))]
+                for i, row in enumerate(H4)]
+        columns = [list(column) for column in zip(*rows)]
+        det = det_laurent(rows)
+        assert det == det_cofactor(rows)
+        assert [abs(c) for c in det.coeffs.values()] == [hadamard_bound(columns)]
+        assert widths == [norm_sq(columns)] and norm_sq(columns) < norm_sq(rows)
 
     def test_vanishing_leading_minor_forces_row_swap(self):
         t = LaurentPoly({1: 1})
@@ -472,17 +490,21 @@ def pencil_at_points(A: list[list[int]], monkeypatch) -> exactlinalg.Pivots:
     The points are t = -3, 2 and 5, and one t above twice the Hadamard
     bound H of the pencil.  Every coefficient of a true minor is at most
     H, and so is every pivot's (asserted), so there the value fixes them.
+    The pivot order is the path of the elimination whose Pivots _pencil
+    returns, at a narrow point or at the one half-width point.
     """
-    order = []
-    real = exactlinalg._eliminate
+    runs = []
+    real = exactlinalg._kernel
 
-    def spy(K, pivots, rest, taken):
-        order.extend(pivots)
-        return real(K, pivots, rest, taken)
+    def spy(rows, lows, bits, pivots, pencil, path=None):
+        path = [] if path is None else path
+        runs.append((real(rows, lows, bits, pivots, pencil, path), path))
+        return runs[-1][0]
 
     with monkeypatch.context() as patch:
-        patch.setattr(exactlinalg, "_eliminate", spy)
+        patch.setattr(exactlinalg, "_kernel", spy)
         pivots = pencil_pivots(A)
+    order = next([r for taken in path for r in taken] for found, path in runs if found is pivots)
     order += [i for i in range(len(A)) if i not in order]  # a zero Schur complement's rows
     minors, bound = all_minors(pivots), hadamard_bound(t_matrix(A))
     assert all(abs(c) <= bound for m in minors for c in m.coeffs.values()), A
@@ -658,12 +680,13 @@ class TestMirroredSteps:
 
     def test_half_width_on_dense_and_sparse_pencils(self, monkeypatch):
         # the dense fixture and a sparse family pencil both take half the
-        # bits of the full Hadamard width, or fewer
+        # bits of the full Hadamard width, or fewer: the half width rounds
+        # up by at most 3 bits over the two halves
         doc = json.loads((FIXTURES / "dense_seifert_30.json").read_text())
         for A, k in ((int_matrix_from_json(doc), 14), (an_family(40), 40)):
             pivots = pencil_at_points(A, monkeypatch)
             assert pivots.pencil
-            assert 2 * pivots.bits <= 8 * exactlinalg._width(norm_sq(t_matrix(A))) + 16
+            assert 2 * pivots.bits <= exactlinalg._width(norm_sq(t_matrix(A))) + 3
             assert all_minors(pivots)[-1] == delta_n_closed(k).shift(k + 1)
 
     def test_fixture_is_a_scrambled_family_matrix(self):
@@ -698,6 +721,121 @@ def test_pencil_pivots_match_elimination_at_integer_points(monkeypatch):
         half = 1 << (pivots.bits - 1)
         two_ended += sum(any(abs(c) >= half for c in m.coeffs.values()) for m in minors)
     assert two_ended >= 1000, two_ended
+
+
+def single_point(A: list[list[int]], monkeypatch) -> exactlinalg.Pivots:
+    """The pencil's Pivots at its one half-width point, with no narrow points tried."""
+    with monkeypatch.context() as patch:
+        patch.setattr(exactlinalg, "_NARROW_BITS", 1 << 30)
+        return pencil_pivots(A)
+
+
+class TestNarrowPoints:
+    """A pencil wider than _NARROW_BITS is eliminated at narrow points first.
+
+    Their answer is kept only where every point took the same path and read
+    the same pairs, and the pairs' squares sum to at most H^2; any other
+    pencil, and one whose narrow point raises, falls back to the one
+    half-width point.  Either way every minor is that point's.
+    """
+
+    @pytest.fixture
+    def runs(self, monkeypatch) -> list[list]:
+        """[bits, narrow, exception class or None] of every _kernel call from here on."""
+        seen = []
+        real = exactlinalg._kernel
+
+        def spy(rows, lows, bits, pivots, pencil, path=None):
+            seen.append([bits, path is not None, None])
+            try:
+                return real(rows, lows, bits, pivots, pencil, path)
+            except (ValueError, ArithmeticError) as exc:
+                seen[-1][2] = type(exc)
+                raise
+
+        monkeypatch.setattr(exactlinalg, "_kernel", spy)
+        return seen
+
+    def test_split_reads_the_terms_of_the_single_point(self, monkeypatch, runs):
+        # dense, sparse, scrambled family and torus Seifert matrices of
+        # dimension <= 30: where the narrow points answer, they answer at
+        # the first point's width, with the single point's lows and pairs
+        rng = random.Random(46)
+        cases = [random_seifert(rng, rng.randint(2, 30), trial % 2 == 0) for trial in range(40)]
+        cases += [congruence(random_unimodular(rng, dim, 8 * dim), an_family(dim // 2 - 1))
+                  for dim in (14, 18, 22, 26, 30) for _ in range(2)]
+        cases += [torus_seifert(p, q) for p, q in ((2, 31), (3, 16), (4, 9), (5, 8), (6, 7))]
+        outcomes = {"split": 0, "fell back": 0, "single": 0}
+        for A in cases:
+            runs.clear()
+            pivots = pencil_pivots(A)
+            narrow = [bits for bits, is_narrow, _ in runs if is_narrow]
+            one = single_point(A, monkeypatch)
+            assert (pivots.terms, pivots.lows) == (one.terms, one.lows), A
+            assert pivots.pencil == one.pencil
+            if not narrow:
+                outcome = "single"
+                assert pivots == one
+            elif pivots.bits < one.bits:
+                outcome = "split"
+                assert pivots.bits == narrow[0] and 2 * len(narrow) * pivots.bits >= one.bits
+            else:
+                outcome = "fell back"
+                assert pivots == one
+            outcomes[outcome] += 1
+        assert min(outcomes.values()) >= 5, outcomes
+
+    def test_minors_near_the_hadamard_bound_fall_back(self, monkeypatch, runs):
+        # large diagonals make the determinant's coefficients nearly H, far
+        # past what a narrow point reads: the points agree on the path but
+        # misread, so the pairs differ and the single point answers
+        rng = random.Random(47)
+        for dim in (6, 8, 10):
+            A = [[rng.choice((-1, 1)) << 20 if i == j else rng.randint(-2, 2) for j in range(dim)]
+                 for i in range(dim)]
+            runs.clear()
+            pivots = pencil_at_points(A, monkeypatch)  # its spy gives every call a path
+            assert [bits for bits, _, _ in runs] == [runs[0][0], runs[0][0] + 1, pivots.bits]
+            assert pivots == single_point(A, monkeypatch)
+
+    def test_a_narrow_point_that_raises_falls_back(self, runs):
+        # a dense 4x4 block, then entry (4, 5) of t*A - A^T is T - 2^37,
+        # zero at the first narrow point T = 2^37 while (5, 4) is not: that
+        # point raises the symmetric-pattern ValueError once the block is
+        # eliminated, and the half width answers
+        A = [[1 << 17 if i == j else 1 for j in range(4)] + [0, 0] for i in range(4)]
+        A += [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1 << 37, 0]]
+        pivots = pencil_pivots(A)
+        assert runs == [[37, True, ValueError], [pivots.bits, False, None]]
+        assert pivots.bits > 56
+        assert all_minors(pivots) == symmetric_pivot_minors(t_matrix(A))
+
+    @pytest.mark.parametrize("forgery", ["path", "pairs"])
+    def test_a_forged_agreement_is_not_kept(self, monkeypatch, forgery):
+        # the second point's path is forged to differ while every value and
+        # pair is true, or every point is forged to read the same P_1 with
+        # a coefficient past H: only the path comparison, or only the bound
+        # on sum c^2, refuses them
+        A = int_matrix_from_json(json.loads((FIXTURES / "dense_seifert_30.json").read_text()))
+        real = exactlinalg._kernel
+        narrow = []
+
+        def forged(rows, lows, bits, pivots, pencil, path=None):
+            found = real(rows, lows, bits, pivots, pencil, path)
+            if path is not None:
+                narrow.append(bits)
+                if forgery == "path" and len(narrow) == 2:
+                    path[0], path[1] = path[1], path[0]
+                if forgery == "pairs":
+                    vars(found)["terms"] = [[(0, 1 << 1000)]] + found.terms[1:]
+            return found
+
+        monkeypatch.setattr(exactlinalg, "_kernel", forged)
+        pivots = pencil_pivots(A)
+        assert narrow and pivots.bits > max(narrow)
+        monkeypatch.undo()
+        assert pencil_pivots(A).bits == narrow[0]  # unforged, the narrow points answer
+        assert pivots == single_point(A, monkeypatch)
 
 
 def kernel_cases() -> list[list[list[int]]]:
@@ -742,29 +880,32 @@ def kernel_cases() -> list[list[list[int]]]:
     return cases
 
 
-# SHA-256 of the Pivots of kernel_cases(), as the kernel gave them before
-# each caller packed its own rows; a change to any pivot value, width, low
-# or pencil flag changes it
-KERNEL_DIGEST = "35558d6827d87d8c8b56c692c7ede8fa99058affd72f301899a8977d0ff9ff30"
+# SHA-256 of the Pivots of kernel_cases(), as the kernel gave them once
+# widths were taken in bits and wide pencils split over narrow points; a
+# change to any pivot value, width, low or pencil flag changes it
+KERNEL_DIGEST = "ca581082606c4c783f0a2893eabfec8b09dc3ac61a6fcfd48354ab912e6abfaf"
 
 
 def test_kernel_pivots_match_their_digest(monkeypatch):
-    # the pencil, and the form A + A^T both through the classical
-    # signature and through inertia_symmetric_exact, of every case
-    found = []
+    # the pencil's Pivots as _pencil keeps them, and the form A + A^T both
+    # through the classical signature and through inertia_symmetric_exact,
+    # of every case
+    found, forms = [], []
     real = exactlinalg._kernel
 
     def spy(*args):
-        found.append(real(*args))
-        return found[-1]
+        forms.append(real(*args))
+        return forms[-1]
 
     monkeypatch.setattr(exactlinalg, "_kernel", spy)
     cases = kernel_cases()
     for A in cases:
-        exactlinalg._pencil.__wrapped__(tuple(map(tuple, A)))
+        found.append(exactlinalg._pencil.__wrapped__(tuple(map(tuple, A))))
+        forms.clear()
         seifert.classical_signature_seifert(A)
         inertia_symmetric_exact([[a + b for a, b in zip(row, column)]
                                  for row, column in zip(A, zip(*A))])
+        found += forms
     assert len(found) == 3 * len(cases)
     assert sum(p.pencil for p in found) > 200 and not found[0].pencil
     text = repr([(p.bits, [hex(v) for v in p.values], p.lows, p.pencil) for p in found])
@@ -772,13 +913,14 @@ def test_kernel_pivots_match_their_digest(monkeypatch):
 
 
 class TestStepWidths:
-    """Every matrix is packed once, at one width fixed before the first step.
+    """Every elimination packs its matrix once, at one width in bits fixed before the first step.
 
-    A pencil takes half the Hadamard width and any other matrix the full
-    width, which no step changes.  A row that no step reads keeps the
-    scale it was stored at; these pencils and integer forms make rows wait
-    across steps and take 2x2 block steps, determinants swap rows, and
-    every pivot is checked against its cofactor minor.
+    A pencil takes half the Hadamard width, or narrower points that split
+    it, and any other matrix the full width, which no step changes.  A row
+    that no step reads keeps the scale it was stored at; these pencils and
+    integer forms make rows wait across steps and take 2x2 block steps,
+    determinants swap rows, and every pivot is checked against its
+    cofactor minor.
     """
 
     @pytest.fixture
@@ -798,7 +940,7 @@ class TestStepWidths:
 
     @pytest.fixture
     def widths(self, monkeypatch) -> list[tuple[int, int]]:
-        """(squared bound, bytes) of every width taken from here on."""
+        """(squared bound, bits) of every width taken from here on."""
         seen = []
         real = exactlinalg._width
 
@@ -874,7 +1016,8 @@ class TestStepWidths:
 
     def test_non_pencils_take_the_full_hadamard_width(self, widths):
         # the rank-one v v^T has a zero Schur complement after one step, so
-        # a width that followed the minors would stop below the bound's
+        # a width that followed the minors would stop below the bound's;
+        # det_laurent's bound is the smaller of the row and column products
         v = [LaurentPoly({0: 1}), LaurentPoly({1: 1, 0: 5}), LaurentPoly({1: 1, 0: 7}),
              LaurentPoly({1: 3, 0: 9})]
         rank_one = [[a * b for b in v] for a in v]
@@ -883,14 +1026,16 @@ class TestStepWidths:
         for rows in filter(lambda rows: all(map(any, rows)), matrices):  # a zero row packs nothing
             widths.clear()
             det_laurent(rows)
-            assert [bound_sq for bound_sq, _ in widths] == [norm_sq(rows)], rows
+            columns = [list(column) for column in zip(*rows)]
+            want = min(norm_sq(rows), norm_sq(columns))
+            assert [bound_sq for bound_sq, _ in widths] == [want], rows
         det_laurent(rank_one)
-        assert widths[-1][1] == 4
+        assert widths[-1][1] == 27  # H = 245^2 * 576 = 34,574,400 < 2^26, and a sign bit
         for _ in range(20):
             S = random_symmetric_matrix(rng, rng.randint(1, 8), 40)
             pivots = form_pivots(S)
             assert not pivots.pencil
-            assert pivots.bits == 8 * exactlinalg._width(norm_sq(as_laurent(S))), S
+            assert pivots.bits == exactlinalg._width(norm_sq(as_laurent(S))), S
 
     def test_bits_never_exceed_the_hadamard_width(self, widths):
         rng = random.Random(31)
@@ -907,7 +1052,7 @@ class TestStepWidths:
             width = (math.isqrt(norm_sq(rows) - 1) + 1).bit_length() + 1
             widths.clear()
             eliminate(M)
-            assert all(8 * w <= width + -width % 8 for _, w in widths), rows
+            assert all(w <= width for _, w in widths), rows
 
 
 class TestInertiaSymmetric:
@@ -1090,6 +1235,41 @@ class TestHermitianInertia:
                 continue
             assert inertia.signature % 2 == 0
             checked += 1
+
+    def test_minus_one_takes_no_float_sign(self, monkeypatch):
+        # at 1/2 the signs of D_k are exact integers (_minus_one_signs):
+        # no _sign_at or _certified_sign runs, and every answer and refusal
+        # text equals that of the route through _sign_at
+        half = UnitCirclePoint.root(1, 2)
+        calls = []
+        for name in ("_sign_at", "_certified_sign"):
+            real = getattr(exactlinalg, name)
+            monkeypatch.setattr(exactlinalg, name,
+                                lambda *args, real=real: calls.append(args) or real(*args))
+
+        def outcome(A):
+            try:
+                return inertia_hermitian_at_root(A, half)
+            except NearSingular as exc:
+                return str(exc)
+
+        def through_sign_at(pivots):
+            return [exactlinalg._sign_at(half, k, terms) for k, terms in enumerate(pivots.terms, 1)]
+
+        rng = random.Random(46)
+        refused = 0
+        for trial in range(300):
+            dim = rng.randint(1, 8)
+            A = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(dim)]
+                 for _ in range(dim)]
+            got = outcome(A)
+            assert calls == [], A
+            with monkeypatch.context() as patch:
+                patch.setattr(exactlinalg, "_minus_one_signs", through_sign_at)
+                assert outcome(A) == got, A
+            calls.clear()
+            refused += isinstance(got, str)
+        assert 30 <= refused <= 270, refused
 
 
 def numpy_inertia(A: list[list[int]], omega: UnitCirclePoint) -> Inertia | None:
