@@ -17,26 +17,25 @@ formula's, and the shifts take time linear in the size.  The Seifert
 pencil M = t*A - A^T is eliminated once per matrix A and memoised; with
 symmetric pivoting its Bareiss pivots are its leading principal minors,
 which give both the determinant and, by Jacobi's sign rule, the exact
-inertia of the Hermitian form H(omega) at every unit-circle point.  The
-memo can be queried without computing (_pencil.held): where it holds the
-pencil, sigma(-1) = sigma(A + A^T) is counted from the exact integers
-D_k(-1) = (-2)^k P_k(-1) (_minus_one_signs), and where it does not,
-or where those signs do not count, the form A + A^T is eliminated.  Its
-principal minors are palindromic, P(t) = +-t^d P(1/t), so a pencil is
-packed at half the Hadamard width and its pivots are read back from both
-ends.  A pencil wider than _NARROW_BITS whose A holds more than two
-nonzero entries per row is first eliminated at two or more narrow points
-that spend the same Hadamard budget, as its arithmetic grows faster than
-the width; their answer is kept only where every point took the same
-path and read the same minors, and else the one half-width point answers
-(_pencil gives the tests and the proofs).  Every sign on the circle, a
-minor's or an Alexander polynomial's, is taken by _sign_at: exact for a
-monomial minor, else a float sum that counts only when it clears a
-rounding-error bound, and else, at a root of unity of order <=
-_MAX_ZERO_TEST_ORDER, the sparse exact zero test _vanishes.  At
-omega = -1 a minor's sign is read from the exact integer P_k(-1) instead
-(_minus_one_signs).  Classical inertia of a symmetric integer matrix
-comes from the same elimination: its pivots are the matrix's exact
+inertia of the Hermitian form H(omega) at every unit-circle point.  One
+function, _minus_one_inertia, decides sigma(-1) = sigma(A + A^T) for both
+the classical and the Levine-Tristram signature: where the memo, which can
+be queried without computing (_pencil.held), holds the pencil and Jacobi's
+rule can count the exact integers D_k(-1) = (-2)^k P_k(-1), those answer;
+otherwise the form A + A^T is eliminated.  A pencil's principal minors are
+palindromic, P(t) = +-t^d P(1/t), so a pencil is packed at half the
+Hadamard width and its pivots are read back from both ends.  A pencil
+wider than _NARROW_BITS whose A holds more than two nonzero entries per
+row is first eliminated at two or more narrow points that spend the same
+Hadamard budget, as its arithmetic grows faster than the width; their
+answer is kept only where every point took the same path and read the
+same minors, and else the one half-width point answers (_pencil gives the
+tests and the proofs).  Every other sign on the circle, a minor's or an
+Alexander polynomial's, is taken by _sign_at: exact for a monomial minor,
+else a float sum that counts only when it clears a rounding-error bound,
+and else, at a root of unity of order <= _MAX_ZERO_TEST_ORDER, the sparse
+exact zero test _vanishes.  Classical inertia of a symmetric integer
+matrix comes from the same elimination: its pivots are the matrix's exact
 integer leading minors.
 """
 
@@ -415,8 +414,8 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     Callers pass the immutable key strict_matrix(A, "matrix"), so a matrix
     they mutate later is never answered from the memo, and a caller may
     read _pencil.held.get(key) to use the pivots only if they are held, as
-    classical_signature_seifert does (_minus_one_signature).  No LaurentPoly is
-    built: one pass over A gives each row i its support, Hadamard factor
+    _minus_one_inertia does.  No LaurentPoly is built: one pass over A
+    gives each row i its support, Hadamard factor
     alpha_i + 2|sum_j a_ij*a_ji| with alpha_i = sum_j (a_ij^2 + a_ji^2), and
     low (1 if column i of A is zero and row i is not), and entry (i, j) is
     packed as ((a_ij << bits) - a_ji) >> bits*low.  On the unit circle
@@ -546,20 +545,22 @@ def _minus_one_signs(pivots: Pivots) -> list[int]:
     return signs
 
 
-def _minus_one_signature(pivots: Pivots) -> int | None:
-    """sigma(A + A^T) from the pencil t*A - A^T's Pivots, or None where Jacobi's rule cannot count.
+def _minus_one_inertia(A: tuple[tuple[int, ...], ...]) -> Inertia:
+    """Exact inertia of A + A^T, that of H(-1) = 2(A + A^T), for the checked key A.
 
-    The signs of D_k(-1) are exact (_minus_one_signs).  They count when
-    D_n(-1) != 0 and no two consecutive ones vanish; a singular A + A^T,
-    two zeros in a row or trailing zero pivots give None, and the caller
-    eliminates A + A^T instead.  For a knot D_n(-1) is never 0, as
-    det(K) = |Delta(-1)| is odd.
+    Where the memo holds A's pencil (_pencil.held) and Jacobi's rule can
+    count its exact signs at -1 (_minus_one_signs), they answer with no
+    elimination.  Otherwise the form A + A^T is eliminated: its sparse rows
+    take _form_inertia, which counts a singular form's n_zero too.  A cold
+    call never builds the pencil, which costs about three times the form.
+    For a knot D_n(-1) is never 0, as det(K) = |Delta(-1)| is odd.
     """
-    signs = _minus_one_signs(pivots)
-    if 0 in signs[-1:] or (0, 0) in zip(signs, signs[1:]):
-        return None
-    n_plus, n_minus = _jacobi(signs)
-    return n_plus - n_minus
+    held = _pencil.held.get(A)
+    if held is not None and _blocked(signs := _minus_one_signs(held)) is None:
+        return _jacobi(signs)
+    every = range(len(A))
+    return _form_inertia([{j: x for j in {*compress(every, row), *compress(every, col)}
+                           if (x := row[j] + col[j])} for row, col in zip(A, zip(*A))])
 
 
 def knot_rule(A: Sequence[Sequence[int]]) -> None:
@@ -602,8 +603,7 @@ def _form_inertia(rows: list[dict[int, int]]) -> Inertia:
     n = rank = len(rows)
     while rank and not signs[rank - 1]:
         rank -= 1
-    n_plus, n_minus = _jacobi(signs[:rank])
-    return Inertia(n_plus, n - rank, n_minus)
+    return _jacobi(signs[:rank], n - rank)
 
 
 def _folded(terms: Iterable[tuple[int, int]], m: int, k: int = 0) -> list[tuple[int, int]]:
@@ -746,10 +746,16 @@ def _sign_at(omega: laurent.UnitCirclePoint, k: int, terms: list[tuple[int, int]
     return 0
 
 
-def _jacobi(signs: Sequence[int]) -> tuple[int, int]:
-    """(n_plus, n_minus) of a nonsingular form from the signs of D_1, ..., D_r.
+def _blocked(signs: Sequence[int]) -> int | None:
+    """The first k where Jacobi's rule cannot count: D_k = 0, and k is last or D_(k+1) = 0."""
+    n = len(signs)
+    return next((k for k in range(1, n + 1) if not signs[k - 1] and (k == n or not signs[k])), None)
 
-    D_r != 0 and no two consecutive minors vanish.  By Jacobi's rule
+
+def _jacobi(signs: Sequence[int], n_zero: int = 0) -> Inertia:
+    """The Inertia of a form from the signs of D_1, ..., D_r and the nullity n_zero it adds.
+
+    D_r != 0 and no two consecutive minors vanish (_blocked).  By Jacobi's rule
     n_minus counts the sign changes in 1, D_1, ..., D_r; an isolated zero
     D_k, whose neighbours a Hermitian form forces to opposite signs, adds
     one to n_plus and one to n_minus (Gundelfinger).
@@ -770,7 +776,7 @@ def _jacobi(signs: Sequence[int]) -> tuple[int, int]:
                 "have the same sign, which no Hermitian form allows"
             )
         n_plus, n_minus, last, k = n_plus + 1, n_minus + 1, signs[k + 1], k + 2
-    return n_plus, n_minus
+    return Inertia(n_plus, n_zero, n_minus)
 
 
 def inertia_hermitian_at_root(A: Sequence[Sequence[int]],
@@ -780,25 +786,22 @@ def inertia_hermitian_at_root(A: Sequence[Sequence[int]],
     H(t) = ((1 - t)/t) (t*A - A^T), so the leading principal minors of H
     are D_k = ((1 - t)/t)^k P_k with P_k those of the pencil, read from its
     symmetrically pivoted elimination (a congruence, which keeps the
-    inertia), and Jacobi's rule counts their signs: at omega = -1 (order
-    m = 2) the exact integer signs of _minus_one_signs, elsewhere
-    _sign_at's.  Raises NearSingular (_zero_minors) when D_n(omega) = 0,
-    where the form is singular, or when two consecutive minors vanish, and
-    NearSingular when a sign is not certified; InvalidRoot at omega = 1
-    where H vanishes.
+    inertia), and Jacobi's rule counts their _sign_at signs.  Raises
+    NearSingular (_zero_minors) when D_n(omega) = 0, where the form is
+    singular, or when two consecutive minors vanish, and NearSingular when
+    a sign is not certified; InvalidRoot at omega = 1 where H vanishes.  At
+    omega = -1 (order m = 2) H = 2(A + A^T), and _minus_one_inertia answers,
+    building no pencil, with n_zero >= 1 where A + A^T is singular.
     """
     key = strict_matrix(A, "matrix")
-    n = len(key)
     if omega.is_one():
         raise InvalidRoot("the form vanishes identically at omega = 1")
-    pivots = _pencil(key)
-    signs = (_minus_one_signs(pivots) if omega.is_rational and omega.m == 2 else
-             [_sign_at(omega, k, terms) for k, terms in enumerate(pivots.terms, 1)])
-    k = next((k for k in range(n) if not signs[k] and (k == n - 1 or not signs[k + 1])), None)
-    if k is not None:
-        raise _zero_minors(omega, k + 1, n, not signs[-1])
-    n_plus, n_minus = _jacobi(signs)
-    return Inertia(n_plus, 0, n_minus)
+    if omega.is_rational and omega.m == 2:
+        return _minus_one_inertia(key)
+    signs = [_sign_at(omega, k, terms) for k, terms in enumerate(_pencil(key).terms, 1)]
+    if (k := _blocked(signs)) is not None:
+        raise _zero_minors(omega, k, len(key), not signs[-1])
+    return _jacobi(signs)
 
 
 def int_matrix_from_json(doc: object) -> list[list[int]]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import compress
 
 from . import exactlinalg, laurent
 from .errors import (DomainError, OddDimension, even_dimension, strict_int, strict_matrix,
@@ -36,27 +35,18 @@ def alexander(A: Sequence[Sequence[int]]) -> laurent.LaurentPoly:
 def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
     """Signature of the symmetrized form A + A^T, the Levine-Tristram signature at -1.
 
-    Where the memo already holds the pencil of A (after alexander or
-    lt_signature on it), the signs of its leading minors at -1 are counted
-    with no elimination (exactlinalg._minus_one_signature).  Otherwise, and
-    where that count cannot decide, the form A + A^T is eliminated; a cold
-    call never builds the pencil, which costs about three times the form.
+    exactlinalg._minus_one_inertia decides it, as it does lt_signature's
+    at -1: from the memoised pencil's exact signs where they count, else
+    from the form A + A^T, with no pencil built.
     """
-    A = strict_matrix(A, "matrix")
-    held = exactlinalg._pencil.held.get(A)
-    if held is not None and (signature := exactlinalg._minus_one_signature(held)) is not None:
-        return signature
-    every = range(len(A))
-    return exactlinalg._form_inertia([{j: x for j in {*compress(every, row), *compress(every, col)}
-                                       if (x := row[j] + col[j])}
-                                      for row, col in zip(A, zip(*A))]).signature
+    return exactlinalg._minus_one_inertia(strict_matrix(A, "matrix")).signature
 
 
 def lt_signature(A: Sequence[Sequence[int]], omega: laurent.UnitCirclePoint) -> int:
     """Levine-Tristram signature sigma(K, omega), an even integer.
 
-    Raises NearSingular where the form is singular or a sign is not
-    certified, and InvalidRoot at omega=1.
+    Raises NearSingular where the form is singular, other than at -1, or
+    where a sign is not certified, and InvalidRoot at omega=1.
     """
     return exactlinalg.inertia_hermitian_at_root(A, omega).signature
 

@@ -40,7 +40,7 @@ exactlinalg._pencil.cache_clear()
 outcome("read-back", lambda: exactlinalg.Pivots(8, (1,), (0,), True).minor(1))
 
 # an isolated zero minor between two minors of the same sign, at 1/3, where the signs are
-# _sign_at's (at 1/2 they are exact integers)
+# _sign_at's (at 1/2 none are: _minus_one_inertia reads exact integers)
 real_sign_at = exactlinalg._sign_at
 exactlinalg._sign_at = lambda omega, k, terms: [-1, 0, -1][k - 1]
 outcome("inertia", lambda: exactlinalg.inertia_hermitian_at_root(

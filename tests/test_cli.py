@@ -8,7 +8,7 @@ import time
 import pytest
 
 import shakekit
-from oracles import det_int
+from oracles import det_int, litherland_signature, torus_seifert
 from shakekit import cli, exactlinalg, verify
 from shakekit.cli import main
 
@@ -135,6 +135,24 @@ class TestLt:
             "signature": 0,
             "inertia": {"n_plus": 2, "n_zero": 0, "n_minus": 2},
         }
+
+    @pytest.mark.parametrize("p, q, want", [(5, 6, -16), (7, 8, -30)], ids=["T(5,6)", "T(7,8)"])
+    def test_at_minus_one_the_form_answers_where_the_pencil_cannot(self, capsys, write_json,
+                                                                    p, q, want):
+        # the pencil's D_k(-1) cannot be counted here (two zeros in a row), so lt reads the
+        # form A + A^T, as signature --seifert does, before and after alexander memoises it
+        A = torus_seifert(p, q)
+        path = write_json("torus.json", {"dim": len(A), "entries": A})
+        exactlinalg._pencil.cache_clear()
+        code, out, err = run_cli(capsys, "lt", path, "--root", "1/2")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["signature"] == want == litherland_signature(p, q, 1, 2)
+        assert doc["inertia"]["n_zero"] == 0
+        code, signature, _ = run_cli(capsys, "signature", "--seifert", path)
+        assert code == 0 and json.loads(signature)["signature"] == want
+        assert run_cli(capsys, "alexander", path)[0] == 0
+        assert run_cli(capsys, "lt", path, "--root", "1/2") == (0, out, "")
 
     def test_theta_route(self, capsys, write_json):
         path = write_json("a2.json", A2_DOC)
