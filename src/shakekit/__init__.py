@@ -20,9 +20,10 @@ __version__ = "0.1.0"
 _HOME = {name: module for module, names in {
     "complexity": ("ComplexityCertificate", "WitnessNotFound", "certify_complexity",
                    "find_witness_root"),
+    "circle": ("InvalidRoot", "NearSingular"),
     "errors": ("DomainError", "OddDimension"),
-    "exactlinalg": ("Inertia", "InvalidRoot", "NearSingular", "det_laurent",
-                    "inertia_hermitian_at_root", "inertia_symmetric_exact"),
+    "exactlinalg": ("Inertia", "det_laurent", "inertia_hermitian_at_root",
+                    "inertia_symmetric_exact"),
     "goeritz": ("Band", "BandPresentation", "GoeritzData", "add_two_twists",
                 "classical_signature_goeritz", "goeritz_form", "torus_band_presentation",
                 "verify_two_twist_stability"),
@@ -67,7 +68,7 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *__all__} - {"_HOME", "_register", "__getattr__", "__dir__"})
 
 
-for _name in ("_record", "errors", "laurent", "exactlinalg", "seifert", "goeritz", "patterns",
-              "complexity"):
+for _name in ("_record", "errors", "laurent", "circle", "exactlinalg", "seifert", "goeritz",
+              "patterns", "complexity"):
     _register(_name)
 del _name

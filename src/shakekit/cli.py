@@ -75,6 +75,39 @@ def _load_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
 
+def int_matrix_from_json(doc: object) -> list[list[int]]:
+    """Decode {"dim": n, "entries": [[...]]} with integer entries; any other key is refused."""
+    if not isinstance(doc, dict) or "entries" not in doc:
+        raise ValueError('matrix JSON must be an object with "dim" and "entries"')
+    errors.strict_keys(doc, ("dim", "entries"), "the matrix")
+    entries = doc["entries"]
+    if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
+        raise ValueError('"entries" must be a list of rows')
+    dim = errors.strict_int(doc.get("dim", len(entries)), '"dim"')
+    if dim != len(entries):
+        raise ValueError(f'"entries" must be {dim}x{dim} to match "dim"')
+    return [list(row) for row in errors.strict_matrix(entries, "matrix")]
+
+
+def band_presentation_from_json(doc: object) -> goeritz.BandPresentation:
+    if not isinstance(doc, dict) or not isinstance(doc.get("bands"), list):
+        raise ValueError('band JSON must be an object with a "bands" list and "crossings"')
+    errors.strict_keys(doc, ("bands", "crossings"), "the band presentation")
+    bands = []
+    for i, raw in enumerate(doc["bands"]):
+        if not isinstance(raw, dict) or "orientable" not in raw:
+            raise ValueError('each band needs at least an "orientable" flag')
+        errors.strict_keys(raw, ("orientable", "half_twists", "self_writhe"), f"band {i}")
+        bands.append(goeritz.Band(orientable=raw["orientable"],
+                                  half_twists=raw.get("half_twists", 0),
+                                  self_writhe=raw.get("self_writhe", 0)))
+    crossings = doc.get("crossings")
+    if crossings is not None:
+        if not isinstance(crossings, list) or any(not isinstance(r, list) for r in crossings):
+            raise ValueError('"crossings" must be a list of rows')
+    return goeritz.BandPresentation(bands, crossings)
+
+
 def _payload(doc: dict) -> str:
     try:
         return json.dumps(doc, sort_keys=True)
@@ -99,7 +132,7 @@ def _parse_root(text: str) -> laurent.UnitCirclePoint:
 
 
 def cmd_alexander(args) -> tuple[str, int]:
-    matrix = exactlinalg.int_matrix_from_json(_load_json(args.matrix))
+    matrix = int_matrix_from_json(_load_json(args.matrix))
     exactlinalg.knot_rule(matrix)
     delta = seifert.alexander(matrix)
     doc = {
@@ -112,17 +145,17 @@ def cmd_alexander(args) -> tuple[str, int]:
 
 def cmd_signature(args) -> tuple[str, int]:
     if args.goeritz:
-        bp = goeritz.band_presentation_from_json(_load_json(args.goeritz))
+        bp = band_presentation_from_json(_load_json(args.goeritz))
         signature = goeritz.classical_signature_goeritz(bp)
         return _payload({"method": "goeritz", "signature": signature}), 0
-    matrix = exactlinalg.int_matrix_from_json(_load_json(args.seifert))
+    matrix = int_matrix_from_json(_load_json(args.seifert))
     exactlinalg.knot_rule(matrix)
     signature = seifert.classical_signature_seifert(matrix)
     return _payload({"method": "seifert", "signature": signature}), 0
 
 
 def cmd_lt(args) -> tuple[str, int]:
-    matrix = exactlinalg.int_matrix_from_json(_load_json(args.matrix))
+    matrix = int_matrix_from_json(_load_json(args.matrix))
     omega = (_parse_root(args.root) if args.root is not None
              else laurent.UnitCirclePoint.angle(args.theta))
     exactlinalg.knot_rule(matrix)
@@ -140,7 +173,7 @@ def cmd_lt(args) -> tuple[str, int]:
 
 
 def cmd_goeritz(args) -> tuple[str, int]:
-    bp = goeritz.band_presentation_from_json(_load_json(args.bands))
+    bp = band_presentation_from_json(_load_json(args.bands))
     gd = goeritz.goeritz_form(bp)
     sign_g = exactlinalg.inertia_symmetric_exact(gd.G).signature
     doc = gd.to_json()

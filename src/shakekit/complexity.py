@@ -10,7 +10,7 @@ The signature of the twisted family has a closed form in the signs of
 Delta_n and of 1 - 2cos(theta) (seifert._family_signature states and
 proves it).  At a root k/m, Delta_n = 4(x - 1)cos(n*theta) + 3 - 2x with
 x = cos(theta) is one float value with a certified error bound
-(seifert._delta_sign), which exactlinalg._sign_at decides only inside that
+(seifert._delta_sign), which circle._sign_at decides only inside that
 bound, and the sign of 1 - 2cos(theta) is read from k and m in integers.
 So certify builds no matrix, and its cost does not grow with n.
 
@@ -60,7 +60,7 @@ def a_family_profile(omega: UnitCirclePoint) -> Profile:
     sigma comes from the family's closed form (seifert._family_signature),
     which at a root k/m reads Delta_(1+k) as one certified value and
     1 - 2cos(theta) in integers, so iota(k) costs the same for every k and
-    raises what that raises.
+    raises what that raises (circle.InvalidRoot, circle.NearSingular).
     Each value is computed once per profile and kept.
     """
     values: dict[int, int] = {}
@@ -100,7 +100,7 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     (p, k) order.  The grid rule picks the first root with Delta = Delta_{1+n}
     negative at omega and at _grid_points(k, p) on the WITNESS_GRID-point grid,
     each one exact sign from the closed form (seifert._delta_sign: one certified
-    value, and exactlinalg._sign_at only inside its error bound).  Roots are
+    value, and circle._sign_at only inside its error bound).  Roots are
     passed as (k, p) and (i, WITNESS_GRID) int pairs, and only the witness
     becomes a UnitCirclePoint.  When no root passes it, the exact rule takes
     the first root with Delta(omega) < 0.  Odd twisting always

@@ -12,8 +12,8 @@ class DomainError(ValueError):
     """A refusal: an argument is outside the domain an operation is defined on.
 
     The CLI exits 1 exactly on a DomainError, and 2 on any other ValueError.
-    Its subclasses are OddDimension, InvalidRoot, NearSingular (also an
-    ArithmeticError), WitnessNotFound and UnassignedAtom (also LookupErrors).
+    Its subclasses are OddDimension, circle.InvalidRoot, circle.NearSingular (also
+    an ArithmeticError), WitnessNotFound and UnassignedAtom (also LookupErrors).
     """
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ._record import Record
-from .errors import strict_bool, strict_int, strict_keys, strict_matrix
+from .errors import strict_bool, strict_int, strict_matrix
 from .exactlinalg import inertia_symmetric_exact
 
 
@@ -68,24 +68,6 @@ class GoeritzData(Record):
 
     def to_json(self) -> dict:
         return {"G": [list(row) for row in self.G], "nonorientable": sorted(self.nonorientable)}
-
-
-def band_presentation_from_json(doc: object) -> BandPresentation:
-    if not isinstance(doc, dict) or not isinstance(doc.get("bands"), list):
-        raise ValueError('band JSON must be an object with a "bands" list and "crossings"')
-    strict_keys(doc, ("bands", "crossings"), "the band presentation")
-    bands = []
-    for i, raw in enumerate(doc["bands"]):
-        if not isinstance(raw, dict) or "orientable" not in raw:
-            raise ValueError('each band needs at least an "orientable" flag')
-        strict_keys(raw, ("orientable", "half_twists", "self_writhe"), f"band {i}")
-        bands.append(Band(orientable=raw["orientable"], half_twists=raw.get("half_twists", 0),
-                          self_writhe=raw.get("self_writhe", 0)))
-    crossings = doc.get("crossings")
-    if crossings is not None:
-        if not isinstance(crossings, list) or any(not isinstance(r, list) for r in crossings):
-            raise ValueError('"crossings" must be a list of rows')
-    return BandPresentation(bands, crossings)
 
 
 def goeritz_form(bp: BandPresentation) -> GoeritzData:

@@ -10,7 +10,7 @@ coefficients are never stored, so equality of canonical forms is plain
 structural equality.  Points on the unit circle are either exact
 rational rotations k/m (the root of unity e^{2*pi*i*k/m}) or a
 floating angle theta; they carry no float value of their own.
-Signs on the circle are taken exactly elsewhere (exactlinalg._sign_at).
+Signs on the circle are taken exactly elsewhere (circle._sign_at).
 The one float evaluator left is eval_symmetric_real, a real-only
 Chebyshev recursion for polynomials invariant under t -> 1/t.
 """

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from . import exactlinalg, laurent
+from . import circle, exactlinalg, laurent
 from .errors import (DomainError, OddDimension, even_dimension, strict_int, strict_matrix,
                      unit_determinant)
 
@@ -112,7 +112,7 @@ def _delta_sign(n: int, k: int, m: int) -> int:
     since t^(n+1) + t^(n-1) + their inverses give 4x*cos(n*theta).  Both
     phases are reduced in integers first, theta to 2*pi*r/m with r = k mod m
     and n*theta to 2*pi*(n*k mod m)/m, so either is a phase q in [0, 1)
-    turns.  As in exactlinalg._certified_sign, q = r/m rounds correctly at any
+    turns.  As in circle._certified_sign, q = r/m rounds correctly at any
     size (an underflow is off by under 2^-1075) and tau*q rounds twice more,
     so the angle is off by under 3.01u * 2*pi + 2^-1072 < 18.95u, u = 2^-53; the
     cosine is 1-Lipschitz and rounds once, so x and c = cos(n*theta) are each
@@ -123,7 +123,7 @@ def _delta_sign(n: int, k: int, m: int) -> int:
     (<= 8), + 3 (<= 11) and - 2x (<= 13), under 40u more.  So v is within
     320u of Delta_n, and _DELTA_BOUND is twice that, which also covers a libm
     cosine off by a full ulp.  Only a value past that bound counts; any other
-    goes to _sign_at on delta_n_closed(n), which decides an exact zero.
+    goes to circle._sign_at on delta_n_closed(n), which decides an exact zero.
     Delta_n vanishes on the circle only at the primitive sixth roots, where
     x = 1/2 and Delta_n = 2 - 2cos(n*pi/3), when 6 | n.
     """
@@ -133,8 +133,8 @@ def _delta_sign(n: int, k: int, m: int) -> int:
         return 1
     if v < -_DELTA_BOUND:
         return -1
-    return exactlinalg._sign_at(laurent.UnitCirclePoint.root(k, m), 0,
-                                sorted(delta_n_closed(n).coeffs.items()))
+    return circle._sign_at(laurent.UnitCirclePoint.root(k, m), 0,
+                           sorted(delta_n_closed(n).coeffs.items()))
 
 
 def _one_minus_twice_cos_sign(k: int, m: int) -> int:
@@ -167,25 +167,25 @@ def _family_signature(n: int, omega: laurent.UnitCirclePoint) -> int:
     there exactly when 6 | n.  s = 0 only at those roots, where Delta_n >= 0,
     so sigma = 0 by Gundelfinger's rule or the form is singular.  At a root
     k/m both signs are read in closed form (_delta_sign, and s in
-    integers); at a float angle by _sign_at.  Where Delta_n(omega) = 0 this
-    raises the NearSingular the general kernel raises, and InvalidRoot at
-    omega = 1.
+    integers); at a float angle by circle._sign_at.  Where Delta_n(omega) = 0
+    this raises circle's NearSingular (_zero_minors), as the general kernel
+    does, and InvalidRoot at omega = 1.
     """
     if omega.is_one():
-        raise exactlinalg.InvalidRoot("the form vanishes identically at omega = 1")
+        raise circle.InvalidRoot("the form vanishes identically at omega = 1")
     if omega.is_rational:
         delta = _delta_sign(n, omega.k, omega.m)
     else:
-        delta = exactlinalg._sign_at(omega, 0, sorted(delta_n_closed(n).coeffs.items()))
+        delta = circle._sign_at(omega, 0, sorted(delta_n_closed(n).coeffs.items()))
     if delta > 0:
         return 0
     if omega.is_rational:
         s = _one_minus_twice_cos_sign(omega.k, omega.m)
     else:
-        s = exactlinalg._sign_at(omega, 0, _ONE_MINUS_TWICE_COS)
+        s = circle._sign_at(omega, 0, _ONE_MINUS_TWICE_COS)
     if delta == 0:  # D_dim = 0, and D_(dim-1) = 0 too where s = 0
         dim = 2 * n + 2
-        raise exactlinalg._zero_minors(omega, dim if s else dim - 1, dim, True)
+        raise circle._zero_minors(omega, dim if s else dim - 1, dim, True)
     return 2 * s
 
 

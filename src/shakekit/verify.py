@@ -15,7 +15,8 @@ from collections.abc import Callable
 from ._record import Record
 from .complexity import _primes, certify_complexity
 from .errors import strict_matrix
-from .exactlinalg import _folded, _pencil, _sign_at, inertia_symmetric_exact
+from .circle import _folded, _sign_at
+from .exactlinalg import _pencil, inertia_symmetric_exact
 from .goeritz import (
     GoeritzData,
     add_two_twists,

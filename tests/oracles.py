@@ -17,7 +17,7 @@ from itertools import chain, groupby, repeat
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from shakekit import exactlinalg
+from shakekit import circle
 from shakekit.laurent import LaurentPoly, UnitCirclePoint
 from shakekit.patterns import (
     Atom,
@@ -200,7 +200,7 @@ def reduce_first(omega: UnitCirclePoint, k: int, terms: list[tuple[int, int]]) -
     remainder is the exact zero; otherwise the remainder's certified sign.
     """
     rest = dense_remainder(terms, omega.m)
-    return exactlinalg._certified_sign(omega, k, rest) if rest else 0
+    return circle._certified_sign(omega, k, rest) if rest else 0
 
 
 def dense_remainder(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:

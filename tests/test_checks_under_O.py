@@ -12,7 +12,7 @@ import shakekit
 SCRIPT = r"""
 import enum
 
-from shakekit import complexity, exactlinalg, goeritz, seifert
+from shakekit import circle, complexity, exactlinalg, goeritz, seifert
 from shakekit.laurent import UnitCirclePoint
 
 if __debug__:
@@ -41,11 +41,11 @@ outcome("read-back", lambda: exactlinalg.Pivots(8, (1,), (0,), True).minor(1))
 
 # an isolated zero minor between two minors of the same sign, at 1/3, where the signs are
 # _sign_at's (at 1/2 none are: _minus_one_inertia reads exact integers)
-real_sign_at = exactlinalg._sign_at
-exactlinalg._sign_at = lambda omega, k, terms: [-1, 0, -1][k - 1]
+real_sign_at = circle._sign_at
+circle._sign_at = lambda omega, k, terms: [-1, 0, -1][k - 1]
 outcome("inertia", lambda: exactlinalg.inertia_hermitian_at_root(
     [[-1, 1, 0], [0, -1, 1], [0, 0, -1]], UnitCirclePoint.root(1, 3)))
-exactlinalg._sign_at = real_sign_at
+circle._sign_at = real_sign_at
 
 complexity.eval_invariant = lambda term, assignment: 0
 outcome("cross-check", lambda: complexity.certify_complexity(1, 1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import float_grid_points, reduce_first
-from shakekit import complexity, exactlinalg, laurent, seifert, verify
+from shakekit import circle, complexity, exactlinalg, laurent, seifert, verify
 from shakekit.complexity import (
     WitnessNotFound,
     a_family_profile,
@@ -15,7 +15,7 @@ from shakekit.complexity import (
     find_witness_root,
 )
 from shakekit.errors import DomainError
-from shakekit.exactlinalg import InvalidRoot, NearSingular, _sign_at, _vanishes
+from shakekit.circle import InvalidRoot, NearSingular, _sign_at, _vanishes
 from shakekit.laurent import UnitCirclePoint
 from shakekit.patterns import parse_pattern
 from shakekit.seifert import _family_signature, an_family, delta_n_closed, lt_signature
@@ -153,7 +153,7 @@ class TestWitnessSearch:
             reductions.append(m)
             return _vanishes(terms, m)
 
-        monkeypatch.setattr(exactlinalg, "_vanishes", spy)
+        monkeypatch.setattr(circle, "_vanishes", spy)
         for n in (5, 11, 17, 197):
             terms = sorted(delta_n_closed(1 + n).coeffs.items())
             for omega in (UnitCirclePoint.root(1, 6), UnitCirclePoint.root(5, 6),
@@ -362,7 +362,7 @@ class TestClosedFormSigns:
             fallbacks.append(omega)
             return _sign_at(omega, k, terms)
 
-        monkeypatch.setattr(exactlinalg, "_sign_at", spy)
+        monkeypatch.setattr(circle, "_sign_at", spy)
         for n in [*range(1, 61), 10**18 + 6, 6 * 10**30, 10**400 + 7]:
             terms = sorted(delta_n_closed(n).coeffs.items())
             want = {omega: _sign_at(omega, 0, terms) for omega in set(points.values())}
@@ -392,7 +392,7 @@ class TestFloatFirstSigns:
         def refuse(terms, m):
             raise RuntimeError(f"a sign took the exact zero test at order {m}")
 
-        monkeypatch.setattr(exactlinalg, "_vanishes", refuse)
+        monkeypatch.setattr(circle, "_vanishes", refuse)
         for n in range(1, 201):
             for framing in (n, -n):
                 cert = certify_complexity(framing, 2)

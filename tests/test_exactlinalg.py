@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -27,17 +28,16 @@ from oracles import (
     reduce_first,
     torus_seifert,
 )
-from shakekit import exactlinalg, goeritz, seifert, verify
+from shakekit import circle, exactlinalg, goeritz, seifert, verify
+from shakekit.circle import InvalidRoot, NearSingular
+from shakekit.cli import int_matrix_from_json
 from shakekit.complexity import a_family_profile, certify_complexity
 from shakekit.errors import clip
 from shakekit.exactlinalg import (
     Inertia,
-    InvalidRoot,
-    NearSingular,
     det_laurent,
     inertia_hermitian_at_root,
     inertia_symmetric_exact,
-    int_matrix_from_json,
 )
 from shakekit.laurent import LaurentPoly, UnitCirclePoint
 from shakekit.seifert import alexander, an_family, delta_n_closed, lt_signature
@@ -1241,8 +1241,8 @@ class TestHermitianInertia:
         half = UnitCirclePoint.root(1, 2)
         calls = []
         for name in ("_sign_at", "_certified_sign"):
-            real = getattr(exactlinalg, name)
-            monkeypatch.setattr(exactlinalg, name,
+            real = getattr(circle, name)
+            monkeypatch.setattr(circle, name,
                                 lambda *args, real=real: calls.append(args) or real(*args))
         rng = random.Random(46)
         counted = 0
@@ -1258,7 +1258,7 @@ class TestHermitianInertia:
             form = inertia_symmetric_exact([[a + b for a, b in zip(row, col)]
                                             for row, col in zip(A, zip(*A))])
             assert cold == warm == form, A
-            signs = [exactlinalg._sign_at(half, k, terms)
+            signs = [circle._sign_at(half, k, terms)
                      for k, terms in enumerate(pivots.terms, 1)]
             assert signs == exactlinalg._minus_one_signs(pivots), A
             if exactlinalg._blocked(signs) is None:
@@ -1359,7 +1359,7 @@ class TestExactHermitianInertia:
         A = [[-1, -1, -1], [1, -1, 0], [1, -1, 0]]
         omega = UnitCirclePoint.root(1, 4)
         terms = exactlinalg._pencil(tuple(map(tuple, A))).terms
-        assert [exactlinalg._sign_at(omega, k, t) for k, t in enumerate(terms, 1)] == [-1, 0, 1]
+        assert [circle._sign_at(omega, k, t) for k, t in enumerate(terms, 1)] == [-1, 0, 1]
         assert pencil_pivots(A).values[1] != 0
         assert inertia_hermitian_at_root(A, omega) == Inertia(1, 0, 2)
         assert numpy_inertia(A, omega) == Inertia(1, 0, 2)
@@ -1379,7 +1379,7 @@ class TestExactHermitianInertia:
     def test_zero_minor_refusals_say_singular_only_at_a_zero_determinant(self):
         omega = UnitCirclePoint.root(1, 6)
         head = "form is singular at 1/6: leading minor"
-        assert {args: str(exactlinalg._zero_minors(omega, *args)) for args in (
+        assert {args: str(circle._zero_minors(omega, *args)) for args in (
             (4, 4, True), (3, 4, True), (1, 4, True), (1, 4, False))} == {
             (4, 4, True): f"{head} D_4 = 0 exactly",
             (3, 4, True): f"{head}s D_3 = D_4 = 0 exactly, two in a row",
@@ -1387,7 +1387,7 @@ class TestExactHermitianInertia:
             (1, 4, False): "Jacobi's rule cannot count the inertia at 1/6: leading minors "
                            "D_1 = D_2 = 0 exactly, two in a row, and D_4 != 0",
         }
-        refusal = exactlinalg._zero_minors(omega, 3, 4, True)
+        refusal = circle._zero_minors(omega, 3, 4, True)
         assert (refusal.omega, refusal.index, refusal.value, refusal.bound) == (omega, 3, 0.0, 0.0)
 
     def test_uncertified_float_sign_is_refused(self):
@@ -1459,24 +1459,24 @@ class TestSignAt:
             calls.append(m)
             return vanishes(terms, m)
 
-        vanishes = exactlinalg._vanishes
-        monkeypatch.setattr(exactlinalg, "_vanishes", spy)
+        vanishes = circle._vanishes
+        monkeypatch.setattr(circle, "_vanishes", spy)
         return calls
 
     def test_certified_float_sign_takes_no_remainder(self, reductions):
         # Delta_99 spans 201 exponents, so each of these roots would reduce it
         delta = sorted(delta_n_closed(99).coeffs.items())
-        assert exactlinalg._sign_at(UnitCirclePoint.root(1, 3), 0, delta) == -1
-        assert exactlinalg._sign_at(UnitCirclePoint.root(1, 2), 0, delta) == 1
-        assert exactlinalg._sign_at(UnitCirclePoint.root(3, 11), 0, delta) == -1
+        assert circle._sign_at(UnitCirclePoint.root(1, 3), 0, delta) == -1
+        assert circle._sign_at(UnitCirclePoint.root(1, 2), 0, delta) == 1
+        assert circle._sign_at(UnitCirclePoint.root(3, 11), 0, delta) == -1
         assert reductions == []
 
     def test_exact_zero_beyond_the_float_reach(self):
         # t^(6*10^15) - 1 vanishes at 1/6, and at 1/7 it is t^r - 1 with
         # r = 6*10^15 mod 7 != 0, whose real part is negative
         terms = [(0, -1), (6 * 10**15, 1)]
-        assert exactlinalg._sign_at(UnitCirclePoint.root(1, 6), 0, terms) == 0
-        assert exactlinalg._sign_at(UnitCirclePoint.root(1, 7), 0, terms) == -1
+        assert circle._sign_at(UnitCirclePoint.root(1, 6), 0, terms) == 0
+        assert circle._sign_at(UnitCirclePoint.root(1, 7), 0, terms) == -1
 
     def test_uncertified_sum_is_refused_with_its_numbers(self, reductions):
         # a * 2cos(2pi/7) + b is a few units at most for these 17-digit a, b,
@@ -1488,32 +1488,32 @@ class TestSignAt:
         terms = [(-1, a), (0, b), (1, a)]
         omega = UnitCirclePoint.root(1, 7)
         with pytest.raises(NearSingular) as exc:
-            exactlinalg._sign_at(omega, 0, terms)
+            circle._sign_at(omega, 0, terms)
         assert reductions == [7]
         assert "the sign of the polynomial is not certified" in str(exc.value)
         assert "zero test" not in str(exc.value)
-        want = sign_outcome(lambda: exactlinalg._certified_sign(omega, 0, terms))
+        want = sign_outcome(lambda: circle._certified_sign(omega, 0, terms))
         assert (exc.value.index, exc.value.value, exc.value.bound) == want
         assert sign_outcome(lambda: decimal_sign(omega, 0, terms)) != 0
 
     def test_monomials_take_no_float_sum(self, monkeypatch):
         # P_2j = t^j for the family, so half its minors are monomials; their
         # signs come from c * (-1)^(k/2), and lt agrees with the closed form
-        certified = exactlinalg._certified_sign
+        certified = circle._certified_sign
 
         def guarded(omega, k, terms):
             if len(terms) == 1 and 2 * terms[0][0] == k:
                 raise AssertionError(f"float sum taken on the monomial {terms} for D_{k}")
             return certified(omega, k, terms)
 
-        monkeypatch.setattr(exactlinalg, "_certified_sign", guarded)
+        monkeypatch.setattr(circle, "_certified_sign", guarded)
         for omega in (UnitCirclePoint.root(1, 7), UnitCirclePoint.root(5, 11),
                       UnitCirclePoint.angle(2.5)):
-            assert exactlinalg._sign_at(omega, 0, [(0, 5)]) == 1
-            assert exactlinalg._sign_at(omega, 0, [(0, -3)]) == -1
-            assert exactlinalg._sign_at(omega, 2, [(1, 7)]) == -1
-            assert exactlinalg._sign_at(omega, 4, [(2, 7)]) == 1
-            assert exactlinalg._sign_at(omega, 6, [(3, -2)]) == 1
+            assert circle._sign_at(omega, 0, [(0, 5)]) == 1
+            assert circle._sign_at(omega, 0, [(0, -3)]) == -1
+            assert circle._sign_at(omega, 2, [(1, 7)]) == -1
+            assert circle._sign_at(omega, 4, [(2, 7)]) == 1
+            assert circle._sign_at(omega, 6, [(3, -2)]) == 1
         for n in (1, 2, 5, 12, 40):
             exactlinalg._pencil.cache_clear()
             A = an_family(n)
@@ -1536,24 +1536,24 @@ class TestSignAt:
                 small = sorted(delta_n_closed(n % p + p).coeffs.items())
                 for k in range(1, p):
                     omega = UnitCirclePoint.root(k, p)
-                    want = exactlinalg._sign_at(omega, 0, small)
-                    assert exactlinalg._sign_at(omega, 0, big) == want, (r, omega)
+                    want = circle._sign_at(omega, 0, small)
+                    assert circle._sign_at(omega, 0, big) == want, (r, omega)
 
     def test_exponents_beyond_the_float_range_are_refused_at_float_angles(self):
         big = sorted(delta_n_closed(10**400).coeffs.items())
         with pytest.raises(NearSingular, match="beyond the float range") as exc:
-            exactlinalg._sign_at(UnitCirclePoint.angle(2.5), 0, big)
+            circle._sign_at(UnitCirclePoint.angle(2.5), 0, big)
         assert math.isnan(exc.value.value) and exc.value.bound == math.inf
         # at the root 1/10^400, t^m = 1 folds Delta_(10^400) to t^-1 - 1 + t,
         # which is 2cos(2pi/10^400) - 1 > 0 there
         omega = UnitCirclePoint.root(1, 10**400)
-        assert exactlinalg._folded(big, omega.m) == [(-1, 1), (0, -1), (1, 1)]
-        assert exactlinalg._sign_at(omega, 0, big) == 1
+        assert circle._folded(big, omega.m) == [(-1, 1), (0, -1), (1, 1)]
+        assert circle._sign_at(omega, 0, big) == 1
         # 1 + t^(m/2) is exactly 0 there, which only a zero test at order
         # 10^400 could show: refused
         half = [(0, 1), (5 * 10**399, 1)]
         with pytest.raises(NearSingular):
-            exactlinalg._sign_at(omega, 0, half)
+            circle._sign_at(omega, 0, half)
 
     def test_fold_is_sparse_and_centred_on_k_half(self):
         rng = random.Random(14)
@@ -1561,7 +1561,7 @@ class TestSignAt:
             m, k = rng.randint(1, 40), rng.randint(0, 12)
             terms = sorted({rng.randint(-10**6, 10**6): rng.choice((-2, -1, 1, 3))
                             for _ in range(rng.randint(0, 6))}.items())
-            folded = exactlinalg._folded(terms, m, k)
+            folded = circle._folded(terms, m, k)
             assert all(c and -m <= 2 * e - k < m for e, c in folded), (terms, m, k)
             assert [e for e, _ in folded] == sorted({e for e, _ in folded})
             dense = [0] * m
@@ -1617,14 +1617,14 @@ class TestSignAt:
         omega = UnitCirclePoint.root(j, m)
         start = time.perf_counter()
         with pytest.raises(NearSingular) as exc:
-            exactlinalg._sign_at(omega, 0, terms)
+            circle._sign_at(omega, 0, terms)
         assert time.perf_counter() - start < 1
         assert reductions == []
         order = clip(str(m), 50)  # 10**400 is echoed clipped
         assert str(exc.value).endswith(
-            f"; no exact zero test at order {order} > {exactlinalg._MAX_ZERO_TEST_ORDER}")
-        assert m > exactlinalg._MAX_ZERO_TEST_ORDER
-        want = sign_outcome(lambda: exactlinalg._certified_sign(omega, 0, terms))
+            f"; no exact zero test at order {order} > {circle._MAX_ZERO_TEST_ORDER}")
+        assert m > circle._MAX_ZERO_TEST_ORDER
+        want = sign_outcome(lambda: circle._certified_sign(omega, 0, terms))
         assert (exc.value.index, exc.value.value, exc.value.bound) == want
 
     def test_zero_test_agrees_with_dense_division(self):
@@ -1645,7 +1645,7 @@ class TestSignAt:
                     for _ in range(rng.randint(1, 30)):
                         terms[rng.randrange(-10**6, 10**6)] = rng.choice((-9, -2, 1, 3, 8))
                 terms = sorted((e, c) for e, c in terms.items() if c)
-                zero = exactlinalg._vanishes(terms, m)
+                zero = circle._vanishes(terms, m)
                 assert zero == (dense_remainder(terms, m) == []), (m, terms)
                 assert not trial % 2 or zero
 
@@ -1664,9 +1664,9 @@ class TestSignAt:
                 terms[x + e] = terms.get(x + e, 0) + a * c
                 terms[x + e + y] = terms.get(x + e + y, 0) + b * c
             terms = sorted((e, c) for e, c in terms.items() if c)
-            assert exactlinalg._vanishes(terms, m) == (d == m), (m, d)
+            assert circle._vanishes(terms, m) == (d == m), (m, d)
         # the last divisor is m itself: the float sum cannot decide, the zero test does
-        assert exactlinalg._sign_at(UnitCirclePoint.root(1, m), 0, terms) == 0
+        assert circle._sign_at(UnitCirclePoint.root(1, m), 0, terms) == 0
 
     def test_agrees_with_decimal_phases(self):
         # every leading minor of random pencils at every root of its order,
@@ -1682,7 +1682,7 @@ class TestSignAt:
                 if math.gcd(j, m) == 1:
                     omega = UnitCirclePoint.root(j, m)
                     for k, terms in enumerate(minors, 1):
-                        got = exactlinalg._sign_at(omega, k, terms)
+                        got = circle._sign_at(omega, k, terms)
                         assert got == decimal_sign(omega, k, terms), (A, omega, k)
                         signs.append(got)
         roots = [UnitCirclePoint.root(j, m) for m in (2, 3, 5, 6, 7, 12, 30, 61, 1009)
@@ -1690,7 +1690,7 @@ class TestSignAt:
         for n in [*range(1, 13), 10**6 + 3, 10**18 + 7, 10**40 + 1, 10**400, 10**400 + 5]:
             terms = sorted(delta_n_closed(n).coeffs.items())
             for omega in roots:
-                got = exactlinalg._sign_at(omega, 0, terms)
+                got = circle._sign_at(omega, 0, terms)
                 assert got == decimal_sign(omega, 0, terms), (n, omega)
                 signs.append(got)
         assert {signs.count(s) > 100 for s in (-1, 0, 1)} == {True}
@@ -1705,19 +1705,19 @@ class TestSignAt:
 
         def outcome(n, omega):
             terms = sorted(delta_n_closed(n).coeffs.items())
-            return sign_outcome(lambda: exactlinalg._sign_at(omega, 0, terms))
+            return sign_outcome(lambda: circle._sign_at(omega, 0, terms))
         outcomes = [outcome(n, omega) for n, omega in cases]
         assert [outcome(n + 10**30 * omega.m, omega) for n, omega in cases] == outcomes
         assert {0, 1, -1} < set(outcomes)  # each sign, and the refusal at m // 3 / m
 
     def test_angle_bound_counts_a_subnormal_theta_as_the_smallest_normal(self):
         terms = [(0, 1), (2**1020, 1)]
-        tiny = exactlinalg._angle_error(2.0**-1040, 0, terms)
-        assert tiny == exactlinalg._angle_error(2.0**-1022, 0, terms) == 8 * 2.0**-53 * 1.25
+        tiny = circle._angle_error(2.0**-1040, 0, terms)
+        assert tiny == circle._angle_error(2.0**-1022, 0, terms) == 8 * 2.0**-53 * 1.25
         # 2cos(2*pi/1024) - 2 at 1/2^1030, where theta is subnormal
         omega = UnitCirclePoint.root(1, 2**1030)
-        assert exactlinalg._sign_at(omega, 0, [(-(2**1020), 1), (0, -2), (2**1020, 1)]) == -1
-        assert exactlinalg._angle_error(0.5, 3, [(-2, 1), (4, 1)]) == 8 * 2.0**-53 * (0.5 * 3.5 + 4)
+        assert circle._sign_at(omega, 0, [(-(2**1020), 1), (0, -2), (2**1020, 1)]) == -1
+        assert circle._angle_error(0.5, 3, [(-2, 1), (4, 1)]) == 8 * 2.0**-53 * (0.5 * 3.5 + 4)
 
     def test_agrees_with_reduce_first_on_random_pencils(self):
         # every leading minor of the random pencils of
@@ -1733,7 +1733,7 @@ class TestSignAt:
             for j in range(1, m):
                 omega = UnitCirclePoint.root(j, m)
                 for k, terms in enumerate(minors, 1):
-                    got = sign_outcome(lambda: exactlinalg._sign_at(omega, k, terms))
+                    got = sign_outcome(lambda: circle._sign_at(omega, k, terms))
                     assert got == sign_outcome(lambda: reduce_first(omega, k, terms)), (A, omega, k)
                     zeros += got == 0
         assert zeros > 1000
@@ -1781,3 +1781,15 @@ def test_det_laurent_on_constants_matches_fraction_det(entries):
     expected = det_cofactor_fraction([[Fraction(x) for x in row] for row in entries])
     got = det_laurent(rows)
     assert got == LaurentPoly({0: int(expected)})
+
+
+def test_the_kernel_module_takes_no_float_step():
+    # the elimination is exact: every float step of a sign on the circle lives in circle.py
+    tree = ast.parse(Path(exactlinalg.__file__).read_text(encoding="utf-8"))
+    names = {"cos", "sin", "fsum", "pi", "tau"}
+    floats = [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id in names | {"float"}
+              or isinstance(node, ast.Attribute) and node.attr in names
+              or isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+              or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert floats == []

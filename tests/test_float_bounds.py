@@ -1,7 +1,7 @@
 """The two float error bounds, under errors injected inside their own error models.
 
 seifert._delta_sign counts the float value of Delta_n only past _DELTA_BOUND,
-and exactlinalg._certified_sign counts a float sum only past its
+and circle._certified_sign counts a float sum only past its
 rounding-error bound.  Each test replaces one module's math with a namespace
 whose cosine errs by as much as that module's docstring allows, in both
 directions.  An exact zero must then give 0 or a refusal, never a nonzero
@@ -19,7 +19,7 @@ import types
 
 import pytest
 
-from shakekit import NearSingular, UnitCirclePoint, exactlinalg, seifert
+from shakekit import NearSingular, UnitCirclePoint, circle, seifert
 from shakekit.seifert import delta_n_closed
 
 U = 2.0 ** -53
@@ -94,28 +94,28 @@ class TestSumBound:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_exact_zeros_give_zero_or_a_refusal(self, monkeypatch, sign):
-        monkeypatch.setattr(exactlinalg, "math", nudged_terms(sign))
+        monkeypatch.setattr(circle, "math", nudged_terms(sign))
         for n, k in ZEROS:
             terms = sorted(delta_n_closed(n).coeffs.items())
             omega = UnitCirclePoint.root(k, 6)
-            assert outcome(lambda: exactlinalg._sign_at(omega, 0, terms)) == 0, (n, k)
-            assert outcome(lambda: exactlinalg._certified_sign(omega, 0, terms)) == "refused"
+            assert outcome(lambda: circle._sign_at(omega, 0, terms)) == 0, (n, k)
+            assert outcome(lambda: circle._certified_sign(omega, 0, terms)) == "refused"
             assert outcome(lambda: seifert._delta_sign(n, k, 6)) == 0, (n, k)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_values_just_past_the_bound_keep_their_sign(self, monkeypatch, sign):
         # 2cos(theta) - 1 at 1/6 + ~1e-15 turns: its bound is about 73u and the nudges
         # move it by about 41u
-        monkeypatch.setattr(exactlinalg, "math", nudged_terms(sign))
+        monkeypatch.setattr(circle, "math", nudged_terms(sign))
         probes, terms = _near_sixth(150), [(-1, 1), (0, -1), (1, 1)]
-        assert [exactlinalg._certified_sign(UnitCirclePoint.root(k, m), 0, terms)
+        assert [circle._certified_sign(UnitCirclePoint.root(k, m), 0, terms)
                 for k, m, _ in probes] == [s for *_, s in probes]
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_a_float_angle_near_a_zero_is_refused(self, monkeypatch, sign):
         # Delta_6 at the float nearest pi/3 is within 2u of 0, and the bound from _angle_error,
         # about 970u, must cover the nudges' 523u
-        monkeypatch.setattr(exactlinalg, "math", nudged_terms(sign))
+        monkeypatch.setattr(circle, "math", nudged_terms(sign))
         terms = sorted(delta_n_closed(6).coeffs.items())
         omega = UnitCirclePoint.angle(math.pi / 3)
-        assert outcome(lambda: exactlinalg._certified_sign(omega, 0, terms)) == "refused"
+        assert outcome(lambda: circle._certified_sign(omega, 0, terms)) == "refused"

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shakekit.cli import band_presentation_from_json
 from shakekit.exactlinalg import inertia_symmetric_exact
 from shakekit.goeritz import (
     Band,
     BandPresentation,
     GoeritzData,
     add_two_twists,
-    band_presentation_from_json,
     classical_signature_goeritz,
     goeritz_form,
     torus_band_presentation,

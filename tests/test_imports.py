@@ -34,6 +34,15 @@ def test_public_api_is_pinned():
     assert names == PUBLIC_API
 
 
+def test_the_sign_refusals_have_one_home():
+    import shakekit
+
+    assert shakekit.NearSingular is shakekit.circle.NearSingular
+    assert shakekit.InvalidRoot is shakekit.circle.InvalidRoot
+    assert [name for name in ("NearSingular", "InvalidRoot", "_sign_at", "_certified_sign")
+            if hasattr(shakekit.exactlinalg, name)] == []
+
+
 # The public members of the value classes, fields included; each value has
 # one spelling, so an alias joins a class only by an edit here.
 VALUE_MEMBERS = {

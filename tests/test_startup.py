@@ -41,8 +41,8 @@ def test_import_executes_no_module():
 
 def test_dir_lists_the_public_names_and_the_registered_modules():
     names = fresh("import shakekit; print(json.dumps([dir(shakekit), shakekit.__all__]))")
-    modules = ["_record", "complexity", "errors", "exactlinalg", "goeritz", "laurent", "patterns",
-               "seifert"]
+    modules = ["_record", "circle", "complexity", "errors", "exactlinalg", "goeritz", "laurent",
+               "patterns", "seifert"]
     dunders = ["__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
                "__name__", "__package__", "__path__", "__spec__", "__version__"]
     assert names == [sorted(names[1] + modules + dunders), sorted(names[1])]
@@ -50,6 +50,8 @@ def test_dir_lists_the_public_names_and_the_registered_modules():
 
 CORE = ["shakekit", "shakekit._record", "shakekit.cli", "shakekit.errors"]
 LINALG = sorted([*CORE, "shakekit.exactlinalg", "shakekit.laurent"])
+# lt at a root other than 1/2 takes the minors' signs on the circle
+SIGNS = sorted([*LINALG, "shakekit.circle"])
 SEIFERT = sorted([*LINALG, "shakekit.seifert"])
 # the classical signature reads integer pivots alone, so no Laurent polynomial is built
 SIGNATURE = sorted([*CORE, "shakekit.exactlinalg", "shakekit.seifert"])
@@ -67,13 +69,14 @@ CERTIFY = sorted([*CORE, "shakekit.complexity", "shakekit.laurent", "shakekit.pa
     pytest.param(["pattern", "eval", "P_1", "--assignment", "TABLE"], 0, PATTERNS, id="eval-table"),
     pytest.param(["pattern", "eval", "Q_1", "--assignment", "FAMILY"], 0, CERTIFY,
                  id="eval-family"),
-    # Delta_6 vanishes at 1/6, so its sign takes the exact fallback, which refuses
+    # Delta_6 vanishes at 1/6, so its sign takes the exact fallback, which refuses; the
+    # fallback is the sign layer alone, with no kernel
     pytest.param(["pattern", "eval", "Q_5", "--assignment", "SIXTH"], 1,
-                 sorted([*CERTIFY, "shakekit.exactlinalg"]), id="eval-family-singular"),
+                 sorted([*CERTIFY, "shakekit.circle"]), id="eval-family-singular"),
     pytest.param(["alexander", "TREFOIL"], 0, SEIFERT, id="alexander"),
     pytest.param(["signature", "--seifert", "TREFOIL"], 0, SIGNATURE, id="signature-seifert"),
-    pytest.param(["lt", "TREFOIL", "--root", "1/3"], 0, LINALG, id="lt"),
-    pytest.param(["lt", "TREFOIL", "--root", "1/6"], 1, LINALG, id="lt-singular"),
+    pytest.param(["lt", "TREFOIL", "--root", "1/3"], 0, SIGNS, id="lt"),
+    pytest.param(["lt", "TREFOIL", "--root", "1/6"], 1, SIGNS, id="lt-singular"),
     # refused by the parity check alexander uses, without executing seifert
     pytest.param(["lt", "ODD", "--root", "1/3"], 1, LINALG, id="lt-odd"),
     # det(A - A^T) = 0: refused by the knot rule, which executes no seifert
@@ -114,7 +117,8 @@ def test_only_verify_executes_verify():
            "with contextlib.redirect_stdout(io.StringIO()):\n"
            "    code = main(['verify', '--json'])\n"
            f"print(json.dumps([code, *{EXECUTED}]))")
-    everything = sorted([*CERTIFY, "shakekit.exactlinalg", "shakekit.goeritz", "shakekit.verify"])
+    everything = sorted([*CERTIFY, "shakekit.circle", "shakekit.exactlinalg", "shakekit.goeritz",
+                         "shakekit.verify"])
     assert fresh(run) == [0, everything, True, False]
 
 

@@ -20,8 +20,8 @@ from shakekit import (
     parse_pattern,
     table_profile,
 )
+from shakekit.cli import int_matrix_from_json
 from shakekit.errors import brief, strict_bool, strict_int, strict_keys, strict_matrix
-from shakekit.exactlinalg import int_matrix_from_json
 
 
 class Flag(enum.IntEnum):
