@@ -1,15 +1,16 @@
 """Exact determinants of Laurent-polynomial matrices and inertia of forms.
 
-Determinants have one integer kernel: Kronecker substitution t = 2^b,
-fraction-free (Bareiss) elimination over the integers on sparse rows,
-and a balanced base-2^b read-back.  Each caller packs its own checked
-input once, at a width of b bits fixed before the first step: the
-Hadamard width of the whole matrix, or half of it for a pencil.  The
-coefficient-dict packer serves det_laurent alone.  A row that a step does
-not read keeps the scale (pivot s, for the s pivots taken then) it was
-stored at, and is rescaled, stored * prev // pivot s, when a step reads
-it.  A pivot that carries a power of t, t^v times a cofactor, is u * 2^s
-at t = 2^b, s = bv.  A step whose pivot or prev carries one writes
+Determinants have one integer kernel, _kernel: Kronecker substitution
+t = 2^b and fraction-free (Bareiss) elimination over the integers on
+sparse rows, each caller's checked input packed once at a width of b bits
+fixed before the first step.  det_laurent's coefficient dicts take the
+Hadamard width, and _kernel reads the determinant from the last pivot's
+balanced base-2^b digits; an integer form's pivots, at the same width, are
+its exact leading minors; a Seifert pencil takes half.  A row that a
+step does not read keeps the scale (pivot s, for the s pivots taken then)
+it was stored at, and is rescaled, stored * prev // pivot s, when a step
+reads it.  A pivot that carries a power of t, t^v times a cofactor, is
+u * 2^s at t = 2^b, s = bv.  A step whose pivot or prev carries one writes
 x * pivot as (x * u) << s and an exact N // prev as (N >> s) // u:
 N = prev * q is a multiple of 2^s, so the shift drops only zero bits and
 leaves u * q.  Both are integer identities, so every value is the plain
@@ -22,17 +23,16 @@ function, _minus_one_inertia, decides sigma(-1) = sigma(A + A^T) for both
 the classical and the Levine-Tristram signature: where the memo, which can
 be queried without computing (_pencil.held), holds the pencil and Jacobi's
 rule can count the exact integers D_k(-1) = (-2)^k P_k(-1), those answer;
-otherwise the form A + A^T is eliminated.  A pencil's principal minors are
-palindromic, P(t) = +-t^d P(1/t), so a pencil is packed at half the
-Hadamard width and its pivots are read back from both ends.  A pencil
-wider than _NARROW_BITS whose A holds more than two nonzero entries per
-row is first eliminated at two or more narrow points that spend the same
-Hadamard budget, as its arithmetic grows faster than the width; their
-answer is kept only where every point took the same path and read the
-same minors, and else the one half-width point answers (_pencil gives the
-tests and the proofs).  Signs at other points of the circle are circle's.
-Classical inertia of a symmetric integer matrix comes from the same
-elimination: its pivots are the matrix's exact integer leading minors.
+otherwise the form A + A^T is eliminated.  For every A the pencil's
+principal minors are palindromic, P(t) = +-t^d P(1/t), so every pencil is
+packed at half the Hadamard width and its Pivots are read back from both
+ends.  A pencil wider than _NARROW_BITS whose A holds more than two
+nonzero entries per row is first eliminated at two or more narrow points
+that spend the same Hadamard budget, as its arithmetic grows faster than
+the width; their answer is kept only where every point took the same path
+and read the same minors, and else the one half-width point answers
+(_pencil gives the tests and the proofs).  Signs at other points of the
+circle are circle's.
 """
 
 from __future__ import annotations
@@ -66,24 +66,22 @@ class Inertia(Record):
 
 
 class Pivots(Record):
-    """Bareiss pivots at t = 2^bits, each one a leading minor of the pivoted matrix.
+    """A symmetric elimination's Bareiss pivots at t = 2^bits, each a leading minor of P M P^T.
 
     values[k-1] is the k-th pivot, the polynomial P_k / t^lows[k-1]
-    evaluated at 2^bits.  bits is the elimination's one width, in bits:
-    the Hadamard width of the whole matrix (an integer form), and the
-    coefficients lie strictly inside +-2^(bits-1).  A pencil's pivots
-    (pencil=True) are packed at half that width instead, with
-    coefficients below 2^(2*bits-2), and are read from both ends; or, for
-    a pencil split over narrow points (_pencil), at the first point's
-    narrower width, with terms already read and checked against every
-    point.  bits and values depend on the width, minor(k) and terms do
-    not.
+    evaluated at 2^bits, and bits is the elimination's one width.  For a
+    Seifert pencil (_pencil) that is half its Hadamard width, the
+    coefficients lie below 2^(2*bits-2), and terms and minor(k) read them
+    from both ends; or, for a pencil split over narrow points, the first
+    point's narrower width, with terms already read and checked against
+    every point.  bits and values depend on the width, minor(k) and terms
+    do not.  An integer form's values are its exact leading minors
+    themselves, and _form_pivots returns only them.
     """
 
     bits: int
     values: tuple[int, ...]
     lows: tuple[int, ...]
-    pencil: bool = False
 
     @functools.cached_property
     def terms(self) -> list[list[tuple[int, int]]]:
@@ -91,13 +89,14 @@ class Pivots(Record):
         return [self._read(k) for k in range(1, len(self.lows) + 1)]
 
     def _read(self, k: int) -> list[tuple[int, int]]:
-        """P_k as (exponent, nonzero coefficient) pairs, lowest first.
+        """A pencil's P_k as (exponent, nonzero coefficient) pairs, lowest first.
 
-        A pencil's Q = P_k / t^lows[k-1] has degree d = k - 2*lows[k-1] and
+        Q = P_k / t^lows[k-1] has degree d = k - 2*lows[k-1] and
         coefficients c_i = s*c_(d-i), s = (-1)^k, so exponent e of P_k
-        mirrors to k - e.  Q's value V at T = 2^bits gives the outer
-        coefficient c_0 modulo T, and s*round(V / T^d) within T/4 + 1 of
-        it, as |c_i| < T^2/4; the two fix it.  Then
+        mirrors to k - e, and Q is read from both ends.  Q's value V at
+        T = 2^bits gives the outer coefficient c_0 modulo T, and
+        s*round(V / T^d) within T/4 + 1 of it, as |c_i| < T^2/4; the two
+        fix it.  Then
         (V - c_0*(1 + s*T^d)) / T is the value of the inner coefficients.
 
         A run of zero outer pairs is dropped with one shift.  If the low j
@@ -110,14 +109,6 @@ class Pivots(Record):
         value, bits, i = self.values[k - 1], self.bits, self.lows[k - 1]
         half, mask = 1 << (bits - 1), (1 << bits) - 1
         out: list[tuple[int, int]] = []
-        if not self.pencil:
-            while value:
-                digit = ((value + half) & mask) - half
-                if digit:
-                    out.append((i, digit))
-                value = (value - digit) >> bits
-                i += 1
-            return out
         start, d, s = i, k - 2 * i, -1 if k % 2 else 1
         while value and d > 0:
             low = value & mask
@@ -231,22 +222,24 @@ def _eliminate(K: _Rows, columns: tuple[int, ...], rest: list[int], taken: list[
 
 
 def _kernel(rows: list[dict[int, int]], lows: list[int], bits: int, pivots: bool,
-            pencil: bool, path: list[list[int]] | None = None) -> laurent.LaurentPoly | Pivots:
+            path: list[list[int]] | None = None) -> laurent.LaurentPoly | Pivots:
     """Bareiss on rows packed at t = 2^bits: row i maps column j to t^-lows[i] * a_ij at 2^bits.
 
     Each caller packs its own checked input at a width that holds what the
     read-back and the zero tests, which read stored entries, need.  With
-    pivots=False it swaps rows and returns the determinant; with
-    pivots=True it pivots symmetrically and returns its Pivots, flagged
-    pencil as the caller says.  A zero pivot is exchanged, row and column
-    together, for the first nonzero diagonal entry after it, else a 2x2
-    block [[0, b], [c, 0]] with b, c != 0 takes two steps at once (the 3x3
-    Sylvester determinants over prev^2).  Pivot k is the k-th leading
-    principal minor of P M P^T; once the rest is zero, the remaining
-    minors are 0.  Symmetric matrices and Seifert pencils have
-    M[i][j] != 0 exactly when M[j][i] != 0, so a block exists while the
-    rest is nonzero; a ValueError reports a matrix without that symmetry.
-    A list given as path receives the rows each step takes, in order.
+    pivots=False it swaps rows and returns the determinant, read from the
+    last pivot's balanced base-2^bits digits and shifted by the summed
+    lows.  With pivots=True it pivots symmetrically and returns its
+    Pivots: a zero pivot is
+    exchanged, row and column together, for the first nonzero diagonal
+    entry after it, else a 2x2 block [[0, b], [c, 0]] with b, c != 0 takes
+    two steps at once (the 3x3 Sylvester determinants over prev^2).  Pivot
+    k is the k-th leading principal minor of P M P^T; once the rest is
+    zero, the remaining minors are 0.  Symmetric matrices and Seifert
+    pencils have M[i][j] != 0 exactly when M[j][i] != 0, so a block exists
+    while the rest is nonzero; a ValueError reports a matrix without that
+    symmetry.  A list given as path receives the rows each step takes, in
+    order.
     """
     K = _Rows(rows, bits)
     order = list(range(len(rows)))  # rows left, in pivoting order; column = row label
@@ -283,9 +276,13 @@ def _kernel(rows: list[dict[int, int]], lows: list[int], bits: int, pivots: bool
             offset += lows[r]
             offsets.append(offset)
         order = rest
-    found = Pivots(bits, tuple(K.pivots), tuple(offsets), pencil)
-    return found if pivots else laurent.LaurentPoly(
-        {e: sign * c for e, c in found.minor(len(K.pivots)).coeffs.items()})
+    if pivots:
+        return Pivots(bits, tuple(K.pivots), tuple(offsets))
+    value, half, mask, coeffs = K.pivots[-1] if K.pivots else 1, 1 << bits - 1, (1 << bits) - 1, {}
+    while value:  # LaurentPoly drops the zero digits
+        coeffs[offset] = sign * (digit := ((value + half) & mask) - half)
+        value, offset = (value - digit) >> bits, offset + 1
+    return laurent.LaurentPoly(coeffs)
 
 
 def _bareiss(entries: list[dict]) -> laurent.LaurentPoly:
@@ -297,7 +294,8 @@ def _bareiss(entries: list[dict]) -> laurent.LaurentPoly:
     the nonzero column norms sqrt(sum_i ||a_ij||_1^2) (|a_ij| <= ||a_ij||_1
     on the unit circle, and a shift keeps |a_ij|), as are its coefficients
     (Parseval).  Each row is shifted by its lowest exponent and packed at
-    the least width in bits whose digits hold H.
+    the least width in bits whose balanced digits hold H, which _kernel
+    reads back from the last pivot.
     """
     lows, rows_sq, cols = [], 1, {}
     for row in entries:
@@ -313,7 +311,7 @@ def _bareiss(entries: list[dict]) -> laurent.LaurentPoly:
     bits = _width(min(rows_sq, math.prod(cols.values())))
     return _kernel([{j: e << bits * -low if e.__class__ is int else
                      sum(c << bits * (x - low) for x, c in e.items()) for j, e in row.items()}
-                    for row, low in zip(entries, lows)], lows, bits, False, False)
+                    for row, low in zip(entries, lows)], lows, bits, False)
 
 
 def det_laurent(rows: Sequence[Sequence[laurent.LaurentPoly | int]]) -> laurent.LaurentPoly:
@@ -382,11 +380,10 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     factors, bounds every minor R's |R(w)|^2 (Hadamard), and so ||R||_2^2
     (Parseval).
 
-    Half width.  M = t*A - A^T satisfies M(t)^T = -t * M(1/t).  Once a
-    row of M holds both powers of t (a pencil), it is packed at
-    b = _width(isqrt(H^2) + 1) bits, so T = 2^b > 2 sqrt(H), about half the
-    bits of H, in place of the full width.  A principal minor R of M
-    satisfies R(t) = +-t^d R(1/t), and so does each row-shifted one.  If
+    Half width.  M = t*A - A^T satisfies M(t)^T = -t * M(1/t) for every A,
+    so every pencil is packed at b = _width(isqrt(H^2) + 1) bits, with
+    T = 2^b > 2 sqrt(H), about half the bits of H.  A principal minor R of
+    M satisfies R(t) = +-t^d R(1/t), and so does each row-shifted one.  If
     such an integer polynomial R != 0 had R(T) = 0, then R(1/T) = 0 too, so
     (t - T)(T*t - 1) would divide R (Gauss's lemma), and
     ||R||_2 >= M(R) >= T^2 (Landau's inequality, Mahler's measure) would
@@ -436,16 +433,13 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
             alphas[i] += a * a
             alphas[j] += a * a
             cross[i] += a * A[j][i]
-    pencil = any(js and c for js, c in zip(ts, cs))
     bound = math.prod(alpha + 2 * abs(x) or 1 for alpha, x in zip(alphas, cross))
     lows = [0 if c or not js else 1 for js, c in zip(ts, cs)]
-    if not pencil:
-        bits = _width(bound)
-    elif (bits := _width(math.isqrt(bound) + 1)) > _NARROW_BITS and sum(map(len, ts)) > 2 * len(A):
+    if (bits := _width(math.isqrt(bound) + 1)) > _NARROW_BITS and sum(map(len, ts)) > 2 * len(A):
         found = _narrow(A, ts, cs, lows, bound, -(-bits // _NARROW_BITS))
         if found is not None:
             return found
-    return _kernel(_packed(A, ts, cs, lows, bits, cs), lows, bits, True, pencil)
+    return _kernel(_packed(A, ts, cs, lows, bits, cs), lows, bits, True)
 
 
 def _packed(A: tuple[tuple[int, ...], ...], ts: list[list[int]], cs: list[dict[int, int]],
@@ -476,7 +470,7 @@ def _narrow(A: tuple[tuple[int, ...], ...], ts: list[list[int]], cs: list[dict[i
         taken: list[list[int]] = []
         try:
             found = _kernel(_packed(A, ts, cs, lows, bits, [c.copy() for c in cs]), lows, bits,
-                            True, True, taken)
+                            True, taken)
             terms = found.terms
         except (ValueError, ArithmeticError):
             return None
@@ -534,7 +528,7 @@ def knot_rule(A: Sequence[Sequence[int]]) -> None:
     even_dimension(len(A))
     rows = [{j: x for j, (a, b) in enumerate(zip(row, col)) if (x := a - b)}
             for row, col in zip(A, zip(*A))]
-    unit_determinant(_form_pivots(rows).values[-1] if rows else 1)
+    unit_determinant(_form_pivots(rows)[-1] if rows else 1)
 
 
 def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
@@ -543,21 +537,25 @@ def inertia_symmetric_exact(S: Sequence[Sequence[int]]) -> Inertia:
     return _form_inertia([{j: x for j, x in enumerate(row) if x} for row in S])
 
 
-def _form_pivots(rows: list[dict[int, int]]) -> Pivots:
-    """The Pivots of a symmetric integer form's checked sparse rows, at its full Hadamard width."""
+def _form_pivots(rows: list[dict[int, int]]) -> tuple[int, ...]:
+    """The integer pivots of a form's checked sparse rows, its exact leading minors (_kernel).
+
+    No width enters them; at the full Hadamard width no pivot carries a
+    power of 2^bits, so every step takes the plain formula.
+    """
     bits = _width(math.prod(max(1, sum(x * x for x in row.values())) for row in rows))
-    return _kernel(rows, [0] * len(rows), bits, True, False)
+    return _kernel(rows, [0] * len(rows), bits, True).values
 
 
 def _form_inertia(rows: list[dict[int, int]]) -> Inertia:
     """Exact inertia of a symmetric integer form given as checked sparse rows, column -> entry.
 
-    _form_pivots's symmetric pivoting gives the exact leading principal
-    minors of P S P^T, a congruence of S, and stops once the rest is
+    _form_pivots gives the exact leading principal minors of P S P^T, a
+    congruence of S, as its integer pivots, and stops once the rest is
     zero, so a trailing run of zero minors is that zero Schur complement
     and counts as n_zero; Jacobi's rule counts the minors before it.
     """
-    signs = [(v > 0) - (v < 0) for v in _form_pivots(rows).values]
+    signs = [(v > 0) - (v < 0) for v in _form_pivots(rows)]
     n = rank = len(rows)
     while rank and not signs[rank - 1]:
         rank -= 1

@@ -16,8 +16,7 @@ import math
 from collections.abc import Sequence
 
 from . import circle, exactlinalg, laurent
-from .errors import (DomainError, OddDimension, even_dimension, strict_int, strict_matrix,
-                     unit_determinant)
+from .errors import DomainError, even_dimension, strict_int, strict_matrix, unit_determinant
 
 
 def alexander(A: Sequence[Sequence[int]]) -> laurent.LaurentPoly:

@@ -74,8 +74,8 @@ MUTANTS = [
       f"{COMPLEXITY}::TestClosedForm::test_matches_the_kernel_at_angles"]),
     # 8. the pencil packed at a quarter of its Hadamard bits, not half
     ("exactlinalg.py",
-     "elif (bits := _width(math.isqrt(bound) + 1)) > _NARROW_BITS",
-     "elif (bits := _width(math.isqrt(math.isqrt(bound)) + 1)) > _NARROW_BITS",
+     "if (bits := _width(math.isqrt(bound) + 1)) > _NARROW_BITS",
+     "if (bits := _width(math.isqrt(math.isqrt(bound)) + 1)) > _NARROW_BITS",
      ["tests/test_acceptance.py::test_10_determinant_oracle"]),
     # 9. the certified sum's bound 100 times too small
     ("circle.py",
@@ -97,6 +97,17 @@ MUTANTS = [
      "return 8 * _U * (max(abs(theta), 2.0 ** -1022) * reach + k + 1)",
      "return 0.08 * _U * (max(abs(theta), 2.0 ** -1022) * reach + k + 1)",
      [f"{FLOAT_BOUNDS}::TestSumBound::test_a_float_angle_near_a_zero_is_refused"]),
+    # 13. the determinant read back without the sign of its row swaps
+    ("exactlinalg.py",
+     "coeffs[offset] = sign * (digit := ((value + half) & mask) - half)",
+     "coeffs[offset] = (digit := ((value + half) & mask) - half)",
+     [f"{EXACT}::TestDetKernel", "tests/test_acceptance.py::test_10_determinant_oracle"]),
+    # 14. a pencil row holding t alone packed unshifted, so the half-width read of a Seifert
+    # matrix whose rows hold one power of t each misplaces its minors
+    ("exactlinalg.py",
+     "packed[j] = (row[j] << bits - bits * low) + c.get(j, 0)",
+     "packed[j] = (row[j] << bits) + c.get(j, 0)",
+     [f"{EXACT}::TestOneSidedPencils::test_half_width_reads_every_minor"]),
 ]
 
 

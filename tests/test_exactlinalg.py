@@ -220,29 +220,22 @@ class TestDetKernel:
 
 
 class TestPencilMemo:
-    def test_one_determinant_per_matrix(self, monkeypatch):
-        calls = []
-        real = exactlinalg._kernel
-
-        def counting(rows, lows, bits, pivots, pencil):
-            calls.append(repr(rows))
-            return real(rows, lows, bits, pivots, pencil)
-
-        monkeypatch.setattr(exactlinalg, "_kernel", counting)
+    def test_one_determinant_per_matrix(self, kernel_calls):
         for n in (26, 5):
             exactlinalg._pencil.cache_clear()
-            calls.clear()
+            kernel_calls.clear()
             for A in (an_family(1), an_family(n)):
                 alexander(A)
                 for k in range(1, 7):
                     lt_signature(A, UnitCirclePoint.root(k, 7))
                 lt_signature(A, UnitCirclePoint.angle(2.0))
+            calls = [repr(call.rows) for call in kernel_calls]
             assert len(calls) == len(set(calls)) == 2, n
         # certificates take the family's signature in closed form
         exactlinalg._pencil.cache_clear()
-        calls.clear()
+        kernel_calls.clear()
         certify_complexity(25, 3)
-        assert calls == []
+        assert kernel_calls == []
 
     def test_the_memo_holds_the_64_matrices_used_last(self):
         exactlinalg._pencil.cache_clear()
@@ -290,23 +283,16 @@ def unpacked_pencil(rows: list[dict[int, int]], lows: list[int], bits: int) -> l
     return entries
 
 
-def test_symmetric_elimination_gets_integer_forms_or_pencils(monkeypatch):
-    # _kernel runs a matrix flagged as a pencil at half the Hadamard
-    # width, which only a pencil allows; every symmetric-mode call from the
-    # invariants, the Goeritz route and the reproduction table passes an
-    # integer form, unshifted, or a pencil
-    calls = {"forms": 0, "pencils": 0}
-    real = exactlinalg._kernel
+def is_form(rows: list[dict[int, int]]) -> bool:
+    """Whether sparse integer rows are symmetric or skew: entry (j, i) is +-(i, j), never 0."""
+    return all(rows[j].get(i) in (x, -x) for i, row in enumerate(rows) for j, x in row.items())
 
-    def spy(rows, lows, bits, pivots, pencil):
-        if pivots:
-            form = not pencil and not any(lows)
-            entries = rows if form else unpacked_pencil(rows, lows, bits)
-            assert form or is_pencil(entries), entries
-            calls["forms" if form else "pencils"] += 1
-        return real(rows, lows, bits, pivots, pencil)
 
-    monkeypatch.setattr(exactlinalg, "_kernel", spy)
+def test_symmetric_elimination_gets_integer_forms_or_pencils(kernel_calls):
+    # _kernel runs every Seifert pencil at half the Hadamard width, which
+    # only a pencil allows; every symmetric-mode call from the invariants,
+    # the Goeritz route and the reproduction table passes an integer form,
+    # unshifted, or a pencil
     exactlinalg._pencil.cache_clear()
     dense = congruence(random_unimodular(random.Random(5), 12, 60), an_family(5))
     for A in (dense, an_family(3), TREFOIL, [[0, 1], [0, 0]]):
@@ -317,6 +303,11 @@ def test_symmetric_elimination_gets_integer_forms_or_pencils(monkeypatch):
     inertia_symmetric_exact([[2, 1, 0], [1, 0, 3], [0, 3, 0]])
     goeritz.classical_signature_goeritz(goeritz.torus_band_presentation(5))
     assert all(result.passed for result in verify.run_checks())
+    calls = {"forms": 0, "pencils": 0}
+    for call in filter(lambda call: call.pivots, kernel_calls):
+        pencil = is_pencil(unpacked_pencil(call.rows, call.lows, call.bits))
+        assert pencil or not any(call.lows) and is_form(call.rows), call.rows
+        calls["pencils" if pencil else "forms"] += 1
     assert calls["forms"] >= 10 and calls["pencils"] >= 4, calls
 
 
@@ -357,9 +348,13 @@ def as_laurent(S: list[list[int]]) -> list[list[LaurentPoly]]:
     return [[LaurentPoly({0: x}) for x in row] for row in S]
 
 
-def form_pivots(S: list[list[int]]) -> exactlinalg.Pivots:
-    """The symmetric elimination of an integer form, as inertia_symmetric_exact runs it."""
+def form_pivots(S: list[list[int]]) -> tuple[int, ...]:
+    """The integer pivots of a form's symmetric elimination, as inertia_symmetric_exact runs it."""
     return exactlinalg._form_pivots([{j: x for j, x in enumerate(row) if x} for row in S])
+
+
+def form_minors(S: list[list[int]]) -> list[LaurentPoly]:
+    return [LaurentPoly({0: v}) for v in form_pivots(S)]
 
 
 def pencil_pivots(A: list[list[int]]) -> exactlinalg.Pivots:
@@ -390,7 +385,7 @@ class TestSparseKernel:
     """
 
     def check(self, S: list[list[int]]) -> None:
-        assert all_minors(form_pivots(S)) == symmetric_pivot_minors(as_laurent(S)), S
+        assert form_minors(S) == symmetric_pivot_minors(as_laurent(S)), S
 
     def test_arrow(self):
         # every middle row is read first when it becomes the pivot row
@@ -421,8 +416,8 @@ class TestSparseKernel:
         for i, j, x in ((1, 2, 2), (3, 4, 3), (3, 5, 1), (4, 5, 1), (5, 6, 1)):
             S[i][j] = S[j][i] = x
         pivots = form_pivots(S)
-        assert pivots.values[1] == pivots.values[3] == 0
-        assert all(pivots.values[k] for k in (0, 2, 4, 5, 6))
+        assert pivots[1] == pivots[3] == 0
+        assert all(pivots[k] for k in (0, 2, 4, 5, 6))
         self.check(S)
 
     def test_zero_row(self):
@@ -430,7 +425,7 @@ class TestSparseKernel:
                   [[0, 0, 0, 0], [0, 1, 2, 0], [0, 2, 1, 1], [0, 0, 1, 0]]):
             self.check(S)
             assert det_laurent(S) == LaurentPoly()
-            assert form_pivots(S).values[-1] == 0
+            assert form_pivots(S)[-1] == 0
 
     def test_random_sparse_symmetric_and_pencils(self):
         rng = random.Random(20261018)
@@ -484,27 +479,19 @@ def pencil_minors(A: list[list[int]]) -> list[LaurentPoly]:
     return all_minors(pencil_pivots(A))
 
 
-def pencil_at_points(A: list[list[int]], monkeypatch) -> exactlinalg.Pivots:
+def pencil_at_points(A: list[list[int]], kernel_calls) -> exactlinalg.Pivots:
     """The pencil's Pivots, each checked against leading_minors of the pivoted pencil at points.
 
     The points are t = -3, 2 and 5, and one t above twice the Hadamard
     bound H of the pencil.  Every coefficient of a true minor is at most
     H, and so is every pivot's (asserted), so there the value fixes them.
     The pivot order is the path of the elimination whose Pivots _pencil
-    returns, at a narrow point or at the one half-width point.
+    returns, at a narrow point or at the one half-width point, as the
+    kernel_calls fixture recorded it.
     """
-    runs = []
-    real = exactlinalg._kernel
-
-    def spy(rows, lows, bits, pivots, pencil, path=None):
-        path = [] if path is None else path
-        runs.append((real(rows, lows, bits, pivots, pencil, path), path))
-        return runs[-1][0]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(exactlinalg, "_kernel", spy)
-        pivots = pencil_pivots(A)
-    order = next([r for taken in path for r in taken] for found, path in runs if found is pivots)
+    pivots = pencil_pivots(A)
+    order = next([r for taken in call.steps for r in taken]
+                 for call in reversed(kernel_calls) if call.result is pivots)
     order += [i for i in range(len(A)) if i not in order]  # a zero Schur complement's rows
     minors, bound = all_minors(pivots), hadamard_bound(t_matrix(A))
     assert all(abs(c) <= bound for m in minors for c in m.coeffs.values()), A
@@ -561,10 +548,10 @@ class TestMirroredSteps:
                     c = [c[i] if 2 * i <= d else s * c[d - i] for i in range(d + 1)]
                     value = sum(x << (bits * e) for e, x in enumerate(c))
                     lows = (0,) * (k - 1) + (low,)
-                    pivots = exactlinalg.Pivots(bits, (0,) * (k - 1) + (value,), lows, True)
+                    pivots = exactlinalg.Pivots(bits, (0,) * (k - 1) + (value,), lows)
                     assert pivots._read(k) == self._pairs(low, c), (bits, k, low)
                     if d % 2:  # then Q(1) = 0, so T - 1 divides every true value
-                        bad = exactlinalg.Pivots(bits, (0,) * (k - 1) + (value + 1,), lows, True)
+                        bad = exactlinalg.Pivots(bits, (0,) * (k - 1) + (value + 1,), lows)
                         with pytest.raises(ArithmeticError, match="not a palindromic minor"):
                             bad._read(k)
 
@@ -604,11 +591,11 @@ class TestMirroredSteps:
                             c = [c[i] if 2 * i <= d else s * c[d - i] for i in range(d + 1)]
                             values.append(sum(x << (bits * e) for e, x in enumerate(c)))
                             pivots = exactlinalg.Pivots(bits, (0,) * (k - 1) + (values[-1],),
-                                                        lows, True)
+                                                        lows)
                             assert pivots._read(k) == self._pairs(low, c), (bits, k, low, j,
                                                                             outer)
                         for value in values:
-                            pivots = exactlinalg.Pivots(bits, (0,) * (k - 1) + (value,), lows, True)
+                            pivots = exactlinalg.Pivots(bits, (0,) * (k - 1) + (value,), lows)
                             want = self._pair_by_pair(bits, value, d, s)
                             if want is None:
                                 with pytest.raises(ArithmeticError, match="not a palindromic"):
@@ -641,7 +628,7 @@ class TestMirroredSteps:
             kinds[kind] += 1
         assert min(kinds.values()) >= 20, kinds
 
-    def test_matches_unmirrored_elimination(self, monkeypatch):
+    def test_matches_unmirrored_elimination(self, kernel_calls):
         rng = random.Random(400)
         for trial in range(400):
             dim = rng.randint(2, 9)
@@ -653,7 +640,7 @@ class TestMirroredSteps:
                 column = rng.randrange(dim)
                 for row in A:
                     row[column] = 0
-            pencil_at_points(A, monkeypatch)
+            pencil_at_points(A, kernel_calls)
 
     def test_row_left_at_an_older_scale(self, steps):
         # index 1 is 2 * index 0 where they meet index 4, so after the
@@ -666,7 +653,7 @@ class TestMirroredSteps:
         assert pencil_minors(A) == symmetric_pivot_minors(t_matrix(A))
         assert [stale for _, stale in steps[:3]] == [False, False, True]
 
-    def test_scrambled_family_matrices(self, monkeypatch):
+    def test_scrambled_family_matrices(self, kernel_calls):
         # P A_k P^T for unimodular P is dense, with the family's Alexander
         # polynomial
         rng = random.Random(2040)
@@ -676,16 +663,16 @@ class TestMirroredSteps:
             assert 4 * sum(map(bool, (x for row in A for x in row))) > dim * dim
             exactlinalg._pencil.cache_clear()
             assert alexander(A) == delta_n_closed(k)
-            assert pencil_at_points(A, monkeypatch).pencil
+            pivots = pencil_at_points(A, kernel_calls)
+            assert 2 * pivots.bits <= exactlinalg._width(norm_sq(t_matrix(A))) + 3
 
-    def test_half_width_on_dense_and_sparse_pencils(self, monkeypatch):
+    def test_half_width_on_dense_and_sparse_pencils(self, kernel_calls):
         # the dense fixture and a sparse family pencil both take half the
         # bits of the full Hadamard width, or fewer: the half width rounds
         # up by at most 3 bits over the two halves
         doc = json.loads((FIXTURES / "dense_seifert_30.json").read_text())
         for A, k in ((int_matrix_from_json(doc), 14), (an_family(40), 40)):
-            pivots = pencil_at_points(A, monkeypatch)
-            assert pivots.pencil
+            pivots = pencil_at_points(A, kernel_calls)
             assert 2 * pivots.bits <= exactlinalg._width(norm_sq(t_matrix(A))) + 3
             assert all_minors(pivots)[-1] == delta_n_closed(k).shift(k + 1)
 
@@ -703,7 +690,7 @@ def random_seifert(rng: random.Random, dim: int, dense: bool) -> list[list[int]]
              for _ in range(dim)] for _ in range(dim)]
 
 
-def test_pencil_pivots_match_elimination_at_integer_points(monkeypatch):
+def test_pencil_pivots_match_elimination_at_integer_points(kernel_calls):
     # every pivot of random and dense pencils, dimension <= 22, against
     # the leading principal minors of the pivoted matrix at integer points
     # (pencil_at_points); at least 1,000 pivots have a coefficient of T/2
@@ -716,7 +703,7 @@ def test_pencil_pivots_match_elimination_at_integer_points(monkeypatch):
         A = random_seifert(rng, dim, trial % 2 == 1)
         for i in range(dim if blocks else 0):
             A[i][i] = 0
-        pivots = pencil_at_points(A, monkeypatch)
+        pivots = pencil_at_points(A, kernel_calls)
         minors = all_minors(pivots)
         half = 1 << (pivots.bits - 1)
         two_ended += sum(any(abs(c) >= half for c in m.coeffs.values()) for m in minors)
@@ -739,24 +726,13 @@ class TestNarrowPoints:
     half-width point.  Either way every minor is that point's.
     """
 
-    @pytest.fixture
-    def runs(self, monkeypatch) -> list[list]:
-        """[bits, narrow, exception class or None] of every _kernel call from here on."""
-        seen = []
-        real = exactlinalg._kernel
+    @staticmethod
+    def runs(kernel_calls) -> list[list]:
+        """[bits, narrow, exception class or None] of every _kernel call recorded."""
+        return [[call.bits, call.path is not None, call.error and type(call.error)]
+                for call in kernel_calls]
 
-        def spy(rows, lows, bits, pivots, pencil, path=None):
-            seen.append([bits, path is not None, None])
-            try:
-                return real(rows, lows, bits, pivots, pencil, path)
-            except (ValueError, ArithmeticError) as exc:
-                seen[-1][2] = type(exc)
-                raise
-
-        monkeypatch.setattr(exactlinalg, "_kernel", spy)
-        return seen
-
-    def test_split_reads_the_terms_of_the_single_point(self, monkeypatch, runs):
+    def test_split_reads_the_terms_of_the_single_point(self, monkeypatch, kernel_calls):
         # dense, sparse, scrambled family and torus Seifert matrices of
         # dimension <= 30: where the narrow points answer, they answer at
         # the first point's width, with the single point's lows and pairs
@@ -767,12 +743,11 @@ class TestNarrowPoints:
         cases += [torus_seifert(p, q) for p, q in ((2, 31), (3, 16), (4, 9), (5, 8), (6, 7))]
         outcomes = {"split": 0, "fell back": 0, "single": 0}
         for A in cases:
-            runs.clear()
+            kernel_calls.clear()
             pivots = pencil_pivots(A)
-            narrow = [bits for bits, is_narrow, _ in runs if is_narrow]
+            narrow = [bits for bits, is_narrow, _ in self.runs(kernel_calls) if is_narrow]
             one = single_point(A, monkeypatch)
             assert (pivots.terms, pivots.lows) == (one.terms, one.lows), A
-            assert pivots.pencil == one.pencil
             if not narrow:
                 outcome = "single"
                 assert pivots == one
@@ -785,7 +760,7 @@ class TestNarrowPoints:
             outcomes[outcome] += 1
         assert min(outcomes.values()) >= 5, outcomes
 
-    def test_minors_near_the_hadamard_bound_fall_back(self, monkeypatch, runs):
+    def test_minors_near_the_hadamard_bound_fall_back(self, monkeypatch, kernel_calls):
         # large diagonals make the determinant's coefficients nearly H, far
         # past what a narrow point reads: the points agree on the path but
         # misread, so the pairs differ and the single point answers
@@ -793,12 +768,13 @@ class TestNarrowPoints:
         for dim in (6, 8, 10):
             A = [[rng.choice((-1, 1)) << 20 if i == j else rng.randint(-2, 2) for j in range(dim)]
                  for i in range(dim)]
-            runs.clear()
-            pivots = pencil_at_points(A, monkeypatch)  # its spy gives every call a path
+            kernel_calls.clear()
+            pivots = pencil_at_points(A, kernel_calls)
+            runs = self.runs(kernel_calls)
             assert [bits for bits, _, _ in runs] == [runs[0][0], runs[0][0] + 1, pivots.bits]
             assert pivots == single_point(A, monkeypatch)
 
-    def test_a_narrow_point_that_raises_falls_back(self, runs):
+    def test_a_narrow_point_that_raises_falls_back(self, kernel_calls):
         # a dense 4x4 block, then entry (4, 5) of t*A - A^T is T - 2^37,
         # zero at the first narrow point T = 2^37 while (5, 4) is not: that
         # point raises the symmetric-pattern ValueError once the block is
@@ -806,7 +782,7 @@ class TestNarrowPoints:
         A = [[1 << 17 if i == j else 1 for j in range(4)] + [0, 0] for i in range(4)]
         A += [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1 << 37, 0]]
         pivots = pencil_pivots(A)
-        assert runs == [[37, True, ValueError], [pivots.bits, False, None]]
+        assert self.runs(kernel_calls) == [[37, True, ValueError], [pivots.bits, False, None]]
         assert pivots.bits > 56
         assert all_minors(pivots) == symmetric_pivot_minors(t_matrix(A))
 
@@ -820,8 +796,8 @@ class TestNarrowPoints:
         real = exactlinalg._kernel
         narrow = []
 
-        def forged(rows, lows, bits, pivots, pencil, path=None):
-            found = real(rows, lows, bits, pivots, pencil, path)
+        def forged(rows, lows, bits, pivots, path=None):
+            found = real(rows, lows, bits, pivots, path)
             if path is not None:
                 narrow.append(bits)
                 if forgery == "path" and len(narrow) == 2:
@@ -838,15 +814,70 @@ class TestNarrowPoints:
         assert pivots == single_point(A, monkeypatch)
 
 
+def one_sided(rng: random.Random, dim: int, bound: int) -> list[list[int]]:
+    """A random A with row i or column i zeroed for each index i, entries up to +-bound."""
+    A = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        if rng.random() < 0.5:
+            A[i] = [0] * dim
+        else:
+            for row in A:
+                row[i] = 0
+    return A
+
+
+class TestOneSidedPencils:
+    """Seifert matrices in which no row of t*A - A^T holds both powers of t.
+
+    Row i of the pencil holds t alone where column i of A is zero, and
+    constants alone where row i is.  M(t)^T = -t * M(1/t) holds for every
+    A, so these are packed at the half width, as every pencil is, and read
+    from both ends.
+    """
+
+    @staticmethod
+    def cases() -> list[list[list[int]]]:
+        rng = random.Random(49)
+        B = rng.choice((-1, 1)) * rng.randint(2, 10 ** 6)
+        cases = [[[0, 1], [0, 0]], [[0, B], [0, 0]]]
+        cases += [one_sided(rng, rng.randint(1, 8), rng.choice((1, 3, 40))) for _ in range(60)]
+        for A in cases:  # no row holds both powers of t
+            assert not any(any(A[i]) and any(row[i] for row in A) for i in range(len(A))), A
+        return cases
+
+    def test_half_width_reads_every_minor(self):
+        # the Hadamard factor of row i is its squared norm on the circle,
+        # as no a_ij * a_ji is nonzero, so H^2 = norm_sq
+        for A in self.cases():
+            pivots = pencil_pivots(A)
+            assert pivots.bits == exactlinalg._width(math.isqrt(norm_sq(t_matrix(A))) + 1), A
+            assert all_minors(pivots) == symmetric_pivot_minors(t_matrix(A)), A
+
+    def test_signatures_match_numpy_at_roots_of_order_up_to_12(self):
+        # at every primitive root where numpy's eigenvalues count the form;
+        # none of these is refused
+        exactlinalg._pencil.cache_clear()
+        answered = 0
+        for A in self.cases():
+            for m in range(2, 13):
+                for k in filter(lambda k: math.gcd(k, m) == 1, range(1, m)):
+                    omega = UnitCirclePoint.root(k, m)
+                    want = numpy_inertia(A, omega)
+                    if want is not None:
+                        assert lt_signature(A, omega) == want.signature, (A, omega)
+                        answered += 1
+        assert answered >= 400, answered
+
+
 def kernel_cases() -> list[list[list[int]]]:
     """Seeded Seifert matrices whose pencils and forms A + A^T the kernel digest pins.
 
     First [[0, 1], [0, 0]], where no row of the pencil holds both powers
-    of t, so it is packed at full width; then sparse +-1 congruences of
-    the family, dense unimodular scrambles, and random matrices with zero
-    diagonals (2x2 blocks, swaps, rows left at an older scale), zero
-    columns (rows holding only t), zero rows (rows holding only constants)
-    and empty rows.
+    of t, packed at the half width as every pencil is; then sparse +-1
+    congruences of the family, dense unimodular scrambles, and random
+    matrices with zero diagonals (2x2 blocks, swaps, rows left at an older
+    scale), zero columns (rows holding only t), zero rows (rows holding
+    only constants) and empty rows.
     """
     rng = random.Random(20261019)
     cases = [[[0, 1], [0, 0]]]
@@ -880,36 +911,55 @@ def kernel_cases() -> list[list[list[int]]]:
     return cases
 
 
-# SHA-256 of the Pivots of kernel_cases(), as the kernel gave them once
-# widths were taken in bits and wide pencils split over narrow points; a
-# change to any pivot value, width, low or pencil flag changes it
-KERNEL_DIGEST = "ca581082606c4c783f0a2893eabfec8b09dc3ac61a6fcfd48354ab912e6abfaf"
+def kernel_eliminations(kernel_calls) -> list[tuple]:
+    """(A, its pencil's Pivots as _pencil keeps them, [the Pivots of the form A + A^T]) per case.
 
-
-def test_kernel_pivots_match_their_digest(monkeypatch):
-    # the pencil's Pivots as _pencil keeps them, and the form A + A^T both
-    # through the classical signature and through inertia_symmetric_exact,
-    # of every case
-    found, forms = [], []
-    real = exactlinalg._kernel
-
-    def spy(*args):
-        forms.append(real(*args))
-        return forms[-1]
-
-    monkeypatch.setattr(exactlinalg, "_kernel", spy)
-    cases = kernel_cases()
-    for A in cases:
-        found.append(exactlinalg._pencil.__wrapped__(tuple(map(tuple, A))))
-        forms.clear()
+    The form is eliminated through the classical signature and through
+    inertia_symmetric_exact, with no pencil memoised by an earlier test.
+    """
+    exactlinalg._pencil.cache_clear()
+    found = []
+    for A in kernel_cases():
+        pencil = exactlinalg._pencil.__wrapped__(tuple(map(tuple, A)))
+        kernel_calls.clear()
         seifert.classical_signature_seifert(A)
         inertia_symmetric_exact([[a + b for a, b in zip(row, column)]
                                  for row, column in zip(A, zip(*A))])
-        found += forms
+        found.append((A, pencil, [call.result for call in kernel_calls]))
+    return found
+
+
+# SHA-256 of the Pivots of kernel_cases(), as the kernel gave them once
+# every Seifert matrix's pencil took the half width and wide pencils split
+# over narrow points; a change to any pivot value, width or low changes it
+KERNEL_DIGEST = "6bd67a84f54184ea464e4f4989766308893d6b5261c493f85604b7114109a369"
+
+
+def test_kernel_pivots_match_their_digest(kernel_calls):
+    cases = kernel_eliminations(kernel_calls)
+    found = [pivots for _, pencil, forms in cases for pivots in (pencil, *forms)]
     assert len(found) == 3 * len(cases)
-    assert sum(p.pencil for p in found) > 200 and not found[0].pencil
-    text = repr([(p.bits, [hex(v) for v in p.values], p.lows, p.pencil) for p in found])
+    assert found[0] == exactlinalg.Pivots(3, (0, 1), (1, 1))  # [[0, 1], [0, 0]] at half width
+    text = repr([(p.bits, [hex(v) for v in p.values], p.lows) for p in found])
     assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGEST
+
+
+# SHA-256 of what no width enters, for every case of kernel_cases(): the
+# pencil's terms and lows, the form A + A^T's integer pivots, and
+# det_laurent(t*A - A^T); a change of width alone leaves it as it is
+KERNEL_MINORS_DIGEST = "8c1563a62708c0b7b361eda797ff634bca744847f90fa7400b45d7e0ab28e308"
+
+
+def test_kernel_minors_match_their_width_free_digest(kernel_calls):
+    found = []
+    for A, pencil, forms in kernel_eliminations(kernel_calls):
+        forms = [list(form.values) for form in forms]
+        assert len(forms) == 2 and forms[0] == forms[1], A
+        det = det_laurent(t_matrix(A))
+        assert det == pencil.minor(len(A)), A
+        found.append((pencil.terms, pencil.lows, forms[0], sorted(det.coeffs.items())))
+    text = repr(found)
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_MINORS_DIGEST
 
 
 class TestStepWidths:
@@ -963,10 +1013,10 @@ class TestStepWidths:
                 if i + 1 < n:
                     S[i][i + 1] = S[i + 1][i] = scale - i
                     A[i][i + 1], A[i + 1][i] = scale - i, scale + 1
-            for eliminate, M, rows in ((form_pivots, S, as_laurent(S)),
-                                       (pencil_pivots, A, t_matrix(A))):
+            for eliminate, M, rows in ((form_minors, S, as_laurent(S)),
+                                       (pencil_minors, A, t_matrix(A))):
                 log.clear()
-                assert all_minors(eliminate(M)) == symmetric_pivot_minors(rows), M
+                assert eliminate(M) == symmetric_pivot_minors(rows), M
                 assert all(step["block"] == 1 for step in log), log
                 assert any(step["old"] for step in log), log
 
@@ -986,10 +1036,10 @@ class TestStepWidths:
                         S[i][j] = S[j][i] = rng.choice((-1, 1)) * rng.randint(5, 30)
                         A[i][j], A[j][i] = (rng.choice((-1, 1)) * rng.randint(5, 30)
                                             for _ in range(2))
-            for eliminate, M, rows in ((form_pivots, S, as_laurent(S)),
-                                       (pencil_pivots, A, t_matrix(A))):
+            for eliminate, M, rows in ((form_minors, S, as_laurent(S)),
+                                       (pencil_minors, A, t_matrix(A))):
                 log.clear()
-                assert all_minors(eliminate(M)) == symmetric_pivot_minors(rows), M
+                assert eliminate(M) == symmetric_pivot_minors(rows), M
                 seen |= {(step["block"], bool(step["old"])) for step in log}
         assert seen >= {(1, True), (2, True), (2, False)}, seen
 
@@ -1033,9 +1083,9 @@ class TestStepWidths:
         assert widths[-1][1] == 27  # H = 245^2 * 576 = 34,574,400 < 2^26, and a sign bit
         for _ in range(20):
             S = random_symmetric_matrix(rng, rng.randint(1, 8), 40)
-            pivots = form_pivots(S)
-            assert not pivots.pencil
-            assert pivots.bits == exactlinalg._width(norm_sq(as_laurent(S))), S
+            widths.clear()
+            form_pivots(S)
+            assert [bits for _, bits in widths] == [exactlinalg._width(norm_sq(as_laurent(S)))], S
 
     def test_bits_never_exceed_the_hadamard_width(self, widths):
         rng = random.Random(31)

@@ -1,6 +1,7 @@
 """What `import shakekit` offers, name by name, and what `import shakekit.cli`
 loads: no dataclasses machinery, every traced module."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -78,3 +79,19 @@ def test_cli_import_loads_no_dataclasses_and_every_traced_module():
     loaded = set(json.loads(proc.stdout))
     assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
     assert traced <= loaded
+
+
+def test_every_module_level_import_is_read():
+    # a name that a module imports at module level and never reads is
+    # dead weight at start-up and a false lead for a reader
+    unread = []
+    for path in sorted((ROOT / "src" / "shakekit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unread == []

@@ -41,7 +41,7 @@ RECORDS = [
     (Inertia, dict(n_plus=2, n_zero=0, n_minus=1), dict(n_zero=1),
      "Inertia(n_plus=2, n_zero=0, n_minus=1)"),
     (Pivots, dict(bits=8, values=(-1, 258), lows=(0, 1)), dict(lows=(0, 0)),
-     "Pivots(bits=8, values=(-1, 258), lows=(0, 1), pencil=False)"),
+     "Pivots(bits=8, values=(-1, 258), lows=(0, 1))"),
     (Atom, dict(name="P"), dict(name="Q"), "Atom(name='P')"),
     (Star, dict(inner=P), dict(inner=Q), "Star(inner=Atom(name='P'))"),
     (Bar, dict(inner=P), dict(inner=Q), "Bar(inner=Atom(name='P'))"),
@@ -141,17 +141,17 @@ def test_defaults():
 
 
 def test_pivots_cache_their_terms():
-    pivots = Pivots(8, (-1, 258), (0, 1))
-    assert pivots.terms == [[(0, -1)], [(1, 2), (2, 1)]]
+    pivots = Pivots(8, (1 - 256, 1 - 256 + 256**2), (0, 0))  # the trefoil's pencil
+    assert pivots.terms == [[(0, 1), (1, -1)], [(0, 1), (1, -1), (2, 1)]]
     assert pivots.terms is pivots.terms
-    assert pivots == Pivots(8, (-1, 258), (0, 1))
+    assert pivots == Pivots(8, (1 - 256, 1 - 256 + 256**2), (0, 0))
 
 
 def test_pencil_pivots_are_read_from_both_ends():
     # coefficients past 2^(bits-1), palindromic up to the sign (-1)^k
-    pivots = Pivots(8, (300 - 300 * 256, 200 - 5 * 256 + 200 * 256**2), (0, 0), pencil=True)
+    pivots = Pivots(8, (300 - 300 * 256, 200 - 5 * 256 + 200 * 256**2), (0, 0))
     assert pivots.terms == [[(0, 300), (1, -300)], [(0, 200), (1, -5), (2, 200)]]
-    assert pivots != Pivots(8, pivots.values, (0, 0))
+    assert pivots != Pivots(8, pivots.values, (0, 1))
 
 
 @pytest.mark.parametrize("build, error", [

@@ -6,12 +6,11 @@ import pytest
 
 import shakekit
 from oracles import congruence, eval_naive, numpy_signature, random_unimodular
-from shakekit.errors import DomainError
+from shakekit.errors import DomainError, OddDimension
 from shakekit import exactlinalg
 from shakekit.exactlinalg import inertia_hermitian_at_root
 from shakekit.laurent import LaurentPoly, UnitCirclePoint, lp_is_symmetric
 from shakekit.seifert import (
-    OddDimension,
     alexander,
     an_family,
     classical_signature_seifert,
@@ -269,32 +268,22 @@ class TestClassicalSignatureRoutes:
             assert cold == warm == want, A
         assert min(routes.values()) >= 1000, routes
 
-    def test_after_alexander_no_kernel_runs(self, monkeypatch):
-        calls = []
-        real = exactlinalg._kernel
-        monkeypatch.setattr(exactlinalg, "_kernel",
-                            lambda *args: calls.append(args) or real(*args))
+    def test_after_alexander_no_kernel_runs(self, kernel_calls):
         A = congruence(random_unimodular(random.Random(45), 18, 60), an_family(8))
         exactlinalg._pencil.cache_clear()
         alexander(A)
-        assert len(calls) == 1 and calls[0][4]
-        calls.clear()
+        held, = exactlinalg._pencil.held.values()
+        assert len(kernel_calls) == 1 and kernel_calls[0].result is held
+        kernel_calls.clear()
         assert classical_signature_seifert(A) == classical_signature_seifert(an_family(8)) == 2
-        assert len(calls) == 1  # an_family(8)'s cold call
+        assert len(kernel_calls) == 1  # an_family(8)'s cold call
 
-    def test_a_cold_call_builds_no_pencil(self, monkeypatch):
-        calls = []
-        real = exactlinalg._kernel
-
-        def spy(rows, *args):
-            calls.append(([dict(row) for row in rows], *args))
-            return real(rows, *args)
-
-        monkeypatch.setattr(exactlinalg, "_kernel", spy)
+    def test_a_cold_call_builds_no_pencil(self, kernel_calls):
         exactlinalg._pencil.cache_clear()
         assert classical_signature_seifert(TREFOIL) == -2
-        (rows, lows, _, pivots, pencil), = calls
-        assert rows == [{0: -2, 1: 1}, {0: 1, 1: -2}] and not any(lows) and pivots and not pencil
+        call, = kernel_calls
+        assert call.rows == [{0: -2, 1: 1}, {0: 1, 1: -2}] and not any(call.lows) and call.pivots
+        assert call.result.values == (-2, 3)  # the form's leading minors, no pencil's
         assert exactlinalg._pencil.held == {}
 
     def test_the_library_checks_no_knot_rule(self):
