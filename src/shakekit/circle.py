@@ -18,6 +18,9 @@ from .errors import DomainError, brief
 class InvalidRoot(DomainError):
     """The Hermitian form vanishes identically at omega = 1."""
 
+    def __init__(self, message: str = "the form vanishes identically at omega = 1"):
+        super().__init__(message)
+
 
 class NearSingular(DomainError, ArithmeticError):
     """No exact inertia at omega: a zero leading minor stops Jacobi's rule, or a sign is uncertain.

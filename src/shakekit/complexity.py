@@ -6,13 +6,13 @@ family, a witness root of unity where the half-Levine-Tristram
 signature separates Q from Q_n, and the resulting bound
 c * |I(Q) - I(Q_n)| >= c.
 
-The signature of the twisted family has a closed form in the signs of
-Delta_n and of 1 - 2cos(theta) (seifert._family_signature states and
-proves it).  At a root k/m, Delta_n = 4(x - 1)cos(n*theta) + 3 - 2x with
-x = cos(theta) is one float value with a certified error bound
-(seifert._delta_sign), which circle._sign_at decides only inside that
-bound, and the sign of 1 - 2cos(theta) is read from k and m in integers.
-So certify builds no matrix, and its cost does not grow with n.
+The signature of the twisted family is one sign, 2 where Delta_n < 0 and
+0 where Delta_n > 0, since Delta_n(omega) >= 2cos(theta) - 1 on the circle
+(seifert._family_signature proves both).  At a root k/m,
+Delta_n = 4(x - 1)cos(n*theta) + 3 - 2x with x = cos(theta) is one float
+value with a certified error bound (seifert._delta_sign), which
+circle._sign_at decides only inside that bound.  So certify builds no
+matrix, and its cost does not grow with n.
 
 The witness search tries prime-order roots in increasing (p, k) order,
 one closed-form value each: there sigma != 0 exactly where Delta_(1+n) < 0.
@@ -57,10 +57,10 @@ def a_family_profile(omega: UnitCirclePoint) -> Profile:
     I is the half-Levine-Tristram signature sigma(., omega)/2, which bounds
     the 4-genus directly.  Q_k is the (1+k)-th family member, so the
     profile is declared on k >= 0 only; anything else raises DomainError.
-    sigma comes from the family's closed form (seifert._family_signature),
-    which at a root k/m reads Delta_(1+k) as one certified value and
-    1 - 2cos(theta) in integers, so iota(k) costs the same for every k and
-    raises what that raises (circle.InvalidRoot, circle.NearSingular).
+    sigma comes from the family's closed form, 2 * [Delta_(1+k)(omega) < 0]
+    (seifert._family_signature proves it), which at a root k/m reads
+    Delta_(1+k) as one certified value, so iota(k) costs the same for every
+    k and raises what that raises (circle.InvalidRoot, circle.NearSingular).
     Each value is computed once per profile and kept.
     """
     values: dict[int, int] = {}
@@ -135,9 +135,9 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
         for k in range(1, p):
             tried += 1
             # Delta(omega) != 0 at a root of prime order p, since Phi_p would
-            # divide t^(n+1) * Delta and Phi_p(1) = p cannot divide Delta(1) = 1;
-            # 1 - 2cos(theta) vanishes only at the primitive sixth roots.  So
-            # sigma(Q_n, omega) != 0 exactly where Delta(omega) < 0.
+            # divide t^(n+1) * Delta and Phi_p(1) = p cannot divide Delta(1) = 1,
+            # and sigma(Q_n, omega) = 2 * [Delta(omega) < 0] by the identity in
+            # seifert._family_signature.  So sigma != 0 exactly where Delta(omega) < 0.
             if not negative(k, p):
                 continue
             if all(negative(i, WITNESS_GRID) for i in _grid_points(k, p)):

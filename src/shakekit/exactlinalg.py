@@ -611,7 +611,7 @@ def inertia_hermitian_at_root(A: Sequence[Sequence[int]],
     """
     key = strict_matrix(A, "matrix")
     if omega.is_one():
-        raise circle.InvalidRoot("the form vanishes identically at omega = 1")
+        raise circle.InvalidRoot()
     if omega.is_rational and omega.m == 2:
         return _minus_one_inertia(key)
     signs = [circle._sign_at(omega, k, terms) for k, terms in enumerate(_pencil(key).terms, 1)]

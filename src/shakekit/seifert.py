@@ -96,9 +96,6 @@ def delta_n_closed(n: int) -> laurent.LaurentPoly:
     return laurent.LaurentPoly(out)
 
 
-# 1 - t - 1/t, which is 1 - 2cos(theta) at t = e^(i*theta)
-_ONE_MINUS_TWICE_COS = [(-1, -1), (0, 1), (1, -1)]
-
 # The least |value| whose sign _delta_sign counts: twice the error bound its docstring derives,
 # in units of u = 2^-53, the unit roundoff of a double
 _DELTA_BOUND = 640 * 2.0**-53
@@ -123,8 +120,9 @@ def _delta_sign(n: int, k: int, m: int) -> int:
     320u of Delta_n, and _DELTA_BOUND is twice that, which also covers a libm
     cosine off by a full ulp.  Only a value past that bound counts; any other
     goes to circle._sign_at on delta_n_closed(n), which decides an exact zero.
-    Delta_n vanishes on the circle only at the primitive sixth roots, where
-    x = 1/2 and Delta_n = 2 - 2cos(n*pi/3), when 6 | n.
+    At a root of unity Delta_n vanishes only at the primitive sixth roots
+    (the conjugate argument in README "Refusals"), where x = 1/2 and
+    Delta_n = 2 - 2cos(n*pi/3), so when 6 | n.
     """
     x = math.cos(math.tau * (k % m / m))
     v = 4 * (x - 1) * math.cos(math.tau * (n * k % m / m)) + 3 - 2 * x
@@ -136,56 +134,43 @@ def _delta_sign(n: int, k: int, m: int) -> int:
                            sorted(delta_n_closed(n).coeffs.items()))
 
 
-def _one_minus_twice_cos_sign(k: int, m: int) -> int:
-    """Sign of 1 - 2cos(theta) at the root e^(2*pi*i*k/m), in integers.
-
-    cos(theta) > 1/2 exactly where r/m < 1/6 or r/m > 5/6, r = k mod m, and
-    cos(theta) = 1/2 at the primitive sixth roots alone.
-    """
-    r = k % m
-    if 6 * r < m or 6 * r > 5 * m:
-        return -1
-    return 0 if 6 * r in (m, 5 * m) else 1
-
-
 def _family_signature(n: int, omega: laurent.UnitCirclePoint) -> int:
-    """sigma(an_family(n), omega) in closed form, with no matrix built.
+    """sigma(an_family(n), omega) in closed form, with no matrix built: 0 or 2.
 
-    sigma is 0 where Delta_n(omega) > 0 and 2 * sign(1 - 2cos(theta))
-    where Delta_n(omega) < 0.  Proof sketch: past the 4x4 corner the
-    pencil t*A - A^T is tridiagonal with a zero diagonal, so its leading
-    minors are P_1 = t - 1, P_2j = t^j, P_2j+1 = t^(j-1)(1 - 2t + 2t^2 - t^3)
-    below dim = 2n+2, and P_dim = t^(n+1) * Delta_n.  The Hermitian minors
+    sigma is 0 where Delta_n(omega) > 0 and 2 where Delta_n(omega) < 0.
+    Proof sketch: past the 4x4 corner the pencil t*A - A^T is tridiagonal
+    with a zero diagonal, so its leading minors are P_1 = t - 1, P_2j = t^j,
+    P_2j+1 = t^(j-1)(1 - 2t + 2t^2 - t^3) below dim = 2n+2, and
+    P_dim = t^(n+1) * Delta_n.  The Hermitian minors
     D_k = ((1 - omega)/omega)^k P_k(omega) then have the signs D_1 > 0,
     (-1)^j for D_2j, (-1)^j * s for D_2j+1 with s = sign(1 - 2cos(theta)),
-    and (-1)^(n+1) * sign(Delta_n) for D_dim, and Jacobi's rule counts
-    n + [Delta_n > 0] sign changes when s = +1 and n + 1 + [Delta_n < 0]
-    when s = -1.  With x = cos(theta), Delta_n(omega) = 4(x - 1)cos(n*theta)
-    + 3 - 2x, which is positive where x = 1/2 unless cos(n*pi/3) = 1: so
-    Delta_n vanishes on the circle only at the primitive sixth roots, and
-    there exactly when 6 | n.  s = 0 only at those roots, where Delta_n >= 0,
-    so sigma = 0 by Gundelfinger's rule or the form is singular.  At a root
-    k/m both signs are read in closed form (_delta_sign, and s in
-    integers); at a float angle by circle._sign_at.  Where Delta_n(omega) = 0
-    this raises circle's NearSingular (_zero_minors), as the general kernel
-    does, and InvalidRoot at omega = 1.
+    and (-1)^(n+1) * sign(Delta_n) for D_dim.  Since
+    Delta_n = (t + 1/t - 1) + (2 - t - 1/t)(2 - t^n - 1/t^n), on the circle
+    Delta_n(omega) = 2cos(theta) - 1 + |1 - omega|^2 |1 - omega^n|^2,
+    which is >= 2cos(theta) - 1.  So where Delta_n < 0, s = +1 and Jacobi's
+    rule counts n sign changes: sigma = 2.  Where Delta_n > 0 and s = +1 it
+    counts n + 1: sigma = 0.  Where s = -1, on the arc |theta| < pi/3,
+    Delta_n > 0 keeps the form nonsingular but at omega = 1, so sigma keeps
+    its value next to 1, which is 0 for every knot.  s = 0 only at the
+    primitive sixth roots, where Delta_n = |1 - omega^n|^2 >= 0: sigma = 0
+    by Gundelfinger's rule, or D_(dim-1) = D_dim = 0 when 6 | n.  At a root
+    of unity these are Delta_n's only zeros (the conjugate argument in
+    README "Refusals"), and at a float angle circle._sign_at certifies its
+    sign or refuses.  So where Delta_n(omega) = 0 this raises circle's
+    NearSingular at D_(dim-1) (_zero_minors), as the general kernel does,
+    and InvalidRoot at omega = 1.  The sign of Delta_n is _delta_sign's at
+    a root k/m and circle._sign_at's at a float angle.
     """
     if omega.is_one():
-        raise circle.InvalidRoot("the form vanishes identically at omega = 1")
+        raise circle.InvalidRoot()
     if omega.is_rational:
         delta = _delta_sign(n, omega.k, omega.m)
     else:
         delta = circle._sign_at(omega, 0, sorted(delta_n_closed(n).coeffs.items()))
-    if delta > 0:
-        return 0
-    if omega.is_rational:
-        s = _one_minus_twice_cos_sign(omega.k, omega.m)
-    else:
-        s = circle._sign_at(omega, 0, _ONE_MINUS_TWICE_COS)
-    if delta == 0:  # D_dim = 0, and D_(dim-1) = 0 too where s = 0
+    if delta == 0:
         dim = 2 * n + 2
-        raise circle._zero_minors(omega, dim if s else dim - 1, dim, True)
-    return 2 * s
+        raise circle._zero_minors(omega, dim - 1, dim, True)
+    return 0 if delta > 0 else 2
 
 
 def delta_sign_scan(p: laurent.LaurentPoly, grid_size: int) -> list[tuple[float, float]]:

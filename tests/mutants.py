@@ -61,11 +61,12 @@ MUTANTS = [
      "n_plus, n_minus, last, k = n_plus + 1, n_minus + 1, signs[k + 1], k + 2",
      "n_plus, n_minus, last, k = n_plus + 2, n_minus, signs[k + 1], k + 2",
      [f"{EXACT}::TestExactHermitianInertia::test_isolated_zero_minor_gundelfinger"]),
-    # 6. the integer sign of 1 - 2cos(theta) is wrong at 5/6
+    # 6. the family's signature -2, not 2, where Delta_n < 0
     ("seifert.py",
-     "return 0 if 6 * r in (m, 5 * m) else 1",
-     "return 0 if 6 * r == m else 1",
-     [f"{COMPLEXITY}::TestClosedFormSigns::test_one_minus_twice_cos_matches_sign_at"]),
+     "return 0 if delta > 0 else 2",
+     "return 0 if delta > 0 else -2",
+     [f"{COMPLEXITY}::TestClosedFormSigns::test_delta_is_the_only_sign_of_the_signature",
+      f"{COMPLEXITY}::TestClosedForm::test_matches_the_kernel_at_every_root"]),
     # 7. no sign flip for an odd minor at a float angle where sin(theta/2) < 0
     ("circle.py",
      "return -sign if k % 2 and not omega.is_rational and math.sin(theta / 2) < 0 else sign",
@@ -108,6 +109,12 @@ MUTANTS = [
      "packed[j] = (row[j] << bits - bits * low) + c.get(j, 0)",
      "packed[j] = (row[j] << bits) + c.get(j, 0)",
      [f"{EXACT}::TestOneSidedPencils::test_half_width_reads_every_minor"]),
+    # 15. the family's singular form refused at D_dim, not at D_(dim-1) with it
+    ("seifert.py",
+     "raise circle._zero_minors(omega, dim - 1, dim, True)",
+     "raise circle._zero_minors(omega, dim, dim, True)",
+     [f"{COMPLEXITY}::TestClosedFormSigns::test_delta_is_the_only_sign_of_the_signature",
+      f"{COMPLEXITY}::TestClosedForm::test_singular_form_is_refused_as_the_kernel_does"]),
 ]
 
 

@@ -206,11 +206,10 @@ class TestWitnessSearch:
         assert find_witness_root(36, max_order=11) == UnitCirclePoint.root(3, 11)
 
     def test_no_sign_vanishes_at_prime_order(self):
-        # the argument the search rests on: Delta_(1+n) and 1 - 2cos(theta)
-        # have nonzero exact signs at every root of prime order
+        # the argument the search rests on: Delta_(1+n), the one sign the
+        # family's signature reads, is nonzero at every root of prime order
         roots = prime_order_roots(61)
         assert len(roots) == 483
-        assert all(_sign_at(omega, 0, seifert._ONE_MINUS_TWICE_COS) for omega in roots)
         for n in range(1, 61):
             terms = sorted(delta_n_closed(1 + n).coeffs.items())
             assert all(_sign_at(omega, 0, terms) for omega in roots), n
@@ -347,7 +346,8 @@ class TestClosedForm:
 
 
 class TestClosedFormSigns:
-    """seifert's closed-form sign of Delta_n and integer sign of 1 - 2cos(theta) against _sign_at."""
+    """seifert's closed-form sign of Delta_n against _sign_at, and the identity that makes it
+    the one sign the family's signature reads."""
 
     def test_delta_matches_sign_at_and_falls_back_only_at_zeros(self, monkeypatch):
         # every k/m with m <= 60 and every i/720; _sign_at is taken once per distinct root
@@ -375,14 +375,35 @@ class TestClosedFormSigns:
             assert [p for p, omega in points.items() if want[omega] == 0] == zeros, n
             assert fallbacks == [points[p] for p in zeros], n
 
-    def test_one_minus_twice_cos_matches_sign_at(self):
-        # every k/m with m <= 720, as j*k/j*m for k/m in lowest terms
-        for m in range(1, 721):
-            for k in range(m):
-                if math.gcd(k, m) == 1:
-                    want = _sign_at(UnitCirclePoint.root(k, m), 0, seifert._ONE_MINUS_TWICE_COS)
-                    for j in range(1, 720 // m + 1):
-                        assert seifert._one_minus_twice_cos_sign(j * k, j * m) == want, (k, m, j)
+    def test_delta_is_the_only_sign_of_the_signature(self):
+        # Delta_N = (t + 1/t - 1) + (2 - t - 1/t)(2 - t^N - 1/t^N) as coefficient
+        # dicts, so Delta_N(omega) >= 2cos(theta) - 1 on the circle
+        def poly(*terms):
+            out = {}
+            for e, c in terms:
+                out[e] = out.get(e, 0) + c
+            return {e: c for e, c in out.items() if c}
+
+        for N in [*range(1, 200), 10**18 + 6, 10**400 + 7]:
+            f, g = poly((0, 2), (1, -1), (-1, -1)), poly((0, 2), (N, -1), (-N, -1))
+            product = ((e + d, c * b) for e, c in f.items() for d, b in g.items())
+            assert poly((1, 1), (-1, 1), (0, -1), *product) == delta_n_closed(N).coeffs, N
+        # so sigma is 0 or 2 at every k/m with m <= 60 and every i/720, and a
+        # singular form is refused at D_(dim-1), where Delta_n = 0 at a sixth root
+        grid = complexity.WITNESS_GRID
+        points = {UnitCirclePoint.root(k, m) for m in range(1, 61) for k in range(1, m)}
+        points.update(UnitCirclePoint.root(i, grid) for i in range(1, grid))
+        for n in [*range(1, 61), 10**18 + 6, 6 * 10**30, 10**400 + 7]:
+            terms = sorted(delta_n_closed(n).coeffs.items())
+            for omega in points:
+                delta = _sign_at(omega, 0, terms)
+                if delta:
+                    assert _family_signature(n, omega) == (0 if delta > 0 else 2), (n, omega)
+                    continue
+                assert omega.m == 6 and n % 6 == 0, (n, omega)
+                with pytest.raises(NearSingular) as exc:
+                    _family_signature(n, omega)
+                assert exc.value.index == 2 * n + 1, (n, omega)
 
 
 class TestFloatFirstSigns:

@@ -1638,9 +1638,9 @@ class TestSignAt:
         (1000000192922, 170171, 510510, 1),
     ])
     def test_huge_twists_at_roots_of_huge_order(self, n, j, m, want):
-        # Delta_(1+n) is -0.657, +10.66 and -6.5e-6 there, and 1 - 2cos(theta)
-        # is about 3, 3 and 2 (50-digit checks); the first two once asked
-        # for a dense remainder of m coefficients, the third for Phi_510510
+        # Delta_(1+n) is -0.657, +10.66 and -6.5e-6 there (50-digit checks);
+        # the first two once asked for a dense remainder of m coefficients,
+        # the third for Phi_510510
         profile = a_family_profile(UnitCirclePoint.root(j, m))
         tracemalloc.start()
         try:
