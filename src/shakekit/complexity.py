@@ -7,10 +7,8 @@ signature separates Q from Q_n, and the resulting bound
 c * |I(Q) - I(Q_n)| >= c.
 
 The signature of the twisted family is one sign, 2 where Delta_n < 0 and
-0 where Delta_n > 0, since Delta_n(omega) >= 2cos(theta) - 1 on the circle
-(seifert._family_signature proves both).  At a root k/m,
-Delta_n = 4(x - 1)cos(n*theta) + 3 - 2x with x = cos(theta) is one float
-value with a certified error bound (seifert._delta_sign), which
+0 where Delta_n > 0 (a_family_profile proves it).  At a root k/m that
+sign is one float value with a certified error bound (_delta_sign), which
 circle._sign_at decides only inside that bound.  So certify builds no
 matrix, and its cost does not grow with n.
 
@@ -28,11 +26,11 @@ import itertools
 import math
 from collections.abc import Iterator
 
+from . import circle, seifert
 from ._record import Record
 from .errors import DomainError, brief, strict_int
 from .laurent import UnitCirclePoint
 from .patterns import Atom, Profile, eval_invariant, render_term, retrace_term
-from .seifert import _delta_sign, _family_signature
 
 DEFAULT_MAX_ORDER = 60
 WITNESS_GRID = 720
@@ -52,16 +50,38 @@ class WitnessNotFound(DomainError, LookupError):
 
 
 def a_family_profile(omega: UnitCirclePoint) -> Profile:
-    """Invariant profile iota(k) = I(Q_k) for the base pattern Q.
+    """Invariant profile iota(k) = I(Q_k) for the base pattern Q: [Delta_(1+k)(omega) < 0].
 
     I is the half-Levine-Tristram signature sigma(., omega)/2, which bounds
     the 4-genus directly.  Q_k is the (1+k)-th family member, so the
     profile is declared on k >= 0 only; anything else raises DomainError.
-    sigma comes from the family's closed form, 2 * [Delta_(1+k)(omega) < 0]
-    (seifert._family_signature proves it), which at a root k/m reads
-    Delta_(1+k) as one certified value, so iota(k) costs the same for every
-    k and raises what that raises (circle.InvalidRoot, circle.NearSingular).
-    Each value is computed once per profile and kept.
+    sigma(Q_k, omega) is 2 where Delta_(1+k)(omega) < 0 and 0 where it is
+    positive, so no matrix is built, and at a root k/m iota(k) reads one
+    certified value (_delta_sign) and costs the same for every k.  Each
+    value is computed once per profile and kept.
+
+    Proof sketch, for n = 1 + k and A = seifert.an_family(n): past the 4x4
+    corner the pencil t*A - A^T is tridiagonal with a zero diagonal, so its
+    leading minors are P_1 = t - 1, P_2j = t^j,
+    P_2j+1 = t^(j-1)(1 - 2t + 2t^2 - t^3) below dim = 2n+2, and
+    P_dim = t^(n+1) * Delta_n.  The Hermitian minors
+    D_k = ((1 - omega)/omega)^k P_k(omega) then have the signs D_1 > 0,
+    (-1)^j for D_2j, (-1)^j * s for D_2j+1 with s = sign(1 - 2cos(theta)),
+    and (-1)^(n+1) * sign(Delta_n) for D_dim.  Since
+    Delta_n = (t + 1/t - 1) + (2 - t - 1/t)(2 - t^n - 1/t^n), on the circle
+    Delta_n(omega) = 2cos(theta) - 1 + |1 - omega|^2 |1 - omega^n|^2,
+    which is >= 2cos(theta) - 1.  So where Delta_n < 0, s = +1 and Jacobi's
+    rule counts n sign changes: sigma = 2.  Where Delta_n > 0 and s = +1 it
+    counts n + 1: sigma = 0.  Where s = -1, on the arc |theta| < pi/3,
+    Delta_n > 0 keeps the form nonsingular but at omega = 1, so sigma keeps
+    its value next to 1, which is 0 for every knot.  s = 0 only at the
+    primitive sixth roots, where Delta_n = |1 - omega^n|^2 >= 0: sigma = 0
+    by Gundelfinger's rule, or D_(dim-1) = D_dim = 0 when 6 | n.  At a root
+    of unity these are Delta_n's only zeros (the conjugate argument in
+    README "Refusals"), and at a float angle circle._sign_at certifies its
+    sign or refuses.  So where Delta_n(omega) = 0 this raises circle's
+    NearSingular at D_(dim-1) (_zero_minors), as the general kernel does,
+    and InvalidRoot at omega = 1.
     """
     values: dict[int, int] = {}
 
@@ -69,13 +89,57 @@ def a_family_profile(omega: UnitCirclePoint) -> Profile:
         if k not in values:
             if k < 0:
                 raise DomainError(f"the twisted family declares iota on k >= 0, got {k}")
-            sigma = _family_signature(1 + k, omega)
-            if sigma % 2:
-                raise ArithmeticError(f"{INVARIANT_NAME} needs an even signature, got {sigma}")
-            values[k] = sigma // 2
+            if omega.is_one():
+                raise circle.InvalidRoot()
+            n = 1 + k
+            if omega.is_rational:
+                delta = _delta_sign(n, omega.k, omega.m)
+            else:
+                delta = circle._sign_at(omega, 0, sorted(seifert.delta_n_closed(n).coeffs.items()))
+            if delta == 0:
+                raise circle._zero_minors(omega, 2 * n + 1, 2 * n + 2, True)
+            values[k] = 0 if delta > 0 else 1
         return values[k]
 
     return profile
+
+
+# The least |value| whose sign _delta_sign counts: twice the error bound its docstring derives,
+# in units of u = 2^-53, the unit roundoff of a double
+_DELTA_BOUND = 640 * 2.0**-53
+
+
+def _delta_sign(n: int, k: int, m: int) -> int:
+    """Exact sign (+1, -1, or 0) of Delta_n at the root e^(2*pi*i*k/m), m >= 1.
+
+    Delta_n(e^(i*theta)) = 4(x - 1)cos(n*theta) + 3 - 2x with x = cos(theta),
+    since t^(n+1) + t^(n-1) + their inverses give 4x*cos(n*theta).  Both
+    phases are reduced in integers first, theta to 2*pi*r/m with r = k mod m
+    and n*theta to 2*pi*(n*k mod m)/m, so either is a phase q in [0, 1)
+    turns.  As in circle._certified_sign, q = r/m rounds correctly at any
+    size (an underflow is off by under 2^-1075) and tau*q rounds twice more,
+    so the angle is off by under 3.01u * 2*pi + 2^-1072 < 18.95u, u = 2^-53; the
+    cosine is 1-Lipschitz and rounds once, so x and c = cos(n*theta) are each
+    off by under 20u.  |dv/dx| = |4cos(n*theta) - 2| <= 6 and |dv/dc| = 4|x - 1|
+    <= 8, so those errors move v by under 280u (their product term is under
+    1600u^2).  Evaluating v rounds four times, each by at most u times the
+    size of its result: x - 1 (<= 2, and times 4|c| <= 4 after), the product
+    (<= 8), + 3 (<= 11) and - 2x (<= 13), under 40u more.  So v is within
+    320u of Delta_n, and _DELTA_BOUND is twice that, which also covers a libm
+    cosine off by a full ulp.  Only a value past that bound counts; any other
+    goes to circle._sign_at on delta_n_closed(n), which decides an exact zero.
+    At a root of unity Delta_n vanishes only at the primitive sixth roots
+    (the conjugate argument in README "Refusals"), where x = 1/2 and
+    Delta_n = 2 - 2cos(n*pi/3), so when 6 | n.
+    """
+    x = math.cos(math.tau * (k % m / m))
+    v = 4 * (x - 1) * math.cos(math.tau * (n * k % m / m)) + 3 - 2 * x
+    if v > _DELTA_BOUND:
+        return 1
+    if v < -_DELTA_BOUND:
+        return -1
+    return circle._sign_at(UnitCirclePoint.root(k, m), 0,
+                           sorted(seifert.delta_n_closed(n).coeffs.items()))
 
 
 def _primes() -> Iterator[int]:
@@ -99,7 +163,7 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     Roots k/p are tried for primes p <= max_order (any int >= 2) in increasing
     (p, k) order.  The grid rule picks the first root with Delta = Delta_{1+n}
     negative at omega and at _grid_points(k, p) on the WITNESS_GRID-point grid,
-    each one exact sign from the closed form (seifert._delta_sign: one certified
+    each one exact sign from the closed form (_delta_sign: one certified
     value, and circle._sign_at only inside its error bound).  Roots are
     passed as (k, p) and (i, WITNESS_GRID) int pairs, and only the witness
     becomes a UnitCirclePoint.  When no root passes it, the exact rule takes
@@ -136,8 +200,7 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
             tried += 1
             # Delta(omega) != 0 at a root of prime order p, since Phi_p would
             # divide t^(n+1) * Delta and Phi_p(1) = p cannot divide Delta(1) = 1,
-            # and sigma(Q_n, omega) = 2 * [Delta(omega) < 0] by the identity in
-            # seifert._family_signature.  So sigma != 0 exactly where Delta(omega) < 0.
+            # so sigma != 0 exactly where Delta(omega) < 0 (a_family_profile).
             if not negative(k, p):
                 continue
             if all(negative(i, WITNESS_GRID) for i in _grid_points(k, p)):

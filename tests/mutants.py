@@ -31,6 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 FLOAT_BOUNDS = "tests/test_float_bounds.py"
 EXACT = "tests/test_exactlinalg.py"
 COMPLEXITY = "tests/test_complexity.py"
+SATELLITE = ("tests/test_patterns.py::TestSatelliteSeifert"
+             "::test_values_match_the_block_seifert_matrix")
 
 MUTANTS = [
     # 1. sigma(-1) from the pencil's exact integers without the (-1)^k of D_k = (-2)^k P_k(-1)
@@ -61,10 +63,10 @@ MUTANTS = [
      "n_plus, n_minus, last, k = n_plus + 1, n_minus + 1, signs[k + 1], k + 2",
      "n_plus, n_minus, last, k = n_plus + 2, n_minus, signs[k + 1], k + 2",
      [f"{EXACT}::TestExactHermitianInertia::test_isolated_zero_minor_gundelfinger"]),
-    # 6. the family's signature -2, not 2, where Delta_n < 0
-    ("seifert.py",
-     "return 0 if delta > 0 else 2",
-     "return 0 if delta > 0 else -2",
+    # 6. the family's half signature -1, not 1, where Delta_n < 0
+    ("complexity.py",
+     "values[k] = 0 if delta > 0 else 1",
+     "values[k] = 0 if delta > 0 else -1",
      [f"{COMPLEXITY}::TestClosedFormSigns::test_delta_is_the_only_sign_of_the_signature",
       f"{COMPLEXITY}::TestClosedForm::test_matches_the_kernel_at_every_root"]),
     # 7. no sign flip for an odd minor at a float angle where sin(theta/2) < 0
@@ -84,7 +86,7 @@ MUTANTS = [
      "bound = (err + 8 * _U) * math.fsum(abs(c) for c, _ in scaled) / 100",
      [f"{FLOAT_BOUNDS}::TestSumBound::test_exact_zeros_give_zero_or_a_refusal"]),
     # 10. _DELTA_BOUND 100 times too small: 6.4u
-    ("seifert.py",
+    ("complexity.py",
      "_DELTA_BOUND = 640 * 2.0**-53",
      "_DELTA_BOUND = 6.4 * 2.0**-53",
      [f"{FLOAT_BOUNDS}::TestDeltaBound::test_exact_zeros_give_zero_or_a_refusal"]),
@@ -110,11 +112,22 @@ MUTANTS = [
      "packed[j] = (row[j] << bits) + c.get(j, 0)",
      [f"{EXACT}::TestOneSidedPencils::test_half_width_reads_every_minor"]),
     # 15. the family's singular form refused at D_dim, not at D_(dim-1) with it
-    ("seifert.py",
-     "raise circle._zero_minors(omega, dim - 1, dim, True)",
-     "raise circle._zero_minors(omega, dim, dim, True)",
+    ("complexity.py",
+     "raise circle._zero_minors(omega, 2 * n + 1, 2 * n + 2, True)",
+     "raise circle._zero_minors(omega, 2 * n + 2, 2 * n + 2, True)",
      [f"{COMPLEXITY}::TestClosedFormSigns::test_delta_is_the_only_sign_of_the_signature",
       f"{COMPLEXITY}::TestClosedForm::test_singular_form_is_refused_as_the_kernel_does"]),
+    # 16. a bar leaf valued as its atom's value, not its negation; certify's cross-check
+    # compares |I(Q) - I(Q_n)| and misses it
+    ("patterns.py",
+     "return -value if leaf.bar else value",
+     "return value",
+     [SATELLITE]),
+    # 17. the twist reflected when star == bar, and kept otherwise
+    ("patterns.py",
+     "arg = leaf.twist if leaf.star == leaf.bar else -leaf.twist",
+     "arg = -leaf.twist if leaf.star == leaf.bar else leaf.twist",
+     [SATELLITE]),
 ]
 
 

@@ -18,6 +18,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from shakekit import circle
+from shakekit.complexity import a_family_profile
 from shakekit.laurent import LaurentPoly, UnitCirclePoint
 from shakekit.patterns import (
     Atom,
@@ -32,6 +33,7 @@ from shakekit.patterns import (
     Star,
     Twist,
 )
+from shakekit.seifert import an_family
 
 
 def det_cofactor(rows: list[list[LaurentPoly | int]]) -> LaurentPoly:
@@ -155,6 +157,11 @@ def litherland_signature(p: int, q: int, k: int, m: int) -> int:
     lo, hi = k * p * q, (k + m) * p * q
     sums = [(i * q + j * p) * m for i in range(1, p) for j in range(1, q)]
     return sum(s < lo or s > hi for s in sums) - sum(lo < s < hi for s in sums)
+
+
+def family_signature(n: int, omega: UnitCirclePoint) -> int:
+    """sigma(an_family(n), omega) from the family's profile, which reads I(Q_(n-1)) = sigma / 2."""
+    return 2 * a_family_profile(omega)(n - 1)
 
 
 def is_pencil(entries: list[dict]) -> bool:
@@ -457,3 +464,45 @@ def _map_chain(t) -> tuple:
             return inner
         return (PoundLeaf(_form(inner)),)
     raise TypeError(f"not a pattern term: {t!r}")
+
+
+def satellite_leaves(nf: NormalForm) -> list[tuple[int, bool]]:
+    """(j, bar) for each leaf of a normal form, in chain order, repeated by multiplicity.
+
+    Every atom stands for the family's Q, and a leaf names Q_j or, with its
+    bar flag, bar(Q_j).  The star and the bar flag each reflect the twist, as
+    (P*)_n = (P_(-n))*, whose value is P_(-n)'s, and bar(P)_n = bar(P_(-n)).
+    A pound leaf adds the leaves of its inner chain: a pattern of winding
+    number one adds its knot's Seifert form.
+    """
+    out: list[tuple[int, bool]] = []
+    for leaf, count in nf.runs:
+        if isinstance(leaf, PoundLeaf):
+            out.extend(satellite_leaves(leaf.inner) * count)
+        else:
+            j = -leaf.twist if leaf.star else leaf.twist
+            out.extend([(-j if leaf.bar else j, leaf.bar)] * count)
+    return out
+
+
+def satellite_seifert(nf: NormalForm) -> list[list[int]]:
+    """The block-diagonal Seifert matrix of a normal form's leaves, every atom the family's Q.
+
+    For patterns of winding number one the Seifert form of P(K) is that of
+    P(U) plus that of K (Seifert 1950; Litherland 1979), so a composition
+    chain takes one block per leaf: Q_j takes an_family(1 + j), and bar(Q_j),
+    its concordance inverse, takes -A^T.  an_family raises DomainError for
+    j < 0, where the family declares no member.
+    """
+    blocks = []
+    for j, bar in satellite_leaves(nf):
+        A = an_family(1 + j)
+        blocks.append([[-x for x in column] for column in zip(*A)] if bar else A)
+    dim = sum(map(len, blocks))
+    out = [[0] * dim for _ in range(dim)]
+    at = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            out[at + i][at:at + len(B)] = row
+        at += len(B)
+    return out

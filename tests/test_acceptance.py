@@ -224,10 +224,10 @@ def test_perturbed_delta_fails_the_identity_row(monkeypatch, perturbation):
 
 def test_wrong_closed_form_fails_the_certificate_row(monkeypatch):
     # a sign-flipped closed form still gives bounds >= c, so only the
-    # kernel's recomputation of i_Q and i_Qn can catch it
-    real = complexity._family_signature
-    monkeypatch.setattr(complexity, "_family_signature",
-                        lambda n, omega: -real(n, omega))
+    # kernel's recomputation of i_Q and i_Qn can catch it; the witness search
+    # reads Delta's signs apart from the profile, so its witnesses stay right
+    real = complexity.a_family_profile
+    monkeypatch.setattr(complexity, "a_family_profile", lambda omega: lambda k: -real(omega)(k))
     row = {r.name: r for r in run_checks()}["certificate pipeline"]
     assert not row.passed
     assert row.detail.startswith("AssertionError: (n=1, c=1): the kernel gives sigma = (0, 2)")

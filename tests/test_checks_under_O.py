@@ -28,14 +28,6 @@ def outcome(label, fn):
         print(label, "no error")
 
 
-real_read = exactlinalg.Pivots._read
-# a last minor, 1 + 2t, that is not symmetric after the t^-1 shift; the read-back mirrors every
-# pair it reads, so no pivot value gives one, and the fault is injected there
-exactlinalg.Pivots._read = lambda self, k: [(0, 1), (1, 2)]
-outcome("alexander", lambda: seifert.alexander([[-1, 1], [0, -1]]))
-exactlinalg.Pivots._read = real_read
-exactlinalg._pencil.cache_clear()
-
 # a pencil's pivot of odd degree whose value T - 1 does not divide
 outcome("read-back", lambda: exactlinalg.Pivots(8, (1,), (0,)).minor(1))
 
@@ -51,7 +43,7 @@ complexity.eval_invariant = lambda term, assignment: 0
 outcome("cross-check", lambda: complexity.certify_complexity(1, 1))
 
 complexity.find_witness_root = lambda *args, **kwargs: UnitCirclePoint.root(1, 3)
-complexity._family_signature = lambda *args, **kwargs: 0
+complexity._delta_sign = lambda *args, **kwargs: 1
 outcome("bound", lambda: complexity.certify_complexity(2, 1))
 
 # a float entry, before and after the memo holds the pencil of an equal key
@@ -87,7 +79,6 @@ def test_checks_raise_under_python_O():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [
-        ["alexander", "ArithmeticError"],
         ["read-back", "ArithmeticError"],
         ["inertia", "ArithmeticError"],
         ["cross-check", "ArithmeticError"],
@@ -104,14 +95,13 @@ def test_checks_raise_under_python_O():
         ["theta-bool", "ValueError"],
         ["theta-huge", "ValueError"],
     ], proc.stdout
-    assert "not symmetric" in lines[0]
-    assert "not a palindromic minor" in lines[1]
-    assert "D_1 and D_3 around the zero D_2" in lines[2]
-    assert "pattern-calculus" in lines[3]
-    assert "bound 0 < c = 1" in lines[4]
-    assert {line.split(None, 1)[1] for line in lines[5:8]} \
+    assert "not a palindromic minor" in lines[0]
+    assert "D_1 and D_3 around the zero D_2" in lines[1]
+    assert "pattern-calculus" in lines[2]
+    assert "bound 0 < c = 1" in lines[3]
+    assert {line.split(None, 1)[1] for line in lines[4:7]} \
         == {"ValueError expected integer matrix entry at (0,0), got 1.0"}
-    assert [line.split(None, 2)[2] for line in lines[8:]] == [
+    assert [line.split(None, 2)[2] for line in lines[7:]] == [
         "G must be symmetric, differs at (0,1)",
         "expected integer G entry at (1,0), got <Flag.ONE: 1>",
         "matrix must be symmetric, differs at (0,1)",

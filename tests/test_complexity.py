@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import float_grid_points, reduce_first
+from oracles import family_signature, float_grid_points, reduce_first
 from shakekit import circle, complexity, exactlinalg, laurent, seifert, verify
 from shakekit.complexity import (
     WitnessNotFound,
@@ -18,7 +18,7 @@ from shakekit.errors import DomainError
 from shakekit.circle import InvalidRoot, NearSingular, _sign_at, _vanishes
 from shakekit.laurent import UnitCirclePoint
 from shakekit.patterns import parse_pattern
-from shakekit.seifert import _family_signature, an_family, delta_n_closed, lt_signature
+from shakekit.seifert import an_family, delta_n_closed, lt_signature
 
 # find_witness_root(n) for n = 1..200, frozen from the search that took
 # each signature with the general kernel; odd n always witness at -1.
@@ -223,11 +223,11 @@ class TestWitnessSearch:
         # no two adjacent grid points have Delta_201 < 0, so past order 5 no
         # root passes the grid rule and the exact-rule witness 1/3 is final:
         # a larger order bound takes no further sign
-        signs = []
+        signs, real = [], complexity._delta_sign
 
         def spy(n, k, m):
             signs.append((k, m))
-            return seifert._delta_sign(n, k, m)
+            return real(n, k, m)
 
         monkeypatch.setattr(complexity, "_delta_sign", spy)
         taken = []
@@ -299,7 +299,7 @@ class TestClosedForm:
         for n in range(1, 41):
             A = an_family(n)
             for omega in roots:
-                got = outcome(lambda: _family_signature(n, omega))
+                got = outcome(lambda: family_signature(n, omega))
                 assert got == outcome(lambda: lt_signature(A, omega)), (n, omega)
                 if got in refusals:
                     refusals[got] += 1
@@ -312,26 +312,26 @@ class TestClosedForm:
     def test_matches_the_kernel_at_prime_order_roots(self, n):
         A = an_family(n)
         for omega in prime_order_roots(61):
-            assert _family_signature(n, omega) == lt_signature(A, omega), (n, omega)
+            assert family_signature(n, omega) == lt_signature(A, omega), (n, omega)
 
     def test_matches_the_kernel_at_angles(self):
         for n in range(1, 41):
             A = an_family(n)
             for theta in (0.1, 0.7, 2.0, 3.0, -1.3, 5.9):
                 omega = UnitCirclePoint.angle(theta)
-                assert _family_signature(n, omega) == lt_signature(A, omega), (n, theta)
+                assert family_signature(n, omega) == lt_signature(A, omega), (n, theta)
 
     def test_singular_form_is_refused_as_the_kernel_does(self):
         # Delta_6 vanishes at the primitive sixth roots, where 1 - 2cos = 0 too
         omega = UnitCirclePoint.root(1, 6)
-        for fn in (lambda: _family_signature(6, omega),
+        for fn in (lambda: family_signature(6, omega),
                    lambda: lt_signature(an_family(6), omega)):
             with pytest.raises(NearSingular) as exc:
                 fn()
             assert exc.value.index == 13
             assert "D_13 = D_14 = 0 exactly" in str(exc.value)
         with pytest.raises(InvalidRoot):
-            _family_signature(3, UnitCirclePoint.root(0, 1))
+            family_signature(3, UnitCirclePoint.root(0, 1))
 
     def test_certify_builds_no_pencil(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -346,7 +346,7 @@ class TestClosedForm:
 
 
 class TestClosedFormSigns:
-    """seifert's closed-form sign of Delta_n against _sign_at, and the identity that makes it
+    """complexity's closed-form sign of Delta_n against _sign_at, and the identity that makes it
     the one sign the family's signature reads."""
 
     def test_delta_matches_sign_at_and_falls_back_only_at_zeros(self, monkeypatch):
@@ -368,7 +368,7 @@ class TestClosedFormSigns:
             want = {omega: _sign_at(omega, 0, terms) for omega in set(points.values())}
             fallbacks.clear()
             for (k, m), omega in points.items():
-                assert seifert._delta_sign(n, k, m) == want[omega], (n, k, m)
+                assert complexity._delta_sign(n, k, m) == want[omega], (n, k, m)
             # Delta_n vanishes only at the primitive sixth roots, for n = 0 mod 6,
             # and only there does the closed form leave the sign to _sign_at
             zeros = sixths if n % 6 == 0 else []
@@ -398,11 +398,11 @@ class TestClosedFormSigns:
             for omega in points:
                 delta = _sign_at(omega, 0, terms)
                 if delta:
-                    assert _family_signature(n, omega) == (0 if delta > 0 else 2), (n, omega)
+                    assert family_signature(n, omega) == (0 if delta > 0 else 2), (n, omega)
                     continue
                 assert omega.m == 6 and n % 6 == 0, (n, omega)
                 with pytest.raises(NearSingular) as exc:
-                    _family_signature(n, omega)
+                    family_signature(n, omega)
                 assert exc.value.index == 2 * n + 1, (n, omega)
 
 
@@ -444,11 +444,6 @@ class TestInvariant:
             for k in range(5):
                 assert 2 * iota(k) == lt_signature(an_family(1 + k), w), (w, k)
 
-    def test_scale_enforced(self, monkeypatch):
-        monkeypatch.setattr(complexity, "_family_signature", lambda n, omega: 3)
-        with pytest.raises(ArithmeticError, match="even"):
-            a_family_profile(UnitCirclePoint.root(1, 2))(0)
-
     def test_profile_values(self):
         iota = a_family_profile(UnitCirclePoint.root(1, 2))
         assert iota(0) == 0
@@ -477,14 +472,17 @@ class TestInvariant:
         assert sorted(calls) == [0, 0, 4, 4]
 
     def test_each_profile_value_is_computed_once(self, monkeypatch):
+        # the witness is found beforehand, so every sign counted here is the profile's
+        witness = find_witness_root(4)
+        monkeypatch.setattr(complexity, "find_witness_root", lambda *args, **kwargs: witness)
         calls = []
-        real = complexity._family_signature
+        real = complexity._delta_sign
 
-        def counting(n, omega):
+        def counting(n, k, m):
             calls.append(n)
-            return real(n, omega)
+            return real(n, k, m)
 
-        monkeypatch.setattr(complexity, "_family_signature", counting)
+        monkeypatch.setattr(complexity, "_delta_sign", counting)
         assert certify_complexity(4, 640).bound == 640
         assert sorted(calls) == [1, 5]
 

@@ -20,6 +20,7 @@ from oracles import (
     dense_remainder,
     det_cofactor,
     det_cofactor_fraction,
+    family_signature,
     is_pencil,
     leading_minors,
     random_laurent_matrix,
@@ -1573,7 +1574,7 @@ class TestSignAt:
                 for j in range(1, m):
                     omega = UnitCirclePoint.root(j, m)
                     got = sign_outcome(lambda: lt_signature(A, omega))
-                    want = sign_outcome(lambda: seifert._family_signature(n, omega))
+                    want = sign_outcome(lambda: family_signature(n, omega))
                     assert got == want, (n, omega)
 
     def test_exponents_beyond_the_float_range_fold_modulo_the_order(self):

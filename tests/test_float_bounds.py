@@ -1,6 +1,6 @@
 """The two float error bounds, under errors injected inside their own error models.
 
-seifert._delta_sign counts the float value of Delta_n only past _DELTA_BOUND,
+complexity._delta_sign counts the float value of Delta_n only past _DELTA_BOUND,
 and circle._certified_sign counts a float sum only past its
 rounding-error bound.  Each test replaces one module's math with a namespace
 whose cosine errs by as much as that module's docstring allows, in both
@@ -19,7 +19,7 @@ import types
 
 import pytest
 
-from shakekit import NearSingular, UnitCirclePoint, circle, seifert
+from shakekit import NearSingular, UnitCirclePoint, circle, complexity
 from shakekit.seifert import delta_n_closed
 
 U = 2.0 ** -53
@@ -78,15 +78,15 @@ class TestDeltaBound:
     def test_exact_zeros_give_zero_or_a_refusal(self, monkeypatch, nudges):
         # x = cos(theta) and cos(n*theta) off by 19u each, in all four directions; with
         # opposite signs Delta_n moves by about 76u at the sixth roots
-        monkeypatch.setattr(seifert, "math", nudged_cosines(*nudges))
+        monkeypatch.setattr(complexity, "math", nudged_cosines(*nudges))
         for n, k in ZEROS:
-            assert outcome(lambda: seifert._delta_sign(n, k, 6)) in (0, "refused"), (n, k)
+            assert outcome(lambda: complexity._delta_sign(n, k, 6)) in (0, "refused"), (n, k)
 
     @pytest.mark.parametrize("nudges", list(itertools.product((19, -19), repeat=2)))
     def test_values_just_past_the_bound_keep_their_sign(self, monkeypatch, nudges):
-        monkeypatch.setattr(seifert, "math", nudged_cosines(*nudges))
+        monkeypatch.setattr(complexity, "math", nudged_cosines(*nudges))
         probes = _near_sixth(760)  # 640u, and the 76u the nudges can move Delta_6
-        assert [seifert._delta_sign(6, k, m) for k, m, _ in probes] == [s for *_, s in probes]
+        assert [complexity._delta_sign(6, k, m) for k, m, _ in probes] == [s for *_, s in probes]
 
 
 class TestSumBound:
@@ -100,7 +100,7 @@ class TestSumBound:
             omega = UnitCirclePoint.root(k, 6)
             assert outcome(lambda: circle._sign_at(omega, 0, terms)) == 0, (n, k)
             assert outcome(lambda: circle._certified_sign(omega, 0, terms)) == "refused"
-            assert outcome(lambda: seifert._delta_sign(n, k, 6)) == 0, (n, k)
+            assert outcome(lambda: complexity._delta_sign(n, k, 6)) == 0, (n, k)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_values_just_past_the_bound_keep_their_sign(self, monkeypatch, sign):

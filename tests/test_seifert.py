@@ -126,7 +126,7 @@ class TestClosedForm:
             assert alexander(an_family(n)) == delta_n_closed(n), f"n={n}"
 
     def test_every_leading_minor_in_closed_form(self):
-        # _family_signature's proof sketch: P_1 = t - 1, P_2j = t^j and
+        # a_family_profile's proof sketch: P_1 = t - 1, P_2j = t^j and
         # P_2j+1 = t^(j-1)(1 - 2t + 2t^2 - t^3) below dim = 2n+2, and
         # P_dim = t^(n+1) * Delta_n; these pivots carry powers of t, which
         # the elimination applies as shifts

@@ -58,9 +58,9 @@ SIGNATURE = sorted([*CORE, "shakekit.exactlinalg", "shakekit.seifert"])
 KNOT_RULE = sorted([*CORE, "shakekit.exactlinalg"])
 GOERITZ = sorted([*CORE, "shakekit.exactlinalg", "shakekit.goeritz"])
 PATTERNS = sorted([*CORE, "shakekit.patterns"])
-# the family's closed-form signs run no kernel unless a sign needs the exact fallback
-CERTIFY = sorted([*CORE, "shakekit.complexity", "shakekit.laurent", "shakekit.patterns",
-                  "shakekit.seifert"])
+# the family's closed-form signs run no kernel, and no seifert unless a sign needs the exact
+# fallback
+CERTIFY = sorted([*CORE, "shakekit.complexity", "shakekit.laurent", "shakekit.patterns"])
 
 
 @pytest.mark.parametrize("argv, code, executed", [
@@ -70,9 +70,10 @@ CERTIFY = sorted([*CORE, "shakekit.complexity", "shakekit.laurent", "shakekit.pa
     pytest.param(["pattern", "eval", "Q_1", "--assignment", "FAMILY"], 0, CERTIFY,
                  id="eval-family"),
     # Delta_6 vanishes at 1/6, so its sign takes the exact fallback, which refuses; the
-    # fallback is the sign layer alone, with no kernel
+    # fallback is the sign layer and delta_n_closed alone, with no kernel
     pytest.param(["pattern", "eval", "Q_5", "--assignment", "SIXTH"], 1,
-                 sorted([*CERTIFY, "shakekit.circle"]), id="eval-family-singular"),
+                 sorted([*CERTIFY, "shakekit.circle", "shakekit.seifert"]),
+                 id="eval-family-singular"),
     pytest.param(["alexander", "TREFOIL"], 0, SEIFERT, id="alexander"),
     pytest.param(["signature", "--seifert", "TREFOIL"], 0, SIGNATURE, id="signature-seifert"),
     pytest.param(["lt", "TREFOIL", "--root", "1/3"], 0, SIGNS, id="lt"),
@@ -118,7 +119,7 @@ def test_only_verify_executes_verify():
            "    code = main(['verify', '--json'])\n"
            f"print(json.dumps([code, *{EXECUTED}]))")
     everything = sorted([*CERTIFY, "shakekit.circle", "shakekit.exactlinalg", "shakekit.goeritz",
-                         "shakekit.verify"])
+                         "shakekit.seifert", "shakekit.verify"])
     assert fresh(run) == [0, everything, True, False]
 
 
