@@ -25,8 +25,7 @@ _HOME = {name: module for module, names in {
     "exactlinalg": ("Inertia", "det_laurent", "inertia_hermitian_at_root",
                     "inertia_symmetric_exact"),
     "goeritz": ("Band", "BandPresentation", "GoeritzData", "add_two_twists",
-                "classical_signature_goeritz", "goeritz_form", "torus_band_presentation",
-                "verify_two_twist_stability"),
+                "classical_signature_goeritz", "goeritz_form", "torus_band_presentation"),
     "laurent": ("LaurentPoly", "UnitCirclePoint", "lp_is_symmetric"),
     "patterns": ("Atom", "Bar", "Compose", "Inverse", "NormalForm", "PatternSyntaxError",
                  "Pound", "Power", "Star", "Twist", "UnassignedAtom", "eval_invariant",

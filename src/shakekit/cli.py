@@ -175,9 +175,8 @@ def cmd_lt(args) -> tuple[str, int]:
 def cmd_goeritz(args) -> tuple[str, int]:
     bp = band_presentation_from_json(_load_json(args.bands))
     gd = goeritz.goeritz_form(bp)
-    sign_g = exactlinalg.inertia_symmetric_exact(gd.G).signature
     doc = gd.to_json()
-    doc.update({"eta": gd.eta, "sign_G": sign_g, "sigma": sign_g - gd.eta})
+    doc.update({"eta": gd.eta, "sign_G": gd.sigma + gd.eta, "sigma": gd.sigma})
     return _payload(doc), 0
 
 

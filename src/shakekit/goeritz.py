@@ -3,16 +3,17 @@
 A spanning surface presented as a disk with bands yields the symmetric
 form G with G[i][i] = W(X_i) + T(X_i) (self-writhe plus half twists)
 and G[i][j] the signed crossing count between bands.  The knot
-signature is sign(G) - eta, where the correction term eta sums the G
-entries over pairs of non-orientable bands.  add_two_twists applies the
-bordered-matrix move that inserts two generic twists along a marked
-strand: the new form is congruent to G + [+1] and eta becomes 1, so the
-signature of the underlying knot does not move.
+signature is GoeritzData.sigma = sign(G) - eta (Gordon-Litherland), where
+eta sums the G entries over pairs of non-orientable bands; no other code
+subtracts eta.  add_two_twists applies the bordered-matrix move that
+inserts two generic twists along a marked strand: the new form is
+congruent to G + [+1] and eta becomes 1, so sigma does not move.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 
 from ._record import Record
 from .errors import strict_bool, strict_int, strict_matrix
@@ -66,6 +67,10 @@ class GoeritzData(Record):
     def eta(self) -> int:
         return sum(self.G[i][j] for i in self.nonorientable for j in self.nonorientable)
 
+    @cached_property
+    def sigma(self) -> int:
+        return inertia_symmetric_exact(self.G).signature - self.eta
+
     def to_json(self) -> dict:
         return {"G": [list(row) for row in self.G], "nonorientable": sorted(self.nonorientable)}
 
@@ -81,8 +86,7 @@ def goeritz_form(bp: BandPresentation) -> GoeritzData:
 
 def classical_signature_goeritz(bp: BandPresentation) -> int:
     """sigma(K) = sign(G) - eta."""
-    gd = goeritz_form(bp)
-    return inertia_symmetric_exact(gd.G).signature - gd.eta
+    return goeritz_form(bp).sigma
 
 
 def torus_band_presentation(n: int) -> BandPresentation:
@@ -110,9 +114,3 @@ def add_two_twists(gd: GoeritzData, l: Sequence[int]) -> GoeritzData:
     G2.append([2 * li for li in l] + [1])
     return GoeritzData(G2, [n])
 
-
-def verify_two_twist_stability(gd: GoeritzData, l: Sequence[int]) -> bool:
-    """True iff sign(G2) - eta2 equals sign(G) - eta, i.e. sigma is unchanged."""
-    gd2 = add_two_twists(gd, l)
-    return (inertia_symmetric_exact(gd2.G).signature - gd2.eta
-            == inertia_symmetric_exact(gd.G).signature - gd.eta)

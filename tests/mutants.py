@@ -128,6 +128,17 @@ MUTANTS = [
      "arg = leaf.twist if leaf.star == leaf.bar else -leaf.twist",
      "arg = -leaf.twist if leaf.star == leaf.bar else leaf.twist",
      [SATELLITE]),
+    # 18. the Goeritz signature sign(G) + eta, not sign(G) - eta
+    ("goeritz.py",
+     "return inertia_symmetric_exact(self.G).signature - self.eta",
+     "return inertia_symmetric_exact(self.G).signature + self.eta",
+     ["tests/test_goeritz.py::TestTorusSignature::test_signature_family",
+      "tests/test_acceptance.py::test_01_torus_knot_signatures"]),
+    # 19. the goeritz command's sign_G printed as sigma, without eta added back
+    ("cli.py",
+     '"sign_G": gd.sigma + gd.eta',
+     '"sign_G": gd.sigma',
+     ["tests/test_cli.py::TestGoeritz::test_payload"]),
 ]
 
 

@@ -506,3 +506,124 @@ def satellite_seifert(nf: NormalForm) -> list[list[int]]:
             out[at + i][at:at + len(B)] = row
         at += len(B)
     return out
+
+
+def braid_strands(word: list[int]) -> int:
+    """The strand count of a braid word whose closure is a knot, its letters +-i on n strands.
+
+    The word runs on n = max |letter| + 1 strands, and its closure has one
+    component exactly when its permutation is one n-cycle; that also makes
+    every column 1..n - 1 hold a letter.  Anything else is refused.
+    """
+    n = max(map(abs, word), default=0) + 1
+    if 0 in word:
+        raise ValueError("a braid letter is a nonzero integer")
+    perm = list(range(n))
+    for letter in word:
+        i = abs(letter)
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    length, x = 1, perm[0]
+    while x:
+        length, x = length + 1, perm[x]
+    if length != n:
+        raise ValueError(f"the closure of {word} is not a knot")
+    return n
+
+
+def seifert_from_braid(word: list[int]) -> list[list[int]]:
+    """A Seifert matrix of the closure of a braid word, by Seifert's algorithm.
+
+    Each of the n strands bounds a disk, and each letter sigma_i^e (the
+    letter +-i) is a band with a half twist of sign e between disks i and
+    i + 1.  The k letters give k - n + 1 generators: one loop a through each
+    two consecutive bands of a column, in the word's order, with interval
+    (a1, a2), the positions of its two bands.  Then
+    - V(a, a) = -(e1 + e2)/2, for bands of signs e1 and e2;
+    - for consecutive loops a, b of one column, sharing a band of sign e,
+      V(a, b) = (e + 1)/2 and V(b, a) = (e - 1)/2;
+    - for a in column i and b in column i + 1 whose intervals interleave,
+      V(a, b) = -1 if a1 < b1 < a2 < b2, +1 if b1 < a1 < b2 < a2, and
+      V(b, a) = 0;
+    - every other entry is 0.
+    The positive torus knots then have sigma < 0, as torus_seifert does.
+    """
+    braid_strands(word)
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for at, letter in enumerate(word):
+        columns.setdefault(abs(letter), []).append((at, 1 if letter > 0 else -1))
+    loops = [(i, *band[j:j + 2]) for i, band in sorted(columns.items())
+             for j in range(len(band) - 1)]
+    V = [[0] * len(loops) for _ in loops]
+    for a, (i, (a1, e1), (a2, e2)) in enumerate(loops):
+        V[a][a] = -(e1 + e2) // 2
+        for b, (ib, (b1, _), (b2, _)) in enumerate(loops):
+            if ib == i and b1 == a2:
+                V[a][b], V[b][a] = (e2 + 1) // 2, (e2 - 1) // 2
+            elif ib == i + 1 and a1 < b1 < a2 < b2:
+                V[a][b] = -1
+            elif ib == i + 1 and b1 < a1 < b2 < a2:
+                V[a][b] = 1
+    return V
+
+
+def goeritz_from_braid(word: list[int], shade: int,
+                       deleted: int = 0) -> tuple[list[list[int]], int]:
+    """(G, mu) of a checkerboard surface of the closure of a braid word: sigma = sign(G) - mu.
+
+    The closure is drawn bottom to top on n strands.  Column 0 (outside
+    strand 1) and column n (inside strand n) are one region each; column i,
+    for 0 < i < n, has one region per letter +-i, the segment above it up to
+    the next such letter, cyclically through the closure.  The columns of
+    parity shade are shaded, and the white regions, in order of column and
+    then of segment, index G'.  A letter sigma_i^e in a white column (type I)
+    joins the segments below and above it, with eta = -e; in a shaded
+    column (type II) it joins the regions of columns i - 1 and i + 1 at its
+    height, with eta = e, and adds eta to mu.  G' holds -(the sum of eta)
+    off the diagonal and has zero row sums, and G is G' without the white
+    region deleted.  Then sigma = sign(G) - mu and |det G| = |Delta(-1)|
+    (Gordon and Litherland, "On the signature of a link", 1978).
+    """
+    n = braid_strands(word)
+    at = {i: [h for h, letter in enumerate(word) if abs(letter) == i] for i in range(1, n)}
+
+    def region(i: int, h: int) -> tuple[int, int]:
+        """The region of column i at height h - 1/2, just below the letter at h."""
+        if i in (0, n):
+            return i, 0
+        return i, (sum(p < h for p in at[i]) - 1) % len(at[i])
+
+    white = [(i, j) for i in range(n + 1) if i % 2 != shade
+             for j in range(len(at[i]) if 0 < i < n else 1)]
+    index = {r: x for x, r in enumerate(white)}
+    G = [[0] * len(white) for _ in white]
+    mu = 0
+    for h, letter in enumerate(word):
+        i, e = abs(letter), 1 if letter > 0 else -1
+        if i % 2 != shade:
+            r, s, eta = region(i, h), region(i, h + 1), -e
+        else:
+            r, s, eta = region(i - 1, h), region(i + 1, h), e
+            mu += eta
+        x, y = index[r], index[s]
+        if x != y:
+            G[x][y] -= eta
+            G[y][x] -= eta
+            G[x][x] += eta
+            G[y][y] += eta
+    return [row[:deleted] + row[deleted + 1:] for x, row in enumerate(G) if x != deleted], mu
+
+
+def random_braid_knot(rng: random.Random) -> list[int]:
+    """A braid word on n = 2..5 strands, of n + 1 to 12 letters, whose closure is a knot.
+
+    At least n + 1 letters make its Seifert matrix nonempty.
+    """
+    while True:
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(n + 1, 12))]
+        try:
+            if braid_strands(word) == n:
+                return word
+        except ValueError:
+            continue

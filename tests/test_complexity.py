@@ -143,6 +143,26 @@ class TestWitnessSearch:
         assert complexity._grid_points(1, 7) == (102, 103)
         assert complexity._grid_points(1008, 1009) == (719, 0)
 
+    def test_roots_of_prime_order_fail_exactly_on_the_failing_set(self):
+        # ROADMAP item 1: Delta_N at a root of order p depends only on N mod p, and some k/p has
+        # Delta_N(k/p) < 0 exactly when N mod p is outside the failing set: N odd at p = 2,
+        # N != 0 at p = 3, 5, 7, and N = +-1 or +-2^-1 at p >= 11
+        mismatches = []
+        for p in itertools.takewhile(lambda p: p <= 199, complexity._primes()):
+            if p == 2:
+                failing = {1}
+            elif p <= 7:
+                failing = set(range(1, p))
+            else:
+                half = pow(2, -1, p)
+                failing = {1, p - 1, half, p - half}
+            for r in range(p):
+                N = p + r  # N >= 2 with N = r mod p
+                witnessed = any(complexity._delta_sign(N, k, p) < 0 for k in range(1, p))
+                if witnessed == (r in failing):
+                    mismatches.append((p, r))
+        assert mismatches == []
+
     def test_exact_zero_at_sixth_roots(self, monkeypatch):
         # for n = 5 mod 6, Delta_{1+n} vanishes at the primitive sixth roots
         # (grid points 120 and 600), where a float sample reads about 2e-16:

@@ -15,7 +15,6 @@ from shakekit.goeritz import (
     classical_signature_goeritz,
     goeritz_form,
     torus_band_presentation,
-    verify_two_twist_stability,
 )
 from shakekit.seifert import an_family, classical_signature_seifert
 
@@ -206,8 +205,10 @@ class TestTwoTwists:
                 add_two_twists(GoeritzData([[3]]), [x])
 
     def test_stability_examples(self):
-        assert verify_two_twist_stability(GoeritzData([[3]]), [2])
-        assert verify_two_twist_stability(GoeritzData([[0, 1], [1, 0]]), [3, -1])
+        gd = GoeritzData([[3]])
+        assert add_two_twists(gd, [2]).sigma == gd.sigma
+        gd = GoeritzData([[0, 1], [1, 0]])
+        assert add_two_twists(gd, [3, -1]).sigma == gd.sigma
 
     @given(
         st.integers(0, 5).flatmap(
@@ -229,7 +230,7 @@ class TestTwoTwists:
         gd2 = add_two_twists(gd, l)
         assert (inertia_symmetric_exact(gd2.G).signature
                 == inertia_symmetric_exact(gd.G).signature + 1)
-        assert verify_two_twist_stability(gd, l)
+        assert gd2.sigma == gd.sigma
 
     def test_stability_random_sweep(self):
         rng = random.Random(2718)
@@ -240,4 +241,5 @@ class TestTwoTwists:
                 for j in range(i, dim):
                     m[i][j] = m[j][i] = rng.randint(-4, 4)
             l = [rng.randint(-3, 3) for _ in range(dim)]
-            assert verify_two_twist_stability(GoeritzData(m), l)
+            gd = GoeritzData(m)
+            assert add_two_twists(gd, l).sigma == gd.sigma

@@ -22,7 +22,7 @@ PUBLIC_API = [
     "goeritz_form", "inertia_hermitian_at_root",
     "inertia_symmetric_exact", "lp_is_symmetric", "lt_signature", "normalize",
     "parse_pattern", "render_term", "retrace_term", "table_profile",
-    "torus_band_presentation", "verify_two_twist_stability",
+    "torus_band_presentation",
 ]
 
 
@@ -51,7 +51,7 @@ VALUE_MEMBERS = {
     "UnitCirclePoint": ["angle", "is_one", "is_rational", "k", "m", "root", "theta"],
     "Inertia": ["dim", "n_minus", "n_plus", "n_zero", "signature"],
     "BandPresentation": ["bands", "crossings"],
-    "GoeritzData": ["G", "eta", "nonorientable", "to_json"],
+    "GoeritzData": ["G", "eta", "nonorientable", "sigma", "to_json"],
 }
 
 
