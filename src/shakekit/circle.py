@@ -1,9 +1,9 @@
 """Certified signs on the unit circle, and the refusals they raise.
 
 _sign_at takes the exact sign of a polynomial or a Hermitian minor at a
-point of the circle: exact for a monomial minor, else a float sum that
-counts only past its rounding-error bound (_certified_sign), and else, at
-a root of order <= _MAX_ZERO_TEST_ORDER, the exact zero test _vanishes.
+point of the circle: in integers at -1 and for a monomial minor, else a
+float sum that counts only past its rounding-error bound (_certified_sign),
+and else, at a root of order <= _MAX_ZERO_TEST_ORDER, the test _vanishes.
 """
 
 from __future__ import annotations
@@ -167,8 +167,9 @@ def _sign_at(omega: laurent.UnitCirclePoint, k: int, terms: list[tuple[int, int]
 
     P is sum p_e t^e over the (e, p_e) terms, lowest first.  k >= 1 gives
     the Hermitian minor D_k from the pencil's P_k; k = 0 the value of a P
-    that is real on the circle, such as an Alexander polynomial.  One
-    term c*t^e with 2e = k is decided with no float sum: its value is
+    that is real on the circle, such as an Alexander polynomial.  At -1
+    the value (-2)^k * P(-1) is read in integers.  One term c*t^e with
+    2e = k takes no float sum either: its value is
     c*(-1)^(k/2)*(2 sin(theta/2))^k.  Every monomial leading minor of a
     pencil is one, because P_k(t) = (-1)^k t^k P_k(1/t); k = 0 covers
     constants.  Any other sign is the certified sum's; where that does
@@ -181,6 +182,9 @@ def _sign_at(omega: laurent.UnitCirclePoint, k: int, terms: list[tuple[int, int]
     """
     if not terms:
         return 0
+    if omega.is_rational and omega.m == 2:
+        value = sum(-c if e % 2 else c for e, c in terms)
+        return ((value > 0) - (value < 0)) * (-1 if k % 2 else 1)
     if len(terms) == 1 and 2 * terms[0][0] == k:
         return (1 if terms[0][1] > 0 else -1) * (-1 if k % 4 else 1)
     try:

@@ -176,7 +176,7 @@ def cmd_goeritz(args) -> tuple[str, int]:
     bp = band_presentation_from_json(_load_json(args.bands))
     gd = goeritz.goeritz_form(bp)
     doc = gd.to_json()
-    doc.update({"eta": gd.eta, "sign_G": gd.sigma + gd.eta, "sigma": gd.sigma})
+    doc.update({"eta": gd.eta, "sign_G": gd.sign_G, "sigma": gd.sigma})
     return _payload(doc), 0
 
 

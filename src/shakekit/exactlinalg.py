@@ -18,12 +18,11 @@ formula's, and the shifts take time linear in the size.  The Seifert
 pencil M = t*A - A^T is eliminated once per matrix A and memoised; with
 symmetric pivoting its Bareiss pivots are its leading principal minors,
 which give both the determinant and, by Jacobi's sign rule, the exact
-inertia of the Hermitian form H(omega) at every unit-circle point.  One
-function, _minus_one_inertia, decides sigma(-1) = sigma(A + A^T) for both
-the classical and the Levine-Tristram signature: where the memo, which can
-be queried without computing (_pencil.held), holds the pencil and Jacobi's
-rule can count the exact integers D_k(-1) = (-2)^k P_k(-1), those answer;
-otherwise the form A + A^T is eliminated.  For every A the pencil's
+inertia of the Hermitian form H(omega) at every unit-circle point, -1
+included, where inertia_hermitian_at_root gives the classical signature
+sigma(A + A^T): there it reads a pencil only if the memo, which can be
+queried without computing (_pencil.held), holds it, and else eliminates
+the form A + A^T.  For every A the pencil's
 principal minors are palindromic, P(t) = +-t^d P(1/t), so every pencil is
 packed at half the Hadamard width and its Pivots are read back from both
 ends.  A pencil wider than _NARROW_BITS whose A holds more than two
@@ -369,9 +368,9 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
 
     Callers pass the immutable key strict_matrix(A, "matrix"), so a matrix
     they mutate later is never answered from the memo, and a caller may
-    read _pencil.held.get(key) to use the pivots only if they are held, as
-    _minus_one_inertia does.  No LaurentPoly is built: one pass over A
-    gives each row i its support, Hadamard factor
+    look the key up in _pencil.held to use the pivots only if they are
+    held, as inertia_hermitian_at_root does at -1.  No LaurentPoly is
+    built: one pass over A gives each row i its support, Hadamard factor
     alpha_i + 2|sum_j a_ij*a_ji| with alpha_i = sum_j (a_ij^2 + a_ji^2), and
     low (1 if column i of A is zero and row i is not), and entry (i, j) is
     packed as ((a_ij << bits) - a_ji) >> bits*low.  On the unit circle
@@ -483,38 +482,6 @@ def _narrow(A: tuple[tuple[int, ...], ...], ts: list[list[int]], cs: list[dict[i
     return first
 
 
-def _minus_one_signs(pivots: Pivots) -> list[int]:
-    """The exact signs of the leading minors D_k(-1) of H(-1) = 2(A + A^T), from a pencil's Pivots.
-
-    D_k(-1) = (-2)^k P_k(-1), exact integers with P_k(-1) = sum c*(-1)^e
-    over the (e, c) pairs of P_k: sign D_k = (-1)^k sign P_k(-1), with no
-    float and no circle._sign_at.
-    """
-    signs = []
-    for k, terms in enumerate(pivots.terms, 1):
-        value = sum(-c if e % 2 else c for e, c in terms)
-        signs.append(((value > 0) - (value < 0)) * (-1 if k % 2 else 1))
-    return signs
-
-
-def _minus_one_inertia(A: tuple[tuple[int, ...], ...]) -> Inertia:
-    """Exact inertia of A + A^T, that of H(-1) = 2(A + A^T), for the checked key A.
-
-    Where the memo holds A's pencil (_pencil.held) and Jacobi's rule can
-    count its exact signs at -1 (_minus_one_signs), they answer with no
-    elimination.  Otherwise the form A + A^T is eliminated: its sparse rows
-    take _form_inertia, which counts a singular form's n_zero too.  A cold
-    call never builds the pencil, which costs about three times the form.
-    For a knot D_n(-1) is never 0, as det(K) = |Delta(-1)| is odd.
-    """
-    held = _pencil.held.get(A)
-    if held is not None and _blocked(signs := _minus_one_signs(held)) is None:
-        return _jacobi(signs)
-    every = range(len(A))
-    return _form_inertia([{j: x for j in {*compress(every, row), *compress(every, col)}
-                           if (x := row[j] + col[j])} for row, col in zip(A, zip(*A))])
-
-
 def knot_rule(A: Sequence[Sequence[int]]) -> None:
     """Refuse a checked matrix A that is no knot's Seifert matrix, before any pencil is built.
 
@@ -602,20 +569,26 @@ def inertia_hermitian_at_root(A: Sequence[Sequence[int]],
     H(t) = ((1 - t)/t) (t*A - A^T), so the leading principal minors of H
     are D_k = ((1 - t)/t)^k P_k with P_k those of the pencil, read from its
     symmetrically pivoted elimination (a congruence, which keeps the
-    inertia), and Jacobi's rule counts their circle._sign_at signs.  Raises
-    NearSingular (circle._zero_minors) when D_n(omega) = 0, where the form is
-    singular, or when two consecutive minors vanish, and NearSingular when
-    a sign is not certified; InvalidRoot at omega = 1 where H vanishes.  At
-    omega = -1 (order m = 2) H = 2(A + A^T), and _minus_one_inertia answers,
-    building no pencil, with n_zero >= 1 where A + A^T is singular.
+    inertia), and Jacobi's rule counts their circle._sign_at signs.  At
+    omega = -1, H = 2(A + A^T): a pencil the memo does not hold is not
+    built, as it costs about three times the form, and where none is held
+    or its signs cannot count (_blocked), the form A + A^T is eliminated,
+    n_zero included.  Elsewhere raises NearSingular (circle._zero_minors)
+    when D_n(omega) = 0, where the form is singular, or when two
+    consecutive minors vanish, and NearSingular when a sign is not
+    certified; InvalidRoot at omega = 1 where H vanishes.
     """
     key = strict_matrix(A, "matrix")
     if omega.is_one():
         raise circle.InvalidRoot()
-    if omega.is_rational and omega.m == 2:
-        return _minus_one_inertia(key)
-    signs = [circle._sign_at(omega, k, terms) for k, terms in enumerate(_pencil(key).terms, 1)]
-    if (k := _blocked(signs)) is not None:
-        raise circle._zero_minors(omega, k, len(key), not signs[-1])
-    return _jacobi(signs)
-
+    minus_one = omega.is_rational and omega.m == 2
+    pivots = _pencil.held.get(key) if minus_one else _pencil(key)
+    if pivots is not None:
+        signs = [circle._sign_at(omega, k, terms) for k, terms in enumerate(pivots.terms, 1)]
+        if (k := _blocked(signs)) is None:
+            return _jacobi(signs)
+        if not minus_one:
+            raise circle._zero_minors(omega, k, len(key), not signs[-1])
+    every = range(len(key))
+    return _form_inertia([{j: x for j in {*compress(every, row), *compress(every, col)}
+                           if (x := row[j] + col[j])} for row, col in zip(key, zip(*key))])

@@ -3,9 +3,9 @@
 A spanning surface presented as a disk with bands yields the symmetric
 form G with G[i][i] = W(X_i) + T(X_i) (self-writhe plus half twists)
 and G[i][j] the signed crossing count between bands.  The knot
-signature is GoeritzData.sigma = sign(G) - eta (Gordon-Litherland), where
-eta sums the G entries over pairs of non-orientable bands; no other code
-subtracts eta.  add_two_twists applies the bordered-matrix move that
+signature is GoeritzData.sigma = sign_G - eta (Gordon-Litherland), where
+sign_G = sign(G), cached, and eta sums G over pairs of non-orientable
+bands; no other code subtracts eta.  add_two_twists applies the move that
 inserts two generic twists along a marked strand: the new form is
 congruent to G + [+1] and eta becomes 1, so sigma does not move.
 """
@@ -68,8 +68,12 @@ class GoeritzData(Record):
         return sum(self.G[i][j] for i in self.nonorientable for j in self.nonorientable)
 
     @cached_property
+    def sign_G(self) -> int:
+        return inertia_symmetric_exact(self.G).signature
+
+    @property
     def sigma(self) -> int:
-        return inertia_symmetric_exact(self.G).signature - self.eta
+        return self.sign_G - self.eta
 
     def to_json(self) -> dict:
         return {"G": [list(row) for row in self.G], "nonorientable": sorted(self.nonorientable)}

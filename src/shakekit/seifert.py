@@ -20,6 +20,8 @@ from collections.abc import Sequence
 from . import exactlinalg, laurent
 from .errors import DomainError, even_dimension, strict_int, strict_matrix, unit_determinant
 
+_MINUS_ONE = laurent.UnitCirclePoint.root(1, 2)  # sigma_omega there is the classical signature
+
 
 def alexander(A: Sequence[Sequence[int]]) -> laurent.LaurentPoly:
     """Symmetrized Alexander polynomial t^(-dim/2) * det(t*A - A^T)."""
@@ -34,11 +36,11 @@ def alexander(A: Sequence[Sequence[int]]) -> laurent.LaurentPoly:
 def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
     """Signature of the symmetrized form A + A^T, the Levine-Tristram signature at -1.
 
-    exactlinalg._minus_one_inertia decides it, as it does lt_signature's
-    at -1: from the memoised pencil's exact signs where they count, else
-    from the form A + A^T, with no pencil built.
+    exactlinalg.inertia_hermitian_at_root decides it, as it does every
+    lt_signature: from the memoised pencil's exact signs where they count,
+    else from the form A + A^T, with no pencil built.
     """
-    return exactlinalg._minus_one_inertia(strict_matrix(A, "matrix")).signature
+    return exactlinalg.inertia_hermitian_at_root(A, _MINUS_ONE).signature
 
 
 def lt_signature(A: Sequence[Sequence[int]], omega: laurent.UnitCirclePoint) -> int:

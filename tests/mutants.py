@@ -35,10 +35,10 @@ SATELLITE = ("tests/test_patterns.py::TestSatelliteSeifert"
              "::test_values_match_the_block_seifert_matrix")
 
 MUTANTS = [
-    # 1. sigma(-1) from the pencil's exact integers without the (-1)^k of D_k = (-2)^k P_k(-1)
-    ("exactlinalg.py",
-     "signs.append(((value > 0) - (value < 0)) * (-1 if k % 2 else 1))",
-     "signs.append((value > 0) - (value < 0))",
+    # 1. the sign at -1 read in integers without the (-1)^k of D_k = (-2)^k P_k(-1)
+    ("circle.py",
+     "return ((value > 0) - (value < 0)) * (-1 if k % 2 else 1)",
+     "return (value > 0) - (value < 0)",
      [f"{EXACT}::TestHermitianInertia::test_minus_one_takes_no_float_sign",
       "tests/test_seifert.py::TestSignatures::test_classical_after_the_pencil_is_memoised"]),
     # 2. the zero test multiplies by 1 + t^s in place of 1 - t^s
@@ -130,15 +130,26 @@ MUTANTS = [
      [SATELLITE]),
     # 18. the Goeritz signature sign(G) + eta, not sign(G) - eta
     ("goeritz.py",
-     "return inertia_symmetric_exact(self.G).signature - self.eta",
-     "return inertia_symmetric_exact(self.G).signature + self.eta",
+     "return self.sign_G - self.eta",
+     "return self.sign_G + self.eta",
      ["tests/test_goeritz.py::TestTorusSignature::test_signature_family",
       "tests/test_acceptance.py::test_01_torus_knot_signatures"]),
-    # 19. the goeritz command's sign_G printed as sigma, without eta added back
+    # 19. the goeritz command's sign_G printed as sigma
     ("cli.py",
-     '"sign_G": gd.sigma + gd.eta',
+     '"sign_G": gd.sign_G',
      '"sign_G": gd.sigma',
      ["tests/test_cli.py::TestGoeritz::test_payload"]),
+    # 20. no integer branch at -1: its signs go to the float sum and the zero test
+    ("circle.py",
+     "if omega.is_rational and omega.m == 2:",
+     "if False:",
+     [f"{EXACT}::TestHermitianInertia::test_minus_one_takes_no_float_sign",
+      f"{EXACT}::TestSignAt::test_order_two_is_read_in_integers"]),
+    # 21. the pencil built at -1 on a cold memo, not only read where the memo holds it
+    ("exactlinalg.py",
+     "_pencil.held.get(key) if minus_one",
+     "_pencil(key) if minus_one",
+     ["tests/test_seifert.py::TestClassicalSignatureRoutes::test_a_cold_call_builds_no_pencil"]),
 ]
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from shakekit import circle
 from shakekit.complexity import a_family_profile
+from shakekit.exactlinalg import det_laurent
 from shakekit.laurent import LaurentPoly, UnitCirclePoint
 from shakekit.patterns import (
     Atom,
@@ -566,6 +567,72 @@ def seifert_from_braid(word: list[int]) -> list[list[int]]:
     return V
 
 
+def burau_delta(word: list[int]) -> LaurentPoly:
+    """The Alexander polynomial of the closure of a braid word, from its reduced Burau matrix.
+
+    For a braid on n strands, det(I - B) = (1 + t + ... + t^(n-1)) * Delta
+    up to a unit +-t^j, where B is the product of the letters' reduced
+    Burau matrices (Burau 1935; Kassel and Turaev, "Braid Groups", 2008,
+    ch. 3).  The (n-1)x(n-1) matrix of sigma_i is the identity but for its
+    column i - 1 (from 0), which holds t, -t, 1 in rows i - 2, i - 1, i,
+    where they exist; that of sigma_i^-1 holds 1, -1/t, 1/t.  So a letter
+    is a column operation on the product, of coefficient dicts.  det_laurent
+    takes det(I - B), which is multiplied by 1 - t and divided exactly by
+    1 - t^n, then shifted to be symmetric and signed to give Delta(1) = 1.
+    """
+    n = braid_strands(word)
+    B = [[{0: 1} if i == j else {} for j in range(n - 1)] for i in range(n - 1)]
+    for letter in word:
+        c = abs(letter) - 1
+        parts = ((c - 1, {1: 1}), (c, {1: -1}), (c + 1, {0: 1})) if letter > 0 else (
+            (c - 1, {0: 1}), (c, {-1: -1}), (c + 1, {-1: 1}))
+        for row in B:
+            new: dict[int, int] = {}
+            for col, factor in parts:
+                if 0 <= col < n - 1:
+                    for e, x in row[col].items():
+                        for f, y in factor.items():
+                            new[e + f] = new.get(e + f, 0) + x * y
+            row[c] = {e: x for e, x in new.items() if x}
+    det = det_laurent([[LaurentPoly({e: int(i == j and e == 0) - row[j].get(e, 0)
+                                     for e in {0, *row[j]}}) for j in range(n - 1)]
+                       for i, row in enumerate(B)]).coeffs
+    times = {}
+    for e, x in det.items():  # det * (1 - t)
+        times[e] = times.get(e, 0) + x
+        times[e + 1] = times.get(e + 1, 0) - x
+    low, high = min(times), max(times)
+    quotient = {}
+    for e in range(low, high - n + 1):  # exact division by 1 - t^n, lowest degree first
+        quotient[e] = times.get(e, 0) + quotient.get(e - n, 0)
+    if any(times.get(e, 0) + quotient.get(e - n, 0) for e in range(high - n + 1, high + 1)):
+        raise ArithmeticError(f"1 - t^{n} does not divide det(I - B) * (1 - t)")
+    quotient = {e: x for e, x in quotient.items() if x}
+    shift, sign = (min(quotient) + max(quotient)) // 2, sum(quotient.values())
+    return LaurentPoly({e - shift: sign * x for e, x in quotient.items()})
+
+
+def cable_word(word: list[int], p: int, q: int) -> list[int]:
+    """A braid word of the (p, q) cable of the closure of word, for gcd(p, q) = 1 and p >= 2.
+
+    The blackboard p-parallel of the closure turns each letter sigma_i^e
+    into the p^2 letters e*((i - 1)p + p - a + b), for a, then b, in
+    0..p - 1.  Its strands follow the blackboard framing, the writhe w of
+    word, so they turn w full twists, (sigma_1 ... sigma_(p-1))^(p*w), about
+    each other.  The cable appends (sigma_1 ... sigma_(p-1))^(q - p*w) on
+    the first p strands, with inverse letters in reverse order for a
+    negative exponent.
+    """
+    if p < 2 or math.gcd(p, q) != 1:
+        raise ValueError(f"a (p, q) cable needs p >= 2 and gcd(p, q) = 1, got ({p}, {q})")
+    braid_strands(word)
+    parallel = [(1 if letter > 0 else -1) * ((abs(letter) - 1) * p + p - a + b)
+                for letter in word for a in range(p) for b in range(p)]
+    twist = q - p * sum(1 if letter > 0 else -1 for letter in word)
+    turn = list(range(1, p)) if twist > 0 else [-i for i in range(p - 1, 0, -1)]
+    return parallel + turn * abs(twist)
+
+
 def goeritz_from_braid(word: list[int], shade: int,
                        deleted: int = 0) -> tuple[list[list[int]], int]:
     """(G, mu) of a checkerboard surface of the closure of a braid word: sigma = sign(G) - mu.
@@ -613,13 +680,13 @@ def goeritz_from_braid(word: list[int], shade: int,
     return [row[:deleted] + row[deleted + 1:] for x, row in enumerate(G) if x != deleted], mu
 
 
-def random_braid_knot(rng: random.Random) -> list[int]:
-    """A braid word on n = 2..5 strands, of n + 1 to 12 letters, whose closure is a knot.
+def random_braid_knot(rng: random.Random, most: int = 5) -> list[int]:
+    """A braid word on n = 2..most strands, of n + 1 to 12 letters, whose closure is a knot.
 
     At least n + 1 letters make its Seifert matrix nonempty.
     """
     while True:
-        n = rng.randint(2, 5)
+        n = rng.randint(2, most)
         word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
                 for _ in range(rng.randint(n + 1, 12))]
         try:

@@ -32,7 +32,7 @@ def outcome(label, fn):
 outcome("read-back", lambda: exactlinalg.Pivots(8, (1,), (0,)).minor(1))
 
 # an isolated zero minor between two minors of the same sign, at 1/3, where the signs are
-# _sign_at's (at 1/2 none are: _minus_one_inertia reads exact integers)
+# _sign_at's (at 1/2 on a cold memo none are: the form A + A^T answers)
 real_sign_at = circle._sign_at
 circle._sign_at = lambda omega, k, terms: [-1, 0, -1][k - 1]
 outcome("inertia", lambda: exactlinalg.inertia_hermitian_at_root(

@@ -23,6 +23,7 @@ from oracles import (
     family_signature,
     is_pencil,
     leading_minors,
+    random_laurent,
     random_laurent_matrix,
     random_symmetric_matrix,
     random_unimodular,
@@ -1285,16 +1286,16 @@ class TestHermitianInertia:
             checked += 1
 
     def test_minus_one_takes_no_float_sign(self, monkeypatch):
-        # at 1/2 the inertia comes from exact integers, the memoised pencil's D_k(-1)
-        # (_minus_one_signs) or the form A + A^T: no _sign_at or _certified_sign runs with a
-        # cold memo or a warm one, nothing is refused, every answer is the form's inertia, and
-        # the signs equal _sign_at's, whose count equals the answer wherever it counts
+        # at 1/2 the inertia comes from exact integers, the memoised pencil's D_k(-1), signed
+        # by _sign_at, or the form A + A^T: no _certified_sign runs with a cold memo or a warm
+        # one, no _sign_at with a cold one, nothing is refused, every answer is the form's
+        # inertia, and the signs' count equals the answer wherever it counts
         half = UnitCirclePoint.root(1, 2)
-        calls = []
-        for name in ("_sign_at", "_certified_sign"):
+        calls = {"_sign_at": [], "_certified_sign": []}
+        for name, seen in calls.items():
             real = getattr(circle, name)
-            monkeypatch.setattr(circle, name,
-                                lambda *args, real=real: calls.append(args) or real(*args))
+            monkeypatch.setattr(circle, name, lambda *args, real=real, seen=seen:
+                                seen.append(args) or real(*args))
         rng = random.Random(46)
         counted = 0
         for trial in range(300):
@@ -1303,19 +1304,25 @@ class TestHermitianInertia:
                  for _ in range(dim)]
             exactlinalg._pencil.cache_clear()
             cold = inertia_hermitian_at_root(A, half)
+            assert calls["_sign_at"] == [], A
             pivots = exactlinalg._pencil(tuple(map(tuple, A)))
             warm = inertia_hermitian_at_root(A, half)
-            assert calls == [], A
+            assert len(calls["_sign_at"]) == dim and calls["_certified_sign"] == [], A
             form = inertia_symmetric_exact([[a + b for a, b in zip(row, col)]
                                             for row, col in zip(A, zip(*A))])
             assert cold == warm == form, A
             signs = [circle._sign_at(half, k, terms)
                      for k, terms in enumerate(pivots.terms, 1)]
-            assert signs == exactlinalg._minus_one_signs(pivots), A
+            # D_k(-1) = (-2)^k P_k(-1)
+            values = [sum(c * (-1) ** e for e, c in pivots.minor(k).coeffs.items())
+                      for k in range(1, dim + 1)]
+            exact = [(-1) ** k * ((v > 0) - (v < 0)) for k, v in enumerate(values, 1)]
+            assert signs == exact and calls["_certified_sign"] == [], A
             if exactlinalg._blocked(signs) is None:
                 assert exactlinalg._jacobi(signs) == form, A
                 counted += 1
-            calls.clear()
+            for seen in calls.values():
+                seen.clear()
         assert 30 <= counted <= 270, counted  # both routes run: 231 count, 69 take the form
 
 
@@ -1528,6 +1535,24 @@ class TestSignAt:
         terms = [(0, -1), (6 * 10**15, 1)]
         assert circle._sign_at(UnitCirclePoint.root(1, 6), 0, terms) == 0
         assert circle._sign_at(UnitCirclePoint.root(1, 7), 0, terms) == -1
+
+    def test_order_two_is_read_in_integers(self, monkeypatch):
+        # at -1 the sign of (-2)^k P(-1) is read in integers, and it is the dense remainder's
+        # modulo t + 1 wherever a float sum certifies that
+        half = UnitCirclePoint.root(1, 2)
+        rng = random.Random(53)
+        for _ in range(300):
+            k, terms = rng.randint(0, 6), sorted(random_laurent(rng, 6).coeffs.items())
+            assert circle._sign_at(half, k, terms) == reduce_first(half, k, terms), (k, terms)
+        # P = 10^20 + (10^20 + 1) t has P(-1) = -1, far inside a double sum's rounding error,
+        # and exponents past the float range fold by parity; no float sum or zero test runs
+        monkeypatch.setattr(circle, "_certified_sign", None)
+        monkeypatch.setattr(circle, "_vanishes", None)
+        terms = [(0, 10**20), (1, 10**20 + 1)]
+        assert [circle._sign_at(half, k, terms) for k in range(3)] == [-1, 1, -1]
+        big = [(-10**400, 3), (0, -1), (10**400 + 1, 2)]
+        assert [circle._sign_at(half, k, big) for k in range(3)] == [0, 0, 0]
+        assert [circle._sign_at(half, k, big[:2]) for k in range(3)] == [1, -1, 1]
 
     def test_uncertified_sum_is_refused_with_its_numbers(self, reductions):
         # a * 2cos(2pi/7) + b is a few units at most for these 17-digit a, b,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shakekit import exactlinalg, verify
 from shakekit.cli import band_presentation_from_json
 from shakekit.exactlinalg import inertia_symmetric_exact
 from shakekit.goeritz import (
@@ -243,3 +244,18 @@ class TestTwoTwists:
             l = [rng.randint(-3, 3) for _ in range(dim)]
             gd = GoeritzData(m)
             assert add_two_twists(gd, l).sigma == gd.sigma
+
+    def test_verify_row_eliminates_each_form_once(self, monkeypatch):
+        # sign_G is cached, so the row's sign(G2) = sign(G) + 1 check and its sigma check share
+        # one elimination per form: 100 cases of G and G2
+        forms = []
+        real = exactlinalg._form_inertia
+        monkeypatch.setattr(exactlinalg, "_form_inertia",
+                            lambda rows: forms.append(rows) or real(rows))
+        assert verify._check_two_twist_stability().startswith("sign(G2) = sign(G) + 1")
+        assert len(forms) == 200
+
+    def test_sign_g_is_the_forms_signature(self):
+        gd = GoeritzData([[3, 1], [1, 2]], [0])
+        assert (gd.sign_G, gd.eta, gd.sigma) == (2, 3, -1)
+        assert gd.sign_G == inertia_symmetric_exact(gd.G).signature

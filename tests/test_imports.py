@@ -51,7 +51,7 @@ VALUE_MEMBERS = {
     "UnitCirclePoint": ["angle", "is_one", "is_rational", "k", "m", "root", "theta"],
     "Inertia": ["dim", "n_minus", "n_plus", "n_zero", "signature"],
     "BandPresentation": ["bands", "crossings"],
-    "GoeritzData": ["G", "eta", "nonorientable", "sigma", "to_json"],
+    "GoeritzData": ["G", "eta", "nonorientable", "sigma", "sign_G", "to_json"],
 }
 
 

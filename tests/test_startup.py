@@ -53,8 +53,9 @@ LINALG = sorted([*CORE, "shakekit.exactlinalg", "shakekit.laurent"])
 # lt at a root other than 1/2 takes the minors' signs on the circle
 SIGNS = sorted([*LINALG, "shakekit.circle"])
 SEIFERT = sorted([*LINALG, "shakekit.seifert"])
-# the classical signature reads integer pivots alone, so no Laurent polynomial is built
-SIGNATURE = sorted([*CORE, "shakekit.exactlinalg", "shakekit.seifert"])
+# the classical signature is lt at the point -1, a laurent value; with a cold memo it reads the
+# form A + A^T's integer pivots alone, so no sign is taken on the circle
+SIGNATURE = sorted([*CORE, "shakekit.exactlinalg", "shakekit.laurent", "shakekit.seifert"])
 KNOT_RULE = sorted([*CORE, "shakekit.exactlinalg"])
 GOERITZ = sorted([*CORE, "shakekit.exactlinalg", "shakekit.goeritz"])
 PATTERNS = sorted([*CORE, "shakekit.patterns"])
