@@ -15,15 +15,15 @@ x * pivot as (x * u) << s and an exact N // prev as (N >> s) // u:
 N = prev * q is a multiple of 2^s, so the shift drops only zero bits and
 leaves u * q.  Both are integer identities, so every value is the plain
 formula's, and the shifts take time linear in the size.  The Seifert
-pencil M = t*A - A^T is eliminated once per matrix A and memoised; with
+pencil M = t*A - A^T is eliminated once and memoised for the one matrix A
+used last (_pencil.held, which can be queried without computing); with
 symmetric pivoting its Bareiss pivots are its leading principal minors,
 which give both the determinant and, by Jacobi's sign rule, the exact
 inertia of the Hermitian form H(omega) at every unit-circle point, -1
 included, where inertia_hermitian_at_root gives the classical signature
-sigma(A + A^T): there it reads a pencil only if the memo, which can be
-queried without computing (_pencil.held), holds it, and else eliminates
-the form A + A^T.  For every A the pencil's
-principal minors are palindromic, P(t) = +-t^d P(1/t), so every pencil is
+sigma(A + A^T): there it reads a pencil only if the memo holds it, and
+else eliminates the form A + A^T.  For every A the pencil's principal
+minors are palindromic, P(t) = +-t^d P(1/t), so every pencil is
 packed at half the Hadamard width and its Pivots are read back from both
 ends.  A pencil wider than _NARROW_BITS whose A holds more than two
 nonzero entries per row is first eliminated at two or more narrow points
@@ -335,22 +335,20 @@ def _entry(e: object) -> dict[int, int] | int:
 
 
 def _memoised(eliminate):
-    """eliminate, memoised for the 64 keys used last, as functools.lru_cache(64) would.
+    """eliminate, memoised for the one key used last.
 
-    The memo is the dict .held, least recently used first, so a caller can
-    look a key up (.held.get) without computing anything; .cache_clear
-    empties it, and .__wrapped__ is eliminate itself, which fills no memo.
+    The memo is the dict .held, of at most one entry, so a caller can look
+    a key up (.held.get) without computing anything; a new key drops the
+    one held before it is eliminated.  .cache_clear empties the memo, and
+    .__wrapped__ is eliminate itself, which fills no memo.
     """
     held = {}
 
     @functools.wraps(eliminate)
     def memo(key):
-        found = held.pop(key, None)
-        if found is None:
-            found = eliminate(key)
-            if len(held) >= 64:
-                del held[next(iter(held))]
-        held[key] = found
+        if (found := held.get(key)) is None:
+            held.clear()
+            found = held[key] = eliminate(key)
         return found
 
     memo.held, memo.cache_clear = held, held.clear
@@ -364,7 +362,7 @@ _NARROW_BITS = 56
 
 @_memoised
 def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
-    """The Pivots of the pencil t*A - A^T, eliminated once per matrix and memoised.
+    """The Pivots of the pencil t*A - A^T, memoised for the matrix used last (_memoised).
 
     Callers pass the immutable key strict_matrix(A, "matrix"), so a matrix
     they mutate later is never answered from the memo, and a caller may
@@ -403,24 +401,27 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     grows faster than linearly in the width.  So where b > _NARROW_BITS and
     A holds more than two nonzero entries per row on average, the pencil
     is first eliminated at j = ceil(b / _NARROW_BITS) narrow points
-    T_i = 2^(b_i), with distinct b_i and prod T_i^4 > 4H^2, i.e.
-    prod T_i^2 > 2H (_narrow).  A sparser A, such as an_family's, fills in
-    little: its steps cost about linearly in the width, and j points would
-    only repeat their per-step work.  The narrow answer, the first point's
-    Pivots with its terms, is kept only if every point took the same rows
-    at each step (and so left the same trailing zeros), read the same
-    (exponent, coefficient) pairs for every P_k and raised nothing, and if
-    sum c^2 <= H^2 over the pairs of every P_k.  Then with Q_k the minor
-    and R_k its pairs, Q_k - R_k is palindromic and vanishes at every T_i,
-    as a read is exact (R_k(T_i) is the value), so at every 1/T_i too, and
-    prod (t - T_i)(T_i*t - 1) divides it: ||Q_k - R_k||_2 >= prod T_i^2 >
-    2H >= ||Q_k||_2 + ||R_k||_2 unless Q_k = R_k.  Each zero test the path
-    made is a principal minor S that vanished at every T_i: a skipped
-    diagonal, a 2x2 block's -E_ab*E_ba/prev, or, at the trailing zeros,
-    those of the rest.  As ||S||_2 <= H, S = 0 by the same argument, so the
-    path is that of the polynomials.  Any disagreement, and a ValueError or
-    ArithmeticError at a narrow point, falls back to the one point at b,
-    packed in place.
+    T_i = 2^(b_i), j consecutive b_i from ceil(floor((L + 5)/4) / j) up, L
+    the bit length of H^2: they sum to at least (L + 2)/4, so
+    prod T_i^4 > 4H^2, i.e. prod T_i^2 > 2H.  A sparser A, such as
+    an_family's, fills in little: its steps cost about linearly in the
+    width, and j points would only repeat their per-step work.  The narrow
+    answer, the first point's Pivots with its terms, is kept only if every
+    point took the same rows at each step (and so left the same trailing
+    zeros), read the same (exponent, coefficient) pairs for every P_k and
+    raised nothing, and if sum c^2 <= H^2 over the first point's pairs of
+    every P_k, which is checked before the next point runs.  Then with Q_k
+    the minor and R_k its pairs, Q_k - R_k is palindromic and vanishes at
+    every T_i, as a read is exact (R_k(T_i) is the value), so at every
+    1/T_i too, and prod (t - T_i)(T_i*t - 1) divides it:
+    ||Q_k - R_k||_2 >= prod T_i^2 > 2H >= ||Q_k||_2 + ||R_k||_2 unless
+    Q_k = R_k.  Each zero test the path made is a principal minor S that
+    vanished at every T_i: a skipped diagonal, a 2x2 block's
+    -E_ab*E_ba/prev, or, at the trailing zeros, those of the rest.  As
+    ||S||_2 <= H, S = 0 by the same argument, so the path is that of the
+    polynomials.  Any disagreement, and a ValueError or
+    ArithmeticError at a narrow point, breaks out to the one point at b.
+    Each point packs fresh rows (_packed), as _kernel rewrites them.
     """
     every = range(len(A))
     ts = [[*compress(every, row)] for row in A]  # row i's t side: the j with a_ij != 0
@@ -435,51 +436,39 @@ def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
     bound = math.prod(alpha + 2 * abs(x) or 1 for alpha, x in zip(alphas, cross))
     lows = [0 if c or not js else 1 for js, c in zip(ts, cs)]
     if (bits := _width(math.isqrt(bound) + 1)) > _NARROW_BITS and sum(map(len, ts)) > 2 * len(A):
-        found = _narrow(A, ts, cs, lows, bound, -(-bits // _NARROW_BITS))
-        if found is not None:
-            return found
-    return _kernel(_packed(A, ts, cs, lows, bits, cs), lows, bits, True)
+        count = -(-bits // _NARROW_BITS)
+        base = -(-((bound.bit_length() + 5) // 4) // count)
+        first = path = None
+        for width in range(base, base + count):
+            taken: list[list[int]] = []
+            try:
+                found = _kernel(_packed(A, ts, cs, lows, width), lows, width, True, taken)
+                terms = found.terms
+            except (ValueError, ArithmeticError):
+                break
+            if first is None:
+                if any(sum(c * c for _, c in pairs) > bound for pairs in terms):
+                    break
+                first, path = found, taken
+            elif taken != path or terms != first.terms:
+                break
+        else:
+            return first
+    return _kernel(_packed(A, ts, cs, lows, bits), lows, bits, True)
 
 
 def _packed(A: tuple[tuple[int, ...], ...], ts: list[list[int]], cs: list[dict[int, int]],
-            lows: list[int], bits: int, rows: list[dict[int, int]]) -> list[dict[int, int]]:
-    """rows, copies of the constant sides cs or cs itself, with entry (i, j) packed at t = 2^bits.
+            lows: list[int], bits: int) -> list[dict[int, int]]:
+    """Fresh copies of the constant sides cs, with entry (i, j) packed at t = 2^bits.
 
     Entry (i, j) becomes ((a_ij << bits) - a_ji) >> bits*lows[i], for the
     j in row i's t side ts[i]; the others keep -a_ji.
     """
+    rows = [c.copy() for c in cs]
     for row, js, c, packed, low in zip(A, ts, cs, rows, lows):
         for j in js:
             packed[j] = (row[j] << bits - bits * low) + c.get(j, 0)
     return rows
-
-
-def _narrow(A: tuple[tuple[int, ...], ...], ts: list[list[int]], cs: list[dict[int, int]],
-            lows: list[int], bound: int, count: int) -> Pivots | None:
-    """The pencil's Pivots at the first of count narrow points, or None where _pencil falls back.
-
-    The points are T = 2^bits for count consecutive bits from base up,
-    whose sum is at least base * count >= (bound.bit_length() + 2) / 4, so
-    prod T^4 > 4 * bound = 4H^2.  Each packs copies of the constant sides
-    cs; _pencil gives the tests and the proof.
-    """
-    base = -(-((bound.bit_length() + 5) // 4) // count)
-    first = path = None
-    for bits in range(base, base + count):
-        taken: list[list[int]] = []
-        try:
-            found = _kernel(_packed(A, ts, cs, lows, bits, [c.copy() for c in cs]), lows, bits,
-                            True, taken)
-            terms = found.terms
-        except (ValueError, ArithmeticError):
-            return None
-        if first is None:
-            if any(sum(c * c for _, c in pairs) > bound for pairs in terms):
-                return None
-            first, path = found, taken
-        elif taken != path or terms != first.terms:
-            return None
-    return first
 
 
 def knot_rule(A: Sequence[Sequence[int]]) -> None:

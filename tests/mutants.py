@@ -150,6 +150,19 @@ MUTANTS = [
      "_pencil.held.get(key) if minus_one",
      "_pencil(key) if minus_one",
      ["tests/test_seifert.py::TestClassicalSignatureRoutes::test_a_cold_call_builds_no_pencil"]),
+    # 22. the memo keeps every key, not only the one used last
+    ("exactlinalg.py",
+     "held.clear()",
+     "pass",
+     [f"{EXACT}::TestPencilMemo::test_the_memo_holds_the_matrix_used_last",
+      f"{EXACT}::TestPencilMemo::test_alexander_leaves_one_pencil_for_the_classical_signature"]),
+    # 23. narrow points kept where they took the same path, whatever pairs they read
+    ("exactlinalg.py",
+     "elif taken != path or terms != first.terms:",
+     "elif taken != path:",
+     [f"{EXACT}::TestNarrowPoints::test_minors_near_the_hadamard_bound_fall_back",
+      f"{EXACT}::test_kernel_pivots_match_their_digest",
+      f"{EXACT}::test_kernel_minors_match_their_width_free_digest"]),
 ]
 
 

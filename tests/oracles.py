@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from shakekit import circle
 from shakekit.complexity import a_family_profile
-from shakekit.exactlinalg import det_laurent
+from shakekit.exactlinalg import det_laurent, inertia_symmetric_exact
 from shakekit.laurent import LaurentPoly, UnitCirclePoint
 from shakekit.patterns import (
     Atom,
@@ -163,6 +163,30 @@ def litherland_signature(p: int, q: int, k: int, m: int) -> int:
 def family_signature(n: int, omega: UnitCirclePoint) -> int:
     """sigma(an_family(n), omega) from the family's profile, which reads I(Q_(n-1)) = sigma / 2."""
     return 2 * a_family_profile(omega)(n - 1)
+
+
+def realified_inertia(A: list[list[int]], k: int, m: int) -> tuple[int, int]:
+    """(sigma, n_zero) of H(w) = (1 - w)A + (1 - conj(w))A^T at w = e^(2 pi i k/m), m = 3, 4 or 6.
+
+    There phi(m) = 2 and c_j = 2cos(2 pi jk/m) are integers.  In the real
+    basis {1, w}, z = u + w*v with u, v real, 2 Re(z* H z) is the integer
+    form B = [[R, W], [W^T, R]] of dimension 2n, with R = (2 - c_1)(A + A^T)
+    = 2 Re H and W = (c_1 - c_2)A + (c_1 - 2)A^T = 2 Re(w H).  Each complex
+    dimension of H is two real ones of B, so sigma = sig(B)/2 and n_zero =
+    nullity(B)/2, both from inertia_symmetric_exact: no minor of H and no
+    sign at w enters, and the floats c_j are rounded to those integers.
+    """
+    if m not in (3, 4, 6) or math.gcd(k, m) != 1:
+        raise ValueError(f"{k}/{m} is not a primitive root of order 3, 4 or 6")
+    c1, c2 = (round(2 * math.cos(2 * math.pi * j * k / m)) for j in (1, 2))
+    n = len(A)
+    R = [[(2 - c1) * (A[i][j] + A[j][i]) for j in range(n)] for i in range(n)]
+    W = [[(c1 - c2) * A[i][j] + (c1 - 2) * A[j][i] for j in range(n)] for i in range(n)]
+    B = [r + w for r, w in zip(R, W)] + [[W[j][i] for j in range(n)] + R[i] for i in range(n)]
+    inertia = inertia_symmetric_exact(B)
+    if inertia.signature % 2 or inertia.n_zero % 2:
+        raise ArithmeticError(f"the realified form has odd inertia {inertia}")
+    return inertia.signature // 2, inertia.n_zero // 2
 
 
 def is_pencil(entries: list[dict]) -> bool:
@@ -499,9 +523,13 @@ def satellite_seifert(nf: NormalForm) -> list[list[int]]:
     for j, bar in satellite_leaves(nf):
         A = an_family(1 + j)
         blocks.append([[-x for x in column] for column in zip(*A)] if bar else A)
-    dim = sum(map(len, blocks))
+    return block_sum(blocks)
+
+
+def block_sum(blocks: list[list[list[int]]]) -> list[list[int]]:
+    """The block-diagonal matrix of square integer blocks, in order."""
+    dim, at = sum(map(len, blocks)), 0
     out = [[0] * dim for _ in range(dim)]
-    at = 0
     for B in blocks:
         for i, row in enumerate(B):
             out[at + i][at:at + len(B)] = row

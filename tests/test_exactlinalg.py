@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    block_sum,
     congruence,
     cyclotomic,
     decimal_sign,
@@ -27,6 +28,7 @@ from oracles import (
     random_laurent_matrix,
     random_symmetric_matrix,
     random_unimodular,
+    realified_inertia,
     reduce_first,
     torus_seifert,
 )
@@ -239,22 +241,30 @@ class TestPencilMemo:
         certify_complexity(25, 3)
         assert kernel_calls == []
 
-    def test_the_memo_holds_the_64_matrices_used_last(self):
+    def test_the_memo_holds_the_matrix_used_last(self, kernel_calls):
         exactlinalg._pencil.cache_clear()
-        keys = [((k,),) for k in range(70)]
-        exactlinalg._pencil.__wrapped__(keys[0])  # the raw elimination fills no memo
+        k0, k1 = (tuple(map(tuple, an_family(n))) for n in (2, 3))
+        exactlinalg._pencil.__wrapped__(k0)  # the raw elimination fills no memo
         assert exactlinalg._pencil.held == {}
-        for key in keys[:64]:
-            exactlinalg._pencil(key)
-        first = exactlinalg._pencil.held[keys[0]]
-        assert exactlinalg._pencil(keys[0]) is first  # answered from the memo, now used last
-        for key in keys[64:]:
-            exactlinalg._pencil(key)
-        held = exactlinalg._pencil.held
-        assert list(held) == [*keys[7:64], keys[0], *keys[64:]]
-        assert held[keys[0]] is first and keys[1] not in held
+        exactlinalg._pencil(k0)
+        second = exactlinalg._pencil(k1)
+        assert exactlinalg._pencil.held == {k1: second}
+        kernel_calls.clear()
+        assert exactlinalg._pencil(k1) is second and kernel_calls == []
+        first = exactlinalg._pencil(k0)  # k0 was dropped, so it is eliminated again
+        assert len(kernel_calls) == 1 and exactlinalg._pencil.held == {k0: first}
         exactlinalg._pencil.cache_clear()
         assert exactlinalg._pencil.held == {}
+
+    def test_alexander_leaves_one_pencil_for_the_classical_signature(self, kernel_calls):
+        exactlinalg._pencil.cache_clear()
+        for n in (4, 9, 16):
+            alexander(an_family(n))
+        assert len(exactlinalg._pencil.held) == 1
+        kernel_calls.clear()
+        assert seifert.classical_signature_seifert(an_family(16)) == family_signature(
+            16, UnitCirclePoint.root(1, 2))
+        assert kernel_calls == []
 
     def test_mutating_the_matrix_never_gives_a_stale_result(self):
         A = [[-1, 1], [0, -1]]
@@ -1334,6 +1344,44 @@ def numpy_inertia(A: list[list[int]], omega: UnitCirclePoint) -> Inertia | None:
     if float(np.min(np.abs(eigs))) < 1e-6:
         return None
     return Inertia(int(np.sum(eigs > 0)), 0, int(np.sum(eigs < 0)))
+
+
+def test_realified_inertia_matches_the_kernel_and_numpy():
+    # random matrices of dimension <= 8, and scrambled sums of knots whose
+    # forms are singular at 1/6 (T(2,3), its mirror, T(3,4)) or nowhere on
+    # the circle (4_1, T(2,5) at these orders): sigma equals the kernel's
+    # wherever it answers, and n_zero numpy's count of zero eigenvalues,
+    # which fall below 1e-9 while the others stay above 1e-4
+    rng = random.Random(54)
+    knots = [TREFOIL, [[1, 0], [-1, 1]], [[1, 1], [0, -1]], torus_seifert(2, 5),
+             torus_seifert(3, 4)]
+    counts = {"answered": 0, "refused": 0, "singular": 0}
+    for trial in range(100):
+        if trial % 2:
+            dim = rng.randint(1, 8)
+            A = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(dim)]
+                 for _ in range(dim)]
+        else:
+            blocks = [rng.choice(knots)]
+            while rng.random() < 0.6 and sum(map(len, blocks)) <= 2:
+                blocks.append(rng.choice(knots))
+            A = block_sum(blocks)
+            A = congruence(random_unimodular(rng, len(A), 3 * len(A)), A)
+        for k, m in ((1, 3), (2, 3), (1, 4), (3, 4), (1, 6), (5, 6)):
+            sigma, n_zero = realified_inertia(A, k, m)
+            w, M = np.exp(2j * np.pi * k / m), np.array(A, dtype=complex)
+            eigs = np.abs(np.linalg.eigvalsh((1 - w) * M + (1 - np.conj(w)) * M.T))
+            assert not np.any((eigs >= 1e-9) & (eigs < 1e-4)), (A, k, m)
+            assert n_zero == int(np.sum(eigs < 1e-9)), (A, k, m)
+            counts["singular"] += n_zero > 0
+            try:
+                inertia = inertia_hermitian_at_root(A, UnitCirclePoint.root(k, m))
+            except NearSingular:
+                counts["refused"] += 1
+                continue
+            assert (sigma, n_zero) == (inertia.signature, inertia.n_zero), (A, k, m)
+            counts["answered"] += 1
+    assert counts == {"answered": 478, "refused": 122, "singular": 120}, counts
 
 
 class TestExactHermitianInertia:

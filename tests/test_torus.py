@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from oracles import litherland_signature, torus_delta, torus_seifert
+from oracles import litherland_signature, realified_inertia, torus_delta, torus_seifert
 from shakekit import (
     NearSingular,
     UnitCirclePoint,
@@ -76,3 +76,34 @@ def test_goeritz_route_agrees_with_the_seifert_route(n):
     # torus_band_presentation(n) presents T(2, 2n + 1); T(2, 1) is the unknot
     expected = classical_signature_seifert(torus_seifert(2, 2 * n + 1))
     assert classical_signature_goeritz(torus_band_presentation(n)) == expected == -2 * n
+
+
+class TestRealifiedInertia:
+    """At orders 3, 4 and 6, sigma and n_zero from one integer form of dimension 2n (ROADMAP item 5).
+
+    realified_inertia (tests/oracles.py) counts H(w) in the real basis
+    {1, w}, so it answers where the kernel's minors cannot count.
+    """
+
+    # The points of order 3, 4 or 6 that the kernel refuses on SMALL, with their n_zero
+    REFUSED = {(2, 3, 1, 6): 1, (2, 3, 5, 6): 1, (3, 4, 1, 6): 1, (3, 4, 5, 6): 1,
+               (5, 6, 1, 6): 0, (5, 6, 5, 6): 0, (7, 8, 1, 4): 0, (7, 8, 3, 4): 0}
+
+    def test_agrees_with_the_kernel_and_answers_its_refusals(self):
+        answered, refused = 0, {}
+        for p, q in SMALL:
+            A = torus_seifert(p, q)
+            for k, m in ((1, 3), (2, 3), (1, 4), (3, 4), (1, 6), (5, 6)):
+                sigma, n_zero = realified_inertia(A, k, m)
+                try:
+                    inertia = inertia_hermitian_at_root(A, UnitCirclePoint.root(k, m))
+                except NearSingular:
+                    refused[p, q, k, m] = n_zero
+                    assert sigma == litherland_signature(p, q, k, m), (p, q, k, m)
+                    continue
+                assert (sigma, n_zero) == (inertia.signature, inertia.n_zero), (p, q, k, m)
+                answered += 1
+        assert answered == 58 and refused == self.REFUSED
+
+    def test_trefoil_at_a_sixth(self):
+        assert realified_inertia(torus_seifert(2, 3), 1, 6) == (-1, 1)
