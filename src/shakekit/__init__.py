@@ -5,14 +5,18 @@ signatures from Seifert and Goeritz data, a term calculus for
 dualizable satellite patterns, and replayable lower-bound certificates
 for the complexity of shake-slice knots.
 
-Importing the package executes none of its modules.  Each one is
-registered in sys.modules, and as an attribute of the package, by
-importlib.util.LazyLoader, so it executes at its first attribute access;
-a public name is read from its module on each use (PEP 562).  A CLI
-command thus executes only the modules it uses, while `import
-shakekit.seifert` and sys.modules["shakekit.seifert"] still reach the
-module, as code that inspects the loaded modules expects.
+Importing the package executes none of its modules.  The loop at the
+end registers all ten, verify among them, in sys.modules and as
+attributes of the package, each through importlib.util.LazyLoader, so a
+module executes at its first attribute access; a public name is read
+from its module on each use (PEP 562).  A CLI command thus executes only
+the modules it uses, while `import shakekit.verify` and
+sys.modules["shakekit.verify"] still reach the module, as code that
+inspects the loaded modules expects.
 """
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -37,25 +41,6 @@ _HOME = {name: module for module, names in {
 __all__ = sorted(_HOME)
 
 
-def _register(name: str):
-    """The module shakekit.<name>, registered to execute at its first attribute access.
-
-    A module already in sys.modules is returned as it is.
-    """
-    import importlib.util
-    import sys
-
-    fullname = f"{__name__}.{name}"
-    if fullname not in sys.modules:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        globals()[name] = module
-    return sys.modules[fullname]
-
-
 def __getattr__(name: str):
     """A public name, read from its module, which executes that module on first use."""
     if name in _HOME:
@@ -64,10 +49,13 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__} - {"_HOME", "_register", "__getattr__", "__dir__"})
+    return sorted({*globals(), *__all__} - {"_HOME", "__getattr__", "__dir__"})
 
 
 for _name in ("_record", "errors", "laurent", "circle", "exactlinalg", "seifert", "goeritz",
-              "patterns", "complexity"):
-    _register(_name)
-del _name
+              "patterns", "complexity", "verify"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = globals()[_name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_name])
+del importlib, sys, _name, _spec

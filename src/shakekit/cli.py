@@ -18,11 +18,7 @@ import os
 import re
 import sys
 
-from . import _register, complexity, errors, exactlinalg, goeritz, laurent, patterns, seifert
-
-# Only `shakekit verify` executes verify (and imports random); registering it
-# lazily, rather than importing it in cmd_verify, keeps it in sys.modules.
-verify = _register("verify")
+from . import complexity, errors, exactlinalg, goeritz, laurent, patterns, seifert, verify
 
 _ROOT_RE = re.compile(r"^([0-9]+)/([0-9]+)$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")

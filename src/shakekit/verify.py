@@ -226,14 +226,19 @@ def _check_rewrite_identities() -> str:
 
 def _check_certificates() -> str:
     # the certificates take sigma from the closed form; the general kernel
-    # on the family matrices is the independent cross-check
+    # on the family matrices is the independent cross-check.  The witness
+    # search never reads c, so one witness serves each n's five certificates
+    # and each matrix's signature there is taken once
     primes = set(itertools.takewhile(lambda p: p <= 60, _primes()))
     base = an_family(1)
     for n in range(1, 9):
-        family = an_family(1 + n)
-        for c in range(1, 6):
-            cert = certify_complexity(n, c)
-            kernel = (lt_signature(base, cert.witness), lt_signature(family, cert.witness))
+        certs = [certify_complexity(n, c) for c in range(1, 6)]
+        witness = certs[0].witness
+        kernel = (lt_signature(base, witness), lt_signature(an_family(1 + n), witness))
+        for c, cert in enumerate(certs, 1):
+            if cert.witness != witness:
+                raise AssertionError(f"(n={n}, c={c}): witness {cert.witness}, not {witness} "
+                                     f"as at c=1")
             if kernel != (2 * cert.i_q, 2 * cert.i_qn):
                 raise AssertionError(f"(n={n}, c={c}): the kernel gives sigma = {kernel} at "
                                      f"{cert.witness}, the certificate 2 * ({cert.i_q}, {cert.i_qn})")

@@ -14,8 +14,10 @@ tests do not all pass on the unmutated copy first.
 A mutant is killed only when pytest reports failed tests (exit 1) and
 each named test, or a test inside each named class or file, is among them;
 an import error, a missing test or an interrupted run counts as a survivor.
-The tests named here run in-process, so they import the copy through
-PYTHONPATH; a test that starts its own process on ROOT/src would not.
+The tests named here import the copy through PYTHONPATH: in-process,
+or, in tests/test_startup.py, in processes started on the directory the
+package was found in; a test that starts its own process on ROOT/src
+would not.
 """
 
 import os
@@ -163,6 +165,17 @@ MUTANTS = [
      [f"{EXACT}::TestNarrowPoints::test_minors_near_the_hadamard_bound_fall_back",
       f"{EXACT}::test_kernel_pivots_match_their_digest",
       f"{EXACT}::test_kernel_minors_match_their_width_free_digest"]),
+    # 24. verify left out of the package's registry, so cli's import executes it on every command
+    ("__init__.py",
+     '"patterns", "complexity", "verify"):',
+     '"patterns", "complexity"):',
+     ["tests/test_startup.py::test_each_command_executes_only_its_modules"]),
+    # 25. the certificate row takes c = 1's witness for every c without checking it
+    ("verify.py",
+     "if cert.witness != witness:",
+     "if False:",
+     ["tests/test_acceptance.py::"
+      "test_a_certificate_off_the_shared_witness_fails_the_certificate_row"]),
 ]
 
 

@@ -230,3 +230,28 @@ def test_wrong_closed_form_fails_the_certificate_row(monkeypatch):
     row = {r.name: r for r in run_checks()}["certificate pipeline"]
     assert not row.passed
     assert row.detail.startswith("AssertionError: (n=1, c=1): the kernel gives sigma = (0, 2)")
+
+
+def test_the_certificate_row_takes_each_signature_once(kernel_calls):
+    # one witness serves each n's five certificates, so with a cold memo the
+    # row eliminates the base and the family matrix once per n, not per c
+    _pencil.cache_clear()
+    verify._check_certificates()
+    assert len(kernel_calls) == 2 * 8
+
+
+def test_a_certificate_off_the_shared_witness_fails_the_certificate_row(monkeypatch):
+    real = verify.certify_complexity
+
+    def certify(n, c):
+        cert = real(n, c)
+        if c != 3:
+            return cert
+        return complexity.ComplexityCertificate(
+            cert.n, cert.c, UnitCirclePoint.root(1, 3), cert.invariant_name, cert.i_q,
+            cert.i_qn, cert.bound, cert.term, cert.assumptions)
+
+    monkeypatch.setattr(verify, "certify_complexity", certify)
+    row = {r.name: r for r in run_checks()}["certificate pipeline"]
+    assert not row.passed
+    assert row.detail == "AssertionError: (n=1, c=3): witness 1/3, not 1/2 as at c=1"

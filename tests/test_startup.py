@@ -5,6 +5,7 @@ A registered module that has not run is still a lazy module; reading its
 type, unlike reading an attribute, does not make it run.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -13,17 +14,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# the directory the package is found in, so that tests/mutants.py's copy is the one run
+SRC = Path(importlib.util.find_spec("shakekit").origin).parents[1]
 
 
 def fresh(code: str, *args: str, site: bool = False):
-    """The JSON that code prints last, run in a fresh process with src/ on its path.
+    """The JSON that code prints last, run in a fresh process with SRC on its path.
 
     code runs after `import json, sys, types`; argv[2:] are args.  The
     process runs with `python -S` unless site is true.
     """
     prelude = "import json, sys, types; sys.path.insert(0, sys.argv[1])\n"
     flags = [] if site else ["-S"]
-    proc = subprocess.run([sys.executable, *flags, "-c", prelude + code, str(ROOT / "src"), *args],
+    proc = subprocess.run([sys.executable, *flags, "-c", prelude + code, str(SRC), *args],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -42,7 +45,7 @@ def test_import_executes_no_module():
 def test_dir_lists_the_public_names_and_the_registered_modules():
     names = fresh("import shakekit; print(json.dumps([dir(shakekit), shakekit.__all__]))")
     modules = ["_record", "circle", "complexity", "errors", "exactlinalg", "goeritz", "laurent",
-               "patterns", "seifert"]
+               "patterns", "seifert", "verify"]
     dunders = ["__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
                "__name__", "__package__", "__path__", "__spec__", "__version__"]
     assert names == [sorted(names[1] + modules + dunders), sorted(names[1])]
