@@ -170,9 +170,10 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
     the first root with Delta(omega) < 0.  Odd twisting always
     yields omega = -1 first.
 
-    Once an exact-rule root is held at p > 5 after as many roots as the grid
-    has points (at most doubling the cost), the grid signs are taken once; if
-    no two adjacent ones are negative, no later root can pass and the search
+    Once an exact-rule root is held after as many roots as the grid has
+    points (at most doubling the cost; by then p > 5, so each later root
+    reads two adjacent grid points), the grid signs are taken once; if no
+    two adjacent ones are negative, no later root can pass and the search
     stops.  Raises DomainError for n < 1 or max_order < 2, ValueError for an n
     or max_order that is not an int (bools and floats too), and WitnessNotFound
     if no root qualifies.
@@ -191,7 +192,7 @@ def find_witness_root(n: int, max_order: int = DEFAULT_MAX_ORDER) -> UnitCircleP
 
     tried, exact, stop = 0, None, None
     for p in itertools.takewhile(lambda p: p <= max_order, _primes()):
-        if exact is not None and p > 5 and tried >= WITNESS_GRID and stop is None:
+        if exact is not None and tried >= WITNESS_GRID and stop is None:
             grid = [negative(i, WITNESS_GRID) for i in range(WITNESS_GRID)]
             stop = not any(a and b for a, b in zip(grid, grid[1:] + grid[:1]))
         if stop:

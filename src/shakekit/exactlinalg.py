@@ -15,8 +15,8 @@ x * pivot as (x * u) << s and an exact N // prev as (N >> s) // u:
 N = prev * q is a multiple of 2^s, so the shift drops only zero bits and
 leaves u * q.  Both are integer identities, so every value is the plain
 formula's, and the shifts take time linear in the size.  The Seifert
-pencil M = t*A - A^T is eliminated once and memoised for the one matrix A
-used last (_pencil.held, which can be queried without computing); with
+pencil M = t*A - A^T is eliminated once and memoised for the matrices A
+used last within a budget (_pencil.held, queried without computing); with
 symmetric pivoting its Bareiss pivots are its leading principal minors,
 which give both the determinant and, by Jacobi's sign rule, the exact
 inertia of the Hermitian form H(omega) at every unit-circle point, -1
@@ -334,24 +334,47 @@ def _entry(e: object) -> dict[int, int] | int:
     raise ValueError(f"a matrix entry must be an int or a LaurentPoly, got {e!r}")
 
 
-def _memoised(eliminate):
-    """eliminate, memoised for the one key used last.
+# The most bits the pencil memo holds, unless its newest pencil alone is larger: a pencil counts
+# the bit lengths of its values plus 64 bits for each value (_memoised)
+_MEMO_BITS = 2**23
 
-    The memo is the dict .held, of at most one entry, so a caller can look
-    a key up (.held.get) without computing anything; a new key drops the
-    one held before it is eliminated.  .cache_clear empties the memo, and
-    .__wrapped__ is eliminate itself, which fills no memo.
+
+def _memoised(eliminate):
+    """eliminate, memoised for the keys used last, while their pencils fit _MEMO_BITS.
+
+    The memo is the dict .held, oldest first, so a caller can look a key
+    up (.held.get) without computing anything.  A key's size, the bit
+    lengths of its Pivots' values plus 64 bits per value, is recorded once,
+    when it is eliminated; a hit moves its key to the newest place.  After
+    each call the oldest keys are dropped while the held sizes sum past
+    _MEMO_BITS, but the newest key is always kept, so a caller alternating
+    two matrices whose pencils fit together eliminates each once.
+    .cache_clear empties the memo, and .__wrapped__ is eliminate itself,
+    which fills no memo.
     """
-    held = {}
+    held, sizes, total = {}, {}, 0
 
     @functools.wraps(eliminate)
     def memo(key):
-        if (found := held.get(key)) is None:
-            held.clear()
-            found = held[key] = eliminate(key)
+        nonlocal total
+        if (found := held.pop(key, None)) is None:
+            found = eliminate(key)
+            sizes[key] = sum(value.bit_length() + 64 for value in found.values)
+            total += sizes[key]
+        held[key] = found
+        while total > _MEMO_BITS and len(held) > 1:
+            oldest = next(iter(held))
+            del held[oldest]
+            total -= sizes.pop(oldest)
         return found
 
-    memo.held, memo.cache_clear = held, held.clear
+    def cache_clear():
+        nonlocal total
+        held.clear()
+        sizes.clear()
+        total = 0
+
+    memo.held, memo.cache_clear = held, cache_clear
     return memo
 
 
@@ -362,7 +385,7 @@ _NARROW_BITS = 56
 
 @_memoised
 def _pencil(A: tuple[tuple[int, ...], ...]) -> Pivots:
-    """The Pivots of the pencil t*A - A^T, memoised for the matrix used last (_memoised).
+    """The Pivots of the pencil t*A - A^T, memoised for the matrices used last (_memoised).
 
     Callers pass the immutable key strict_matrix(A, "matrix"), so a matrix
     they mutate later is never answered from the memo, and a caller may

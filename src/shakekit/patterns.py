@@ -448,10 +448,7 @@ class _Parser:
                              f"got {count}") from None
 
     def read_ident(self) -> str:
-        self.skip_ws()
         start = self.pos
-        if self.pos >= len(self.src) or self.src[self.pos] not in _IDENT_START:
-            raise self.error("expected a pattern name")
         self.pos += 1
         while self.pos < len(self.src) and self.src[self.pos] in _IDENT_CONT:
             self.pos += 1

@@ -33,22 +33,37 @@ def alexander(A: Sequence[Sequence[int]]) -> laurent.LaurentPoly:
     return delta
 
 
+def _even(A: Sequence[Sequence[int]]) -> None:
+    """Refuse an odd-dimensional A with OddDimension, once the strict input check passes.
+
+    A knot's Seifert matrix has even dimension, as alexander checks; an
+    even-length A is checked by inertia_hermitian_at_root, which accepts
+    any square matrix.
+    """
+    if len(A) % 2:
+        even_dimension(len(strict_matrix(A, "matrix")))
+
+
 def classical_signature_seifert(A: Sequence[Sequence[int]]) -> int:
     """Signature of the symmetrized form A + A^T, the Levine-Tristram signature at -1.
 
     exactlinalg.inertia_hermitian_at_root decides it, as it does every
     lt_signature: from the memoised pencil's exact signs where they count,
-    else from the form A + A^T, with no pencil built.
+    else from the form A + A^T, with no pencil built.  Raises OddDimension
+    for an odd-dimensional A.
     """
+    _even(A)
     return exactlinalg.inertia_hermitian_at_root(A, _MINUS_ONE).signature
 
 
 def lt_signature(A: Sequence[Sequence[int]], omega: laurent.UnitCirclePoint) -> int:
     """Levine-Tristram signature sigma(K, omega), an even integer.
 
-    Raises NearSingular where the form is singular, other than at -1, or
-    where a sign is not certified, and InvalidRoot at omega=1.
+    Raises OddDimension for an odd-dimensional A, NearSingular where the
+    form is singular, other than at -1, or where a sign is not certified,
+    and InvalidRoot at omega=1.
     """
+    _even(A)
     return exactlinalg.inertia_hermitian_at_root(A, omega).signature
 
 

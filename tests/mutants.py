@@ -152,12 +152,11 @@ MUTANTS = [
      "_pencil.held.get(key) if minus_one",
      "_pencil(key) if minus_one",
      ["tests/test_seifert.py::TestClassicalSignatureRoutes::test_a_cold_call_builds_no_pencil"]),
-    # 22. the memo keeps every key, not only the one used last
+    # 22. the memo keeps every key, not only the ones used last within its budget
     ("exactlinalg.py",
-     "held.clear()",
-     "pass",
-     [f"{EXACT}::TestPencilMemo::test_the_memo_holds_the_matrix_used_last",
-      f"{EXACT}::TestPencilMemo::test_alexander_leaves_one_pencil_for_the_classical_signature"]),
+     "while total > _MEMO_BITS and len(held) > 1:",
+     "while False:",
+     [f"{EXACT}::TestPencilMemo::test_the_memo_holds_the_matrix_used_last"]),
     # 23. narrow points kept where they took the same path, whatever pairs they read
     ("exactlinalg.py",
      "elif taken != path or terms != first.terms:",
@@ -176,6 +175,16 @@ MUTANTS = [
      "if False:",
      ["tests/test_acceptance.py::"
       "test_a_certificate_off_the_shared_witness_fails_the_certificate_row"]),
+    # 26. past its budget the memo evicts the newest pencil first, not the oldest
+    ("exactlinalg.py",
+     "oldest = next(iter(held))",
+     "oldest = next(reversed(held))",
+     [f"{EXACT}::TestPencilMemo::test_the_memo_holds_the_matrix_used_last"]),
+    # 27. the zero test refused at order 5,000 itself, not only past it
+    ("circle.py",
+     "omega.m > _MAX_ZERO_TEST_ORDER",
+     "omega.m >= _MAX_ZERO_TEST_ORDER",
+     [f"{EXACT}::TestSignAt::test_the_zero_test_stops_at_its_cap"]),
 ]
 
 

@@ -9,6 +9,7 @@ import cmath
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +24,7 @@ from shakekit.goeritz import (
     torus_band_presentation,
 )
 from shakekit.laurent import LaurentPoly, UnitCirclePoint, eval_symmetric_real
-from shakekit.patterns import Atom, Compose, Star, normalize
+from shakekit.patterns import Atom, Compose, Pound, Star, normalize
 from shakekit.seifert import (
     alexander,
     an_family,
@@ -233,11 +234,14 @@ def test_wrong_closed_form_fails_the_certificate_row(monkeypatch):
 
 
 def test_the_certificate_row_takes_each_signature_once(kernel_calls):
-    # one witness serves each n's five certificates, so with a cold memo the
-    # row eliminates the base and the family matrix once per n, not per c
+    # one witness serves each n's five certificates, and the memo keeps the
+    # base's pencil beside each family matrix's, so with a cold memo the row
+    # eliminates each family matrix once, and the base twice: as the form
+    # A + A^T at -1 for n = 1, and as a pencil for n = 2, whose signs answer
+    # every later -1
     _pencil.cache_clear()
     verify._check_certificates()
-    assert len(kernel_calls) == 2 * 8
+    assert [len(call.rows) for call in kernel_calls] == [4, 6, 4, *range(8, 21, 2)]
 
 
 def test_a_certificate_off_the_shared_witness_fails_the_certificate_row(monkeypatch):
@@ -255,3 +259,72 @@ def test_a_certificate_off_the_shared_witness_fails_the_certificate_row(monkeypa
     row = {r.name: r for r in run_checks()}["certificate pipeline"]
     assert not row.passed
     assert row.detail == "AssertionError: (n=1, c=3): witness 1/3, not 1/2 as at c=1"
+
+
+def _certificates(change):
+    """certify_complexity with the fields change(cert) gives replaced in each n = 1 certificate."""
+    def patch(real):
+        def certify(n, c):
+            cert = real(n, c)
+            if n != 1:
+                return cert
+            fields = {f: getattr(cert, f) for f in complexity.ComplexityCertificate.__annotations__}
+            return complexity.ComplexityCertificate(**{**fields, **change(cert)})
+        return certify
+    return "certify_complexity", patch
+
+
+def _in_turn(*values):
+    """A patch whose replacement ignores its arguments and returns values, one per call."""
+    def patch(real):
+        it = iter(values)
+        return lambda *args: next(it)
+    return patch
+
+
+@pytest.mark.parametrize("check, name, patch, detail", [
+    ("torus_signatures", "classical_signature_goeritz", lambda real: lambda bp: 0,
+     "[2n+1] presentation with n=1: got 0, want -2"),
+    ("symmetrized_signatures", "classical_signature_seifert", lambda real: lambda A: 2,
+     "4x4 family matrix: signature 2, want 0"),
+    ("symmetrized_signatures", "classical_signature_seifert", lambda real: lambda A: 0,
+     "6x6 family matrix: signature 0, want 2"),
+    ("closed_form_alexander", "alexander", lambda real: lambda A: LaurentPoly({0: 1}),
+     f"n=1: alexander gives {LaurentPoly({0: 1})}, closed form {delta_n_closed(1)}"),
+    ("delta_at_one", "delta_n_closed", lambda real: lambda n: LaurentPoly({0: 2}),
+     "delta_1(1) = 2, want 1"),
+    ("roots_of_unity_identity", "_folded", lambda real: lambda terms, m: list(terms),
+     "n=2: delta_n folds to "),
+    ("sigma_q_vanishes", "_sign_at", lambda real: lambda omega, k, terms: 0,
+     "delta_1 not positive at the root 0/360"),
+    ("sigma_q_vanishes", "lt_signature", lambda real: lambda A, omega: 2,
+     "sigma(Q, 1/2) = 2, want 0"),
+    ("two_twist_stability", "add_two_twists", lambda real: lambda gd, l: gd,
+     "case 0: sign(G2) != sign(G) + 1 for G="),
+    ("two_twist_stability", "add_two_twists",
+     lambda real: lambda gd, l: SimpleNamespace(sign_G=gd.sign_G + 1, sigma=gd.sigma + 1),
+     "case 0: sigma changed for G="),
+    ("rewrite_identities", "normalize", lambda real: lambda term: term,
+     f"normal forms differ: {Compose(Pound(Atom('K')), Pound(Atom('J')))} vs "),
+    ("rewrite_identities", "eval_invariant", _in_turn(1), "P o P^-1 must evaluate to 0"),
+    ("rewrite_identities", "eval_invariant", _in_turn(0, 1), "P^-1 o P must evaluate to 0"),
+    ("rewrite_identities", "parse_pattern", lambda real: lambda text: Atom("Z"),
+     "normalize not idempotent on case 0: "),
+    ("certificates", *_certificates(lambda cert: {"bound": 0}), "(n=1, c=1): bound 0 < c"),
+    ("certificates", *_certificates(
+        lambda cert: {"witness": UnitCirclePoint.root(1, 4), "i_q": 0, "i_qn": 0}),
+     "(n=1, c=1): witness order 4 not prime"),
+    ("certificates", *_certificates(
+        lambda cert: {"witness": UnitCirclePoint.root(1, 3), "i_q": 0, "i_qn": 0}),
+     "(n=1, c=1): odd n should witness at -1"),
+    ("certificates", *_certificates(lambda cert: {"bound": 2 * cert.c}),
+     "(n=1, c=1): odd n should give bound exactly c"),
+])
+def test_each_failing_row_names_its_fault(monkeypatch, check, name, patch, detail):
+    # a fault injected into what a row recomputes fails the row with its own message: the
+    # certificate faults keep i_Q = i_Qn = 0, which the kernel gives at 1/3 and 1/4 too
+    monkeypatch.setattr(verify, name, patch(getattr(verify, name)))
+    _pencil.cache_clear()
+    with pytest.raises(AssertionError) as exc:
+        getattr(verify, f"_check_{check}")()
+    assert str(exc.value).startswith(detail), str(exc.value)

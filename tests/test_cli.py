@@ -723,6 +723,14 @@ class TestIntegersPastTheDigitLimit:
         assert err == (f"error: expected at most {self.LIMIT} digits, got {self.LIMIT + 1} "
                        f"(at position {at})\n")
 
+    def test_integer_option(self, capsys):
+        # an option's ASCII digits past the limit are refused by argparse, which exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--framing", self.DIGITS, "--complexity", "1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument --framing: expected at most {self.LIMIT} digits, got '999" in err
+
     def test_root_option(self, capsys, write_json):
         path = write_json("trefoil.json", TREFOIL_DOC)
         code, out, err = run_cli(capsys, "lt", path, "--root", "1/" + self.DIGITS)

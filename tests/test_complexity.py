@@ -517,6 +517,19 @@ class TestCertificates:
         assert cert.bound == 3
         assert cert.term == "bar(Q*)_1^3 o Q^3"
 
+    def test_a_cross_check_that_disagrees_is_refused(self, monkeypatch):
+        # the pattern calculus evaluates the retrace term apart from the bound
+        monkeypatch.setattr(complexity, "eval_invariant", lambda term, profiles: 99)
+        with pytest.raises(ArithmeticError,
+                           match="^pattern-calculus evaluation gives 99, not the bound 3$"):
+            certify_complexity(1, 3)
+
+    def test_a_profile_with_no_gap_is_refused(self, monkeypatch):
+        # a constant profile agrees with its own cross-check, so only the bound guard sees it
+        monkeypatch.setattr(complexity, "a_family_profile", lambda omega: lambda k: 0)
+        with pytest.raises(ArithmeticError, match=r"^bound 0 < c = 2: a certificate needs "):
+            certify_complexity(1, 2)
+
     def test_term_parses_back(self):
         cert = certify_complexity(2, 4)
         parse_pattern(cert.term)

@@ -241,26 +241,42 @@ class TestPencilMemo:
         certify_complexity(25, 3)
         assert kernel_calls == []
 
-    def test_the_memo_holds_the_matrix_used_last(self, kernel_calls):
+    def test_the_memo_holds_the_matrix_used_last(self, kernel_calls, monkeypatch):
         exactlinalg._pencil.cache_clear()
-        k0, k1 = (tuple(map(tuple, an_family(n))) for n in (2, 3))
+        k0, k1, k2 = (tuple(map(tuple, an_family(n))) for n in (2, 3, 4))
         exactlinalg._pencil.__wrapped__(k0)  # the raw elimination fills no memo
         assert exactlinalg._pencil.held == {}
-        exactlinalg._pencil(k0)
-        second = exactlinalg._pencil(k1)
-        assert exactlinalg._pencil.held == {k1: second}
+        # an alternating pair is eliminated once each, and a hit moves its key to the newest place
         kernel_calls.clear()
-        assert exactlinalg._pencil(k1) is second and kernel_calls == []
-        first = exactlinalg._pencil(k0)  # k0 was dropped, so it is eliminated again
-        assert len(kernel_calls) == 1 and exactlinalg._pencil.held == {k0: first}
+        first, second = exactlinalg._pencil(k0), exactlinalg._pencil(k1)
+        for _ in range(3):
+            assert exactlinalg._pencil(k0) is first and exactlinalg._pencil(k1) is second
+        assert len(kernel_calls) == 2 and exactlinalg._pencil.held == {k0: first, k1: second}
+        assert exactlinalg._pencil(k0) is first and list(exactlinalg._pencil.held) == [k1, k0]
+        # past the budget the oldest pencil goes first, and the newest always stays
+        size = {k: sum(v.bit_length() + 64 for v in exactlinalg._pencil.__wrapped__(k).values)
+                for k in (k0, k1, k2)}
+        assert size[k0] < size[k1] < size[k2]
+        exactlinalg._pencil.cache_clear()
+        monkeypatch.setattr(exactlinalg, "_MEMO_BITS", size[k1] + size[k2])
+        for k in (k0, k1, k2):
+            exactlinalg._pencil(k)
+        assert list(exactlinalg._pencil.held) == [k1, k2]
+        exactlinalg._pencil(k1)  # k1 is now the newest, so k0's pencil evicts k2's
+        exactlinalg._pencil(k0)
+        assert list(exactlinalg._pencil.held) == [k1, k0]
+        monkeypatch.setattr(exactlinalg, "_MEMO_BITS", size[k0] - 1)
+        exactlinalg._pencil(k2)
+        assert list(exactlinalg._pencil.held) == [k2]
         exactlinalg._pencil.cache_clear()
         assert exactlinalg._pencil.held == {}
 
     def test_alexander_leaves_one_pencil_for_the_classical_signature(self, kernel_calls):
         exactlinalg._pencil.cache_clear()
-        for n in (4, 9, 16):
-            alexander(an_family(n))
-        assert len(exactlinalg._pencil.held) == 1
+        keys = [tuple(map(tuple, an_family(n))) for n in (4, 9, 16)]
+        for key in keys:
+            alexander(key)
+        assert list(exactlinalg._pencil.held) == keys
         kernel_calls.clear()
         assert seifert.classical_signature_seifert(an_family(16)) == family_signature(
             16, UnitCirclePoint.root(1, 2))
@@ -926,7 +942,8 @@ def kernel_cases() -> list[list[list[int]]]:
 def kernel_eliminations(kernel_calls) -> list[tuple]:
     """(A, its pencil's Pivots as _pencil keeps them, [the Pivots of the form A + A^T]) per case.
 
-    The form is eliminated through the classical signature and through
+    The form is eliminated through the classical signature's route,
+    inertia_hermitian_at_root at -1, which answers odd A too, and through
     inertia_symmetric_exact, with no pencil memoised by an earlier test.
     """
     exactlinalg._pencil.cache_clear()
@@ -934,7 +951,7 @@ def kernel_eliminations(kernel_calls) -> list[tuple]:
     for A in kernel_cases():
         pencil = exactlinalg._pencil.__wrapped__(tuple(map(tuple, A)))
         kernel_calls.clear()
-        seifert.classical_signature_seifert(A)
+        inertia_hermitian_at_root(A, UnitCirclePoint.root(1, 2))
         inertia_symmetric_exact([[a + b for a, b in zip(row, column)]
                                  for row, column in zip(A, zip(*A))])
         found.append((A, pencil, [call.result for call in kernel_calls]))
@@ -1170,6 +1187,11 @@ class TestInertiaSymmetric:
             assert inertia_symmetric_exact(eset) == inertia_symmetric_exact(s), (
                 f"trial {trial}"
             )
+
+    def test_symmetric_pivoting_refuses_a_one_sided_pattern(self):
+        # M[0][1] != 0 = M[1][0]: no diagonal entry and no 2x2 block can pivot
+        with pytest.raises(ValueError, match="^symmetric pivoting needs M.i..j. != 0 exactly"):
+            exactlinalg._kernel([{1: 1}, {}], [0, 0], 8, True)
 
     def test_block_pivot_then_zero_block(self):
         # a hyperbolic plane, then a zero Schur complement
@@ -1470,6 +1492,12 @@ class TestExactHermitianInertia:
         assert inertia_hermitian_at_root(A, omega) == Inertia(1, 0, 2)
         assert numpy_inertia(A, omega) == Inertia(1, 0, 2)
 
+    def test_jacobi_refuses_signs_no_hermitian_form_has(self):
+        # around an isolated zero minor a Hermitian form's neighbours have opposite signs
+        with pytest.raises(ArithmeticError, match="^leading minors D_1 and D_3 around the zero "
+                                                  "D_2 have the same sign, which no Hermitian"):
+            exactlinalg._jacobi([1, 0, 1])
+
     def test_consecutive_zero_minors_are_refused(self):
         # D_2 = D_3 = 0 at 1/6 although the form itself is nonsingular
         A = [[-1, -1, 1, -1], [0, -1, 0, 0], [1, 1, 0, 1], [0, 0, 1, 1]]
@@ -1750,6 +1778,18 @@ class TestSignAt:
         assert m > circle._MAX_ZERO_TEST_ORDER
         want = sign_outcome(lambda: circle._certified_sign(omega, 0, terms))
         assert (exc.value.index, exc.value.value, exc.value.bound) == want
+
+    def test_the_zero_test_stops_at_its_cap(self, reductions):
+        # order 5,000 is the last one with a zero test: 1 + t^2500 vanishes at 1/5000, which no
+        # certified sum decides, so _vanishes answers 0; at 1/5001, 1 + t^1667 + t^3334
+        # vanishes too, but past the cap it is refused, and the refusal names the cap
+        assert circle._MAX_ZERO_TEST_ORDER == 5000
+        assert circle._sign_at(UnitCirclePoint.root(1, 5000), 0, [(0, 1), (2500, 1)]) == 0
+        assert reductions == [5000]
+        with pytest.raises(NearSingular) as exc:
+            circle._sign_at(UnitCirclePoint.root(1, 5001), 0, [(0, 1), (1667, 1), (3334, 1)])
+        assert str(exc.value).endswith("; no exact zero test at order 5001 > 5000")
+        assert reductions == [5000]
 
     def test_zero_test_agrees_with_dense_division(self):
         # _vanishes says zero exactly where the remainder modulo Phi_m is

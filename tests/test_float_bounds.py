@@ -88,6 +88,16 @@ class TestDeltaBound:
         probes = _near_sixth(760)  # 640u, and the 76u the nudges can move Delta_6
         assert [complexity._delta_sign(6, k, m) for k, m, _ in probes] == [s for *_, s in probes]
 
+    def test_a_value_at_the_bound_is_decided_exactly(self, monkeypatch):
+        # only a value past _DELTA_BOUND counts: with the bound raised to |Delta_n(-1)|, 13 for
+        # n = 1 and -3 for n = 2, both in floats exactly, each sign comes from circle._sign_at
+        calls, real = [], circle._sign_at
+        monkeypatch.setattr(circle, "_sign_at", lambda *args: calls.append(args[0]) or real(*args))
+        for n, value in ((1, 13.0), (2, -3.0)):
+            monkeypatch.setattr(complexity, "_DELTA_BOUND", abs(value))
+            assert complexity._delta_sign(n, 1, 2) == (1 if value > 0 else -1)
+        assert calls == [UnitCirclePoint.root(1, 2)] * 2
+
 
 class TestSumBound:
     """_certified_sign's bound (err + 8u) * sum|c|, with each term off by up to |c| * err."""
@@ -119,3 +129,12 @@ class TestSumBound:
         terms = sorted(delta_n_closed(6).coeffs.items())
         omega = UnitCirclePoint.angle(math.pi / 3)
         assert outcome(lambda: circle._certified_sign(omega, 0, terms)) == "refused"
+
+    def test_a_sum_exactly_at_its_bound_is_refused(self):
+        # a + b*t^2 at i sums a*cos(0) + b*cos(pi) = a - b = 5376 exactly, and these a and b,
+        # found by searching near (err + 8u)(a + b) = 42 * 2^7 with err = 8u(pi + 1), make the
+        # bound round to 5376.0 too; the sign counts only past the bound, so it is refused
+        a, b = 588615075813129728, 588615075813124352
+        with pytest.raises(NearSingular) as exc:
+            circle._certified_sign(UnitCirclePoint.root(1, 4), 0, [(0, a), (2, b)])
+        assert exc.value.value == exc.value.bound == a - b == 5376

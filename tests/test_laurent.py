@@ -93,6 +93,12 @@ class TestArithmetic:
         assert p * q == q * p
 
 
+    def test_repr_and_comparison_with_other_types(self):
+        p = LaurentPoly({1: -1, -1: 2})
+        assert repr(p) == "LaurentPoly({-1: 2, 1: -1})"
+        assert p.__eq__("t") is NotImplemented and p != "t"
+
+
 class TestSymmetry:
     def test_examples(self):
         assert lp_is_symmetric(DELTA_1)
@@ -112,6 +118,10 @@ class TestUnitCirclePoint:
         assert UnitCirclePoint.root(7, 5) == UnitCirclePoint.root(2, 5)
         assert UnitCirclePoint.root(-1, 3) == UnitCirclePoint.root(2, 3)
         assert str(UnitCirclePoint.root(2, 6)) == "1/3"
+
+    def test_a_root_and_an_angle_together_are_refused(self):
+        with pytest.raises(ValueError, match="^give either k/m or theta, not both$"):
+            UnitCirclePoint(1, 3, 0.5)
 
     def test_is_one(self):
         assert UnitCirclePoint.root(0, 1).is_one()

@@ -97,6 +97,11 @@ class TestParser:
         assert parse_pattern("P#") == Pound(P)
         assert parse_pattern("P_-4") == Twist(P, -4)
 
+    def test_a_value_that_is_no_term_is_refused(self):
+        for refuse in (normalize, render_term):
+            with pytest.raises(TypeError, match="^not a pattern term: 'P'$"):
+                refuse("P")
+
     def test_compose_is_left_associative(self):
         assert parse_pattern("P o Q o R") == Compose(Compose(P, Q), R)
 

@@ -20,6 +20,7 @@ from shakekit.seifert import (
 )
 
 TREFOIL = [[-1, 1], [0, -1]]
+MINUS_ONE = UnitCirclePoint.root(1, 2)
 
 A1 = [
     [1, 1, 1, 0],
@@ -98,6 +99,22 @@ class TestAlexander:
             alexander([[1]])
         with pytest.raises(OddDimension):
             alexander([[0, 1, 0], [0, 0, 0], [1, 1, 1]])
+
+    def test_odd_dimension_rejected_by_the_signatures(self):
+        # as alexander: the strict input check first, then the parity; the Hermitian inertia
+        # itself answers any square matrix
+        for A in ([[1]], [[0, 1, 0], [0, 0, 0], [1, 1, 1]]):
+            with pytest.raises(OddDimension, match="^dimension .* is odd"):
+                lt_signature(A, UnitCirclePoint.root(1, 3))
+            with pytest.raises(OddDimension):
+                classical_signature_seifert(A)
+        assert inertia_hermitian_at_root([[1]], UnitCirclePoint.root(1, 3)).signature == 1
+        with pytest.raises(ValueError, match="must be 3x3") as exc:
+            lt_signature([[1, 0, 0], [0, 1], [0, 0, 1]], UnitCirclePoint.root(1, 3))
+        assert not isinstance(exc.value, OddDimension)
+        with pytest.raises(ValueError, match="got 1.0") as exc:
+            classical_signature_seifert([[1.0]])
+        assert not isinstance(exc.value, OddDimension)
 
     def test_non_seifert_matrix_rejected(self):
         with pytest.raises(DomainError, match="must be 1"):
@@ -257,11 +274,16 @@ class TestClassicalSignatureRoutes:
             A = [[rng.randint(-2, 2) if rng.random() < density else 0 for _ in range(n)]
                  for _ in range(n)]
             exactlinalg._pencil.cache_clear()
-            cold = classical_signature_seifert(A)
+            cold = inertia_hermitian_at_root(A, MINUS_ONE).signature
             assert exactlinalg._pencil.held == {}
             exactlinalg._pencil(tuple(map(tuple, A)))
             forms.clear()
-            warm = classical_signature_seifert(A)
+            warm = inertia_hermitian_at_root(A, MINUS_ONE).signature
+            if n % 2:
+                with pytest.raises(OddDimension):
+                    classical_signature_seifert(A)
+            else:
+                assert classical_signature_seifert(A) == warm
             routes["form" if forms else "pencil"] += 1
             want = numpy_signature([[a + b for a, b in zip(row, col)]
                                     for row, col in zip(A, zip(*A))])
